@@ -58,6 +58,7 @@ from .ensembles import (
 )
 from .dynamics import (
     FunctionalTimeStats,
+    ReducedRates,
     TimeAverageReport,
     Trajectory,
     default_horizon,
@@ -68,6 +69,7 @@ from .dynamics import (
     finite_difference_speed,
     pure_state_samples,
     purity_rate,
+    reduced_rates,
     subsystem_speed,
 )
 from .bounds import (
@@ -87,7 +89,7 @@ __version__ = "0.1.0"
 def __getattr__(name):
     # harness/experiments import lazily so that the light math API stays cheap
     if name in ("ExperimentSpec", "ExperimentResult", "run_experiment",
-                "run_einselection_demo", "run_suite", "summarize", "parse_config"):
+                "run_suite", "summarize", "parse_config"):
         from . import harness
 
         return getattr(harness, name)

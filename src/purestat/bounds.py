@@ -344,44 +344,60 @@ def check_bound(theorem: str, lhs: float, ctx: BoundContext,
                        kind=entry.kind)
 
 
-def _pairing_weights(values, rho) -> list[tuple[int, int, float]]:
-    a = np.asarray(values, dtype=float)
-    r = np.asarray(rho, dtype=complex)
-    n = len(a)
-    edges = []
-    for k in range(n):
-        for l in range(k + 1, n):
-            w = abs(a[k] - a[l]) * abs(r[k, l])
-            if w > 0:
-                edges.append((k, l, w))
-    return edges
+def _max_weight_perfect_matching(w: list[list[float]]) -> float:
+    """Exact maximum weight of a perfect matching on an even vertex count.
+
+    Bitmask DP that always pairs the lowest free vertex, memoised on the
+    free set; only the free sets reachable that way are ever visited.
+    """
+    memo: dict[int, float] = {}
+
+    def best(free: int) -> float:
+        if not free:
+            return 0.0
+        if free in memo:
+            return memo[free]
+        low = free & -free
+        i = low.bit_length() - 1
+        rest = free ^ low
+        val = 0.0
+        others = rest
+        while others:
+            bit = others & -others
+            val = max(val, w[i][bit.bit_length() - 1] + best(rest ^ bit))
+            others ^= bit
+        memo[free] = val
+        return val
+
+    return best((1 << len(w)) - 1)
 
 
 def max_pairing_offdiagonal_sum(values, rho, exact_limit: int = 20) -> float:
     """max over pairings of sum_{(k,l)} |a_k - a_l| |rho_kl|.
 
     rho must be expressed in the eigenbasis of the observable whose
-    eigenvalues are `values`.  Exact maximum-weight matching up to
-    exact_limit vertices; above that a greedy edge selection is used, whose
-    value is a certified lower bound on the true maximum (still sound for
-    the commutator lemma, whose RHS is itself a lower bound).
+    eigenvalues are `values`.  A vertex may stay unpaired.  Up to
+    exact_limit vertices the maximum is exact: the weights are >= 0, so a
+    maximum-weight matching can be completed to a perfect one (odd n gets a
+    zero-weight padding vertex) and the bitmask DP finds it.  Above that a
+    greedy edge selection is used, whose value is a certified lower bound on
+    the true maximum (still sound for the commutator lemma, whose RHS is
+    itself a lower bound).
     """
-    edges = _pairing_weights(values, rho)
-    if not edges:
-        return 0.0
-    n = len(values)
+    a = np.asarray(values, dtype=float)
+    n = len(a)
+    w = np.abs(a[:, None] - a[None, :]) * np.abs(np.asarray(rho, dtype=complex))
     if n <= exact_limit:
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_weighted_edges_from(edges)
-        matching = nx.max_weight_matching(g, maxcardinality=False)
-        weight = {(k, l): w for k, l, w in edges}
-        return sum(weight[(k, l) if k < l else (l, k)] for k, l in matching)
+        if n % 2:
+            w = np.pad(w, ((0, 1), (0, 1)))
+        return _max_weight_perfect_matching(w.tolist())
+    k_idx, l_idx = np.triu_indices(n, 1)
+    edges = [(k, l, x) for k, l, x in zip(k_idx.tolist(), l_idx.tolist(),
+                                          w[k_idx, l_idx].tolist()) if x > 0]
     used: set[int] = set()
     total = 0.0
-    for k, l, w in sorted(edges, key=lambda e: -e[2]):
+    for k, l, x in sorted(edges, key=lambda e: -e[2]):
         if k not in used and l not in used:
             used.update((k, l))
-            total += w
+            total += x
     return total

@@ -21,6 +21,8 @@ __all__ = [
     "empirical_time_average",
     "pure_state_samples",
     "subsystem_speed",
+    "ReducedRates",
+    "reduced_rates",
     "purity_rate",
     "finite_difference_speed",
     "finite_difference_purity_rate",
@@ -213,6 +215,50 @@ def _reduced_commutant_with_interaction(rho: np.ndarray, h_sb: np.ndarray,
                                         d_s: int, d_b: int) -> np.ndarray:
     """Tr_B[rho, H_SB]."""
     return partial_trace(commutator(rho, h_sb), d_s, d_b, "S")
+
+
+@dataclass
+class ReducedRates:
+    """Reduced states and their rates of change along a stack of pure states.
+
+    Every array has a leading time axis: rho_s is rho^S_t, drho_s is
+    d rho^S_t/dt and tr_b_comm is Tr_B[rho_t, H_SB], each (n_times, d_S, d_S).
+    """
+
+    rho_s: np.ndarray
+    drho_s: np.ndarray
+    tr_b_comm: np.ndarray
+
+    def speeds(self) -> np.ndarray:
+        """v_S = (1/2) ||d rho^S_t/dt||_1 at every time (see subsystem_speed)."""
+        return 0.5 * np.abs(np.linalg.eigvalsh(self.drho_s)).sum(axis=1)
+
+    def purity_rates(self) -> np.ndarray:
+        """d p^S_t/dt = Tr[rho^S_t 2i Tr_B[rho_t, H_SB]] at every time (see purity_rate)."""
+        return 2 * np.einsum("nij,nji->n", self.rho_s, 1j * self.tr_b_comm).real
+
+
+def reduced_rates(psis, parts: CompositeHamiltonian) -> ReducedRates:
+    """Batched subsystem speed and purity-rate kernel over pure states psi_t.
+
+    psis holds one state vector per row, shape (n_times, d_S d_B); each row
+    is renormalised to remove float drift.  No d x d density matrix is
+    formed: with K_t = Tr_B |psi_t><H_SB psi_t|, Tr_B[rho_t, H_SB] =
+    K_t - K_t^dagger.  subsystem_speed and purity_rate are the dense
+    single-state references.
+    """
+    d_s, d_b = parts.dims
+    psis = np.asarray(psis, dtype=complex)
+    if psis.ndim != 2 or psis.shape[1] != d_s * d_b:
+        raise ValueError("state dimension does not match the Hamiltonian split")
+    psis = psis / np.linalg.norm(psis, axis=1, keepdims=True)
+    mats = psis.reshape(len(psis), d_s, d_b)
+    phis = (psis @ parts.h_sb.T).reshape(len(psis), d_s, d_b)   # rows H_SB psi_t
+    rho_s = np.einsum("nib,njb->nij", mats, mats.conj())
+    kq = np.einsum("nib,njb->nij", mats, phis.conj())
+    tr_b_comm = kq - np.conj(np.swapaxes(kq, 1, 2))
+    drho_s = 1j * (rho_s @ parts.h_s - parts.h_s @ rho_s) + 1j * tr_b_comm
+    return ReducedRates(rho_s, drho_s, tr_b_comm)
 
 
 def subsystem_speed(rho, parts: CompositeHamiltonian) -> float:

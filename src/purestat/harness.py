@@ -24,7 +24,6 @@ __all__ = [
     "ExperimentResult",
     "parse_config",
     "run_experiment",
-    "run_einselection_demo",
     "run_suite",
     "summarize",
     "worker_count",
@@ -82,8 +81,11 @@ class ExperimentResult:
         return self.summary["violations"]
 
 
-def worker_count() -> int:
-    return max(1, int(os.environ.get("PURESTAT_WORKERS", "1")))
+def worker_count(environ=None, cpus: int | None = None) -> int:
+    """PURESTAT_WORKERS (default 1), clamped to [1, cpu count]."""
+    environ = os.environ if environ is None else environ
+    cpus = cpus or os.cpu_count() or 1
+    return max(1, min(int(environ.get("PURESTAT_WORKERS", "1")), cpus))
 
 
 def _run_chunk(args) -> list[tuple]:
@@ -207,17 +209,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec, records, summary, manifest, files)
 
 
-def run_einselection_demo(spec: ExperimentSpec | None = None, seed: int = 7,
-                          out_dir: str | None = None) -> ExperimentResult:
-    """Run the pointer-basis decoherence demo (frozen diagonals, suppression
-    factors, weak-coupling slow-states variant)."""
-    if spec is None:
-        spec = ExperimentSpec("EINSELECTION_DEMO", seed=seed, out_dir=out_dir)
-    if spec.experiment_id != "EINSELECTION_DEMO":
-        raise ValueError("run_einselection_demo needs an EINSELECTION_DEMO spec")
-    return run_experiment(spec)
-
-
 def run_suite(seed: int = 7, out_dir: str | None = None,
               overrides: dict | None = None) -> list[ExperimentResult]:
     """Run every registered experiment at its defaults (the default suite)."""
@@ -274,14 +265,14 @@ def summarize(results_or_dir) -> list[dict]:
 
 
 def parse_config(path: str) -> dict:
-    """Flat key-value config: one `key = value` per line, # comments,
-    comma-separated lists.  Values are parsed as int, then float, then kept
-    as strings; lists become lists of the same."""
+    """Flat key-value config: one `key = value` per line, # comments (whole
+    lines or after a value), comma-separated lists.  Values are parsed as
+    int, then float, then kept as strings; lists become lists of the same."""
     cfg: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.partition("#")[0].strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")

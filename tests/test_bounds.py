@@ -1,6 +1,7 @@
 """Theorem catalog: formula values, comparison semantics, matching solver."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -181,13 +182,23 @@ def test_pairing_two_level_hand_case():
 def test_pairing_matches_brute_force():
     rng = np.random.default_rng(55)
     for _ in range(100):
-        n = int(rng.integers(2, 7))
+        n = int(rng.integers(2, 10))  # odd n included, and the n=8 of COMMUTATOR_LOWER
         vals = np.sort(rng.random(n))
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rho = g @ dagger(g); rho /= np.trace(rho).real
         exact = max_pairing_offdiagonal_sum(vals, rho)
         brute = _brute_force_pairing(vals, rho)
         assert exact == pytest.approx(brute, abs=1e-12)
+
+
+def test_pairing_needs_no_networkx(monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)  # any import of it now fails
+    rng = np.random.default_rng(58)
+    vals = np.sort(rng.random(7))
+    g = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    rho = g @ dagger(g); rho /= np.trace(rho).real
+    assert max_pairing_offdiagonal_sum(vals, rho) == pytest.approx(
+        _brute_force_pairing(vals, rho), abs=1e-12)
 
 
 def test_greedy_fallback_is_lower_bound():

@@ -18,8 +18,10 @@ from purestat import (
     finite_difference_speed,
     mutual_information,
     pointer_hamiltonian,
+    pure_state_samples,
     purity,
     purity_rate,
+    reduced_rates,
     sample_haar_state,
     sample_product_state,
     sample_random_hamiltonian,
@@ -265,6 +267,31 @@ def test_purity_rate_matches_finite_difference():
         analytic = purity_rate(state, parts)
         fd = finite_difference_purity_rate(h, psi, t)
         assert abs(fd - analytic) / max(abs(analytic), 1e-3 * scale) < 1e-4
+
+
+def test_reduced_rates_match_dense_references():
+    # the batched kernel against the dense single-state formulas at sampled times
+    rng = trial_stream(102, 6)
+    parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(8, rng),
+                                _rand_herm(16, rng) * 0.4)
+    h = parts.assembled
+    psi = sample_product_state(np.eye(2), np.eye(8), rng)
+    times = rng.uniform(0.0, 50.0, 12)
+    rates = reduced_rates(pure_state_samples(h, psi, times), parts)
+    speeds, dps = rates.speeds(), rates.purity_rates()
+    assert rates.rho_s.shape == rates.drho_s.shape == rates.tr_b_comm.shape == (12, 2, 2)
+    for i, t in enumerate(times):
+        state = evolve(psi, h, t)
+        assert abs(speeds[i] - subsystem_speed(state.density(), parts)) < 1e-12
+        assert abs(dps[i] - purity_rate(state.density(), parts)) < 1e-12
+        assert np.abs(rates.rho_s[i] - state.reduced("S").matrix).max() < 1e-12
+
+
+def test_reduced_rates_rejects_wrong_dimension():
+    rng = trial_stream(102, 7)
+    parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(8, rng))
+    with pytest.raises(ValueError, match="dimension"):
+        reduced_rates(np.ones((3, 8), dtype=complex), parts)
 
 
 def test_global_speed_bounded_in_energy_window():

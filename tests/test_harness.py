@@ -1,6 +1,7 @@
 """Harness: config grammar, persistence, reproducibility, CLI surface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from purestat.harness import (
     parse_config,
     run_experiment,
     summarize,
+    worker_count,
 )
 
 
@@ -35,6 +37,29 @@ def test_parse_config(tmp_path):
     assert parsed["epsilon"] == 0.25
     assert parsed["dims"] == [2, 32]
     assert parsed["out"] == "results"
+
+
+def test_parse_config_strips_inline_comments(tmp_path):
+    # the config snippet of README.md, verbatim
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    line = next(l for l in text.splitlines() if l.startswith("experiment = "))
+    assert "#" in line
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(line + "\nseed = 7  # trailing note\ndims = 2, 32 # list\n",
+                   encoding="utf-8")
+    parsed = parse_config(str(cfg))
+    assert parsed == {"experiment": "SUBSYSTEM_EQUILIBRATION", "seed": 7, "dims": [2, 32]}
+    ExperimentSpec(parsed["experiment"])  # a valid experiment id
+
+
+def test_worker_count_is_clamped_to_cpus():
+    assert worker_count({}, cpus=4) == 1
+    assert worker_count({"PURESTAT_WORKERS": "3"}, cpus=4) == 3
+    assert worker_count({"PURESTAT_WORKERS": "100000"}, cpus=4) == 4
+    assert worker_count({"PURESTAT_WORKERS": "0"}, cpus=4) == 1
+    assert worker_count({"PURESTAT_WORKERS": "100000"}) <= (os.cpu_count() or 1)
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -126,6 +151,17 @@ def test_summarize_directory_and_missing(tmp_path):
     empty.mkdir()
     with pytest.raises(FileNotFoundError, match="missing result files"):
         summarize(str(empty))
+
+
+def test_eq_time_purity_without_crossing_is_not_a_pass():
+    # t_max far below the ODE lower bound: purity cannot reach p_eq on the grid
+    res = run_experiment(ExperimentSpec("EQ_TIME_PURITY", {
+        "trials": 3, "t_max_over_coupling": 0.01, "grid": 50}, seed=7))
+    for r in res.records:
+        assert not r.extra["crossed"]
+        assert math.isfinite(r.lhs) and r.lhs < r.rhs
+        assert not r.satisfied and r.vacuous
+    assert res.violations == 0 and res.summary["vacuous_rows"] == 3
 
 
 def test_experiment_ids_cover_demos():
