@@ -1,9 +1,10 @@
 """purestat: a numerical laboratory for pure-state quantum statistical mechanics.
 
 Dense exact-diagonalization tooling for finite-dimensional quantum systems
-(Hilbert-space dimension up to ~512) together with a catalog of typicality,
-equilibration, decoherence and initial-state-independence bounds, and a
-seeded Monte Carlo harness that verifies each bound empirically.
+(Hilbert-space dimension in the hundreds; the README lists the limits)
+together with a catalog of typicality, equilibration, decoherence and
+initial-state-independence bounds, and a seeded Monte Carlo harness that
+verifies each bound empirically.
 """
 
 from .linalg import (
@@ -69,8 +70,10 @@ from .dynamics import (
     finite_difference_speed,
     pure_state_samples,
     purity_rate,
+    reduced_marginals,
     reduced_rates,
     subsystem_speed,
+    write_trajectory_csv,
 )
 from .bounds import (
     THEOREMS,

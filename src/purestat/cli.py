@@ -17,10 +17,12 @@ from .harness import ExperimentSpec, parse_config, run_experiment, run_suite, su
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.pop("seed", 7))
-    out = args.out if args.out is not None else cfg.pop("out", None)
+    # seed, out and experiment are run settings, never experiment parameters
+    seed, out = int(cfg.pop("seed", 7)), cfg.pop("out", None)
+    seed = args.seed if args.seed is not None else seed
+    out = args.out if args.out is not None else out
     experiment = str(cfg.pop("experiment", "ALL"))
-    params = {k: v for k, v in cfg.items()}
+    params = cfg
     if experiment == "ALL":
         results = run_suite(seed=seed, out_dir=out, overrides=params)
     else:

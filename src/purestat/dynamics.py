@@ -20,6 +20,8 @@ __all__ = [
     "default_horizon",
     "empirical_time_average",
     "pure_state_samples",
+    "reduced_marginals",
+    "write_trajectory_csv",
     "subsystem_speed",
     "ReducedRates",
     "reduced_rates",
@@ -96,12 +98,65 @@ def default_horizon(h: Hamiltonian, factor: float = 1e4) -> float:
     return factor / mgd
 
 
-def pure_state_samples(h: Hamiltonian, initial: PureState, times) -> np.ndarray:
-    """State vectors psi_t at the given times, one per row (vectorized)."""
+def pure_state_samples(h: Hamiltonian, initial, times) -> np.ndarray:
+    """State vectors psi_t = exp(-iHt) psi_0 at the given times, one per row.
+
+    initial is a PureState, one state vector (d,) or a stack of them (m, d).
+    The phase matrix exp(-i E t) is built once and shared by the whole stack,
+    and all states evolve in one GEMM.  Returns (n_times, d) for a single
+    state and (m, n_times, d) for a stack.
+    """
+    if isinstance(initial, PureState):
+        initial = initial.vector
+    vecs = np.asarray(initial, dtype=complex)
+    if vecs.ndim not in (1, 2) or vecs.shape[-1] != h.dim:
+        raise ValueError(f"dimension mismatch: states {vecs.shape}, H {h.dim}")
     times = np.asarray(times, dtype=float)
-    c0 = h.to_eigenbasis(initial.vector)
     phases = np.exp(-1j * np.outer(times, h.eigenvalues))
-    return (phases * c0[None, :]) @ h.eigenbasis.T
+    # one matrix-vector product per state, so c0 is bitwise h.to_eigenbasis(v);
+    # keep the c0 * phases operand order: numpy's complex product is not
+    # bitwise symmetric, and swapping it moves every trajectory CSV's last bits
+    c0 = np.array([h.to_eigenbasis(v) for v in np.atleast_2d(vecs)])
+    psis = (c0[:, None, :] * phases[None]).reshape(-1, h.dim) @ h.eigenbasis.T
+    return psis.reshape(len(c0), len(times), h.dim) if vecs.ndim == 2 else psis
+
+
+_BATH_CHUNK = 32   # times per rho^B block in reduced_marginals
+
+
+def reduced_marginals(psis, dims: tuple[int, int], bath_purity: bool = False):
+    """rho^S_t = Tr_B |psi_t><psi_t| for every state vector psi_t in psis.
+
+    psis has the state vectors on its last axis; the leading axes (time, or
+    stack and time) are kept, so the result is (..., d_S, d_S).  With
+    bath_purity, also returns p^B_t = Tr[(rho^B_t)^2] with the leading
+    shape.  rho^B is formed _BATH_CHUNK times at a time, so no
+    (n_times, d_B, d_B) array exists.
+    """
+    d_s, d_b = dims
+    psis = np.asarray(psis, dtype=complex)
+    if psis.shape[-1] != d_s * d_b:
+        raise ValueError(f"dimension mismatch: states {psis.shape}, dims {dims}")
+    lead = psis.shape[:-1]
+    mats = psis.reshape(-1, d_s, d_b)
+    rho_s = np.einsum("nib,njb->nij", mats, mats.conj()).reshape(*lead, d_s, d_s)
+    if not bath_purity:
+        return rho_s
+    p_b = np.empty(len(mats))
+    for a in range(0, len(mats), _BATH_CHUNK):
+        m = mats[a:a + _BATH_CHUNK]
+        rho_b = np.swapaxes(m, 1, 2) @ m.conj()
+        p_b[a:a + _BATH_CHUNK] = np.einsum("nab,nba->n", rho_b, rho_b).real
+    return rho_s, p_b.reshape(lead)
+
+
+def write_trajectory_csv(path, times, columns: dict) -> None:
+    """Write columns (t, <name>...) with one row per time, floats as repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["t", *columns.keys()])
+        for i, t in enumerate(times):
+            w.writerow([repr(float(t)), *(repr(float(c[i])) for c in columns.values())])
 
 
 @dataclass
@@ -124,13 +179,8 @@ class Trajectory:
 
     def to_csv(self, path, functionals: dict | None = None) -> None:
         """Write columns (t, <name>...) for each scalar functional."""
-        functionals = functionals or {}
-        cols = {name: self.functional_values(fn) for name, fn in functionals.items()}
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["t", *cols.keys()])
-            for i, t in enumerate(self.times):
-                w.writerow([repr(float(t)), *(repr(float(c[i])) for c in cols.values())])
+        write_trajectory_csv(path, self.times, {
+            name: self.functional_values(fn) for name, fn in (functionals or {}).items()})
 
 
 @dataclass
@@ -254,7 +304,7 @@ def reduced_rates(psis, parts: CompositeHamiltonian) -> ReducedRates:
     psis = psis / np.linalg.norm(psis, axis=1, keepdims=True)
     mats = psis.reshape(len(psis), d_s, d_b)
     phis = (psis @ parts.h_sb.T).reshape(len(psis), d_s, d_b)   # rows H_SB psi_t
-    rho_s = np.einsum("nib,njb->nij", mats, mats.conj())
+    rho_s = reduced_marginals(psis, parts.dims)
     kq = np.einsum("nib,njb->nij", mats, phis.conj())
     tr_b_comm = kq - np.conj(np.swapaxes(kq, 1, 2))
     drho_s = 1j * (rho_s @ parts.h_s - parts.h_s @ rho_s) + 1j * tr_b_comm

@@ -7,6 +7,7 @@ results are independent of execution order and worker count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,10 @@ from .dynamics import (
     finite_difference_speed,
     pure_state_samples,
     purity_rate,
+    reduced_marginals,
     reduced_rates,
     subsystem_speed,
+    write_trajectory_csv,
 )
 from .ensembles import (
     SETUP_DOMAIN,
@@ -49,6 +52,7 @@ from .states import (
     PureState,
     effective_dimension,
     microcanonical_state,
+    purity,
     trace_distance,
     von_neumann_entropy,
 )
@@ -77,6 +81,8 @@ class ExperimentDef:
     summary: object = None        # (records, setup, params) -> list[dict] of summary gates
     artifacts: object = None      # (setup, params, seed, out_dir) -> dict of files
     parallel: bool = True
+    # (params) -> the largest Hilbert-space dimension the experiment builds
+    dimension: object = field(kw_only=True)
 
 
 def _setup_stream(seed: int) -> np.random.Generator:
@@ -97,10 +103,6 @@ def _gue(d: int, rng: np.random.Generator, norm: float | None = 1.0,
 def _haar_coeffs(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def _batch_trace_distance(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(np.linalg.eigvalsh(rhos - sigma[None, :, :])).sum(axis=1)
 
 
 def _mixed_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
@@ -233,9 +235,8 @@ def _canonical_reduction_trial(setup, params, seed, k):
     d_s, d_b = setup["d_s"], setup["d_b"]
     rng = trial_stream(seed, k)
     a = _haar_coeffs(n, setup["d_r"], rng)
-    psi = (a @ setup["basis_r"].T).reshape(n, d_s, d_b)
-    rho_s = np.einsum("nib,njb->nij", psi, psi.conj())
-    dist = _batch_trace_distance(rho_s, setup["rho_mc_s"])
+    rho_s = reduced_marginals(a @ setup["basis_r"].T, (d_s, d_b))
+    dist = trace_distance(rho_s, setup["rho_mc_s"])
     ctx = BoundContext(d_r=setup["d_r"], epsilon=eps, d_s=d_s, deff_b=setup["deff_b"])
     threshold = canonical_reduction_threshold(ctx)
     lhs = float((dist >= threshold).mean())
@@ -249,9 +250,13 @@ def _canonical_reduction_trial(setup, params, seed, k):
 # effective dimension
 # ---------------------------------------------------------------------------
 
+def _deff_subspace_ambient(params) -> int:
+    return int(params.get("ambient") or 2 * int(params["d_r"]))
+
+
 def _deff_subspace_setup(params, seed):
     d_r = int(params["d_r"])
-    ambient = int(params.get("ambient") or 2 * d_r)
+    ambient = _deff_subspace_ambient(params)
     gap_tol = float(params.get("gap_tol") or (1e-9 if ambient <= 256 else 1e-11))
     rng = _setup_stream(seed)
     h = sample_random_hamiltonian(None, (ambient, 1), rng, gap_tol=gap_tol)
@@ -408,13 +413,6 @@ def _expectation_equilibration_trial(setup, params, seed, k):
                        extra={"deff": deff, "horizon": float(times.max())})
 
 
-def _reduced_time_batch(h, c0, times, d_s, d_b):
-    psis = (c0[None, :] * np.exp(-1j * np.outer(times, h.eigenvalues))) @ h.eigenbasis.T
-    mats = psis.reshape(len(times), d_s, d_b)
-    rho_s = np.einsum("nib,njb->nij", mats, mats.conj())
-    return psis, mats, rho_s
-
-
 def _omega_states(h, probs, d_s, d_b):
     omega = (h.eigenbasis * probs) @ dagger(h.eigenbasis)
     omega_s = partial_trace(omega, d_s, d_b, "S")
@@ -422,13 +420,22 @@ def _omega_states(h, probs, d_s, d_b):
     return omega, omega_s, omega_b
 
 
+def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, bound):
+    """Fig-style D(rho^S_t, omega^S) on a time grid, as <ID>_trajectory.csv."""
+    rho_s = reduced_marginals(pure_state_samples(h, psi0, grid), psi0.dims)
+    path = os.path.join(out_dir, f"{experiment_id}_trajectory.csv")
+    write_trajectory_csv(path, grid, {"distance": trace_distance(rho_s, omega_s),
+                                      "bound": np.full(len(grid), bound)})
+    return {"trajectory": path}
+
+
 def _subsystem_equilibration_trial(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
-    h, _, c0, probs, times, deff, _ = _equilibration_trial_base(params, seed, k)
-    _, _, rho_s = _reduced_time_batch(h, c0, times, d_s, d_b)
+    h, psi0, _, probs, times, deff, _ = _equilibration_trial_base(params, seed, k)
+    rho_s = reduced_marginals(pure_state_samples(h, psi0, times), (d_s, d_b))
     _, omega_s, omega_b = _omega_states(h, probs, d_s, d_b)
-    dist = _batch_trace_distance(rho_s, omega_s)
-    deff_b = float(1.0 / np.einsum("ij,ji->", omega_b, omega_b).real)
+    dist = trace_distance(rho_s, omega_s)
+    deff_b = effective_dimension(omega_b)
     lhs = float(dist.mean())
     se = float(dist.std(ddof=1) / np.sqrt(len(dist)))
     ctx = BoundContext(d_s=d_s, deff_b=deff_b)
@@ -438,37 +445,27 @@ def _subsystem_equilibration_trial(setup, params, seed, k):
 
 
 def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
-    """Fig-style trajectory of D(rho^S_t, omega^S) for trial 0, on a grid."""
-    import csv as _csv
-    import os
+    """Trajectory of D(rho^S_t, omega^S) for trial 0, on a grid."""
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
-    h, _, c0, probs, _, _, _ = _equilibration_trial_base(params, seed, 0)
+    h, psi0, _, probs, _, _, _ = _equilibration_trial_base(params, seed, 0)
     _, omega_s, omega_b = _omega_states(h, probs, d_s, d_b)
-    deff_b = float(1.0 / np.einsum("ij,ji->", omega_b, omega_b).real)
-    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", BoundContext(d_s=d_s, deff_b=deff_b))
+    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION",
+                           BoundContext(d_s=d_s, deff_b=effective_dimension(omega_b)))
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
     grid = np.linspace(0.0, 80.0 / width, 400)[1:]
-    _, _, rho_s = _reduced_time_batch(h, c0, grid, d_s, d_b)
-    dist = _batch_trace_distance(rho_s, omega_s)
-    path = os.path.join(out_dir, "SUBSYSTEM_EQUILIBRATION_trajectory.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "distance", "bound"])
-        for t, dd in zip(grid, dist):
-            w.writerow([repr(float(t)), repr(float(dd)), repr(float(bound))])
-    return {"trajectory": path}
+    return _write_distance_trajectory(out_dir, "SUBSYSTEM_EQUILIBRATION", h, psi0,
+                                      omega_s, grid, bound)
 
 
 def _purity_equilibration_trial(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
-    h, _, c0, probs, times, deff, _ = _equilibration_trial_base(params, seed, k)
-    _, mats, rho_s = _reduced_time_batch(h, c0, times, d_s, d_b)
-    rho_b = np.swapaxes(mats, 1, 2) @ mats.conj()
+    h, psi0, _, probs, times, deff, _ = _equilibration_trial_base(params, seed, k)
+    rho_s, p_b = reduced_marginals(pure_state_samples(h, psi0, times), (d_s, d_b),
+                                   bath_purity=True)
     p_s = np.einsum("nij,nji->n", rho_s, rho_s).real
-    p_b = np.einsum("nab,nba->n", rho_b, rho_b).real
     max_sb_diff = float(np.abs(p_s - p_b).max())
     _, omega_s, _ = _omega_states(h, probs, d_s, d_b)
-    p_omega = float(np.einsum("ij,ji->", omega_s, omega_s).real)
+    p_omega = purity(omega_s)
     lhs = abs(float(p_s.mean()) - p_omega)
     ctx = BoundContext(d_s=d_s, deff=deff)
     rep = check_bound("PURITY_EQUILIBRATION", lhs, ctx, allowance_sigmas=0.0)
@@ -698,7 +695,7 @@ def _einselection_rows(params, seed, k):
     rho_s0 = np.outer(psi_s.vector, psi_s.vector.conj())
     psi0 = PureState(np.kron(psi_s.vector, psi_b.vector), dims=(d_s, d_b))
     grid = np.linspace(0.0, float(params["t_max"]), int(params["grid"]))[1:]
-    _, _, rho_s_t = _reduced_time_batch(h, h.to_eigenbasis(psi0.vector), grid, d_s, d_b)
+    rho_s_t = reduced_marginals(pure_state_samples(h, psi0, grid), (d_s, d_b))
 
     diag_drift = float(np.abs(
         np.diagonal(rho_s_t, axis1=1, axis2=2) - np.diag(rho_s0)[None, :]).max())
@@ -726,8 +723,7 @@ def _einselection_rows(params, seed, k):
     # equal-blocks control: no decoherence at all
     parts_eq = pointer_hamiltonian(d_s, [blocks[0]] * d_s)
     h_eq = parts_eq.assembled
-    _, _, rho_eq_t = _reduced_time_batch(h_eq, h_eq.to_eigenbasis(psi0.vector),
-                                         grid, d_s, d_b)
+    rho_eq_t = reduced_marginals(pure_state_samples(h_eq, psi0, grid), (d_s, d_b))
     drift_eq = float(np.abs(rho_eq_t - rho_s0[None, :, :]).max())
     rows.append(TrialRecord(3, drift_eq, 0.0, 1e-10, drift_eq <= 1e-10, False,
                             extra={"check": "equal_blocks_state_frozen"}))
@@ -756,18 +752,17 @@ def _einselection_trials(setup, params, seed, k):
 # initial state independence and the second law
 # ---------------------------------------------------------------------------
 
-def _eigenvector_marginals(h: Hamiltonian, d_s: int, d_b: int) -> np.ndarray:
-    mv = h.eigenbasis.T.reshape(h.dim, d_s, d_b)
-    return np.einsum("kib,kjb->kij", mv, mv.conj())
-
-
 def _marginal_diameter(mu: np.ndarray) -> float:
     worst = 0.0
-    for i in range(len(mu)):
-        w = np.linalg.eigvalsh(mu[i][None, :, :] - mu[i + 1:])
-        if len(w):
-            worst = max(worst, float(0.5 * np.abs(w).sum(axis=1).max()))
+    for i in range(len(mu) - 1):
+        worst = max(worst, float(trace_distance(mu[i], mu[i + 1:]).max()))
     return worst
+
+
+def _bath_deff(h: Hamiltonian, vector: np.ndarray, d_s: int, d_b: int) -> float:
+    """d_eff of the dephased bath marginal omega^B of a state vector."""
+    _, _, omega_b = _omega_states(h, np.abs(h.to_eigenbasis(vector)) ** 2, d_s, d_b)
+    return effective_dimension(omega_b)
 
 
 def _isi_trial(setup, params, seed, k):
@@ -775,32 +770,23 @@ def _isi_trial(setup, params, seed, k):
     d = d_s * d_b
     rng = trial_stream(seed, k)
     h = sample_random_hamiltonian(None, (d_s, d_b), rng)
-    mu = _eigenvector_marginals(h, d_s, d_b)
+    mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))
     delta_pair = _marginal_diameter(mu)
-    delta_ent = 2 * float(np.max(
-        0.5 * np.abs(np.linalg.eigvalsh(mu - np.eye(d_s)[None] / d_s)).sum(axis=1)))
+    delta_ent = 2 * float(trace_distance(mu, np.eye(d_s) / d_s).max())
 
     psi = sample_haar_state(np.eye(d), rng).vector
     phi = sample_haar_state(np.eye(d), rng).vector
     phi = phi - np.vdot(psi, phi) * psi
     phi /= np.linalg.norm(phi)
 
-    c_psi, c_phi = h.to_eigenbasis(psi), h.to_eigenbasis(phi)
-    nus = np.einsum("kib,kid->kbd", h.eigenbasis.T.reshape(d, d_s, d_b),
-                    h.eigenbasis.T.reshape(d, d_s, d_b).conj())
-    deffs = []
-    for c in (c_psi, c_phi):
-        omega_b = np.einsum("k,kbd->bd", np.abs(c) ** 2, nus)
-        deffs.append(float(1.0 / np.einsum("ij,ji->", omega_b, omega_b).real))
-
     horizon = default_horizon(h, float(params["horizon_factor"]))
     times = rng.uniform(0.0, horizon, int(params["n_times"]))
-    _, _, rho_s = _reduced_time_batch(h, c_psi, times, d_s, d_b)
-    _, _, sig_s = _reduced_time_batch(h, c_phi, times, d_s, d_b)
-    dist = 0.5 * np.abs(np.linalg.eigvalsh(rho_s - sig_s)).sum(axis=1)
+    rho_s, sig_s = reduced_marginals(pure_state_samples(h, np.stack([psi, phi]), times),
+                                     (d_s, d_b))
+    dist = trace_distance(rho_s, sig_s)
     lhs = float(dist.mean())
-    ctx = BoundContext(d_s=d_s, deff_rho_b=deffs[0], deff_sigma_b=deffs[1],
-                       delta=delta_pair)
+    ctx = BoundContext(d_s=d_s, deff_rho_b=_bath_deff(h, psi, d_s, d_b),
+                       deff_sigma_b=_bath_deff(h, phi, d_s, d_b), delta=delta_pair)
     rep = check_bound("ISI", lhs, ctx, allowance_sigmas=0.0)
     return TrialRecord(k, rep.lhs, float(dist.std(ddof=1) / np.sqrt(len(dist))),
                        rep.rhs, rep.satisfied, rep.vacuous,
@@ -813,7 +799,7 @@ def _isi_linden_setup(params, seed):
     rng = _setup_stream(seed)
     h = sample_random_hamiltonian(None, (d_s, d_b), rng)
     band = np.sort(rng.choice(h.dim, size=d_r, replace=False))
-    mu = _eigenvector_marginals(h, d_s, d_b)[band]
+    mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))[band]
     delta = float(np.einsum("kij,kji->k", mu, mu).real.mean())  # Linden delta
     rho_mc_s = mu.mean(axis=0)
     return {"mu": mu, "delta": delta, "rho_mc_s": rho_mc_s, "d_r": d_r, "d_s": d_s}
@@ -868,8 +854,8 @@ def _entangled_eigs_trial(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
     h = sample_random_hamiltonian(None, (d_s, d_b), rng)
-    mu = _eigenvector_marginals(h, d_s, d_b)
-    dists = 0.5 * np.abs(np.linalg.eigvalsh(mu - np.eye(d_s)[None] / d_s)).sum(axis=1)
+    mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))
+    dists = trace_distance(mu, np.eye(d_s) / d_s)
     lhs = float(dists.max())
     thr = float(params["threshold"])
     rhs_analytic = evaluate_bound("ENTANGLED_EIGS_TAIL", BoundContext(
@@ -926,14 +912,13 @@ def _eq_time_purity_trial(setup, params, seed, k):
     parts = _sample_composite(params, rng)
     h = parts.assembled
     psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
-    c0 = h.to_eigenbasis(psi0.vector)
-    probs = np.abs(c0) ** 2
+    probs = np.abs(h.to_eigenbasis(psi0.vector)) ** 2
     _, omega_s, _ = _omega_states(h, probs, d_s, d_b)
-    p_eq = float(np.einsum("ij,ji->", omega_s, omega_s).real)
+    p_eq = purity(omega_s)
     norm_hsb = parts.norm_hsb()
     t_max = float(params["t_max_over_coupling"]) / norm_hsb
     grid = np.linspace(0.0, t_max, int(params["grid"]))[1:]
-    _, _, rho_s = _reduced_time_batch(h, c0, grid, d_s, d_b)
+    rho_s = reduced_marginals(pure_state_samples(h, psi0, grid), (d_s, d_b))
     p_t = np.einsum("nij,nji->n", rho_s, rho_s).real
     below = np.nonzero(p_t <= p_eq)[0]
     crossed = bool(len(below))
@@ -956,35 +941,28 @@ def _second_law_rows(params, seed, k):
     d = d_s * d_b
     rng = trial_stream(seed, k)
     h = sample_random_hamiltonian(None, (d_s, d_b), rng)
-    mu = _eigenvector_marginals(h, d_s, d_b)
+    mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))
     delta_pair = _marginal_diameter(mu)
 
     psi0 = np.zeros(d, dtype=complex); psi0[0] = 1.0          # |0>_S |0>_B
     sig0 = np.zeros(d, dtype=complex); sig0[d_b] = 1.0        # |1>_S |0>_B
-    c_psi, c_sig = h.to_eigenbasis(psi0), h.to_eigenbasis(sig0)
     horizon = default_horizon(h, float(params["horizon_factor"]))
     times = rng.uniform(0.0, horizon, int(params["n_times"]))
-    _, _, rho_s = _reduced_time_batch(h, c_psi, times, d_s, d_b)
-    _, _, sig_s = _reduced_time_batch(h, c_sig, times, d_s, d_b)
+    rho_s, sig_s = reduced_marginals(pure_state_samples(h, np.stack([psi0, sig0]), times),
+                                     (d_s, d_b))
 
-    probs = np.abs(c_psi) ** 2
-    omega, omega_s, omega_b = _omega_states(h, probs, d_s, d_b)
-    deff_b = float(1.0 / np.einsum("ij,ji->", omega_b, omega_b).real)
-    dist = _batch_trace_distance(rho_s, omega_s)
+    _, omega_s, omega_b = _omega_states(h, np.abs(h.to_eigenbasis(psi0)) ** 2, d_s, d_b)
+    deff_b = effective_dimension(omega_b)
+    dist = trace_distance(rho_s, omega_s)
     rhs_eq = evaluate_bound("SUBSYSTEM_EQUILIBRATION", BoundContext(d_s=d_s, deff_b=deff_b))
     rows = [TrialRecord(0, float(dist.mean()), 0.0, rhs_eq,
                         float(dist.mean()) <= rhs_eq, False,
                         extra={"check": "equilibration_from_pure_product_start"})]
 
-    deffs = []
-    nus = np.einsum("kib,kid->kbd", h.eigenbasis.T.reshape(d, d_s, d_b),
-                    h.eigenbasis.T.reshape(d, d_s, d_b).conj())
-    for c in (c_psi, c_sig):
-        omb = np.einsum("k,kbd->bd", np.abs(c) ** 2, nus)
-        deffs.append(float(1.0 / np.einsum("ij,ji->", omb, omb).real))
-    dist_isi = 0.5 * np.abs(np.linalg.eigvalsh(rho_s - sig_s)).sum(axis=1)
+    dist_isi = trace_distance(rho_s, sig_s)
     rhs_isi = evaluate_bound("ISI", BoundContext(
-        d_s=d_s, deff_rho_b=deffs[0], deff_sigma_b=deffs[1], delta=delta_pair))
+        d_s=d_s, deff_rho_b=deff_b, deff_sigma_b=_bath_deff(h, sig0, d_s, d_b),
+        delta=delta_pair))
     rows.append(TrialRecord(1, float(dist_isi.mean()), 0.0, rhs_isi,
                             float(dist_isi.mean()) <= rhs_isi, False,
                             extra={"check": "initial_state_independence",
@@ -1010,13 +988,11 @@ def _distance_trajectory_setup(params, seed):
     psi_b = sample_haar_state(np.eye(d_b), rng)
     psi0 = PureState(np.kron(canonical_subspace_basis(d_s, [0])[:, 0], psi_b.vector),
                      dims=(d_s, d_b))
-    c0 = h.to_eigenbasis(psi0.vector)
-    probs = np.abs(c0) ** 2
+    probs = np.abs(h.to_eigenbasis(psi0.vector)) ** 2
     _, omega_s, omega_b = _omega_states(h, probs, d_s, d_b)
-    deff_b = float(1.0 / np.einsum("ij,ji->", omega_b, omega_b).real)
-    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", BoundContext(d_s=d_s, deff_b=deff_b))
-    return {"h": h, "psi0": psi0, "c0": c0, "omega_s": omega_s, "bound": bound,
-            "d_s": d_s, "d_b": d_b}
+    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION",
+                           BoundContext(d_s=d_s, deff_b=effective_dimension(omega_b)))
+    return {"h": h, "psi0": psi0, "omega_s": omega_s, "bound": bound}
 
 
 def _distance_trajectory_trial(setup, params, seed, k):
@@ -1024,31 +1000,23 @@ def _distance_trajectory_trial(setup, params, seed, k):
     rng = trial_stream(seed, k)
     horizon = default_horizon(h, float(params["horizon_factor"]))
     times = rng.uniform(0.0, horizon, int(params["n_times"]))
-    _, _, rho_s = _reduced_time_batch(h, setup["c0"], times, setup["d_s"], setup["d_b"])
-    dist = _batch_trace_distance(rho_s, setup["omega_s"])
+    psi0 = setup["psi0"]
+    rho_s = reduced_marginals(pure_state_samples(h, psi0, times), psi0.dims)
+    dist = trace_distance(rho_s, setup["omega_s"])
     lhs = float(dist.mean())
     return TrialRecord(k, lhs, float(dist.std(ddof=1) / np.sqrt(len(dist))),
                        setup["bound"], lhs <= setup["bound"], False,
                        extra={"initial_distance": trace_distance(
-                           setup["psi0"].reduced("S"), setup["omega_s"])})
+                           psi0.reduced("S"), setup["omega_s"])})
 
 
 def _distance_trajectory_artifacts(setup, params, seed, out_dir):
-    import csv as _csv
-    import os
     h = setup["h"]
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
     grid = np.linspace(0.0, float(params["plot_horizon"]) / width,
                        int(params["n_grid"]))[1:]
-    _, _, rho_s = _reduced_time_batch(h, setup["c0"], grid, setup["d_s"], setup["d_b"])
-    dist = _batch_trace_distance(rho_s, setup["omega_s"])
-    path = os.path.join(out_dir, "DISTANCE_TRAJECTORY_trajectory.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "distance", "bound"])
-        for t, dd in zip(grid, dist):
-            w.writerow([repr(float(t)), repr(float(dd)), repr(float(setup["bound"]))])
-    return {"trajectory": path}
+    return _write_distance_trajectory(out_dir, "DISTANCE_TRAJECTORY", h, setup["psi0"],
+                                      setup["omega_s"], grid, setup["bound"])
 
 
 # ---------------------------------------------------------------------------
@@ -1056,6 +1024,17 @@ def _distance_trajectory_artifacts(setup, params, seed, out_dir):
 # ---------------------------------------------------------------------------
 
 _MC_DEFAULTS = {"d_r": 32, "rank_b": 0, "n_samples": 100_000, "trials": 1, "n_boot": 200}
+
+
+def _bipartite(params) -> int:
+    return int(params["d_s"]) * int(params["d_b"])
+
+
+def _param(key: str):
+    def dimension(params) -> int:
+        return int(params[key])
+    return dimension
+
 
 EXPERIMENTS: dict[str, ExperimentDef] = {}
 
@@ -1067,113 +1046,131 @@ def _register(exp: ExperimentDef):
 _register(ExperimentDef(
     "MC_VARIANCE_IDENTITY",
     "variance of Tr[B psi] over Haar states equals the microcanonical variance / (d_R+1)",
-    dict(_MC_DEFAULTS), _mc_setup, _mc_variance_identity_trial))
+    dict(_MC_DEFAULTS), _mc_setup, _mc_variance_identity_trial,
+    dimension=_param("d_r")))
 
 _register(ExperimentDef(
     "MC_CONCENTRATION",
     "tail of |Tr[B psi] - <B>_mc| vs the exponential concentration bound",
-    {**_MC_DEFAULTS, "epsilon": 0.25}, _mc_setup, _mc_concentration_trial))
+    {**_MC_DEFAULTS, "epsilon": 0.25}, _mc_setup, _mc_concentration_trial,
+    dimension=_param("d_r")))
 
 _register(ExperimentDef(
     "MC_VARIANCE_CONCENTRATION",
     "tail of |sigma^2_psi - sigma^2_mc| vs the two-term concentration bound",
     {**_MC_DEFAULTS, "n_samples": 20_000, "epsilon": 0.1},
-    _mc_setup, _mc_variance_concentration_trial))
+    _mc_setup, _mc_variance_concentration_trial,
+    dimension=_param("d_r")))
 
 _register(ExperimentDef(
     "COARSE_GRAINED",
     "deviation of all coarse macro observables at once vs the union bound",
     {"d": 64, "d_r": 32, "m": 4, "n_samples": 20_000, "epsilon": 0.2, "trials": 1},
-    _coarse_grained_setup, _coarse_grained_trial))
+    _coarse_grained_setup, _coarse_grained_trial,
+    dimension=_param("d")))
 
 _register(ExperimentDef(
     "CANONICAL_REDUCTION",
     "trace distance of reduced random states from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 32, "n_samples": 2000, "epsilon": 0.1, "trials": 1},
-    _canonical_reduction_setup, _canonical_reduction_trial))
+    _canonical_reduction_setup, _canonical_reduction_trial,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "DEFF_SUBSPACE_MEAN",
     "mean effective dimension of dephased subspace states vs d_R/2",
     {"d_r": 64, "ambient": 0, "gap_tol": 0.0, "trials": 2000},
-    _deff_subspace_setup, _deff_subspace_mean_trial, _deff_subspace_mean_summary))
+    _deff_subspace_setup, _deff_subspace_mean_trial, _deff_subspace_mean_summary,
+    dimension=_deff_subspace_ambient))
 
 _register(ExperimentDef(
     "DEFF_SUBSPACE_TAIL",
     "frequency of d_eff < d_R/4 vs the (vacuous at desk dims) tail bound",
     {"d_r": 64, "ambient": 0, "gap_tol": 0.0, "trials": 2000},
-    _deff_subspace_setup, _deff_subspace_tail_trial, _deff_subspace_tail_summary))
+    _deff_subspace_setup, _deff_subspace_tail_trial, _deff_subspace_tail_summary,
+    dimension=_deff_subspace_ambient))
 
 _register(ExperimentDef(
     "DEFF_PRODUCT_MEAN",
     "mean effective dimension of dephased product states vs (d_SR+1)(d_BR+1)/4",
     {"d_sr": 4, "d_br": 32, "trials": 2000},
-    _deff_product_setup, _deff_product_trial, _deff_product_summary))
+    _deff_product_setup, _deff_product_trial, _deff_product_summary,
+    dimension=lambda p: int(p["d_sr"]) * int(p["d_br"])))
 
 _register(ExperimentDef(
     "DEFF_MEAN_ENERGY",
     "mean purity of dephased mean-energy-ensemble states vs (2E^2/d^2) sum 1/E_k^2",
     {"d": 64, "spectrum_low": 1.0, "spectrum_high": 2.0, "trials": 20_000},
-    _deff_mean_energy_setup, _deff_mean_energy_trial, _deff_mean_energy_summary))
+    _deff_mean_energy_setup, _deff_mean_energy_trial, _deff_mean_energy_summary,
+    dimension=_param("d")))
 
 _register(ExperimentDef(
     "EXPECTATION_EQUILIBRATION",
     "time variance of Tr[A rho_t] vs |A|^2/d_eff",
     {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000, "horizon_factor": 1e4},
-    None, _expectation_equilibration_trial))
+    None, _expectation_equilibration_trial,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "SUBSYSTEM_EQUILIBRATION",
     "time-averaged trace distance from the dephased reduced state vs the d_eff bound",
     {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000, "horizon_factor": 1e4},
-    None, _subsystem_equilibration_trial, None, _subsystem_equilibration_artifacts))
+    None, _subsystem_equilibration_trial, None, _subsystem_equilibration_artifacts,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "PURITY_EQUILIBRATION",
     "time-averaged subsystem purity vs purity of the dephased state",
     {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000, "horizon_factor": 1e4},
-    None, _purity_equilibration_trial))
+    None, _purity_equilibration_trial,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "ERGODICITY",
     "time averages equal microcanonical averages over random initial states",
     {"d": 128, "d_r": 64, "trials": 2000, "crosscheck_trials": 3,
      "crosscheck_times": 4000, "crosscheck_tol": 1e-2, "horizon_factor": 1e4},
-    _ergodicity_setup, _ergodicity_trial, _ergodicity_summary))
+    _ergodicity_setup, _ergodicity_trial, _ergodicity_summary,
+    dimension=_param("d")))
 
 _register(ExperimentDef(
     "SPEED",
     "time-averaged subsystem speed vs the d_eff bound, with finite-difference checks",
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5,
      "horizon_factor": 1e4, "fd_checks": 3, "fd_rtol": 1e-4},
-    None, _speed_trial))
+    None, _speed_trial,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "PURITY_RATE_AVG",
     "time-averaged |dp^S/dt| vs the interaction-norm bound",
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5,
      "horizon_factor": 1e4, "fd_checks": 3, "fd_rtol": 1e-4},
-    None, _purity_rate_avg_trial))
+    None, _purity_rate_avg_trial,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "PURITY_RATE_INSTANT",
     "pointwise |dp^S/dt| vs the mutual-information bound at every sampled time",
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5,
      "horizon_factor": 1e4},
-    None, _purity_rate_instant_trial))
+    None, _purity_rate_instant_trial,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "COMMUTATOR_LOWER",
     "pairing lower bound on the commutator trace norm (exact inequality)",
     {"trials": 1000, "dim_min": 2, "dim_max": 8},
-    None, _commutator_lower_trial))
+    None, _commutator_lower_trial,
+    dimension=_param("dim_max")))
 
 _register(ExperimentDef(
     "DECOHERENCE",
     "slow-states inequality pointwise along weak-coupling trajectories",
     {"d_s": 4, "d_b": 32, "trials": 20, "n_times": 200, "coupling": 0.01,
      "horizon_factor": 1e4},
-    None, _decoherence_trial))
+    None, _decoherence_trial,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "EINSELECTION_DEMO",
@@ -1181,57 +1178,66 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 1, "t_max": 200.0, "grid": 81,
      "late_window_start": 100.0, "late_suppression": 0.3, "n_times": 200,
      "horizon_factor": 1e4},
-    None, _einselection_trials, None, None, parallel=False))
+    None, _einselection_trials, None, None, parallel=False,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "ISI",
     "marginals of two orthogonal initial states stay close when eigenstates are entangled",
     {"d_s": 2, "d_b": 64, "trials": 20, "n_times": 1000, "horizon_factor": 1e4},
-    None, _isi_trial))
+    None, _isi_trial,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "ISI_LINDEN_DELTA",
     "mean distance of the dephased marginal from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 16, "trials": 500},
-    _isi_linden_setup, _isi_linden_trial, _isi_linden_summary))
+    _isi_linden_setup, _isi_linden_trial, _isi_linden_summary,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "ENTANGLED_STATE_TAIL",
     "random bipartite states have near-maximally-mixed marginals",
     {"d_s": 2, "d_b": 64, "trials": 1000, "epsilon": 0.25},
-    None, _entangled_state_tail_trial, _entangled_state_tail_summary))
+    None, _entangled_state_tail_trial, _entangled_state_tail_summary,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "ENTANGLED_EIGS_TAIL",
     "all eigenvector marginals of random Hamiltonians are close to maximally mixed",
     {"d_s": 2, "d_b": 32, "trials": 20, "threshold": 0.35},
-    None, _entangled_eigs_trial))
+    None, _entangled_eigs_trial,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "LEVY",
     "concentration of a Lipschitz observable on the state sphere",
     {"d_r": 32, "n_samples": 20_000, "epsilon": 0.1, "trials": 1},
-    None, _levy_trial))
+    None, _levy_trial,
+    dimension=_param("d_r")))
 
 _register(ExperimentDef(
     "EQ_TIME_HEISENBERG",
     "global state speed never exceeds the populated energy-window width",
     {"d": 64, "trials": 10, "n_times": 200, "horizon_factor": 1e4},
-    None, _eq_time_heisenberg_trial))
+    None, _eq_time_heisenberg_trial,
+    dimension=_param("d")))
 
 _register(ExperimentDef(
     "EQ_TIME_PURITY",
     "time to reach the equilibrium purity respects the ODE lower bound",
     {"d_s": 2, "d_b": 64, "trials": 10, "hsb_scale": 0.3,
      "t_max_over_coupling": 50.0, "grid": 2000},
-    None, _eq_time_purity_trial))
+    None, _eq_time_purity_trial,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "SECOND_LAW_DEMO",
     "entropy increase, equilibration and initial-state independence for fixed pure starts",
     {"d_s": 2, "d_b": 64, "trials": 5, "n_times": 1000, "horizon_factor": 1e4,
      "entropy_slack": 0.1},
-    None, _second_law_trials, None, None, parallel=False))
+    None, _second_law_trials, None, None, parallel=False,
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "DISTANCE_TRAJECTORY",
@@ -1239,7 +1245,8 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 32, "trials": 1, "n_times": 2000, "horizon_factor": 1e4,
      "plot_horizon": 80.0, "n_grid": 400},
     _distance_trajectory_setup, _distance_trajectory_trial, None,
-    _distance_trajectory_artifacts))
+    _distance_trajectory_artifacts,
+    dimension=_bipartite))
 
 
 def experiment_ids() -> list[str]:

@@ -48,19 +48,18 @@ class ExperimentSpec:
         if self.experiment_id not in EXPERIMENTS:
             raise ValueError(f"invalid experiment_id {self.experiment_id!r}; "
                              f"known: {', '.join(experiment_ids())}")
-        merged = dict(EXPERIMENTS[self.experiment_id].defaults)
-        merged.update(self.params)
-        self.params = merged
+        exp = EXPERIMENTS[self.experiment_id]
+        unknown = sorted(set(self.params) - set(exp.defaults))
+        if unknown:
+            raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for "
+                             f"{self.experiment_id}; known: {', '.join(sorted(exp.defaults))}")
+        self.params = {**exp.defaults, **self.params}
         if int(self.params.get("trials", 1)) < 1:
             raise ValueError("trials must be >= 1")
-        dim = 1
-        for key in ("d", "ambient"):
-            if self.params.get(key):
-                dim = max(dim, int(self.params[key]))
-        if self.params.get("d_s") and self.params.get("d_b"):
-            dim = max(dim, int(self.params["d_s"]) * int(self.params["d_b"]))
+        dim = exp.dimension(self.params)
         if dim > MAX_DIMENSION:
-            raise ValueError(f"dimension {dim} exceeds the memory guard {MAX_DIMENSION}")
+            raise ValueError(f"{self.experiment_id}: dimension {dim} exceeds the memory "
+                             f"guard {MAX_DIMENSION}")
 
     def spec_hash(self) -> str:
         payload = json.dumps({"experiment_id": self.experiment_id, "seed": self.seed,
@@ -211,13 +210,22 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 def run_suite(seed: int = 7, out_dir: str | None = None,
               overrides: dict | None = None) -> list[ExperimentResult]:
-    """Run every registered experiment at its defaults (the default suite)."""
-    results = []
-    for experiment_id in experiment_ids():
-        spec = ExperimentSpec(experiment_id, dict(overrides or {}), seed=seed,
-                              out_dir=out_dir)
-        results.append(run_experiment(spec))
-    return results
+    """Run every registered experiment at its defaults (the default suite).
+
+    Each override key applies only to the experiments that declare it; a key
+    that no experiment declares raises.  Every spec is validated before any
+    experiment runs.
+    """
+    overrides = dict(overrides or {})
+    unknown = sorted(set(overrides).difference(*(e.defaults for e in EXPERIMENTS.values())))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) {', '.join(unknown)}: no experiment "
+                         "declares them")
+    specs = [ExperimentSpec(eid, {k: v for k, v in overrides.items()
+                                  if k in EXPERIMENTS[eid].defaults},
+                            seed=seed, out_dir=out_dir)
+             for eid in experiment_ids()]
+    return [run_experiment(spec) for spec in specs]
 
 
 def summarize(results_or_dir) -> list[dict]:

@@ -117,13 +117,18 @@ def _mat(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
-def trace_distance(rho, sigma) -> float:
-    """D(rho, sigma) = (1/2)||rho - sigma||_1 via eigenvalues of the difference."""
+def trace_distance(rho, sigma):
+    """D(rho, sigma) = (1/2)||rho - sigma||_1 via eigenvalues of the difference.
+
+    Either argument may also be a stack of matrices with leading axes; the
+    two broadcast against each other and an array of distances is returned.
+    Two single states give a float.
+    """
     a, b = _mat(rho), _mat(sigma)
-    if a.shape != b.shape:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    w = np.linalg.eigvalsh(a - b)
-    return float(0.5 * np.abs(w).sum())
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def max_projector_distinguishability(rho, sigma) -> float:

@@ -20,7 +20,9 @@ from purestat import (
     pointer_hamiltonian,
     pure_state_samples,
     purity,
+    partial_trace,
     purity_rate,
+    reduced_marginals,
     reduced_rates,
     sample_haar_state,
     sample_product_state,
@@ -292,6 +294,46 @@ def test_reduced_rates_rejects_wrong_dimension():
     parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(8, rng))
     with pytest.raises(ValueError, match="dimension"):
         reduced_rates(np.ones((3, 8), dtype=complex), parts)
+
+
+def test_stacked_samples_match_evolve():
+    # one shared phase matrix for a stack of initial states vs evolve() per state
+    rng = trial_stream(102, 8)
+    h = sample_random_hamiltonian(None, (2, 8), rng)
+    states = [sample_haar_state(np.eye(16), rng, dims=(2, 8)) for _ in range(3)]
+    times = rng.uniform(0.0, default_horizon(h), 7)
+    psis = pure_state_samples(h, np.stack([s.vector for s in states]), times)
+    assert psis.shape == (3, 7, 16)
+    rho_s = reduced_marginals(psis, (2, 8))
+    assert rho_s.shape == (3, 7, 2, 2)
+    for j, state in enumerate(states):
+        assert np.array_equal(pure_state_samples(h, state, times), psis[j])
+        for i, t in enumerate(times):
+            ref = evolve(state, h, t)
+            assert np.abs(psis[j, i] - ref.vector).max() <= 1e-12
+            assert np.abs(rho_s[j, i] - ref.reduced("S").matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_times", [5, 32, 75])  # below, at and not a multiple of the chunk
+def test_reduced_marginals_bath_purity_matches_dense(n_times):
+    rng = trial_stream(102, 9)
+    h = sample_random_hamiltonian(None, (2, 16), rng)
+    psi = sample_haar_state(np.eye(32), rng, dims=(2, 16))
+    psis = pure_state_samples(h, psi, rng.uniform(0.0, 100.0, n_times))
+    rho_s, p_b = reduced_marginals(psis, (2, 16), bath_purity=True)
+    assert rho_s.shape == (n_times, 2, 2) and p_b.shape == (n_times,)
+    for i, v in enumerate(psis):
+        rho = np.outer(v, v.conj())
+        assert abs(p_b[i] - purity(partial_trace(rho, 2, 16, "B"))) <= 1e-12
+        assert np.abs(rho_s[i] - partial_trace(rho, 2, 16, "S")).max() <= 1e-12
+        assert abs(p_b[i] - purity(rho_s[i])) <= 1e-12   # Schmidt: p_S = p_B
+
+
+def test_time_batch_kernel_rejects_dimension_mismatch(h8):
+    with pytest.raises(ValueError, match="dimension"):
+        pure_state_samples(h8, np.ones((2, 6), dtype=complex) / np.sqrt(6), [0.0, 1.0])
+    with pytest.raises(ValueError, match="dimension"):
+        reduced_marginals(np.ones((3, 8), dtype=complex), (2, 3))
 
 
 def test_global_speed_bounded_in_energy_window():

@@ -8,14 +8,18 @@ import sys
 
 import pytest
 
+from purestat import harness
 from purestat.experiments import EXPERIMENTS, experiment_ids
 from purestat.harness import (
     ExperimentSpec,
     parse_config,
     run_experiment,
+    run_suite,
     summarize,
     worker_count,
 )
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_parse_config(tmp_path):
@@ -76,6 +80,55 @@ def test_spec_validation():
         ExperimentSpec("DEFF_SUBSPACE_MEAN", {"d_r": 2048, "ambient": 4096})
     with pytest.raises(ValueError, match="trials"):
         ExperimentSpec("LEVY", {"trials": 0})
+
+
+def test_unknown_parameter_key_is_rejected():
+    with pytest.raises(ValueError, match="unknown parameter.*trails.*known: d_r, "
+                                         "epsilon, n_samples, trials"):
+        ExperimentSpec("LEVY", {"trails": 3})
+
+
+@pytest.mark.parametrize("experiment_id, params", [
+    ("MC_VARIANCE_IDENTITY", {"d_r": 4096}),
+    ("DEFF_SUBSPACE_MEAN", {"d_r": 2048}),             # ambient defaults to 2 d_r
+    ("DEFF_PRODUCT_MEAN", {"d_sr": 64, "d_br": 64}),   # d = d_sr d_br
+])
+def test_dimension_guard_uses_each_experiments_dimension(experiment_id, params):
+    with pytest.raises(ValueError, match="dimension 4096 exceeds the memory guard"):
+        ExperimentSpec(experiment_id, params)
+
+
+def test_every_experiment_declares_a_dimension():
+    for experiment_id, exp in EXPERIMENTS.items():
+        assert 1 <= exp.dimension(exp.defaults) <= harness.MAX_DIMENSION, experiment_id
+
+
+def test_every_config_builds():
+    names = sorted(f for f in os.listdir(CONFIGS) if f.endswith(".cfg"))
+    assert names
+    for name in names:
+        cfg = parse_config(os.path.join(CONFIGS, name))
+        cfg.pop("seed", None)
+        experiment = cfg.pop("experiment")
+        if experiment == "ALL":
+            assert not cfg
+        else:
+            ExperimentSpec(experiment, cfg)
+
+
+def test_suite_overrides_apply_only_where_declared(monkeypatch):
+    monkeypatch.setattr(harness, "run_experiment", lambda spec: spec)
+    specs = run_suite(seed=3, overrides={"d_b": 16, "n_samples": 500})
+    assert [s.experiment_id for s in specs] == experiment_ids()
+    for spec in specs:
+        defaults = EXPERIMENTS[spec.experiment_id].defaults
+        assert set(spec.params) == set(defaults)
+        if "d_b" in defaults:
+            assert spec.params["d_b"] == 16
+        if "n_samples" in defaults:
+            assert spec.params["n_samples"] == 500
+    with pytest.raises(ValueError, match="unknown parameter.*trails"):
+        run_suite(overrides={"trails": 3})
 
 
 def test_defaults_are_merged():

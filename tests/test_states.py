@@ -58,6 +58,21 @@ def test_trace_distance_trivials():
     assert trace_distance(np.diag([0.7, 0.3]), np.diag([0.4, 0.6])) == pytest.approx(0.3)
 
 
+def test_trace_distance_stacks_match_scalar_calls():
+    rhos = np.array([random_density(4).matrix for _ in range(6)])
+    sigmas = np.array([random_density(4).matrix for _ in range(6)])
+    fixed = random_density(4)
+    pairwise = trace_distance(rhos, sigmas)
+    against_one = trace_distance(rhos, fixed)
+    assert isinstance(pairwise, np.ndarray) and pairwise.shape == (6,)
+    for i in range(6):
+        assert abs(pairwise[i] - trace_distance(rhos[i], sigmas[i])) <= 1e-15
+        assert abs(against_one[i] - trace_distance(rhos[i], fixed)) <= 1e-15
+    assert isinstance(trace_distance(rhos[0], sigmas[0]), float)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        trace_distance(rhos, random_density(3))
+
+
 def test_trace_distance_metric_axioms():
     rng = np.random.default_rng(8)
     for _ in range(100):
