@@ -35,6 +35,7 @@ from .states import (
     PureState,
     canonical_state,
     effective_dimension,
+    expectation_values,
     macro_pseudo_distance,
     max_projector_distinguishability,
     microcanonical_expectation,
@@ -45,7 +46,6 @@ from .states import (
     von_neumann_entropy,
 )
 from .ensembles import (
-    EnsembleSpec,
     canonical_subspace_basis,
     haar_unitary,
     harmonic_mean,
@@ -58,13 +58,10 @@ from .ensembles import (
     trial_stream,
 )
 from .dynamics import (
-    FunctionalTimeStats,
     ReducedRates,
-    TimeAverageReport,
-    Trajectory,
+    coefficient_samples,
     default_horizon,
     dephase,
-    empirical_time_average,
     evolve,
     finite_difference_purity_rate,
     finite_difference_speed,

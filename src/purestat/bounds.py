@@ -64,8 +64,6 @@ class BoundContext:
     purity_s: float | None = None
     mutual_info: float | None = None
     entropy_s: float | None = None
-    purity_omega: float | None = None
-    purity_omega_b: float | None = None
     pairing_sum: float | None = None
 
     def require(self, theorem: str, *names: str):
@@ -159,8 +157,6 @@ def _subsystem_equilibration(ctx: BoundContext) -> float:
 
 
 def _purity_equilibration(ctx: BoundContext) -> float:
-    if ctx.purity_omega is not None and ctx.purity_omega_b is not None:
-        return ctx.purity_omega_b + 2 * ctx.purity_omega
     d_s, deff = ctx.require("PURITY_EQUILIBRATION", "d_s", "deff")
     return (d_s + 2) / deff
 

@@ -1,9 +1,9 @@
-"""Time evolution, dephasing, time averages, subsystem speed and purity rate."""
+"""Time evolution, dephasing, time batches, subsystem speed and purity rate."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,13 +12,10 @@ from .linalg import commutator, dagger, partial_trace, trace_norm
 from .states import DensityMatrix, PureState, purity, trace_distance
 
 __all__ = [
-    "Trajectory",
-    "TimeAverageReport",
-    "FunctionalTimeStats",
     "evolve",
     "dephase",
     "default_horizon",
-    "empirical_time_average",
+    "coefficient_samples",
     "pure_state_samples",
     "reduced_marginals",
     "write_trajectory_csv",
@@ -98,27 +95,37 @@ def default_horizon(h: Hamiltonian, factor: float = 1e4) -> float:
     return factor / mgd
 
 
+def coefficient_samples(energies, c0, times) -> np.ndarray:
+    """Eigenbasis coefficients c_k exp(-i E_k t) at the given times, one row per time.
+
+    c0 is one coefficient vector (d,) or a stack of them (m, d); the phase
+    matrix exp(-i E t) is built once and shared by the stack.  Returns
+    (n_times, d) for one vector and (m, n_times, d) for a stack.
+    """
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), energies))
+    # keep the c0 * phases operand order: numpy's complex product is not
+    # bitwise symmetric, and swapping it moves every trajectory CSV's last bits
+    return np.asarray(c0, dtype=complex)[..., None, :] * phases
+
+
 def pure_state_samples(h: Hamiltonian, initial, times) -> np.ndarray:
     """State vectors psi_t = exp(-iHt) psi_0 at the given times, one per row.
 
     initial is a PureState, one state vector (d,) or a stack of them (m, d).
-    The phase matrix exp(-i E t) is built once and shared by the whole stack,
-    and all states evolve in one GEMM.  Returns (n_times, d) for a single
-    state and (m, n_times, d) for a stack.
+    The coefficients come from coefficient_samples, so the whole stack shares
+    one phase matrix and evolves in one GEMM.  Returns (n_times, d) for a
+    single state and (m, n_times, d) for a stack.
     """
     if isinstance(initial, PureState):
         initial = initial.vector
     vecs = np.asarray(initial, dtype=complex)
     if vecs.ndim not in (1, 2) or vecs.shape[-1] != h.dim:
         raise ValueError(f"dimension mismatch: states {vecs.shape}, H {h.dim}")
-    times = np.asarray(times, dtype=float)
-    phases = np.exp(-1j * np.outer(times, h.eigenvalues))
-    # one matrix-vector product per state, so c0 is bitwise h.to_eigenbasis(v);
-    # keep the c0 * phases operand order: numpy's complex product is not
-    # bitwise symmetric, and swapping it moves every trajectory CSV's last bits
+    # one matrix-vector product per state, so c0 is bitwise h.to_eigenbasis(v)
     c0 = np.array([h.to_eigenbasis(v) for v in np.atleast_2d(vecs)])
-    psis = (c0[:, None, :] * phases[None]).reshape(-1, h.dim) @ h.eigenbasis.T
-    return psis.reshape(len(c0), len(times), h.dim) if vecs.ndim == 2 else psis
+    cts = coefficient_samples(h.eigenvalues, c0, times)
+    psis = cts.reshape(-1, h.dim) @ h.eigenbasis.T
+    return psis.reshape(cts.shape) if vecs.ndim == 2 else psis
 
 
 _BATH_CHUNK = 32   # times per rho^B block in reduced_marginals
@@ -146,7 +153,7 @@ def reduced_marginals(psis, dims: tuple[int, int], bath_purity: bool = False):
     for a in range(0, len(mats), _BATH_CHUNK):
         m = mats[a:a + _BATH_CHUNK]
         rho_b = np.swapaxes(m, 1, 2) @ m.conj()
-        p_b[a:a + _BATH_CHUNK] = np.einsum("nab,nba->n", rho_b, rho_b).real
+        p_b[a:a + _BATH_CHUNK] = purity(rho_b)
     return rho_s, p_b.reshape(lead)
 
 
@@ -157,108 +164,6 @@ def write_trajectory_csv(path, times, columns: dict) -> None:
         w.writerow(["t", *columns.keys()])
         for i, t in enumerate(times):
             w.writerow([repr(float(t)), *(repr(float(c[i])) for c in columns.values())])
-
-
-@dataclass
-class Trajectory:
-    """States sampled along an evolution, exportable as CSV."""
-
-    times: np.ndarray
-    states: list
-    source: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states length mismatch")
-
-    def functional_values(self, functional) -> np.ndarray:
-        return np.array([functional(s) for s in self.states], dtype=float)
-
-    def to_csv(self, path, functionals: dict | None = None) -> None:
-        """Write columns (t, <name>...) for each scalar functional."""
-        write_trajectory_csv(path, self.times, {
-            name: self.functional_values(fn) for name, fn in (functionals or {}).items()})
-
-
-@dataclass
-class TimeAverageReport:
-    """Dephased state vs empirical average over sampled times."""
-
-    dephased: DensityMatrix
-    empirical: DensityMatrix
-    discrepancy: float
-    horizon: float
-    n_samples: int
-
-
-@dataclass
-class FunctionalTimeStats:
-    """Scalar functional sampled along the evolution, with second moments."""
-
-    mean: float
-    variance: float
-    second_moment: float
-    horizon: float
-    n_samples: int
-    values: np.ndarray
-
-
-def empirical_time_average(h: Hamiltonian, initial: PureState, horizon: float,
-                           n_samples: int, rng: np.random.Generator,
-                           reduce: str | None = None, functional=None,
-                           dephase_mode: str = "strict"):
-    """Average states, or a scalar functional of them, over random times.
-
-    Times are drawn uniformly on [0, horizon] (a regular grid can alias
-    against near-commensurate gaps).  Without a functional, returns a
-    TimeAverageReport comparing the empirical mean state (optionally
-    reduced) with the dephased state.  With a functional f(state) -> float,
-    returns FunctionalTimeStats of f over the sampled times.
-    """
-    if horizon <= 0 or n_samples < 2:
-        raise ValueError("need horizon > 0 and n_samples >= 2")
-    times = rng.uniform(0.0, horizon, int(n_samples))
-    psis = pure_state_samples(h, initial, times)
-    d_s, d_b = initial.dims if initial.dims is not None else (initial.dim, 1)
-
-    if functional is not None:
-        vals = np.empty(len(times))
-        for i, psi in enumerate(psis):
-            state = PureState(psi / np.linalg.norm(psi), dims=(d_s, d_b))
-            if reduce is not None:
-                vals[i] = functional(state.reduced(reduce))
-            else:
-                vals[i] = functional(state)
-        vals = np.asarray(vals, dtype=float)
-        return FunctionalTimeStats(
-            mean=float(vals.mean()), variance=float(vals.var()),
-            second_moment=float((vals ** 2).mean()),
-            horizon=horizon, n_samples=int(n_samples), values=vals)
-
-    omega = dephase(initial.density(), h, mode=dephase_mode)
-    if reduce is not None:
-        mats = psis.reshape(len(times), d_s, d_b)
-        if reduce == "S":
-            emp = np.einsum("nib,njb->ij", mats, mats.conj()) / len(times)
-        elif reduce == "B":
-            emp = np.einsum("nia,nib->ab", mats, mats.conj()) / len(times)
-        else:
-            raise ValueError(f"reduce must be 'S', 'B' or None, got {reduce!r}")
-        emp = 0.5 * (emp + dagger(emp))
-        empirical = DensityMatrix(emp)
-        target = omega.reduced(reduce)
-    else:
-        emp = np.einsum("ni,nj->ij", psis, psis.conj()) / len(times)
-        emp = 0.5 * (emp + dagger(emp))
-        empirical = DensityMatrix(emp, dims=(d_s, d_b))
-        target = omega
-    return TimeAverageReport(
-        dephased=target, empirical=empirical,
-        discrepancy=trace_distance(target, empirical),
-        horizon=horizon, n_samples=int(n_samples))
 
 
 def _reduced_commutant_with_interaction(rho: np.ndarray, h_sb: np.ndarray,

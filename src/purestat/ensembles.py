@@ -9,8 +9,6 @@ independent and reproducible regardless of execution order or worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hamiltonians import DEFAULT_GAP_TOL, Hamiltonian, gap_analysis
@@ -29,7 +27,6 @@ __all__ = [
     "harmonic_mean",
     "shift_for_harmonic_mean",
     "sample_mean_energy_state",
-    "EnsembleSpec",
 ]
 
 SETUP_DOMAIN = 0
@@ -210,82 +207,3 @@ def sample_mean_energy_state(h: Hamiltonian, energy: float,
     c = sigma * (rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim))
     c /= np.linalg.norm(c)
     return PureState(h.eigenbasis @ c, dims=h.dims)
-
-
-@dataclass
-class EnsembleSpec:
-    """Which sampler to use and its parameters, for the experiment harness.
-
-    kind: "haar_subspace", "product" or "mean_energy".  The subspace is
-    described by canonical coordinate indices (serializable) or an explicit
-    basis (programmatic use only).
-    """
-
-    kind: str
-    subspace_indices: list | None = None
-    subspace_basis: np.ndarray | None = None
-    indices_s: list | None = None
-    indices_b: list | None = None
-    energy: float | None = None
-    seed: int = 0
-    trial_index: int = 0
-
-    KINDS = ("haar_subspace", "product", "mean_energy")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
-
-    def sample(self, hamiltonian: Hamiltonian | None = None,
-               rng: np.random.Generator | None = None) -> PureState:
-        if rng is None:
-            rng = trial_stream(self.seed, self.trial_index)
-        if self.kind == "haar_subspace":
-            basis = self.subspace_basis
-            if basis is None:
-                if hamiltonian is None:
-                    raise ValueError("haar_subspace with indices needs a Hamiltonian "
-                                     "or an explicit basis for the ambient dimension")
-                basis = canonical_subspace_basis(hamiltonian.dim, self.subspace_indices)
-            dims = hamiltonian.dims if hamiltonian is not None else None
-            return sample_haar_state(basis, rng, dims=dims)
-        if self.kind == "product":
-            if hamiltonian is None or hamiltonian.dims is None:
-                raise ValueError("product ensemble needs a Hamiltonian with bipartite dims")
-            d_s, d_b = hamiltonian.dims
-            bs = canonical_subspace_basis(d_s, self.indices_s or range(d_s))
-            bb = canonical_subspace_basis(d_b, self.indices_b or range(d_b))
-            return sample_product_state(bs, bb, rng)
-        if hamiltonian is None:
-            raise ValueError("mean_energy ensemble needs a Hamiltonian")
-        energy = self.energy if self.energy is not None else harmonic_mean(hamiltonian.eigenvalues)
-        return sample_mean_energy_state(hamiltonian, energy, rng)
-
-    def to_config(self) -> dict:
-        cfg = {"ensemble.kind": self.kind, "ensemble.seed": str(self.seed),
-               "ensemble.trial_index": str(self.trial_index)}
-        if self.subspace_indices is not None:
-            cfg["ensemble.subspace_indices"] = ",".join(str(i) for i in self.subspace_indices)
-        if self.indices_s is not None:
-            cfg["ensemble.indices_s"] = ",".join(str(i) for i in self.indices_s)
-        if self.indices_b is not None:
-            cfg["ensemble.indices_b"] = ",".join(str(i) for i in self.indices_b)
-        if self.energy is not None:
-            cfg["ensemble.energy"] = repr(float(self.energy))
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "EnsembleSpec":
-        def ints(key):
-            raw = cfg.get(key)
-            return None if raw is None else [int(x) for x in str(raw).split(",") if x != ""]
-
-        return cls(
-            kind=cfg["ensemble.kind"],
-            subspace_indices=ints("ensemble.subspace_indices"),
-            indices_s=ints("ensemble.indices_s"),
-            indices_b=ints("ensemble.indices_b"),
-            energy=float(cfg["ensemble.energy"]) if "ensemble.energy" in cfg else None,
-            seed=int(cfg.get("ensemble.seed", 0)),
-            trial_index=int(cfg.get("ensemble.trial_index", 0)),
-        )

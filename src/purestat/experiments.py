@@ -21,6 +21,7 @@ from .bounds import (
     mean_energy_purity_crude_bound,
 )
 from .dynamics import (
+    coefficient_samples,
     default_horizon,
     evolve,
     finite_difference_purity_rate,
@@ -51,6 +52,7 @@ from .states import (
     MacroObservableSet,
     PureState,
     effective_dimension,
+    expectation_values,
     microcanonical_state,
     purity,
     trace_distance,
@@ -80,7 +82,6 @@ class ExperimentDef:
     trial: object = None          # (setup, params, seed, k) -> TrialRecord | [TrialRecord]
     summary: object = None        # (records, setup, params) -> list[dict] of summary gates
     artifacts: object = None      # (setup, params, seed, out_dir) -> dict of files
-    parallel: bool = True
     # (params) -> the largest Hilbert-space dimension the experiment builds
     dimension: object = field(kw_only=True)
 
@@ -139,8 +140,7 @@ def _mc_sample_expectations(setup, params, seed, k):
     n = int(params["n_samples"])
     rng = trial_stream(seed, k)
     a = _haar_coeffs(n, setup["d_r"], rng)
-    x = np.einsum("nk,nk->n", a.conj(), a @ setup["b"].T).real  # Tr[B psi] per row
-    return x, rng
+    return expectation_values(a, setup["b"]), rng   # Tr[B psi] per row
 
 
 def _mc_variance_identity_trial(setup, params, seed, k):
@@ -401,8 +401,7 @@ def _expectation_equilibration_trial(setup, params, seed, k):
     h, _, c0, probs, times, deff, rng = _equilibration_trial_base(params, seed, k)
     a = _gue(h.dim, rng)
     a_eig = h.to_eigenbasis(a)
-    ct = c0[None, :] * np.exp(-1j * np.outer(times, h.eigenvalues))
-    x = ((ct.conj() @ a_eig) * ct).sum(axis=1).real
+    x = expectation_values(coefficient_samples(h.eigenvalues, c0, times), a_eig)
     x_omega = float(probs @ np.diag(a_eig).real)
     sq = (x - x_omega) ** 2
     lhs = float(sq.mean())
@@ -462,7 +461,7 @@ def _purity_equilibration_trial(setup, params, seed, k):
     h, psi0, _, probs, times, deff, _ = _equilibration_trial_base(params, seed, k)
     rho_s, p_b = reduced_marginals(pure_state_samples(h, psi0, times), (d_s, d_b),
                                    bath_purity=True)
-    p_s = np.einsum("nij,nji->n", rho_s, rho_s).real
+    p_s = purity(rho_s)
     max_sb_diff = float(np.abs(p_s - p_b).max())
     _, omega_s, _ = _omega_states(h, probs, d_s, d_b)
     p_omega = purity(omega_s)
@@ -505,9 +504,8 @@ def _ergodicity_trial(setup, params, seed, k):
         h = setup["h"]
         horizon = default_horizon(h, float(params["horizon_factor"]))
         times = rng.uniform(0.0, horizon, int(params["crosscheck_times"]))
-        e_band = h.eigenvalues[setup["band"]]
-        ct = a[None, :] * np.exp(-1j * np.outer(times, e_band))
-        x = ((ct.conj() @ setup["block"]) * ct).sum(axis=1).real
+        ct = coefficient_samples(h.eigenvalues[setup["band"]], a, times)
+        x = expectation_values(ct, setup["block"])
         err = abs(float(x.mean()) - lhs)
         extra["crosscheck_err"] = err
         satisfied = err <= float(params["crosscheck_tol"])
@@ -568,28 +566,25 @@ def _speed_trial(setup, params, seed, k):
     ctx = BoundContext(norm_hs_plus_hsb=parts.norm_hs_plus_hsb(),
                        d_s=int(params["d_s"]), deff=deff)
     rep = check_bound("SPEED", lhs, ctx, allowance_sigmas=0.0)
-    fd_ok, fd_err = _speed_fd_check(parts, h, psi0, params)
+    fd_ok, fd_err = _fd_check(subsystem_speed, finite_difference_speed,
+                              1e-3 * parts.norm_hs_plus_hsb(), h, psi0, parts, params)
     return TrialRecord(k, rep.lhs, float(v.std(ddof=1) / np.sqrt(len(v))),
                        rep.rhs, rep.satisfied and fd_ok, rep.vacuous,
                        extra={"deff": deff, "fd_max_rel_err": fd_err})
 
 
-def _fd_check_times(h: Hamiltonian, n: int) -> np.ndarray:
+def _fd_check(analytic_fn, fd_fn, floor, h, psi0, parts, params):
+    """Worst relative gap between analytic_fn(rho_t, parts) and its central
+    difference fd_fn(h, psi0, t); relative to max(|analytic|, floor)."""
     # early times, where t +/- delta is exactly representable; the analytic
     # formula is time-independent so any instants serve as a cross-check
     scale = float(np.abs(h.eigenvalues).max())
-    return np.linspace(0.5, 8.0, n) / scale
-
-
-def _speed_fd_check(parts, h, psi0, params):
-    rtol = float(params["fd_rtol"])
-    floor = 1e-3 * parts.norm_hs_plus_hsb()
     worst = 0.0
-    for t in _fd_check_times(h, int(params["fd_checks"])):
-        analytic = subsystem_speed(evolve(psi0, h, float(t)).density(), parts)
-        fd = finite_difference_speed(h, psi0, float(t))
+    for t in np.linspace(0.5, 8.0, int(params["fd_checks"])) / scale:
+        analytic = analytic_fn(evolve(psi0, h, float(t)).density(), parts)
+        fd = fd_fn(h, psi0, float(t))
         worst = max(worst, abs(fd - analytic) / max(abs(analytic), floor))
-    return worst <= rtol, worst
+    return worst <= float(params["fd_rtol"]), worst
 
 
 def _purity_rate_avg_trial(setup, params, seed, k):
@@ -598,21 +593,11 @@ def _purity_rate_avg_trial(setup, params, seed, k):
     lhs = float(np.abs(dp).mean())
     ctx = BoundContext(norm_hsb=parts.norm_hsb(), d_s=int(params["d_s"]), deff=deff)
     rep = check_bound("PURITY_RATE_AVG", lhs, ctx, allowance_sigmas=0.0)
-    fd_ok, fd_err = _purity_fd_check(parts, h, psi0, params)
+    fd_ok, fd_err = _fd_check(purity_rate, finite_difference_purity_rate,
+                              1e-3 * 2 * parts.norm_hsb(), h, psi0, parts, params)
     return TrialRecord(k, rep.lhs, float(np.abs(dp).std(ddof=1) / np.sqrt(len(dp))),
                        rep.rhs, rep.satisfied and fd_ok, rep.vacuous,
                        extra={"deff": deff, "fd_max_rel_err": fd_err})
-
-
-def _purity_fd_check(parts, h, psi0, params):
-    rtol = float(params["fd_rtol"])
-    floor = 1e-3 * 2 * parts.norm_hsb()
-    worst = 0.0
-    for t in _fd_check_times(h, int(params["fd_checks"])):
-        analytic = purity_rate(evolve(psi0, h, float(t)).density(), parts)
-        fd = finite_difference_purity_rate(h, psi0, float(t))
-        worst = max(worst, abs(fd - analytic) / max(abs(analytic), floor))
-    return worst <= rtol, worst
 
 
 def _purity_rate_instant_trial(setup, params, seed, k):
@@ -680,7 +665,7 @@ def _decoherence_trial(setup, params, seed, k):
                        extra={"norm_hsb": norm_hsb, "min_gap_hs": float(np.diff(e_s).min())})
 
 
-def _einselection_rows(params, seed, k):
+def _einselection_rows(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
     rows = []
@@ -744,10 +729,6 @@ def _einselection_rows(params, seed, k):
     return rows
 
 
-def _einselection_trials(setup, params, seed, k):
-    return _einselection_rows(params, seed, k)
-
-
 # ---------------------------------------------------------------------------
 # initial state independence and the second law
 # ---------------------------------------------------------------------------
@@ -800,7 +781,7 @@ def _isi_linden_setup(params, seed):
     h = sample_random_hamiltonian(None, (d_s, d_b), rng)
     band = np.sort(rng.choice(h.dim, size=d_r, replace=False))
     mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))[band]
-    delta = float(np.einsum("kij,kji->k", mu, mu).real.mean())  # Linden delta
+    delta = float(purity(mu).mean())  # Linden delta
     rho_mc_s = mu.mean(axis=0)
     return {"mu": mu, "delta": delta, "rho_mc_s": rho_mc_s, "d_r": d_r, "d_s": d_s}
 
@@ -871,7 +852,7 @@ def _levy_trial(setup, params, seed, k):
     rng = trial_stream(seed, k)
     b = _gue(d_r, _setup_stream(seed))
     a = _haar_coeffs(n, d_r, rng)
-    f = np.einsum("nk,kl,nl->n", a.conj(), b, a).real
+    f = expectation_values(a, b)
     mean_f = float(np.trace(b).real / d_r)
     lhs = float((np.abs(f - mean_f) >= eps).mean())
     ctx = BoundContext(d=2 * d_r, epsilon=eps, eta=2.0)  # real sphere dim, eta = 2|B|
@@ -891,18 +872,13 @@ def _eq_time_heisenberg_trial(setup, params, seed, k):
     lo, hi = d // 4, 3 * d // 4
     band = np.arange(lo, hi)
     delta_e = float(h.eigenvalues[hi - 1] - h.eigenvalues[lo])
-    a = _haar_coeffs(1, len(band), rng)[0]
-    horizon = default_horizon(h, float(params["horizon_factor"]))
-    times = rng.uniform(0.0, horizon, int(params["n_times"]))
+    probs = np.abs(_haar_coeffs(1, len(band), rng)[0]) ** 2
     e_band = h.eigenvalues[band]
-    gapm = e_band[:, None] - e_band[None, :]
-    worst = 0.0
-    for t in times:
-        ct = a * np.exp(-1j * e_band * t)
-        m = 1j * gapm * np.outer(ct, ct.conj())   # [H, rho_t] on the band support
-        worst = max(worst, float(0.5 * np.abs(np.linalg.eigvalsh(m)).sum()))
+    # for pure rho_t, i[H, rho_t] has rank 2 with eigenvalues +-Delta H, so
+    # (1/2)||[H, rho_t]||_1 = Delta H at every t: the energy spread of psi_0
+    speed = float(np.sqrt(probs @ (e_band - probs @ e_band) ** 2))
     rhs = delta_e
-    return TrialRecord(k, worst, 0.0, rhs, worst <= rhs + 1e-12, False,
+    return TrialRecord(k, speed, 0.0, rhs, speed <= rhs + 1e-12, False,
                        extra={"heisenberg_time": 1.0 / delta_e, "delta_e": delta_e})
 
 
@@ -919,7 +895,7 @@ def _eq_time_purity_trial(setup, params, seed, k):
     t_max = float(params["t_max_over_coupling"]) / norm_hsb
     grid = np.linspace(0.0, t_max, int(params["grid"]))[1:]
     rho_s = reduced_marginals(pure_state_samples(h, psi0, grid), (d_s, d_b))
-    p_t = np.einsum("nij,nji->n", rho_s, rho_s).real
+    p_t = purity(rho_s)
     below = np.nonzero(p_t <= p_eq)[0]
     crossed = bool(len(below))
     # without a crossing on the grid the crossing time is only known to be
@@ -936,7 +912,7 @@ def _eq_time_purity_trial(setup, params, seed, k):
 # demos
 # ---------------------------------------------------------------------------
 
-def _second_law_rows(params, seed, k):
+def _second_law_rows(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     d = d_s * d_b
     rng = trial_stream(seed, k)
@@ -975,10 +951,6 @@ def _second_law_rows(params, seed, k):
                                    "log_ds": float(np.log(d_s)),
                                    "initial_entropy": 0.0}))
     return rows
-
-
-def _second_law_trials(setup, params, seed, k):
-    return _second_law_rows(params, seed, k)
 
 
 def _distance_trajectory_setup(params, seed):
@@ -1178,7 +1150,7 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 1, "t_max": 200.0, "grid": 81,
      "late_window_start": 100.0, "late_suppression": 0.3, "n_times": 200,
      "horizon_factor": 1e4},
-    None, _einselection_trials, None, None, parallel=False,
+    None, _einselection_rows,
     dimension=_bipartite))
 
 _register(ExperimentDef(
@@ -1219,7 +1191,7 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     "EQ_TIME_HEISENBERG",
     "global state speed never exceeds the populated energy-window width",
-    {"d": 64, "trials": 10, "n_times": 200, "horizon_factor": 1e4},
+    {"d": 64, "trials": 10},
     None, _eq_time_heisenberg_trial,
     dimension=_param("d")))
 
@@ -1236,7 +1208,7 @@ _register(ExperimentDef(
     "entropy increase, equilibration and initial-state independence for fixed pure starts",
     {"d_s": 2, "d_b": 64, "trials": 5, "n_times": 1000, "horizon_factor": 1e4,
      "entropy_slack": 0.1},
-    None, _second_law_trials, None, None, parallel=False,
+    None, _second_law_rows,
     dimension=_bipartite))
 
 _register(ExperimentDef(

@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 1024
-_SETUP_CACHE: dict = {}
 
 CSV_COLUMNS = ["experiment_id", "trial", "lhs", "stderr", "rhs", "satisfied", "vacuous"]
 
@@ -88,46 +87,33 @@ def worker_count(environ=None, cpus: int | None = None) -> int:
 
 
 def _run_chunk(args) -> list[tuple]:
-    experiment_id, params, seed, start, stop = args
-    exp = EXPERIMENTS[experiment_id]
-    key = (experiment_id, seed, json.dumps(params, sort_keys=True, default=repr))
-    if key not in _SETUP_CACHE:
-        _SETUP_CACHE[key] = exp.setup(params, seed) if exp.setup else None
-    setup = _SETUP_CACHE[key]
+    experiment_id, setup, params, seed, start, stop = args
+    trial = EXPERIMENTS[experiment_id].trial
     out = []
     for k in range(start, stop):
-        rec = exp.trial(setup, params, seed, k)
-        if isinstance(rec, TrialRecord):
-            rec = [rec]
-        for r in rec:
-            out.append((r.trial, r.lhs, r.stderr, r.rhs, r.satisfied, r.vacuous, r.extra))
+        rec = trial(setup, params, seed, k)
+        for r in [rec] if isinstance(rec, TrialRecord) else rec:
+            out.append((r.lhs, r.stderr, r.rhs, r.satisfied, r.vacuous, r.extra))
     return out
 
 
-def _collect_records(spec: ExperimentSpec) -> tuple[list[TrialRecord], object]:
-    exp = EXPERIMENTS[spec.experiment_id]
+def _collect_records(spec: ExperimentSpec, setup) -> list[TrialRecord]:
+    """Every trial's rows, numbered in trial order (demos emit several rows per trial)."""
     trials = int(spec.params.get("trials", 1))
-    workers = worker_count() if exp.parallel else 1
-    if workers > 1 and trials > 1:
+    workers = min(worker_count(), trials)
+    if workers > 1:
         import multiprocessing as mp
 
         n_chunks = min(trials, 4 * workers)
         bounds = [round(i * trials / n_chunks) for i in range(n_chunks + 1)]
-        jobs = [(spec.experiment_id, spec.params, spec.seed, a, b)
+        jobs = [(spec.experiment_id, setup, spec.params, spec.seed, a, b)
                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with mp.get_context("fork").Pool(workers) as pool:
             chunks = pool.map(_run_chunk, jobs)
         raw = [t for chunk in chunks for t in chunk]
     else:
-        raw = _run_chunk((spec.experiment_id, spec.params, spec.seed, 0, trials))
-    records = [TrialRecord(*t[:6], extra=t[6]) for t in raw]
-    if not exp.parallel:
-        for i, r in enumerate(records):  # demos emit several rows per trial
-            r.trial = i
-    key = (spec.experiment_id, spec.seed, json.dumps(spec.params, sort_keys=True, default=repr))
-    if key not in _SETUP_CACHE:
-        _SETUP_CACHE[key] = exp.setup(spec.params, spec.seed) if exp.setup else None
-    return records, _SETUP_CACHE[key]
+        raw = _run_chunk((spec.experiment_id, setup, spec.params, spec.seed, 0, trials))
+    return [TrialRecord(i, *t[:5], extra=t[5]) for i, t in enumerate(raw)]
 
 
 def _summarize_records(records, gates) -> dict:
@@ -173,7 +159,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run one named experiment; persist results before returning."""
     t0 = time.monotonic()
     exp = EXPERIMENTS[spec.experiment_id]
-    records, setup = _collect_records(spec)
+    setup = exp.setup(spec.params, spec.seed) if exp.setup else None
+    records = _collect_records(spec, setup)
     gates = exp.summary(records, setup, spec.params) if exp.summary else []
     summary = _summarize_records(records, gates)
 
@@ -199,12 +186,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         files["csv"] = csv_path
         if exp.artifacts:
             files.update(exp.artifacts(setup, spec.params, spec.seed, spec.out_dir))
+        files["manifest"] = os.path.join(spec.out_dir, f"{spec.experiment_id}_manifest.json")
         manifest["files"] = files
-        man_path = os.path.join(spec.out_dir, f"{spec.experiment_id}_manifest.json")
-        with open(man_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True, default=repr)
-            fh.write("\n")
-        files["manifest"] = man_path
+        # one json.dumps and one write: json.dump with indent issues a write per token
+        with open(files["manifest"], "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(manifest, indent=1, sort_keys=True, default=repr) + "\n")
     return ExperimentResult(spec, records, summary, manifest, files)
 
 

@@ -1,4 +1,4 @@
-"""Evolution, dephasing, time averages, speeds and rates."""
+"""Evolution, dephasing, time batches, speeds and rates."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,11 @@ from purestat import (
     DensityMatrix,
     Hamiltonian,
     PureState,
-    Trajectory,
+    coefficient_samples,
     compose_hamiltonian,
     dagger,
     default_horizon,
     dephase,
-    empirical_time_average,
     evolve,
     finite_difference_purity_rate,
     finite_difference_speed,
@@ -37,6 +36,13 @@ from purestat import (
 def _rand_herm(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (z + dagger(z)) / 2
+
+
+def _time_average_discrepancy(h, psi, horizon, n_samples, rng):
+    """D(dephased state, mean of |psi_t><psi_t| over uniform times on [0, horizon])."""
+    psis = pure_state_samples(h, psi, rng.uniform(0.0, horizon, n_samples))
+    empirical = np.einsum("ni,nj->ij", psis, psis.conj()) / n_samples
+    return trace_distance(dephase(psi.density(), h).matrix, empirical)
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +144,7 @@ def test_dephase_matches_long_time_average():
     rng = trial_stream(102, 0)
     h = sample_random_hamiltonian(None, (32, 1), rng)
     psi = sample_haar_state(np.eye(32), rng)
-    report = empirical_time_average(h, psi, default_horizon(h), 10_000, rng)
-    assert report.discrepancy <= 0.02
+    assert _time_average_discrepancy(h, psi, default_horizon(h), 10_000, rng) <= 0.02
 
 
 def test_dephase_matches_exact_time_integral():
@@ -163,47 +168,37 @@ def test_time_average_discrepancy_shrinks_with_horizon():
     rng = trial_stream(101, 1)
     h = sample_random_hamiltonian(None, (16, 1), rng)
     psi = sample_haar_state(np.eye(16), rng)
-    short = empirical_time_average(h, psi, 5.0, 4000, trial_stream(101, 2))
-    longr = empirical_time_average(h, psi, default_horizon(h), 4000, trial_stream(101, 3))
-    assert longr.discrepancy < short.discrepancy
+    short = _time_average_discrepancy(h, psi, 5.0, 4000, trial_stream(101, 2))
+    longr = _time_average_discrepancy(h, psi, default_horizon(h), 4000, trial_stream(101, 3))
+    assert longr < short
 
 
 def test_time_average_stationary_state():
     rng = trial_stream(101, 4)
     h = sample_random_hamiltonian(None, (8, 1), rng)
     ek = PureState(h.eigenbasis[:, 2])
-    report = empirical_time_average(h, ek, 100.0, 64, rng)
-    assert report.discrepancy <= 1e-9
+    assert _time_average_discrepancy(h, ek, 100.0, 64, rng) <= 1e-9
 
 
 def test_time_average_identity_functional():
+    # the norm is a conserved functional: constant along the sampled trajectory
     rng = trial_stream(101, 5)
     h = sample_random_hamiltonian(None, (8, 1), rng)
     psi = sample_haar_state(np.eye(8), rng)
-    stats = empirical_time_average(h, psi, 50.0, 128, rng,
-                                   functional=lambda s: float(np.vdot(
-                                       s.vector, s.vector).real))
-    assert stats.mean == pytest.approx(1.0, abs=1e-10)
-    assert stats.variance == pytest.approx(0.0, abs=1e-12)
+    norms = np.linalg.norm(pure_state_samples(h, psi, rng.uniform(0.0, 50.0, 128)), axis=1)
+    assert norms.mean() == pytest.approx(1.0, abs=1e-10)
+    assert norms.var() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_time_average_reduced_report():
     rng = trial_stream(101, 6)
     h = sample_random_hamiltonian(None, (2, 8), rng)
     psi = sample_haar_state(np.eye(16), rng, dims=(2, 8))
-    report = empirical_time_average(h, psi, default_horizon(h), 3000, rng, reduce="S")
-    assert report.dephased.dim == 2
-    assert report.discrepancy < 0.1
-
-
-def test_trajectory_type():
-    times = np.array([0.0, 1.0, 2.0])
-    states = [DensityMatrix(np.eye(2) / 2) for _ in times]
-    tr = Trajectory(times, states)
-    vals = tr.functional_values(purity)
-    assert np.allclose(vals, 0.5)
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.0, 1.0]), states)
+    times = rng.uniform(0.0, default_horizon(h), 3000)
+    empirical = reduced_marginals(pure_state_samples(h, psi, times), (2, 8)).mean(axis=0)
+    target = dephase(psi.density(), h).reduced("S")
+    assert target.dim == 2
+    assert trace_distance(target, empirical) < 0.1
 
 
 def test_subsystem_speed_stationary_is_zero():
@@ -312,6 +307,22 @@ def test_stacked_samples_match_evolve():
             ref = evolve(state, h, t)
             assert np.abs(psis[j, i] - ref.vector).max() <= 1e-12
             assert np.abs(rho_s[j, i] - ref.reduced("S").matrix).max() <= 1e-12
+
+
+def test_coefficient_samples_match_evolve():
+    # c_k exp(-i E_k t) is the eigenbasis image of evolve(); a stack shares the phases
+    rng = trial_stream(102, 10)
+    h = sample_random_hamiltonian(None, (16, 1), rng)
+    states = [sample_haar_state(np.eye(16), rng) for _ in range(2)]
+    c0 = np.stack([h.to_eigenbasis(s.vector) for s in states])
+    times = rng.uniform(0.0, default_horizon(h), 5)
+    cts = coefficient_samples(h.eigenvalues, c0, times)
+    assert cts.shape == (2, 5, 16)
+    assert np.array_equal(coefficient_samples(h.eigenvalues, c0[1], times), cts[1])
+    for j, state in enumerate(states):
+        for i, t in enumerate(times):
+            ref = h.to_eigenbasis(evolve(state, h, t).vector)
+            assert np.abs(cts[j, i] - ref).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n_times", [5, 32, 75])  # below, at and not a multiple of the chunk

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from purestat import (
-    EnsembleSpec,
-    PureState,
     canonical_subspace_basis,
     haar_unitary,
     harmonic_mean,
@@ -222,29 +220,3 @@ def test_mean_energy_rejects_bad_input():
     h = sample_random_hamiltonian(np.array([-1.0, 1.0]), (2, 1), rng)
     with pytest.raises(ValueError):
         sample_mean_energy_state(h, 1.0, rng)
-
-
-def test_ensemble_spec_roundtrip():
-    spec = EnsembleSpec("haar_subspace", subspace_indices=[0, 1, 5], seed=9,
-                        trial_index=3)
-    again = EnsembleSpec.from_config(spec.to_config())
-    assert again.kind == "haar_subspace"
-    assert again.subspace_indices == [0, 1, 5]
-    assert (again.seed, again.trial_index) == (9, 3)
-
-    me = EnsembleSpec("mean_energy", energy=1.25, seed=2)
-    back = EnsembleSpec.from_config(me.to_config())
-    assert back.energy == pytest.approx(1.25)
-    with pytest.raises(ValueError):
-        EnsembleSpec("bogus")
-
-
-def test_ensemble_spec_sampling_dispatch():
-    rng = trial_stream(0, 14)
-    h = sample_random_hamiltonian(None, (2, 4), rng)
-    haar = EnsembleSpec("haar_subspace", subspace_indices=list(range(8)), seed=5)
-    psi = haar.sample(hamiltonian=h)
-    assert isinstance(psi, PureState) and psi.dim == 8
-    assert np.array_equal(psi.vector, haar.sample(hamiltonian=h).vector)  # deterministic
-    prod = EnsembleSpec("product", seed=5)
-    assert prod.sample(hamiltonian=h).dims == (2, 4)

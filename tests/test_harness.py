@@ -1,15 +1,17 @@
 """Harness: config grammar, persistence, reproducibility, CLI surface."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from purestat import harness
-from purestat.experiments import EXPERIMENTS, experiment_ids
+from purestat import harness, sample_random_hamiltonian, trial_stream
+from purestat.experiments import EXPERIMENTS, _haar_coeffs, experiment_ids
 from purestat.harness import (
     ExperimentSpec,
     parse_config,
@@ -175,6 +177,61 @@ def test_worker_count_does_not_change_bytes(tmp_path):
                        capture_output=True)
         outs[workers] = (out / "DEFF_SUBSPACE_MEAN.csv").read_bytes()
     assert outs["1"] == outs["3"]
+
+
+def test_demo_rows_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    """SECOND_LAW_DEMO emits three rows per trial; pooled rows keep trial order."""
+    outs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("PURESTAT_WORKERS", workers)
+        out = tmp_path / f"w{workers}"
+        res = run_experiment(ExperimentSpec("SECOND_LAW_DEMO", {"trials": 3}, seed=9,
+                                            out_dir=str(out)))
+        assert [r.trial for r in res.records] == list(range(9))
+        outs[workers] = (out / "SECOND_LAW_DEMO.csv").read_bytes()
+    assert outs["1"] == outs["2"]
+
+
+def test_setup_runs_once_per_run(monkeypatch):
+    monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
+    exp = EXPERIMENTS["ISI_LINDEN_DELTA"]
+    calls = []
+
+    def counting_setup(params, seed):
+        calls.append(seed)
+        return exp.setup(params, seed)
+
+    monkeypatch.setitem(EXPERIMENTS, "ISI_LINDEN_DELTA",
+                        dataclasses.replace(exp, setup=counting_setup))
+    spec = ExperimentSpec("ISI_LINDEN_DELTA", {"trials": 4}, seed=3)
+    first, second = run_experiment(spec), run_experiment(spec)
+    assert calls == [3, 3]  # no setup survives from one run to the next
+    assert first.manifest["manifest_hash"] == second.manifest["manifest_hash"]
+
+
+def test_manifest_file_is_the_returned_manifest(tmp_path):
+    res = run_experiment(ExperimentSpec("LEVY", {"n_samples": 500}, seed=3,
+                                        out_dir=str(tmp_path)))
+    text = (tmp_path / "LEVY_manifest.json").read_text(encoding="utf-8")
+    assert text == json.dumps(res.manifest, indent=1, sort_keys=True, default=repr) + "\n"
+    assert res.manifest["files"] == res.files
+
+
+def test_eq_time_heisenberg_closed_form_matches_dense_route():
+    # (1/2)||[H, rho_t]||_1 from eigvalsh at sampled times vs the trial's Delta H
+    params = EXPERIMENTS["EQ_TIME_HEISENBERG"].defaults
+    d = int(params["d"])
+    for k in range(3):
+        rec = EXPERIMENTS["EQ_TIME_HEISENBERG"].trial(None, params, 7, k)
+        rng = trial_stream(7, k)
+        h = sample_random_hamiltonian(None, (d, 1), rng)
+        e_band = h.eigenvalues[d // 4:3 * d // 4]
+        a = _haar_coeffs(1, len(e_band), rng)[0]
+        for t in rng.uniform(0.0, 1e4, 5):
+            ct = a * np.exp(-1j * e_band * t)
+            m = 1j * (e_band[:, None] - e_band[None, :]) * np.outer(ct, ct.conj())
+            assert abs(0.5 * np.abs(np.linalg.eigvalsh(m)).sum() - rec.lhs) <= 1e-12
+        assert rec.satisfied and rec.lhs <= rec.rhs
 
 
 def test_csv_schema(tmp_path):

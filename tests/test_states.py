@@ -10,6 +10,7 @@ from purestat import (
     PureState,
     canonical_state,
     effective_dimension,
+    expectation_values,
     macro_pseudo_distance,
     max_projector_distinguishability,
     microcanonical_expectation,
@@ -122,6 +123,24 @@ def test_purity_and_effective_dimension():
     # dephased equal superposition of k eigenstates has d_eff = k
     k = 5
     assert effective_dimension(np.diag([1 / k] * k + [0.0] * 3)) == pytest.approx(k)
+
+
+def test_stacked_purity_and_expectation_values_match_single_calls():
+    rng = np.random.default_rng(21)
+    rhos = np.array([random_density(4, rng).matrix for _ in range(6)]).reshape(2, 3, 4, 4)
+    p = purity(rhos)
+    assert isinstance(p, np.ndarray) and p.shape == (2, 3)
+    assert np.array_equal(p.ravel(), [purity(r) for r in rhos.reshape(6, 4, 4)])
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = g + g.conj().T
+    psis = np.array([random_pure(4, rng).vector for _ in range(6)]).reshape(2, 3, 4)
+    x = expectation_values(psis, a)
+    assert isinstance(x, np.ndarray) and x.shape == (2, 3)
+    for v, xv in zip(psis.reshape(6, 4), x.ravel()):
+        one = expectation_values(v, a)
+        assert isinstance(one, float) and one == xv
+        assert abs(xv - np.vdot(v, a @ v).real) <= 1e-14
+        assert abs(xv - np.trace(a @ np.outer(v, v.conj())).real) <= 1e-14
 
 
 def test_marginal_purities_equal_for_pure_states():
