@@ -26,6 +26,7 @@ from .hamiltonians import (
     compose_hamiltonian,
     decompose_hamiltonian,
     gap_analysis,
+    phase_factors,
     pointer_hamiltonian,
     unitary_from_hamiltonian,
 )

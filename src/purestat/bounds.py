@@ -323,12 +323,16 @@ def check_bound(theorem: str, lhs: float, ctx: BoundContext,
 
     One-sided bounds get a statistical allowance of allowance_sigmas
     standard errors; identities are compared two-sided.  Tail bounds whose
-    RHS reaches 1 are flagged vacuous.
+    RHS reaches 1 are flagged vacuous.  A non-finite lhs, rhs or stderr is
+    never satisfied: an infinite side would pass a one-sided comparison
+    without any evidence.
     """
     entry = THEOREMS[theorem]
     rhs = evaluate_bound(theorem, ctx)
     slack = allowance_sigmas * stderr
-    if entry.kind == "upper":
+    if not all(map(math.isfinite, (lhs, rhs, stderr))):
+        satisfied = False
+    elif entry.kind == "upper":
         satisfied = lhs <= rhs + slack
     elif entry.kind == "lower":
         satisfied = lhs >= rhs - slack

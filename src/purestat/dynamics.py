@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import CompositeHamiltonian, Hamiltonian, unitary_from_hamiltonian
+from .hamiltonians import (CompositeHamiltonian, Hamiltonian, phase_factors,
+                           unitary_from_hamiltonian)
 from .linalg import commutator, dagger, partial_trace, trace_norm
 from .states import DensityMatrix, PureState, purity, trace_distance
 
@@ -34,7 +35,7 @@ def evolve(state, h: Hamiltonian, t: float):
         if state.dim != h.dim:
             raise ValueError(f"dimension mismatch: state {state.dim}, H {h.dim}")
         c = h.to_eigenbasis(state.vector)
-        c *= np.exp(-1j * h.eigenvalues * t)
+        c *= phase_factors(h.eigenvalues, t)
         v = h.from_eigenbasis(c)
         v /= np.linalg.norm(v)  # remove float drift, |err| ~ 1e-16
         return PureState(v, dims=state.dims)
@@ -99,10 +100,11 @@ def coefficient_samples(energies, c0, times) -> np.ndarray:
     """Eigenbasis coefficients c_k exp(-i E_k t) at the given times, one row per time.
 
     c0 is one coefficient vector (d,) or a stack of them (m, d); the phase
-    matrix exp(-i E t) is built once and shared by the stack.  Returns
+    matrix exp(-i E t) comes from phase_factors (exact mod-2 pi reduction,
+    |E t| < 2^52) and is built once and shared by the stack.  Returns
     (n_times, d) for one vector and (m, n_times, d) for a stack.
     """
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), energies))
+    phases = phase_factors(energies, np.ravel(times))
     # keep the c0 * phases operand order: numpy's complex product is not
     # bitwise symmetric, and swapping it moves every trajectory CSV's last bits
     return np.asarray(c0, dtype=complex)[..., None, :] * phases

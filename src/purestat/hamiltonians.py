@@ -16,6 +16,7 @@ __all__ = [
     "Hamiltonian",
     "CompositeHamiltonian",
     "gap_analysis",
+    "phase_factors",
     "unitary_from_hamiltonian",
     "decompose_hamiltonian",
     "compose_hamiltonian",
@@ -130,10 +131,60 @@ class Hamiltonian:
                            gap_report=self.gap_report, _validate=False)
 
 
+# 2 pi as five pieces of 26 significant bits each (their sum is 2 pi to
+# 1e-40): a multiple k of a piece is exact whenever |k| < 2^26.
+_TWO_PI_PIECES = tuple(float.fromhex(c) for c in (
+    "0x1.921fb50000000p+2", "0x1.110b460000000p-24", "0x1.1a62630000000p-52",
+    "0x1.8a2e030000000p-79", "0x1.c1cd128000000p-105"))
+_K_SPLIT = float(2 ** 26)
+_PHASE_LIMIT = float(2 ** 52)   # largest |E t| phase_factors accepts (exclusive)
+_PHASE_BLOCK = 256             # times per block in phase_factors
+
+
+def phase_factors(energies, times) -> np.ndarray:
+    """exp(-i E_k t) for every time (rows) and energy (columns).
+
+    The argument x = E t is reduced modulo 2 pi before cos and sin see it:
+    k = rint(x / 2 pi) is split into two 26-bit halves (with trunc, so
+    negative k splits exactly too) and every product of a half with a piece
+    of _TWO_PI_PIECES is exact, so the reduced argument in [-pi, pi] is off
+    by at most a few ulp of pi (< 1e-15) at any |x| < 2^52.  Beyond that
+    doubles are spaced >= 1 apart and carry no phase, so a largest |E t| of
+    _PHASE_LIMIT or more raises ValueError.  The work runs _PHASE_BLOCK
+    times at a time so the temporaries stay in cache.  Returns
+    times.shape + (d,): (n_times, d) for a time vector, (d,) for one time.
+    """
+    e = np.asarray(energies, dtype=float)
+    t = np.asarray(times, dtype=float)
+    if e.ndim != 1:
+        raise ValueError(f"energies must be one vector, got shape {e.shape}")
+    tt = t.reshape(-1)
+    if e.size and tt.size:
+        top = float(np.abs(e).max() * np.abs(tt).max())   # = max |E_k t_j| exactly
+        if not top < _PHASE_LIMIT:
+            raise ValueError(f"largest phase argument |E t| = {top:.6g} is not below "
+                             f"2^52 = {_PHASE_LIMIT:.6g}, where doubles resolve no phase")
+    neg_e = -e   # reduce y = -E t, so the phase is cos(y) + i sin(y)
+    out = np.empty((len(tt), len(e)), dtype=complex)
+    for a in range(0, len(tt), _PHASE_BLOCK):
+        y = np.multiply.outer(tt[a:a + _PHASE_BLOCK], neg_e)
+        k = np.rint(y * (1 / (2 * np.pi)))
+        k_hi = np.trunc(k / _K_SPLIT)
+        k_hi *= _K_SPLIT
+        k_lo = k - k_hi
+        prod = np.empty_like(y)
+        for c in _TWO_PI_PIECES:
+            for half in (k_hi, k_lo):
+                y -= np.multiply(half, c, out=prod)
+        block = out[a:a + _PHASE_BLOCK]
+        np.cos(y, out=block.real)
+        np.sin(y, out=block.imag)
+    return out.reshape(t.shape + e.shape)
+
+
 def unitary_from_hamiltonian(h: Hamiltonian, t: float) -> np.ndarray:
     """Evolution operator U_t = exp(-i H t) computed in the eigenbasis."""
-    phases = np.exp(-1j * h.eigenvalues * t)
-    return (h.eigenbasis * phases) @ dagger(h.eigenbasis)
+    return (h.eigenbasis * phase_factors(h.eigenvalues, t)) @ dagger(h.eigenbasis)
 
 
 @dataclass

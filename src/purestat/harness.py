@@ -188,9 +188,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             files.update(exp.artifacts(setup, spec.params, spec.seed, spec.out_dir))
         files["manifest"] = os.path.join(spec.out_dir, f"{spec.experiment_id}_manifest.json")
         manifest["files"] = files
-        # one json.dumps and one write: json.dump with indent issues a write per token
+        # one compact json.dumps and one write: indent would force json's
+        # pure-Python encoder, and json.dump issues a write per token
         with open(files["manifest"], "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, indent=1, sort_keys=True, default=repr) + "\n")
+            fh.write(json.dumps(manifest, sort_keys=True, default=repr) + "\n")
     return ExperimentResult(spec, records, summary, manifest, files)
 
 

@@ -1,5 +1,6 @@
 """Theorem catalog: formula values, comparison semantics, matching solver."""
 
+import dataclasses
 import math
 import sys
 
@@ -138,6 +139,34 @@ def test_check_bound_semantics():
     lctx = BoundContext(d_r=64)
     assert check_bound("DEFF_SUBSPACE_MEAN", 40.0, lctx).satisfied
     assert not check_bound("DEFF_SUBSPACE_MEAN", 20.0, lctx).satisfied
+
+
+# every context field set, so every catalog entry evaluates to a finite rhs
+FULL_CTX = BoundContext(
+    d=4, d_s=2, d_b=2, d_r=16, d_sr=2, d_br=8, norm_a=1.0, norm_b=1.0, norm_hsb=1.0,
+    norm_hs_plus_hsb=1.0, norm_dephased_b=1.0, deff=4.0, deff_b=4.0, deff_rho_b=4.0,
+    deff_sigma_b=4.0, epsilon=0.1, delta=0.1, m=2, eta=1.0, energy=2.5,
+    spectrum=np.array([1.0, 2.0, 3.0, 4.0]), p_eq=0.5, delta_e=1.0, mc_mean_b=0.5,
+    mc_mean_b2=0.5, purity_s=0.8, mutual_info=0.1, entropy_s=0.1, pairing_sum=1.0)
+
+
+def test_check_bound_never_satisfied_by_non_finite_values(monkeypatch):
+    # the reproduced hole: an infinite lhs "satisfied" a lower bound
+    assert not check_bound("COMMUTATOR_LOWER", math.inf,
+                           BoundContext(pairing_sum=1.0)).satisfied
+    bad = (math.inf, -math.inf, math.nan)
+    for name, entry in THEOREMS.items():
+        rhs = evaluate_bound(name, FULL_CTX)
+        assert math.isfinite(rhs), name
+        assert check_bound(name, rhs, FULL_CTX).satisfied, name   # lhs == rhs passes
+        for v in bad:
+            assert not check_bound(name, v, FULL_CTX).satisfied, (name, v)
+            assert not check_bound(name, rhs, FULL_CTX, stderr=v).satisfied, (name, v)
+        for v in bad:   # a degenerate rhs, for every kind
+            monkeypatch.setitem(THEOREMS, name,
+                                dataclasses.replace(entry, evaluator=lambda ctx, v=v: v))
+            assert not check_bound(name, 0.5, FULL_CTX).satisfied, (name, v)
+    assert {e.kind for e in THEOREMS.values()} == {"upper", "lower", "identity"}
 
 
 def test_every_catalog_entry_has_formula_doc():

@@ -1,6 +1,8 @@
 """Gap analysis, composite splits and pointer Hamiltonians."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from purestat import (
     dagger,
     decompose_hamiltonian,
     gap_analysis,
+    phase_factors,
     pointer_hamiltonian,
     tensor_product,
     unitary_from_hamiltonian,
 )
+from purestat.hamiltonians import _PHASE_BLOCK
 
 
 def brute_force_gap_report(e, tol=1e-9):
@@ -90,6 +94,80 @@ def test_unitary_composition():
     for t1, t2 in ((0.1, 0.5), (1.3, -2.0), (4.0, 4.0)):
         u12 = unitary_from_hamiltonian(h, t1) @ unitary_from_hamiltonian(h, t2)
         assert np.abs(u12 - unitary_from_hamiltonian(h, t1 + t2)).max() < 1e-9
+
+
+PI_64 = Fraction("3.141592653589793238462643383279502884197169399375105820974944592307816")
+
+
+def _exact_phase(x: float) -> complex:
+    """exp(-i x) for the double x, reduced mod 2 pi in exact rational arithmetic."""
+    two_pi = 2 * PI_64
+    q = Fraction(x)
+    r = float(q - round(q / two_pi) * two_pi)
+    return complex(math.cos(r), -math.sin(r))
+
+
+def test_phase_factors_match_exact_reduction():
+    # |E t| at 0, 1, 1e3, 7e9, 7e12 and 2^50, with energies of both signs
+    rng = np.random.default_rng(35)
+    e = np.concatenate([rng.uniform(-3.0, 3.0, 13), [3.0, -3.0]])
+    times = np.array([0.0, 1.0, 1e3, 7e9, 7e12, 2.0 ** 50]) / 3.0
+    got = phase_factors(e, times)
+    assert got.shape == (len(times), len(e))
+    for i, t in enumerate(times):
+        for k, ek in enumerate(e):
+            assert abs(got[i, k] - _exact_phase(ek * t)) <= 1e-15, (t, ek)
+    assert np.max(np.abs(e) * times[-1]) == 2.0 ** 50
+    # log-uniform arguments over the whole range the guard admits
+    x = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-3.0, 15.6, 300)
+    got = phase_factors(x, 1.0)
+    assert max(abs(g - _exact_phase(v)) for g, v in zip(got, x)) <= 1e-15
+
+
+def test_phase_factors_conjugate_symmetry():
+    rng = np.random.default_rng(36)
+    e = rng.uniform(-5.0, 5.0, 24)
+    times = rng.uniform(0.0, 1e12, 40)
+    ph = phase_factors(e, times)
+    assert np.array_equal(phase_factors(-e, times), ph.conj())
+    assert np.array_equal(phase_factors(e, -times), ph.conj())
+    assert np.array_equal(phase_factors(-e, -times), ph)
+
+
+def test_phase_factors_equal_energies_give_bitwise_equal_columns():
+    rng = np.random.default_rng(37)
+    a, b = rng.uniform(-4.0, 4.0, 2)
+    ph = phase_factors(np.array([a, b, a, -b, a]), rng.uniform(0.0, 1e12, 600))
+    for col in (2, 4):
+        assert ph[:, col].tobytes() == ph[:, 0].tobytes()
+
+
+def test_phase_factors_at_time_zero_are_one():
+    e = np.array([-7.5, -1e-3, 0.0, 2.0, 1e6])
+    assert np.all(phase_factors(e, [0.0, -0.0]) == 1.0)
+    assert np.all(phase_factors(e, 0.0) == 1.0)
+
+
+def test_phase_factors_blocks_do_not_change_values():
+    # a time count that is not a multiple of the block size
+    rng = np.random.default_rng(38)
+    e = rng.uniform(-3.0, 3.0, 7)
+    times = rng.uniform(0.0, 1e10, 2 * _PHASE_BLOCK + 3)
+    ph = phase_factors(e, times)
+    assert ph.shape == (len(times), 7)
+    for i in (0, _PHASE_BLOCK - 1, _PHASE_BLOCK, 2 * _PHASE_BLOCK + 2):
+        assert np.array_equal(phase_factors(e, times[i]), ph[i])
+    assert np.abs(ph - np.exp(-1j * np.outer(times, e))).max() <= 1e-15
+
+
+def test_phase_factors_range_guard():
+    e = np.array([1.0, -3.0])
+    phase_factors(e, (2.0 ** 52 - 4) / 3)   # largest |E t| just below 2^52 passes
+    for t in (2.0 ** 52 / 3, 1e20, math.inf, math.nan):
+        with pytest.raises(ValueError, match="largest phase argument"):
+            phase_factors(e, [0.0, t])
+    with pytest.raises(ValueError, match=r"\|E t\| = 3e\+20 "):
+        phase_factors(e, 1e20)
 
 
 def _rand_herm(d, rng):

@@ -213,7 +213,7 @@ def test_manifest_file_is_the_returned_manifest(tmp_path):
     res = run_experiment(ExperimentSpec("LEVY", {"n_samples": 500}, seed=3,
                                         out_dir=str(tmp_path)))
     text = (tmp_path / "LEVY_manifest.json").read_text(encoding="utf-8")
-    assert text == json.dumps(res.manifest, indent=1, sort_keys=True, default=repr) + "\n"
+    assert text == json.dumps(res.manifest, sort_keys=True, default=repr) + "\n"
     assert res.manifest["files"] == res.files
 
 
