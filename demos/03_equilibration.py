@@ -10,17 +10,21 @@ import numpy as np
 
 from purestat import (
     BoundContext,
+    PureState,
     canonical_subspace_basis,
-    default_horizon,
     dephase,
     effective_dimension,
     evaluate_bound,
-    evolve,
+    expectation_values,
+    pure_state_samples,
     purity,
+    reduced_marginals,
     sample_haar_state,
     sample_random_hamiltonian,
+    sample_times,
     stream,
     trace_distance,
+    write_trajectory_csv,
 )
 
 rng = stream(20260810, 2)
@@ -29,7 +33,6 @@ d_s, d_b = 2, 32
 h = sample_random_hamiltonian(None, (d_s, d_b), rng)
 psi_b = sample_haar_state(np.eye(d_b), rng)
 psi0_vec = np.kron(canonical_subspace_basis(d_s, [0])[:, 0], psi_b.vector)
-from purestat import PureState  # noqa: E402  (narrative script)
 psi0 = PureState(psi0_vec, dims=(d_s, d_b))
 
 omega = dephase(psi0.density(), h)
@@ -49,32 +52,24 @@ print(f"bound on the time-averaged distance: (1/2) sqrt(d_S/d_eff(omega^B)) "
 
 width = float(h.eigenvalues[-1] - h.eigenvalues[0])
 grid = np.linspace(0.0, 80.0 / width, 300)[1:]
-rows = []
-for t in grid:
-    rho_s = evolve(psi0, h, float(t)).reduced("S")
-    rows.append((float(t), trace_distance(rho_s, omega_s)))
+dist = trace_distance(reduced_marginals(pure_state_samples(h, psi0, grid), psi0.dims),
+                      omega_s)
+write_trajectory_csv("equilibration_trajectory.csv", grid,
+                     {"distance": dist, "bound": np.full(len(grid), bound)})
 
-with open("equilibration_trajectory.csv", "w", encoding="utf-8") as fh:
-    fh.write("t,distance,bound\n")
-    for t, dist in rows:
-        fh.write(f"{t!r},{dist!r},{bound!r}\n")
-
-late = [dist for t, dist in rows[len(rows) // 2:]]
-print(f"late-time mean distance: {np.mean(late):.4f}  (below the bound: "
-      f"{np.mean(late) <= bound})")
+late = dist[len(dist) // 2:]
+print(f"late-time mean distance: {late.mean():.4f}  (below the bound: "
+      f"{late.mean() <= bound})")
 print("trajectory written to equilibration_trajectory.csv (plot t vs distance)")
 
 # long-run statistics at random times: the Reimann bound for observables
-times = rng.uniform(0.0, default_horizon(h), 1000)
+times = sample_times(h, 1e4, 1000, rng)
 a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
 a = (a + a.conj().T) / 2
 a /= np.abs(np.linalg.eigvalsh(a)).max()
-x = np.empty(len(times))
-p_s = np.empty(len(times))
-for i, t in enumerate(times):
-    st = evolve(psi0, h, float(t))
-    x[i] = np.real(np.vdot(st.vector, a @ st.vector))
-    p_s[i] = purity(st.reduced("S"))
+psis = pure_state_samples(h, psi0, times)
+x = expectation_values(psis, a)
+p_s = purity(reduced_marginals(psis, psi0.dims))
 x_eq = float(np.trace(a @ omega.matrix).real)
 print(f"\nReimann: time variance of Tr[A rho_t] = {np.mean((x - x_eq)**2):.2e}  "
       f"<= |A|^2/d_eff = {1/deff:.2e}")

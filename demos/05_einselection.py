@@ -14,12 +14,12 @@ import numpy as np
 from purestat import (
     PureState,
     compose_hamiltonian,
-    default_horizon,
     evolve,
     max_pairing_offdiagonal_sum,
     pointer_hamiltonian,
     sample_haar_state,
     sample_product_state,
+    sample_times,
     stream,
     subsystem_speed,
 )
@@ -65,7 +65,7 @@ parts_w = compose_hamiltonian(h_s, gue(d_b, 1.0), gue(d_s * d_b, 0.01 * gap))
 h_w = parts_w.assembled
 psi0_w = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
 
-times = rng.uniform(0.0, default_horizon(h_w), 200)
+times = sample_times(h_w, 1e4, 200, rng)
 offdiag, worst = [], 0.0
 for t in times:
     state = evolve(psi0_w, h_w, float(t)).density()

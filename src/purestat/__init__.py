@@ -70,6 +70,7 @@ from .dynamics import (
     purity_rate,
     reduced_marginals,
     reduced_rates,
+    sample_times,
     subsystem_speed,
     write_trajectory_csv,
 )
@@ -82,6 +83,7 @@ from .bounds import (
     evaluate_bound,
     max_pairing_offdiagonal_sum,
     mean_energy_purity_crude_bound,
+    verdict,
 )
 
 __version__ = "0.1.0"

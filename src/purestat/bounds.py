@@ -1,4 +1,4 @@
-"""Catalog of analytic bound evaluators, one per theorem, plus comparison logic.
+"""Catalog of analytic bound evaluators, one per theorem, plus the one verdict.
 
 Every evaluator is pure arithmetic on a BoundContext.  Probability-type
 (tail) bounds whose value reaches 1 are flagged vacuous: at desk-scale
@@ -20,6 +20,7 @@ __all__ = [
     "BoundReport",
     "evaluate_bound",
     "check_bound",
+    "verdict",
     "canonical_reduction_threshold",
     "mean_energy_purity_crude_bound",
     "max_pairing_offdiagonal_sum",
@@ -317,31 +318,43 @@ class BoundReport:
         return self.rhs - self.lhs
 
 
+_COMPARISONS = {
+    "upper": lambda lhs, rhs, slack: lhs <= rhs + slack,
+    "lower": lambda lhs, rhs, slack: lhs >= rhs - slack,
+    "identity": lambda lhs, rhs, slack: abs(lhs - rhs) <= slack,
+    "observation": lambda lhs, rhs, slack: True,
+}
+
+
+def verdict(lhs: float, rhs: float, kind: str, slack: float = 0.0) -> bool:
+    """Whether an empirical lhs satisfies rhs: the one pass/fail comparison.
+
+    kind "upper" asks lhs <= rhs + slack, "lower" lhs >= rhs - slack and
+    "identity" |lhs - rhs| <= slack; "observation" records lhs next to rhs
+    without comparing them.  Never true when lhs, rhs or slack is not
+    finite, whatever the kind: an infinite side would pass a one-sided
+    comparison without any evidence, and a NaN carries none.
+    """
+    if kind not in _COMPARISONS:
+        raise ValueError(f"unknown verdict kind {kind!r}; known: {', '.join(_COMPARISONS)}")
+    if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(slack)):
+        return False
+    return bool(_COMPARISONS[kind](lhs, rhs, slack))
+
+
 def check_bound(theorem: str, lhs: float, ctx: BoundContext,
                 stderr: float = 0.0, allowance_sigmas: float = 3.0) -> BoundReport:
-    """Compare an empirical statistic with a catalog RHS.
+    """Compare an empirical statistic with a catalog RHS through verdict.
 
-    One-sided bounds get a statistical allowance of allowance_sigmas
-    standard errors; identities are compared two-sided.  Tail bounds whose
-    RHS reaches 1 are flagged vacuous.  A non-finite lhs, rhs or stderr is
-    never satisfied: an infinite side would pass a one-sided comparison
-    without any evidence.
+    The slack is allowance_sigmas standard errors (one-sided for upper and
+    lower bounds, two-sided for identities), so a non-finite stderr is never
+    satisfied either.  Tail bounds whose RHS reaches 1 are flagged vacuous.
     """
     entry = THEOREMS[theorem]
     rhs = evaluate_bound(theorem, ctx)
-    slack = allowance_sigmas * stderr
-    if not all(map(math.isfinite, (lhs, rhs, stderr))):
-        satisfied = False
-    elif entry.kind == "upper":
-        satisfied = lhs <= rhs + slack
-    elif entry.kind == "lower":
-        satisfied = lhs >= rhs - slack
-    else:
-        satisfied = abs(lhs - rhs) <= slack
-    vacuous = bool(entry.tail and rhs >= 1.0)
-    return BoundReport(theorem=theorem, lhs=float(lhs), stderr=float(stderr),
-                       rhs=rhs, satisfied=bool(satisfied), vacuous=vacuous,
-                       kind=entry.kind)
+    return BoundReport(theorem=theorem, lhs=float(lhs), stderr=float(stderr), rhs=rhs,
+                       satisfied=verdict(lhs, rhs, entry.kind, allowance_sigmas * stderr),
+                       vacuous=bool(entry.tail and rhs >= 1.0), kind=entry.kind)
 
 
 def _max_weight_perfect_matching(w: list[list[float]]) -> float:

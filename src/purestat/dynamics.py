@@ -16,6 +16,7 @@ __all__ = [
     "evolve",
     "dephase",
     "default_horizon",
+    "sample_times",
     "coefficient_samples",
     "pure_state_samples",
     "reduced_marginals",
@@ -94,6 +95,16 @@ def default_horizon(h: Hamiltonian, factor: float = 1e4) -> float:
     if not np.isfinite(mgd) or mgd <= 0:
         raise ValueError("Hamiltonian has no usable gap-difference scale")
     return factor / mgd
+
+
+def sample_times(h: Hamiltonian, horizon_factor: float, n: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """n times drawn uniformly from [0, default_horizon(h, horizon_factor)).
+
+    The one place where experiments and demos pick the instants of a time
+    average, so the horizon policy changes here and nowhere else.
+    """
+    return rng.uniform(0.0, default_horizon(h, float(horizon_factor)), int(n))
 
 
 def coefficient_samples(energies, c0, times) -> np.ndarray:

@@ -19,10 +19,10 @@ from .bounds import (
     evaluate_bound,
     max_pairing_offdiagonal_sum,
     mean_energy_purity_crude_bound,
+    verdict,
 )
 from .dynamics import (
     coefficient_samples,
-    default_horizon,
     evolve,
     finite_difference_purity_rate,
     finite_difference_speed,
@@ -30,6 +30,7 @@ from .dynamics import (
     purity_rate,
     reduced_marginals,
     reduced_rates,
+    sample_times,
     subsystem_speed,
     write_trajectory_csv,
 )
@@ -64,13 +65,35 @@ __all__ = ["TrialRecord", "ExperimentDef", "EXPERIMENTS", "experiment_ids"]
 
 @dataclass
 class TrialRecord:
-    trial: int
+    """One judged row of an experiment: lhs against rhs and the verdict."""
+
     lhs: float
     stderr: float
     rhs: float
     satisfied: bool
     vacuous: bool
     extra: dict = field(default_factory=dict)
+    trial: int = 0      # row number, assigned by the harness in trial order
+
+
+def _row(lhs, rhs, kind, slack=0.0, stderr=0.0, **extra) -> TrialRecord:
+    """A row judged by bounds.verdict(lhs, rhs, kind, slack); never vacuous."""
+    return TrialRecord(float(lhs), float(stderr), float(rhs),
+                       verdict(lhs, rhs, kind, slack), False, extra)
+
+
+def _bound_row(theorem, lhs, ctx, stderr=0.0, sigmas=0.0, **extra) -> TrialRecord:
+    """A row judged against a catalog theorem by bounds.check_bound, with a
+    slack of sigmas standard errors; with sigmas 0 stderr is only reported."""
+    rep = check_bound(theorem, lhs, ctx, stderr=stderr if sigmas else 0.0,
+                      allowance_sigmas=sigmas)
+    return TrialRecord(rep.lhs, float(stderr), rep.rhs, rep.satisfied, rep.vacuous, extra)
+
+
+def _gate(name: str, row: TrialRecord) -> dict:
+    """A summary gate: a judged row under a name, its extras inlined."""
+    return {"gate": name, "lhs": row.lhs, "stderr": row.stderr, "rhs": row.rhs,
+            "satisfied": row.satisfied, "vacuous": row.vacuous, **row.extra}
 
 
 @dataclass(frozen=True)
@@ -149,9 +172,8 @@ def _mc_variance_identity_trial(setup, params, seed, k):
     se = _bootstrap_se(x, lambda v: v.var(ddof=1), rng, int(params["n_boot"]))
     ctx = BoundContext(d_r=setup["d_r"], mc_mean_b=setup["mc_mean"],
                        mc_mean_b2=setup["mc_mean2"])
-    rep = check_bound("MC_VARIANCE_IDENTITY", lhs, ctx, stderr=se)
-    return TrialRecord(k, rep.lhs, rep.stderr, rep.rhs, rep.satisfied, rep.vacuous,
-                       extra={"mean": float(x.mean()), "n_samples": len(x)})
+    return _bound_row("MC_VARIANCE_IDENTITY", lhs, ctx, se, 3.0,
+                      mean=float(x.mean()), n_samples=len(x))
 
 
 def _mc_concentration_trial(setup, params, seed, k):
@@ -161,12 +183,9 @@ def _mc_concentration_trial(setup, params, seed, k):
     lhs = float((dev >= eps).mean())
     se = float(np.sqrt(max(lhs * (1 - lhs), 1.0 / len(x)) / len(x)))
     ctx = BoundContext(d_r=setup["d_r"], epsilon=eps, norm_b=1.0)
-    rep = check_bound("MC_CONCENTRATION", lhs, ctx, stderr=0.0)
-    return TrialRecord(k, rep.lhs, se, rep.rhs, rep.satisfied, rep.vacuous,
-                       extra={"mean": float(x.mean()),
-                              "se_mean": float(x.std(ddof=1) / np.sqrt(len(x))),
-                              "mad": float(dev.mean()),
-                              "mc_mean": setup["mc_mean"]})
+    return _bound_row("MC_CONCENTRATION", lhs, ctx, se,
+                      mean=float(x.mean()), se_mean=float(x.std(ddof=1) / np.sqrt(len(x))),
+                      mad=float(dev.mean()), mc_mean=setup["mc_mean"])
 
 
 def _mc_variance_concentration_trial(setup, params, seed, k):
@@ -177,10 +196,8 @@ def _mc_variance_concentration_trial(setup, params, seed, k):
     sigma2_mc = setup["mc_mean2"] - setup["mc_mean"] ** 2
     lhs = float((np.abs(sigma2 - sigma2_mc) > eps).mean())  # ||B|| = 1
     ctx = BoundContext(d_r=setup["d_r"], epsilon=eps)
-    rep = check_bound("MC_VARIANCE_CONCENTRATION", lhs, ctx)
-    return TrialRecord(k, rep.lhs, 0.0, rep.rhs, rep.satisfied, rep.vacuous,
-                       extra={"sigma2_mc": sigma2_mc,
-                              "mean_sigma2": float(sigma2.mean())})
+    return _bound_row("MC_VARIANCE_CONCENTRATION", lhs, ctx,
+                      sigma2_mc=sigma2_mc, mean_sigma2=float(sigma2.mean()))
 
 
 def _coarse_grained_setup(params, seed):
@@ -211,9 +228,7 @@ def _coarse_grained_trial(setup, params, seed, k):
         devs += np.abs(t_r.sum(axis=1) - setup["mc"][r])
     lhs = float((devs >= eps).mean())               # max_A over alpha_r in [-1,1]
     ctx = BoundContext(d_r=setup["d_r"], epsilon=eps, m=setup["m"], norm_a=1.0)
-    rep = check_bound("COARSE_GRAINED", lhs, ctx)
-    return TrialRecord(k, rep.lhs, 0.0, rep.rhs, rep.satisfied, rep.vacuous,
-                       extra={"mean_dev": float(devs.mean())})
+    return _bound_row("COARSE_GRAINED", lhs, ctx, mean_dev=float(devs.mean()))
 
 
 def _canonical_reduction_setup(params, seed):
@@ -240,10 +255,8 @@ def _canonical_reduction_trial(setup, params, seed, k):
     ctx = BoundContext(d_r=setup["d_r"], epsilon=eps, d_s=d_s, deff_b=setup["deff_b"])
     threshold = canonical_reduction_threshold(ctx)
     lhs = float((dist >= threshold).mean())
-    rep = check_bound("CANONICAL_REDUCTION", lhs, ctx)
-    return TrialRecord(k, rep.lhs, 0.0, rep.rhs, rep.satisfied, rep.vacuous,
-                       extra={"threshold": threshold, "mean_distance": float(dist.mean()),
-                              "deff_b": setup["deff_b"]})
+    return _bound_row("CANONICAL_REDUCTION", lhs, ctx, threshold=threshold,
+                      mean_distance=float(dist.mean()), deff_b=setup["deff_b"])
 
 
 # ---------------------------------------------------------------------------
@@ -272,39 +285,30 @@ def _deff_state_sample(setup, seed, k):
 
 
 def _deff_subspace_mean_trial(setup, params, seed, k):
-    deff = _deff_state_sample(setup, seed, k)
-    d_r = setup["d_r"]
-    return TrialRecord(k, deff, 0.0, d_r / 4.0, deff >= d_r / 4.0, False)
+    return _row(_deff_state_sample(setup, seed, k), setup["d_r"] / 4.0, "lower")
 
 
 def _deff_subspace_mean_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
     mean, se = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
-    ctx = BoundContext(d_r=setup["d_r"])
-    rhs = evaluate_bound("DEFF_SUBSPACE_MEAN", ctx)
-    return [{"gate": "mean_deff_ci_above_bound", "lhs": mean, "stderr": se, "rhs": rhs,
-             "satisfied": bool(mean - 1.96 * se > rhs), "vacuous": False,
-             "ci95": [mean - 1.96 * se, mean + 1.96 * se],
-             "fraction_below_quarter": float((vals < setup["d_r"] / 4).mean())}]
+    # the lower end of the 95% CI must clear the bound: a negative slack
+    return [_gate("mean_deff_ci_above_bound", _bound_row(
+        "DEFF_SUBSPACE_MEAN", mean, BoundContext(d_r=setup["d_r"]), se, -1.96,
+        ci95=[mean - 1.96 * se, mean + 1.96 * se],
+        fraction_below_quarter=float((vals < setup["d_r"] / 4).mean())))]
 
 
 def _deff_subspace_tail_trial(setup, params, seed, k):
     deff = _deff_state_sample(setup, seed, k)
     d_r = setup["d_r"]
-    lhs = float(deff < d_r / 4.0)
-    ctx = BoundContext(d_r=d_r)
-    rep = check_bound("DEFF_SUBSPACE_TAIL", lhs, ctx)
-    return TrialRecord(k, lhs, 0.0, rep.rhs, rep.satisfied, rep.vacuous,
-                       extra={"deff": deff})
+    return _bound_row("DEFF_SUBSPACE_TAIL", float(deff < d_r / 4.0), BoundContext(d_r=d_r),
+                      deff=deff)
 
 
 def _deff_subspace_tail_summary(records, setup, params):
-    vals = np.array([r.lhs for r in records])
-    ctx = BoundContext(d_r=setup["d_r"])
-    rhs = evaluate_bound("DEFF_SUBSPACE_TAIL", ctx)
-    freq = float(vals.mean())
-    return [{"gate": "tail_frequency_below_bound", "lhs": freq, "stderr": 0.0,
-             "rhs": rhs, "satisfied": bool(freq <= rhs), "vacuous": bool(rhs >= 1.0)}]
+    freq = float(np.mean([r.lhs for r in records]))
+    return [_gate("tail_frequency_below_bound", _bound_row(
+        "DEFF_SUBSPACE_TAIL", freq, BoundContext(d_r=setup["d_r"])))]
 
 
 def _deff_product_setup(params, seed):
@@ -322,17 +326,15 @@ def _deff_product_trial(setup, params, seed, k):
     deff = float(1.0 / (np.abs(c) ** 4).sum())
     rhs = evaluate_bound("DEFF_PRODUCT_MEAN",
                          BoundContext(d_sr=setup["d_sr"], d_br=setup["d_br"]))
-    return TrialRecord(k, deff, 0.0, rhs, True, False)
+    return _row(deff, rhs, "observation")
 
 
 def _deff_product_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
     mean, se = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
-    rhs = evaluate_bound("DEFF_PRODUCT_MEAN",
-                         BoundContext(d_sr=setup["d_sr"], d_br=setup["d_br"]))
-    return [{"gate": "mean_deff_ci_above_bound", "lhs": mean, "stderr": se, "rhs": rhs,
-             "satisfied": bool(mean - 1.96 * se > rhs), "vacuous": False,
-             "ci95": [mean - 1.96 * se, mean + 1.96 * se]}]
+    ctx = BoundContext(d_sr=setup["d_sr"], d_br=setup["d_br"])
+    return [_gate("mean_deff_ci_above_bound", _bound_row(
+        "DEFF_PRODUCT_MEAN", mean, ctx, se, -1.96, ci95=[mean - 1.96 * se, mean + 1.96 * se]))]
 
 
 def _deff_mean_energy_setup(params, seed):
@@ -353,29 +355,24 @@ def _deff_mean_energy_trial(setup, params, seed, k):
     c = h.to_eigenbasis(psi.vector)
     pur = float((np.abs(c) ** 4).sum())
     energy = float((np.abs(c) ** 2 @ h.eigenvalues))
-    return TrialRecord(k, pur, 0.0, setup["rhs"], True, False,
-                       extra={"energy": energy})
+    return _row(pur, setup["rhs"], "observation", energy=energy)
 
 
 def _deff_mean_energy_summary(records, setup, params):
     pur = np.array([r.lhs for r in records])
     en = np.array([r.extra["energy"] for r in records])
     mean, se = float(pur.mean()), float(pur.std(ddof=1) / np.sqrt(len(pur)))
-    rel = abs(mean - setup["rhs"]) / setup["rhs"]
-    e_rel = abs(float(en.mean()) - setup["energy"]) / setup["energy"]
+    rhs, energy, e_mean = setup["rhs"], setup["energy"], float(en.mean())
     return [
-        {"gate": "mean_purity_matches_prediction_10pct", "lhs": mean, "stderr": se,
-         "rhs": setup["rhs"], "satisfied": bool(rel <= 0.10), "vacuous": False,
-         "relative_error": rel},
-        {"gate": "mean_purity_below_crude_cap", "lhs": mean, "stderr": se,
-         "rhs": setup["crude"], "satisfied": bool(mean <= setup["crude"] + 3 * se),
-         "vacuous": False},
-        {"gate": "sample_mean_energy_within_5pct", "lhs": float(en.mean()), "stderr": 0.0,
-         "rhs": setup["energy"], "satisfied": bool(e_rel <= 0.05), "vacuous": False,
-         "relative_error": e_rel},
-        {"gate": "mean_deff_above_crude_bound", "lhs": float((1.0 / pur).mean()),
-         "stderr": 0.0, "rhs": 1.0 / setup["crude"],
-         "satisfied": bool((1.0 / pur).mean() >= 1.0 / setup["crude"]), "vacuous": False},
+        _gate("mean_purity_matches_prediction_10pct", _row(
+            mean, rhs, "identity", 0.10 * rhs, se, relative_error=abs(mean - rhs) / rhs)),
+        _gate("mean_purity_below_crude_cap",
+              _row(mean, setup["crude"], "upper", 3 * se, se)),
+        _gate("sample_mean_energy_within_5pct", _row(
+            e_mean, energy, "identity", 0.05 * energy,
+            relative_error=abs(e_mean - energy) / energy)),
+        _gate("mean_deff_above_crude_bound",
+              _row(float((1.0 / pur).mean()), 1.0 / setup["crude"], "lower")),
     ]
 
 
@@ -390,8 +387,7 @@ def _equilibration_trial_base(params, seed, k):
     h = sample_random_hamiltonian(None, (d_s, d_b), rng)
     psi0 = sample_haar_state(np.eye(d_s * d_b), rng, dims=(d_s, d_b))
     c0 = h.to_eigenbasis(psi0.vector)
-    horizon = default_horizon(h, float(params["horizon_factor"]))
-    times = rng.uniform(0.0, horizon, int(params["n_times"]))
+    times = sample_times(h, params["horizon_factor"], params["n_times"], rng)
     probs = np.abs(c0) ** 2
     deff = float(1.0 / (probs ** 2).sum())
     return h, psi0, c0, probs, times, deff, rng
@@ -406,10 +402,8 @@ def _expectation_equilibration_trial(setup, params, seed, k):
     sq = (x - x_omega) ** 2
     lhs = float(sq.mean())
     se = float(sq.std(ddof=1) / np.sqrt(len(sq)))
-    ctx = BoundContext(norm_a=1.0, deff=deff)
-    rep = check_bound("EXPECTATION_EQUILIBRATION", lhs, ctx, allowance_sigmas=0.0)
-    return TrialRecord(k, rep.lhs, se, rep.rhs, rep.satisfied, rep.vacuous,
-                       extra={"deff": deff, "horizon": float(times.max())})
+    return _bound_row("EXPECTATION_EQUILIBRATION", lhs, BoundContext(norm_a=1.0, deff=deff),
+                      se, deff=deff, horizon=float(times.max()))
 
 
 def _omega_states(h, probs, d_s, d_b):
@@ -437,10 +431,8 @@ def _subsystem_equilibration_trial(setup, params, seed, k):
     deff_b = effective_dimension(omega_b)
     lhs = float(dist.mean())
     se = float(dist.std(ddof=1) / np.sqrt(len(dist)))
-    ctx = BoundContext(d_s=d_s, deff_b=deff_b)
-    rep = check_bound("SUBSYSTEM_EQUILIBRATION", lhs, ctx, allowance_sigmas=0.0)
-    return TrialRecord(k, rep.lhs, se, rep.rhs, rep.satisfied, rep.vacuous,
-                       extra={"deff": deff, "deff_b": deff_b})
+    return _bound_row("SUBSYSTEM_EQUILIBRATION", lhs, BoundContext(d_s=d_s, deff_b=deff_b),
+                      se, deff=deff, deff_b=deff_b)
 
 
 def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
@@ -466,12 +458,10 @@ def _purity_equilibration_trial(setup, params, seed, k):
     _, omega_s, _ = _omega_states(h, probs, d_s, d_b)
     p_omega = purity(omega_s)
     lhs = abs(float(p_s.mean()) - p_omega)
-    ctx = BoundContext(d_s=d_s, deff=deff)
-    rep = check_bound("PURITY_EQUILIBRATION", lhs, ctx, allowance_sigmas=0.0)
-    ok = rep.satisfied and max_sb_diff <= 1e-10
-    return TrialRecord(k, rep.lhs, 0.0, rep.rhs, ok, rep.vacuous,
-                       extra={"deff": deff, "purity_sb_max_diff": max_sb_diff,
-                              "p_omega_s": p_omega})
+    row = _bound_row("PURITY_EQUILIBRATION", lhs, BoundContext(d_s=d_s, deff=deff),
+                     deff=deff, purity_sb_max_diff=max_sb_diff, p_omega_s=p_omega)
+    row.satisfied &= verdict(max_sb_diff, 1e-10, "upper")   # p_S = p_B for pure states
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -498,18 +488,16 @@ def _ergodicity_trial(setup, params, seed, k):
     rng = trial_stream(seed, k)
     a = _haar_coeffs(1, setup["d_r"], rng)[0]
     lhs = float((np.abs(a) ** 2) @ setup["diag_band"])  # Tr[B omega] = Tr[$[B] psi0]
-    extra = {}
-    satisfied = True
+    row = _row(lhs, setup["mc_mean"], "observation")
     if k < int(params["crosscheck_trials"]):
+        # the sampled time average of Tr[B rho_t] must reproduce lhs
         h = setup["h"]
-        horizon = default_horizon(h, float(params["horizon_factor"]))
-        times = rng.uniform(0.0, horizon, int(params["crosscheck_times"]))
+        times = sample_times(h, params["horizon_factor"], params["crosscheck_times"], rng)
         ct = coefficient_samples(h.eigenvalues[setup["band"]], a, times)
-        x = expectation_values(ct, setup["block"])
-        err = abs(float(x.mean()) - lhs)
-        extra["crosscheck_err"] = err
-        satisfied = err <= float(params["crosscheck_tol"])
-    return TrialRecord(k, lhs, 0.0, setup["mc_mean"], satisfied, False, extra=extra)
+        x_mean = float(expectation_values(ct, setup["block"]).mean())
+        row.extra["crosscheck_err"] = abs(x_mean - lhs)
+        row.satisfied &= verdict(x_mean, lhs, "identity", float(params["crosscheck_tol"]))
+    return row
 
 
 def _ergodicity_summary(records, setup, params):
@@ -517,15 +505,11 @@ def _ergodicity_summary(records, setup, params):
     mean, se = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
     tail_ctx = BoundContext(d_r=setup["d_r"], epsilon=0.1,
                             norm_dephased_b=setup["norm_dephased"])
-    tail_rhs = evaluate_bound("ERGODICITY", tail_ctx)
     eps_freq = float((np.abs(vals - setup["mc_mean"]) >= 0.1).mean())
     return [
-        {"gate": "mean_time_average_matches_mc_3sigma", "lhs": mean, "stderr": se,
-         "rhs": setup["mc_mean"], "satisfied": bool(abs(mean - setup["mc_mean"]) <= 3 * se),
-         "vacuous": False},
-        {"gate": "tail_frequency_below_bound", "lhs": eps_freq, "stderr": 0.0,
-         "rhs": tail_rhs, "satisfied": bool(eps_freq <= tail_rhs),
-         "vacuous": bool(tail_rhs >= 1.0)},
+        _gate("mean_time_average_matches_mc_3sigma",
+              _row(mean, setup["mc_mean"], "identity", 3 * se, se)),
+        _gate("tail_frequency_below_bound", _bound_row("ERGODICITY", eps_freq, tail_ctx)),
     ]
 
 
@@ -553,8 +537,7 @@ def _speed_pipeline(params, seed, k):
     psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
     probs = np.abs(h.to_eigenbasis(psi0.vector)) ** 2
     deff = float(1.0 / (probs ** 2).sum())
-    horizon = default_horizon(h, float(params["horizon_factor"]))
-    times = rng.uniform(0.0, horizon, int(params["n_times"]))
+    times = sample_times(h, params["horizon_factor"], params["n_times"], rng)
     rates = reduced_rates(pure_state_samples(h, psi0, times), parts)
     return parts, h, psi0, rates, deff
 
@@ -562,42 +545,42 @@ def _speed_pipeline(params, seed, k):
 def _speed_trial(setup, params, seed, k):
     parts, h, psi0, rates, deff = _speed_pipeline(params, seed, k)
     v = rates.speeds()
-    lhs = float(v.mean())
     ctx = BoundContext(norm_hs_plus_hsb=parts.norm_hs_plus_hsb(),
                        d_s=int(params["d_s"]), deff=deff)
-    rep = check_bound("SPEED", lhs, ctx, allowance_sigmas=0.0)
     fd_ok, fd_err = _fd_check(subsystem_speed, finite_difference_speed,
                               1e-3 * parts.norm_hs_plus_hsb(), h, psi0, parts, params)
-    return TrialRecord(k, rep.lhs, float(v.std(ddof=1) / np.sqrt(len(v))),
-                       rep.rhs, rep.satisfied and fd_ok, rep.vacuous,
-                       extra={"deff": deff, "fd_max_rel_err": fd_err})
+    row = _bound_row("SPEED", float(v.mean()), ctx, float(v.std(ddof=1) / np.sqrt(len(v))),
+                     deff=deff, fd_max_rel_err=fd_err)
+    row.satisfied &= fd_ok
+    return row
 
 
 def _fd_check(analytic_fn, fd_fn, floor, h, psi0, parts, params):
     """Worst relative gap between analytic_fn(rho_t, parts) and its central
-    difference fd_fn(h, psi0, t); relative to max(|analytic|, floor)."""
+    difference fd_fn(h, psi0, t); relative to max(|analytic|, floor).  A NaN
+    at any instant makes the worst gap NaN, which fails the check."""
     # early times, where t +/- delta is exactly representable; the analytic
     # formula is time-independent so any instants serve as a cross-check
     scale = float(np.abs(h.eigenvalues).max())
-    worst = 0.0
-    for t in np.linspace(0.5, 8.0, int(params["fd_checks"])) / scale:
-        analytic = analytic_fn(evolve(psi0, h, float(t)).density(), parts)
-        fd = fd_fn(h, psi0, float(t))
-        worst = max(worst, abs(fd - analytic) / max(abs(analytic), floor))
-    return worst <= float(params["fd_rtol"]), worst
+    ts = np.linspace(0.5, 8.0, int(params["fd_checks"])) / scale
+    analytic = np.array([analytic_fn(evolve(psi0, h, float(t)).density(), parts) for t in ts])
+    fd = np.array([fd_fn(h, psi0, float(t)) for t in ts])
+    gaps = np.abs(fd - analytic) / np.maximum(np.abs(analytic), floor)
+    worst = float(np.max(gaps, initial=0.0))
+    return verdict(worst, float(params["fd_rtol"]), "upper"), worst
 
 
 def _purity_rate_avg_trial(setup, params, seed, k):
     parts, h, psi0, rates, deff = _speed_pipeline(params, seed, k)
     dp = rates.purity_rates()
-    lhs = float(np.abs(dp).mean())
     ctx = BoundContext(norm_hsb=parts.norm_hsb(), d_s=int(params["d_s"]), deff=deff)
-    rep = check_bound("PURITY_RATE_AVG", lhs, ctx, allowance_sigmas=0.0)
     fd_ok, fd_err = _fd_check(purity_rate, finite_difference_purity_rate,
                               1e-3 * 2 * parts.norm_hsb(), h, psi0, parts, params)
-    return TrialRecord(k, rep.lhs, float(np.abs(dp).std(ddof=1) / np.sqrt(len(dp))),
-                       rep.rhs, rep.satisfied and fd_ok, rep.vacuous,
-                       extra={"deff": deff, "fd_max_rel_err": fd_err})
+    row = _bound_row("PURITY_RATE_AVG", float(np.abs(dp).mean()), ctx,
+                     float(np.abs(dp).std(ddof=1) / np.sqrt(len(dp))),
+                     deff=deff, fd_max_rel_err=fd_err)
+    row.satisfied &= fd_ok
+    return row
 
 
 def _purity_rate_instant_trial(setup, params, seed, k):
@@ -612,9 +595,8 @@ def _purity_rate_instant_trial(setup, params, seed, k):
     floor = 1e-12 * norm_hsb
     ratios = np.abs(dp) / np.maximum(rhs_t, floor)
     ratios[np.abs(dp) <= floor] = 0.0
-    lhs = float(ratios.max())
-    return TrialRecord(k, lhs, 0.0, 1.0, lhs <= 1.0, False,
-                       extra={"deff": deff, "max_abs_rate": float(np.abs(dp).max())})
+    return _row(float(ratios.max()), 1.0, "upper",
+                deff=deff, max_abs_rate=float(np.abs(dp).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +610,9 @@ def _commutator_lower_trial(setup, params, seed, k):
     rho = _mixed_density(n, rng)
     lhs = trace_norm(1j * commutator(rho, np.diag(a_vals)))  # [rho,A] is anti-Hermitian
     pairing = max_pairing_offdiagonal_sum(a_vals, rho)
-    ctx = BoundContext(pairing_sum=pairing)
-    rep = check_bound("COMMUTATOR_LOWER", lhs, ctx)
-    satisfied = lhs >= rep.rhs - 1e-9
-    return TrialRecord(k, lhs, 0.0, rep.rhs, satisfied, False,
-                       extra={"dim": n, "pairing": pairing})
+    rhs = evaluate_bound("COMMUTATOR_LOWER", BoundContext(pairing_sum=pairing))
+    # an exact inequality: the slack only absorbs rounding
+    return _row(lhs, rhs, "lower", 1e-9, dim=n, pairing=pairing)
 
 
 def _slow_states_run(params, rng, coupling):
@@ -647,8 +627,7 @@ def _slow_states_run(params, rng, coupling):
     parts = compose_hamiltonian(h_s, h_b, h_sb)
     h = parts.assembled
     psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
-    horizon = default_horizon(h, float(params["horizon_factor"]))
-    times = rng.uniform(0.0, horizon, int(params["n_times"]))
+    times = sample_times(h, params["horizon_factor"], params["n_times"], rng)
     rates = reduced_rates(pure_state_samples(h, psi0, times), parts)
     speeds = rates.speeds()
     rho_in_hs = dagger(w_s) @ rates.rho_s @ w_s
@@ -660,15 +639,13 @@ def _slow_states_run(params, rng, coupling):
 def _decoherence_trial(setup, params, seed, k):
     ratios, _, _, e_s, norm_hsb = _slow_states_run(
         params, trial_stream(seed, k), float(params["coupling"]))
-    worst = float(ratios.max(initial=0.0))
-    return TrialRecord(k, worst, 0.0, 1.0, worst <= 1.0 + 1e-9, False,
-                       extra={"norm_hsb": norm_hsb, "min_gap_hs": float(np.diff(e_s).min())})
+    return _row(float(ratios.max(initial=0.0)), 1.0, "upper", 1e-9,
+                norm_hsb=norm_hsb, min_gap_hs=float(np.diff(e_s).min()))
 
 
 def _einselection_rows(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
-    rows = []
 
     blocks = [_gue(d_b, rng, norm=1.0) for _ in range(d_s)]
     parts = pointer_hamiltonian(d_s, blocks)
@@ -684,8 +661,6 @@ def _einselection_rows(setup, params, seed, k):
 
     diag_drift = float(np.abs(
         np.diagonal(rho_s_t, axis1=1, axis2=2) - np.diag(rho_s0)[None, :]).max())
-    rows.append(TrialRecord(0, diag_drift, 0.0, 1e-10, diag_drift <= 1e-10, False,
-                            extra={"check": "pointer_diagonal_drift"}))
 
     # suppression factor: direct bath-overlap recomputation
     eigs = [np.linalg.eigh(b) for b in blocks]
@@ -695,38 +670,30 @@ def _einselection_rows(setup, params, seed, k):
         u1 = (eigs[1][1] * np.exp(-1j * eigs[1][0] * t)) @ dagger(eigs[1][1])
         f_direct[i] = psi_b.vector.conj() @ (dagger(u1) @ u0 @ psi_b.vector)
     f_sim = rho_s_t[:, 0, 1] / rho_s0[0, 1]
-    agree = float(np.abs(f_sim - f_direct).max())
-    rows.append(TrialRecord(1, agree, 0.0, 1e-9, agree <= 1e-9, False,
-                            extra={"check": "suppression_factor_agreement"}))
-
     late = grid >= float(params["late_window_start"])
-    late_supp = float(np.abs(f_sim[late]).mean())
-    rows.append(TrialRecord(2, late_supp, 0.0, float(params["late_suppression"]),
-                            late_supp < float(params["late_suppression"]), False,
-                            extra={"check": "late_time_suppression"}))
 
     # equal-blocks control: no decoherence at all
     parts_eq = pointer_hamiltonian(d_s, [blocks[0]] * d_s)
     h_eq = parts_eq.assembled
     rho_eq_t = reduced_marginals(pure_state_samples(h_eq, psi0, grid), (d_s, d_b))
     drift_eq = float(np.abs(rho_eq_t - rho_s0[None, :, :]).max())
-    rows.append(TrialRecord(3, drift_eq, 0.0, 1e-10, drift_eq <= 1e-10, False,
-                            extra={"check": "equal_blocks_state_frozen"}))
 
     # generic weak-coupling variant: slow-states bound + off-diagonal consequence
     ratios, speeds, rho_in_hs, e_s, norm_hsb = _slow_states_run(params, rng, 0.01)
-    worst = float(ratios.max(initial=0.0))
-    offdiag = np.abs(rho_in_hs[:, 0, 1])
-    rows.append(TrialRecord(4, worst, 0.0, 1.0, worst <= 1.0 + 1e-9, False,
-                            extra={"check": "weak_coupling_slow_states_bound"}))
-
     gap = abs(e_s[1] - e_s[0])
-    avg_off = float(offdiag.mean())
-    cap = 5.0 * (norm_hsb + speeds.mean()) / gap
-    rows.append(TrialRecord(5, avg_off, 0.0, cap, avg_off <= cap, False,
-                            extra={"check": "offdiagonal_suppression_consequence",
-                                   "norm_hsb": norm_hsb, "gap": gap}))
-    return rows
+    late_cap = float(params["late_suppression"])
+    return [
+        _row(diag_drift, 1e-10, "upper", check="pointer_diagonal_drift"),
+        _row(np.abs(f_sim - f_direct).max(), 1e-9, "upper",
+             check="suppression_factor_agreement"),
+        _row(np.abs(f_sim[late]).mean(), late_cap, "upper", check="late_time_suppression"),
+        _row(drift_eq, 1e-10, "upper", check="equal_blocks_state_frozen"),
+        _row(ratios.max(initial=0.0), 1.0, "upper", 1e-9,
+             check="weak_coupling_slow_states_bound"),
+        _row(np.abs(rho_in_hs[:, 0, 1]).mean(), 5.0 * (norm_hsb + speeds.mean()) / gap,
+             "upper", check="offdiagonal_suppression_consequence",
+             norm_hsb=norm_hsb, gap=gap),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -734,10 +701,9 @@ def _einselection_rows(setup, params, seed, k):
 # ---------------------------------------------------------------------------
 
 def _marginal_diameter(mu: np.ndarray) -> float:
-    worst = 0.0
-    for i in range(len(mu) - 1):
-        worst = max(worst, float(trace_distance(mu[i], mu[i + 1:]).max()))
-    return worst
+    """max over pairs i < j of D(mu_i, mu_j); NaN if any distance is NaN."""
+    rows = [trace_distance(mu[i], mu[i + 1:]).max() for i in range(len(mu) - 1)]
+    return float(np.max(rows, initial=0.0))
 
 
 def _bath_deff(h: Hamiltonian, vector: np.ndarray, d_s: int, d_b: int) -> float:
@@ -760,19 +726,15 @@ def _isi_trial(setup, params, seed, k):
     phi = phi - np.vdot(psi, phi) * psi
     phi /= np.linalg.norm(phi)
 
-    horizon = default_horizon(h, float(params["horizon_factor"]))
-    times = rng.uniform(0.0, horizon, int(params["n_times"]))
+    times = sample_times(h, params["horizon_factor"], params["n_times"], rng)
     rho_s, sig_s = reduced_marginals(pure_state_samples(h, np.stack([psi, phi]), times),
                                      (d_s, d_b))
     dist = trace_distance(rho_s, sig_s)
-    lhs = float(dist.mean())
     ctx = BoundContext(d_s=d_s, deff_rho_b=_bath_deff(h, psi, d_s, d_b),
                        deff_sigma_b=_bath_deff(h, phi, d_s, d_b), delta=delta_pair)
-    rep = check_bound("ISI", lhs, ctx, allowance_sigmas=0.0)
-    return TrialRecord(k, rep.lhs, float(dist.std(ddof=1) / np.sqrt(len(dist))),
-                       rep.rhs, rep.satisfied, rep.vacuous,
-                       extra={"delta_measured": delta_pair, "delta_entangled": delta_ent,
-                              "delta_target": 0.05})
+    return _bound_row("ISI", float(dist.mean()), ctx,
+                      float(dist.std(ddof=1) / np.sqrt(len(dist))),
+                      delta_measured=delta_pair, delta_entangled=delta_ent, delta_target=0.05)
 
 
 def _isi_linden_setup(params, seed):
@@ -790,20 +752,20 @@ def _isi_linden_trial(setup, params, seed, k):
     rng = trial_stream(seed, k)
     a = _haar_coeffs(1, setup["d_r"], rng)[0]
     omega_s = np.einsum("k,kij->ij", np.abs(a) ** 2, setup["mu"])
-    lhs = trace_distance(omega_s, setup["rho_mc_s"])
-    rhs = evaluate_bound("ISI_LINDEN_DELTA", BoundContext(
-        d_s=setup["d_s"], d_r=setup["d_r"], delta=setup["delta"]))
-    return TrialRecord(k, lhs, 0.0, rhs, True, False)
+    rhs = evaluate_bound("ISI_LINDEN_DELTA", _isi_linden_ctx(setup))
+    return _row(trace_distance(omega_s, setup["rho_mc_s"]), rhs, "observation")
+
+
+def _isi_linden_ctx(setup) -> BoundContext:
+    return BoundContext(d_s=setup["d_s"], d_r=setup["d_r"], delta=setup["delta"])
 
 
 def _isi_linden_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
     mean, se = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
-    rhs = evaluate_bound("ISI_LINDEN_DELTA", BoundContext(
-        d_s=setup["d_s"], d_r=setup["d_r"], delta=setup["delta"]))
-    return [{"gate": "mean_distance_below_linden_bound", "lhs": mean, "stderr": se,
-             "rhs": rhs, "satisfied": bool(mean <= rhs + 3 * se), "vacuous": False,
-             "linden_delta": setup["delta"]}]
+    return [_gate("mean_distance_below_linden_bound", _bound_row(
+        "ISI_LINDEN_DELTA", mean, _isi_linden_ctx(setup), se, 3.0,
+        linden_delta=setup["delta"]))]
 
 
 def _entangled_state_tail_trial(setup, params, seed, k):
@@ -812,22 +774,21 @@ def _entangled_state_tail_trial(setup, params, seed, k):
     rng = trial_stream(seed, k)
     psi = sample_haar_state(np.eye(d_s * d_b), rng, dims=(d_s, d_b))
     dist = trace_distance(psi.reduced("S"), np.eye(d_s) / d_s)
-    lhs = float(dist >= eps)
-    ctx = BoundContext(d_s=d_s, d_b=d_b, epsilon=eps)
-    rep = check_bound("ENTANGLED_STATE_TAIL", lhs, ctx)
-    return TrialRecord(k, lhs, 0.0, rep.rhs, rep.satisfied, rep.vacuous,
-                       extra={"distance": dist})
+    return _bound_row("ENTANGLED_STATE_TAIL", float(dist >= eps), _entangled_ctx(params),
+                      distance=dist)
+
+
+def _entangled_ctx(params) -> BoundContext:
+    return BoundContext(d_s=int(params["d_s"]), d_b=int(params["d_b"]),
+                        epsilon=float(params["epsilon"]))
 
 
 def _entangled_state_tail_summary(records, setup, params):
     freq = float(np.mean([r.lhs for r in records]))
-    rhs = evaluate_bound("ENTANGLED_STATE_TAIL", BoundContext(
-        d_s=int(params["d_s"]), d_b=int(params["d_b"]), epsilon=float(params["epsilon"])))
     return [
-        {"gate": "tail_frequency_below_bound", "lhs": freq, "stderr": 0.0, "rhs": rhs,
-         "satisfied": bool(freq <= rhs), "vacuous": bool(rhs >= 1.0)},
-        {"gate": "entangled_fraction_at_least_99pct", "lhs": 1.0 - freq, "stderr": 0.0,
-         "rhs": 0.99, "satisfied": bool(1.0 - freq >= 0.99), "vacuous": False},
+        _gate("tail_frequency_below_bound",
+              _bound_row("ENTANGLED_STATE_TAIL", freq, _entangled_ctx(params))),
+        _gate("entangled_fraction_at_least_99pct", _row(1.0 - freq, 0.99, "lower")),
     ]
 
 
@@ -841,8 +802,7 @@ def _entangled_eigs_trial(setup, params, seed, k):
     thr = float(params["threshold"])
     rhs_analytic = evaluate_bound("ENTANGLED_EIGS_TAIL", BoundContext(
         d=d_s * d_b, d_s=d_s, d_b=d_b, epsilon=thr))
-    return TrialRecord(k, lhs, 0.0, thr, lhs <= thr, False,
-                       extra={"analytic_tail_at_threshold": rhs_analytic})
+    return _row(lhs, thr, "upper", analytic_tail_at_threshold=rhs_analytic)
 
 
 def _levy_trial(setup, params, seed, k):
@@ -856,9 +816,7 @@ def _levy_trial(setup, params, seed, k):
     mean_f = float(np.trace(b).real / d_r)
     lhs = float((np.abs(f - mean_f) >= eps).mean())
     ctx = BoundContext(d=2 * d_r, epsilon=eps, eta=2.0)  # real sphere dim, eta = 2|B|
-    rep = check_bound("LEVY", lhs, ctx)
-    return TrialRecord(k, rep.lhs, 0.0, rep.rhs, rep.satisfied, rep.vacuous,
-                       extra={"mean_f": float(f.mean()), "mc_mean": mean_f})
+    return _bound_row("LEVY", lhs, ctx, mean_f=float(f.mean()), mc_mean=mean_f)
 
 
 # ---------------------------------------------------------------------------
@@ -877,9 +835,8 @@ def _eq_time_heisenberg_trial(setup, params, seed, k):
     # for pure rho_t, i[H, rho_t] has rank 2 with eigenvalues +-Delta H, so
     # (1/2)||[H, rho_t]||_1 = Delta H at every t: the energy spread of psi_0
     speed = float(np.sqrt(probs @ (e_band - probs @ e_band) ** 2))
-    rhs = delta_e
-    return TrialRecord(k, speed, 0.0, rhs, speed <= rhs + 1e-12, False,
-                       extra={"heisenberg_time": 1.0 / delta_e, "delta_e": delta_e})
+    return _row(speed, delta_e, "upper", 1e-12,
+                heisenberg_time=1.0 / delta_e, delta_e=delta_e)
 
 
 def _eq_time_purity_trial(setup, params, seed, k):
@@ -901,11 +858,11 @@ def _eq_time_purity_trial(setup, params, seed, k):
     # without a crossing on the grid the crossing time is only known to be
     # >= t_max: that supports the bound when t_max >= rhs, else it is inconclusive
     t_emp = float(grid[below[0]]) if crossed else t_max
-    rhs = evaluate_bound("EQ_TIME_PURITY", BoundContext(
-        p_eq=p_eq, d_s=d_s, norm_hsb=norm_hsb))
-    satisfied = t_emp >= rhs
-    return TrialRecord(k, t_emp, 0.0, rhs, satisfied, not (crossed or satisfied),
-                       extra={"p_eq": p_eq, "norm_hsb": norm_hsb, "crossed": crossed})
+    row = _bound_row("EQ_TIME_PURITY", t_emp,
+                     BoundContext(p_eq=p_eq, d_s=d_s, norm_hsb=norm_hsb),
+                     p_eq=p_eq, norm_hsb=norm_hsb, crossed=crossed)
+    row.vacuous = not (crossed or row.satisfied)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -922,35 +879,25 @@ def _second_law_rows(setup, params, seed, k):
 
     psi0 = np.zeros(d, dtype=complex); psi0[0] = 1.0          # |0>_S |0>_B
     sig0 = np.zeros(d, dtype=complex); sig0[d_b] = 1.0        # |1>_S |0>_B
-    horizon = default_horizon(h, float(params["horizon_factor"]))
-    times = rng.uniform(0.0, horizon, int(params["n_times"]))
+    times = sample_times(h, params["horizon_factor"], params["n_times"], rng)
     rho_s, sig_s = reduced_marginals(pure_state_samples(h, np.stack([psi0, sig0]), times),
                                      (d_s, d_b))
 
     _, omega_s, omega_b = _omega_states(h, np.abs(h.to_eigenbasis(psi0)) ** 2, d_s, d_b)
     deff_b = effective_dimension(omega_b)
-    dist = trace_distance(rho_s, omega_s)
-    rhs_eq = evaluate_bound("SUBSYSTEM_EQUILIBRATION", BoundContext(d_s=d_s, deff_b=deff_b))
-    rows = [TrialRecord(0, float(dist.mean()), 0.0, rhs_eq,
-                        float(dist.mean()) <= rhs_eq, False,
-                        extra={"check": "equilibration_from_pure_product_start"})]
-
-    dist_isi = trace_distance(rho_s, sig_s)
-    rhs_isi = evaluate_bound("ISI", BoundContext(
-        d_s=d_s, deff_rho_b=deff_b, deff_sigma_b=_bath_deff(h, sig0, d_s, d_b),
-        delta=delta_pair))
-    rows.append(TrialRecord(1, float(dist_isi.mean()), 0.0, rhs_isi,
-                            float(dist_isi.mean()) <= rhs_isi, False,
-                            extra={"check": "initial_state_independence",
-                                   "delta_measured": delta_pair}))
-
+    isi_ctx = BoundContext(d_s=d_s, deff_rho_b=deff_b,
+                           deff_sigma_b=_bath_deff(h, sig0, d_s, d_b), delta=delta_pair)
     s_omega = von_neumann_entropy(DensityMatrix(omega_s, validate=False))
-    rhs_ent = float(np.log(d_s)) - float(params["entropy_slack"])
-    rows.append(TrialRecord(2, s_omega, 0.0, rhs_ent, s_omega >= rhs_ent, False,
-                            extra={"check": "equilibrium_entropy_near_maximal",
-                                   "log_ds": float(np.log(d_s)),
-                                   "initial_entropy": 0.0}))
-    return rows
+    return [
+        _bound_row("SUBSYSTEM_EQUILIBRATION", float(trace_distance(rho_s, omega_s).mean()),
+                   BoundContext(d_s=d_s, deff_b=deff_b),
+                   check="equilibration_from_pure_product_start"),
+        _bound_row("ISI", float(trace_distance(rho_s, sig_s).mean()), isi_ctx,
+                   check="initial_state_independence", delta_measured=delta_pair),
+        _row(s_omega, float(np.log(d_s)) - float(params["entropy_slack"]), "lower",
+             check="equilibrium_entropy_near_maximal", log_ds=float(np.log(d_s)),
+             initial_entropy=0.0),
+    ]
 
 
 def _distance_trajectory_setup(params, seed):
@@ -969,17 +916,13 @@ def _distance_trajectory_setup(params, seed):
 
 def _distance_trajectory_trial(setup, params, seed, k):
     h = setup["h"]
-    rng = trial_stream(seed, k)
-    horizon = default_horizon(h, float(params["horizon_factor"]))
-    times = rng.uniform(0.0, horizon, int(params["n_times"]))
+    times = sample_times(h, params["horizon_factor"], params["n_times"], trial_stream(seed, k))
     psi0 = setup["psi0"]
     rho_s = reduced_marginals(pure_state_samples(h, psi0, times), psi0.dims)
     dist = trace_distance(rho_s, setup["omega_s"])
-    lhs = float(dist.mean())
-    return TrialRecord(k, lhs, float(dist.std(ddof=1) / np.sqrt(len(dist))),
-                       setup["bound"], lhs <= setup["bound"], False,
-                       extra={"initial_distance": trace_distance(
-                           psi0.reduced("S"), setup["omega_s"])})
+    return _row(dist.mean(), setup["bound"], "upper",
+                stderr=float(dist.std(ddof=1) / np.sqrt(len(dist))),
+                initial_distance=trace_distance(psi0.reduced("S"), setup["omega_s"]))
 
 
 def _distance_trajectory_artifacts(setup, params, seed, out_dir):

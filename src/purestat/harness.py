@@ -113,7 +113,7 @@ def _collect_records(spec: ExperimentSpec, setup) -> list[TrialRecord]:
         raw = [t for chunk in chunks for t in chunk]
     else:
         raw = _run_chunk((spec.experiment_id, setup, spec.params, spec.seed, 0, trials))
-    return [TrialRecord(i, *t[:5], extra=t[5]) for i, t in enumerate(raw)]
+    return [TrialRecord(*t[:5], extra=t[5], trial=i) for i, t in enumerate(raw)]
 
 
 def _summarize_records(records, gates) -> dict:

@@ -18,6 +18,7 @@ from purestat import (
     max_pairing_offdiagonal_sum,
     mean_energy_purity_crude_bound,
     trace_norm,
+    verdict,
 )
 
 RNG = np.random.default_rng(2468)
@@ -167,6 +168,25 @@ def test_check_bound_never_satisfied_by_non_finite_values(monkeypatch):
                                 dataclasses.replace(entry, evaluator=lambda ctx, v=v: v))
             assert not check_bound(name, 0.5, FULL_CTX).satisfied, (name, v)
     assert {e.kind for e in THEOREMS.values()} == {"upper", "lower", "identity"}
+
+
+def test_verdict_kinds_slack_and_non_finite_values():
+    for kind in ("upper", "lower", "identity"):
+        assert verdict(1.0, 1.0, kind) is True           # equality passes, non-strict
+    assert verdict(1.05, 1.0, "upper", 0.1) and not verdict(1.2, 1.0, "upper", 0.1)
+    assert verdict(0.95, 1.0, "lower", 0.1) and not verdict(0.8, 1.0, "lower", 0.1)
+    assert verdict(1.05, 1.0, "identity", 0.1) and verdict(0.95, 1.0, "identity", 0.1)
+    assert not verdict(1.2, 1.0, "identity", 0.1) and not verdict(0.8, 1.0, "identity", 0.1)
+    # a negative slack tightens: a CI lower end that must clear the bound
+    assert verdict(1.2, 1.0, "lower", -0.1) and not verdict(1.05, 1.0, "lower", -0.1)
+    assert verdict(123.0, -4.0, "observation") is True   # recorded, not compared
+    for kind in ("upper", "lower", "identity", "observation"):
+        for v in (math.inf, -math.inf, math.nan):
+            assert verdict(v, 1.0, kind) is False, (kind, v)
+            assert verdict(1.0, v, kind) is False, (kind, v)
+            assert verdict(1.0, 1.0, kind, v) is False, (kind, v)
+    with pytest.raises(ValueError, match="unknown verdict kind"):
+        verdict(1.0, 1.0, "strict")
 
 
 def test_every_catalog_entry_has_formula_doc():

@@ -26,6 +26,7 @@ from purestat import (
     sample_haar_state,
     sample_product_state,
     sample_random_hamiltonian,
+    sample_times,
     subsystem_speed,
     trace_distance,
     trial_stream,
@@ -171,6 +172,13 @@ def test_time_average_discrepancy_shrinks_with_horizon():
     short = _time_average_discrepancy(h, psi, 5.0, 4000, trial_stream(101, 2))
     longr = _time_average_discrepancy(h, psi, default_horizon(h), 4000, trial_stream(101, 3))
     assert longr < short
+
+
+def test_sample_times_draws_the_horizon_policy_times():
+    h = sample_random_hamiltonian(None, (2, 8), trial_stream(101, 7))
+    times = sample_times(h, 1e3, 50, trial_stream(101, 8))
+    assert np.array_equal(times, trial_stream(101, 8).uniform(0.0, default_horizon(h, 1e3), 50))
+    assert times.shape == (50,) and times.min() >= 0.0 and times.max() < default_horizon(h, 1e3)
 
 
 def test_time_average_stationary_state():
