@@ -48,8 +48,11 @@ from .states import (
 )
 from .ensembles import (
     canonical_subspace_basis,
+    complex_normal_rows,
     haar_unitary,
     harmonic_mean,
+    mean_energy_coefficients,
+    philox_keys,
     sample_haar_state,
     sample_mean_energy_state,
     sample_product_state,
@@ -57,6 +60,7 @@ from .ensembles import (
     shift_for_harmonic_mean,
     stream,
     trial_stream,
+    trial_streams,
 )
 from .dynamics import (
     ReducedRates,

@@ -3,6 +3,11 @@
 Every experiment is deterministic given (params, seed).  Shared setup
 objects come from the setup stream, trial k owns trial_stream(seed, k), so
 results are independent of execution order and worker count.
+
+Experiments of many tiny trials also define a block hook: it draws a whole
+block of trials from their own streams (ensembles.trial_streams) and runs
+their numerics once over the stacked draws; the trial hook then only
+judges the row of one trial from its item.
 """
 
 from __future__ import annotations
@@ -37,14 +42,16 @@ from .dynamics import (
 from .ensembles import (
     SETUP_DOMAIN,
     canonical_subspace_basis,
+    complex_normal_rows,
     haar_unitary,
     harmonic_mean,
+    mean_energy_coefficients,
     sample_haar_state,
-    sample_mean_energy_state,
     sample_product_state,
     sample_random_hamiltonian,
     stream,
     trial_stream,
+    trial_streams,
 )
 from .hamiltonians import Hamiltonian, compose_hamiltonian, pointer_hamiltonian
 from .linalg import commutator, dagger, partial_trace, trace_norm
@@ -102,11 +109,19 @@ class ExperimentDef:
     description: str
     defaults: dict
     setup: object = None          # (params, seed) -> object
-    trial: object = None          # (setup, params, seed, k) -> TrialRecord | [TrialRecord]
+    # (setup, params, seed, k) -> TrialRecord | [TrialRecord]; with a block
+    # hook, (setup, params, seed, k, item) -> TrialRecord
+    trial: object = None
     summary: object = None        # (records, setup, params) -> list[dict] of summary gates
     artifacts: object = None      # (setup, params, seed, out_dir) -> dict of files
     # (params) -> the largest Hilbert-space dimension the experiment builds
     dimension: object = field(kw_only=True)
+    # parameter -> smallest accepted value (a count that feeds std(ddof=1) needs 2)
+    minimums: dict = field(default_factory=dict, kw_only=True)
+    # (setup, params, seed, ks) -> one item per trial index in ks, computed
+    # together from each trial's own stream; the harness passes ks as one
+    # block of consecutive indices starting at a multiple of the block size
+    block: object = field(default=None, kw_only=True)
 
 
 def _setup_stream(seed: int) -> np.random.Generator:
@@ -124,9 +139,22 @@ def _gue(d: int, rng: np.random.Generator, norm: float | None = 1.0,
     return h
 
 
-def _haar_coeffs(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+def _unit_rows(z: np.ndarray) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _haar_coeffs(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    return _unit_rows(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+
+
+def _haar_coeff_rows(streams, d: int) -> np.ndarray:
+    """One row per stream, each equal to _haar_coeffs(1, d, stream)[0]."""
+    return _unit_rows(complex_normal_rows(streams, d))
+
+
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error std(ddof=1)/sqrt(n)."""
+    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x)))
 
 
 def _mixed_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
@@ -183,8 +211,8 @@ def _mc_concentration_trial(setup, params, seed, k):
     lhs = float((dev >= eps).mean())
     se = float(np.sqrt(max(lhs * (1 - lhs), 1.0 / len(x)) / len(x)))
     ctx = BoundContext(d_r=setup["d_r"], epsilon=eps, norm_b=1.0)
-    return _bound_row("MC_CONCENTRATION", lhs, ctx, se,
-                      mean=float(x.mean()), se_mean=float(x.std(ddof=1) / np.sqrt(len(x))),
+    mean, se_mean = _mean_se(x)
+    return _bound_row("MC_CONCENTRATION", lhs, ctx, se, mean=mean, se_mean=se_mean,
                       mad=float(dev.mean()), mc_mean=setup["mc_mean"])
 
 
@@ -277,20 +305,19 @@ def _deff_subspace_setup(params, seed):
     return {"block": h.eigenbasis[:d_r, :].conj(), "d_r": d_r, "ambient": ambient}
 
 
-def _deff_state_sample(setup, seed, k):
-    rng = trial_stream(seed, k)
-    a = _haar_coeffs(1, setup["d_r"], rng)[0]
-    c = a @ setup["block"]
-    return float(1.0 / (np.abs(c) ** 4).sum())
+def _deff_subspace_block(setup, params, seed, ks):
+    """d_eff of each trial's dephased subspace state."""
+    c = _haar_coeff_rows(trial_streams(seed, ks), setup["d_r"]) @ setup["block"]
+    return (1.0 / (np.abs(c) ** 4).sum(axis=1)).tolist()
 
 
-def _deff_subspace_mean_trial(setup, params, seed, k):
-    return _row(_deff_state_sample(setup, seed, k), setup["d_r"] / 4.0, "lower")
+def _deff_subspace_mean_trial(setup, params, seed, k, deff):
+    return _row(deff, setup["d_r"] / 4.0, "lower")
 
 
 def _deff_subspace_mean_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
-    mean, se = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+    mean, se = _mean_se(vals)
     # the lower end of the 95% CI must clear the bound: a negative slack
     return [_gate("mean_deff_ci_above_bound", _bound_row(
         "DEFF_SUBSPACE_MEAN", mean, BoundContext(d_r=setup["d_r"]), se, -1.96,
@@ -298,8 +325,7 @@ def _deff_subspace_mean_summary(records, setup, params):
         fraction_below_quarter=float((vals < setup["d_r"] / 4).mean())))]
 
 
-def _deff_subspace_tail_trial(setup, params, seed, k):
-    deff = _deff_state_sample(setup, seed, k)
+def _deff_subspace_tail_trial(setup, params, seed, k, deff):
     d_r = setup["d_r"]
     return _bound_row("DEFF_SUBSPACE_TAIL", float(deff < d_r / 4.0), BoundContext(d_r=d_r),
                       deff=deff)
@@ -315,23 +341,29 @@ def _deff_product_setup(params, seed):
     d_sr, d_br = int(params["d_sr"]), int(params["d_br"])
     rng = _setup_stream(seed)
     h = sample_random_hamiltonian(None, (d_sr, d_br), rng)
-    return {"h": h, "d_sr": d_sr, "d_br": d_br}
+    rhs = evaluate_bound("DEFF_PRODUCT_MEAN", BoundContext(d_sr=d_sr, d_br=d_br))
+    return {"h": h, "d_sr": d_sr, "d_br": d_br, "rhs": rhs}
 
 
-def _deff_product_trial(setup, params, seed, k):
-    h = setup["h"]
-    rng = trial_stream(seed, k)
-    psi = sample_product_state(np.eye(setup["d_sr"]), np.eye(setup["d_br"]), rng)
-    c = h.to_eigenbasis(psi.vector)
-    deff = float(1.0 / (np.abs(c) ** 4).sum())
-    rhs = evaluate_bound("DEFF_PRODUCT_MEAN",
-                         BoundContext(d_sr=setup["d_sr"], d_br=setup["d_br"]))
-    return _row(deff, rhs, "observation")
+def _deff_product_block(setup, params, seed, ks):
+    """d_eff of each trial's dephased product state psi_S (x) psi_B."""
+    d_sr, d_br = setup["d_sr"], setup["d_br"]
+    # per trial: real and imaginary parts of psi_S's coefficients, then psi_B's
+    x = np.array([rng.standard_normal(2 * (d_sr + d_br)) for rng in trial_streams(seed, ks)])
+    a_s = _unit_rows(x[:, :d_sr] + 1j * x[:, d_sr:2 * d_sr])
+    a_b = _unit_rows(x[:, 2 * d_sr:2 * d_sr + d_br] + 1j * x[:, 2 * d_sr + d_br:])
+    psi = (a_s[:, :, None] * a_b[:, None, :]).reshape(len(x), d_sr * d_br)
+    c = psi @ setup["h"].eigenbasis.conj()      # row i: V^dagger psi_i
+    return (1.0 / (np.abs(c) ** 4).sum(axis=1)).tolist()
+
+
+def _deff_product_trial(setup, params, seed, k, deff):
+    return _row(deff, setup["rhs"], "observation")
 
 
 def _deff_product_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
-    mean, se = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+    mean, se = _mean_se(vals)
     ctx = BoundContext(d_sr=setup["d_sr"], d_br=setup["d_br"])
     return [_gate("mean_deff_ci_above_bound", _bound_row(
         "DEFF_PRODUCT_MEAN", mean, ctx, se, -1.96, ci95=[mean - 1.96 * se, mean + 1.96 * se]))]
@@ -348,20 +380,23 @@ def _deff_mean_energy_setup(params, seed):
             "crude": mean_energy_purity_crude_bound(ctx)}
 
 
-def _deff_mean_energy_trial(setup, params, seed, k):
+def _deff_mean_energy_block(setup, params, seed, ks):
+    """(purity, energy) of each trial's dephased mean-energy state."""
     h = setup["h"]
-    rng = trial_stream(seed, k)
-    psi = sample_mean_energy_state(h, setup["energy"], rng)
-    c = h.to_eigenbasis(psi.vector)
-    pur = float((np.abs(c) ** 4).sum())
-    energy = float((np.abs(c) ** 2 @ h.eigenvalues))
+    c = mean_energy_coefficients(h, setup["energy"], trial_streams(seed, ks))
+    p = np.abs(c) ** 2
+    return list(zip((p ** 2).sum(axis=1).tolist(), (p @ h.eigenvalues).tolist()))
+
+
+def _deff_mean_energy_trial(setup, params, seed, k, item):
+    pur, energy = item
     return _row(pur, setup["rhs"], "observation", energy=energy)
 
 
 def _deff_mean_energy_summary(records, setup, params):
     pur = np.array([r.lhs for r in records])
     en = np.array([r.extra["energy"] for r in records])
-    mean, se = float(pur.mean()), float(pur.std(ddof=1) / np.sqrt(len(pur)))
+    mean, se = _mean_se(pur)
     rhs, energy, e_mean = setup["rhs"], setup["energy"], float(en.mean())
     return [
         _gate("mean_purity_matches_prediction_10pct", _row(
@@ -399,9 +434,7 @@ def _expectation_equilibration_trial(setup, params, seed, k):
     a_eig = h.to_eigenbasis(a)
     x = expectation_values(coefficient_samples(h.eigenvalues, c0, times), a_eig)
     x_omega = float(probs @ np.diag(a_eig).real)
-    sq = (x - x_omega) ** 2
-    lhs = float(sq.mean())
-    se = float(sq.std(ddof=1) / np.sqrt(len(sq)))
+    lhs, se = _mean_se((x - x_omega) ** 2)
     return _bound_row("EXPECTATION_EQUILIBRATION", lhs, BoundContext(norm_a=1.0, deff=deff),
                       se, deff=deff, horizon=float(times.max()))
 
@@ -429,8 +462,7 @@ def _subsystem_equilibration_trial(setup, params, seed, k):
     _, omega_s, omega_b = _omega_states(h, probs, d_s, d_b)
     dist = trace_distance(rho_s, omega_s)
     deff_b = effective_dimension(omega_b)
-    lhs = float(dist.mean())
-    se = float(dist.std(ddof=1) / np.sqrt(len(dist)))
+    lhs, se = _mean_se(dist)
     return _bound_row("SUBSYSTEM_EQUILIBRATION", lhs, BoundContext(d_s=d_s, deff_b=deff_b),
                       se, deff=deff, deff_b=deff_b)
 
@@ -484,17 +516,36 @@ def _ergodicity_setup(params, seed):
             "d_r": d_r}
 
 
-def _ergodicity_trial(setup, params, seed, k):
-    rng = trial_stream(seed, k)
-    a = _haar_coeffs(1, setup["d_r"], rng)[0]
-    lhs = float((np.abs(a) ** 2) @ setup["diag_band"])  # Tr[B omega] = Tr[$[B] psi0]
+def _ergodicity_block(setup, params, seed, ks):
+    """(Tr[B omega], sampled time average of Tr[B rho_t] or None) per trial;
+    the time average only for the first crosscheck_trials trials."""
+    h = setup["h"]
+    times = {}
+
+    def streams():
+        for k, rng in zip(ks, trial_streams(seed, ks)):
+            yield rng          # a is drawn here; the cross-check times straight after it
+            if k < int(params["crosscheck_trials"]):
+                times[k] = sample_times(h, params["horizon_factor"],
+                                        params["crosscheck_times"], rng)
+
+    a = _haar_coeff_rows(streams(), setup["d_r"])
+    # Tr[B omega] = Tr[$[B] psi0], one dot per row: it sits near 0, where a
+    # matrix-vector product's summation order moves it by 1e-12 relative
+    lhs = [float(w @ setup["diag_band"]) for w in np.abs(a) ** 2]
+    x_mean = [None] * len(a)
+    for i, k in enumerate(ks):
+        if k in times:
+            ct = coefficient_samples(h.eigenvalues[setup["band"]], a[i], times[k])
+            x_mean[i] = float(expectation_values(ct, setup["block"]).mean())
+    return list(zip(lhs, x_mean))
+
+
+def _ergodicity_trial(setup, params, seed, k, item):
+    lhs, x_mean = item
     row = _row(lhs, setup["mc_mean"], "observation")
-    if k < int(params["crosscheck_trials"]):
+    if x_mean is not None:
         # the sampled time average of Tr[B rho_t] must reproduce lhs
-        h = setup["h"]
-        times = sample_times(h, params["horizon_factor"], params["crosscheck_times"], rng)
-        ct = coefficient_samples(h.eigenvalues[setup["band"]], a, times)
-        x_mean = float(expectation_values(ct, setup["block"]).mean())
         row.extra["crosscheck_err"] = abs(x_mean - lhs)
         row.satisfied &= verdict(x_mean, lhs, "identity", float(params["crosscheck_tol"]))
     return row
@@ -502,7 +553,7 @@ def _ergodicity_trial(setup, params, seed, k):
 
 def _ergodicity_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
-    mean, se = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+    mean, se = _mean_se(vals)
     tail_ctx = BoundContext(d_r=setup["d_r"], epsilon=0.1,
                             norm_dephased_b=setup["norm_dephased"])
     eps_freq = float((np.abs(vals - setup["mc_mean"]) >= 0.1).mean())
@@ -549,8 +600,8 @@ def _speed_trial(setup, params, seed, k):
                        d_s=int(params["d_s"]), deff=deff)
     fd_ok, fd_err = _fd_check(subsystem_speed, finite_difference_speed,
                               1e-3 * parts.norm_hs_plus_hsb(), h, psi0, parts, params)
-    row = _bound_row("SPEED", float(v.mean()), ctx, float(v.std(ddof=1) / np.sqrt(len(v))),
-                     deff=deff, fd_max_rel_err=fd_err)
+    mean, se = _mean_se(v)
+    row = _bound_row("SPEED", mean, ctx, se, deff=deff, fd_max_rel_err=fd_err)
     row.satisfied &= fd_ok
     return row
 
@@ -576,9 +627,8 @@ def _purity_rate_avg_trial(setup, params, seed, k):
     ctx = BoundContext(norm_hsb=parts.norm_hsb(), d_s=int(params["d_s"]), deff=deff)
     fd_ok, fd_err = _fd_check(purity_rate, finite_difference_purity_rate,
                               1e-3 * 2 * parts.norm_hsb(), h, psi0, parts, params)
-    row = _bound_row("PURITY_RATE_AVG", float(np.abs(dp).mean()), ctx,
-                     float(np.abs(dp).std(ddof=1) / np.sqrt(len(dp))),
-                     deff=deff, fd_max_rel_err=fd_err)
+    mean, se = _mean_se(np.abs(dp))
+    row = _bound_row("PURITY_RATE_AVG", mean, ctx, se, deff=deff, fd_max_rel_err=fd_err)
     row.satisfied &= fd_ok
     return row
 
@@ -732,9 +782,9 @@ def _isi_trial(setup, params, seed, k):
     dist = trace_distance(rho_s, sig_s)
     ctx = BoundContext(d_s=d_s, deff_rho_b=_bath_deff(h, psi, d_s, d_b),
                        deff_sigma_b=_bath_deff(h, phi, d_s, d_b), delta=delta_pair)
-    return _bound_row("ISI", float(dist.mean()), ctx,
-                      float(dist.std(ddof=1) / np.sqrt(len(dist))),
-                      delta_measured=delta_pair, delta_entangled=delta_ent, delta_target=0.05)
+    mean, se = _mean_se(dist)
+    return _bound_row("ISI", mean, ctx, se, delta_measured=delta_pair,
+                      delta_entangled=delta_ent, delta_target=0.05)
 
 
 def _isi_linden_setup(params, seed):
@@ -745,15 +795,19 @@ def _isi_linden_setup(params, seed):
     mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))[band]
     delta = float(purity(mu).mean())  # Linden delta
     rho_mc_s = mu.mean(axis=0)
-    return {"mu": mu, "delta": delta, "rho_mc_s": rho_mc_s, "d_r": d_r, "d_s": d_s}
+    setup = {"mu": mu, "delta": delta, "rho_mc_s": rho_mc_s, "d_r": d_r, "d_s": d_s}
+    return {**setup, "rhs": evaluate_bound("ISI_LINDEN_DELTA", _isi_linden_ctx(setup))}
 
 
-def _isi_linden_trial(setup, params, seed, k):
-    rng = trial_stream(seed, k)
-    a = _haar_coeffs(1, setup["d_r"], rng)[0]
-    omega_s = np.einsum("k,kij->ij", np.abs(a) ** 2, setup["mu"])
-    rhs = evaluate_bound("ISI_LINDEN_DELTA", _isi_linden_ctx(setup))
-    return _row(trace_distance(omega_s, setup["rho_mc_s"]), rhs, "observation")
+def _isi_linden_block(setup, params, seed, ks):
+    """D(omega^S, rho_mc^S) of each trial's dephased marginal."""
+    w = np.abs(_haar_coeff_rows(trial_streams(seed, ks), setup["d_r"])) ** 2
+    omega_s = np.einsum("nk,kij->nij", w, setup["mu"])
+    return trace_distance(omega_s, setup["rho_mc_s"]).tolist()
+
+
+def _isi_linden_trial(setup, params, seed, k, distance):
+    return _row(distance, setup["rhs"], "observation")
 
 
 def _isi_linden_ctx(setup) -> BoundContext:
@@ -762,20 +816,22 @@ def _isi_linden_ctx(setup) -> BoundContext:
 
 def _isi_linden_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
-    mean, se = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+    mean, se = _mean_se(vals)
     return [_gate("mean_distance_below_linden_bound", _bound_row(
         "ISI_LINDEN_DELTA", mean, _isi_linden_ctx(setup), se, 3.0,
         linden_delta=setup["delta"]))]
 
 
-def _entangled_state_tail_trial(setup, params, seed, k):
+def _entangled_state_tail_block(setup, params, seed, ks):
+    """D(rho^S, 1/d_S) of each trial's Haar-random bipartite state."""
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
-    eps = float(params["epsilon"])
-    rng = trial_stream(seed, k)
-    psi = sample_haar_state(np.eye(d_s * d_b), rng, dims=(d_s, d_b))
-    dist = trace_distance(psi.reduced("S"), np.eye(d_s) / d_s)
-    return _bound_row("ENTANGLED_STATE_TAIL", float(dist >= eps), _entangled_ctx(params),
-                      distance=dist)
+    rho_s = reduced_marginals(_haar_coeff_rows(trial_streams(seed, ks), d_s * d_b), (d_s, d_b))
+    return trace_distance(rho_s, np.eye(d_s) / d_s).tolist()
+
+
+def _entangled_state_tail_trial(setup, params, seed, k, dist):
+    return _bound_row("ENTANGLED_STATE_TAIL", float(dist >= float(params["epsilon"])),
+                      _entangled_ctx(params), distance=dist)
 
 
 def _entangled_ctx(params) -> BoundContext:
@@ -919,9 +975,8 @@ def _distance_trajectory_trial(setup, params, seed, k):
     times = sample_times(h, params["horizon_factor"], params["n_times"], trial_stream(seed, k))
     psi0 = setup["psi0"]
     rho_s = reduced_marginals(pure_state_samples(h, psi0, times), psi0.dims)
-    dist = trace_distance(rho_s, setup["omega_s"])
-    return _row(dist.mean(), setup["bound"], "upper",
-                stderr=float(dist.std(ddof=1) / np.sqrt(len(dist))),
+    mean, se = _mean_se(trace_distance(rho_s, setup["omega_s"]))
+    return _row(mean, setup["bound"], "upper", stderr=se,
                 initial_distance=trace_distance(psi0.reduced("S"), setup["omega_s"]))
 
 
@@ -962,13 +1017,13 @@ _register(ExperimentDef(
     "MC_VARIANCE_IDENTITY",
     "variance of Tr[B psi] over Haar states equals the microcanonical variance / (d_R+1)",
     dict(_MC_DEFAULTS), _mc_setup, _mc_variance_identity_trial,
-    dimension=_param("d_r")))
+    dimension=_param("d_r"), minimums={"n_samples": 2, "n_boot": 2}))
 
 _register(ExperimentDef(
     "MC_CONCENTRATION",
     "tail of |Tr[B psi] - <B>_mc| vs the exponential concentration bound",
     {**_MC_DEFAULTS, "epsilon": 0.25}, _mc_setup, _mc_concentration_trial,
-    dimension=_param("d_r")))
+    dimension=_param("d_r"), minimums={"n_samples": 2}))
 
 _register(ExperimentDef(
     "MC_VARIANCE_CONCENTRATION",
@@ -996,42 +1051,43 @@ _register(ExperimentDef(
     "mean effective dimension of dephased subspace states vs d_R/2",
     {"d_r": 64, "ambient": 0, "gap_tol": 0.0, "trials": 2000},
     _deff_subspace_setup, _deff_subspace_mean_trial, _deff_subspace_mean_summary,
-    dimension=_deff_subspace_ambient))
+    dimension=_deff_subspace_ambient, minimums={"trials": 2}, block=_deff_subspace_block))
 
 _register(ExperimentDef(
     "DEFF_SUBSPACE_TAIL",
     "frequency of d_eff < d_R/4 vs the (vacuous at desk dims) tail bound",
     {"d_r": 64, "ambient": 0, "gap_tol": 0.0, "trials": 2000},
     _deff_subspace_setup, _deff_subspace_tail_trial, _deff_subspace_tail_summary,
-    dimension=_deff_subspace_ambient))
+    dimension=_deff_subspace_ambient, block=_deff_subspace_block))
 
 _register(ExperimentDef(
     "DEFF_PRODUCT_MEAN",
     "mean effective dimension of dephased product states vs (d_SR+1)(d_BR+1)/4",
     {"d_sr": 4, "d_br": 32, "trials": 2000},
     _deff_product_setup, _deff_product_trial, _deff_product_summary,
-    dimension=lambda p: int(p["d_sr"]) * int(p["d_br"])))
+    dimension=lambda p: int(p["d_sr"]) * int(p["d_br"]), minimums={"trials": 2},
+    block=_deff_product_block))
 
 _register(ExperimentDef(
     "DEFF_MEAN_ENERGY",
     "mean purity of dephased mean-energy-ensemble states vs (2E^2/d^2) sum 1/E_k^2",
     {"d": 64, "spectrum_low": 1.0, "spectrum_high": 2.0, "trials": 20_000},
     _deff_mean_energy_setup, _deff_mean_energy_trial, _deff_mean_energy_summary,
-    dimension=_param("d")))
+    dimension=_param("d"), minimums={"trials": 2}, block=_deff_mean_energy_block))
 
 _register(ExperimentDef(
     "EXPECTATION_EQUILIBRATION",
     "time variance of Tr[A rho_t] vs |A|^2/d_eff",
     {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000, "horizon_factor": 1e4},
     None, _expectation_equilibration_trial,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"n_times": 2}))
 
 _register(ExperimentDef(
     "SUBSYSTEM_EQUILIBRATION",
     "time-averaged trace distance from the dephased reduced state vs the d_eff bound",
     {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000, "horizon_factor": 1e4},
     None, _subsystem_equilibration_trial, None, _subsystem_equilibration_artifacts,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"n_times": 2}))
 
 _register(ExperimentDef(
     "PURITY_EQUILIBRATION",
@@ -1046,7 +1102,7 @@ _register(ExperimentDef(
     {"d": 128, "d_r": 64, "trials": 2000, "crosscheck_trials": 3,
      "crosscheck_times": 4000, "crosscheck_tol": 1e-2, "horizon_factor": 1e4},
     _ergodicity_setup, _ergodicity_trial, _ergodicity_summary,
-    dimension=_param("d")))
+    dimension=_param("d"), minimums={"trials": 2}, block=_ergodicity_block))
 
 _register(ExperimentDef(
     "SPEED",
@@ -1054,7 +1110,7 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5,
      "horizon_factor": 1e4, "fd_checks": 3, "fd_rtol": 1e-4},
     None, _speed_trial,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"n_times": 2, "fd_checks": 1}))
 
 _register(ExperimentDef(
     "PURITY_RATE_AVG",
@@ -1062,7 +1118,7 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5,
      "horizon_factor": 1e4, "fd_checks": 3, "fd_rtol": 1e-4},
     None, _purity_rate_avg_trial,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"n_times": 2, "fd_checks": 1}))
 
 _register(ExperimentDef(
     "PURITY_RATE_INSTANT",
@@ -1101,21 +1157,21 @@ _register(ExperimentDef(
     "marginals of two orthogonal initial states stay close when eigenstates are entangled",
     {"d_s": 2, "d_b": 64, "trials": 20, "n_times": 1000, "horizon_factor": 1e4},
     None, _isi_trial,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"n_times": 2}))
 
 _register(ExperimentDef(
     "ISI_LINDEN_DELTA",
     "mean distance of the dephased marginal from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 16, "trials": 500},
     _isi_linden_setup, _isi_linden_trial, _isi_linden_summary,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"trials": 2}, block=_isi_linden_block))
 
 _register(ExperimentDef(
     "ENTANGLED_STATE_TAIL",
     "random bipartite states have near-maximally-mixed marginals",
     {"d_s": 2, "d_b": 64, "trials": 1000, "epsilon": 0.25},
     None, _entangled_state_tail_trial, _entangled_state_tail_summary,
-    dimension=_bipartite))
+    dimension=_bipartite, block=_entangled_state_tail_block))
 
 _register(ExperimentDef(
     "ENTANGLED_EIGS_TAIL",
@@ -1161,7 +1217,7 @@ _register(ExperimentDef(
      "plot_horizon": 80.0, "n_grid": 400},
     _distance_trajectory_setup, _distance_trajectory_trial, None,
     _distance_trajectory_artifacts,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"n_times": 2}))
 
 
 def experiment_ids() -> list[str]:

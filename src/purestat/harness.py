@@ -2,7 +2,11 @@
 
 Reproducibility contract: a (config, seed) pair produces byte-identical
 per-trial CSV files, regardless of the worker count (trials own their RNG
-streams; results are written in trial order).  The manifest carries a
+streams; results are written in trial order).  An experiment with a block
+hook runs its trials in blocks of _BLOCK consecutive indices starting at
+multiples of _BLOCK, and pool chunks end only at those multiples: batched
+BLAS results can depend on the stack height, which is then fixed by the
+trial count and never by the worker count.  The manifest carries a
 deterministic hash over everything that defines the run; wall time is
 recorded outside the hashed payload.
 """
@@ -30,6 +34,7 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 1024
+_BLOCK = 256     # trial indices per call of an experiment's block hook
 
 CSV_COLUMNS = ["experiment_id", "trial", "lhs", "stderr", "rhs", "satisfied", "vacuous"]
 
@@ -53,8 +58,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for "
                              f"{self.experiment_id}; known: {', '.join(sorted(exp.defaults))}")
         self.params = {**exp.defaults, **self.params}
-        if int(self.params.get("trials", 1)) < 1:
-            raise ValueError("trials must be >= 1")
+        for key, low in {"trials": 1, **exp.minimums}.items():
+            if int(self.params.get(key, low)) < low:
+                raise ValueError(f"{self.experiment_id}: {key} must be >= {low}, "
+                                 f"got {self.params[key]!r}")
         dim = exp.dimension(self.params)
         if dim > MAX_DIMENSION:
             raise ValueError(f"{self.experiment_id}: dimension {dim} exceeds the memory "
@@ -86,28 +93,48 @@ def worker_count(environ=None, cpus: int | None = None) -> int:
     return max(1, min(int(environ.get("PURESTAT_WORKERS", "1")), cpus))
 
 
+def _trial_records(exp, setup, params, seed, start: int, stop: int):
+    """What the trial hook returns for each trial in [start, stop), in order.
+    With a block hook, start is a multiple of _BLOCK and the block hook runs
+    once per _BLOCK-aligned block."""
+    if exp.block is None:
+        for k in range(start, stop):
+            yield exp.trial(setup, params, seed, k)
+        return
+    for lo in range(start, stop, _BLOCK):
+        ks = range(lo, min(lo + _BLOCK, stop))
+        for k, item in zip(ks, exp.block(setup, params, seed, ks), strict=True):
+            yield exp.trial(setup, params, seed, k, item)
+
+
 def _run_chunk(args) -> list[tuple]:
     experiment_id, setup, params, seed, start, stop = args
-    trial = EXPERIMENTS[experiment_id].trial
     out = []
-    for k in range(start, stop):
-        rec = trial(setup, params, seed, k)
+    for rec in _trial_records(EXPERIMENTS[experiment_id], setup, params, seed, start, stop):
         for r in [rec] if isinstance(rec, TrialRecord) else rec:
             out.append((r.lhs, r.stderr, r.rhs, r.satisfied, r.vacuous, r.extra))
     return out
 
 
+def _chunks(trials: int, workers: int, unit: int) -> list[tuple[int, int]]:
+    """Up to 4 * workers pool chunks [a, b) covering range(trials); every
+    edge is a multiple of unit or trials itself."""
+    n_units = -(-trials // unit)
+    n_chunks = min(n_units, 4 * workers)
+    bounds = [min(trials, unit * round(i * n_units / n_chunks)) for i in range(n_chunks + 1)]
+    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
 def _collect_records(spec: ExperimentSpec, setup) -> list[TrialRecord]:
     """Every trial's rows, numbered in trial order (demos emit several rows per trial)."""
     trials = int(spec.params.get("trials", 1))
-    workers = min(worker_count(), trials)
+    unit = _BLOCK if EXPERIMENTS[spec.experiment_id].block else 1
+    workers = min(worker_count(), -(-trials // unit))
     if workers > 1:
         import multiprocessing as mp
 
-        n_chunks = min(trials, 4 * workers)
-        bounds = [round(i * trials / n_chunks) for i in range(n_chunks + 1)]
         jobs = [(spec.experiment_id, setup, spec.params, spec.seed, a, b)
-                for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+                for a, b in _chunks(trials, workers, unit)]
         with mp.get_context("fork").Pool(workers) as pool:
             chunks = pool.map(_run_chunk, jobs)
         raw = [t for chunk in chunks for t in chunk]

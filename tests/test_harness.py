@@ -100,6 +100,40 @@ def test_dimension_guard_uses_each_experiments_dimension(experiment_id, params):
         ExperimentSpec(experiment_id, params)
 
 
+def test_zero_finite_difference_checks_are_rejected_before_compute():
+    # before, SPEED wrote fd_max_rel_err = 0.0 and satisfied rows: nothing was checked
+    for experiment_id in ("SPEED", "PURITY_RATE_AVG"):
+        with pytest.raises(ValueError, match=f"{experiment_id}: fd_checks must be >= 1"):
+            ExperimentSpec(experiment_id, {"trials": 2, "n_times": 50, "fd_checks": 0})
+        ExperimentSpec(experiment_id, {"trials": 2, "n_times": 50, "fd_checks": 1})
+
+
+def test_one_sample_time_average_is_rejected_before_compute():
+    # before, SUBSYSTEM_EQUILIBRATION wrote stderr = nan next to satisfied = true
+    with pytest.raises(ValueError, match="SUBSYSTEM_EQUILIBRATION: n_times must be >= 2"):
+        ExperimentSpec("SUBSYSTEM_EQUILIBRATION", {"n_times": 1})
+    ExperimentSpec("SUBSYSTEM_EQUILIBRATION", {"n_times": 2})
+
+
+def test_every_declared_minimum_is_enforced():
+    declared = {(e, key) for e, exp in EXPERIMENTS.items() for key in exp.minimums}
+    # every count under a std(ddof=1) or a finite-difference check declares one
+    assert declared >= {(e, "n_times") for e in (
+        "EXPECTATION_EQUILIBRATION", "SUBSYSTEM_EQUILIBRATION", "SPEED", "PURITY_RATE_AVG",
+        "ISI", "DISTANCE_TRAJECTORY")} | {(e, "trials") for e in (
+        "DEFF_SUBSPACE_MEAN", "DEFF_PRODUCT_MEAN", "DEFF_MEAN_ENERGY", "ERGODICITY",
+        "ISI_LINDEN_DELTA")} | {("MC_VARIANCE_IDENTITY", "n_samples"),
+                                ("MC_VARIANCE_IDENTITY", "n_boot"),
+                                ("MC_CONCENTRATION", "n_samples"),
+                                ("SPEED", "fd_checks"), ("PURITY_RATE_AVG", "fd_checks")}
+    for experiment_id, key in declared:
+        low = EXPERIMENTS[experiment_id].minimums[key]
+        assert key in EXPERIMENTS[experiment_id].defaults
+        with pytest.raises(ValueError, match=f"{key} must be >= {low}"):
+            ExperimentSpec(experiment_id, {key: low - 1})
+        assert ExperimentSpec(experiment_id, {key: low}).params[key] == low
+
+
 def test_every_experiment_declares_a_dimension():
     for experiment_id, exp in EXPERIMENTS.items():
         assert 1 <= exp.dimension(exp.defaults) <= harness.MAX_DIMENSION, experiment_id

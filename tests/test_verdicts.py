@@ -3,7 +3,6 @@
 
 import inspect
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,8 +58,8 @@ def test_commutator_lower_with_an_infinite_trace_norm(monkeypatch):
 
 def test_mean_energy_gate_with_an_infinite_mean(monkeypatch):
     # zero vectors have purity 0, so the mean of 1/purity is infinite
-    monkeypatch.setattr(experiments, "sample_mean_energy_state",
-                        lambda h, energy, rng: SimpleNamespace(vector=np.zeros(h.dim)))
+    monkeypatch.setattr(experiments, "mean_energy_coefficients",
+                        lambda h, energy, rngs: np.zeros((len(list(rngs)), h.dim)))
     with np.errstate(divide="ignore"):
         res = run_experiment(ExperimentSpec("DEFF_MEAN_ENERGY", {"trials": 4}, seed=3))
     gate = next(g for g in res.summary["gates"] if g["gate"] == "mean_deff_above_crude_bound")
