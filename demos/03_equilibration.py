@@ -63,7 +63,7 @@ print(f"late-time mean distance: {late.mean():.4f}  (below the bound: "
 print("trajectory written to equilibration_trajectory.csv (plot t vs distance)")
 
 # long-run statistics at random times: the Reimann bound for observables
-times = sample_times(h, 1e4, 1000, rng)
+times = sample_times(h, 1000, rng)
 a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
 a = (a + a.conj().T) / 2
 a /= np.abs(np.linalg.eigvalsh(a)).max()

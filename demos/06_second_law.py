@@ -11,12 +11,13 @@ import numpy as np
 
 from purestat import (
     BoundContext,
-    PureState,
-    dephase,
+    dephased,
     effective_dimension,
     evaluate_bound,
-    evolve,
+    pure_state_samples,
+    reduced_marginals,
     sample_random_hamiltonian,
+    sample_times,
     stream,
     trace_distance,
     von_neumann_entropy,
@@ -29,9 +30,15 @@ d = d_s * d_b
 h = sample_random_hamiltonian(None, (d_s, d_b), rng)
 psi0 = np.zeros(d, dtype=complex); psi0[0] = 1.0          # |0>_S |0>_B
 sig0 = np.zeros(d, dtype=complex); sig0[d_b] = 1.0        # |1>_S |0>_B
-psi0, sig0 = PureState(psi0, dims=(d_s, d_b)), PureState(sig0, dims=(d_s, d_b))
+starts = np.stack([psi0, sig0])
 
-omega_s = dephase(psi0.density(), h).reduced("S")
+
+def marginals(times):
+    """rho^S_t and sigma^S_t at the given times, each (n_times, d_S, d_S)."""
+    return reduced_marginals(pure_state_samples(h, starts, times), (d_s, d_b))
+
+
+probs, omega_s, omega_b = dephased(h, psi0)
 print("=" * 72)
 print("Entropy increase and initial-state independence (random Hamiltonian)")
 print("=" * 72)
@@ -40,38 +47,25 @@ print(f"equilibrium entropy S(omega^S) = {von_neumann_entropy(omega_s):.4f} "
 
 width = float(h.eigenvalues[-1] - h.eigenvalues[0])
 print(f"{'t':>8} {'S(rho^S_t)':>11} {'S(sigma^S_t)':>13} {'D(rho^S,sigma^S)':>17}")
-for t in np.concatenate([[0.0], np.geomspace(0.2, 300.0, 9)]) / width * 8:
-    r = evolve(psi0, h, float(t)).reduced("S")
-    s = evolve(sig0, h, float(t)).reduced("S")
-    print(f"{t:8.2f} {von_neumann_entropy(r):11.4f} {von_neumann_entropy(s):13.4f} "
-          f"{trace_distance(r, s):17.4f}")
+ts = np.concatenate([[0.0], np.geomspace(0.2, 300.0, 9)]) / width * 8
+rho, sig = marginals(ts)
+for t, s_rho, s_sig, dist in zip(ts, von_neumann_entropy(rho), von_neumann_entropy(sig),
+                                 trace_distance(rho, sig)):
+    print(f"{t:8.2f} {s_rho:11.4f} {s_sig:13.4f} {dist:17.4f}")
 
 # the quantitative ISI bound, with the measured marginal diameter as delta
-mv = h.eigenbasis.T.reshape(d, d_s, d_b)
-mu = np.einsum("kib,kjb->kij", mv, mv.conj())
-delta = 0.0
-for i in range(d):
-    w = np.linalg.eigvalsh(mu[i][None] - mu[i + 1:])
-    if len(w):
-        delta = max(delta, float(0.5 * np.abs(w).sum(axis=1).max()))
+mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))    # marginals of the eigenvectors
+delta = max(float(trace_distance(mu[i], mu[i + 1:]).max()) for i in range(d - 1))
+rhs = evaluate_bound("ISI", BoundContext(
+    d_s=d_s, deff_rho_b=effective_dimension(omega_b),
+    deff_sigma_b=effective_dimension(dephased(h, sig0)[2]), delta=delta))
 
-deffs = []
-nus = np.einsum("kib,kid->kbd", mv, mv.conj())
-for st in (psi0, sig0):
-    c = h.to_eigenbasis(st.vector)
-    omb = np.einsum("k,kbd->bd", np.abs(c) ** 2, nus)
-    deffs.append(1.0 / float(np.einsum("ij,ji->", omb, omb).real))
-rhs = evaluate_bound("ISI", BoundContext(d_s=d_s, deff_rho_b=deffs[0],
-                                         deff_sigma_b=deffs[1], delta=delta))
-
-times = rng.uniform(0.0, 1e4 / h.gap_report.min_gap_difference, 400)
-dists = [trace_distance(evolve(psi0, h, float(t)).reduced("S"),
-                        evolve(sig0, h, float(t)).reduced("S")) for t in times]
+dists = trace_distance(*marginals(sample_times(h, 400, rng)))
 print(f"\nmeasured marginal diameter delta = {delta:.3f} "
       f"(eigenvector marginals near I/2)")
 print(f"time-averaged D(rho^S_t, sigma^S_t) = {np.mean(dists):.4f}  "
       f"<= ISI bound {rhs:.4f}")
-print(f"d_eff(omega) = {effective_dimension(dephase(psi0.density(), h)):.0f}")
+print(f"d_eff(omega) = {1.0 / (probs ** 2).sum():.0f}")
 print("""
 Orthogonal starts, identical fates: the local equilibrium state forgets the
 initial condition and carries maximal entropy.  This is the statistical

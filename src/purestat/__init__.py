@@ -67,6 +67,7 @@ from .dynamics import (
     coefficient_samples,
     default_horizon,
     dephase,
+    dephased,
     evolve,
     finite_difference_purity_rate,
     finite_difference_speed,

@@ -15,6 +15,7 @@ from .states import DensityMatrix, PureState, purity, trace_distance
 __all__ = [
     "evolve",
     "dephase",
+    "dephased",
     "default_horizon",
     "sample_times",
     "coefficient_samples",
@@ -33,11 +34,7 @@ __all__ = [
 def evolve(state, h: Hamiltonian, t: float):
     """Evolve a PureState or DensityMatrix for time t in the eigenbasis of H."""
     if isinstance(state, PureState):
-        if state.dim != h.dim:
-            raise ValueError(f"dimension mismatch: state {state.dim}, H {h.dim}")
-        c = h.to_eigenbasis(state.vector)
-        c *= phase_factors(h.eigenvalues, t)
-        v = h.from_eigenbasis(c)
+        v = pure_state_samples(h, state, [t])[0]
         v /= np.linalg.norm(v)  # remove float drift, |err| ~ 1e-16
         return PureState(v, dims=state.dims)
     if isinstance(state, DensityMatrix):
@@ -89,22 +86,37 @@ def dephase(x, h: Hamiltonian, mode: str = "strict"):
     return res
 
 
-def default_horizon(h: Hamiltonian, factor: float = 1e4) -> float:
+def dephased(h: Hamiltonian, state, marginals: bool = True):
+    """The dephased state omega = sum_k p_k |E_k><E_k| of a pure state.
+
+    state is a PureState or a state vector.  Returns the populations
+    p_k = |<E_k|psi>|^2 and, with marginals, also omega^S and omega^B (split
+    h.dims), both traced from one d x d product.
+    """
+    v = state.vector if isinstance(state, PureState) else state
+    probs = np.abs(h.to_eigenbasis(v)) ** 2
+    if not marginals:
+        return probs
+    d_s, d_b = h.dims
+    omega = (h.eigenbasis * probs) @ dagger(h.eigenbasis)
+    return probs, partial_trace(omega, d_s, d_b, "S"), partial_trace(omega, d_s, d_b, "B")
+
+
+def default_horizon(h: Hamiltonian) -> float:
     """Averaging horizon 10^4 / (minimal gap difference), the dephasing scale."""
     mgd = h.gap_report.min_gap_difference
     if not np.isfinite(mgd) or mgd <= 0:
         raise ValueError("Hamiltonian has no usable gap-difference scale")
-    return factor / mgd
+    return 1e4 / mgd
 
 
-def sample_times(h: Hamiltonian, horizon_factor: float, n: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """n times drawn uniformly from [0, default_horizon(h, horizon_factor)).
+def sample_times(h: Hamiltonian, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n times drawn uniformly from [0, default_horizon(h)).
 
     The one place where experiments and demos pick the instants of a time
     average, so the horizon policy changes here and nowhere else.
     """
-    return rng.uniform(0.0, default_horizon(h, float(horizon_factor)), int(n))
+    return rng.uniform(0.0, default_horizon(h), int(n))
 
 
 def coefficient_samples(energies, c0, times) -> np.ndarray:
@@ -269,21 +281,25 @@ def purity_rate(rho, parts: CompositeHamiltonian) -> float:
     return rate
 
 
-def finite_difference_speed(h: Hamiltonian, state, t: float,
-                            delta: float | None = None) -> float:
-    """Central-difference D(rho^S_{t-d}, rho^S_{t+d}) / (2d) cross-check."""
+def _central_difference(h: Hamiltonian, state: PureState, t, delta, change):
+    """change(rho^S_{t-delta}, rho^S_{t+delta}) / (2 delta) at one time (a
+    float) or at every time of an array, from one pure_state_samples call."""
     if delta is None:
         delta = 1e-6 / max(np.abs(h.eigenvalues).max(), 1.0)
-    lo = evolve(state, h, t - delta)
-    hi = evolve(state, h, t + delta)
-    return trace_distance(lo.reduced("S"), hi.reduced("S")) / (2 * delta)
+    ts = np.ravel(t)
+    psis = pure_state_samples(h, state, np.concatenate([ts - delta, ts + delta]))
+    rho_s = reduced_marginals(psis, state.dims)
+    x = change(rho_s[:len(ts)], rho_s[len(ts):]) / (2 * delta)
+    return float(x[0]) if np.ndim(t) == 0 else x
 
 
-def finite_difference_purity_rate(h: Hamiltonian, state, t: float,
-                                  delta: float | None = None) -> float:
-    """Central-difference d(purity)/dt cross-check."""
-    if delta is None:
-        delta = 1e-6 / max(np.abs(h.eigenvalues).max(), 1.0)
-    lo = evolve(state, h, t - delta)
-    hi = evolve(state, h, t + delta)
-    return (purity(hi.reduced("S")) - purity(lo.reduced("S"))) / (2 * delta)
+def finite_difference_speed(h: Hamiltonian, state: PureState, t, delta: float | None = None):
+    """Central-difference D(rho^S_{t-d}, rho^S_{t+d}) / (2d) cross-check, at
+    one time or an array of times."""
+    return _central_difference(h, state, t, delta, trace_distance)
+
+
+def finite_difference_purity_rate(h: Hamiltonian, state: PureState, t,
+                                  delta: float | None = None):
+    """Central-difference d(purity)/dt cross-check, at one time or an array of times."""
+    return _central_difference(h, state, t, delta, lambda lo, hi: purity(hi) - purity(lo))

@@ -27,16 +27,15 @@ from .bounds import (
     verdict,
 )
 from .dynamics import (
+    ReducedRates,
     coefficient_samples,
-    evolve,
+    dephased,
     finite_difference_purity_rate,
     finite_difference_speed,
     pure_state_samples,
-    purity_rate,
     reduced_marginals,
     reduced_rates,
     sample_times,
-    subsystem_speed,
     write_trajectory_csv,
 )
 from .ensembles import (
@@ -53,10 +52,9 @@ from .ensembles import (
     trial_stream,
     trial_streams,
 )
-from .hamiltonians import Hamiltonian, compose_hamiltonian, pointer_hamiltonian
-from .linalg import commutator, dagger, partial_trace, trace_norm
+from .hamiltonians import compose_hamiltonian, pointer_hamiltonian
+from .linalg import commutator, dagger, trace_norm
 from .states import (
-    DensityMatrix,
     MacroObservableSet,
     PureState,
     effective_dimension,
@@ -67,7 +65,8 @@ from .states import (
     von_neumann_entropy,
 )
 
-__all__ = ["TrialRecord", "ExperimentDef", "EXPERIMENTS", "experiment_ids"]
+__all__ = ["TrialRecord", "ExperimentDef", "EXPERIMENTS", "experiment_ids", "mean_se",
+           "bootstrap"]
 
 
 @dataclass
@@ -152,8 +151,8 @@ def _haar_coeff_rows(streams, d: int) -> np.ndarray:
     return _unit_rows(complex_normal_rows(streams, d))
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error std(ddof=1)/sqrt(n)."""
+def mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error std(ddof=1)/sqrt(n), for n >= 2 samples."""
     return float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x)))
 
 
@@ -164,13 +163,11 @@ def _mixed_density(d: int, rng: np.random.Generator, rank: int | None = None) ->
     return m / np.trace(m).real
 
 
-def _bootstrap_se(values: np.ndarray, statistic, rng: np.random.Generator,
-                  n_boot: int = 200) -> float:
+def bootstrap(values: np.ndarray, statistic, rng: np.random.Generator,
+              n_boot: int = 200) -> np.ndarray:
+    """statistic of n_boot resamples of values, drawn with replacement from rng."""
     n = len(values)
-    stats = np.empty(n_boot)
-    for b in range(n_boot):
-        stats[b] = statistic(values[rng.integers(0, n, size=n)])
-    return float(stats.std(ddof=1))
+    return np.array([statistic(values[rng.integers(0, n, size=n)]) for _ in range(n_boot)])
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +194,7 @@ def _mc_sample_expectations(setup, params, seed, k):
 def _mc_variance_identity_trial(setup, params, seed, k):
     x, rng = _mc_sample_expectations(setup, params, seed, k)
     lhs = float(x.var(ddof=1))
-    se = _bootstrap_se(x, lambda v: v.var(ddof=1), rng, int(params["n_boot"]))
+    se = float(bootstrap(x, lambda v: v.var(ddof=1), rng, int(params["n_boot"])).std(ddof=1))
     ctx = BoundContext(d_r=setup["d_r"], mc_mean_b=setup["mc_mean"],
                        mc_mean_b2=setup["mc_mean2"])
     return _bound_row("MC_VARIANCE_IDENTITY", lhs, ctx, se, 3.0,
@@ -211,7 +208,7 @@ def _mc_concentration_trial(setup, params, seed, k):
     lhs = float((dev >= eps).mean())
     se = float(np.sqrt(max(lhs * (1 - lhs), 1.0 / len(x)) / len(x)))
     ctx = BoundContext(d_r=setup["d_r"], epsilon=eps, norm_b=1.0)
-    mean, se_mean = _mean_se(x)
+    mean, se_mean = mean_se(x)
     return _bound_row("MC_CONCENTRATION", lhs, ctx, se, mean=mean, se_mean=se_mean,
                       mad=float(dev.mean()), mc_mean=setup["mc_mean"])
 
@@ -317,7 +314,7 @@ def _deff_subspace_mean_trial(setup, params, seed, k, deff):
 
 def _deff_subspace_mean_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
-    mean, se = _mean_se(vals)
+    mean, se = mean_se(vals)
     # the lower end of the 95% CI must clear the bound: a negative slack
     return [_gate("mean_deff_ci_above_bound", _bound_row(
         "DEFF_SUBSPACE_MEAN", mean, BoundContext(d_r=setup["d_r"]), se, -1.96,
@@ -363,7 +360,7 @@ def _deff_product_trial(setup, params, seed, k, deff):
 
 def _deff_product_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
-    mean, se = _mean_se(vals)
+    mean, se = mean_se(vals)
     ctx = BoundContext(d_sr=setup["d_sr"], d_br=setup["d_br"])
     return [_gate("mean_deff_ci_above_bound", _bound_row(
         "DEFF_PRODUCT_MEAN", mean, ctx, se, -1.96, ci95=[mean - 1.96 * se, mean + 1.96 * se]))]
@@ -396,7 +393,7 @@ def _deff_mean_energy_trial(setup, params, seed, k, item):
 def _deff_mean_energy_summary(records, setup, params):
     pur = np.array([r.lhs for r in records])
     en = np.array([r.extra["energy"] for r in records])
-    mean, se = _mean_se(pur)
+    mean, se = mean_se(pur)
     rhs, energy, e_mean = setup["rhs"], setup["energy"], float(en.mean())
     return [
         _gate("mean_purity_matches_prediction_10pct", _row(
@@ -421,29 +418,21 @@ def _equilibration_trial_base(params, seed, k):
     rng = trial_stream(seed, k)
     h = sample_random_hamiltonian(None, (d_s, d_b), rng)
     psi0 = sample_haar_state(np.eye(d_s * d_b), rng, dims=(d_s, d_b))
-    c0 = h.to_eigenbasis(psi0.vector)
-    times = sample_times(h, params["horizon_factor"], params["n_times"], rng)
-    probs = np.abs(c0) ** 2
-    deff = float(1.0 / (probs ** 2).sum())
-    return h, psi0, c0, probs, times, deff, rng
+    times = sample_times(h, params["n_times"], rng)
+    probs = dephased(h, psi0, marginals=False)
+    return h, psi0, probs, times, float(1.0 / (probs ** 2).sum()), rng
 
 
 def _expectation_equilibration_trial(setup, params, seed, k):
-    h, _, c0, probs, times, deff, rng = _equilibration_trial_base(params, seed, k)
+    h, psi0, probs, times, deff, rng = _equilibration_trial_base(params, seed, k)
     a = _gue(h.dim, rng)
     a_eig = h.to_eigenbasis(a)
-    x = expectation_values(coefficient_samples(h.eigenvalues, c0, times), a_eig)
+    x = expectation_values(coefficient_samples(h.eigenvalues, h.to_eigenbasis(psi0.vector),
+                                               times), a_eig)
     x_omega = float(probs @ np.diag(a_eig).real)
-    lhs, se = _mean_se((x - x_omega) ** 2)
+    lhs, se = mean_se((x - x_omega) ** 2)
     return _bound_row("EXPECTATION_EQUILIBRATION", lhs, BoundContext(norm_a=1.0, deff=deff),
                       se, deff=deff, horizon=float(times.max()))
-
-
-def _omega_states(h, probs, d_s, d_b):
-    omega = (h.eigenbasis * probs) @ dagger(h.eigenbasis)
-    omega_s = partial_trace(omega, d_s, d_b, "S")
-    omega_b = partial_trace(omega, d_s, d_b, "B")
-    return omega, omega_s, omega_b
 
 
 def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, bound):
@@ -456,24 +445,23 @@ def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, b
 
 
 def _subsystem_equilibration_trial(setup, params, seed, k):
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
-    h, psi0, _, probs, times, deff, _ = _equilibration_trial_base(params, seed, k)
-    rho_s = reduced_marginals(pure_state_samples(h, psi0, times), (d_s, d_b))
-    _, omega_s, omega_b = _omega_states(h, probs, d_s, d_b)
+    d_s = int(params["d_s"])
+    h, psi0, _, times, deff, _ = _equilibration_trial_base(params, seed, k)
+    rho_s = reduced_marginals(pure_state_samples(h, psi0, times), psi0.dims)
+    _, omega_s, omega_b = dephased(h, psi0)
     dist = trace_distance(rho_s, omega_s)
     deff_b = effective_dimension(omega_b)
-    lhs, se = _mean_se(dist)
+    lhs, se = mean_se(dist)
     return _bound_row("SUBSYSTEM_EQUILIBRATION", lhs, BoundContext(d_s=d_s, deff_b=deff_b),
                       se, deff=deff, deff_b=deff_b)
 
 
 def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
     """Trajectory of D(rho^S_t, omega^S) for trial 0, on a grid."""
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
-    h, psi0, _, probs, _, _, _ = _equilibration_trial_base(params, seed, 0)
-    _, omega_s, omega_b = _omega_states(h, probs, d_s, d_b)
-    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION",
-                           BoundContext(d_s=d_s, deff_b=effective_dimension(omega_b)))
+    h, psi0, *_ = _equilibration_trial_base(params, seed, 0)
+    _, omega_s, omega_b = dephased(h, psi0)
+    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", BoundContext(
+        d_s=int(params["d_s"]), deff_b=effective_dimension(omega_b)))
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
     grid = np.linspace(0.0, 80.0 / width, 400)[1:]
     return _write_distance_trajectory(out_dir, "SUBSYSTEM_EQUILIBRATION", h, psi0,
@@ -481,14 +469,13 @@ def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
 
 
 def _purity_equilibration_trial(setup, params, seed, k):
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
-    h, psi0, _, probs, times, deff, _ = _equilibration_trial_base(params, seed, k)
-    rho_s, p_b = reduced_marginals(pure_state_samples(h, psi0, times), (d_s, d_b),
+    d_s = int(params["d_s"])
+    h, psi0, _, times, deff, _ = _equilibration_trial_base(params, seed, k)
+    rho_s, p_b = reduced_marginals(pure_state_samples(h, psi0, times), psi0.dims,
                                    bath_purity=True)
     p_s = purity(rho_s)
     max_sb_diff = float(np.abs(p_s - p_b).max())
-    _, omega_s, _ = _omega_states(h, probs, d_s, d_b)
-    p_omega = purity(omega_s)
+    p_omega = purity(dephased(h, psi0)[1])
     lhs = abs(float(p_s.mean()) - p_omega)
     row = _bound_row("PURITY_EQUILIBRATION", lhs, BoundContext(d_s=d_s, deff=deff),
                      deff=deff, purity_sb_max_diff=max_sb_diff, p_omega_s=p_omega)
@@ -526,8 +513,7 @@ def _ergodicity_block(setup, params, seed, ks):
         for k, rng in zip(ks, trial_streams(seed, ks)):
             yield rng          # a is drawn here; the cross-check times straight after it
             if k < int(params["crosscheck_trials"]):
-                times[k] = sample_times(h, params["horizon_factor"],
-                                        params["crosscheck_times"], rng)
+                times[k] = sample_times(h, params["crosscheck_times"], rng)
 
     a = _haar_coeff_rows(streams(), setup["d_r"])
     # Tr[B omega] = Tr[$[B] psi0], one dot per row: it sits near 0, where a
@@ -553,7 +539,7 @@ def _ergodicity_trial(setup, params, seed, k, item):
 
 def _ergodicity_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
-    mean, se = _mean_se(vals)
+    mean, se = mean_se(vals)
     tail_ctx = BoundContext(d_r=setup["d_r"], epsilon=0.1,
                             norm_dephased_b=setup["norm_dephased"])
     eps_freq = float((np.abs(vals - setup["mc_mean"]) >= 0.1).mean())
@@ -586,62 +572,61 @@ def _speed_pipeline(params, seed, k):
     parts = _sample_composite(params, rng)
     h = parts.assembled
     psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
-    probs = np.abs(h.to_eigenbasis(psi0.vector)) ** 2
-    deff = float(1.0 / (probs ** 2).sum())
-    times = sample_times(h, params["horizon_factor"], params["n_times"], rng)
+    deff = float(1.0 / (dephased(h, psi0, marginals=False) ** 2).sum())
+    times = sample_times(h, params["n_times"], rng)
     rates = reduced_rates(pure_state_samples(h, psi0, times), parts)
-    return parts, h, psi0, rates, deff
+    return parts, psi0, rates, deff
 
 
 def _speed_trial(setup, params, seed, k):
-    parts, h, psi0, rates, deff = _speed_pipeline(params, seed, k)
+    parts, psi0, rates, deff = _speed_pipeline(params, seed, k)
     v = rates.speeds()
     ctx = BoundContext(norm_hs_plus_hsb=parts.norm_hs_plus_hsb(),
                        d_s=int(params["d_s"]), deff=deff)
-    fd_ok, fd_err = _fd_check(subsystem_speed, finite_difference_speed,
-                              1e-3 * parts.norm_hs_plus_hsb(), h, psi0, parts, params)
-    mean, se = _mean_se(v)
+    fd_ok, fd_err = _fd_check(ReducedRates.speeds, finite_difference_speed,
+                              1e-3 * parts.norm_hs_plus_hsb(), psi0, parts, params)
+    mean, se = mean_se(v)
     row = _bound_row("SPEED", mean, ctx, se, deff=deff, fd_max_rel_err=fd_err)
     row.satisfied &= fd_ok
     return row
 
 
-def _fd_check(analytic_fn, fd_fn, floor, h, psi0, parts, params):
-    """Worst relative gap between analytic_fn(rho_t, parts) and its central
-    difference fd_fn(h, psi0, t); relative to max(|analytic|, floor).  A NaN
-    at any instant makes the worst gap NaN, which fails the check."""
+def _fd_check(rate, fd_fn, floor, psi0, parts, params):
+    """Worst relative gap between rate(reduced_rates(psi_t)), the kernel
+    behind the rows, and its central difference fd_fn(h, psi0, t), relative
+    to max(|rate|, floor).  A NaN at any instant makes the worst gap NaN,
+    which fails the check."""
+    h = parts.assembled
     # early times, where t +/- delta is exactly representable; the analytic
     # formula is time-independent so any instants serve as a cross-check
     scale = float(np.abs(h.eigenvalues).max())
     ts = np.linspace(0.5, 8.0, int(params["fd_checks"])) / scale
-    analytic = np.array([analytic_fn(evolve(psi0, h, float(t)).density(), parts) for t in ts])
-    fd = np.array([fd_fn(h, psi0, float(t)) for t in ts])
-    gaps = np.abs(fd - analytic) / np.maximum(np.abs(analytic), floor)
+    analytic = rate(reduced_rates(pure_state_samples(h, psi0, ts), parts))
+    gaps = np.abs(fd_fn(h, psi0, ts) - analytic) / np.maximum(np.abs(analytic), floor)
     worst = float(np.max(gaps, initial=0.0))
     return verdict(worst, float(params["fd_rtol"]), "upper"), worst
 
 
 def _purity_rate_avg_trial(setup, params, seed, k):
-    parts, h, psi0, rates, deff = _speed_pipeline(params, seed, k)
+    parts, psi0, rates, deff = _speed_pipeline(params, seed, k)
     dp = rates.purity_rates()
     ctx = BoundContext(norm_hsb=parts.norm_hsb(), d_s=int(params["d_s"]), deff=deff)
-    fd_ok, fd_err = _fd_check(purity_rate, finite_difference_purity_rate,
-                              1e-3 * 2 * parts.norm_hsb(), h, psi0, parts, params)
-    mean, se = _mean_se(np.abs(dp))
+    fd_ok, fd_err = _fd_check(ReducedRates.purity_rates, finite_difference_purity_rate,
+                              1e-3 * 2 * parts.norm_hsb(), psi0, parts, params)
+    mean, se = mean_se(np.abs(dp))
     row = _bound_row("PURITY_RATE_AVG", mean, ctx, se, deff=deff, fd_max_rel_err=fd_err)
     row.satisfied &= fd_ok
     return row
 
 
 def _purity_rate_instant_trial(setup, params, seed, k):
-    parts, _, _, rates, deff = _speed_pipeline(params, seed, k)
+    parts, _, rates, deff = _speed_pipeline(params, seed, k)
     dp = rates.purity_rates()
-    w = np.linalg.eigvalsh(rates.rho_s)
-    p_s = (w ** 2).sum(axis=1)
-    wpos = np.clip(w, 1e-15, None)
-    entropy = -(wpos * np.log(wpos)).sum(axis=1)  # global state pure: I_SB = 2 S
     norm_hsb = parts.norm_hsb()
-    rhs_t = 2 * p_s * np.sqrt(2 * (2 * entropy)) * norm_hsb
+    # the global state is pure, so I_SB = 2 S(rho^S_t)
+    rhs_t = np.array([evaluate_bound("PURITY_RATE_INSTANT", BoundContext(
+        purity_s=p, mutual_info=2 * s, norm_hsb=norm_hsb))
+        for p, s in zip(purity(rates.rho_s), von_neumann_entropy(rates.rho_s))])
     floor = 1e-12 * norm_hsb
     ratios = np.abs(dp) / np.maximum(rhs_t, floor)
     ratios[np.abs(dp) <= floor] = 0.0
@@ -677,7 +662,7 @@ def _slow_states_run(params, rng, coupling):
     parts = compose_hamiltonian(h_s, h_b, h_sb)
     h = parts.assembled
     psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
-    times = sample_times(h, params["horizon_factor"], params["n_times"], rng)
+    times = sample_times(h, params["n_times"], rng)
     rates = reduced_rates(pure_state_samples(h, psi0, times), parts)
     speeds = rates.speeds()
     rho_in_hs = dagger(w_s) @ rates.rho_s @ w_s
@@ -756,12 +741,6 @@ def _marginal_diameter(mu: np.ndarray) -> float:
     return float(np.max(rows, initial=0.0))
 
 
-def _bath_deff(h: Hamiltonian, vector: np.ndarray, d_s: int, d_b: int) -> float:
-    """d_eff of the dephased bath marginal omega^B of a state vector."""
-    _, _, omega_b = _omega_states(h, np.abs(h.to_eigenbasis(vector)) ** 2, d_s, d_b)
-    return effective_dimension(omega_b)
-
-
 def _isi_trial(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     d = d_s * d_b
@@ -776,13 +755,13 @@ def _isi_trial(setup, params, seed, k):
     phi = phi - np.vdot(psi, phi) * psi
     phi /= np.linalg.norm(phi)
 
-    times = sample_times(h, params["horizon_factor"], params["n_times"], rng)
+    times = sample_times(h, params["n_times"], rng)
     rho_s, sig_s = reduced_marginals(pure_state_samples(h, np.stack([psi, phi]), times),
                                      (d_s, d_b))
     dist = trace_distance(rho_s, sig_s)
-    ctx = BoundContext(d_s=d_s, deff_rho_b=_bath_deff(h, psi, d_s, d_b),
-                       deff_sigma_b=_bath_deff(h, phi, d_s, d_b), delta=delta_pair)
-    mean, se = _mean_se(dist)
+    ctx = BoundContext(d_s=d_s, deff_rho_b=effective_dimension(dephased(h, psi)[2]),
+                       deff_sigma_b=effective_dimension(dephased(h, phi)[2]), delta=delta_pair)
+    mean, se = mean_se(dist)
     return _bound_row("ISI", mean, ctx, se, delta_measured=delta_pair,
                       delta_entangled=delta_ent, delta_target=0.05)
 
@@ -816,7 +795,7 @@ def _isi_linden_ctx(setup) -> BoundContext:
 
 def _isi_linden_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
-    mean, se = _mean_se(vals)
+    mean, se = mean_se(vals)
     return [_gate("mean_distance_below_linden_bound", _bound_row(
         "ISI_LINDEN_DELTA", mean, _isi_linden_ctx(setup), se, 3.0,
         linden_delta=setup["delta"]))]
@@ -901,9 +880,7 @@ def _eq_time_purity_trial(setup, params, seed, k):
     parts = _sample_composite(params, rng)
     h = parts.assembled
     psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
-    probs = np.abs(h.to_eigenbasis(psi0.vector)) ** 2
-    _, omega_s, _ = _omega_states(h, probs, d_s, d_b)
-    p_eq = purity(omega_s)
+    p_eq = purity(dephased(h, psi0)[1])
     norm_hsb = parts.norm_hsb()
     t_max = float(params["t_max_over_coupling"]) / norm_hsb
     grid = np.linspace(0.0, t_max, int(params["grid"]))[1:]
@@ -935,15 +912,16 @@ def _second_law_rows(setup, params, seed, k):
 
     psi0 = np.zeros(d, dtype=complex); psi0[0] = 1.0          # |0>_S |0>_B
     sig0 = np.zeros(d, dtype=complex); sig0[d_b] = 1.0        # |1>_S |0>_B
-    times = sample_times(h, params["horizon_factor"], params["n_times"], rng)
+    times = sample_times(h, params["n_times"], rng)
     rho_s, sig_s = reduced_marginals(pure_state_samples(h, np.stack([psi0, sig0]), times),
                                      (d_s, d_b))
 
-    _, omega_s, omega_b = _omega_states(h, np.abs(h.to_eigenbasis(psi0)) ** 2, d_s, d_b)
+    _, omega_s, omega_b = dephased(h, psi0)
     deff_b = effective_dimension(omega_b)
     isi_ctx = BoundContext(d_s=d_s, deff_rho_b=deff_b,
-                           deff_sigma_b=_bath_deff(h, sig0, d_s, d_b), delta=delta_pair)
-    s_omega = von_neumann_entropy(DensityMatrix(omega_s, validate=False))
+                           deff_sigma_b=effective_dimension(dephased(h, sig0)[2]),
+                           delta=delta_pair)
+    s_omega = von_neumann_entropy(omega_s)
     return [
         _bound_row("SUBSYSTEM_EQUILIBRATION", float(trace_distance(rho_s, omega_s).mean()),
                    BoundContext(d_s=d_s, deff_b=deff_b),
@@ -963,8 +941,7 @@ def _distance_trajectory_setup(params, seed):
     psi_b = sample_haar_state(np.eye(d_b), rng)
     psi0 = PureState(np.kron(canonical_subspace_basis(d_s, [0])[:, 0], psi_b.vector),
                      dims=(d_s, d_b))
-    probs = np.abs(h.to_eigenbasis(psi0.vector)) ** 2
-    _, omega_s, omega_b = _omega_states(h, probs, d_s, d_b)
+    _, omega_s, omega_b = dephased(h, psi0)
     bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION",
                            BoundContext(d_s=d_s, deff_b=effective_dimension(omega_b)))
     return {"h": h, "psi0": psi0, "omega_s": omega_s, "bound": bound}
@@ -972,10 +949,10 @@ def _distance_trajectory_setup(params, seed):
 
 def _distance_trajectory_trial(setup, params, seed, k):
     h = setup["h"]
-    times = sample_times(h, params["horizon_factor"], params["n_times"], trial_stream(seed, k))
+    times = sample_times(h, params["n_times"], trial_stream(seed, k))
     psi0 = setup["psi0"]
     rho_s = reduced_marginals(pure_state_samples(h, psi0, times), psi0.dims)
-    mean, se = _mean_se(trace_distance(rho_s, setup["omega_s"]))
+    mean, se = mean_se(trace_distance(rho_s, setup["omega_s"]))
     return _row(mean, setup["bound"], "upper", stderr=se,
                 initial_distance=trace_distance(psi0.reduced("S"), setup["omega_s"]))
 
@@ -1078,21 +1055,21 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     "EXPECTATION_EQUILIBRATION",
     "time variance of Tr[A rho_t] vs |A|^2/d_eff",
-    {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000, "horizon_factor": 1e4},
+    {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000},
     None, _expectation_equilibration_trial,
     dimension=_bipartite, minimums={"n_times": 2}))
 
 _register(ExperimentDef(
     "SUBSYSTEM_EQUILIBRATION",
     "time-averaged trace distance from the dephased reduced state vs the d_eff bound",
-    {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000, "horizon_factor": 1e4},
+    {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000},
     None, _subsystem_equilibration_trial, None, _subsystem_equilibration_artifacts,
     dimension=_bipartite, minimums={"n_times": 2}))
 
 _register(ExperimentDef(
     "PURITY_EQUILIBRATION",
     "time-averaged subsystem purity vs purity of the dephased state",
-    {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000, "horizon_factor": 1e4},
+    {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000},
     None, _purity_equilibration_trial,
     dimension=_bipartite))
 
@@ -1100,31 +1077,28 @@ _register(ExperimentDef(
     "ERGODICITY",
     "time averages equal microcanonical averages over random initial states",
     {"d": 128, "d_r": 64, "trials": 2000, "crosscheck_trials": 3,
-     "crosscheck_times": 4000, "crosscheck_tol": 1e-2, "horizon_factor": 1e4},
+     "crosscheck_times": 4000, "crosscheck_tol": 1e-2},
     _ergodicity_setup, _ergodicity_trial, _ergodicity_summary,
     dimension=_param("d"), minimums={"trials": 2}, block=_ergodicity_block))
 
 _register(ExperimentDef(
     "SPEED",
     "time-averaged subsystem speed vs the d_eff bound, with finite-difference checks",
-    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5,
-     "horizon_factor": 1e4, "fd_checks": 3, "fd_rtol": 1e-4},
+    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3, "fd_rtol": 1e-4},
     None, _speed_trial,
     dimension=_bipartite, minimums={"n_times": 2, "fd_checks": 1}))
 
 _register(ExperimentDef(
     "PURITY_RATE_AVG",
     "time-averaged |dp^S/dt| vs the interaction-norm bound",
-    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5,
-     "horizon_factor": 1e4, "fd_checks": 3, "fd_rtol": 1e-4},
+    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3, "fd_rtol": 1e-4},
     None, _purity_rate_avg_trial,
     dimension=_bipartite, minimums={"n_times": 2, "fd_checks": 1}))
 
 _register(ExperimentDef(
     "PURITY_RATE_INSTANT",
     "pointwise |dp^S/dt| vs the mutual-information bound at every sampled time",
-    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5,
-     "horizon_factor": 1e4},
+    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5},
     None, _purity_rate_instant_trial,
     dimension=_bipartite))
 
@@ -1138,8 +1112,7 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     "DECOHERENCE",
     "slow-states inequality pointwise along weak-coupling trajectories",
-    {"d_s": 4, "d_b": 32, "trials": 20, "n_times": 200, "coupling": 0.01,
-     "horizon_factor": 1e4},
+    {"d_s": 4, "d_b": 32, "trials": 20, "n_times": 200, "coupling": 0.01},
     None, _decoherence_trial,
     dimension=_bipartite))
 
@@ -1147,15 +1120,14 @@ _register(ExperimentDef(
     "EINSELECTION_DEMO",
     "pointer-basis Hamiltonian demo: frozen diagonals, suppression factors, weak variant",
     {"d_s": 2, "d_b": 64, "trials": 1, "t_max": 200.0, "grid": 81,
-     "late_window_start": 100.0, "late_suppression": 0.3, "n_times": 200,
-     "horizon_factor": 1e4},
+     "late_window_start": 100.0, "late_suppression": 0.3, "n_times": 200},
     None, _einselection_rows,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"grid": 2}))
 
 _register(ExperimentDef(
     "ISI",
     "marginals of two orthogonal initial states stay close when eigenstates are entangled",
-    {"d_s": 2, "d_b": 64, "trials": 20, "n_times": 1000, "horizon_factor": 1e4},
+    {"d_s": 2, "d_b": 64, "trials": 20, "n_times": 1000},
     None, _isi_trial,
     dimension=_bipartite, minimums={"n_times": 2}))
 
@@ -1200,12 +1172,12 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 10, "hsb_scale": 0.3,
      "t_max_over_coupling": 50.0, "grid": 2000},
     None, _eq_time_purity_trial,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"grid": 2}))
 
 _register(ExperimentDef(
     "SECOND_LAW_DEMO",
     "entropy increase, equilibration and initial-state independence for fixed pure starts",
-    {"d_s": 2, "d_b": 64, "trials": 5, "n_times": 1000, "horizon_factor": 1e4,
+    {"d_s": 2, "d_b": 64, "trials": 5, "n_times": 1000,
      "entropy_slack": 0.1},
     None, _second_law_rows,
     dimension=_bipartite))
@@ -1213,11 +1185,11 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     "DISTANCE_TRAJECTORY",
     "Fig-style curve of D(rho^S_t, omega^S) from a far-from-equilibrium start",
-    {"d_s": 2, "d_b": 32, "trials": 1, "n_times": 2000, "horizon_factor": 1e4,
+    {"d_s": 2, "d_b": 32, "trials": 1, "n_times": 2000,
      "plot_horizon": 80.0, "n_grid": 400},
     _distance_trajectory_setup, _distance_trajectory_trial, None,
     _distance_trajectory_artifacts,
-    dimension=_bipartite, minimums={"n_times": 2}))
+    dimension=_bipartite, minimums={"n_times": 2, "n_grid": 2}))
 
 
 def experiment_ids() -> list[str]:

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .experiments import EXPERIMENTS, TrialRecord, experiment_ids
+from .experiments import EXPERIMENTS, TrialRecord, bootstrap, experiment_ids, mean_se
 
 __all__ = [
     "ExperimentSpec",
@@ -148,17 +148,14 @@ def _summarize_records(records, gates) -> dict:
 
     lhs = np.array([r.lhs for r in records], dtype=float)
     finite = lhs[np.isfinite(lhs)]
-    n = len(finite)
-    mean = float(finite.mean()) if n else float("nan")
-    se = float(finite.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     trial_violations = sum(1 for r in records if not r.satisfied and not r.vacuous)
     gate_violations = sum(1 for g in gates if not g["satisfied"] and not g.get("vacuous"))
-    boot = None
-    if n > 1:
+    # below two finite rows there is no spread: standard error 0, no bootstrap
+    mean, se, boot = float(finite[0]) if len(finite) else float("nan"), 0.0, None
+    if len(finite) > 1:
+        mean, se = mean_se(finite)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
-        ms = np.empty(200)
-        for b in range(200):
-            ms[b] = finite[rng.integers(0, n, size=n)].mean()
+        ms = bootstrap(finite, np.mean, rng)
         boot = [float(np.percentile(ms, 2.5)), float(np.percentile(ms, 97.5))]
     return {
         "rows": len(records),

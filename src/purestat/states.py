@@ -173,14 +173,20 @@ def effective_dimension(rho) -> float:
     return 1.0 / purity(rho)
 
 
-def von_neumann_entropy(rho, base: float | None = None) -> float:
-    """S(rho) = -Tr[rho log rho], natural log by default (0 log 0 := 0)."""
+def von_neumann_entropy(rho, base: float | None = None):
+    """S(rho) = -Tr[rho log rho], natural log by default (0 log 0 := 0).
+
+    Eigenvalues up to 1e-15 count as 0.  rho may also be a stack of
+    matrices with leading axes; an array of entropies is returned for it, a
+    float for a single state.
+    """
     w = np.linalg.eigvalsh(_mat(rho))
-    w = w[w > 1e-15]
-    s = float(-(w * np.log(w)).sum())
+    kept = w > 1e-15
+    s = -np.where(kept, w * np.log(np.where(kept, w, 1.0)), 0.0).sum(axis=-1)
     if base is not None:
-        s /= np.log(base)
-    return s if s > 0 else 0.0
+        s = s / np.log(base)
+    s = np.maximum(s, 0.0)
+    return float(s) if s.ndim == 0 else s
 
 
 def mutual_information(rho: DensityMatrix, base: float | None = None) -> float:

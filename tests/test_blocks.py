@@ -182,7 +182,7 @@ def _ref_ergodicity(setup, params, seed, k):
     row = _row(lhs, setup["mc_mean"], "observation")
     if k < int(params["crosscheck_trials"]):
         h = setup["h"]
-        times = sample_times(h, params["horizon_factor"], params["crosscheck_times"], rng)
+        times = sample_times(h, params["crosscheck_times"], rng)
         ct = coefficient_samples(h.eigenvalues[setup["band"]], a, times)
         x_mean = float(expectation_values(ct, setup["block"]).mean())
         row.extra["crosscheck_err"] = abs(x_mean - lhs)

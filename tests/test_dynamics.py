@@ -12,6 +12,7 @@ from purestat import (
     dagger,
     default_horizon,
     dephase,
+    dephased,
     evolve,
     finite_difference_purity_rate,
     finite_difference_speed,
@@ -176,9 +177,9 @@ def test_time_average_discrepancy_shrinks_with_horizon():
 
 def test_sample_times_draws_the_horizon_policy_times():
     h = sample_random_hamiltonian(None, (2, 8), trial_stream(101, 7))
-    times = sample_times(h, 1e3, 50, trial_stream(101, 8))
-    assert np.array_equal(times, trial_stream(101, 8).uniform(0.0, default_horizon(h, 1e3), 50))
-    assert times.shape == (50,) and times.min() >= 0.0 and times.max() < default_horizon(h, 1e3)
+    times = sample_times(h, 50, trial_stream(101, 8))
+    assert np.array_equal(times, trial_stream(101, 8).uniform(0.0, default_horizon(h), 50))
+    assert times.shape == (50,) and times.min() >= 0.0 and times.max() < default_horizon(h)
 
 
 def test_time_average_stationary_state():
@@ -290,6 +291,47 @@ def test_reduced_rates_match_dense_references():
         assert abs(speeds[i] - subsystem_speed(state.density(), parts)) < 1e-12
         assert abs(dps[i] - purity_rate(state.density(), parts)) < 1e-12
         assert np.abs(rates.rho_s[i] - state.reduced("S").matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("d_s", [2, 4])
+def test_dephased_marginals_match_the_dense_dephasing_map(d_s):
+    rng = trial_stream(102, 11)
+    h = sample_random_hamiltonian(None, (d_s, 8), rng)
+    psi = sample_haar_state(np.eye(8 * d_s), rng, dims=(d_s, 8))
+    omega = dephase(psi.density(), h).matrix
+    probs, omega_s, omega_b = dephased(h, psi)
+    assert np.abs(omega_s - partial_trace(omega, d_s, 8, "S")).max() <= 1e-12
+    assert np.abs(omega_b - partial_trace(omega, d_s, 8, "B")).max() <= 1e-12
+    assert np.abs(probs - np.diag(h.to_eigenbasis(omega)).real).max() <= 1e-12
+    assert np.array_equal(dephased(h, psi.vector, marginals=False), probs)
+
+
+def test_batched_finite_differences_match_a_per_time_loop():
+    rng = trial_stream(102, 12)
+    parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(8, rng),
+                                _rand_herm(16, rng) * 0.4)
+    h = parts.assembled
+    psi = sample_product_state(np.eye(2), np.eye(8), rng)
+    times = np.array([0.4, 1.9, 6.3, 11.0])
+    for fd in (finite_difference_speed, finite_difference_purity_rate):
+        batch = fd(h, psi, times)
+        assert batch.shape == (4,)
+        assert isinstance(fd(h, psi, 1.9), float)
+        loop = np.array([fd(h, psi, t) for t in times])
+        assert np.abs(batch - loop).max() <= 1e-12 * np.abs(loop).max()
+
+
+def test_stacked_entropy_matches_a_per_matrix_loop():
+    rng = trial_stream(102, 13)
+    g = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    rho = g @ np.conj(np.swapaxes(g, 1, 2))
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    rho[0] = np.diag([1.0, 0.0, 0.0, 0.0])   # a pure state: 0 log 0 := 0
+    stack = von_neumann_entropy(rho)
+    assert stack.shape == (6,) and stack[0] == 0.0
+    loop = np.array([von_neumann_entropy(r) for r in rho])
+    assert np.abs(stack - loop).max() <= 1e-12
+    assert np.abs(von_neumann_entropy(rho, base=2) - loop / np.log(2)).max() <= 1e-12
 
 
 def test_reduced_rates_rejects_wrong_dimension():

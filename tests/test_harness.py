@@ -115,6 +115,20 @@ def test_one_sample_time_average_is_rejected_before_compute():
     ExperimentSpec("SUBSYSTEM_EQUILIBRATION", {"n_times": 2})
 
 
+@pytest.mark.parametrize("experiment_id, key", [
+    # before: zero instants checked, yet satisfied and non-vacuous rows
+    ("EQ_TIME_PURITY", "grid"),
+    # before: a zero-size max raised only after the compute had run
+    ("EINSELECTION_DEMO", "grid"),
+    # before: a trajectory CSV with only its header
+    ("DISTANCE_TRAJECTORY", "n_grid"),
+])
+def test_one_point_grid_is_rejected_before_compute(experiment_id, key):
+    with pytest.raises(ValueError, match=f"{experiment_id}: {key} must be >= 2"):
+        ExperimentSpec(experiment_id, {key: 1})
+    ExperimentSpec(experiment_id, {key: 2})
+
+
 def test_every_declared_minimum_is_enforced():
     declared = {(e, key) for e, exp in EXPERIMENTS.items() for key in exp.minimums}
     # every count under a std(ddof=1) or a finite-difference check declares one

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from purestat import experiments, sample_haar_state, sample_random_hamiltonian, trial_stream
+from purestat import ReducedRates, compose_hamiltonian, experiments, sample_haar_state, trial_stream
 from purestat.experiments import EXPERIMENTS, _fd_check, _marginal_diameter, experiment_ids
 from purestat.harness import ExperimentSpec, run_experiment
 
@@ -76,15 +76,30 @@ def test_speed_with_a_nan_finite_difference(monkeypatch):
 
 def test_fd_check_propagates_a_single_nan():
     rng = trial_stream(401, 0)
-    h = sample_random_hamiltonian(None, (2, 4), rng)
+    parts = compose_hamiltonian(*(experiments._gue(d, rng) for d in (2, 4, 8)))
     psi0 = sample_haar_state(np.eye(8), rng, dims=(2, 4))
-    fds = iter([1.0, math.nan, 1.0])   # only the middle instant is degenerate
-    ok, worst = _fd_check(lambda rho, parts: 1.0, lambda h, psi, t: next(fds), 1e-3,
-                          h, psi0, None, {"fd_checks": 3, "fd_rtol": 1e-4})
+    fds = np.array([1.0, math.nan, 1.0])   # only the middle instant is degenerate
+    ok, worst = _fd_check(lambda rates: np.ones(3), lambda h, psi, t: fds, 1e-3,
+                          psi0, parts, {"fd_checks": 3, "fd_rtol": 1e-4})
     assert math.isnan(worst) and not ok
-    ok, worst = _fd_check(lambda rho, parts: 2.0, lambda h, psi, t: 2.0 + 1e-6, 1e-3,
-                          h, psi0, None, {"fd_checks": 3, "fd_rtol": 1e-4})
+    ok, worst = _fd_check(lambda rates: np.full(3, 2.0), lambda h, psi, t: 2.0 + 1e-6, 1e-3,
+                          psi0, parts, {"fd_checks": 3, "fd_rtol": 1e-4})
     assert worst == pytest.approx(5e-7) and ok
+
+
+@pytest.mark.parametrize("rate", ["speeds", "purity_rates"])
+def test_fd_check_tests_the_kernel_behind_the_rows(rate, monkeypatch):
+    # a fault in the batched kernel must surface in the finite-difference check
+    scaled = getattr(ReducedRates, rate)
+    monkeypatch.setattr(ReducedRates, rate, lambda self: 1.5 * scaled(self))
+    for experiment_id in ("SPEED", "PURITY_RATE_AVG"):
+        res = run_experiment(ExperimentSpec(experiment_id, {"trials": 2, "n_times": 50},
+                                            seed=3))
+        if rate == {"SPEED": "speeds", "PURITY_RATE_AVG": "purity_rates"}[experiment_id]:
+            assert res.violations >= 1, experiment_id
+            assert all(r.extra["fd_max_rel_err"] > 0.3 for r in res.records), experiment_id
+        else:
+            assert res.violations == 0, experiment_id
 
 
 def test_marginal_diameter_propagates_a_nan_marginal():
