@@ -49,6 +49,7 @@ from .states import (
 from .ensembles import (
     canonical_subspace_basis,
     complex_normal_rows,
+    haar_coefficient_blocks,
     haar_unitary,
     harmonic_mean,
     mean_energy_coefficients,

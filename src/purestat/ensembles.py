@@ -14,6 +14,8 @@ exactly the values of its own ``trial_stream(seed, k)``.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .hamiltonians import DEFAULT_GAP_TOL, Hamiltonian, gap_analysis
@@ -27,6 +29,7 @@ __all__ = [
     "philox_keys",
     "trial_streams",
     "complex_normal_rows",
+    "haar_coefficient_blocks",
     "haar_unitary",
     "canonical_subspace_basis",
     "sample_haar_state",
@@ -163,6 +166,27 @@ def complex_normal_rows(rngs, d: int) -> np.ndarray:
     as the streams of `trial_streams`."""
     x = np.array([rng.standard_normal((2, d)) for rng in rngs]).reshape(-1, 2, d)
     return x[:, 0] + 1j * x[:, 1]
+
+
+_HAAR_BLOCK = 1 << 16   # coefficients per block of haar_coefficient_blocks
+
+
+def haar_coefficient_blocks(n: int, d: int, rng: np.random.Generator):
+    """Yield the normalised rows of rng.standard_normal((n, d)) + 1j *
+    rng.standard_normal((n, d)) (Haar-random coefficients) bitwise, in blocks of
+    max(1, _HAAR_BLOCK // d) rows, and leave rng where that one-shot draw does.
+    A copy of rng replays the real parts while rng, advanced past them once,
+    supplies the imaginary parts, so memory does not grow with n.  Take every
+    block before drawing anything else from rng."""
+    rows = max(1, _HAAR_BLOCK // d)
+    real = copy.deepcopy(rng)
+    skipped = np.empty((rows, d))
+    for lo in range(0, n, rows):
+        rng.standard_normal(out=skipped[:min(rows, n - lo)])
+    for lo in range(0, n, rows):
+        m = min(rows, n - lo)
+        z = real.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+        yield z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -42,6 +42,7 @@ from .ensembles import (
     SETUP_DOMAIN,
     canonical_subspace_basis,
     complex_normal_rows,
+    haar_coefficient_blocks,
     haar_unitary,
     harmonic_mean,
     mean_energy_coefficients,
@@ -117,6 +118,7 @@ class ExperimentDef:
     dimension: object = field(kw_only=True)
     # parameter -> smallest accepted value (a count that feeds std(ddof=1) needs 2)
     minimums: dict = field(default_factory=dict, kw_only=True)
+    below: dict = field(default_factory=dict, kw_only=True)  # key -> the key it must lie below
     # (setup, params, seed, ks) -> one item per trial index in ks, computed
     # together from each trial's own stream; the harness passes ks as one
     # block of consecutive indices starting at a multiple of the block size
@@ -142,12 +144,14 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _haar_coeffs(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    return _unit_rows(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+def _haar_map(fn, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """fn of each block of haar_coefficient_blocks(n, d, rng), concatenated:
+    one value per sample, and no (n, d) array."""
+    return np.concatenate([fn(a) for a in haar_coefficient_blocks(n, d, rng)])
 
 
 def _haar_coeff_rows(streams, d: int) -> np.ndarray:
-    """One row per stream, each equal to _haar_coeffs(1, d, stream)[0]."""
+    """One row per stream: its normalised complex_normal_rows row."""
     return _unit_rows(complex_normal_rows(streams, d))
 
 
@@ -187,8 +191,7 @@ def _mc_setup(params, seed):
 def _mc_sample_expectations(setup, params, seed, k):
     n = int(params["n_samples"])
     rng = trial_stream(seed, k)
-    a = _haar_coeffs(n, setup["d_r"], rng)
-    return expectation_values(a, setup["b"]), rng   # Tr[B psi] per row
+    return _haar_map(lambda a: expectation_values(a, setup["b"]), n, setup["d_r"], rng), rng
 
 
 def _mc_variance_identity_trial(setup, params, seed, k):
@@ -244,13 +247,15 @@ def _coarse_grained_setup(params, seed):
 def _coarse_grained_trial(setup, params, seed, k):
     n = int(params["n_samples"])
     eps = float(params["epsilon"])
-    rng = trial_stream(seed, k)
-    a = _haar_coeffs(n, setup["d_r"], rng)
-    psi = a @ setup["basis_r"].T                    # (n, d)
-    devs = np.zeros(n)
-    for r, g in enumerate(setup["groups"]):
-        t_r = np.abs(psi @ g.conj()) ** 2           # (n, d/m) overlaps
-        devs += np.abs(t_r.sum(axis=1) - setup["mc"][r])
+
+    def deviations(a):
+        psi = a @ setup["basis_r"].T                # (rows, d)
+        devs = np.zeros(len(a))
+        for r, g in enumerate(setup["groups"]):
+            t_r = np.abs(psi @ g.conj()) ** 2       # (rows, d/m) overlaps
+            devs += np.abs(t_r.sum(axis=1) - setup["mc"][r])
+        return devs
+    devs = _haar_map(deviations, n, setup["d_r"], trial_stream(seed, k))
     lhs = float((devs >= eps).mean())               # max_A over alpha_r in [-1,1]
     ctx = BoundContext(d_r=setup["d_r"], epsilon=eps, m=setup["m"], norm_a=1.0)
     return _bound_row("COARSE_GRAINED", lhs, ctx, mean_dev=float(devs.mean()))
@@ -273,10 +278,9 @@ def _canonical_reduction_trial(setup, params, seed, k):
     n = int(params["n_samples"])
     eps = float(params["epsilon"])
     d_s, d_b = setup["d_s"], setup["d_b"]
-    rng = trial_stream(seed, k)
-    a = _haar_coeffs(n, setup["d_r"], rng)
-    rho_s = reduced_marginals(a @ setup["basis_r"].T, (d_s, d_b))
-    dist = trace_distance(rho_s, setup["rho_mc_s"])
+    dist = _haar_map(lambda a: trace_distance(
+        reduced_marginals(a @ setup["basis_r"].T, (d_s, d_b)), setup["rho_mc_s"]),
+        n, setup["d_r"], trial_stream(seed, k))
     ctx = BoundContext(d_r=setup["d_r"], epsilon=eps, d_s=d_s, deff_b=setup["deff_b"])
     threshold = canonical_reduction_threshold(ctx)
     lhs = float((dist >= threshold).mean())
@@ -844,10 +848,8 @@ def _levy_trial(setup, params, seed, k):
     d_r = int(params["d_r"])
     n = int(params["n_samples"])
     eps = float(params["epsilon"])
-    rng = trial_stream(seed, k)
     b = _gue(d_r, _setup_stream(seed))
-    a = _haar_coeffs(n, d_r, rng)
-    f = expectation_values(a, b)
+    f = _haar_map(lambda a: expectation_values(a, b), n, d_r, trial_stream(seed, k))
     mean_f = float(np.trace(b).real / d_r)
     lhs = float((np.abs(f - mean_f) >= eps).mean())
     ctx = BoundContext(d=2 * d_r, epsilon=eps, eta=2.0)  # real sphere dim, eta = 2|B|
@@ -865,7 +867,8 @@ def _eq_time_heisenberg_trial(setup, params, seed, k):
     lo, hi = d // 4, 3 * d // 4
     band = np.arange(lo, hi)
     delta_e = float(h.eigenvalues[hi - 1] - h.eigenvalues[lo])
-    probs = np.abs(_haar_coeffs(1, len(band), rng)[0]) ** 2
+    (a,) = haar_coefficient_blocks(1, len(band), rng)
+    probs = np.abs(a[0]) ** 2
     e_band = h.eigenvalues[band]
     # for pure rho_t, i[H, rho_t] has rank 2 with eigenvalues +-Delta H, so
     # (1/2)||[H, rho_t]||_1 = Delta H at every t: the energy spread of psi_0
@@ -1122,7 +1125,7 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 1, "t_max": 200.0, "grid": 81,
      "late_window_start": 100.0, "late_suppression": 0.3, "n_times": 200},
     None, _einselection_rows,
-    dimension=_bipartite, minimums={"grid": 2}))
+    dimension=_bipartite, minimums={"grid": 2}, below={"late_window_start": "t_max"}))
 
 _register(ExperimentDef(
     "ISI",

@@ -62,6 +62,10 @@ class ExperimentSpec:
             if int(self.params.get(key, low)) < low:
                 raise ValueError(f"{self.experiment_id}: {key} must be >= {low}, "
                                  f"got {self.params[key]!r}")
+        for key, high in exp.below.items():
+            if not float(self.params[key]) < float(self.params[high]):
+                raise ValueError(f"{self.experiment_id}: {key} must be < {high}, "
+                                 f"got {self.params[key]!r}")
         dim = exp.dimension(self.params)
         if dim > MAX_DIMENSION:
             raise ValueError(f"{self.experiment_id}: dimension {dim} exceeds the memory "
@@ -179,6 +183,11 @@ def _write_csv(path: str, experiment_id: str, records) -> None:
                         str(bool(r.vacuous)).lower()])
 
 
+def _json_object(encoded: dict) -> str:
+    """json.dumps(obj, sort_keys=True) of a dict obj, given its members' encodings."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {encoded[k]}" for k in sorted(encoded)) + "}"
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run one named experiment; persist results before returning."""
     t0 = time.monotonic()
@@ -199,8 +208,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         "summary": summary,
         "extras": [r.extra for r in records if r.extra],
     }
-    manifest["manifest_hash"] = hashlib.sha256(
-        json.dumps(manifest, sort_keys=True, default=repr).encode()).hexdigest()
+    # each member is encoded once: the hash and the file share the encodings
+    encoded = {k: json.dumps(v, sort_keys=True, default=repr) for k, v in manifest.items()}
+    manifest["manifest_hash"] = hashlib.sha256(_json_object(encoded).encode()).hexdigest()
     manifest["wall_time_s"] = round(time.monotonic() - t0, 3)
 
     if spec.out_dir:
@@ -212,10 +222,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             files.update(exp.artifacts(setup, spec.params, spec.seed, spec.out_dir))
         files["manifest"] = os.path.join(spec.out_dir, f"{spec.experiment_id}_manifest.json")
         manifest["files"] = files
-        # one compact json.dumps and one write: indent would force json's
-        # pure-Python encoder, and json.dump issues a write per token
+        for key in ("manifest_hash", "wall_time_s", "files"):
+            encoded[key] = json.dumps(manifest[key], sort_keys=True, default=repr)
+        # one write: indent would force json's pure-Python encoder, and
+        # json.dump issues a write per token
         with open(files["manifest"], "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True, default=repr) + "\n")
+            fh.write(_json_object(encoded) + "\n")
     return ExperimentResult(spec, records, summary, manifest, files)
 
 

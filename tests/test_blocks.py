@@ -20,7 +20,7 @@ from purestat import (
 )
 from purestat.bounds import BoundContext, evaluate_bound, verdict
 from purestat.dynamics import coefficient_samples, sample_times
-from purestat.experiments import EXPERIMENTS, _bound_row, _haar_coeffs, _row
+from purestat.experiments import EXPERIMENTS, _bound_row, _row
 from purestat.harness import _BLOCK, ExperimentSpec, _chunks, run_experiment
 from purestat.states import expectation_values, trace_distance
 
@@ -143,8 +143,14 @@ def test_blocked_csv_bytes_do_not_depend_on_worker_count(experiment_id, tmp_path
 # per-trial references: each trial on its own trial_stream, as before blocks
 # ---------------------------------------------------------------------------
 
+def _one_shot_haar_row(d, rng):
+    """The one-shot Haar draw of one row, written out as the independent oracle."""
+    z = rng.standard_normal((1, d)) + 1j * rng.standard_normal((1, d))
+    return (z / np.linalg.norm(z, axis=1, keepdims=True))[0]
+
+
 def _ref_subspace_deff(setup, seed, k):
-    a = _haar_coeffs(1, setup["d_r"], trial_stream(seed, k))[0]
+    a = _one_shot_haar_row(setup["d_r"], trial_stream(seed, k))
     return float(1.0 / (np.abs(a @ setup["block"]) ** 4).sum())
 
 
@@ -177,7 +183,7 @@ def _ref_deff_mean_energy(setup, params, seed, k):
 
 def _ref_ergodicity(setup, params, seed, k):
     rng = trial_stream(seed, k)
-    a = _haar_coeffs(1, setup["d_r"], rng)[0]
+    a = _one_shot_haar_row(setup["d_r"], rng)
     lhs = float((np.abs(a) ** 2) @ setup["diag_band"])
     row = _row(lhs, setup["mc_mean"], "observation")
     if k < int(params["crosscheck_trials"]):
@@ -200,7 +206,7 @@ def _ref_entangled_state_tail(setup, params, seed, k):
 
 
 def _ref_isi_linden(setup, params, seed, k):
-    a = _haar_coeffs(1, setup["d_r"], trial_stream(seed, k))[0]
+    a = _one_shot_haar_row(setup["d_r"], trial_stream(seed, k))
     omega_s = np.einsum("k,kij->ij", np.abs(a) ** 2, setup["mu"])
     rhs = evaluate_bound("ISI_LINDEN_DELTA", BoundContext(
         d_s=setup["d_s"], d_r=setup["d_r"], delta=setup["delta"]))

@@ -1,10 +1,14 @@
 """Samplers: determinism, Haar invariance, marginals, mean-energy ensemble."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from purestat import (
     canonical_subspace_basis,
+    ensembles,
+    haar_coefficient_blocks,
     haar_unitary,
     harmonic_mean,
     mutual_information,
@@ -17,6 +21,7 @@ from purestat import (
     trace_distance,
     trial_stream,
 )
+from purestat.experiments import EXPERIMENTS
 
 
 def test_trial_stream_determinism():
@@ -30,6 +35,35 @@ def test_trial_stream_determinism():
 def test_setup_and_trial_streams_differ():
     assert not np.array_equal(stream(1, 0).standard_normal(4),
                               stream(1, 1, 0).standard_normal(4))
+
+
+@pytest.mark.parametrize("d", [1, 32, 256])
+def test_haar_coefficient_blocks_equal_the_one_shot_draw(d):
+    rows = max(1, ensembles._HAAR_BLOCK // d)
+    for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+        one_shot = np.random.Generator(np.random.Philox(n))
+        blocked = np.random.Generator(np.random.Philox(n))
+        one_shot.random(dtype=np.float32)           # a half-used 32-bit buffer
+        blocked.random(dtype=np.float32)
+        z = one_shot.standard_normal((n, d)) + 1j * one_shot.standard_normal((n, d))
+        want = z / np.linalg.norm(z, axis=1, keepdims=True)
+        blocks = list(haar_coefficient_blocks(n, d, blocked))
+        assert all(len(b) <= rows for b in blocks)
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+        assert repr(blocked.bit_generator.state) == repr(one_shot.bit_generator.state)
+
+
+def test_mc_variance_identity_memory_does_not_grow_with_the_samples():
+    # 10^5 samples at d_r = 32: the one-shot draw and its temporaries peaked at 146 MB
+    exp = EXPERIMENTS["MC_VARIANCE_IDENTITY"]
+    setup = exp.setup(exp.defaults, 7)
+    tracemalloc.start()
+    try:
+        exp.trial(setup, exp.defaults, 7, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_haar_unitary_is_unitary():

@@ -1,6 +1,7 @@
 """Harness: config grammar, persistence, reproducibility, CLI surface."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from purestat import harness, sample_random_hamiltonian, trial_stream
-from purestat.experiments import EXPERIMENTS, _haar_coeffs, experiment_ids
+from purestat.experiments import EXPERIMENTS, experiment_ids
 from purestat.harness import (
     ExperimentSpec,
     parse_config,
@@ -127,6 +128,19 @@ def test_one_point_grid_is_rejected_before_compute(experiment_id, key):
     with pytest.raises(ValueError, match=f"{experiment_id}: {key} must be >= 2"):
         ExperimentSpec(experiment_id, {key: 1})
     ExperimentSpec(experiment_id, {key: 2})
+
+
+def test_late_window_past_the_grid_is_rejected_before_compute():
+    # before, the run took the mean of an empty slice and wrote a NaN violation row
+    with pytest.raises(ValueError, match="EINSELECTION_DEMO: late_window_start must be < t_max"):
+        ExperimentSpec("EINSELECTION_DEMO", {"t_max": 50.0})
+    with pytest.raises(ValueError, match="late_window_start must be < t_max"):
+        ExperimentSpec("EINSELECTION_DEMO", {"t_max": 100.0})
+    ExperimentSpec("EINSELECTION_DEMO", {"t_max": 50.0, "late_window_start": 25.0})
+    for experiment_id, exp in EXPERIMENTS.items():
+        for key, high in exp.below.items():
+            assert {key, high} <= set(exp.defaults), experiment_id
+            ExperimentSpec(experiment_id)
 
 
 def test_every_declared_minimum_is_enforced():
@@ -265,6 +279,18 @@ def test_manifest_file_is_the_returned_manifest(tmp_path):
     assert res.manifest["files"] == res.files
 
 
+def test_manifest_hash_covers_the_manifest_without_its_unhashed_keys(tmp_path):
+    run_experiment(ExperimentSpec("DEFF_SUBSPACE_TAIL", {"trials": 300}, seed=3,
+                                  out_dir=str(tmp_path)))
+    with open(tmp_path / "DEFF_SUBSPACE_TAIL_manifest.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    want = manifest.pop("manifest_hash")
+    for key in ("wall_time_s", "files"):
+        del manifest[key]
+    payload = json.dumps(manifest, sort_keys=True, default=repr).encode()
+    assert hashlib.sha256(payload).hexdigest() == want
+
+
 def test_eq_time_heisenberg_closed_form_matches_dense_route():
     # (1/2)||[H, rho_t]||_1 from eigvalsh at sampled times vs the trial's Delta H
     params = EXPERIMENTS["EQ_TIME_HEISENBERG"].defaults
@@ -274,7 +300,9 @@ def test_eq_time_heisenberg_closed_form_matches_dense_route():
         rng = trial_stream(7, k)
         h = sample_random_hamiltonian(None, (d, 1), rng)
         e_band = h.eigenvalues[d // 4:3 * d // 4]
-        a = _haar_coeffs(1, len(e_band), rng)[0]
+        # the one-shot Haar draw, written out as the independent oracle
+        z = rng.standard_normal((1, len(e_band))) + 1j * rng.standard_normal((1, len(e_band)))
+        a = (z / np.linalg.norm(z, axis=1, keepdims=True))[0]
         for t in rng.uniform(0.0, 1e4, 5):
             ct = a * np.exp(-1j * e_band * t)
             m = 1j * (e_band[:, None] - e_band[None, :]) * np.outer(ct, ct.conj())
