@@ -69,6 +69,7 @@ from .dynamics import (
     default_horizon,
     dephase,
     dephased,
+    evolution_blocks,
     evolve,
     finite_difference_purity_rate,
     finite_difference_speed,

@@ -20,6 +20,7 @@ __all__ = [
     "sample_times",
     "coefficient_samples",
     "pure_state_samples",
+    "evolution_blocks",
     "reduced_marginals",
     "write_trajectory_csv",
     "subsystem_speed",
@@ -119,18 +120,37 @@ def sample_times(h: Hamiltonian, n: int, rng: np.random.Generator) -> np.ndarray
     return rng.uniform(0.0, default_horizon(h), int(n))
 
 
-def coefficient_samples(energies, c0, times) -> np.ndarray:
+def coefficient_samples(energies, c0, times, out=None) -> np.ndarray:
     """Eigenbasis coefficients c_k exp(-i E_k t) at the given times, one row per time.
 
     c0 is one coefficient vector (d,) or a stack of them (m, d); the phase
-    matrix exp(-i E t) comes from phase_factors (exact mod-2 pi reduction,
+    matrix exp(-i E t) comes from phase_factors (exact mod-pi/2 reduction,
     |E t| < 2^52) and is built once and shared by the stack.  Returns
-    (n_times, d) for one vector and (m, n_times, d) for a stack.
+    (n_times, d) for one vector and (m, n_times, d) for a stack, written
+    into out if given.
     """
     phases = phase_factors(energies, np.ravel(times))
     # keep the c0 * phases operand order: numpy's complex product is not
     # bitwise symmetric, and swapping it moves every trajectory CSV's last bits
-    return np.asarray(c0, dtype=complex)[..., None, :] * phases
+    return np.multiply(np.asarray(c0, dtype=complex)[..., None, :], phases, out=out)
+
+
+def _eigen_coefficients(h: Hamiltonian, initial) -> tuple[np.ndarray, bool]:
+    """c0 = (<E_k|psi>)_k of every initial state as an (m, d) stack, and
+    whether initial was a stack (rather than a PureState or one vector)."""
+    if isinstance(initial, PureState):
+        initial = initial.vector
+    vecs = np.asarray(initial, dtype=complex)
+    if vecs.ndim not in (1, 2) or vecs.shape[-1] != h.dim:
+        raise ValueError(f"dimension mismatch: states {vecs.shape}, H {h.dim}")
+    # one matrix-vector product per state, so c0 is bitwise h.to_eigenbasis(v)
+    return np.array([h.to_eigenbasis(v) for v in np.atleast_2d(vecs)]), vecs.ndim == 2
+
+
+def _states(h: Hamiltonian, cts: np.ndarray, out=None) -> np.ndarray:
+    """State vectors from a stack of coefficient rows, in one GEMM."""
+    flat = None if out is None else out.reshape(-1, h.dim)
+    return np.matmul(cts.reshape(-1, h.dim), h.eigenbasis.T, out=flat).reshape(cts.shape)
 
 
 def pure_state_samples(h: Hamiltonian, initial, times) -> np.ndarray:
@@ -139,21 +159,43 @@ def pure_state_samples(h: Hamiltonian, initial, times) -> np.ndarray:
     initial is a PureState, one state vector (d,) or a stack of them (m, d).
     The coefficients come from coefficient_samples, so the whole stack shares
     one phase matrix and evolves in one GEMM.  Returns (n_times, d) for a
-    single state and (m, n_times, d) for a stack.
+    single state and (m, n_times, d) for a stack.  evolution_blocks yields
+    the same rows a bounded block of times at a time.
     """
-    if isinstance(initial, PureState):
-        initial = initial.vector
-    vecs = np.asarray(initial, dtype=complex)
-    if vecs.ndim not in (1, 2) or vecs.shape[-1] != h.dim:
-        raise ValueError(f"dimension mismatch: states {vecs.shape}, H {h.dim}")
-    # one matrix-vector product per state, so c0 is bitwise h.to_eigenbasis(v)
-    c0 = np.array([h.to_eigenbasis(v) for v in np.atleast_2d(vecs)])
-    cts = coefficient_samples(h.eigenvalues, c0, times)
-    psis = cts.reshape(-1, h.dim) @ h.eigenbasis.T
-    return psis.reshape(cts.shape) if vecs.ndim == 2 else psis
+    c0, stacked = _eigen_coefficients(h, initial)
+    psis = _states(h, coefficient_samples(h.eigenvalues, c0, times))
+    return psis if stacked else psis[0]
 
 
-_BATH_CHUNK = 32   # times per rho^B block in reduced_marginals
+_TIME_BLOCK = 1 << 13   # coefficients per block of evolution_blocks
+
+
+def evolution_blocks(h: Hamiltonian, initial, times, states: bool = True):
+    """Yield (sl, block) for consecutive slices sl of times, in order.
+
+    block is what pure_state_samples(h, initial, times[sl]) returns, rows
+    bitwise equal to the one-shot call's; with states=False it is the
+    eigenbasis coefficients c0 exp(-iEt) of coefficient_samples instead.
+    A block holds at most _TIME_BLOCK coefficients (but at least one time)
+    and is written into buffers reused by the next block, so memory does not
+    grow with the number of times: reduce each block before taking the next.
+    """
+    c0, stacked = _eigen_coefficients(h, initial)
+    times = np.ravel(times)
+    m, d = c0.shape
+    rows = max(1, min(len(times), _TIME_BLOCK // (m * d)))
+    edges = list(range(0, len(times), rows)) + [len(times)]
+    if len(edges) > 2 and rows > 1 and m * (edges[-1] - edges[-2]) == 1:
+        # a one-row GEMM goes through GEMV and rounds differently from the
+        # one-shot call: the last block takes one time from the block before
+        edges[-2] -= 1
+    bufs = [np.empty(m * rows * d, dtype=complex) for _ in range(1 + states)]
+    for a, b in zip(edges[:-1], edges[1:]):
+        views = [buf[:m * (b - a) * d].reshape(m, b - a, d) for buf in bufs]
+        block = coefficient_samples(h.eigenvalues, c0, times[a:b], out=views[0])
+        if states:
+            block = _states(h, block, out=views[1])
+        yield slice(a, b), block if stacked else block[0]
 
 
 def reduced_marginals(psis, dims: tuple[int, int], bath_purity: bool = False):
@@ -162,8 +204,9 @@ def reduced_marginals(psis, dims: tuple[int, int], bath_purity: bool = False):
     psis has the state vectors on its last axis; the leading axes (time, or
     stack and time) are kept, so the result is (..., d_S, d_S).  With
     bath_purity, also returns p^B_t = Tr[(rho^B_t)^2] with the leading
-    shape.  rho^B is formed _BATH_CHUNK times at a time, so no
-    (n_times, d_B, d_B) array exists.
+    shape.  rho^B is formed for max(1, _TIME_BLOCK // d_B^2) times at a
+    time, so no (n_times, d_B, d_B) array exists and each chunk is small
+    enough to be reused from the heap rather than mapped afresh.
     """
     d_s, d_b = dims
     psis = np.asarray(psis, dtype=complex)
@@ -175,10 +218,11 @@ def reduced_marginals(psis, dims: tuple[int, int], bath_purity: bool = False):
     if not bath_purity:
         return rho_s
     p_b = np.empty(len(mats))
-    for a in range(0, len(mats), _BATH_CHUNK):
-        m = mats[a:a + _BATH_CHUNK]
+    step = max(1, _TIME_BLOCK // d_b ** 2)
+    for a in range(0, len(mats), step):
+        m = mats[a:a + step]
         rho_b = np.swapaxes(m, 1, 2) @ m.conj()
-        p_b[a:a + _BATH_CHUNK] = purity(rho_b)
+        p_b[a:a + step] = purity(rho_b)
     return rho_s, p_b.reshape(lead)
 
 

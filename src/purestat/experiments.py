@@ -30,6 +30,7 @@ from .dynamics import (
     ReducedRates,
     coefficient_samples,
     dephased,
+    evolution_blocks,
     finite_difference_purity_rate,
     finite_difference_speed,
     pure_state_samples,
@@ -431,8 +432,9 @@ def _expectation_equilibration_trial(setup, params, seed, k):
     h, psi0, probs, times, deff, rng = _equilibration_trial_base(params, seed, k)
     a = _gue(h.dim, rng)
     a_eig = h.to_eigenbasis(a)
-    x = expectation_values(coefficient_samples(h.eigenvalues, h.to_eigenbasis(psi0.vector),
-                                               times), a_eig)
+    x = np.empty(len(times))
+    for sl, cts in evolution_blocks(h, psi0, times, states=False):
+        x[sl] = expectation_values(cts, a_eig)
     x_omega = float(probs @ np.diag(a_eig).real)
     lhs, se = mean_se((x - x_omega) ** 2)
     return _bound_row("EXPECTATION_EQUILIBRATION", lhs, BoundContext(norm_a=1.0, deff=deff),
@@ -451,9 +453,10 @@ def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, b
 def _subsystem_equilibration_trial(setup, params, seed, k):
     d_s = int(params["d_s"])
     h, psi0, _, times, deff, _ = _equilibration_trial_base(params, seed, k)
-    rho_s = reduced_marginals(pure_state_samples(h, psi0, times), psi0.dims)
     _, omega_s, omega_b = dephased(h, psi0)
-    dist = trace_distance(rho_s, omega_s)
+    dist = np.empty(len(times))
+    for sl, psis in evolution_blocks(h, psi0, times):
+        dist[sl] = trace_distance(reduced_marginals(psis, psi0.dims), omega_s)
     deff_b = effective_dimension(omega_b)
     lhs, se = mean_se(dist)
     return _bound_row("SUBSYSTEM_EQUILIBRATION", lhs, BoundContext(d_s=d_s, deff_b=deff_b),
@@ -475,9 +478,10 @@ def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
 def _purity_equilibration_trial(setup, params, seed, k):
     d_s = int(params["d_s"])
     h, psi0, _, times, deff, _ = _equilibration_trial_base(params, seed, k)
-    rho_s, p_b = reduced_marginals(pure_state_samples(h, psi0, times), psi0.dims,
-                                   bath_purity=True)
-    p_s = purity(rho_s)
+    p_s, p_b = np.empty(len(times)), np.empty(len(times))
+    for sl, psis in evolution_blocks(h, psi0, times):
+        rho_s, p_b[sl] = reduced_marginals(psis, psi0.dims, bath_purity=True)
+        p_s[sl] = purity(rho_s)
     max_sb_diff = float(np.abs(p_s - p_b).max())
     p_omega = purity(dephased(h, psi0)[1])
     lhs = abs(float(p_s.mean()) - p_omega)
@@ -739,10 +743,17 @@ def _einselection_rows(setup, params, seed, k):
 # initial state independence and the second law
 # ---------------------------------------------------------------------------
 
+_PAIR_BLOCK = 1 << 13   # matrix entries per trace_distance batch in _marginal_diameter
+
+
 def _marginal_diameter(mu: np.ndarray) -> float:
-    """max over pairs i < j of D(mu_i, mu_j); NaN if any distance is NaN."""
-    rows = [trace_distance(mu[i], mu[i + 1:]).max() for i in range(len(mu) - 1)]
-    return float(np.max(rows, initial=0.0))
+    """max over pairs i < j of D(mu_i, mu_j); NaN if any distance is NaN.
+    The np.triu_indices pairs go to trace_distance in batches of about
+    _PAIR_BLOCK matrix entries, so memory stays bounded at d = 1024."""
+    i, j = np.triu_indices(len(mu), 1)
+    step = max(1, _PAIR_BLOCK // mu[0].size)
+    return float(np.max([trace_distance(mu[i[a:a + step]], mu[j[a:a + step]]).max()
+                         for a in range(0, len(i), step)], initial=0.0))
 
 
 def _isi_trial(setup, params, seed, k):
@@ -760,9 +771,10 @@ def _isi_trial(setup, params, seed, k):
     phi /= np.linalg.norm(phi)
 
     times = sample_times(h, params["n_times"], rng)
-    rho_s, sig_s = reduced_marginals(pure_state_samples(h, np.stack([psi, phi]), times),
-                                     (d_s, d_b))
-    dist = trace_distance(rho_s, sig_s)
+    dist = np.empty(len(times))
+    for sl, psis in evolution_blocks(h, np.stack([psi, phi]), times):
+        rho_s, sig_s = reduced_marginals(psis, (d_s, d_b))
+        dist[sl] = trace_distance(rho_s, sig_s)
     ctx = BoundContext(d_s=d_s, deff_rho_b=effective_dimension(dephased(h, psi)[2]),
                        deff_sigma_b=effective_dimension(dephased(h, phi)[2]), delta=delta_pair)
     mean, se = mean_se(dist)
@@ -887,8 +899,9 @@ def _eq_time_purity_trial(setup, params, seed, k):
     norm_hsb = parts.norm_hsb()
     t_max = float(params["t_max_over_coupling"]) / norm_hsb
     grid = np.linspace(0.0, t_max, int(params["grid"]))[1:]
-    rho_s = reduced_marginals(pure_state_samples(h, psi0, grid), (d_s, d_b))
-    p_t = purity(rho_s)
+    p_t = np.empty(len(grid))
+    for sl, psis in evolution_blocks(h, psi0, grid):
+        p_t[sl] = purity(reduced_marginals(psis, (d_s, d_b)))
     below = np.nonzero(p_t <= p_eq)[0]
     crossed = bool(len(below))
     # without a crossing on the grid the crossing time is only known to be
@@ -916,20 +929,22 @@ def _second_law_rows(setup, params, seed, k):
     psi0 = np.zeros(d, dtype=complex); psi0[0] = 1.0          # |0>_S |0>_B
     sig0 = np.zeros(d, dtype=complex); sig0[d_b] = 1.0        # |1>_S |0>_B
     times = sample_times(h, params["n_times"], rng)
-    rho_s, sig_s = reduced_marginals(pure_state_samples(h, np.stack([psi0, sig0]), times),
-                                     (d_s, d_b))
-
     _, omega_s, omega_b = dephased(h, psi0)
+    d_eq, d_isi = np.empty(len(times)), np.empty(len(times))
+    for sl, psis in evolution_blocks(h, np.stack([psi0, sig0]), times):
+        rho_s, sig_s = reduced_marginals(psis, (d_s, d_b))
+        d_eq[sl], d_isi[sl] = trace_distance(rho_s, omega_s), trace_distance(rho_s, sig_s)
+
     deff_b = effective_dimension(omega_b)
     isi_ctx = BoundContext(d_s=d_s, deff_rho_b=deff_b,
                            deff_sigma_b=effective_dimension(dephased(h, sig0)[2]),
                            delta=delta_pair)
     s_omega = von_neumann_entropy(omega_s)
     return [
-        _bound_row("SUBSYSTEM_EQUILIBRATION", float(trace_distance(rho_s, omega_s).mean()),
+        _bound_row("SUBSYSTEM_EQUILIBRATION", float(d_eq.mean()),
                    BoundContext(d_s=d_s, deff_b=deff_b),
                    check="equilibration_from_pure_product_start"),
-        _bound_row("ISI", float(trace_distance(rho_s, sig_s).mean()), isi_ctx,
+        _bound_row("ISI", float(d_isi.mean()), isi_ctx,
                    check="initial_state_independence", delta_measured=delta_pair),
         _row(s_omega, float(np.log(d_s)) - float(params["entropy_slack"]), "lower",
              check="equilibrium_entropy_near_maximal", log_ds=float(np.log(d_s)),
@@ -954,8 +969,10 @@ def _distance_trajectory_trial(setup, params, seed, k):
     h = setup["h"]
     times = sample_times(h, params["n_times"], trial_stream(seed, k))
     psi0 = setup["psi0"]
-    rho_s = reduced_marginals(pure_state_samples(h, psi0, times), psi0.dims)
-    mean, se = mean_se(trace_distance(rho_s, setup["omega_s"]))
+    dist = np.empty(len(times))
+    for sl, psis in evolution_blocks(h, psi0, times):
+        dist[sl] = trace_distance(reduced_marginals(psis, psi0.dims), setup["omega_s"])
+    mean, se = mean_se(dist)
     return _row(mean, setup["bound"], "upper", stderr=se,
                 initial_distance=trace_distance(psi0.reduced("S"), setup["omega_s"]))
 

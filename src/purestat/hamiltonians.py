@@ -132,27 +132,33 @@ class Hamiltonian:
 
 
 # 2 pi as five pieces of 26 significant bits each (their sum is 2 pi to
-# 1e-40): a multiple k of a piece is exact whenever |k| < 2^26.
+# 1e-40): a multiple k of a piece is exact whenever |k| < 2^26.  The pi/2
+# pieces are the same bits scaled by the exact power of two 1/4.
 _TWO_PI_PIECES = tuple(float.fromhex(c) for c in (
     "0x1.921fb50000000p+2", "0x1.110b460000000p-24", "0x1.1a62630000000p-52",
     "0x1.8a2e030000000p-79", "0x1.c1cd128000000p-105"))
+_HALF_PI_PIECES = tuple(0.25 * c for c in _TWO_PI_PIECES)
 _K_SPLIT = float(2 ** 26)
 _PHASE_LIMIT = float(2 ** 52)   # largest |E t| phase_factors accepts (exclusive)
 _PHASE_BLOCK = 256             # times per block in phase_factors
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])   # i^(k mod 4)
 
 
 def phase_factors(energies, times) -> np.ndarray:
     """exp(-i E_k t) for every time (rows) and energy (columns).
 
-    The argument x = E t is reduced modulo 2 pi before cos and sin see it:
-    k = rint(x / 2 pi) is split into two 26-bit halves (with trunc, so
+    The argument y = -E t is reduced modulo pi/2 before cos and sin see it:
+    k = rint(y 2/pi) is split into two 26-bit halves (with trunc, so
     negative k splits exactly too) and every product of a half with a piece
-    of _TWO_PI_PIECES is exact, so the reduced argument in [-pi, pi] is off
-    by at most a few ulp of pi (< 1e-15) at any |x| < 2^52.  Beyond that
-    doubles are spaced >= 1 apart and carry no phase, so a largest |E t| of
-    _PHASE_LIMIT or more raises ValueError.  The work runs _PHASE_BLOCK
-    times at a time so the temporaries stay in cache.  Returns
-    times.shape + (d,): (n_times, d) for a time vector, (d,) for one time.
+    of _HALF_PI_PIECES is exact, so the reduced argument r in [-pi/4, pi/4]
+    is off by at most a few ulp of pi (< 1e-15) at any |y| < 2^52.  The
+    phase is then (cos r + i sin r) i^k: a product with 1, i, -1 or -i is
+    exact, and the high half of k is a multiple of 2^26, so the low half
+    alone fixes k mod 4.  Beyond 2^52 doubles are spaced >= 1 apart and
+    carry no phase, so a largest |E t| of _PHASE_LIMIT or more raises
+    ValueError.  The work runs _PHASE_BLOCK times at a time so the
+    temporaries stay in cache.  Returns times.shape + (d,): (n_times, d)
+    for a time vector, (d,) for one time.
     """
     e = np.asarray(energies, dtype=float)
     t = np.asarray(times, dtype=float)
@@ -168,17 +174,18 @@ def phase_factors(energies, times) -> np.ndarray:
     out = np.empty((len(tt), len(e)), dtype=complex)
     for a in range(0, len(tt), _PHASE_BLOCK):
         y = np.multiply.outer(tt[a:a + _PHASE_BLOCK], neg_e)
-        k = np.rint(y * (1 / (2 * np.pi)))
+        k = np.rint(y * (2 / np.pi))
         k_hi = np.trunc(k / _K_SPLIT)
         k_hi *= _K_SPLIT
         k_lo = k - k_hi
         prod = np.empty_like(y)
-        for c in _TWO_PI_PIECES:
+        for c in _HALF_PI_PIECES:
             for half in (k_hi, k_lo):
                 y -= np.multiply(half, c, out=prod)
         block = out[a:a + _PHASE_BLOCK]
         np.cos(y, out=block.real)
         np.sin(y, out=block.imag)
+        block *= _QUARTER_TURNS[k_lo.astype(np.int64) & 3]
     return out.reshape(t.shape + e.shape)
 
 

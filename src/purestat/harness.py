@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -57,6 +58,8 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for "
                              f"{self.experiment_id}; known: {', '.join(sorted(exp.defaults))}")
+        for key, value in self.params.items():
+            _check_type(self.experiment_id, key, value, exp.defaults[key])
         self.params = {**exp.defaults, **self.params}
         for key, low in {"trials": 1, **exp.minimums}.items():
             if int(self.params.get(key, low)) < low:
@@ -75,6 +78,16 @@ class ExperimentSpec:
         payload = json.dumps({"experiment_id": self.experiment_id, "seed": self.seed,
                               "params": self.params}, sort_keys=True, default=repr)
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _check_type(experiment_id: str, key: str, value, default) -> None:
+    """A parameter takes the type of its default: an integer for an integer
+    default, an integer or a float for a float default (never a bool)."""
+    integral = isinstance(default, numbers.Integral)
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{experiment_id}: {key} must be "
+                         f"{'an integer' if integral else 'a number'}, got {value!r}")
 
 
 @dataclass
@@ -298,21 +311,26 @@ def summarize(results_or_dir) -> list[dict]:
 def parse_config(path: str) -> dict:
     """Flat key-value config: one `key = value` per line, # comments (whole
     lines or after a value), comma-separated lists.  Values are parsed as
-    int, then float, then kept as strings; lists become lists of the same."""
+    int, then float, then kept as strings; lists become lists of the same.
+    A line without `=`, an empty key, value or list item and a key set twice
+    raise ValueError naming the file and the line."""
     cfg: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.partition("#")[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if "," in raw:
-                cfg[key] = [_parse_scalar(v.strip()) for v in raw.split(",")]
-            else:
-                cfg[key] = _parse_scalar(raw)
+                raise ValueError(f"{where}: expected 'key = value'")
+            key, _, raw = (part.strip() for part in line.partition("="))
+            items = [v.strip() for v in raw.split(",")]
+            if not key or not all(items):
+                raise ValueError(f"{where}: empty key, value or list item in {line!r}")
+            if key in cfg:
+                raise ValueError(f"{where}: duplicate key {key!r}")
+            values = [_parse_scalar(v) for v in items]
+            cfg[key] = values if len(values) > 1 else values[0]
     return cfg
 
 

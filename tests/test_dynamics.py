@@ -1,5 +1,7 @@
 """Evolution, dephasing, time batches, speeds and rates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from purestat import (
     default_horizon,
     dephase,
     dephased,
+    evolution_blocks,
     evolve,
     finite_difference_purity_rate,
     finite_difference_speed,
@@ -33,6 +36,8 @@ from purestat import (
     trial_stream,
     von_neumann_entropy,
 )
+from purestat.dynamics import _TIME_BLOCK
+from purestat.experiments import EXPERIMENTS
 
 
 def _rand_herm(d, rng):
@@ -373,6 +378,43 @@ def test_coefficient_samples_match_evolve():
         for i, t in enumerate(times):
             ref = h.to_eigenbasis(evolve(state, h, t).vector)
             assert np.abs(cts[j, i] - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 64, 256])
+def test_evolution_blocks_equal_the_one_shot_rows(d):
+    rng = trial_stream(102, 11)
+    h = sample_random_hamiltonian(None, (d, 1), rng)
+    stack = np.stack([sample_haar_state(np.eye(d), rng).vector for _ in range(2)])
+    for initial in (stack[0], stack):
+        c0 = np.array([h.to_eigenbasis(v) for v in np.atleast_2d(initial)])
+        c0 = c0 if initial.ndim == 2 else c0[0]
+        rows = max(1, _TIME_BLOCK // initial.size)   # times per block
+        for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            times = rng.uniform(0.0, 1e6, n)
+            for states, want in ((True, pure_state_samples(h, initial, times)),
+                                 (False, coefficient_samples(h.eigenvalues, c0, times))):
+                got, stop = [], 0
+                for sl, block in evolution_blocks(h, initial, times, states=states):
+                    assert sl.start == stop and 0 < sl.stop - sl.start <= rows
+                    assert block.shape == want[..., sl, :].shape
+                    got.append(block.copy())   # the next block reuses the buffer
+                    stop = sl.stop
+                assert stop == n
+                assert np.concatenate(got, axis=-2).tobytes() == want.tobytes()
+
+
+def test_subsystem_equilibration_memory_does_not_grow_with_the_times():
+    # 20000 times at d = 64: the one-shot time batch and its temporaries peaked
+    # at 41 MB; the time blocks keep it near 2 MB
+    exp = EXPERIMENTS["SUBSYSTEM_EQUILIBRATION"]
+    params = {**exp.defaults, "n_times": 20_000}
+    tracemalloc.start()
+    try:
+        exp.trial(None, params, 7, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("n_times", [5, 32, 75])  # below, at and not a multiple of the chunk

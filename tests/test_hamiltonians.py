@@ -124,6 +124,29 @@ def test_phase_factors_match_exact_reduction():
     assert max(abs(g - _exact_phase(v)) for g, v in zip(got, x)) <= 1e-15
 
 
+def test_phase_factors_quadrant_reduction_matches_exact():
+    # x within 3 ulp of odd multiples of pi/4, where rint(-x 2/pi) switches
+    # quadrant, for every k mod 4 of both signs, and past 2^26 pi/2, where the
+    # high half of k is non-zero
+    half_pi = PI_64 / 2
+    ms = [*range(-8, 8), 2**27 + 3, -(2**27) - 6, 2**40 + 1, -(2**45) - 2, 2**50 + 7]
+    x = []
+    for m in ms:
+        centre = float((2 * m + 1) * PI_64 / 4)
+        x.append(centre)
+        for direction in (math.inf, -math.inf):
+            v = centre
+            for _ in range(3):
+                v = math.nextafter(v, direction)
+                x.append(v)
+    got = phase_factors(np.array(x), 1.0)
+    for g, v in zip(got, x):
+        assert abs(g - _exact_phase(v)) <= 1e-15, v
+    quadrants = {(round(Fraction(-v) / half_pi) % 4, v > 0) for v in x}
+    assert quadrants == set(itertools.product(range(4), (False, True)))
+    assert sum(abs(Fraction(v)) > 2**26 * half_pi for v in x) >= 5 * 7
+
+
 def test_phase_factors_conjugate_symmetry():
     rng = np.random.default_rng(36)
     e = rng.uniform(-5.0, 5.0, 24)

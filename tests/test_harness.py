@@ -76,6 +76,37 @@ def test_parse_config_rejects_garbage(tmp_path):
         parse_config(str(bad))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n_samples = 100\nn_samples = 200\n", r"bad\.cfg:2: duplicate key 'n_samples'"),
+    ("seed = 7\nn_samples =\n", r"bad\.cfg:2: empty key, value or list item"),
+    ("= 5\n", r"bad\.cfg:1: empty key"),
+    ("# note\n\ndims = 2,,32\n", r"bad\.cfg:3: empty key, value or list item"),
+])
+def test_parse_config_rejects_malformed_lines(tmp_path, text, message):
+    # before, a duplicate key kept its last value and an empty value became ''
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        parse_config(str(bad))
+
+
+def test_parameter_values_are_typed_before_compute():
+    # before, "abc" raised only inside the trial and 2.5 trials ran and were hashed
+    with pytest.raises(ValueError, match="LEVY: n_samples must be an integer, got 'abc'"):
+        ExperimentSpec("LEVY", {"n_samples": "abc"})
+    with pytest.raises(ValueError, match="LEVY: trials must be an integer, got 2.5"):
+        ExperimentSpec("LEVY", {"trials": 2.5})
+    with pytest.raises(ValueError, match="trials must be an integer, got True"):
+        ExperimentSpec("LEVY", {"trials": True})
+    for bad in ("0.3", False, None, [0.1, 0.2]):
+        with pytest.raises(ValueError, match="LEVY: epsilon must be a number"):
+            ExperimentSpec("LEVY", {"epsilon": bad})
+    spec = ExperimentSpec("LEVY", {"epsilon": 1, "trials": np.int64(2), "d_r": 16})
+    assert spec.params["epsilon"] == 1 and spec.params["trials"] == 2
+    for experiment_id, exp in EXPERIMENTS.items():
+        ExperimentSpec(experiment_id, dict(exp.defaults))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="invalid experiment_id"):
         ExperimentSpec("NOT_AN_EXPERIMENT")

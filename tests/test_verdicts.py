@@ -112,3 +112,18 @@ def test_marginal_diameter_propagates_a_nan_marginal():
     assert _marginal_diameter(mu) == pytest.approx(max(pairs), abs=1e-15)
     mu[2] = np.nan
     assert math.isnan(_marginal_diameter(mu))
+
+
+def test_marginal_diameter_batches_equal_one_batch(monkeypatch):
+    rng = np.random.default_rng(403)
+    g = rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2))
+    mu = g @ np.conj(np.swapaxes(g, 1, 2))
+    mu /= np.trace(mu, axis1=1, axis2=2).real[:, None, None]
+    one = _marginal_diameter(mu)   # 780 pairs: one batch
+    rows = [np.abs(np.linalg.eigvalsh(mu[i] - mu[i + 1:])).sum(axis=-1).max() / 2
+            for i in range(len(mu) - 1)]
+    assert one == max(rows)
+    for entries in (4, 12, 4 * 779, 4 * 780):   # 1, 3, 779 and 780 pairs per batch
+        monkeypatch.setattr(experiments, "_PAIR_BLOCK", entries)
+        assert _marginal_diameter(mu) == one
+    assert _marginal_diameter(mu[:1]) == 0.0
