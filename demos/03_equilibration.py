@@ -16,13 +16,13 @@ from purestat import (
     effective_dimension,
     evaluate_bound,
     expectation_values,
-    pure_state_samples,
     purity,
     reduced_marginals,
     sample_haar_state,
     sample_random_hamiltonian,
     sample_times,
     stream,
+    time_map,
     trace_distance,
     write_trajectory_csv,
 )
@@ -52,8 +52,8 @@ print(f"bound on the time-averaged distance: (1/2) sqrt(d_S/d_eff(omega^B)) "
 
 width = float(h.eigenvalues[-1] - h.eigenvalues[0])
 grid = np.linspace(0.0, 80.0 / width, 300)[1:]
-dist = trace_distance(reduced_marginals(pure_state_samples(h, psi0, grid), psi0.dims),
-                      omega_s)
+dist = time_map(h, psi0, grid,
+                lambda psis: trace_distance(reduced_marginals(psis, psi0.dims), omega_s))
 write_trajectory_csv("equilibration_trajectory.csv", grid,
                      {"distance": dist, "bound": np.full(len(grid), bound)})
 
@@ -67,9 +67,9 @@ times = sample_times(h, 1000, rng)
 a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
 a = (a + a.conj().T) / 2
 a /= np.abs(np.linalg.eigvalsh(a)).max()
-psis = pure_state_samples(h, psi0, times)
-x = expectation_values(psis, a)
-p_s = purity(reduced_marginals(psis, psi0.dims))
+# time_map hands each bounded block of evolved states to the function
+x, p_s = time_map(h, psi0, times, lambda psis: (
+    expectation_values(psis, a), purity(reduced_marginals(psis, psi0.dims))))
 x_eq = float(np.trace(a @ omega.matrix).real)
 print(f"\nReimann: time variance of Tr[A rho_t] = {np.mean((x - x_eq)**2):.2e}  "
       f"<= |A|^2/d_eff = {1/deff:.2e}")

@@ -17,12 +17,12 @@ from purestat import (
     evaluate_bound,
     finite_difference_purity_rate,
     finite_difference_speed,
-    pure_state_samples,
     purity,
     reduced_rates,
     sample_product_state,
     stream,
     compose_hamiltonian,
+    time_map,
     von_neumann_entropy,
 )
 
@@ -56,15 +56,15 @@ print(f"|H_SB| = {parts.norm_hsb():.3f}, |H_S x 1 + H_SB| = "
 print(f"{'t':>6} {'v_S(t)':>10} {'fd check':>10} {'dp/dt':>10} {'fd check':>10} "
       f"{'6.3 ratio':>10}")
 
-# the whole trajectory at once: one batch of states, then the batched rates
+# the batched rates of each block of evolved states along the trajectory
 ts = np.linspace(0.5, 25.0, 15)
-traj = reduced_rates(pure_state_samples(h, psi0, ts), parts)
-speeds, dps = traj.speeds(), traj.purity_rates()
+speeds, dps, rho_s = time_map(h, psi0, ts, lambda psis: (
+    (r := reduced_rates(psis, parts)).speeds(), r.purity_rates(), r.rho_s))
 v_fd = finite_difference_speed(h, psi0, ts)
 dp_fd = finite_difference_purity_rate(h, psi0, ts)
 # the global state is pure, so I_SB = 2 S(rho^S_t)
-entropies = von_neumann_entropy(traj.rho_s)
-for i, (t, p_s) in enumerate(zip(ts, purity(traj.rho_s))):
+entropies = von_neumann_entropy(rho_s)
+for i, (t, p_s) in enumerate(zip(ts, purity(rho_s))):
     instant = evaluate_bound("PURITY_RATE_INSTANT", BoundContext(
         purity_s=p_s, mutual_info=2 * entropies[i], norm_hsb=parts.norm_hsb()))
     print(f"{t:6.1f} {speeds[i]:10.4f} {v_fd[i]:10.4f} {dps[i]:10.4f} {dp_fd[i]:10.4f} "

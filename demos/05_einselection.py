@@ -16,13 +16,13 @@ from purestat import (
     compose_hamiltonian,
     max_pairing_offdiagonal_sum,
     pointer_hamiltonian,
-    pure_state_samples,
     reduced_marginals,
     reduced_rates,
     sample_haar_state,
     sample_product_state,
     sample_times,
     stream,
+    time_map,
 )
 
 rng = stream(20260810, 4)
@@ -49,7 +49,7 @@ rho0 = psi0.reduced("S").matrix
 
 print(f"{'t':>6} {'diag drift':>12} {'|coherence|':>12}")
 ts = np.array([0.0, 1.0, 5.0, 20.0, 80.0, 200.0])
-for t, rho_t in zip(ts, reduced_marginals(pure_state_samples(h, psi0, ts), psi0.dims)):
+for t, rho_t in zip(ts, time_map(h, psi0, ts, lambda psis: reduced_marginals(psis, psi0.dims))):
     drift = np.abs(np.diag(rho_t) - np.diag(rho0)).max()
     print(f"{t:6.0f} {drift:12.2e} {abs(rho_t[0, 1]):12.4f}")
 print("populations frozen to machine precision; the coherence decays to the "
@@ -67,10 +67,11 @@ h_w = parts_w.assembled
 psi0_w = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
 
 times = sample_times(h_w, 200, rng)
-traj = reduced_rates(pure_state_samples(h_w, psi0_w, times), parts_w)
-rho_in_hs = w_s.conj().T @ traj.rho_s @ w_s        # rho^S_t in the H_S eigenbasis
+speeds, rho_s = time_map(h_w, psi0_w, times, lambda psis: (
+    (r := reduced_rates(psis, parts_w)).speeds(), r.rho_s))
+rho_in_hs = w_s.conj().T @ rho_s @ w_s             # rho^S_t in the H_S eigenbasis
 pairings = np.array([max_pairing_offdiagonal_sum(e_s, r) for r in rho_in_hs])
-worst = float((pairings / (parts_w.norm_hsb() + traj.speeds())).max())
+worst = float((pairings / (parts_w.norm_hsb() + speeds)).max())
 offdiag = np.abs(rho_in_hs[:, 0, 1])
 
 print(f"|H_SB| = {parts_w.norm_hsb():.4f}  vs subsystem gap {gap:.3f}")

@@ -14,11 +14,11 @@ from purestat import (
     dephased,
     effective_dimension,
     evaluate_bound,
-    pure_state_samples,
     reduced_marginals,
     sample_random_hamiltonian,
     sample_times,
     stream,
+    time_map,
     trace_distance,
     von_neumann_entropy,
 )
@@ -35,7 +35,8 @@ starts = np.stack([psi0, sig0])
 
 def marginals(times):
     """rho^S_t and sigma^S_t at the given times, each (n_times, d_S, d_S)."""
-    return reduced_marginals(pure_state_samples(h, starts, times), (d_s, d_b))
+    rho = time_map(h, starts, times, lambda psis: reduced_marginals(psis, (d_s, d_b)))
+    return rho[:, 0], rho[:, 1]
 
 
 probs, omega_s, omega_b = dephased(h, psi0)

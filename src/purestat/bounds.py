@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "THEOREMS",
+    "TheoremEntry",
     "BoundContext",
     "BoundReport",
     "evaluate_bound",

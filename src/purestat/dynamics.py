@@ -18,9 +18,7 @@ __all__ = [
     "dephased",
     "default_horizon",
     "sample_times",
-    "coefficient_samples",
-    "pure_state_samples",
-    "evolution_blocks",
+    "time_map",
     "reduced_marginals",
     "write_trajectory_csv",
     "subsystem_speed",
@@ -35,7 +33,7 @@ __all__ = [
 def evolve(state, h: Hamiltonian, t: float):
     """Evolve a PureState or DensityMatrix for time t in the eigenbasis of H."""
     if isinstance(state, PureState):
-        v = pure_state_samples(h, state, [t])[0]
+        v = time_map(h, state, [t], np.copy)[0]
         v /= np.linalg.norm(v)  # remove float drift, |err| ~ 1e-16
         return PureState(v, dims=state.dims)
     if isinstance(state, DensityMatrix):
@@ -120,21 +118,6 @@ def sample_times(h: Hamiltonian, n: int, rng: np.random.Generator) -> np.ndarray
     return rng.uniform(0.0, default_horizon(h), int(n))
 
 
-def coefficient_samples(energies, c0, times, out=None) -> np.ndarray:
-    """Eigenbasis coefficients c_k exp(-i E_k t) at the given times, one row per time.
-
-    c0 is one coefficient vector (d,) or a stack of them (m, d); the phase
-    matrix exp(-i E t) comes from phase_factors (exact mod-pi/2 reduction,
-    |E t| < 2^52) and is built once and shared by the stack.  Returns
-    (n_times, d) for one vector and (m, n_times, d) for a stack, written
-    into out if given.
-    """
-    phases = phase_factors(energies, np.ravel(times))
-    # keep the c0 * phases operand order: numpy's complex product is not
-    # bitwise symmetric, and swapping it moves every trajectory CSV's last bits
-    return np.multiply(np.asarray(c0, dtype=complex)[..., None, :], phases, out=out)
-
-
 def _eigen_coefficients(h: Hamiltonian, initial) -> tuple[np.ndarray, bool]:
     """c0 = (<E_k|psi>)_k of every initial state as an (m, d) stack, and
     whether initial was a stack (rather than a PureState or one vector)."""
@@ -147,62 +130,54 @@ def _eigen_coefficients(h: Hamiltonian, initial) -> tuple[np.ndarray, bool]:
     return np.array([h.to_eigenbasis(v) for v in np.atleast_2d(vecs)]), vecs.ndim == 2
 
 
-def _states(h: Hamiltonian, cts: np.ndarray, out=None) -> np.ndarray:
-    """State vectors from a stack of coefficient rows, in one GEMM."""
-    flat = None if out is None else out.reshape(-1, h.dim)
-    return np.matmul(cts.reshape(-1, h.dim), h.eigenbasis.T, out=flat).reshape(cts.shape)
+_TIME_BLOCK = 1 << 13   # coefficients per block of time_map
 
 
-def pure_state_samples(h: Hamiltonian, initial, times) -> np.ndarray:
-    """State vectors psi_t = exp(-iHt) psi_0 at the given times, one per row.
+def time_map(h: Hamiltonian, initial, times, fn, states: bool = True):
+    """fn of the evolved states psi_t = exp(-iHt) psi_0, one block of times at a time.
 
     initial is a PureState, one state vector (d,) or a stack of them (m, d).
-    The coefficients come from coefficient_samples, so the whole stack shares
-    one phase matrix and evolves in one GEMM.  Returns (n_times, d) for a
-    single state and (m, n_times, d) for a stack.  evolution_blocks yields
-    the same rows a bounded block of times at a time.
-    """
-    c0, stacked = _eigen_coefficients(h, initial)
-    psis = _states(h, coefficient_samples(h.eigenvalues, c0, times))
-    return psis if stacked else psis[0]
-
-
-_TIME_BLOCK = 1 << 13   # coefficients per block of evolution_blocks
-
-
-def evolution_blocks(h: Hamiltonian, initial, times, states: bool = True):
-    """Yield (sl, block) for consecutive slices sl of times, in order.
-
-    block is what pure_state_samples(h, initial, times[sl]) returns, rows
-    bitwise equal to the one-shot call's; with states=False it is the
-    eigenbasis coefficients c0 exp(-iEt) of coefficient_samples instead.
-    A block holds at most _TIME_BLOCK coefficients (but at least one time)
-    and is written into buffers reused by the next block, so memory does not
-    grow with the number of times: reduce each block before taking the next.
+    fn receives each block with its times on axis 0: (n_b, d) for one state,
+    (n_b, m, d) for a stack; with states=False the eigenbasis coefficients
+    c0 exp(-iEt) instead of the state vectors.  It returns an array, or a
+    tuple of arrays, with the block's times on axis 0; those are copied into
+    (n_times, ...) outputs at once, so fn may return views of the block.  A
+    block holds at most _TIME_BLOCK coefficients (but at least one time) and
+    is written into buffers reused by the next block, so memory does not
+    grow with the number of times.  The whole stack shares one phase matrix
+    per block (hamiltonians.phase_factors) and evolves in one GEMM.
     """
     c0, stacked = _eigen_coefficients(h, initial)
     times = np.ravel(times)
+    if not len(times):
+        raise ValueError("time_map needs at least one time")
     m, d = c0.shape
     rows = max(1, min(len(times), _TIME_BLOCK // (m * d)))
-    edges = list(range(0, len(times), rows)) + [len(times)]
-    if len(edges) > 2 and rows > 1 and m * (edges[-1] - edges[-2]) == 1:
-        # a one-row GEMM goes through GEMV and rounds differently from the
-        # one-shot call: the last block takes one time from the block before
-        edges[-2] -= 1
-    bufs = [np.empty(m * rows * d, dtype=complex) for _ in range(1 + states)]
-    for a, b in zip(edges[:-1], edges[1:]):
-        views = [buf[:m * (b - a) * d].reshape(m, b - a, d) for buf in bufs]
-        block = coefficient_samples(h.eigenvalues, c0, times[a:b], out=views[0])
+    bufs = [np.empty(rows * m * d, dtype=complex) for _ in range(1 + states)]
+    outs = None
+    for a in range(0, len(times), rows):
+        t = times[a:a + rows]
+        views = [buf[:len(t) * m * d].reshape(len(t), m, d) for buf in bufs]
+        # keep the c0 * phases operand order: numpy's complex product is not
+        # bitwise symmetric, and swapping it moves every trajectory CSV's last bits
+        block = np.multiply(c0, phase_factors(h.eigenvalues, t)[:, None, :], out=views[0])
         if states:
-            block = _states(h, block, out=views[1])
-        yield slice(a, b), block if stacked else block[0]
+            block = np.matmul(block.reshape(-1, d), h.eigenbasis.T,
+                              out=views[1].reshape(-1, d)).reshape(block.shape)
+        res = fn(block if stacked else block[:, 0])
+        parts = res if isinstance(res, tuple) else (res,)
+        if outs is None:
+            outs = [np.empty((len(times),) + p.shape[1:], dtype=p.dtype) for p in parts]
+        for out, p in zip(outs, parts):
+            out[a:a + len(t)] = p
+    return tuple(outs) if isinstance(res, tuple) else outs[0]
 
 
 def reduced_marginals(psis, dims: tuple[int, int], bath_purity: bool = False):
     """rho^S_t = Tr_B |psi_t><psi_t| for every state vector psi_t in psis.
 
     psis has the state vectors on its last axis; the leading axes (time, or
-    stack and time) are kept, so the result is (..., d_S, d_S).  With
+    time and stack) are kept, so the result is (..., d_S, d_S).  With
     bath_purity, also returns p^B_t = Tr[(rho^B_t)^2] with the leading
     shape.  rho^B is formed for max(1, _TIME_BLOCK // d_B^2) times at a
     time, so no (n_times, d_B, d_B) array exists and each chunk is small
@@ -327,12 +302,12 @@ def purity_rate(rho, parts: CompositeHamiltonian) -> float:
 
 def _central_difference(h: Hamiltonian, state: PureState, t, delta, change):
     """change(rho^S_{t-delta}, rho^S_{t+delta}) / (2 delta) at one time (a
-    float) or at every time of an array, from one pure_state_samples call."""
+    float) or at every time of an array, from one time_map pass."""
     if delta is None:
         delta = 1e-6 / max(np.abs(h.eigenvalues).max(), 1.0)
     ts = np.ravel(t)
-    psis = pure_state_samples(h, state, np.concatenate([ts - delta, ts + delta]))
-    rho_s = reduced_marginals(psis, state.dims)
+    rho_s = time_map(h, state, np.concatenate([ts - delta, ts + delta]),
+                     lambda psis: reduced_marginals(psis, state.dims))
     x = change(rho_s[:len(ts)], rho_s[len(ts):]) / (2 * delta)
     return float(x[0]) if np.ndim(t) == 0 else x
 

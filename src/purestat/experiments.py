@@ -28,15 +28,13 @@ from .bounds import (
 )
 from .dynamics import (
     ReducedRates,
-    coefficient_samples,
     dephased,
-    evolution_blocks,
     finite_difference_purity_rate,
     finite_difference_speed,
-    pure_state_samples,
     reduced_marginals,
     reduced_rates,
     sample_times,
+    time_map,
     write_trajectory_csv,
 )
 from .ensembles import (
@@ -54,7 +52,7 @@ from .ensembles import (
     trial_stream,
     trial_streams,
 )
-from .hamiltonians import compose_hamiltonian, pointer_hamiltonian
+from .hamiltonians import Hamiltonian, compose_hamiltonian, pointer_hamiltonian
 from .linalg import commutator, dagger, trace_norm
 from .states import (
     MacroObservableSet,
@@ -432,9 +430,7 @@ def _expectation_equilibration_trial(setup, params, seed, k):
     h, psi0, probs, times, deff, rng = _equilibration_trial_base(params, seed, k)
     a = _gue(h.dim, rng)
     a_eig = h.to_eigenbasis(a)
-    x = np.empty(len(times))
-    for sl, cts in evolution_blocks(h, psi0, times, states=False):
-        x[sl] = expectation_values(cts, a_eig)
+    x = time_map(h, psi0, times, lambda cts: expectation_values(cts, a_eig), states=False)
     x_omega = float(probs @ np.diag(a_eig).real)
     lhs, se = mean_se((x - x_omega) ** 2)
     return _bound_row("EXPECTATION_EQUILIBRATION", lhs, BoundContext(norm_a=1.0, deff=deff),
@@ -443,9 +439,10 @@ def _expectation_equilibration_trial(setup, params, seed, k):
 
 def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, bound):
     """Fig-style D(rho^S_t, omega^S) on a time grid, as <ID>_trajectory.csv."""
-    rho_s = reduced_marginals(pure_state_samples(h, psi0, grid), psi0.dims)
+    dist = time_map(h, psi0, grid, lambda psis: trace_distance(
+        reduced_marginals(psis, psi0.dims), omega_s))
     path = os.path.join(out_dir, f"{experiment_id}_trajectory.csv")
-    write_trajectory_csv(path, grid, {"distance": trace_distance(rho_s, omega_s),
+    write_trajectory_csv(path, grid, {"distance": dist,
                                       "bound": np.full(len(grid), bound)})
     return {"trajectory": path}
 
@@ -454,9 +451,8 @@ def _subsystem_equilibration_trial(setup, params, seed, k):
     d_s = int(params["d_s"])
     h, psi0, _, times, deff, _ = _equilibration_trial_base(params, seed, k)
     _, omega_s, omega_b = dephased(h, psi0)
-    dist = np.empty(len(times))
-    for sl, psis in evolution_blocks(h, psi0, times):
-        dist[sl] = trace_distance(reduced_marginals(psis, psi0.dims), omega_s)
+    dist = time_map(h, psi0, times, lambda psis: trace_distance(
+        reduced_marginals(psis, psi0.dims), omega_s))
     deff_b = effective_dimension(omega_b)
     lhs, se = mean_se(dist)
     return _bound_row("SUBSYSTEM_EQUILIBRATION", lhs, BoundContext(d_s=d_s, deff_b=deff_b),
@@ -478,10 +474,11 @@ def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
 def _purity_equilibration_trial(setup, params, seed, k):
     d_s = int(params["d_s"])
     h, psi0, _, times, deff, _ = _equilibration_trial_base(params, seed, k)
-    p_s, p_b = np.empty(len(times)), np.empty(len(times))
-    for sl, psis in evolution_blocks(h, psi0, times):
-        rho_s, p_b[sl] = reduced_marginals(psis, psi0.dims, bath_purity=True)
-        p_s[sl] = purity(rho_s)
+
+    def purities(psis):
+        rho_s, p_b = reduced_marginals(psis, psi0.dims, bath_purity=True)
+        return purity(rho_s), p_b
+    p_s, p_b = time_map(h, psi0, times, purities)
     max_sb_diff = float(np.abs(p_s - p_b).max())
     p_omega = purity(dephased(h, psi0)[1])
     lhs = abs(float(p_s.mean()) - p_omega)
@@ -506,7 +503,9 @@ def _ergodicity_setup(params, seed):
     diag_band = np.diag(b_eig).real[band]
     block = b_eig[np.ix_(band, band)]
     mc_mean = float(diag_band.mean())
-    return {"h": h, "band": band, "diag_band": diag_band, "block": block,
+    # the band's own Hamiltonian: the cross-check evolves d_r coefficients, not d
+    window = Hamiltonian(h.eigenvalues[band], np.eye(d_r))
+    return {"h": h, "window": window, "diag_band": diag_band, "block": block,
             "mc_mean": mc_mean, "norm_dephased": float(np.abs(np.diag(b_eig).real).max()),
             "d_r": d_r}
 
@@ -530,8 +529,9 @@ def _ergodicity_block(setup, params, seed, ks):
     x_mean = [None] * len(a)
     for i, k in enumerate(ks):
         if k in times:
-            ct = coefficient_samples(h.eigenvalues[setup["band"]], a[i], times[k])
-            x_mean[i] = float(expectation_values(ct, setup["block"]).mean())
+            x = time_map(setup["window"], a[i], times[k],
+                         lambda ct: expectation_values(ct, setup["block"]), states=False)
+            x_mean[i] = float(x.mean())
     return list(zip(lhs, x_mean))
 
 
@@ -574,7 +574,14 @@ def _sample_composite(params, rng):
     raise RuntimeError("could not draw a non-resonant composite Hamiltonian")
 
 
-def _speed_pipeline(params, seed, k):
+def _rates_map(parts, psi0, times, fn):
+    """fn(reduced_rates(psi_t)) over the time blocks of time_map."""
+    return time_map(parts.assembled, psi0, times, lambda psis: fn(reduced_rates(psis, parts)))
+
+
+def _speed_pipeline(params, seed, k, fn):
+    """One trial's composite H and product psi0, and fn of the reduced rates
+    at its sampled times."""
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
     parts = _sample_composite(params, rng)
@@ -582,13 +589,11 @@ def _speed_pipeline(params, seed, k):
     psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
     deff = float(1.0 / (dephased(h, psi0, marginals=False) ** 2).sum())
     times = sample_times(h, params["n_times"], rng)
-    rates = reduced_rates(pure_state_samples(h, psi0, times), parts)
-    return parts, psi0, rates, deff
+    return parts, psi0, _rates_map(parts, psi0, times, fn), deff
 
 
 def _speed_trial(setup, params, seed, k):
-    parts, psi0, rates, deff = _speed_pipeline(params, seed, k)
-    v = rates.speeds()
+    parts, psi0, v, deff = _speed_pipeline(params, seed, k, ReducedRates.speeds)
     ctx = BoundContext(norm_hs_plus_hsb=parts.norm_hs_plus_hsb(),
                        d_s=int(params["d_s"]), deff=deff)
     fd_ok, fd_err = _fd_check(ReducedRates.speeds, finite_difference_speed,
@@ -609,15 +614,14 @@ def _fd_check(rate, fd_fn, floor, psi0, parts, params):
     # formula is time-independent so any instants serve as a cross-check
     scale = float(np.abs(h.eigenvalues).max())
     ts = np.linspace(0.5, 8.0, int(params["fd_checks"])) / scale
-    analytic = rate(reduced_rates(pure_state_samples(h, psi0, ts), parts))
+    analytic = _rates_map(parts, psi0, ts, rate)
     gaps = np.abs(fd_fn(h, psi0, ts) - analytic) / np.maximum(np.abs(analytic), floor)
     worst = float(np.max(gaps, initial=0.0))
     return verdict(worst, float(params["fd_rtol"]), "upper"), worst
 
 
 def _purity_rate_avg_trial(setup, params, seed, k):
-    parts, psi0, rates, deff = _speed_pipeline(params, seed, k)
-    dp = rates.purity_rates()
+    parts, psi0, dp, deff = _speed_pipeline(params, seed, k, ReducedRates.purity_rates)
     ctx = BoundContext(norm_hsb=parts.norm_hsb(), d_s=int(params["d_s"]), deff=deff)
     fd_ok, fd_err = _fd_check(ReducedRates.purity_rates, finite_difference_purity_rate,
                               1e-3 * 2 * parts.norm_hsb(), psi0, parts, params)
@@ -628,13 +632,13 @@ def _purity_rate_avg_trial(setup, params, seed, k):
 
 
 def _purity_rate_instant_trial(setup, params, seed, k):
-    parts, _, rates, deff = _speed_pipeline(params, seed, k)
-    dp = rates.purity_rates()
+    parts, _, (dp, rho_s), deff = _speed_pipeline(
+        params, seed, k, lambda rates: (rates.purity_rates(), rates.rho_s))
     norm_hsb = parts.norm_hsb()
     # the global state is pure, so I_SB = 2 S(rho^S_t)
     rhs_t = np.array([evaluate_bound("PURITY_RATE_INSTANT", BoundContext(
         purity_s=p, mutual_info=2 * s, norm_hsb=norm_hsb))
-        for p, s in zip(purity(rates.rho_s), von_neumann_entropy(rates.rho_s))])
+        for p, s in zip(purity(rho_s), von_neumann_entropy(rho_s))])
     floor = 1e-12 * norm_hsb
     ratios = np.abs(dp) / np.maximum(rhs_t, floor)
     ratios[np.abs(dp) <= floor] = 0.0
@@ -671,9 +675,8 @@ def _slow_states_run(params, rng, coupling):
     h = parts.assembled
     psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
     times = sample_times(h, params["n_times"], rng)
-    rates = reduced_rates(pure_state_samples(h, psi0, times), parts)
-    speeds = rates.speeds()
-    rho_in_hs = dagger(w_s) @ rates.rho_s @ w_s
+    speeds, rho_in_hs = _rates_map(parts, psi0, times, lambda rates: (
+        rates.speeds(), dagger(w_s) @ rates.rho_s @ w_s))
     pairings = np.array([max_pairing_offdiagonal_sum(e_s, r) for r in rho_in_hs])
     norm_hsb = parts.norm_hsb()
     return pairings / (norm_hsb + speeds), speeds, rho_in_hs, e_s, norm_hsb
@@ -700,7 +703,7 @@ def _einselection_rows(setup, params, seed, k):
     rho_s0 = np.outer(psi_s.vector, psi_s.vector.conj())
     psi0 = PureState(np.kron(psi_s.vector, psi_b.vector), dims=(d_s, d_b))
     grid = np.linspace(0.0, float(params["t_max"]), int(params["grid"]))[1:]
-    rho_s_t = reduced_marginals(pure_state_samples(h, psi0, grid), (d_s, d_b))
+    rho_s_t = time_map(h, psi0, grid, lambda psis: reduced_marginals(psis, (d_s, d_b)))
 
     diag_drift = float(np.abs(
         np.diagonal(rho_s_t, axis1=1, axis2=2) - np.diag(rho_s0)[None, :]).max())
@@ -718,7 +721,7 @@ def _einselection_rows(setup, params, seed, k):
     # equal-blocks control: no decoherence at all
     parts_eq = pointer_hamiltonian(d_s, [blocks[0]] * d_s)
     h_eq = parts_eq.assembled
-    rho_eq_t = reduced_marginals(pure_state_samples(h_eq, psi0, grid), (d_s, d_b))
+    rho_eq_t = time_map(h_eq, psi0, grid, lambda psis: reduced_marginals(psis, (d_s, d_b)))
     drift_eq = float(np.abs(rho_eq_t - rho_s0[None, :, :]).max())
 
     # generic weak-coupling variant: slow-states bound + off-diagonal consequence
@@ -771,10 +774,11 @@ def _isi_trial(setup, params, seed, k):
     phi /= np.linalg.norm(phi)
 
     times = sample_times(h, params["n_times"], rng)
-    dist = np.empty(len(times))
-    for sl, psis in evolution_blocks(h, np.stack([psi, phi]), times):
-        rho_s, sig_s = reduced_marginals(psis, (d_s, d_b))
-        dist[sl] = trace_distance(rho_s, sig_s)
+
+    def distances(psis):
+        rho = reduced_marginals(psis, (d_s, d_b))
+        return trace_distance(rho[:, 0], rho[:, 1])
+    dist = time_map(h, np.stack([psi, phi]), times, distances)
     ctx = BoundContext(d_s=d_s, deff_rho_b=effective_dimension(dephased(h, psi)[2]),
                        deff_sigma_b=effective_dimension(dephased(h, phi)[2]), delta=delta_pair)
     mean, se = mean_se(dist)
@@ -899,9 +903,7 @@ def _eq_time_purity_trial(setup, params, seed, k):
     norm_hsb = parts.norm_hsb()
     t_max = float(params["t_max_over_coupling"]) / norm_hsb
     grid = np.linspace(0.0, t_max, int(params["grid"]))[1:]
-    p_t = np.empty(len(grid))
-    for sl, psis in evolution_blocks(h, psi0, grid):
-        p_t[sl] = purity(reduced_marginals(psis, (d_s, d_b)))
+    p_t = time_map(h, psi0, grid, lambda psis: purity(reduced_marginals(psis, (d_s, d_b))))
     below = np.nonzero(p_t <= p_eq)[0]
     crossed = bool(len(below))
     # without a crossing on the grid the crossing time is only known to be
@@ -930,10 +932,11 @@ def _second_law_rows(setup, params, seed, k):
     sig0 = np.zeros(d, dtype=complex); sig0[d_b] = 1.0        # |1>_S |0>_B
     times = sample_times(h, params["n_times"], rng)
     _, omega_s, omega_b = dephased(h, psi0)
-    d_eq, d_isi = np.empty(len(times)), np.empty(len(times))
-    for sl, psis in evolution_blocks(h, np.stack([psi0, sig0]), times):
-        rho_s, sig_s = reduced_marginals(psis, (d_s, d_b))
-        d_eq[sl], d_isi[sl] = trace_distance(rho_s, omega_s), trace_distance(rho_s, sig_s)
+
+    def distances(psis):
+        rho = reduced_marginals(psis, (d_s, d_b))
+        return trace_distance(rho[:, 0], omega_s), trace_distance(rho[:, 0], rho[:, 1])
+    d_eq, d_isi = time_map(h, np.stack([psi0, sig0]), times, distances)
 
     deff_b = effective_dimension(omega_b)
     isi_ctx = BoundContext(d_s=d_s, deff_rho_b=deff_b,
@@ -969,9 +972,8 @@ def _distance_trajectory_trial(setup, params, seed, k):
     h = setup["h"]
     times = sample_times(h, params["n_times"], trial_stream(seed, k))
     psi0 = setup["psi0"]
-    dist = np.empty(len(times))
-    for sl, psis in evolution_blocks(h, psi0, times):
-        dist[sl] = trace_distance(reduced_marginals(psis, psi0.dims), setup["omega_s"])
+    dist = time_map(h, psi0, times, lambda psis: trace_distance(
+        reduced_marginals(psis, psi0.dims), setup["omega_s"]))
     mean, se = mean_se(dist)
     return _row(mean, setup["bound"], "upper", stderr=se,
                 initial_distance=trace_distance(psi0.reduced("S"), setup["omega_s"]))
@@ -990,7 +992,7 @@ def _distance_trajectory_artifacts(setup, params, seed, out_dir):
 # registry
 # ---------------------------------------------------------------------------
 
-_MC_DEFAULTS = {"d_r": 32, "rank_b": 0, "n_samples": 100_000, "trials": 1, "n_boot": 200}
+_MC_DEFAULTS = {"d_r": 32, "rank_b": 0, "n_samples": 100_000, "trials": 1}
 
 
 def _bipartite(params) -> int:
@@ -1013,7 +1015,7 @@ def _register(exp: ExperimentDef):
 _register(ExperimentDef(
     "MC_VARIANCE_IDENTITY",
     "variance of Tr[B psi] over Haar states equals the microcanonical variance / (d_R+1)",
-    dict(_MC_DEFAULTS), _mc_setup, _mc_variance_identity_trial,
+    {**_MC_DEFAULTS, "n_boot": 200}, _mc_setup, _mc_variance_identity_trial,
     dimension=_param("d_r"), minimums={"n_samples": 2, "n_boot": 2}))
 
 _register(ExperimentDef(
@@ -1027,21 +1029,21 @@ _register(ExperimentDef(
     "tail of |sigma^2_psi - sigma^2_mc| vs the two-term concentration bound",
     {**_MC_DEFAULTS, "n_samples": 20_000, "epsilon": 0.1},
     _mc_setup, _mc_variance_concentration_trial,
-    dimension=_param("d_r")))
+    dimension=_param("d_r"), minimums={"n_samples": 1}))
 
 _register(ExperimentDef(
     "COARSE_GRAINED",
     "deviation of all coarse macro observables at once vs the union bound",
     {"d": 64, "d_r": 32, "m": 4, "n_samples": 20_000, "epsilon": 0.2, "trials": 1},
     _coarse_grained_setup, _coarse_grained_trial,
-    dimension=_param("d")))
+    dimension=_param("d"), minimums={"n_samples": 1}))
 
 _register(ExperimentDef(
     "CANONICAL_REDUCTION",
     "trace distance of reduced random states from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 32, "n_samples": 2000, "epsilon": 0.1, "trials": 1},
     _canonical_reduction_setup, _canonical_reduction_trial,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"n_samples": 1}))
 
 _register(ExperimentDef(
     "DEFF_SUBSPACE_MEAN",
@@ -1091,7 +1093,7 @@ _register(ExperimentDef(
     "time-averaged subsystem purity vs purity of the dephased state",
     {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000},
     None, _purity_equilibration_trial,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"n_times": 1}))
 
 _register(ExperimentDef(
     "ERGODICITY",
@@ -1099,7 +1101,8 @@ _register(ExperimentDef(
     {"d": 128, "d_r": 64, "trials": 2000, "crosscheck_trials": 3,
      "crosscheck_times": 4000, "crosscheck_tol": 1e-2},
     _ergodicity_setup, _ergodicity_trial, _ergodicity_summary,
-    dimension=_param("d"), minimums={"trials": 2}, block=_ergodicity_block))
+    dimension=_param("d"), minimums={"trials": 2, "crosscheck_times": 1},
+    block=_ergodicity_block))
 
 _register(ExperimentDef(
     "SPEED",
@@ -1120,7 +1123,7 @@ _register(ExperimentDef(
     "pointwise |dp^S/dt| vs the mutual-information bound at every sampled time",
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5},
     None, _purity_rate_instant_trial,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"n_times": 1}))
 
 _register(ExperimentDef(
     "COMMUTATOR_LOWER",
@@ -1134,7 +1137,7 @@ _register(ExperimentDef(
     "slow-states inequality pointwise along weak-coupling trajectories",
     {"d_s": 4, "d_b": 32, "trials": 20, "n_times": 200, "coupling": 0.01},
     None, _decoherence_trial,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"n_times": 1}))
 
 _register(ExperimentDef(
     "EINSELECTION_DEMO",
@@ -1142,7 +1145,8 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 1, "t_max": 200.0, "grid": 81,
      "late_window_start": 100.0, "late_suppression": 0.3, "n_times": 200},
     None, _einselection_rows,
-    dimension=_bipartite, minimums={"grid": 2}, below={"late_window_start": "t_max"}))
+    dimension=_bipartite, minimums={"grid": 2, "n_times": 1},
+    below={"late_window_start": "t_max"}))
 
 _register(ExperimentDef(
     "ISI",
@@ -1177,14 +1181,14 @@ _register(ExperimentDef(
     "concentration of a Lipschitz observable on the state sphere",
     {"d_r": 32, "n_samples": 20_000, "epsilon": 0.1, "trials": 1},
     None, _levy_trial,
-    dimension=_param("d_r")))
+    dimension=_param("d_r"), minimums={"n_samples": 1}))
 
 _register(ExperimentDef(
     "EQ_TIME_HEISENBERG",
     "global state speed never exceeds the populated energy-window width",
     {"d": 64, "trials": 10},
     None, _eq_time_heisenberg_trial,
-    dimension=_param("d")))
+    dimension=_param("d"), minimums={"d": 3}))   # the band [d/4, 3d/4) needs two levels
 
 _register(ExperimentDef(
     "EQ_TIME_PURITY",
@@ -1200,7 +1204,7 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 5, "n_times": 1000,
      "entropy_slack": 0.1},
     None, _second_law_rows,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"n_times": 1}))
 
 _register(ExperimentDef(
     "DISTANCE_TRAJECTORY",

@@ -140,7 +140,6 @@ _TWO_PI_PIECES = tuple(float.fromhex(c) for c in (
 _HALF_PI_PIECES = tuple(0.25 * c for c in _TWO_PI_PIECES)
 _K_SPLIT = float(2 ** 26)
 _PHASE_LIMIT = float(2 ** 52)   # largest |E t| phase_factors accepts (exclusive)
-_PHASE_BLOCK = 256             # times per block in phase_factors
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])   # i^(k mod 4)
 
 
@@ -156,9 +155,8 @@ def phase_factors(energies, times) -> np.ndarray:
     exact, and the high half of k is a multiple of 2^26, so the low half
     alone fixes k mod 4.  Beyond 2^52 doubles are spaced >= 1 apart and
     carry no phase, so a largest |E t| of _PHASE_LIMIT or more raises
-    ValueError.  The work runs _PHASE_BLOCK times at a time so the
-    temporaries stay in cache.  Returns times.shape + (d,): (n_times, d)
-    for a time vector, (d,) for one time.
+    ValueError.  Returns times.shape + (d,): (n_times, d) for a time
+    vector, (d,) for one time.
     """
     e = np.asarray(energies, dtype=float)
     t = np.asarray(times, dtype=float)
@@ -170,22 +168,19 @@ def phase_factors(energies, times) -> np.ndarray:
         if not top < _PHASE_LIMIT:
             raise ValueError(f"largest phase argument |E t| = {top:.6g} is not below "
                              f"2^52 = {_PHASE_LIMIT:.6g}, where doubles resolve no phase")
-    neg_e = -e   # reduce y = -E t, so the phase is cos(y) + i sin(y)
-    out = np.empty((len(tt), len(e)), dtype=complex)
-    for a in range(0, len(tt), _PHASE_BLOCK):
-        y = np.multiply.outer(tt[a:a + _PHASE_BLOCK], neg_e)
-        k = np.rint(y * (2 / np.pi))
-        k_hi = np.trunc(k / _K_SPLIT)
-        k_hi *= _K_SPLIT
-        k_lo = k - k_hi
-        prod = np.empty_like(y)
-        for c in _HALF_PI_PIECES:
-            for half in (k_hi, k_lo):
-                y -= np.multiply(half, c, out=prod)
-        block = out[a:a + _PHASE_BLOCK]
-        np.cos(y, out=block.real)
-        np.sin(y, out=block.imag)
-        block *= _QUARTER_TURNS[k_lo.astype(np.int64) & 3]
+    y = np.multiply.outer(tt, -e)   # reduce y = -E t, so the phase is cos(y) + i sin(y)
+    k = np.rint(y * (2 / np.pi))
+    k_hi = np.trunc(k / _K_SPLIT)
+    k_hi *= _K_SPLIT
+    k_lo = k - k_hi
+    prod = np.empty_like(y)
+    for c in _HALF_PI_PIECES:
+        for half in (k_hi, k_lo):
+            y -= np.multiply(half, c, out=prod)
+    out = np.empty(y.shape, dtype=complex)
+    np.cos(y, out=out.real)
+    np.sin(y, out=out.imag)
+    out *= _QUARTER_TURNS[k_lo.astype(np.int64) & 3]
     return out.reshape(t.shape + e.shape)
 
 

@@ -19,6 +19,8 @@ __all__ = [
     "tensor_product",
     "partial_trace",
     "schatten_norm",
+    "trace_norm",
+    "operator_norm",
     "commutator",
     "swap_operator",
 ]
@@ -38,7 +40,7 @@ def _as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_hermitian(a: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
+def _require_hermitian(a: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity entrywise (tolerance scaled by the largest entry)."""
     a = _as_square_matrix(a, name)
     scale = max(1.0, float(np.abs(a).max()))
@@ -68,7 +70,7 @@ def hermitian_eig(a, tol: float = 1e-12) -> EigenDecomposition:
     Eigenvectors inside a degenerate cluster come in an arbitrary
     orthonormal basis; only the cluster projector is well defined.
     """
-    a = require_hermitian(a, tol)
+    a = _require_hermitian(a, tol)
     w, v = np.linalg.eigh(a)
     return EigenDecomposition(eigenvalues=w, eigenbasis=v)
 
@@ -109,7 +111,7 @@ def schatten_norm(a, kind: str) -> float:
     if kind == "hilbert_schmidt":
         a = _as_square_matrix(a)
         return float(np.linalg.norm(a))
-    a = require_hermitian(a, tol=1e-10)
+    a = _require_hermitian(a, tol=1e-10)
     w = np.linalg.eigvalsh(a)
     if kind == "trace":
         return float(np.abs(w).sum())

@@ -25,6 +25,7 @@ __all__ = [
     "von_neumann_entropy",
     "mutual_information",
     "microcanonical_state",
+    "microcanonical_expectation",
     "canonical_state",
     "macro_pseudo_distance",
 ]

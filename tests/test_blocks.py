@@ -19,7 +19,8 @@ from purestat import (
     trial_streams,
 )
 from purestat.bounds import BoundContext, evaluate_bound, verdict
-from purestat.dynamics import coefficient_samples, sample_times
+from purestat.dynamics import sample_times
+from purestat.hamiltonians import phase_factors
 from purestat.experiments import EXPERIMENTS, _bound_row, _row
 from purestat.harness import _BLOCK, ExperimentSpec, _chunks, run_experiment
 from purestat.states import expectation_values, trace_distance
@@ -189,7 +190,7 @@ def _ref_ergodicity(setup, params, seed, k):
     if k < int(params["crosscheck_trials"]):
         h = setup["h"]
         times = sample_times(h, params["crosscheck_times"], rng)
-        ct = coefficient_samples(h.eigenvalues[setup["band"]], a, times)
+        ct = a * phase_factors(setup["window"].eigenvalues, times)   # all times at once
         x_mean = float(expectation_values(ct, setup["block"]).mean())
         row.extra["crosscheck_err"] = abs(x_mean - lhs)
         row.satisfied &= verdict(x_mean, lhs, "identity", float(params["crosscheck_tol"]))

@@ -1,4 +1,4 @@
-"""Every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/ and the README's Python example run to completion."""
 
 import os
 import subprocess
@@ -24,3 +24,13 @@ def test_demo_runs(name, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_quick_taste_runs(capsys):
+    # the README's "Quick taste" block, verbatim
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("Quick taste:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.split()
+    assert len(lines) == 2 and all(float(x) > 0 for x in lines)

@@ -9,19 +9,16 @@ from purestat import (
     DensityMatrix,
     Hamiltonian,
     PureState,
-    coefficient_samples,
     compose_hamiltonian,
     dagger,
     default_horizon,
     dephase,
     dephased,
-    evolution_blocks,
     evolve,
     finite_difference_purity_rate,
     finite_difference_speed,
     mutual_information,
     pointer_hamiltonian,
-    pure_state_samples,
     purity,
     partial_trace,
     purity_rate,
@@ -32,11 +29,13 @@ from purestat import (
     sample_random_hamiltonian,
     sample_times,
     subsystem_speed,
+    time_map,
     trace_distance,
     trial_stream,
     von_neumann_entropy,
 )
 from purestat.dynamics import _TIME_BLOCK
+from purestat.hamiltonians import phase_factors
 from purestat.experiments import EXPERIMENTS
 
 
@@ -47,7 +46,7 @@ def _rand_herm(d, rng):
 
 def _time_average_discrepancy(h, psi, horizon, n_samples, rng):
     """D(dephased state, mean of |psi_t><psi_t| over uniform times on [0, horizon])."""
-    psis = pure_state_samples(h, psi, rng.uniform(0.0, horizon, n_samples))
+    psis = time_map(h, psi, rng.uniform(0.0, horizon, n_samples), np.copy)
     empirical = np.einsum("ni,nj->ij", psis, psis.conj()) / n_samples
     return trace_distance(dephase(psi.density(), h).matrix, empirical)
 
@@ -199,7 +198,8 @@ def test_time_average_identity_functional():
     rng = trial_stream(101, 5)
     h = sample_random_hamiltonian(None, (8, 1), rng)
     psi = sample_haar_state(np.eye(8), rng)
-    norms = np.linalg.norm(pure_state_samples(h, psi, rng.uniform(0.0, 50.0, 128)), axis=1)
+    norms = time_map(h, psi, rng.uniform(0.0, 50.0, 128),
+                     lambda psis: np.linalg.norm(psis, axis=1))
     assert norms.mean() == pytest.approx(1.0, abs=1e-10)
     assert norms.var() == pytest.approx(0.0, abs=1e-12)
 
@@ -209,7 +209,7 @@ def test_time_average_reduced_report():
     h = sample_random_hamiltonian(None, (2, 8), rng)
     psi = sample_haar_state(np.eye(16), rng, dims=(2, 8))
     times = rng.uniform(0.0, default_horizon(h), 3000)
-    empirical = reduced_marginals(pure_state_samples(h, psi, times), (2, 8)).mean(axis=0)
+    empirical = time_map(h, psi, times, lambda psis: reduced_marginals(psis, (2, 8))).mean(axis=0)
     target = dephase(psi.density(), h).reduced("S")
     assert target.dim == 2
     assert trace_distance(target, empirical) < 0.1
@@ -288,7 +288,7 @@ def test_reduced_rates_match_dense_references():
     h = parts.assembled
     psi = sample_product_state(np.eye(2), np.eye(8), rng)
     times = rng.uniform(0.0, 50.0, 12)
-    rates = reduced_rates(pure_state_samples(h, psi, times), parts)
+    rates = reduced_rates(time_map(h, psi, times, np.copy), parts)
     speeds, dps = rates.speeds(), rates.purity_rates()
     assert rates.rho_s.shape == rates.drho_s.shape == rates.tr_b_comm.shape == (12, 2, 2)
     for i, t in enumerate(times):
@@ -352,55 +352,75 @@ def test_stacked_samples_match_evolve():
     h = sample_random_hamiltonian(None, (2, 8), rng)
     states = [sample_haar_state(np.eye(16), rng, dims=(2, 8)) for _ in range(3)]
     times = rng.uniform(0.0, default_horizon(h), 7)
-    psis = pure_state_samples(h, np.stack([s.vector for s in states]), times)
-    assert psis.shape == (3, 7, 16)
+    psis = time_map(h, np.stack([s.vector for s in states]), times, np.copy)
+    assert psis.shape == (7, 3, 16)
     rho_s = reduced_marginals(psis, (2, 8))
-    assert rho_s.shape == (3, 7, 2, 2)
+    assert rho_s.shape == (7, 3, 2, 2)
     for j, state in enumerate(states):
-        assert np.array_equal(pure_state_samples(h, state, times), psis[j])
+        assert np.array_equal(time_map(h, state, times, np.copy), psis[:, j])
         for i, t in enumerate(times):
             ref = evolve(state, h, t)
-            assert np.abs(psis[j, i] - ref.vector).max() <= 1e-12
-            assert np.abs(rho_s[j, i] - ref.reduced("S").matrix).max() <= 1e-12
+            assert np.abs(psis[i, j] - ref.vector).max() <= 1e-12
+            assert np.abs(rho_s[i, j] - ref.reduced("S").matrix).max() <= 1e-12
 
 
-def test_coefficient_samples_match_evolve():
-    # c_k exp(-i E_k t) is the eigenbasis image of evolve(); a stack shares the phases
+def test_time_map_coefficients_match_evolve():
+    # with states=False, c_k exp(-i E_k t): the eigenbasis image of evolve()
     rng = trial_stream(102, 10)
     h = sample_random_hamiltonian(None, (16, 1), rng)
     states = [sample_haar_state(np.eye(16), rng) for _ in range(2)]
-    c0 = np.stack([h.to_eigenbasis(s.vector) for s in states])
     times = rng.uniform(0.0, default_horizon(h), 5)
-    cts = coefficient_samples(h.eigenvalues, c0, times)
-    assert cts.shape == (2, 5, 16)
-    assert np.array_equal(coefficient_samples(h.eigenvalues, c0[1], times), cts[1])
+    cts = time_map(h, np.stack([s.vector for s in states]), times, np.copy, states=False)
+    assert cts.shape == (5, 2, 16)
+    assert np.array_equal(time_map(h, states[1], times, np.copy, states=False), cts[:, 1])
     for j, state in enumerate(states):
         for i, t in enumerate(times):
             ref = h.to_eigenbasis(evolve(state, h, t).vector)
-            assert np.abs(cts[j, i] - ref).max() <= 1e-12
+            assert np.abs(cts[i, j] - ref).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 64, 256])
-def test_evolution_blocks_equal_the_one_shot_rows(d):
+def test_time_map_blocks_cover_the_times_once_and_in_order(d):
     rng = trial_stream(102, 11)
     h = sample_random_hamiltonian(None, (d, 1), rng)
     stack = np.stack([sample_haar_state(np.eye(d), rng).vector for _ in range(2)])
     for initial in (stack[0], stack):
         c0 = np.array([h.to_eigenbasis(v) for v in np.atleast_2d(initial)])
-        c0 = c0 if initial.ndim == 2 else c0[0]
         rows = max(1, _TIME_BLOCK // initial.size)   # times per block
         for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
             times = rng.uniform(0.0, 1e6, n)
-            for states, want in ((True, pure_state_samples(h, initial, times)),
-                                 (False, coefficient_samples(h.eigenvalues, c0, times))):
-                got, stop = [], 0
-                for sl, block in evolution_blocks(h, initial, times, states=states):
-                    assert sl.start == stop and 0 < sl.stop - sl.start <= rows
-                    assert block.shape == want[..., sl, :].shape
-                    got.append(block.copy())   # the next block reuses the buffer
-                    stop = sl.stop
-                assert stop == n
-                assert np.concatenate(got, axis=-2).tobytes() == want.tobytes()
+            # one shot: all times at once, one row per (time, state)
+            cts = c0 * phase_factors(h.eigenvalues, times)[:, None, :]
+            want = {False: cts, True: cts @ h.eigenbasis.T}
+            for states in (False, True):
+                shapes = []
+
+                def record(block):
+                    shapes.append(block.shape)
+                    return block   # a view of the reused buffer: copied at once
+                got = time_map(h, initial, times, record, states=states)
+                assert [s[1:] for s in shapes] == [initial.shape] * len(shapes)
+                assert sum(s[0] for s in shapes) == n
+                assert all(0 < s[0] <= rows and s[0] * initial.size <= _TIME_BLOCK
+                           for s in shapes)
+                assert got.shape == (n, *initial.shape)
+                got = got.reshape(n, -1, d)
+                if states:
+                    assert np.abs(got - want[True]).max() <= 1e-12
+                else:
+                    assert np.array_equal(got, want[False])
+
+
+def test_time_map_returns_every_part_of_a_tuple():
+    rng = trial_stream(102, 14)
+    h = sample_random_hamiltonian(None, (2, 16), rng)
+    psi = sample_haar_state(np.eye(32), rng, dims=(2, 16))
+    times = rng.uniform(0.0, 100.0, 300)   # blocks of 256 and 44 times
+    rho_s, p_b = time_map(h, psi, times, lambda psis: reduced_marginals(psis, (2, 16), True))
+    assert rho_s.shape == (300, 2, 2) and p_b.shape == (300,)
+    assert np.abs(purity(rho_s) - p_b).max() <= 1e-12   # Schmidt: p_S = p_B
+    (norms,) = time_map(h, psi, times, lambda psis: (np.linalg.norm(psis, axis=1),))
+    assert norms.shape == (300,) and np.abs(norms - 1.0).max() <= 1e-12
 
 
 def test_subsystem_equilibration_memory_does_not_grow_with_the_times():
@@ -417,12 +437,27 @@ def test_subsystem_equilibration_memory_does_not_grow_with_the_times():
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("experiment_id, n_times", [("SPEED", 20_000), ("DECOHERENCE", 5_000)])
+def test_rate_experiments_memory_does_not_grow_with_the_times(experiment_id, n_times):
+    # the whole time batch and its reduced rates traced 62.0 MiB (SPEED) and
+    # 32.6 MiB (DECOHERENCE); through time_map only the per-time values grow
+    exp = EXPERIMENTS[experiment_id]
+    params = {**exp.defaults, "n_times": n_times}
+    tracemalloc.start()
+    try:
+        exp.trial(None, params, 7, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("n_times", [5, 32, 75])  # below, at and not a multiple of the chunk
 def test_reduced_marginals_bath_purity_matches_dense(n_times):
     rng = trial_stream(102, 9)
     h = sample_random_hamiltonian(None, (2, 16), rng)
     psi = sample_haar_state(np.eye(32), rng, dims=(2, 16))
-    psis = pure_state_samples(h, psi, rng.uniform(0.0, 100.0, n_times))
+    psis = time_map(h, psi, rng.uniform(0.0, 100.0, n_times), np.copy)
     rho_s, p_b = reduced_marginals(psis, (2, 16), bath_purity=True)
     assert rho_s.shape == (n_times, 2, 2) and p_b.shape == (n_times,)
     for i, v in enumerate(psis):
@@ -434,7 +469,9 @@ def test_reduced_marginals_bath_purity_matches_dense(n_times):
 
 def test_time_batch_kernel_rejects_dimension_mismatch(h8):
     with pytest.raises(ValueError, match="dimension"):
-        pure_state_samples(h8, np.ones((2, 6), dtype=complex) / np.sqrt(6), [0.0, 1.0])
+        time_map(h8, np.ones((2, 6), dtype=complex) / np.sqrt(6), [0.0, 1.0], np.copy)
+    with pytest.raises(ValueError, match="at least one time"):
+        time_map(h8, np.ones(8, dtype=complex) / np.sqrt(8), [], np.copy)
     with pytest.raises(ValueError, match="dimension"):
         reduced_marginals(np.ones((3, 8), dtype=complex), (2, 3))
 

@@ -23,6 +23,12 @@ from purestat.harness import (
 )
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+# the parameters that count something: each must declare its minimum
+COUNT_KEYS = ("n_times", "n_samples", "crosscheck_times", "grid", "n_grid", "fd_checks",
+              "n_boot")
+# small enough that all 28 experiments run in a few seconds
+REDUCED = {"trials": 3, "n_times": 16, "n_samples": 200, "n_boot": 5, "crosscheck_trials": 1,
+           "crosscheck_times": 16, "grid": 21, "n_grid": 21, "fd_checks": 2}
 
 
 def test_parse_config(tmp_path):
@@ -185,12 +191,61 @@ def test_every_declared_minimum_is_enforced():
                                 ("MC_VARIANCE_IDENTITY", "n_boot"),
                                 ("MC_CONCENTRATION", "n_samples"),
                                 ("SPEED", "fd_checks"), ("PURITY_RATE_AVG", "fd_checks")}
+    # one below each of these failed only after compute, or passed a check:
+    assert declared >= {
+        # a satisfied row with lhs 0.0, from no sampled time at all
+        ("DECOHERENCE", "n_times"),
+        # raised inside the trial
+        ("PURITY_RATE_INSTANT", "n_times"), ("PURITY_EQUILIBRATION", "n_times"),
+        # NaN rows after a RuntimeWarning
+        ("SECOND_LAW_DEMO", "n_times"), ("EINSELECTION_DEMO", "n_times"),
+        ("ERGODICITY", "crosscheck_times"),
+        # "need at least one array to concatenate"
+        ("COARSE_GRAINED", "n_samples"), ("MC_VARIANCE_CONCENTRATION", "n_samples"),
+        ("CANONICAL_REDUCTION", "n_samples"), ("LEVY", "n_samples"),
+        # ZeroDivisionError from an energy window of a single level
+        ("EQ_TIME_HEISENBERG", "d")}
     for experiment_id, key in declared:
         low = EXPERIMENTS[experiment_id].minimums[key]
         assert key in EXPERIMENTS[experiment_id].defaults
         with pytest.raises(ValueError, match=f"{key} must be >= {low}"):
             ExperimentSpec(experiment_id, {key: low - 1})
         assert ExperimentSpec(experiment_id, {key: low}).params[key] == low
+
+
+def test_every_count_declares_a_minimum():
+    for experiment_id, exp in EXPERIMENTS.items():
+        for key in set(COUNT_KEYS) & set(exp.defaults):
+            assert key in exp.minimums, (experiment_id, key)
+
+
+class _RecordingParams(dict):
+    """A params dict that records every key looked up in it."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_every_declared_parameter_is_read(tmp_path, monkeypatch):
+    # a parameter nothing reads is accepted, enters spec_hash and changes nothing
+    monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
+    for experiment_id, exp in EXPERIMENTS.items():
+        spec = ExperimentSpec(experiment_id, {k: v for k, v in REDUCED.items()
+                                              if k in exp.defaults}, seed=5,
+                              out_dir=str(tmp_path))
+        spec.params = _RecordingParams(spec.params)
+        run_experiment(spec)
+        assert spec.params.read == set(exp.defaults), \
+            (experiment_id, sorted(set(exp.defaults) - spec.params.read))
 
 
 def test_every_experiment_declares_a_dimension():

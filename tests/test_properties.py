@@ -8,10 +8,10 @@ from purestat import (
     effective_dimension,
     evolve,
     partial_trace,
-    pure_state_samples,
     purity,
     sample_haar_state,
     sample_random_hamiltonian,
+    time_map,
     trace_distance,
     trial_stream,
 )
@@ -72,10 +72,10 @@ def test_evolution_preserves_the_norm():
         h = sample_random_hamiltonian(None, (d_s, d_b), rng)
         psi = sample_haar_state(np.eye(d_s * d_b), rng)
         times = rng.uniform(-50.0, 50.0, 9)
-        norms = np.linalg.norm(pure_state_samples(h, psi, times), axis=-1)
+        norms = time_map(h, psi, times, lambda psis: np.linalg.norm(psis, axis=-1))
         assert np.abs(norms - 1.0).max() <= 1e-12
         stack = np.stack([psi.vector, sample_haar_state(np.eye(d_s * d_b), rng).vector])
-        assert np.abs(np.linalg.norm(pure_state_samples(h, stack, times), axis=-1) - 1.0).max() \
-            <= 1e-12
+        norms = time_map(h, stack, times, lambda psis: np.linalg.norm(psis, axis=-1))
+        assert norms.shape == (9, 2) and np.abs(norms - 1.0).max() <= 1e-12
         for t in times[:3]:
             assert abs(np.linalg.norm(evolve(psi, h, float(t)).vector) - 1.0) <= 1e-12
