@@ -10,7 +10,6 @@ empirical statistics with the exact microcanonical values, and shows the
 import numpy as np
 
 from purestat import (
-    BoundContext,
     evaluate_bound,
     haar_unitary,
     stream,
@@ -35,8 +34,8 @@ for d_r in (16, 32, 64, 128):
 
     mc_mean = rank / d_r
     mc_var = mc_mean - mc_mean ** 2
-    predicted = evaluate_bound("MC_VARIANCE_IDENTITY", BoundContext(
-        d_r=d_r, mc_mean_b=mc_mean, mc_mean_b2=mc_mean))
+    predicted = evaluate_bound("MC_VARIANCE_IDENTITY", {
+        "d_r": d_r, "mc_mean_b": mc_mean, "mc_mean_b2": mc_mean})
 
     print(f"\nd_R = {d_r:4d}  (B = rank-{rank} projector, <B>_mc = {mc_mean})")
     print(f"  empirical mean  {x.mean():.5f}   (microcanonical {mc_mean})")
@@ -44,8 +43,8 @@ for d_r in (16, 32, 64, 128):
           f"(identity sigma_mc^2/(d_R+1) = {predicted:.3e})")
     eps = 0.1
     tail = float((np.abs(x - mc_mean) >= eps).mean())
-    tail_bound = evaluate_bound("MC_CONCENTRATION", BoundContext(
-        d_r=d_r, epsilon=eps, norm_b=1.0))
+    tail_bound = evaluate_bound("MC_CONCENTRATION", {
+        "d_r": d_r, "epsilon": eps, "norm_b": 1.0})
     note = "vacuous at this dimension" if tail_bound >= 1 else "informative"
     print(f"  P(|Tr B psi - <B>_mc| >= {eps}) = {tail:.4f}   "
           f"analytic tail {tail_bound:.3f} ({note})")

@@ -9,7 +9,6 @@ product states, and the mean energy ensemble.
 import numpy as np
 
 from purestat import (
-    BoundContext,
     dephase,
     effective_dimension,
     evaluate_bound,
@@ -35,7 +34,7 @@ for _ in range(500):
     psi = sample_haar_state(basis, rng)
     vals.append(effective_dimension(dephase(psi.density(), h)))
 vals = np.array(vals)
-bound = evaluate_bound("DEFF_SUBSPACE_MEAN", BoundContext(d_r=d_r))
+bound = evaluate_bound("DEFF_SUBSPACE_MEAN", {"d_r": d_r})
 print(f"\nHaar on a {d_r}-dim subspace of a {2*d_r}-dim space:")
 print(f"  mean d_eff = {vals.mean():6.1f}   theorem floor d_R/2 = {bound}")
 print(f"  min  d_eff = {vals.min():6.1f}   (tail below d_R/4 = {d_r/4:.0f}: "
@@ -50,7 +49,7 @@ for _ in range(500):
     c = hp.to_eigenbasis(psi.vector)
     pvals.append(1.0 / (np.abs(c) ** 4).sum())
 pvals = np.array(pvals)
-pbound = evaluate_bound("DEFF_PRODUCT_MEAN", BoundContext(d_sr=d_sr, d_br=d_br))
+pbound = evaluate_bound("DEFF_PRODUCT_MEAN", {"d_sr": d_sr, "d_br": d_br})
 print(f"\nProduct states on {d_sr} x {d_br}:")
 print(f"  mean d_eff = {pvals.mean():6.1f}   theorem floor (d_SR+1)(d_BR+1)/4 = {pbound}")
 
@@ -64,8 +63,8 @@ for _ in range(2000):
     c = hm.to_eigenbasis(psi.vector)
     purities.append(float((np.abs(c) ** 4).sum()))
 purities = np.array(purities)
-pred = evaluate_bound("DEFF_MEAN_ENERGY", BoundContext(
-    d=d, energy=energy, spectrum=hm.eigenvalues))
+pred = evaluate_bound("DEFF_MEAN_ENERGY", {
+    "d": d, "energy": energy, "spectrum": hm.eigenvalues})
 print(f"\nMean energy ensemble at E = E_H = {energy:.4f} (d = {d}, spectrum in [1,2]):")
 print(f"  mean purity of omega = {purities.mean():.5f}   "
       f"prediction (2E^2/d^2) sum 1/E_k^2 = {pred:.5f}")

@@ -9,7 +9,6 @@ unitary global dynamics.  Writes the distance trajectory as CSV.
 import numpy as np
 
 from purestat import (
-    BoundContext,
     PureState,
     canonical_subspace_basis,
     dephase,
@@ -39,7 +38,7 @@ omega = dephase(psi0.density(), h)
 omega_s = omega.reduced("S")
 deff = effective_dimension(omega)
 deff_b = effective_dimension(omega.reduced("B"))
-bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", BoundContext(d_s=d_s, deff_b=deff_b))
+bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", {"d_s": d_s, "deff_b": deff_b})
 
 print("=" * 72)
 print("Subsystem equilibration from a far-from-equilibrium product start")

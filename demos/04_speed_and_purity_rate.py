@@ -11,7 +11,6 @@ equilibration-time estimates.
 import numpy as np
 
 from purestat import (
-    BoundContext,
     dephase,
     effective_dimension,
     evaluate_bound,
@@ -43,10 +42,10 @@ psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
 
 omega = dephase(psi0.density(), h)
 deff = effective_dimension(omega)
-speed_bound = evaluate_bound("SPEED", BoundContext(
-    norm_hs_plus_hsb=parts.norm_hs_plus_hsb(), d_s=d_s, deff=deff))
-rate_bound = evaluate_bound("PURITY_RATE_AVG", BoundContext(
-    norm_hsb=parts.norm_hsb(), d_s=d_s, deff=deff))
+speed_bound = evaluate_bound("SPEED", {
+    "norm_hs_plus_hsb": parts.norm_hs_plus_hsb(), "d_s": d_s, "deff": deff})
+rate_bound = evaluate_bound("PURITY_RATE_AVG", {
+    "norm_hsb": parts.norm_hsb(), "d_s": d_s, "deff": deff})
 
 print("=" * 72)
 print("Subsystem speed and purity rate along one trajectory")
@@ -65,8 +64,8 @@ dp_fd = finite_difference_purity_rate(h, psi0, ts)
 # the global state is pure, so I_SB = 2 S(rho^S_t)
 entropies = von_neumann_entropy(rho_s)
 for i, (t, p_s) in enumerate(zip(ts, purity(rho_s))):
-    instant = evaluate_bound("PURITY_RATE_INSTANT", BoundContext(
-        purity_s=p_s, mutual_info=2 * entropies[i], norm_hsb=parts.norm_hsb()))
+    instant = evaluate_bound("PURITY_RATE_INSTANT", {
+        "purity_s": p_s, "mutual_info": 2 * entropies[i], "norm_hsb": parts.norm_hsb()})
     print(f"{t:6.1f} {speeds[i]:10.4f} {v_fd[i]:10.4f} {dps[i]:10.4f} {dp_fd[i]:10.4f} "
           f"{abs(dps[i])/instant if instant else 0:10.3f}")
 rates = np.abs(dps)
@@ -75,8 +74,8 @@ print(f"\ntime-averaged v_S  = {np.mean(speeds):.4f}  <= bound {speed_bound:.4f}
 print(f"time-averaged |dp| = {np.mean(rates):.4f}  <= bound {rate_bound:.4f}")
 
 p_eq = purity(omega.reduced("S"))
-t_purity = evaluate_bound("EQ_TIME_PURITY", BoundContext(
-    p_eq=p_eq, d_s=d_s, norm_hsb=parts.norm_hsb()))
+t_purity = evaluate_bound("EQ_TIME_PURITY", {
+    "p_eq": p_eq, "d_s": d_s, "norm_hsb": parts.norm_hsb()})
 delta_e = float(h.eigenvalues[-1] - h.eigenvalues[0])
 print(f"\nequilibration-time estimates: purity ODE floor {t_purity:.2f}, "
       f"Heisenberg time 1/Delta_E = {1/delta_e:.2f}")

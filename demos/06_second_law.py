@@ -10,7 +10,6 @@ Schroedinger dynamics.  Statistical only: recurrences exist but are rare.
 import numpy as np
 
 from purestat import (
-    BoundContext,
     dephased,
     effective_dimension,
     evaluate_bound,
@@ -57,9 +56,9 @@ for t, s_rho, s_sig, dist in zip(ts, von_neumann_entropy(rho), von_neumann_entro
 # the quantitative ISI bound, with the measured marginal diameter as delta
 mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))    # marginals of the eigenvectors
 delta = max(float(trace_distance(mu[i], mu[i + 1:]).max()) for i in range(d - 1))
-rhs = evaluate_bound("ISI", BoundContext(
-    d_s=d_s, deff_rho_b=effective_dimension(omega_b),
-    deff_sigma_b=effective_dimension(dephased(h, sig0)[2]), delta=delta))
+rhs = evaluate_bound("ISI", {
+    "d_s": d_s, "deff_rho_b": effective_dimension(omega_b),
+    "deff_sigma_b": effective_dimension(dephased(h, sig0)[2]), "delta": delta})
 
 dists = trace_distance(*marginals(sample_times(h, 400, rng)))
 print(f"\nmeasured marginal diameter delta = {delta:.3f} "

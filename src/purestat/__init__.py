@@ -29,7 +29,7 @@ def __getattr__(name):
         from . import harness
 
         return getattr(harness, name)
-    if name in ("EXPERIMENTS", "TrialRecord", "experiment_ids"):
+    if name in ("EXPERIMENTS", "experiment_ids"):
         from . import experiments
 
         return getattr(experiments, name)

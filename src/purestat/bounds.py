@@ -1,10 +1,14 @@
 """Catalog of analytic bound evaluators, one per theorem, plus the one verdict.
 
-Every evaluator is pure arithmetic on a BoundContext.  Probability-type
-(tail) bounds whose value reaches 1 are flagged vacuous: at desk-scale
-dimensions the measure-concentration constants (pi^3-scale denominators)
-make most tails carry no statistical content, and reports must say so
-rather than count them as evidence.
+Every evaluator is pure arithmetic on keyword-only inputs, exactly the ones
+its theorem needs: evaluate_bound(theorem, inputs) calls it with the dict
+inputs, so a missing or unexpected input raises TypeError naming it.
+check_bound judges an empirical lhs against the catalog rhs and returns the
+TrialRecord that the harness writes.  Probability-type (tail) bounds whose
+value reaches 1 are flagged vacuous: at desk-scale dimensions the
+measure-concentration constants (pi^3-scale denominators) make most tails
+carry no statistical content, and reports must say so rather than count
+them as evidence.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ import numpy as np
 __all__ = [
     "THEOREMS",
     "TheoremEntry",
-    "BoundContext",
-    "BoundReport",
+    "TrialRecord",
     "evaluate_bound",
     "check_bound",
     "verdict",
@@ -34,201 +37,124 @@ C_DEFF_TAIL = math.log(2) ** 2 / (72 * math.pi ** 3)
 C_ENTANGLED = 1.0 / (14 * math.log(2))
 
 
-@dataclass
-class BoundContext:
-    """Bag of parameters a catalog entry may need; unset fields are None."""
-
-    d: int | None = None
-    d_s: int | None = None
-    d_b: int | None = None
-    d_r: int | None = None
-    d_sr: int | None = None
-    d_br: int | None = None
-    norm_a: float | None = None
-    norm_b: float | None = None
-    norm_hsb: float | None = None
-    norm_hs_plus_hsb: float | None = None
-    norm_dephased_b: float | None = None
-    deff: float | None = None
-    deff_b: float | None = None
-    deff_rho_b: float | None = None
-    deff_sigma_b: float | None = None
-    epsilon: float | None = None
-    delta: float | None = None
-    m: int | None = None
-    eta: float | None = None
-    energy: float | None = None
-    spectrum: np.ndarray | None = None
-    p_eq: float | None = None
-    delta_e: float | None = None
-    mc_mean_b: float | None = None
-    mc_mean_b2: float | None = None
-    purity_s: float | None = None
-    mutual_info: float | None = None
-    entropy_s: float | None = None
-    pairing_sum: float | None = None
-
-    def require(self, theorem: str, *names: str):
-        vals = []
-        for n in names:
-            v = getattr(self, n)
-            if v is None:
-                raise ValueError(f"{theorem} needs context field {n!r}")
-            vals.append(v)
-        return vals
+def _lloyd_identity(*, d_r: int, mc_mean_b: float, mc_mean_b2: float) -> float:
+    return (mc_mean_b2 - mc_mean_b ** 2) / (d_r + 1)
 
 
-def _lloyd_identity(ctx: BoundContext) -> float:
-    d_r, b, b2 = ctx.require("MC_VARIANCE_IDENTITY", "d_r", "mc_mean_b", "mc_mean_b2")
-    return (b2 - b ** 2) / (d_r + 1)
+def _mc_concentration(*, d_r: int, epsilon: float, norm_b: float) -> float:
+    return 2.0 * math.exp(-C_36 * d_r * epsilon ** 2 / norm_b ** 2)
 
 
-def _mc_concentration(ctx: BoundContext) -> float:
-    d_r, eps, nb = ctx.require("MC_CONCENTRATION", "d_r", "epsilon", "norm_b")
-    return 2.0 * math.exp(-C_36 * d_r * eps ** 2 / nb ** 2)
-
-
-def _mc_variance_concentration(ctx: BoundContext) -> float:
-    d_r, eps = ctx.require("MC_VARIANCE_CONCENTRATION", "d_r", "epsilon")
-    deltas = np.linspace(0.0, eps, 2001)
-    min_form = float(np.min(2 * np.exp(-C_36 * d_r * (eps - deltas))
+def _mc_variance_concentration(*, d_r: int, epsilon: float) -> float:
+    deltas = np.linspace(0.0, epsilon, 2001)
+    min_form = float(np.min(2 * np.exp(-C_36 * d_r * (epsilon - deltas))
                             + 2 * np.exp(-C_36 * d_r * deltas ** 2)))
     # closed form from substituting delta* = (sqrt(1+4eps)-1)/2; both exponents
     # there equal (1 + 2 eps - sqrt(1+4 eps))/2, so closed >= min always
-    closed = 4 * math.exp(-C_36 * d_r * (1 + 2 * eps - math.sqrt(1 + 4 * eps)) / 2)
+    closed = 4 * math.exp(-C_36 * d_r * (1 + 2 * epsilon - math.sqrt(1 + 4 * epsilon)) / 2)
     if closed < min_form - 1e-12:
         raise AssertionError("variance-concentration closed form undercuts the min form")
     return min_form
 
 
-def _coarse_grained(ctx: BoundContext) -> float:
-    d_r, eps, m, na = ctx.require("COARSE_GRAINED", "d_r", "epsilon", "m", "norm_a")
-    return 2.0 * m * math.exp(-C_36 * d_r * eps ** 2 / (m ** 2 * na ** 2))
+def _coarse_grained(*, d_r: int, epsilon: float, m: int, norm_a: float) -> float:
+    return 2.0 * m * math.exp(-C_36 * d_r * epsilon ** 2 / (m ** 2 * norm_a ** 2))
 
 
-def _canonical_reduction(ctx: BoundContext) -> float:
-    d_r, eps = ctx.require("CANONICAL_REDUCTION", "d_r", "epsilon")
-    return 2.0 * math.exp(-C_18 * d_r * eps ** 2)
+def _canonical_reduction(*, d_r: int, epsilon: float) -> float:
+    return 2.0 * math.exp(-C_18 * d_r * epsilon ** 2)
 
 
-def canonical_reduction_threshold(ctx: BoundContext) -> float:
+def canonical_reduction_threshold(*, epsilon: float, d_s: int, deff_b: float) -> float:
     """Deviation threshold 2 eps + 2 sqrt(d_S / d_eff(rho_mc^B)) for the event."""
-    eps, d_s, deff_b = ctx.require("CANONICAL_REDUCTION", "epsilon", "d_s", "deff_b")
-    return 2 * eps + 2 * math.sqrt(d_s / deff_b)
+    return 2 * epsilon + 2 * math.sqrt(d_s / deff_b)
 
 
-def _deff_subspace_mean(ctx: BoundContext) -> float:
-    (d_r,) = ctx.require("DEFF_SUBSPACE_MEAN", "d_r")
+def _deff_subspace_mean(*, d_r: int) -> float:
     return d_r / 2.0
 
 
-def _deff_subspace_tail(ctx: BoundContext) -> float:
-    (d_r,) = ctx.require("DEFF_SUBSPACE_TAIL", "d_r")
+def _deff_subspace_tail(*, d_r: int) -> float:
     return 2.0 * math.exp(-C_DEFF_TAIL * math.sqrt(d_r))
 
 
-def _deff_product_mean(ctx: BoundContext) -> float:
-    d_sr, d_br = ctx.require("DEFF_PRODUCT_MEAN", "d_sr", "d_br")
+def _deff_product_mean(*, d_sr: int, d_br: int) -> float:
     return (d_sr + 1) * (d_br + 1) / 4.0
 
 
-def _deff_mean_energy(ctx: BoundContext) -> float:
-    energy, d, spectrum = ctx.require("DEFF_MEAN_ENERGY", "energy", "d", "spectrum")
+def _deff_mean_energy(*, energy: float, d: int, spectrum) -> float:
     e = np.asarray(spectrum, dtype=float)
     return 2.0 * energy ** 2 / d ** 2 * float((1.0 / e ** 2).sum())
 
 
-def mean_energy_purity_crude_bound(ctx: BoundContext) -> float:
+def mean_energy_purity_crude_bound(*, d: int, spectrum) -> float:
     """(2/d)(E_mean/E_0)^2, the spectrum-free cap on the average purity."""
-    d, spectrum = ctx.require("DEFF_MEAN_ENERGY", "d", "spectrum")
     e = np.asarray(spectrum, dtype=float)
     return 2.0 / d * (e.mean() / e.min()) ** 2
 
 
-def _expectation_equilibration(ctx: BoundContext) -> float:
-    na, deff = ctx.require("EXPECTATION_EQUILIBRATION", "norm_a", "deff")
-    return na ** 2 / deff
+def _expectation_equilibration(*, norm_a: float, deff: float) -> float:
+    return norm_a ** 2 / deff
 
 
-def _subsystem_equilibration(ctx: BoundContext) -> float:
-    (d_s,) = ctx.require("SUBSYSTEM_EQUILIBRATION", "d_s")
-    if ctx.deff_b is not None:
-        return 0.5 * math.sqrt(d_s / ctx.deff_b)
-    (deff,) = ctx.require("SUBSYSTEM_EQUILIBRATION", "deff")
-    return 0.5 * math.sqrt(d_s ** 2 / deff)
+def _subsystem_equilibration(*, d_s: int, deff_b: float) -> float:
+    return 0.5 * math.sqrt(d_s / deff_b)
 
 
-def _purity_equilibration(ctx: BoundContext) -> float:
-    d_s, deff = ctx.require("PURITY_EQUILIBRATION", "d_s", "deff")
+def _purity_equilibration(*, d_s: int, deff: float) -> float:
     return (d_s + 2) / deff
 
 
-def _ergodicity(ctx: BoundContext) -> float:
-    d_r, eps, nb = ctx.require("ERGODICITY", "d_r", "epsilon", "norm_dephased_b")
-    return 2.0 * math.exp(-C_36 * d_r * eps ** 2 / nb ** 2)
+def _ergodicity(*, d_r: int, epsilon: float, norm_dephased_b: float) -> float:
+    return 2.0 * math.exp(-C_36 * d_r * epsilon ** 2 / norm_dephased_b ** 2)
 
 
-def _speed(ctx: BoundContext) -> float:
-    n, d_s, deff = ctx.require("SPEED", "norm_hs_plus_hsb", "d_s", "deff")
-    return n * math.sqrt(d_s ** 3 / deff)
+def _speed(*, norm_hs_plus_hsb: float, d_s: int, deff: float) -> float:
+    return norm_hs_plus_hsb * math.sqrt(d_s ** 3 / deff)
 
 
-def _purity_rate_avg(ctx: BoundContext) -> float:
-    n, d_s, deff = ctx.require("PURITY_RATE_AVG", "norm_hsb", "d_s", "deff")
-    return 2.0 * n * math.sqrt(d_s ** 3 / deff)
+def _purity_rate_avg(*, norm_hsb: float, d_s: int, deff: float) -> float:
+    return 2.0 * norm_hsb * math.sqrt(d_s ** 3 / deff)
 
 
-def _purity_rate_instant(ctx: BoundContext) -> float:
-    p, n = ctx.require("PURITY_RATE_INSTANT", "purity_s", "norm_hsb")
-    if ctx.mutual_info is not None:
-        return 2.0 * p * math.sqrt(2 * ctx.mutual_info) * n
-    (s,) = ctx.require("PURITY_RATE_INSTANT", "entropy_s")
-    return 4.0 * p * math.sqrt(s) * n
+def _purity_rate_instant(*, purity_s: float, mutual_info: float, norm_hsb: float) -> float:
+    return 2.0 * purity_s * math.sqrt(2 * mutual_info) * norm_hsb
 
 
-def _commutator_lower(ctx: BoundContext) -> float:
-    (s,) = ctx.require("COMMUTATOR_LOWER", "pairing_sum")
-    return 2.0 * s
+def _commutator_lower(*, pairing_sum: float) -> float:
+    return 2.0 * pairing_sum
 
 
-def _decoherence(ctx: BoundContext) -> float:
-    (s,) = ctx.require("DECOHERENCE", "pairing_sum")
-    return s
+def _decoherence(*, pairing_sum: float) -> float:
+    return pairing_sum
 
 
-def _isi(ctx: BoundContext) -> float:
-    d_s, da, db, delta = ctx.require("ISI", "d_s", "deff_rho_b", "deff_sigma_b", "delta")
-    return 0.5 * math.sqrt(d_s / da) + 0.5 * math.sqrt(d_s / db) + delta
+def _isi(*, d_s: int, deff_rho_b: float, deff_sigma_b: float, delta: float) -> float:
+    return 0.5 * math.sqrt(d_s / deff_rho_b) + 0.5 * math.sqrt(d_s / deff_sigma_b) + delta
 
 
-def _isi_linden_delta(ctx: BoundContext) -> float:
-    d_s, d_r, delta = ctx.require("ISI_LINDEN_DELTA", "d_s", "d_r", "delta")
+def _isi_linden_delta(*, d_s: int, d_r: int, delta: float) -> float:
     return math.sqrt(d_s * delta / (4 * d_r))
 
 
-def _entangled_state_tail(ctx: BoundContext) -> float:
-    d_s, d_b, eps = ctx.require("ENTANGLED_STATE_TAIL", "d_s", "d_b", "epsilon")
-    return 2.0 * (10 * d_s / eps) ** (2 * d_s) * math.exp(-C_ENTANGLED * d_b * eps ** 2)
+def _entangled_state_tail(*, d_s: int, d_b: int, epsilon: float) -> float:
+    return 2.0 * (10 * d_s / epsilon) ** (2 * d_s) * math.exp(-C_ENTANGLED * d_b * epsilon ** 2)
 
 
-def _entangled_eigs_tail(ctx: BoundContext) -> float:
-    (d,) = ctx.require("ENTANGLED_EIGS_TAIL", "d")
-    return d * _entangled_state_tail(ctx)
+def _entangled_eigs_tail(*, d: int, d_s: int, d_b: int, epsilon: float) -> float:
+    return d * _entangled_state_tail(d_s=d_s, d_b=d_b, epsilon=epsilon)
 
 
-def _levy(ctx: BoundContext) -> float:
-    d, eps, eta = ctx.require("LEVY", "d", "epsilon", "eta")
-    return 2.0 * math.exp(-C_LEVY * d * eps ** 2 / eta ** 2)
+def _levy(*, d: int, epsilon: float, eta: float) -> float:
+    return 2.0 * math.exp(-C_LEVY * d * epsilon ** 2 / eta ** 2)
 
 
-def _eq_time_heisenberg(ctx: BoundContext) -> float:
-    (de,) = ctx.require("EQ_TIME_HEISENBERG", "delta_e")
-    return 1.0 / de
+def _eq_time_heisenberg(*, delta_e: float) -> float:
+    return 1.0 / delta_e
 
 
-def _eq_time_purity(ctx: BoundContext) -> float:
-    p_eq, d_s, n = ctx.require("EQ_TIME_PURITY", "p_eq", "d_s", "norm_hsb")
-    return math.log(1.0 / p_eq) / (4 * math.sqrt(math.log(d_s)) * n)
+def _eq_time_purity(*, p_eq: float, d_s: int, norm_hsb: float) -> float:
+    return math.log(1.0 / p_eq) / (4 * math.sqrt(math.log(d_s)) * norm_hsb)
 
 
 @dataclass(frozen=True)
@@ -294,29 +220,25 @@ THEOREMS: dict[str, TheoremEntry] = {
 }
 
 
-def evaluate_bound(theorem: str, ctx: BoundContext) -> float:
-    """Analytic right-hand side (or exact identity value) of a catalog entry."""
+def evaluate_bound(theorem: str, inputs: dict) -> float:
+    """Analytic right-hand side (or exact identity value) of a catalog entry,
+    from exactly the keyword inputs its evaluator takes."""
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem!r}")
-    return float(THEOREMS[theorem].evaluator(ctx))
+    return float(THEOREMS[theorem].evaluator(**inputs))
 
 
 @dataclass
-class BoundReport:
-    """Empirical LHS vs analytic RHS with the pass/fail verdict."""
+class TrialRecord:
+    """One judged row of an experiment: lhs against rhs and the verdict."""
 
-    theorem: str
     lhs: float
     stderr: float
     rhs: float
     satisfied: bool
     vacuous: bool
-    kind: str
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
+    extra: dict = field(default_factory=dict)
+    trial: int = 0      # row number, assigned by the harness in trial order
 
 
 _COMPARISONS = {
@@ -343,19 +265,22 @@ def verdict(lhs: float, rhs: float, kind: str, slack: float = 0.0) -> bool:
     return bool(_COMPARISONS[kind](lhs, rhs, slack))
 
 
-def check_bound(theorem: str, lhs: float, ctx: BoundContext,
-                stderr: float = 0.0, allowance_sigmas: float = 3.0) -> BoundReport:
-    """Compare an empirical statistic with a catalog RHS through verdict.
+def check_bound(theorem: str, lhs: float, inputs: dict, stderr: float = 0.0,
+                allowance_sigmas: float = 0.0, **extra) -> TrialRecord:
+    """The row of an empirical lhs judged against a catalog rhs through verdict.
 
     The slack is allowance_sigmas standard errors (one-sided for upper and
-    lower bounds, two-sided for identities), so a non-finite stderr is never
-    satisfied either.  Tail bounds whose RHS reaches 1 are flagged vacuous.
+    lower bounds, two-sided for identities; a negative allowance tightens),
+    so a non-finite stderr fails a row that allows for it.  With no
+    allowance the stderr only annotates the row and the slack is 0.0.  Tail
+    bounds whose rhs reaches 1 are flagged vacuous.  extra becomes the row's
+    extras.
     """
+    rhs = evaluate_bound(theorem, inputs)
     entry = THEOREMS[theorem]
-    rhs = evaluate_bound(theorem, ctx)
-    return BoundReport(theorem=theorem, lhs=float(lhs), stderr=float(stderr), rhs=rhs,
-                       satisfied=verdict(lhs, rhs, entry.kind, allowance_sigmas * stderr),
-                       vacuous=bool(entry.tail and rhs >= 1.0), kind=entry.kind)
+    slack = allowance_sigmas * stderr if allowance_sigmas else 0.0
+    return TrialRecord(float(lhs), float(stderr), rhs, verdict(lhs, rhs, entry.kind, slack),
+                       bool(entry.tail and rhs >= 1.0), extra)
 
 
 def _max_weight_perfect_matching(w: list[list[float]]) -> float:

@@ -18,7 +18,7 @@ from .harness import ExperimentSpec, parse_config, run_experiment, run_suite, su
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     # seed, out and experiment are run settings, never experiment parameters
-    seed, out = int(cfg.pop("seed", 7)), cfg.pop("out", None)
+    seed, out = cfg.pop("seed", 7), cfg.pop("out", None)
     seed = args.seed if args.seed is not None else seed
     out = args.out if args.out is not None else out
     experiment = str(cfg.pop("experiment", "ALL"))

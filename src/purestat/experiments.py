@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
-    BoundContext,
+    TrialRecord,
     canonical_reduction_threshold,
     check_bound,
     evaluate_bound,
@@ -65,35 +65,13 @@ from .states import (
     von_neumann_entropy,
 )
 
-__all__ = ["TrialRecord", "ExperimentDef", "EXPERIMENTS", "experiment_ids", "mean_se",
-           "bootstrap"]
-
-
-@dataclass
-class TrialRecord:
-    """One judged row of an experiment: lhs against rhs and the verdict."""
-
-    lhs: float
-    stderr: float
-    rhs: float
-    satisfied: bool
-    vacuous: bool
-    extra: dict = field(default_factory=dict)
-    trial: int = 0      # row number, assigned by the harness in trial order
+__all__ = ["ExperimentDef", "EXPERIMENTS", "experiment_ids", "mean_se", "bootstrap"]
 
 
 def _row(lhs, rhs, kind, slack=0.0, stderr=0.0, **extra) -> TrialRecord:
     """A row judged by bounds.verdict(lhs, rhs, kind, slack); never vacuous."""
     return TrialRecord(float(lhs), float(stderr), float(rhs),
                        verdict(lhs, rhs, kind, slack), False, extra)
-
-
-def _bound_row(theorem, lhs, ctx, stderr=0.0, sigmas=0.0, **extra) -> TrialRecord:
-    """A row judged against a catalog theorem by bounds.check_bound, with a
-    slack of sigmas standard errors; with sigmas 0 stderr is only reported."""
-    rep = check_bound(theorem, lhs, ctx, stderr=stderr if sigmas else 0.0,
-                      allowance_sigmas=sigmas)
-    return TrialRecord(rep.lhs, float(stderr), rep.rhs, rep.satisfied, rep.vacuous, extra)
 
 
 def _gate(name: str, row: TrialRecord) -> dict:
@@ -197,10 +175,10 @@ def _mc_variance_identity_trial(setup, params, seed, k):
     x, rng = _mc_sample_expectations(setup, params, seed, k)
     lhs = float(x.var(ddof=1))
     se = float(bootstrap(x, lambda v: v.var(ddof=1), rng, int(params["n_boot"])).std(ddof=1))
-    ctx = BoundContext(d_r=setup["d_r"], mc_mean_b=setup["mc_mean"],
-                       mc_mean_b2=setup["mc_mean2"])
-    return _bound_row("MC_VARIANCE_IDENTITY", lhs, ctx, se, 3.0,
-                      mean=float(x.mean()), n_samples=len(x))
+    inputs = {"d_r": setup["d_r"], "mc_mean_b": setup["mc_mean"],
+              "mc_mean_b2": setup["mc_mean2"]}
+    return check_bound("MC_VARIANCE_IDENTITY", lhs, inputs, se, 3.0,
+                       mean=float(x.mean()), n_samples=len(x))
 
 
 def _mc_concentration_trial(setup, params, seed, k):
@@ -209,10 +187,10 @@ def _mc_concentration_trial(setup, params, seed, k):
     dev = np.abs(x - setup["mc_mean"])
     lhs = float((dev >= eps).mean())
     se = float(np.sqrt(max(lhs * (1 - lhs), 1.0 / len(x)) / len(x)))
-    ctx = BoundContext(d_r=setup["d_r"], epsilon=eps, norm_b=1.0)
+    inputs = {"d_r": setup["d_r"], "epsilon": eps, "norm_b": 1.0}
     mean, se_mean = mean_se(x)
-    return _bound_row("MC_CONCENTRATION", lhs, ctx, se, mean=mean, se_mean=se_mean,
-                      mad=float(dev.mean()), mc_mean=setup["mc_mean"])
+    return check_bound("MC_CONCENTRATION", lhs, inputs, se, mean=mean, se_mean=se_mean,
+                       mad=float(dev.mean()), mc_mean=setup["mc_mean"])
 
 
 def _mc_variance_concentration_trial(setup, params, seed, k):
@@ -222,9 +200,8 @@ def _mc_variance_concentration_trial(setup, params, seed, k):
     sigma2 = x - x ** 2
     sigma2_mc = setup["mc_mean2"] - setup["mc_mean"] ** 2
     lhs = float((np.abs(sigma2 - sigma2_mc) > eps).mean())  # ||B|| = 1
-    ctx = BoundContext(d_r=setup["d_r"], epsilon=eps)
-    return _bound_row("MC_VARIANCE_CONCENTRATION", lhs, ctx,
-                      sigma2_mc=sigma2_mc, mean_sigma2=float(sigma2.mean()))
+    return check_bound("MC_VARIANCE_CONCENTRATION", lhs, {"d_r": setup["d_r"], "epsilon": eps},
+                       sigma2_mc=sigma2_mc, mean_sigma2=float(sigma2.mean()))
 
 
 def _coarse_grained_setup(params, seed):
@@ -256,8 +233,8 @@ def _coarse_grained_trial(setup, params, seed, k):
         return devs
     devs = _haar_map(deviations, n, setup["d_r"], trial_stream(seed, k))
     lhs = float((devs >= eps).mean())               # max_A over alpha_r in [-1,1]
-    ctx = BoundContext(d_r=setup["d_r"], epsilon=eps, m=setup["m"], norm_a=1.0)
-    return _bound_row("COARSE_GRAINED", lhs, ctx, mean_dev=float(devs.mean()))
+    inputs = {"d_r": setup["d_r"], "epsilon": eps, "m": setup["m"], "norm_a": 1.0}
+    return check_bound("COARSE_GRAINED", lhs, inputs, mean_dev=float(devs.mean()))
 
 
 def _canonical_reduction_setup(params, seed):
@@ -280,11 +257,11 @@ def _canonical_reduction_trial(setup, params, seed, k):
     dist = _haar_map(lambda a: trace_distance(
         reduced_marginals(a @ setup["basis_r"].T, (d_s, d_b)), setup["rho_mc_s"]),
         n, setup["d_r"], trial_stream(seed, k))
-    ctx = BoundContext(d_r=setup["d_r"], epsilon=eps, d_s=d_s, deff_b=setup["deff_b"])
-    threshold = canonical_reduction_threshold(ctx)
+    threshold = canonical_reduction_threshold(epsilon=eps, d_s=d_s, deff_b=setup["deff_b"])
     lhs = float((dist >= threshold).mean())
-    return _bound_row("CANONICAL_REDUCTION", lhs, ctx, threshold=threshold,
-                      mean_distance=float(dist.mean()), deff_b=setup["deff_b"])
+    return check_bound("CANONICAL_REDUCTION", lhs, {"d_r": setup["d_r"], "epsilon": eps},
+                       threshold=threshold, mean_distance=float(dist.mean()),
+                       deff_b=setup["deff_b"])
 
 
 # ---------------------------------------------------------------------------
@@ -319,29 +296,28 @@ def _deff_subspace_mean_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
     mean, se = mean_se(vals)
     # the lower end of the 95% CI must clear the bound: a negative slack
-    return [_gate("mean_deff_ci_above_bound", _bound_row(
-        "DEFF_SUBSPACE_MEAN", mean, BoundContext(d_r=setup["d_r"]), se, -1.96,
+    return [_gate("mean_deff_ci_above_bound", check_bound(
+        "DEFF_SUBSPACE_MEAN", mean, {"d_r": setup["d_r"]}, se, -1.96,
         ci95=[mean - 1.96 * se, mean + 1.96 * se],
         fraction_below_quarter=float((vals < setup["d_r"] / 4).mean())))]
 
 
 def _deff_subspace_tail_trial(setup, params, seed, k, deff):
     d_r = setup["d_r"]
-    return _bound_row("DEFF_SUBSPACE_TAIL", float(deff < d_r / 4.0), BoundContext(d_r=d_r),
-                      deff=deff)
+    return check_bound("DEFF_SUBSPACE_TAIL", float(deff < d_r / 4.0), {"d_r": d_r}, deff=deff)
 
 
 def _deff_subspace_tail_summary(records, setup, params):
     freq = float(np.mean([r.lhs for r in records]))
-    return [_gate("tail_frequency_below_bound", _bound_row(
-        "DEFF_SUBSPACE_TAIL", freq, BoundContext(d_r=setup["d_r"])))]
+    return [_gate("tail_frequency_below_bound", check_bound(
+        "DEFF_SUBSPACE_TAIL", freq, {"d_r": setup["d_r"]}))]
 
 
 def _deff_product_setup(params, seed):
     d_sr, d_br = int(params["d_sr"]), int(params["d_br"])
     rng = _setup_stream(seed)
     h = sample_random_hamiltonian(None, (d_sr, d_br), rng)
-    rhs = evaluate_bound("DEFF_PRODUCT_MEAN", BoundContext(d_sr=d_sr, d_br=d_br))
+    rhs = evaluate_bound("DEFF_PRODUCT_MEAN", {"d_sr": d_sr, "d_br": d_br})
     return {"h": h, "d_sr": d_sr, "d_br": d_br, "rhs": rhs}
 
 
@@ -364,9 +340,9 @@ def _deff_product_trial(setup, params, seed, k, deff):
 def _deff_product_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
     mean, se = mean_se(vals)
-    ctx = BoundContext(d_sr=setup["d_sr"], d_br=setup["d_br"])
-    return [_gate("mean_deff_ci_above_bound", _bound_row(
-        "DEFF_PRODUCT_MEAN", mean, ctx, se, -1.96, ci95=[mean - 1.96 * se, mean + 1.96 * se]))]
+    inputs = {"d_sr": setup["d_sr"], "d_br": setup["d_br"]}
+    return [_gate("mean_deff_ci_above_bound", check_bound(
+        "DEFF_PRODUCT_MEAN", mean, inputs, se, -1.96, ci95=[mean - 1.96 * se, mean + 1.96 * se]))]
 
 
 def _deff_mean_energy_setup(params, seed):
@@ -375,9 +351,9 @@ def _deff_mean_energy_setup(params, seed):
     rng = _setup_stream(seed)
     h = sample_random_hamiltonian(("uniform", lo, hi), (d, 1), rng)
     energy = harmonic_mean(h.eigenvalues)
-    ctx = BoundContext(d=d, energy=energy, spectrum=h.eigenvalues)
-    return {"h": h, "energy": energy, "rhs": evaluate_bound("DEFF_MEAN_ENERGY", ctx),
-            "crude": mean_energy_purity_crude_bound(ctx)}
+    inputs = {"d": d, "energy": energy, "spectrum": h.eigenvalues}
+    return {"h": h, "energy": energy, "rhs": evaluate_bound("DEFF_MEAN_ENERGY", inputs),
+            "crude": mean_energy_purity_crude_bound(d=d, spectrum=h.eigenvalues)}
 
 
 def _deff_mean_energy_block(setup, params, seed, ks):
@@ -433,8 +409,8 @@ def _expectation_equilibration_trial(setup, params, seed, k):
     x = time_map(h, psi0, times, lambda cts: expectation_values(cts, a_eig), states=False)
     x_omega = float(probs @ np.diag(a_eig).real)
     lhs, se = mean_se((x - x_omega) ** 2)
-    return _bound_row("EXPECTATION_EQUILIBRATION", lhs, BoundContext(norm_a=1.0, deff=deff),
-                      se, deff=deff, horizon=float(times.max()))
+    return check_bound("EXPECTATION_EQUILIBRATION", lhs, {"norm_a": 1.0, "deff": deff},
+                       se, deff=deff, horizon=float(times.max()))
 
 
 def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, bound):
@@ -455,16 +431,16 @@ def _subsystem_equilibration_trial(setup, params, seed, k):
         reduced_marginals(psis, psi0.dims), omega_s))
     deff_b = effective_dimension(omega_b)
     lhs, se = mean_se(dist)
-    return _bound_row("SUBSYSTEM_EQUILIBRATION", lhs, BoundContext(d_s=d_s, deff_b=deff_b),
-                      se, deff=deff, deff_b=deff_b)
+    return check_bound("SUBSYSTEM_EQUILIBRATION", lhs, {"d_s": d_s, "deff_b": deff_b},
+                       se, deff=deff, deff_b=deff_b)
 
 
 def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
     """Trajectory of D(rho^S_t, omega^S) for trial 0, on a grid."""
     h, psi0, *_ = _equilibration_trial_base(params, seed, 0)
     _, omega_s, omega_b = dephased(h, psi0)
-    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", BoundContext(
-        d_s=int(params["d_s"]), deff_b=effective_dimension(omega_b)))
+    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", {
+        "d_s": int(params["d_s"]), "deff_b": effective_dimension(omega_b)})
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
     grid = np.linspace(0.0, 80.0 / width, 400)[1:]
     return _write_distance_trajectory(out_dir, "SUBSYSTEM_EQUILIBRATION", h, psi0,
@@ -482,8 +458,8 @@ def _purity_equilibration_trial(setup, params, seed, k):
     max_sb_diff = float(np.abs(p_s - p_b).max())
     p_omega = purity(dephased(h, psi0)[1])
     lhs = abs(float(p_s.mean()) - p_omega)
-    row = _bound_row("PURITY_EQUILIBRATION", lhs, BoundContext(d_s=d_s, deff=deff),
-                     deff=deff, purity_sb_max_diff=max_sb_diff, p_omega_s=p_omega)
+    row = check_bound("PURITY_EQUILIBRATION", lhs, {"d_s": d_s, "deff": deff},
+                      deff=deff, purity_sb_max_diff=max_sb_diff, p_omega_s=p_omega)
     row.satisfied &= verdict(max_sb_diff, 1e-10, "upper")   # p_S = p_B for pure states
     return row
 
@@ -548,13 +524,13 @@ def _ergodicity_trial(setup, params, seed, k, item):
 def _ergodicity_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
     mean, se = mean_se(vals)
-    tail_ctx = BoundContext(d_r=setup["d_r"], epsilon=0.1,
-                            norm_dephased_b=setup["norm_dephased"])
+    tail_inputs = {"d_r": setup["d_r"], "epsilon": 0.1,
+                   "norm_dephased_b": setup["norm_dephased"]}
     eps_freq = float((np.abs(vals - setup["mc_mean"]) >= 0.1).mean())
     return [
         _gate("mean_time_average_matches_mc_3sigma",
               _row(mean, setup["mc_mean"], "identity", 3 * se, se)),
-        _gate("tail_frequency_below_bound", _bound_row("ERGODICITY", eps_freq, tail_ctx)),
+        _gate("tail_frequency_below_bound", check_bound("ERGODICITY", eps_freq, tail_inputs)),
     ]
 
 
@@ -594,12 +570,12 @@ def _speed_pipeline(params, seed, k, fn):
 
 def _speed_trial(setup, params, seed, k):
     parts, psi0, v, deff = _speed_pipeline(params, seed, k, ReducedRates.speeds)
-    ctx = BoundContext(norm_hs_plus_hsb=parts.norm_hs_plus_hsb(),
-                       d_s=int(params["d_s"]), deff=deff)
+    inputs = {"norm_hs_plus_hsb": parts.norm_hs_plus_hsb(), "d_s": int(params["d_s"]),
+              "deff": deff}
     fd_ok, fd_err = _fd_check(ReducedRates.speeds, finite_difference_speed,
                               1e-3 * parts.norm_hs_plus_hsb(), psi0, parts, params)
     mean, se = mean_se(v)
-    row = _bound_row("SPEED", mean, ctx, se, deff=deff, fd_max_rel_err=fd_err)
+    row = check_bound("SPEED", mean, inputs, se, deff=deff, fd_max_rel_err=fd_err)
     row.satisfied &= fd_ok
     return row
 
@@ -622,11 +598,11 @@ def _fd_check(rate, fd_fn, floor, psi0, parts, params):
 
 def _purity_rate_avg_trial(setup, params, seed, k):
     parts, psi0, dp, deff = _speed_pipeline(params, seed, k, ReducedRates.purity_rates)
-    ctx = BoundContext(norm_hsb=parts.norm_hsb(), d_s=int(params["d_s"]), deff=deff)
+    inputs = {"norm_hsb": parts.norm_hsb(), "d_s": int(params["d_s"]), "deff": deff}
     fd_ok, fd_err = _fd_check(ReducedRates.purity_rates, finite_difference_purity_rate,
                               1e-3 * 2 * parts.norm_hsb(), psi0, parts, params)
     mean, se = mean_se(np.abs(dp))
-    row = _bound_row("PURITY_RATE_AVG", mean, ctx, se, deff=deff, fd_max_rel_err=fd_err)
+    row = check_bound("PURITY_RATE_AVG", mean, inputs, se, deff=deff, fd_max_rel_err=fd_err)
     row.satisfied &= fd_ok
     return row
 
@@ -636,8 +612,8 @@ def _purity_rate_instant_trial(setup, params, seed, k):
         params, seed, k, lambda rates: (rates.purity_rates(), rates.rho_s))
     norm_hsb = parts.norm_hsb()
     # the global state is pure, so I_SB = 2 S(rho^S_t)
-    rhs_t = np.array([evaluate_bound("PURITY_RATE_INSTANT", BoundContext(
-        purity_s=p, mutual_info=2 * s, norm_hsb=norm_hsb))
+    rhs_t = np.array([evaluate_bound("PURITY_RATE_INSTANT", {
+        "purity_s": p, "mutual_info": 2 * s, "norm_hsb": norm_hsb})
         for p, s in zip(purity(rho_s), von_neumann_entropy(rho_s))])
     floor = 1e-12 * norm_hsb
     ratios = np.abs(dp) / np.maximum(rhs_t, floor)
@@ -657,7 +633,7 @@ def _commutator_lower_trial(setup, params, seed, k):
     rho = _mixed_density(n, rng)
     lhs = trace_norm(1j * commutator(rho, np.diag(a_vals)))  # [rho,A] is anti-Hermitian
     pairing = max_pairing_offdiagonal_sum(a_vals, rho)
-    rhs = evaluate_bound("COMMUTATOR_LOWER", BoundContext(pairing_sum=pairing))
+    rhs = evaluate_bound("COMMUTATOR_LOWER", {"pairing_sum": pairing})
     # an exact inequality: the slack only absorbs rounding
     return _row(lhs, rhs, "lower", 1e-9, dim=n, pairing=pairing)
 
@@ -779,11 +755,11 @@ def _isi_trial(setup, params, seed, k):
         rho = reduced_marginals(psis, (d_s, d_b))
         return trace_distance(rho[:, 0], rho[:, 1])
     dist = time_map(h, np.stack([psi, phi]), times, distances)
-    ctx = BoundContext(d_s=d_s, deff_rho_b=effective_dimension(dephased(h, psi)[2]),
-                       deff_sigma_b=effective_dimension(dephased(h, phi)[2]), delta=delta_pair)
+    inputs = {"d_s": d_s, "deff_rho_b": effective_dimension(dephased(h, psi)[2]),
+              "deff_sigma_b": effective_dimension(dephased(h, phi)[2]), "delta": delta_pair}
     mean, se = mean_se(dist)
-    return _bound_row("ISI", mean, ctx, se, delta_measured=delta_pair,
-                      delta_entangled=delta_ent, delta_target=0.05)
+    return check_bound("ISI", mean, inputs, se, delta_measured=delta_pair,
+                       delta_entangled=delta_ent, delta_target=0.05)
 
 
 def _isi_linden_setup(params, seed):
@@ -795,7 +771,7 @@ def _isi_linden_setup(params, seed):
     delta = float(purity(mu).mean())  # Linden delta
     rho_mc_s = mu.mean(axis=0)
     setup = {"mu": mu, "delta": delta, "rho_mc_s": rho_mc_s, "d_r": d_r, "d_s": d_s}
-    return {**setup, "rhs": evaluate_bound("ISI_LINDEN_DELTA", _isi_linden_ctx(setup))}
+    return {**setup, "rhs": evaluate_bound("ISI_LINDEN_DELTA", _isi_linden_inputs(setup))}
 
 
 def _isi_linden_block(setup, params, seed, ks):
@@ -809,15 +785,15 @@ def _isi_linden_trial(setup, params, seed, k, distance):
     return _row(distance, setup["rhs"], "observation")
 
 
-def _isi_linden_ctx(setup) -> BoundContext:
-    return BoundContext(d_s=setup["d_s"], d_r=setup["d_r"], delta=setup["delta"])
+def _isi_linden_inputs(setup) -> dict:
+    return {"d_s": setup["d_s"], "d_r": setup["d_r"], "delta": setup["delta"]}
 
 
 def _isi_linden_summary(records, setup, params):
     vals = np.array([r.lhs for r in records])
     mean, se = mean_se(vals)
-    return [_gate("mean_distance_below_linden_bound", _bound_row(
-        "ISI_LINDEN_DELTA", mean, _isi_linden_ctx(setup), se, 3.0,
+    return [_gate("mean_distance_below_linden_bound", check_bound(
+        "ISI_LINDEN_DELTA", mean, _isi_linden_inputs(setup), se, 3.0,
         linden_delta=setup["delta"]))]
 
 
@@ -829,20 +805,20 @@ def _entangled_state_tail_block(setup, params, seed, ks):
 
 
 def _entangled_state_tail_trial(setup, params, seed, k, dist):
-    return _bound_row("ENTANGLED_STATE_TAIL", float(dist >= float(params["epsilon"])),
-                      _entangled_ctx(params), distance=dist)
+    return check_bound("ENTANGLED_STATE_TAIL", float(dist >= float(params["epsilon"])),
+                       _entangled_inputs(params), distance=dist)
 
 
-def _entangled_ctx(params) -> BoundContext:
-    return BoundContext(d_s=int(params["d_s"]), d_b=int(params["d_b"]),
-                        epsilon=float(params["epsilon"]))
+def _entangled_inputs(params) -> dict:
+    return {"d_s": int(params["d_s"]), "d_b": int(params["d_b"]),
+            "epsilon": float(params["epsilon"])}
 
 
 def _entangled_state_tail_summary(records, setup, params):
     freq = float(np.mean([r.lhs for r in records]))
     return [
         _gate("tail_frequency_below_bound",
-              _bound_row("ENTANGLED_STATE_TAIL", freq, _entangled_ctx(params))),
+              check_bound("ENTANGLED_STATE_TAIL", freq, _entangled_inputs(params))),
         _gate("entangled_fraction_at_least_99pct", _row(1.0 - freq, 0.99, "lower")),
     ]
 
@@ -855,8 +831,8 @@ def _entangled_eigs_trial(setup, params, seed, k):
     dists = trace_distance(mu, np.eye(d_s) / d_s)
     lhs = float(dists.max())
     thr = float(params["threshold"])
-    rhs_analytic = evaluate_bound("ENTANGLED_EIGS_TAIL", BoundContext(
-        d=d_s * d_b, d_s=d_s, d_b=d_b, epsilon=thr))
+    rhs_analytic = evaluate_bound("ENTANGLED_EIGS_TAIL", {
+        "d": d_s * d_b, "d_s": d_s, "d_b": d_b, "epsilon": thr})
     return _row(lhs, thr, "upper", analytic_tail_at_threshold=rhs_analytic)
 
 
@@ -868,8 +844,8 @@ def _levy_trial(setup, params, seed, k):
     f = _haar_map(lambda a: expectation_values(a, b), n, d_r, trial_stream(seed, k))
     mean_f = float(np.trace(b).real / d_r)
     lhs = float((np.abs(f - mean_f) >= eps).mean())
-    ctx = BoundContext(d=2 * d_r, epsilon=eps, eta=2.0)  # real sphere dim, eta = 2|B|
-    return _bound_row("LEVY", lhs, ctx, mean_f=float(f.mean()), mc_mean=mean_f)
+    inputs = {"d": 2 * d_r, "epsilon": eps, "eta": 2.0}  # real sphere dim, eta = 2|B|
+    return check_bound("LEVY", lhs, inputs, mean_f=float(f.mean()), mc_mean=mean_f)
 
 
 # ---------------------------------------------------------------------------
@@ -909,9 +885,8 @@ def _eq_time_purity_trial(setup, params, seed, k):
     # without a crossing on the grid the crossing time is only known to be
     # >= t_max: that supports the bound when t_max >= rhs, else it is inconclusive
     t_emp = float(grid[below[0]]) if crossed else t_max
-    row = _bound_row("EQ_TIME_PURITY", t_emp,
-                     BoundContext(p_eq=p_eq, d_s=d_s, norm_hsb=norm_hsb),
-                     p_eq=p_eq, norm_hsb=norm_hsb, crossed=crossed)
+    row = check_bound("EQ_TIME_PURITY", t_emp, {"p_eq": p_eq, "d_s": d_s, "norm_hsb": norm_hsb},
+                      p_eq=p_eq, norm_hsb=norm_hsb, crossed=crossed)
     row.vacuous = not (crossed or row.satisfied)
     return row
 
@@ -939,16 +914,14 @@ def _second_law_rows(setup, params, seed, k):
     d_eq, d_isi = time_map(h, np.stack([psi0, sig0]), times, distances)
 
     deff_b = effective_dimension(omega_b)
-    isi_ctx = BoundContext(d_s=d_s, deff_rho_b=deff_b,
-                           deff_sigma_b=effective_dimension(dephased(h, sig0)[2]),
-                           delta=delta_pair)
+    isi_inputs = {"d_s": d_s, "deff_rho_b": deff_b,
+                  "deff_sigma_b": effective_dimension(dephased(h, sig0)[2]), "delta": delta_pair}
     s_omega = von_neumann_entropy(omega_s)
     return [
-        _bound_row("SUBSYSTEM_EQUILIBRATION", float(d_eq.mean()),
-                   BoundContext(d_s=d_s, deff_b=deff_b),
-                   check="equilibration_from_pure_product_start"),
-        _bound_row("ISI", float(d_isi.mean()), isi_ctx,
-                   check="initial_state_independence", delta_measured=delta_pair),
+        check_bound("SUBSYSTEM_EQUILIBRATION", float(d_eq.mean()),
+                    {"d_s": d_s, "deff_b": deff_b}, check="equilibration_from_pure_product_start"),
+        check_bound("ISI", float(d_isi.mean()), isi_inputs,
+                    check="initial_state_independence", delta_measured=delta_pair),
         _row(s_omega, float(np.log(d_s)) - float(params["entropy_slack"]), "lower",
              check="equilibrium_entropy_near_maximal", log_ds=float(np.log(d_s)),
              initial_entropy=0.0),
@@ -964,7 +937,7 @@ def _distance_trajectory_setup(params, seed):
                      dims=(d_s, d_b))
     _, omega_s, omega_b = dephased(h, psi0)
     bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION",
-                           BoundContext(d_s=d_s, deff_b=effective_dimension(omega_b)))
+                           {"d_s": d_s, "deff_b": effective_dimension(omega_b)})
     return {"h": h, "psi0": psi0, "omega_s": omega_s, "bound": bound}
 
 

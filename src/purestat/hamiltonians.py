@@ -79,7 +79,6 @@ class Hamiltonian:
     eigenbasis: np.ndarray
     dims: tuple[int, int] | None = None
     gap_report: GapReport = field(default=None)  # type: ignore[assignment]
-    _validate: bool = True
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
@@ -87,12 +86,11 @@ class Hamiltonian:
         d = len(self.eigenvalues)
         if self.eigenbasis.shape != (d, d):
             raise ValueError("eigenbasis shape does not match spectrum length")
-        if self._validate:
-            if np.any(np.diff(self.eigenvalues) < 0):
-                raise ValueError("eigenvalues must be ascending")
-            dev = np.abs(dagger(self.eigenbasis) @ self.eigenbasis - np.eye(d)).max()
-            if dev > 1e-10:
-                raise ValueError(f"eigenbasis is not unitary: deviation {dev:.3e}")
+        if np.any(np.diff(self.eigenvalues) < 0):
+            raise ValueError("eigenvalues must be ascending")
+        dev = np.abs(dagger(self.eigenbasis) @ self.eigenbasis - np.eye(d)).max()
+        if dev > 1e-10:
+            raise ValueError(f"eigenbasis is not unitary: deviation {dev:.3e}")
         if self.dims is None:
             self.dims = (d, 1)
         if self.dims[0] * self.dims[1] != d:
@@ -124,11 +122,6 @@ class Hamiltonian:
         if a.ndim == 1:
             return self.eigenbasis @ a
         return self.eigenbasis @ a @ dagger(self.eigenbasis)
-
-    def shifted(self, a: float) -> "Hamiltonian":
-        """Hamiltonian with every eigenvalue shifted by a (same eigenbasis)."""
-        return Hamiltonian(self.eigenvalues + a, self.eigenbasis, dims=self.dims,
-                           gap_report=self.gap_report, _validate=False)
 
 
 # 2 pi as five pieces of 26 significant bits each (their sum is 2 pi to

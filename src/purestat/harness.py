@@ -22,7 +22,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .experiments import EXPERIMENTS, TrialRecord, bootstrap, experiment_ids, mean_se
+from .bounds import TrialRecord
+from .experiments import EXPERIMENTS, bootstrap, experiment_ids, mean_se
 
 __all__ = [
     "ExperimentSpec",
@@ -53,6 +54,14 @@ class ExperimentSpec:
         if self.experiment_id not in EXPERIMENTS:
             raise ValueError(f"invalid experiment_id {self.experiment_id!r}; "
                              f"known: {', '.join(experiment_ids())}")
+        # the seed keys every random stream and the hashes: a float would run
+        # on the streams of its integer part while the manifest records the
+        # float, and a negative seed would fail only inside setup
+        integral = isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+        if not (integral and self.seed >= 0):
+            raise ValueError(f"{self.experiment_id}: seed must be a non-negative integer, "
+                             f"got {self.seed!r}")
+        self.seed = int(self.seed)   # a numpy integer hashes and records as the int
         exp = EXPERIMENTS[self.experiment_id]
         unknown = sorted(set(self.params) - set(exp.defaults))
         if unknown:
@@ -268,8 +277,9 @@ def summarize(results_or_dir) -> list[dict]:
     """Summary rows (one per experiment) from results or a results directory.
 
     When given a directory, reads the *_manifest.json files; raises if none
-    are present.  When an output directory is involved, also writes
-    summary.csv next to the manifests.
+    are present.  Rows follow the registry order on both paths (experiments
+    no longer registered go last, in file-name order).  When an output
+    directory is involved, also writes summary.csv next to the manifests.
     """
     rows = []
     out_dir = None
@@ -299,6 +309,8 @@ def summarize(results_or_dir) -> list[dict]:
             "stderr_lhs": s["stderr_lhs"],
             "seed": m["seed"],
         })
+    position = {eid: i for i, eid in enumerate(experiment_ids())}
+    rows.sort(key=lambda row: position.get(row["experiment_id"], len(position)))
     if out_dir:
         path = os.path.join(out_dir, "summary.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:

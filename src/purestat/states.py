@@ -77,7 +77,6 @@ class DensityMatrix:
 
     matrix: np.ndarray
     dims: tuple[int, int] | None = None
-    validate: bool = True
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -88,16 +87,15 @@ class DensityMatrix:
             self.dims = (d, 1)
         if self.dims[0] * self.dims[1] != d:
             raise ValueError(f"dims {self.dims} incompatible with dimension {d}")
-        if self.validate:
-            scale = max(1.0, float(np.abs(self.matrix).max()))
-            if np.abs(self.matrix - dagger(self.matrix)).max() > 1e-10 * scale:
-                raise ValueError("density matrix is not Hermitian")
-            tr = np.trace(self.matrix).real
-            if abs(tr - 1.0) > 1e-9:
-                raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-            w = np.linalg.eigvalsh(self.matrix)
-            if w.min() < -1e-9:
-                raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
+        scale = max(1.0, float(np.abs(self.matrix).max()))
+        if np.abs(self.matrix - dagger(self.matrix)).max() > 1e-10 * scale:
+            raise ValueError("density matrix is not Hermitian")
+        tr = np.trace(self.matrix).real
+        if abs(tr - 1.0) > 1e-9:
+            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+        w = np.linalg.eigvalsh(self.matrix)
+        if w.min() < -1e-9:
+            raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
 
     @property
     def dim(self) -> int:

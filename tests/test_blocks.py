@@ -18,10 +18,10 @@ from purestat import (
     trial_stream,
     trial_streams,
 )
-from purestat.bounds import BoundContext, evaluate_bound, verdict
+from purestat.bounds import check_bound, evaluate_bound, verdict
 from purestat.dynamics import sample_times
 from purestat.hamiltonians import phase_factors
-from purestat.experiments import EXPERIMENTS, _bound_row, _row
+from purestat.experiments import EXPERIMENTS, _row
 from purestat.harness import _BLOCK, ExperimentSpec, _chunks, run_experiment
 from purestat.states import expectation_values, trace_distance
 
@@ -161,16 +161,14 @@ def _ref_deff_subspace_mean(setup, params, seed, k):
 
 def _ref_deff_subspace_tail(setup, params, seed, k):
     deff, d_r = _ref_subspace_deff(setup, seed, k), setup["d_r"]
-    return _bound_row("DEFF_SUBSPACE_TAIL", float(deff < d_r / 4.0), BoundContext(d_r=d_r),
-                      deff=deff)
+    return check_bound("DEFF_SUBSPACE_TAIL", float(deff < d_r / 4.0), {"d_r": d_r}, deff=deff)
 
 
 def _ref_deff_product(setup, params, seed, k):
     psi = sample_product_state(np.eye(setup["d_sr"]), np.eye(setup["d_br"]),
                                trial_stream(seed, k))
     c = setup["h"].to_eigenbasis(psi.vector)
-    rhs = evaluate_bound("DEFF_PRODUCT_MEAN",
-                         BoundContext(d_sr=setup["d_sr"], d_br=setup["d_br"]))
+    rhs = evaluate_bound("DEFF_PRODUCT_MEAN", {"d_sr": setup["d_sr"], "d_br": setup["d_br"]})
     return _row(float(1.0 / (np.abs(c) ** 4).sum()), rhs, "observation")
 
 
@@ -201,16 +199,16 @@ def _ref_entangled_state_tail(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     psi = sample_haar_state(np.eye(d_s * d_b), trial_stream(seed, k), dims=(d_s, d_b))
     dist = trace_distance(psi.reduced("S"), np.eye(d_s) / d_s)
-    return _bound_row("ENTANGLED_STATE_TAIL", float(dist >= float(params["epsilon"])),
-                      BoundContext(d_s=d_s, d_b=d_b, epsilon=float(params["epsilon"])),
-                      distance=dist)
+    return check_bound("ENTANGLED_STATE_TAIL", float(dist >= float(params["epsilon"])),
+                       {"d_s": d_s, "d_b": d_b, "epsilon": float(params["epsilon"])},
+                       distance=dist)
 
 
 def _ref_isi_linden(setup, params, seed, k):
     a = _one_shot_haar_row(setup["d_r"], trial_stream(seed, k))
     omega_s = np.einsum("k,kij->ij", np.abs(a) ** 2, setup["mu"])
-    rhs = evaluate_bound("ISI_LINDEN_DELTA", BoundContext(
-        d_s=setup["d_s"], d_r=setup["d_r"], delta=setup["delta"]))
+    rhs = evaluate_bound("ISI_LINDEN_DELTA", {
+        "d_s": setup["d_s"], "d_r": setup["d_r"], "delta": setup["delta"]})
     return _row(trace_distance(omega_s, setup["rho_mc_s"]), rhs, "observation")
 
 

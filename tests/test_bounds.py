@@ -1,6 +1,7 @@
 """Theorem catalog: formula values, comparison semantics, matching solver."""
 
 import dataclasses
+import inspect
 import math
 import sys
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from purestat import (
-    BoundContext,
     THEOREMS,
+    TrialRecord,
     canonical_reduction_threshold,
     check_bound,
     commutator,
@@ -25,148 +26,184 @@ RNG = np.random.default_rng(2468)
 
 
 def test_expectation_equilibration_value():
-    ctx = BoundContext(norm_a=1.0, deff=100.0)
-    assert evaluate_bound("EXPECTATION_EQUILIBRATION", ctx) == pytest.approx(0.01)
+    inputs = {"norm_a": 1.0, "deff": 100.0}
+    assert evaluate_bound("EXPECTATION_EQUILIBRATION", inputs) == pytest.approx(0.01)
 
 
 def test_subsystem_equilibration_values():
     assert evaluate_bound("SUBSYSTEM_EQUILIBRATION",
-                          BoundContext(d_s=2, deff_b=200.0)) == pytest.approx(0.05)
+                          {"d_s": 2, "deff_b": 200.0}) == pytest.approx(0.05)
     assert evaluate_bound("SUBSYSTEM_EQUILIBRATION",
-                          BoundContext(d_s=2, deff=400.0)) == pytest.approx(0.05)
+                          {"d_s": 8, "deff_b": 200.0}) == pytest.approx(0.1)
 
 
 def test_mc_concentration_value_and_vacuousness():
     # C = 1/(36 pi^3) ~ 8.96e-4; at d_R = 1000, eps = 0.1 the tail is ~1.982
-    ctx = BoundContext(d_r=1000, epsilon=0.1, norm_b=1.0)
-    val = evaluate_bound("MC_CONCENTRATION", ctx)
+    inputs = {"d_r": 1000, "epsilon": 0.1, "norm_b": 1.0}
+    val = evaluate_bound("MC_CONCENTRATION", inputs)
     c = 1.0 / (36 * math.pi ** 3)
     assert c == pytest.approx(8.9588e-4, rel=1e-4)
     assert val == pytest.approx(2 * math.exp(-c * 10), rel=1e-12)
     assert val == pytest.approx(1.98216, abs=2e-4)
-    rep = check_bound("MC_CONCENTRATION", 0.5, ctx)
-    assert rep.vacuous and rep.satisfied
+    row = check_bound("MC_CONCENTRATION", 0.5, inputs)
+    assert row.vacuous and row.satisfied
 
 
 def test_deff_subspace_mean_value():
-    assert evaluate_bound("DEFF_SUBSPACE_MEAN", BoundContext(d_r=64)) == 32.0
+    assert evaluate_bound("DEFF_SUBSPACE_MEAN", {"d_r": 64}) == 32.0
 
 
 def test_deff_product_mean_value():
-    assert evaluate_bound("DEFF_PRODUCT_MEAN",
-                          BoundContext(d_sr=4, d_br=32)) == pytest.approx(41.25)
+    assert evaluate_bound("DEFF_PRODUCT_MEAN", {"d_sr": 4, "d_br": 32}) == pytest.approx(41.25)
 
 
 def test_lloyd_identity_value():
-    ctx = BoundContext(d_r=32, mc_mean_b=0.5, mc_mean_b2=0.5)
-    assert evaluate_bound("MC_VARIANCE_IDENTITY", ctx) == pytest.approx(0.25 / 33)
+    inputs = {"d_r": 32, "mc_mean_b": 0.5, "mc_mean_b2": 0.5}
+    assert evaluate_bound("MC_VARIANCE_IDENTITY", inputs) == pytest.approx(0.25 / 33)
 
 
 def test_variance_concentration_closed_form_consistency():
     for d_r in (16, 64, 256, 1024):
         for eps in (0.01, 0.1, 0.5, 1.0):
             # evaluator raises if the closed form undercuts the min form
-            val = evaluate_bound("MC_VARIANCE_CONCENTRATION",
-                                 BoundContext(d_r=d_r, epsilon=eps))
+            val = evaluate_bound("MC_VARIANCE_CONCENTRATION", {"d_r": d_r, "epsilon": eps})
             assert val <= 4.0 + 1e-12
 
 
 def test_canonical_reduction_threshold_and_tail():
-    ctx = BoundContext(d_r=32, epsilon=0.1, d_s=2, deff_b=16.0)
-    thr = canonical_reduction_threshold(ctx)
+    thr = canonical_reduction_threshold(epsilon=0.1, d_s=2, deff_b=16.0)
     assert thr == pytest.approx(0.2 + 2 * math.sqrt(2 / 16))
-    val = evaluate_bound("CANONICAL_REDUCTION", ctx)
+    val = evaluate_bound("CANONICAL_REDUCTION", {"d_r": 32, "epsilon": 0.1})
     assert val == pytest.approx(2 * math.exp(-32 * 0.01 / (18 * math.pi ** 3)))
 
 
 def test_levy_constant():
-    ctx = BoundContext(d=64, epsilon=0.1, eta=2.0)
-    val = evaluate_bound("LEVY", ctx)
+    val = evaluate_bound("LEVY", {"d": 64, "epsilon": 0.1, "eta": 2.0})
     assert val == pytest.approx(2 * math.exp(-64 * 0.01 / (4 * 9 * math.pi ** 3)))
 
 
 def test_entangled_tail_values():
-    ctx = BoundContext(d_s=2, d_b=64, epsilon=0.25)
-    single = evaluate_bound("ENTANGLED_STATE_TAIL", ctx)
+    inputs = {"d_s": 2, "d_b": 64, "epsilon": 0.25}
+    single = evaluate_bound("ENTANGLED_STATE_TAIL", inputs)
     c = 1 / (14 * math.log(2))
     assert single == pytest.approx(2 * 80 ** 4 * math.exp(-c * 64 * 0.0625), rel=1e-10)
-    ctx.d = 128
-    assert evaluate_bound("ENTANGLED_EIGS_TAIL", ctx) == pytest.approx(128 * single)
+    assert evaluate_bound("ENTANGLED_EIGS_TAIL", {**inputs, "d": 128}) == pytest.approx(
+        128 * single)
 
 
 def test_eq_time_values():
-    assert evaluate_bound("EQ_TIME_HEISENBERG",
-                          BoundContext(delta_e=0.5)) == pytest.approx(2.0)
-    ctx = BoundContext(p_eq=0.5, d_s=2, norm_hsb=0.25)
+    assert evaluate_bound("EQ_TIME_HEISENBERG", {"delta_e": 0.5}) == pytest.approx(2.0)
+    inputs = {"p_eq": 0.5, "d_s": 2, "norm_hsb": 0.25}
     expected = math.log(2) / (4 * math.sqrt(math.log(2)) * 0.25)
-    assert evaluate_bound("EQ_TIME_PURITY", ctx) == pytest.approx(expected)
+    assert evaluate_bound("EQ_TIME_PURITY", inputs) == pytest.approx(expected)
 
 
 def test_purity_rate_instant_forms():
-    ctx = BoundContext(purity_s=0.8, mutual_info=0.5, norm_hsb=0.3)
-    assert evaluate_bound("PURITY_RATE_INSTANT", ctx) == pytest.approx(
+    inputs = {"purity_s": 0.8, "mutual_info": 0.5, "norm_hsb": 0.3}
+    assert evaluate_bound("PURITY_RATE_INSTANT", inputs) == pytest.approx(
         2 * 0.8 * math.sqrt(1.0) * 0.3)
-    pure_ctx = BoundContext(purity_s=0.8, entropy_s=0.25, norm_hsb=0.3)
-    assert evaluate_bound("PURITY_RATE_INSTANT", pure_ctx) == pytest.approx(
-        4 * 0.8 * 0.5 * 0.3)
+    # pure global state: I_SB = 2 S(rho^S), so the bound is 4 p^S sqrt(S) |H_SB|
+    pure = {"purity_s": 0.8, "mutual_info": 2 * 0.25, "norm_hsb": 0.3}
+    assert evaluate_bound("PURITY_RATE_INSTANT", pure) == pytest.approx(4 * 0.8 * 0.5 * 0.3)
 
 
 def test_mean_energy_crude_cap():
     spectrum = np.array([1.0, 1.5, 2.0])
-    ctx = BoundContext(d=3, energy=1.4, spectrum=spectrum)
-    approx = evaluate_bound("DEFF_MEAN_ENERGY", ctx)
+    approx = evaluate_bound("DEFF_MEAN_ENERGY", {"d": 3, "energy": 1.4, "spectrum": spectrum})
     assert approx == pytest.approx(2 * 1.4 ** 2 / 9 * (1 + 1 / 2.25 + 0.25))
-    assert mean_energy_purity_crude_bound(ctx) == pytest.approx(2 / 3 * 1.5 ** 2)
+    assert mean_energy_purity_crude_bound(d=3, spectrum=spectrum) == pytest.approx(
+        2 / 3 * 1.5 ** 2)
 
 
-def test_missing_context_field_raises():
-    with pytest.raises(ValueError, match="needs context field"):
-        evaluate_bound("SPEED", BoundContext(d_s=2))
+def test_missing_or_unexpected_input_raises_type_error():
+    with pytest.raises(TypeError, match="norm_hs_plus_hsb"):
+        evaluate_bound("SPEED", {"d_s": 2, "deff": 4.0})
+    with pytest.raises(TypeError, match="deff_b"):
+        check_bound("SUBSYSTEM_EQUILIBRATION", 0.1, {"d_s": 2})
+    # the deleted alternative inputs are unexpected now, like any misspelling
+    with pytest.raises(TypeError, match="'deff'"):
+        evaluate_bound("SUBSYSTEM_EQUILIBRATION", {"d_s": 2, "deff_b": 4.0, "deff": 4.0})
+    with pytest.raises(TypeError, match="entropy_s"):
+        evaluate_bound("PURITY_RATE_INSTANT", {"purity_s": 0.8, "mutual_info": 0.5,
+                                               "norm_hsb": 0.3, "entropy_s": 0.25})
+    with pytest.raises(TypeError, match="'d_r'"):
+        canonical_reduction_threshold(epsilon=0.1, d_s=2, deff_b=16.0, d_r=32)
     with pytest.raises(KeyError):
-        evaluate_bound("NOT_A_THEOREM", BoundContext())
+        evaluate_bound("NOT_A_THEOREM", {})
 
 
 def test_check_bound_semantics():
-    ctx = BoundContext(norm_a=1.0, deff=100.0)
-    assert check_bound("EXPECTATION_EQUILIBRATION", 0.008, ctx).satisfied
-    assert not check_bound("EXPECTATION_EQUILIBRATION", 0.02, ctx).satisfied
+    inputs = {"norm_a": 1.0, "deff": 100.0}
+    assert check_bound("EXPECTATION_EQUILIBRATION", 0.008, inputs).satisfied
+    assert not check_bound("EXPECTATION_EQUILIBRATION", 0.02, inputs).satisfied
     # identity: two-sided within 3 sigma
-    ictx = BoundContext(d_r=32, mc_mean_b=0.5, mc_mean_b2=0.5)
-    rhs = evaluate_bound("MC_VARIANCE_IDENTITY", ictx)
-    assert check_bound("MC_VARIANCE_IDENTITY", rhs + 1e-5, ictx, stderr=1e-5).satisfied
-    assert not check_bound("MC_VARIANCE_IDENTITY", rhs + 1e-3, ictx, stderr=1e-5).satisfied
-    assert check_bound("MC_VARIANCE_IDENTITY", rhs, ictx, stderr=0.0).satisfied
+    identity = {"d_r": 32, "mc_mean_b": 0.5, "mc_mean_b2": 0.5}
+    rhs = evaluate_bound("MC_VARIANCE_IDENTITY", identity)
+    assert check_bound("MC_VARIANCE_IDENTITY", rhs + 1e-5, identity, stderr=1e-5,
+                       allowance_sigmas=3.0).satisfied
+    assert not check_bound("MC_VARIANCE_IDENTITY", rhs + 1e-3, identity, stderr=1e-5,
+                           allowance_sigmas=3.0).satisfied
+    assert check_bound("MC_VARIANCE_IDENTITY", rhs, identity, stderr=0.0,
+                       allowance_sigmas=3.0).satisfied
+    # the allowance defaults to 0: the stderr only annotates the row
+    assert not check_bound("MC_VARIANCE_IDENTITY", rhs + 1e-5, identity, stderr=1e-5).satisfied
     # lower bounds flip the comparison
-    lctx = BoundContext(d_r=64)
-    assert check_bound("DEFF_SUBSPACE_MEAN", 40.0, lctx).satisfied
-    assert not check_bound("DEFF_SUBSPACE_MEAN", 20.0, lctx).satisfied
+    assert check_bound("DEFF_SUBSPACE_MEAN", 40.0, {"d_r": 64}).satisfied
+    assert not check_bound("DEFF_SUBSPACE_MEAN", 20.0, {"d_r": 64}).satisfied
 
 
-# every context field set, so every catalog entry evaluates to a finite rhs
-FULL_CTX = BoundContext(
+def test_check_bound_returns_the_judged_row():
+    row = check_bound("DEFF_SUBSPACE_MEAN", 40.0, {"d_r": 64}, stderr=2.0,
+                      allowance_sigmas=-1.96, ci95=[36.08, 43.92])
+    assert isinstance(row, TrialRecord)
+    assert (row.lhs, row.stderr, row.rhs, row.satisfied, row.vacuous) == (
+        40.0, 2.0, 32.0, True, False)
+    assert row.extra == {"ci95": [36.08, 43.92]} and row.trial == 0
+    # a negative allowance tightens: 33 - 1.96 * 2 < 32
+    assert not check_bound("DEFF_SUBSPACE_MEAN", 33.0, {"d_r": 64}, stderr=2.0,
+                           allowance_sigmas=-1.96).satisfied
+
+
+def test_nan_stderr_counts_only_with_an_allowance():
+    inputs = {"norm_a": 1.0, "deff": 100.0}
+    annotated = check_bound("EXPECTATION_EQUILIBRATION", 0.008, inputs, stderr=math.nan)
+    assert annotated.satisfied and math.isnan(annotated.stderr)
+    assert not check_bound("EXPECTATION_EQUILIBRATION", 0.02, inputs,
+                           stderr=math.nan).satisfied        # lhs against rhs alone
+    assert not check_bound("EXPECTATION_EQUILIBRATION", 0.008, inputs, stderr=math.nan,
+                           allowance_sigmas=3.0).satisfied
+
+
+# a value for every evaluator input, so every catalog entry evaluates to a finite rhs
+FULL_INPUTS = dict(
     d=4, d_s=2, d_b=2, d_r=16, d_sr=2, d_br=8, norm_a=1.0, norm_b=1.0, norm_hsb=1.0,
     norm_hs_plus_hsb=1.0, norm_dephased_b=1.0, deff=4.0, deff_b=4.0, deff_rho_b=4.0,
     deff_sigma_b=4.0, epsilon=0.1, delta=0.1, m=2, eta=1.0, energy=2.5,
     spectrum=np.array([1.0, 2.0, 3.0, 4.0]), p_eq=0.5, delta_e=1.0, mc_mean_b=0.5,
-    mc_mean_b2=0.5, purity_s=0.8, mutual_info=0.1, entropy_s=0.1, pairing_sum=1.0)
+    mc_mean_b2=0.5, purity_s=0.8, mutual_info=0.1, pairing_sum=1.0)
 
 
 def test_check_bound_never_satisfied_by_non_finite_values(monkeypatch):
     # the reproduced hole: an infinite lhs "satisfied" a lower bound
-    assert not check_bound("COMMUTATOR_LOWER", math.inf,
-                           BoundContext(pairing_sum=1.0)).satisfied
+    assert not check_bound("COMMUTATOR_LOWER", math.inf, {"pairing_sum": 1.0}).satisfied
     bad = (math.inf, -math.inf, math.nan)
+    used = set()
     for name, entry in THEOREMS.items():
-        rhs = evaluate_bound(name, FULL_CTX)
+        # each evaluator's inputs, read from its signature
+        inputs = {p: FULL_INPUTS[p] for p in inspect.signature(entry.evaluator).parameters}
+        used.update(inputs)
+        rhs = evaluate_bound(name, inputs)
         assert math.isfinite(rhs), name
-        assert check_bound(name, rhs, FULL_CTX).satisfied, name   # lhs == rhs passes
+        assert check_bound(name, rhs, inputs).satisfied, name   # lhs == rhs passes
         for v in bad:
-            assert not check_bound(name, v, FULL_CTX).satisfied, (name, v)
-            assert not check_bound(name, rhs, FULL_CTX, stderr=v).satisfied, (name, v)
+            assert not check_bound(name, v, inputs).satisfied, (name, v)
+            assert not check_bound(name, rhs, inputs, stderr=v,
+                                   allowance_sigmas=3.0).satisfied, (name, v)
         for v in bad:   # a degenerate rhs, for every kind
             monkeypatch.setitem(THEOREMS, name,
-                                dataclasses.replace(entry, evaluator=lambda ctx, v=v: v))
-            assert not check_bound(name, 0.5, FULL_CTX).satisfied, (name, v)
+                                dataclasses.replace(entry, evaluator=lambda v=v, **_: v))
+            assert not check_bound(name, 0.5, inputs).satisfied, (name, v)
+    assert used == set(FULL_INPUTS)
     assert {e.kind for e in THEOREMS.values()} == {"upper", "lower", "identity"}
 
 

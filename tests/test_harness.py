@@ -122,6 +122,25 @@ def test_spec_validation():
         ExperimentSpec("LEVY", {"trials": 0})
 
 
+def test_a_fractional_seed_is_rejected_before_compute():
+    # before, 2.5 ran on the streams of seed 2 while the manifest and spec_hash said 2.5
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got 2.5"):
+        ExperimentSpec("COMMUTATOR_LOWER", {"trials": 2}, seed=2.5)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got True"):
+        ExperimentSpec("COMMUTATOR_LOWER", {"trials": 2}, seed=True)
+    spec = ExperimentSpec("COMMUTATOR_LOWER", seed=np.int64(2))
+    assert type(spec.seed) is int and spec.spec_hash() == ExperimentSpec("COMMUTATOR_LOWER",
+                                                                          seed=2).spec_hash()
+
+
+def test_a_negative_seed_is_rejected_before_compute():
+    # before, -1 built a spec and failed only inside setup
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        ExperimentSpec("COMMUTATOR_LOWER", {"trials": 2}, seed=-1)
+    with pytest.raises(ValueError, match="got -1"):
+        run_suite(seed=-1)
+
+
 def test_unknown_parameter_key_is_rejected():
     with pytest.raises(ValueError, match="unknown parameter.*trails.*known: d_r, "
                                          "epsilon, n_samples, trials"):
@@ -479,6 +498,32 @@ def test_cli_seed_override_changes_output(tmp_path):
                 "--seed", "99").returncode == 0
     assert (out1 / "COMMUTATOR_LOWER.csv").read_bytes() \
         != (out2 / "COMMUTATOR_LOWER.csv").read_bytes()
+
+
+def test_cli_rejects_a_fractional_config_seed(tmp_path):
+    # before, int() ran seed = 7.9 as seed 7
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("experiment = COMMUTATOR_LOWER\ntrials = 5\nseed = 7.9\n", encoding="utf-8")
+    res = _cli("run", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert res.returncode != 0
+    assert "seed must be a non-negative integer, got 7.9" in res.stderr
+    assert not (tmp_path / "r").exists()
+
+
+def test_report_leaves_the_run_summary_unchanged(tmp_path):
+    # registry order SPEED, COMMUTATOR_LOWER, ENTANGLED_EIGS_TAIL; report used to
+    # rewrite summary.csv in file-name order
+    out = tmp_path / "r"
+    results = [run_experiment(ExperimentSpec(eid, params, seed=3, out_dir=str(out)))
+               for eid, params in (("SPEED", {"trials": 1, "n_times": 20, "fd_checks": 1}),
+                                   ("COMMUTATOR_LOWER", {"trials": 3}),
+                                   ("ENTANGLED_EIGS_TAIL", {"trials": 2}))]
+    summarize(results)
+    written = (out / "summary.csv").read_bytes()
+    assert _cli("report", "--in", str(out)).returncode == 0
+    assert (out / "summary.csv").read_bytes() == written
+    order = ["SPEED", "COMMUTATOR_LOWER", "ENTANGLED_EIGS_TAIL"]
+    assert [r["experiment_id"] for r in summarize(results[::-1])] == order
 
 
 def test_trajectory_artifact_schema(tmp_path):

@@ -31,7 +31,7 @@ def _forcing(make_row, value):
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_no_row_or_gate_is_satisfied_by_a_degenerate_lhs(value, monkeypatch):
     monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
-    for name in ("_row", "_bound_row"):
+    for name in ("_row", "check_bound"):
         monkeypatch.setattr(experiments, name, _forcing(getattr(experiments, name), value))
     assert len(experiment_ids()) == 28
     for experiment_id in experiment_ids():
@@ -41,7 +41,7 @@ def test_no_row_or_gate_is_satisfied_by_a_degenerate_lhs(value, monkeypatch):
             res = run_experiment(ExperimentSpec(experiment_id, params, seed=5))
         assert res.records, experiment_id
         for r in res.records:
-            # the forced lhs reached the row, so _row or _bound_row made it
+            # the forced lhs reached the row, so _row or check_bound made it
             assert not math.isfinite(r.lhs), experiment_id
             assert not r.satisfied, experiment_id
         for g in res.summary["gates"]:
