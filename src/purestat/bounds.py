@@ -321,11 +321,15 @@ def max_pairing_offdiagonal_sum(values, rho, exact_limit: int = 20) -> float:
     zero-weight padding vertex) and the bitmask DP finds it.  Above that a
     greedy edge selection is used, whose value is a certified lower bound on
     the true maximum (still sound for the commutator lemma, whose RHS is
-    itself a lower bound).
+    itself a lower bound).  A non-finite value or entry of rho gives NaN:
+    Python's max would drop a NaN weight.
     """
     a = np.asarray(values, dtype=float)
+    r = np.asarray(rho, dtype=complex)
+    if not (np.isfinite(a).all() and np.isfinite(r).all()):
+        return float("nan")
     n = len(a)
-    w = np.abs(a[:, None] - a[None, :]) * np.abs(np.asarray(rho, dtype=complex))
+    w = np.abs(a[:, None] - a[None, :]) * np.abs(r)
     if n <= exact_limit:
         if n % 2:
             w = np.pad(w, ((0, 1), (0, 1)))

@@ -90,15 +90,21 @@ def dephased(h: Hamiltonian, state, marginals: bool = True):
 
     state is a PureState or a state vector.  Returns the populations
     p_k = |<E_k|psi>|^2 and, with marginals, also omega^S and omega^B (split
-    h.dims), both traced from one d x d product.
+    h.dims).  The d x d omega is never formed: with W = V diag(sqrt(p))
+    read as (d_S, d_B, d), omega = W W^dagger gives omega^S = X X^dagger for
+    X = W as (d_S, d_B d) and omega^B = sum_s W_s W_s^dagger, which is
+    d^2 (d_S + d_B) work instead of d^3.
     """
     v = state.vector if isinstance(state, PureState) else state
     probs = np.abs(h.to_eigenbasis(v)) ** 2
     if not marginals:
         return probs
     d_s, d_b = h.dims
-    omega = (h.eigenbasis * probs) @ dagger(h.eigenbasis)
-    return probs, partial_trace(omega, d_s, d_b, "S"), partial_trace(omega, d_s, d_b, "B")
+    w = (h.eigenbasis * np.sqrt(probs)).reshape(d_s, d_b, h.dim)
+    wc = w.conj()
+    omega_s = w.reshape(d_s, -1) @ wc.reshape(d_s, -1).T
+    omega_b = (w @ np.swapaxes(wc, 1, 2)).sum(axis=0)
+    return probs, omega_s, omega_b
 
 
 def default_horizon(h: Hamiltonian) -> float:
@@ -179,9 +185,11 @@ def reduced_marginals(psis, dims: tuple[int, int], bath_purity: bool = False):
     psis has the state vectors on its last axis; the leading axes (time, or
     time and stack) are kept, so the result is (..., d_S, d_S).  With
     bath_purity, also returns p^B_t = Tr[(rho^B_t)^2] with the leading
-    shape.  rho^B is formed for max(1, _TIME_BLOCK // d_B^2) times at a
-    time, so no (n_times, d_B, d_B) array exists and each chunk is small
-    enough to be reused from the heap rather than mapped afresh.
+    shape, from the Schmidt spectrum instead of rho^B: the squared singular
+    values sigma^2 of psi_t as a d_S x d_B matrix are the nonzero
+    eigenvalues of rho^B_t, so p^B_t = sum sigma^4, one batched SVD and no
+    d_B x d_B array.  It does not reuse rho^S, so p^S = p^B stays a check.
+    A state with a non-finite entry gives p^B = NaN.
     """
     d_s, d_b = dims
     psis = np.asarray(psis, dtype=complex)
@@ -192,12 +200,12 @@ def reduced_marginals(psis, dims: tuple[int, int], bath_purity: bool = False):
     rho_s = np.einsum("nib,njb->nij", mats, mats.conj()).reshape(*lead, d_s, d_s)
     if not bath_purity:
         return rho_s
-    p_b = np.empty(len(mats))
-    step = max(1, _TIME_BLOCK // d_b ** 2)
-    for a in range(0, len(mats), step):
-        m = mats[a:a + step]
-        rho_b = np.swapaxes(m, 1, 2) @ m.conj()
-        p_b[a:a + step] = purity(rho_b)
+    ok = np.isfinite(mats).all(axis=(1, 2))
+    if not ok.all():   # LAPACK raises on a non-finite matrix
+        mats = np.where(ok[:, None, None], mats, 0)
+    # the transposed matrices copy into LAPACK's column-major layout row by row
+    sq = np.linalg.svd(np.swapaxes(mats, 1, 2), compute_uv=False) ** 2
+    p_b = np.where(ok, (sq * sq).sum(axis=-1), np.nan)
     return rho_s, p_b.reshape(lead)
 
 

@@ -48,7 +48,7 @@ class ExperimentSpec:
     experiment_id: str
     params: dict = field(default_factory=dict)
     seed: int = 7
-    out_dir: str | None = None
+    out_dir: str | os.PathLike | None = None
 
     def __post_init__(self):
         if self.experiment_id not in EXPERIMENTS:
@@ -62,6 +62,10 @@ class ExperimentSpec:
             raise ValueError(f"{self.experiment_id}: seed must be a non-negative integer, "
                              f"got {self.seed!r}")
         self.seed = int(self.seed)   # a numpy integer hashes and records as the int
+        # checked here, or a bad out_dir fails in os.makedirs after every trial ran
+        if not (self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike))):
+            raise ValueError(f"{self.experiment_id}: out_dir must be a path, "
+                             f"got {self.out_dir!r}")
         exp = EXPERIMENTS[self.experiment_id]
         unknown = sorted(set(self.params) - set(exp.defaults))
         if unknown:
@@ -196,13 +200,15 @@ def _summarize_records(records, gates) -> dict:
 
 
 def _write_csv(path: str, experiment_id: str, records) -> None:
+    """f-string rows with csv.writer's bytes: no field needs quoting (registry
+    ids, integers, float reprs such as nan and -inf, true/false).  writelines
+    of a generator is as fast as one joined write and holds no whole-file string."""
+    flag = {True: "true", False: "false"}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for r in records:
-            w.writerow([experiment_id, r.trial, repr(float(r.lhs)), repr(float(r.stderr)),
-                        repr(float(r.rhs)), str(bool(r.satisfied)).lower(),
-                        str(bool(r.vacuous)).lower()])
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(f"{experiment_id},{r.trial},{float(r.lhs)!r},{float(r.stderr)!r},"
+                      f"{float(r.rhs)!r},{flag[bool(r.satisfied)]},{flag[bool(r.vacuous)]}\n"
+                      for r in records)
 
 
 def _json_object(encoded: dict) -> str:

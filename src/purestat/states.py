@@ -117,17 +117,38 @@ def _mat(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
+def _finite_eigvalsh(m) -> np.ndarray:
+    """eigvalsh of each Hermitian matrix in the stack m; all NaN for a matrix
+    with a non-finite entry (LAPACK would return a finite spectrum or raise)."""
+    if np.isfinite(m).all():
+        return np.linalg.eigvalsh(m)
+    ok = np.isfinite(m).all(axis=(-2, -1))
+    w = np.linalg.eigvalsh(np.where(ok[..., None, None], m, 0))
+    return np.where(ok[..., None], w, np.nan)
+
+
 def trace_distance(rho, sigma):
     """D(rho, sigma) = (1/2)||rho - sigma||_1 via eigenvalues of the difference.
 
     Either argument may also be a stack of matrices with leading axes; the
     two broadcast against each other and an array of distances is returned.
-    Two single states give a float.
+    Two single states give a float.  A 2 x 2 Hermitian difference
+    [[x, z*], [z, y]] has the eigenvalues m +- r with m = (x + y)/2 and
+    r = hypot((x - y)/2, |z|), so D = max(|m|, r) in closed form; larger
+    matrices go through eigvalsh.  A matrix with a non-finite entry gives NaN.
     """
     a, b = _mat(rho), _mat(sigma)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    dist = 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+    diff = a - b
+    if diff.shape[-1] == 2:
+        # z = diff[1, 0]: the lower triangle, which eigvalsh reads too
+        x, y = diff[..., 0, 0].real, diff[..., 1, 1].real
+        dist = np.maximum(np.abs(x + y), np.hypot(x - y, 2 * np.abs(diff[..., 1, 0]))) / 2
+        if not np.isfinite(diff).all():
+            dist = np.where(np.isfinite(diff).all(axis=(-2, -1)), dist, np.nan)
+    else:
+        dist = 0.5 * np.abs(_finite_eigvalsh(diff)).sum(axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 
 
@@ -177,11 +198,11 @@ def von_neumann_entropy(rho, base: float | None = None):
 
     Eigenvalues up to 1e-15 count as 0.  rho may also be a stack of
     matrices with leading axes; an array of entropies is returned for it, a
-    float for a single state.
+    float for a single state.  A matrix with a non-finite entry gives NaN.
     """
-    w = np.linalg.eigvalsh(_mat(rho))
-    kept = w > 1e-15
-    s = -np.where(kept, w * np.log(np.where(kept, w, 1.0)), 0.0).sum(axis=-1)
+    w = _finite_eigvalsh(_mat(rho))
+    # a NaN eigenvalue is neither dropped nor logged: NaN * log(1) keeps it
+    s = -np.where(w <= 1e-15, 0.0, w * np.log(np.where(w > 1e-15, w, 1.0))).sum(axis=-1)
     if base is not None:
         s = s / np.log(base)
     s = np.maximum(s, 0.0)

@@ -287,6 +287,19 @@ def test_pairing_needs_no_networkx(monkeypatch):
         _brute_force_pairing(vals, rho), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_pairing_of_a_non_finite_state_is_nan(n):
+    # Python's max dropped the NaN weight: [[.5, nan], [nan, .5]] paired to 0.0
+    rho = np.eye(n, dtype=complex) / n
+    rho[0, 1] = rho[1, 0] = np.nan
+    vals = np.arange(float(n))
+    assert math.isnan(max_pairing_offdiagonal_sum(vals, rho))
+    assert math.isnan(max_pairing_offdiagonal_sum(vals, rho, exact_limit=0))   # greedy
+    for value in (np.nan, np.inf):   # inf - inf on the diagonal warned before
+        vals[-1] = value
+        assert math.isnan(max_pairing_offdiagonal_sum(vals, np.full((n, n), 1.0 / n)))
+
+
 def test_greedy_fallback_is_lower_bound():
     rng = np.random.default_rng(56)
     for _ in range(50):

@@ -452,7 +452,7 @@ def test_rate_experiments_memory_does_not_grow_with_the_times(experiment_id, n_t
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("n_times", [5, 32, 75])  # below, at and not a multiple of the chunk
+@pytest.mark.parametrize("n_times", [5, 32, 75])
 def test_reduced_marginals_bath_purity_matches_dense(n_times):
     rng = trial_stream(102, 9)
     h = sample_random_hamiltonian(None, (2, 16), rng)
@@ -465,6 +465,59 @@ def test_reduced_marginals_bath_purity_matches_dense(n_times):
         assert abs(p_b[i] - purity(partial_trace(rho, 2, 16, "B"))) <= 1e-12
         assert np.abs(rho_s[i] - partial_trace(rho, 2, 16, "S")).max() <= 1e-12
         assert abs(p_b[i] - purity(rho_s[i])) <= 1e-12   # Schmidt: p_S = p_B
+
+
+@pytest.mark.parametrize("d_b", [1, 2, 32, 128, 512])
+def test_schmidt_bath_purity_matches_the_explicit_bath_state(d_b):
+    rng = np.random.default_rng(d_b)
+    z = rng.standard_normal((2, 3, 2 * d_b)) + 1j * rng.standard_normal((2, 3, 2 * d_b))
+    psis = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    bath = psis[1, 2, :d_b] / np.linalg.norm(psis[1, 2, :d_b])
+    psis[1, 2] = np.kron([0.6, 0.8], bath)   # a product state: p_B = 1
+    rho_s, p_b = reduced_marginals(psis, (2, d_b), bath_purity=True)
+    assert rho_s.shape == (2, 3, 2, 2) and p_b.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        m = psis[idx].reshape(2, d_b)
+        assert abs(p_b[idx] - purity(m.T @ m.conj())) <= 1e-13   # rho^B, d_B x d_B
+        assert abs(p_b[idx] - purity(rho_s[idx])) <= 1e-13
+    assert abs(p_b[1, 2] - 1.0) <= 1e-13
+
+
+def test_schmidt_bath_purity_of_a_non_finite_state_is_nan():
+    rng = np.random.default_rng(18)
+    z = rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32))
+    psis = z / np.linalg.norm(z, axis=1, keepdims=True)
+    clean = reduced_marginals(psis, (2, 16), bath_purity=True)[1]
+    psis[2, 5] = np.nan   # the SVD raised LinAlgError on it
+    p_b = reduced_marginals(psis, (2, 16), bath_purity=True)[1]
+    assert np.isnan(p_b[2]) and np.array_equal(np.delete(p_b, 2), np.delete(clean, 2))
+
+
+def test_schmidt_bath_purity_forms_no_bath_matrix():
+    # one d_B x d_B complex rho^B at d_B = 512 is 4 MiB
+    rng = np.random.default_rng(19)
+    z = rng.standard_normal((8, 1024)) + 1j * rng.standard_normal((8, 1024))
+    psis = z / np.linalg.norm(z, axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        reduced_marginals(psis, (2, 512), bath_purity=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("dims", [(2, 32), (4, 16), (1, 64), (64, 1)])
+def test_dephased_marginals_match_the_d_by_d_product(dims):
+    d_s, d_b = dims
+    rng = trial_stream(102, 15)
+    h = sample_random_hamiltonian(None, dims, rng)
+    psi = sample_haar_state(np.eye(d_s * d_b), rng, dims=dims)
+    probs, omega_s, omega_b = dephased(h, psi)
+    omega = (h.eigenbasis * probs) @ dagger(h.eigenbasis)
+    assert np.abs(omega_s - partial_trace(omega, d_s, d_b, "S")).max() <= 1e-14
+    assert np.abs(omega_b - partial_trace(omega, d_s, d_b, "B")).max() <= 1e-14
+    assert omega_s.shape == (d_s, d_s) and omega_b.shape == (d_b, d_b)
 
 
 def test_time_batch_kernel_rejects_dimension_mismatch(h8):

@@ -1,7 +1,9 @@
 """Harness: config grammar, persistence, reproducibility, CLI surface."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from purestat import harness, sample_random_hamiltonian, trial_stream
+from purestat.bounds import TrialRecord
 from purestat.experiments import EXPERIMENTS, experiment_ids
 from purestat.harness import (
     ExperimentSpec,
@@ -425,6 +428,26 @@ def test_csv_schema(tmp_path):
     assert first[5] in ("true", "false") and first[6] in ("true", "false")
 
 
+def test_csv_bytes_are_the_csv_module_bytes(tmp_path):
+    values = [math.nan, math.inf, -math.inf, 1e-300, -0.0, 0.1, 12345.678, 5e-324]
+    records = [TrialRecord(lhs, values[(i + 3) % 8], values[(i + 5) % 8], sat, vac, trial=i)
+               for i, (lhs, sat, vac) in enumerate(
+                   zip(values, [True, False, np.bool_(True), np.bool_(False)] * 2,
+                       [False, True] * 4))]
+    path = tmp_path / "rows.csv"
+    harness._write_csv(str(path), "LEVY", records)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref, lineterminator="\n")
+    w.writerow(harness.CSV_COLUMNS)
+    for r in records:
+        w.writerow(["LEVY", r.trial, repr(float(r.lhs)), repr(float(r.stderr)),
+                    repr(float(r.rhs)), str(bool(r.satisfied)).lower(),
+                    str(bool(r.vacuous)).lower()])
+    assert path.read_bytes() == ref.getvalue().encode("utf-8")
+    harness._write_csv(str(path), "LEVY", [])
+    assert path.read_bytes() == b"experiment_id,trial,lhs,stderr,rhs,satisfied,vacuous\n"
+
+
 def test_summarize_directory_and_missing(tmp_path):
     out = tmp_path / "r"
     run_experiment(ExperimentSpec("LEVY", {"n_samples": 500}, seed=3, out_dir=str(out)))
@@ -508,6 +531,23 @@ def test_cli_rejects_a_fractional_config_seed(tmp_path):
     assert res.returncode != 0
     assert "seed must be a non-negative integer, got 7.9" in res.stderr
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("experiment", ["COMMUTATOR_LOWER", "ALL"])
+def test_cli_rejects_a_non_path_out_before_any_trial(tmp_path, monkeypatch, experiment):
+    # out = 5 ran every trial and then raised TypeError from os.makedirs
+    from purestat import cli
+
+    def compute(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+    monkeypatch.setattr(cli, "run_experiment", compute)
+    monkeypatch.setattr(harness, "run_experiment", compute)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = {experiment}\ntrials = 2\nout = 5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="out_dir must be a path, got 5"):
+        cli.main(["run", "--config", str(cfg)])
+    for ok in (None, "r", tmp_path / "r"):
+        assert ExperimentSpec("LEVY", out_dir=ok).out_dir == ok
 
 
 def test_report_leaves_the_run_summary_unchanged(tmp_path):

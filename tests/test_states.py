@@ -74,6 +74,50 @@ def test_trace_distance_stacks_match_scalar_calls():
         trace_distance(rhos, random_density(3))
 
 
+def _eigvalsh_distance(diff):
+    return 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+
+
+def test_qubit_trace_distance_closed_form_matches_eigvalsh():
+    rng = np.random.default_rng(15)
+    g = rng.standard_normal((4, 256, 2, 2)) + 1j * rng.standard_normal((4, 256, 2, 2))
+    herm = (g + np.conj(np.swapaxes(g, -1, -2))) / 2
+    traceless = herm - np.trace(herm, axis1=-2, axis2=-1)[..., None, None] * np.eye(2) / 2
+    degenerate = rng.standard_normal((256, 1, 1)) * np.eye(2)   # equal eigenvalues
+    zero = np.zeros((256, 2, 2))
+    cases = {"random": herm[0], "scaled": 1e-6 * herm[1], "traceless": traceless[2],
+             "rank one": herm[3] @ herm[3], "degenerate": degenerate, "zero": zero}
+    for name, diff in cases.items():
+        ref = _eigvalsh_distance(diff)
+        got = trace_distance(diff, np.zeros((2, 2)))
+        scale = max(np.abs(diff).max(), 1e-300)
+        assert np.abs(got - ref).max() <= 4e-16 * scale, name
+        assert np.array_equal(got, trace_distance(-diff, np.zeros((2, 2)))), name
+    assert np.array_equal(trace_distance(degenerate, np.zeros((2, 2))), np.abs(degenerate[:, 0, 0]))
+    assert not trace_distance(zero, zero).any()
+    rhos = np.array([random_density(2, rng).matrix for _ in range(64)])
+    assert np.abs(trace_distance(rhos, rhos[::-1]) - _eigvalsh_distance(rhos - rhos[::-1])).max() \
+        <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_trace_distance_of_a_non_finite_matrix_is_nan(n):
+    # eigvalsh gave [0, -0] for [[nan, 0], [0, 1]] - I/2, so the distance read 0.0
+    bad = np.eye(n) / n
+    bad[0, 0] = np.nan
+    assert np.isnan(trace_distance(bad, np.eye(n) / n))
+    for value in (np.nan, np.inf, -np.inf):
+        off = np.eye(n, dtype=complex) / n
+        off[0, 1] = off[1, 0] = value
+        assert np.isnan(trace_distance(off, np.eye(n) / n)), value
+    rng = np.random.default_rng(16)
+    stack = np.array([random_density(n, rng).matrix for _ in range(5)])
+    clean = trace_distance(stack, np.eye(n) / n)
+    stack[3, n - 1, 0] = np.inf
+    got = trace_distance(stack, np.eye(n) / n)
+    assert np.isnan(got[3]) and np.array_equal(np.delete(got, 3), np.delete(clean, 3))
+
+
 def test_trace_distance_metric_axioms():
     rng = np.random.default_rng(8)
     for _ in range(100):
@@ -166,6 +210,24 @@ def test_entropy():
     assert von_neumann_entropy(np.eye(7) / 7) == pytest.approx(np.log(7))
     assert von_neumann_entropy(np.diag([0.5, 0.5])) == pytest.approx(np.log(2))
     assert von_neumann_entropy(np.diag([0.5, 0.5]), base=2) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_entropy_of_a_non_finite_matrix_is_nan(n):
+    # eigenvalues were NaN, dropped as "not above 1e-15", and the entropy read
+    # 0.0 ([[nan, 0], [0, 1]]) or 0.366 (I/3 with NaN at (0, 1) and (1, 0))
+    bad = np.eye(n, dtype=complex) / n
+    bad[0, 1] = bad[1, 0] = np.nan
+    assert np.isnan(von_neumann_entropy(bad))
+    diag = np.eye(n) / n
+    diag[0, 0] = np.nan
+    assert np.isnan(von_neumann_entropy(diag)) and np.isnan(von_neumann_entropy(diag, base=2))
+    rng = np.random.default_rng(17)
+    stack = np.array([random_density(n, rng).matrix for _ in range(4)])
+    clean = von_neumann_entropy(stack)
+    stack[1, 0, 0] = np.inf
+    got = von_neumann_entropy(stack)
+    assert np.isnan(got[1]) and np.array_equal(np.delete(got, 1), np.delete(clean, 1))
 
 
 def test_mutual_information():
