@@ -45,7 +45,7 @@ d_sr, d_br = 4, 16
 hp = sample_random_hamiltonian(None, (d_sr, d_br), rng)
 pvals = []
 for _ in range(500):
-    psi = sample_product_state(np.eye(d_sr), np.eye(d_br), rng)
+    psi = sample_product_state(d_sr, d_br, rng)
     c = hp.to_eigenbasis(psi.vector)
     pvals.append(1.0 / (np.abs(c) ** 4).sum())
 pvals = np.array(pvals)

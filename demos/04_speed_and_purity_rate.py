@@ -38,7 +38,7 @@ def gue(d, norm):
 
 parts = compose_hamiltonian(gue(d_s, 1.0), gue(d_b, 1.0), gue(d_s * d_b, 0.4))
 h = parts.assembled
-psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
+psi0 = sample_product_state(d_s, d_b, rng)
 
 omega = dephase(psi0.density(), h)
 deff = effective_dimension(omega)

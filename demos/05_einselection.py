@@ -42,7 +42,7 @@ print("=" * 72)
 blocks = [gue(d_b, 1.0), gue(d_b, 1.0)]
 parts = pointer_hamiltonian(d_s, blocks)
 h = parts.assembled
-psi_b = sample_haar_state(np.eye(d_b), rng)
+psi_b = sample_haar_state(d_b, rng)
 psi_s = np.array([1.0, 1.0]) / np.sqrt(2)
 psi0 = PureState(np.kron(psi_s, psi_b.vector), dims=(d_s, d_b))
 rho0 = psi0.reduced("S").matrix
@@ -64,7 +64,7 @@ e_s, w_s = np.linalg.eigh(h_s)
 gap = float(e_s[1] - e_s[0])
 parts_w = compose_hamiltonian(h_s, gue(d_b, 1.0), gue(d_s * d_b, 0.01 * gap))
 h_w = parts_w.assembled
-psi0_w = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
+psi0_w = sample_product_state(d_s, d_b, rng)
 
 times = sample_times(h_w, 200, rng)
 speeds, rho_s = time_map(h_w, psi0_w, times, lambda psis: (

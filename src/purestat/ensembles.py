@@ -15,6 +15,7 @@ exactly the values of its own ``trial_stream(seed, k)``.
 from __future__ import annotations
 
 import copy
+import numbers
 
 import numpy as np
 
@@ -218,33 +219,37 @@ def _gaussian_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_haar_state(subspace_basis, rng: np.random.Generator,
                       dims: tuple[int, int] | None = None) -> PureState:
-    """Haar-random pure state on the span of the given orthonormal columns.
+    """Haar-random pure state on the span of the given orthonormal columns,
+    or on the whole space when given an integer dimension d.
 
     A complex-Gaussian coefficient vector is normalized and mapped through
     the basis, which is exactly the uniform measure on the subspace sphere.
     """
-    v = np.asarray(subspace_basis, dtype=complex)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.shape[1] == 0:
-        raise ValueError("empty subspace basis")
-    a = _gaussian_unit_vector(v.shape[1], rng)
-    return PureState(v @ a, dims=dims)
+    return PureState(_haar_vector(subspace_basis, rng), dims=dims)
 
 
 def sample_product_state(basis_s, basis_b, rng: np.random.Generator) -> PureState:
-    """Product of independent Haar-random factors; Schmidt rank 1 by construction."""
-    bs = np.asarray(basis_s, dtype=complex)
-    bb = np.asarray(basis_b, dtype=complex)
-    if bs.ndim == 1:
-        bs = bs[:, None]
-    if bb.ndim == 1:
-        bb = bb[:, None]
-    if bs.shape[1] == 0 or bb.shape[1] == 0:
-        raise ValueError("empty factor basis")
-    psi_s = bs @ _gaussian_unit_vector(bs.shape[1], rng)
-    psi_b = bb @ _gaussian_unit_vector(bb.shape[1], rng)
-    return PureState(np.kron(psi_s, psi_b), dims=(bs.shape[0], bb.shape[0]))
+    """Product of independent Haar-random factors; Schmidt rank 1 by construction.
+    Each factor takes a basis or an integer dimension, as in sample_haar_state."""
+    psi_s = _haar_vector(basis_s, rng)
+    psi_b = _haar_vector(basis_b, rng)
+    return PureState(np.kron(psi_s, psi_b), dims=(len(psi_s), len(psi_b)))
+
+
+def _haar_vector(basis, rng: np.random.Generator) -> np.ndarray:
+    """A Haar coefficient vector mapped through the basis columns.  An integer
+    d is the whole d-dimensional space: the coefficients are returned as they
+    are, bitwise what the d x d identity basis gives, without building it."""
+    if isinstance(basis, numbers.Integral):
+        if basis < 1:
+            raise ValueError(f"empty space: dimension {basis}")
+        return _gaussian_unit_vector(int(basis), rng)
+    v = np.asarray(basis, dtype=complex)
+    if v.ndim == 1:
+        v = v[:, None]
+    if v.shape[1] == 0:
+        raise ValueError("empty basis")
+    return v @ _gaussian_unit_vector(v.shape[1], rng)
 
 
 def sample_random_hamiltonian(spectrum_spec, dims, rng: np.random.Generator,

@@ -89,7 +89,9 @@ class ExperimentDef:
     # (setup, params, seed, k) -> TrialRecord | [TrialRecord]; with a block
     # hook, (setup, params, seed, k, item) -> TrialRecord
     trial: object = None
-    summary: object = None        # (records, setup, params) -> list[dict] of summary gates
+    # (rows, setup, params) -> list[dict] of summary gates; rows is the
+    # harness's TrialRows, whose columns (rows.lhs, rows.extras[key]) it reads
+    summary: object = None
     artifacts: object = None      # (setup, params, seed, out_dir) -> dict of files
     # (params) -> the largest Hilbert-space dimension the experiment builds
     dimension: object = field(kw_only=True)
@@ -292,8 +294,8 @@ def _deff_subspace_mean_trial(setup, params, seed, k, deff):
     return _row(deff, setup["d_r"] / 4.0, "lower")
 
 
-def _deff_subspace_mean_summary(records, setup, params):
-    vals = np.array([r.lhs for r in records])
+def _deff_subspace_mean_summary(rows, setup, params):
+    vals = rows.lhs
     mean, se = mean_se(vals)
     # the lower end of the 95% CI must clear the bound: a negative slack
     return [_gate("mean_deff_ci_above_bound", check_bound(
@@ -307,8 +309,8 @@ def _deff_subspace_tail_trial(setup, params, seed, k, deff):
     return check_bound("DEFF_SUBSPACE_TAIL", float(deff < d_r / 4.0), {"d_r": d_r}, deff=deff)
 
 
-def _deff_subspace_tail_summary(records, setup, params):
-    freq = float(np.mean([r.lhs for r in records]))
+def _deff_subspace_tail_summary(rows, setup, params):
+    freq = float(np.mean(rows.lhs))
     return [_gate("tail_frequency_below_bound", check_bound(
         "DEFF_SUBSPACE_TAIL", freq, {"d_r": setup["d_r"]}))]
 
@@ -337,9 +339,8 @@ def _deff_product_trial(setup, params, seed, k, deff):
     return _row(deff, setup["rhs"], "observation")
 
 
-def _deff_product_summary(records, setup, params):
-    vals = np.array([r.lhs for r in records])
-    mean, se = mean_se(vals)
+def _deff_product_summary(rows, setup, params):
+    mean, se = mean_se(rows.lhs)
     inputs = {"d_sr": setup["d_sr"], "d_br": setup["d_br"]}
     return [_gate("mean_deff_ci_above_bound", check_bound(
         "DEFF_PRODUCT_MEAN", mean, inputs, se, -1.96, ci95=[mean - 1.96 * se, mean + 1.96 * se]))]
@@ -369,9 +370,9 @@ def _deff_mean_energy_trial(setup, params, seed, k, item):
     return _row(pur, setup["rhs"], "observation", energy=energy)
 
 
-def _deff_mean_energy_summary(records, setup, params):
-    pur = np.array([r.lhs for r in records])
-    en = np.array([r.extra["energy"] for r in records])
+def _deff_mean_energy_summary(rows, setup, params):
+    pur = rows.lhs
+    en = np.array(rows.extras["energy"])
     mean, se = mean_se(pur)
     rhs, energy, e_mean = setup["rhs"], setup["energy"], float(en.mean())
     return [
@@ -396,7 +397,7 @@ def _equilibration_trial_base(params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
     h = sample_random_hamiltonian(None, (d_s, d_b), rng)
-    psi0 = sample_haar_state(np.eye(d_s * d_b), rng, dims=(d_s, d_b))
+    psi0 = sample_haar_state(d_s * d_b, rng, dims=(d_s, d_b))
     times = sample_times(h, params["n_times"], rng)
     probs = dephased(h, psi0, marginals=False)
     return h, psi0, probs, times, float(1.0 / (probs ** 2).sum()), rng
@@ -521,8 +522,8 @@ def _ergodicity_trial(setup, params, seed, k, item):
     return row
 
 
-def _ergodicity_summary(records, setup, params):
-    vals = np.array([r.lhs for r in records])
+def _ergodicity_summary(rows, setup, params):
+    vals = rows.lhs
     mean, se = mean_se(vals)
     tail_inputs = {"d_r": setup["d_r"], "epsilon": 0.1,
                    "norm_dephased_b": setup["norm_dephased"]}
@@ -562,7 +563,7 @@ def _speed_pipeline(params, seed, k, fn):
     rng = trial_stream(seed, k)
     parts = _sample_composite(params, rng)
     h = parts.assembled
-    psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
+    psi0 = sample_product_state(d_s, d_b, rng)
     deff = float(1.0 / (dephased(h, psi0, marginals=False) ** 2).sum())
     times = sample_times(h, params["n_times"], rng)
     return parts, psi0, _rates_map(parts, psi0, times, fn), deff
@@ -570,10 +571,10 @@ def _speed_pipeline(params, seed, k, fn):
 
 def _speed_trial(setup, params, seed, k):
     parts, psi0, v, deff = _speed_pipeline(params, seed, k, ReducedRates.speeds)
-    inputs = {"norm_hs_plus_hsb": parts.norm_hs_plus_hsb(), "d_s": int(params["d_s"]),
-              "deff": deff}
+    norm = parts.norm_hs_plus_hsb()
+    inputs = {"norm_hs_plus_hsb": norm, "d_s": int(params["d_s"]), "deff": deff}
     fd_ok, fd_err = _fd_check(ReducedRates.speeds, finite_difference_speed,
-                              1e-3 * parts.norm_hs_plus_hsb(), psi0, parts, params)
+                              1e-3 * norm, psi0, parts, params)
     mean, se = mean_se(v)
     row = check_bound("SPEED", mean, inputs, se, deff=deff, fd_max_rel_err=fd_err)
     row.satisfied &= fd_ok
@@ -598,9 +599,10 @@ def _fd_check(rate, fd_fn, floor, psi0, parts, params):
 
 def _purity_rate_avg_trial(setup, params, seed, k):
     parts, psi0, dp, deff = _speed_pipeline(params, seed, k, ReducedRates.purity_rates)
-    inputs = {"norm_hsb": parts.norm_hsb(), "d_s": int(params["d_s"]), "deff": deff}
+    norm_hsb = parts.norm_hsb()
+    inputs = {"norm_hsb": norm_hsb, "d_s": int(params["d_s"]), "deff": deff}
     fd_ok, fd_err = _fd_check(ReducedRates.purity_rates, finite_difference_purity_rate,
-                              1e-3 * 2 * parts.norm_hsb(), psi0, parts, params)
+                              1e-3 * 2 * norm_hsb, psi0, parts, params)
     mean, se = mean_se(np.abs(dp))
     row = check_bound("PURITY_RATE_AVG", mean, inputs, se, deff=deff, fd_max_rel_err=fd_err)
     row.satisfied &= fd_ok
@@ -649,7 +651,7 @@ def _slow_states_run(params, rng, coupling):
     h_sb = _gue(d_s * d_b, rng, norm=coupling * min_gap, traceless=True)
     parts = compose_hamiltonian(h_s, h_b, h_sb)
     h = parts.assembled
-    psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
+    psi0 = sample_product_state(d_s, d_b, rng)
     times = sample_times(h, params["n_times"], rng)
     speeds, rho_in_hs = _rates_map(parts, psi0, times, lambda rates: (
         rates.speeds(), dagger(w_s) @ rates.rho_s @ w_s))
@@ -675,7 +677,7 @@ def _einselection_rows(setup, params, seed, k):
     # equal-weight superposition with a random relative phase: maximal coherence
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
     psi_s = PureState(np.array([1.0, phase]) / np.sqrt(2))
-    psi_b = sample_haar_state(np.eye(d_b), rng)
+    psi_b = sample_haar_state(d_b, rng)
     rho_s0 = np.outer(psi_s.vector, psi_s.vector.conj())
     psi0 = PureState(np.kron(psi_s.vector, psi_b.vector), dims=(d_s, d_b))
     grid = np.linspace(0.0, float(params["t_max"]), int(params["grid"]))[1:]
@@ -744,8 +746,8 @@ def _isi_trial(setup, params, seed, k):
     delta_pair = _marginal_diameter(mu)
     delta_ent = 2 * float(trace_distance(mu, np.eye(d_s) / d_s).max())
 
-    psi = sample_haar_state(np.eye(d), rng).vector
-    phi = sample_haar_state(np.eye(d), rng).vector
+    psi = sample_haar_state(d, rng).vector
+    phi = sample_haar_state(d, rng).vector
     phi = phi - np.vdot(psi, phi) * psi
     phi /= np.linalg.norm(phi)
 
@@ -789,9 +791,8 @@ def _isi_linden_inputs(setup) -> dict:
     return {"d_s": setup["d_s"], "d_r": setup["d_r"], "delta": setup["delta"]}
 
 
-def _isi_linden_summary(records, setup, params):
-    vals = np.array([r.lhs for r in records])
-    mean, se = mean_se(vals)
+def _isi_linden_summary(rows, setup, params):
+    mean, se = mean_se(rows.lhs)
     return [_gate("mean_distance_below_linden_bound", check_bound(
         "ISI_LINDEN_DELTA", mean, _isi_linden_inputs(setup), se, 3.0,
         linden_delta=setup["delta"]))]
@@ -814,8 +815,8 @@ def _entangled_inputs(params) -> dict:
             "epsilon": float(params["epsilon"])}
 
 
-def _entangled_state_tail_summary(records, setup, params):
-    freq = float(np.mean([r.lhs for r in records]))
+def _entangled_state_tail_summary(rows, setup, params):
+    freq = float(np.mean(rows.lhs))
     return [
         _gate("tail_frequency_below_bound",
               check_bound("ENTANGLED_STATE_TAIL", freq, _entangled_inputs(params))),
@@ -874,7 +875,7 @@ def _eq_time_purity_trial(setup, params, seed, k):
     rng = trial_stream(seed, k)
     parts = _sample_composite(params, rng)
     h = parts.assembled
-    psi0 = sample_product_state(np.eye(d_s), np.eye(d_b), rng)
+    psi0 = sample_product_state(d_s, d_b, rng)
     p_eq = purity(dephased(h, psi0)[1])
     norm_hsb = parts.norm_hsb()
     t_max = float(params["t_max_over_coupling"]) / norm_hsb
@@ -932,7 +933,7 @@ def _distance_trajectory_setup(params, seed):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = _setup_stream(seed)
     h = sample_random_hamiltonian(None, (d_s, d_b), rng)
-    psi_b = sample_haar_state(np.eye(d_b), rng)
+    psi_b = sample_haar_state(d_b, rng)
     psi0 = PureState(np.kron(canonical_subspace_basis(d_s, [0])[:, 0], psi_b.vector),
                      dims=(d_s, d_b))
     _, omega_s, omega_b = dephased(h, psi0)

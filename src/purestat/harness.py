@@ -17,9 +17,14 @@ import csv
 import hashlib
 import json
 import numbers
+import operator
 import os
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import __version__
 from .bounds import TrialRecord
@@ -28,6 +33,7 @@ from .experiments import EXPERIMENTS, bootstrap, experiment_ids, mean_se
 __all__ = [
     "ExperimentSpec",
     "ExperimentResult",
+    "TrialRows",
     "parse_config",
     "run_experiment",
     "run_suite",
@@ -103,10 +109,46 @@ def _check_type(experiment_id: str, key: str, value, default) -> None:
                          f"{'an integer' if integral else 'a number'}, got {value!r}")
 
 
+_ROW_COLUMNS = ("lhs", "stderr", "rhs", "satisfied", "vacuous")
+
+
+class TrialRows(Sequence):
+    """An experiment's rows as columns, in trial order: row i is CSV trial i.
+
+    lhs, stderr and rhs are float64 arrays, satisfied and vacuous bool
+    arrays, all read-only; extras maps each extra key to a row-aligned list
+    holding the row's value, or None where the row lacks the key.  Indexing
+    builds row i's TrialRecord; summaries and writers read the columns.
+    """
+
+    __slots__ = (*_ROW_COLUMNS, "extras")
+
+    def __init__(self, lhs, stderr, rhs, satisfied, vacuous, extras: dict[str, list]):
+        for name, column, dtype in zip(_ROW_COLUMNS, (lhs, stderr, rhs, satisfied, vacuous),
+                                       (np.float64,) * 3 + (np.bool_,) * 2):
+            column = np.asarray(column, dtype=dtype)
+            column.setflags(write=False)
+            setattr(self, name, column)
+        self.extras = extras
+
+    def __len__(self) -> int:
+        return len(self.lhs)
+
+    def __getitem__(self, i: int) -> TrialRecord:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"row {i} out of range for {len(self)} rows")
+        extra = {key: column[i] for key, column in self.extras.items() if column[i] is not None}
+        return TrialRecord(float(self.lhs[i]), float(self.stderr[i]), float(self.rhs[i]),
+                           bool(self.satisfied[i]), bool(self.vacuous[i]), extra, trial=i)
+
+
 @dataclass
 class ExperimentResult:
     spec: ExperimentSpec
-    records: list
+    records: TrialRows
     summary: dict
     manifest: dict
     files: dict
@@ -137,13 +179,48 @@ def _trial_records(exp, setup, params, seed, start: int, stop: int):
             yield exp.trial(setup, params, seed, k, item)
 
 
-def _run_chunk(args) -> list[tuple]:
+def _store(records) -> TrialRows:
+    """The rows of an iterable of TrialRecords as columns.  Each record is
+    appended as it arrives, so no record outlives its row.  None is how the
+    extras columns mark a row without the key, so an extra whose value is
+    None raises."""
+    lhs, stderr, rhs = array("d"), array("d"), array("d")
+    satisfied, vacuous = array("b"), array("b")
+    extras: dict[str, list] = {}
+    n = 0
+    for r in records:
+        lhs.append(r.lhs)
+        stderr.append(r.stderr)
+        rhs.append(r.rhs)
+        satisfied.append(bool(r.satisfied))
+        vacuous.append(bool(r.vacuous))
+        for key, value in r.extra.items():
+            if value is None:
+                raise ValueError(f"extra {key!r} of a row is None: an extras column "
+                                 "keeps None for the rows without the key")
+            column = extras.setdefault(key, [])
+            if len(column) < n:
+                column.extend([None] * (n - len(column)))
+            column.append(value)
+        n += 1
+    for column in extras.values():
+        column.extend([None] * (n - len(column)))
+    return TrialRows(lhs, stderr, rhs, satisfied, vacuous, extras)
+
+
+def _concat(parts: list[TrialRows]) -> TrialRows:
+    """Consecutive row ranges as one TrialRows; extras keep their row alignment."""
+    keys = dict.fromkeys(key for p in parts for key in p.extras)
+    extras = {key: [value for p in parts for value in p.extras.get(key) or [None] * len(p)]
+              for key in keys}
+    return TrialRows(*(np.concatenate([getattr(p, name) for p in parts])
+                       for name in _ROW_COLUMNS), extras)
+
+
+def _run_chunk(args) -> TrialRows:
     experiment_id, setup, params, seed, start, stop = args
-    out = []
-    for rec in _trial_records(EXPERIMENTS[experiment_id], setup, params, seed, start, stop):
-        for r in [rec] if isinstance(rec, TrialRecord) else rec:
-            out.append((r.lhs, r.stderr, r.rhs, r.satisfied, r.vacuous, r.extra))
-    return out
+    returned = _trial_records(EXPERIMENTS[experiment_id], setup, params, seed, start, stop)
+    return _store(r for rec in returned for r in ([rec] if isinstance(rec, TrialRecord) else rec))
 
 
 def _chunks(trials: int, workers: int, unit: int) -> list[tuple[int, int]]:
@@ -155,8 +232,8 @@ def _chunks(trials: int, workers: int, unit: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _collect_records(spec: ExperimentSpec, setup) -> list[TrialRecord]:
-    """Every trial's rows, numbered in trial order (demos emit several rows per trial)."""
+def _collect_records(spec: ExperimentSpec, setup) -> TrialRows:
+    """Every trial's rows, in trial order (demos emit several rows per trial)."""
     trials = int(spec.params.get("trials", 1))
     unit = _BLOCK if EXPERIMENTS[spec.experiment_id].block else 1
     workers = min(worker_count(), -(-trials // unit))
@@ -167,18 +244,13 @@ def _collect_records(spec: ExperimentSpec, setup) -> list[TrialRecord]:
                 for a, b in _chunks(trials, workers, unit)]
         with mp.get_context("fork").Pool(workers) as pool:
             chunks = pool.map(_run_chunk, jobs)
-        raw = [t for chunk in chunks for t in chunk]
-    else:
-        raw = _run_chunk((spec.experiment_id, setup, spec.params, spec.seed, 0, trials))
-    return [TrialRecord(*t[:5], extra=t[5], trial=i) for i, t in enumerate(raw)]
+        return _concat(chunks)
+    return _run_chunk((spec.experiment_id, setup, spec.params, spec.seed, 0, trials))
 
 
-def _summarize_records(records, gates) -> dict:
-    import numpy as np
-
-    lhs = np.array([r.lhs for r in records], dtype=float)
-    finite = lhs[np.isfinite(lhs)]
-    trial_violations = sum(1 for r in records if not r.satisfied and not r.vacuous)
+def _summarize_records(rows: TrialRows, gates) -> dict:
+    finite = rows.lhs[np.isfinite(rows.lhs)]
+    trial_violations = int(np.count_nonzero(~rows.satisfied & ~rows.vacuous))
     gate_violations = sum(1 for g in gates if not g["satisfied"] and not g.get("vacuous"))
     # below two finite rows there is no spread: standard error 0, no bootstrap
     mean, se, boot = float(finite[0]) if len(finite) else float("nan"), 0.0, None
@@ -188,27 +260,28 @@ def _summarize_records(records, gates) -> dict:
         ms = bootstrap(finite, np.mean, rng)
         boot = [float(np.percentile(ms, 2.5)), float(np.percentile(ms, 97.5))]
     return {
-        "rows": len(records),
+        "rows": len(rows),
         "mean_lhs": mean,
         "stderr_lhs": se,
         "bootstrap_ci95_mean_lhs": boot,
         "violations": trial_violations + gate_violations,
         "trial_violations": trial_violations,
-        "vacuous_rows": sum(1 for r in records if r.vacuous),
+        "vacuous_rows": int(np.count_nonzero(rows.vacuous)),
         "gates": gates,
     }
 
 
-def _write_csv(path: str, experiment_id: str, records) -> None:
+def _write_csv(path: str, experiment_id: str, rows: TrialRows) -> None:
     """f-string rows with csv.writer's bytes: no field needs quoting (registry
     ids, integers, float reprs such as nan and -inf, true/false).  writelines
     of a generator is as fast as one joined write and holds no whole-file string."""
     flag = {True: "true", False: "false"}
+    columns = (getattr(rows, name).tolist() for name in _ROW_COLUMNS)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(f"{experiment_id},{r.trial},{float(r.lhs)!r},{float(r.stderr)!r},"
-                      f"{float(r.rhs)!r},{flag[bool(r.satisfied)]},{flag[bool(r.vacuous)]}\n"
-                      for r in records)
+        fh.writelines(f"{experiment_id},{i},{lhs!r},{se!r},{rhs!r},{flag[sat]},{flag[vac]}\n"
+                      for i, lhs, se, rhs, sat, vac
+                      in zip(range(len(rows)), *columns))
 
 
 def _json_object(encoded: dict) -> str:
@@ -221,9 +294,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     t0 = time.monotonic()
     exp = EXPERIMENTS[spec.experiment_id]
     setup = exp.setup(spec.params, spec.seed) if exp.setup else None
-    records = _collect_records(spec, setup)
-    gates = exp.summary(records, setup, spec.params) if exp.summary else []
-    summary = _summarize_records(records, gates)
+    rows = _collect_records(spec, setup)
+    gates = exp.summary(rows, setup, spec.params) if exp.summary else []
+    summary = _summarize_records(rows, gates)
 
     files: dict[str, str] = {}
     manifest = {
@@ -234,7 +307,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         "spec_hash": spec.spec_hash(),
         "code_version": __version__,
         "summary": summary,
-        "extras": [r.extra for r in records if r.extra],
+        # row-aligned: extras[key][i] is row i's value, None where it has none
+        "extras": rows.extras,
     }
     # each member is encoded once: the hash and the file share the encodings
     encoded = {k: json.dumps(v, sort_keys=True, default=repr) for k, v in manifest.items()}
@@ -244,7 +318,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if spec.out_dir:
         os.makedirs(spec.out_dir, exist_ok=True)
         csv_path = os.path.join(spec.out_dir, f"{spec.experiment_id}.csv")
-        _write_csv(csv_path, spec.experiment_id, records)
+        _write_csv(csv_path, spec.experiment_id, rows)
         files["csv"] = csv_path
         if exp.artifacts:
             files.update(exp.artifacts(setup, spec.params, spec.seed, spec.out_dir))
@@ -256,7 +330,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         # json.dump issues a write per token
         with open(files["manifest"], "w", encoding="utf-8") as fh:
             fh.write(_json_object(encoded) + "\n")
-    return ExperimentResult(spec, records, summary, manifest, files)
+    return ExperimentResult(spec, rows, summary, manifest, files)
 
 
 def run_suite(seed: int = 7, out_dir: str | None = None,

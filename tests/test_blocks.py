@@ -129,7 +129,7 @@ def test_blocked_csv_bytes_do_not_depend_on_worker_count(experiment_id, tmp_path
 
     monkeypatch.setitem(EXPERIMENTS, experiment_id,
                         dataclasses.replace(exp, block=aligned_block))
-    outs = {}
+    outs, hashes = {}, {}
     for workers in ("1", "2"):
         monkeypatch.setenv("PURESTAT_WORKERS", workers)
         out = tmp_path / f"w{workers}"
@@ -137,7 +137,9 @@ def test_blocked_csv_bytes_do_not_depend_on_worker_count(experiment_id, tmp_path
                                             out_dir=str(out)))
         assert [r.trial for r in res.records] == list(range(600))
         outs[workers] = (out / f"{experiment_id}.csv").read_bytes()
+        hashes[workers] = res.manifest["manifest_hash"]
     assert outs["1"] == outs["2"]
+    assert hashes["1"] == hashes["2"]   # the row-aligned extras too
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,20 @@ def test_sample_product_state():
     assert np.abs(np.abs(fixed.vector) - expect).max() < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 64, 256, 1024])
+def test_an_integer_dimension_draws_the_identity_basis_state_bitwise(d):
+    for seed in range(5):
+        want = sample_haar_state(np.eye(d), trial_stream(seed, d), dims=(2, d // 2))
+        got = sample_haar_state(d, trial_stream(seed, d), dims=(2, d // 2))
+        assert got.vector.tobytes() == want.vector.tobytes() and got.dims == want.dims
+        want = sample_product_state(np.eye(2), np.eye(d // 2), trial_stream(seed, d))
+        got = sample_product_state(2, d // 2, trial_stream(seed, d))
+        assert got.vector.tobytes() == want.vector.tobytes() and got.dims == want.dims
+    for empty in (0, -1):
+        with pytest.raises(ValueError, match="empty"):
+            sample_haar_state(empty, trial_stream(0, 0))
+
+
 def test_random_hamiltonian_contracts():
     rng = trial_stream(0, 7)
     h = sample_random_hamiltonian([0.0, 1.0], (2, 1), rng)

@@ -435,7 +435,7 @@ def test_csv_bytes_are_the_csv_module_bytes(tmp_path):
                    zip(values, [True, False, np.bool_(True), np.bool_(False)] * 2,
                        [False, True] * 4))]
     path = tmp_path / "rows.csv"
-    harness._write_csv(str(path), "LEVY", records)
+    harness._write_csv(str(path), "LEVY", harness._store(records))
     ref = io.StringIO(newline="")
     w = csv.writer(ref, lineterminator="\n")
     w.writerow(harness.CSV_COLUMNS)
@@ -444,7 +444,7 @@ def test_csv_bytes_are_the_csv_module_bytes(tmp_path):
                     repr(float(r.rhs)), str(bool(r.satisfied)).lower(),
                     str(bool(r.vacuous)).lower()])
     assert path.read_bytes() == ref.getvalue().encode("utf-8")
-    harness._write_csv(str(path), "LEVY", [])
+    harness._write_csv(str(path), "LEVY", harness._store([]))
     assert path.read_bytes() == b"experiment_id,trial,lhs,stderr,rhs,satisfied,vacuous\n"
 
 
