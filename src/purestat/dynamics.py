@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import (CompositeHamiltonian, Hamiltonian, phase_factors,
-                           unitary_from_hamiltonian)
-from .linalg import commutator, dagger, partial_trace, trace_norm
+from .hamiltonians import CompositeHamiltonian, Hamiltonian, phase_factors
+from .linalg import BLOCK_ENTRIES, commutator, partial_trace, trace_norm
 from .states import DensityMatrix, PureState, purity, trace_distance
 
 __all__ = [
@@ -30,18 +29,13 @@ __all__ = [
 ]
 
 
-def evolve(state, h: Hamiltonian, t: float):
-    """Evolve a PureState or DensityMatrix for time t in the eigenbasis of H."""
-    if isinstance(state, PureState):
-        v = time_map(h, state, [t], np.copy)[0]
-        v /= np.linalg.norm(v)  # remove float drift, |err| ~ 1e-16
-        return PureState(v, dims=state.dims)
-    if isinstance(state, DensityMatrix):
-        if state.dim != h.dim:
-            raise ValueError(f"dimension mismatch: state {state.dim}, H {h.dim}")
-        u = unitary_from_hamiltonian(h, t)
-        return DensityMatrix(u @ state.matrix @ dagger(u), dims=state.dims)
-    raise TypeError(f"cannot evolve object of type {type(state).__name__}")
+def evolve(state: PureState, h: Hamiltonian, t: float) -> PureState:
+    """Evolve a PureState for time t: time_map at one time, renormalised."""
+    if not isinstance(state, PureState):
+        raise TypeError(f"cannot evolve object of type {type(state).__name__}")
+    v = time_map(h, state, [t], np.copy)[0]
+    v /= np.linalg.norm(v)  # remove float drift, |err| ~ 1e-16
+    return PureState(v, dims=state.dims)
 
 
 def _cluster_slices(e: np.ndarray, tol: float) -> list[slice]:
@@ -136,9 +130,6 @@ def _eigen_coefficients(h: Hamiltonian, initial) -> tuple[np.ndarray, bool]:
     return np.array([h.to_eigenbasis(v) for v in np.atleast_2d(vecs)]), vecs.ndim == 2
 
 
-_TIME_BLOCK = 1 << 13   # coefficients per block of time_map
-
-
 def time_map(h: Hamiltonian, initial, times, fn, states: bool = True):
     """fn of the evolved states psi_t = exp(-iHt) psi_0, one block of times at a time.
 
@@ -148,8 +139,8 @@ def time_map(h: Hamiltonian, initial, times, fn, states: bool = True):
     c0 exp(-iEt) instead of the state vectors.  It returns an array, or a
     tuple of arrays, with the block's times on axis 0; those are copied into
     (n_times, ...) outputs at once, so fn may return views of the block.  A
-    block holds at most _TIME_BLOCK coefficients (but at least one time) and
-    is written into buffers reused by the next block, so memory does not
+    block holds at most BLOCK_ENTRIES coefficients (but at least one time)
+    and is written into buffers reused by the next block, so memory does not
     grow with the number of times.  The whole stack shares one phase matrix
     per block (hamiltonians.phase_factors) and evolves in one GEMM.
     """
@@ -158,7 +149,7 @@ def time_map(h: Hamiltonian, initial, times, fn, states: bool = True):
     if not len(times):
         raise ValueError("time_map needs at least one time")
     m, d = c0.shape
-    rows = max(1, min(len(times), _TIME_BLOCK // (m * d)))
+    rows = max(1, min(len(times), BLOCK_ENTRIES // (m * d)))
     bufs = [np.empty(rows * m * d, dtype=complex) for _ in range(1 + states)]
     outs = None
     for a in range(0, len(times), rows):

@@ -37,7 +37,6 @@ __all__ = [
     "sample_product_state",
     "sample_random_hamiltonian",
     "harmonic_mean",
-    "shift_for_harmonic_mean",
     "mean_energy_coefficients",
     "sample_mean_energy_state",
 ]
@@ -169,7 +168,11 @@ def complex_normal_rows(rngs, d: int) -> np.ndarray:
     return x[:, 0] + 1j * x[:, 1]
 
 
-_HAAR_BLOCK = 1 << 16   # coefficients per block of haar_coefficient_blocks
+# coefficients per block of haar_coefficient_blocks.  Not linalg.BLOCK_ENTRIES
+# (2^13): the 1 MiB arrays of these blocks raise glibc's dynamic mmap and trim
+# thresholds, and without that MC_VARIANCE_IDENTITY's bootstrap maps and
+# faults in a fresh 800 KB array per resample, so the default suite ran slower
+_HAAR_BLOCK = 1 << 16
 
 
 def haar_coefficient_blocks(n: int, d: int, rng: np.random.Generator):
@@ -262,8 +265,8 @@ def sample_random_hamiltonian(spectrum_spec, dims, rng: np.random.Generator,
     integer dimension.  Jitter adds i.i.d. uniform perturbations of magnitude
     1e-6 x spectral width and retests, at most max_jitter_rounds times.
     """
-    if isinstance(dims, int):
-        dims = (dims, 1)
+    if isinstance(dims, numbers.Integral):
+        dims = (int(dims), 1)
     d = dims[0] * dims[1]
     if spectrum_spec is None:
         e = rng.random(d)
@@ -296,57 +299,16 @@ def harmonic_mean(spectrum) -> float:
     return len(e) / float((1.0 / e).sum())
 
 
-def shift_for_harmonic_mean(spectrum, energy: float, rtol: float = 1e-9) -> float:
-    """Shift a such that the harmonic mean of {E_k + a} equals energy + a.
-
-    Valid only for energy strictly between the ground state energy and the
-    arithmetic mean; found by bisection (the defect is monotone in a).
-    """
-    e = np.asarray(spectrum, dtype=float)
-    e0 = float(e.min())
-    e_mean = float(e.mean())
-    if np.allclose(e, e[0]) and abs(energy - e0) <= rtol * max(1.0, abs(e0)):
-        return 0.0
-    if not (e0 < energy < e_mean):
-        raise ValueError(
-            f"no valid shift: energy {energy!r} not strictly between the ground state "
-            f"energy {e0!r} and the mean energy {e_mean!r}")
-
-    def defect(a: float) -> float:
-        return harmonic_mean(e + a) - (energy + a)
-
-    width = max(e_mean - e0, 1.0)
-    lo = -e0 + 1e-12 * width
-    while harmonic_mean(e + lo) >= energy + lo:
-        lo = -e0 + 0.5 * (lo + e0)  # move closer to -e0 where HM -> 0
-        if lo + e0 < 1e-300:
-            raise ValueError("bisection bracket collapse near the ground state")
-    hi = max(1.0, -e0 + width)
-    while defect(hi) <= 0:
-        hi *= 2.0
-        if hi > 1e18:
-            raise ValueError("no upper bracket for the harmonic-mean shift")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if defect(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if abs(harmonic_mean(e + mid) - (energy + mid)) <= rtol * abs(energy + mid):
-            return mid
-    return 0.5 * (lo + hi)
-
-
 def mean_energy_coefficients(h: Hamiltonian, energy: float, rngs) -> np.ndarray:
     """Eigenbasis coefficients of mean-energy-ensemble samples, one row per stream.
 
     From each generator in rngs, the real and then the imaginary parts of
     the coefficients c_k are drawn from zero-mean normals with standard
     deviation sqrt(E/(d E_k)); each row is then normalized.  rngs may be a
-    lazy iterable such as the streams of `trial_streams`.  The caller is
-    responsible for shifting the spectrum (shift_for_harmonic_mean) so that
-    E is close to the harmonic mean; validity is established empirically by
-    comparing the sample-mean energy against E.
+    lazy iterable such as the streams of `trial_streams`.  The ensemble's mean
+    energy is close to E when E is the harmonic mean of the spectrum
+    (harmonic_mean); validity is established empirically by comparing the
+    sample-mean energy against E.
     """
     e = h.eigenvalues
     if np.any(e <= 0):

@@ -53,9 +53,8 @@ from .ensembles import (
     trial_streams,
 )
 from .hamiltonians import Hamiltonian, compose_hamiltonian, pointer_hamiltonian
-from .linalg import commutator, dagger, trace_norm
+from .linalg import BLOCK_ENTRIES, commutator, dagger, trace_norm
 from .states import (
-    MacroObservableSet,
     PureState,
     effective_dimension,
     expectation_values,
@@ -213,13 +212,12 @@ def _coarse_grained_setup(params, seed):
     rng = _setup_stream(seed)
     w = haar_unitary(d, rng)
     groups = [w[:, r * (d // m):(r + 1) * (d // m)] for r in range(m)]
-    macro = MacroObservableSet([g @ dagger(g) for g in groups])
     v0 = haar_unitary(d, rng)
     basis_r = v0[:, :d_r]
     pi_r = basis_r @ dagger(basis_r)
-    mc = np.array([np.trace(p @ pi_r).real / d_r for p in macro.projectors])
-    return {"macro": macro, "basis_r": basis_r, "mc": mc, "groups": groups,
-            "d": d, "d_r": d_r, "m": m}
+    # Tr[P_r Pi_R] / d_R for the macro projector P_r = g_r g_r^dagger of each group
+    mc = np.array([np.trace(g @ dagger(g) @ pi_r).real / d_r for g in groups])
+    return {"basis_r": basis_r, "mc": mc, "groups": groups, "d": d, "d_r": d_r, "m": m}
 
 
 def _coarse_grained_trial(setup, params, seed, k):
@@ -724,15 +722,12 @@ def _einselection_rows(setup, params, seed, k):
 # initial state independence and the second law
 # ---------------------------------------------------------------------------
 
-_PAIR_BLOCK = 1 << 13   # matrix entries per trace_distance batch in _marginal_diameter
-
-
 def _marginal_diameter(mu: np.ndarray) -> float:
     """max over pairs i < j of D(mu_i, mu_j); NaN if any distance is NaN.
     The np.triu_indices pairs go to trace_distance in batches of about
-    _PAIR_BLOCK matrix entries, so memory stays bounded at d = 1024."""
+    BLOCK_ENTRIES matrix entries, so memory stays bounded at d = 1024."""
     i, j = np.triu_indices(len(mu), 1)
-    step = max(1, _PAIR_BLOCK // mu[0].size)
+    step = max(1, BLOCK_ENTRIES // mu[0].size)
     return float(np.max([trace_distance(mu[i[a:a + step]], mu[j[a:a + step]]).max()
                          for a in range(0, len(i), step)], initial=0.0))
 

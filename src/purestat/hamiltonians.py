@@ -1,4 +1,4 @@
-"""Hamiltonians: spectra, gap structure, evolution operators, decompositions.
+"""Hamiltonians: spectra, gap structure, phase factors, decompositions.
 
 Energies are in units with hbar = 1, so time carries units of 1/energy.
 """
@@ -17,7 +17,6 @@ __all__ = [
     "CompositeHamiltonian",
     "gap_analysis",
     "phase_factors",
-    "unitary_from_hamiltonian",
     "decompose_hamiltonian",
     "compose_hamiltonian",
     "pointer_hamiltonian",
@@ -177,11 +176,6 @@ def phase_factors(energies, times) -> np.ndarray:
     return out.reshape(t.shape + e.shape)
 
 
-def unitary_from_hamiltonian(h: Hamiltonian, t: float) -> np.ndarray:
-    """Evolution operator U_t = exp(-i H t) computed in the eigenbasis."""
-    return (h.eigenbasis * phase_factors(h.eigenvalues, t)) @ dagger(h.eigenbasis)
-
-
 @dataclass
 class CompositeHamiltonian:
     """Split H = H_0 + H_S (x) 1 + 1 (x) H_B + H_SB with traceless parts.
@@ -205,8 +199,9 @@ class CompositeHamiltonian:
                 raise ValueError(f"{name} has shape {m.shape}, expected {(dim, dim)}")
             if abs(np.trace(m)) > 1e-9 * dim:
                 raise ValueError(f"{name} is not traceless: trace {np.trace(m):.3e}")
-        dev = np.abs(self.full_matrix() - self.assembled.matrix()).max()
-        if dev > 1e-10 * max(1.0, float(np.abs(self.full_matrix()).max())):
+        full = self.full_matrix()
+        dev = np.abs(full - self.assembled.matrix()).max()
+        if dev > 1e-10 * max(1.0, float(np.abs(full).max())):
             raise ValueError(f"assembled Hamiltonian deviates from the sum: {dev:.3e}")
 
     @property

@@ -22,8 +22,11 @@ __all__ = [
     "trace_norm",
     "operator_norm",
     "commutator",
-    "swap_operator",
 ]
+
+# entries per block of a bounded batch loop (128 KiB of complex128): the times
+# of dynamics.time_map and the state pairs of the experiments' marginal diameter
+BLOCK_ENTRIES = 1 << 13
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -137,12 +140,3 @@ def commutator(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def swap_operator(d: int) -> np.ndarray:
-    """Swap of the two factors of C^d (x) C^d: S|kl> = |lk>."""
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            s[l * d + k, k * d + l] = 1.0
-    return s

@@ -10,24 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import Hamiltonian
 from .linalg import dagger, partial_trace
 
 __all__ = [
     "PureState",
     "DensityMatrix",
-    "MacroObservableSet",
     "trace_distance",
-    "max_projector_distinguishability",
     "purity",
     "expectation_values",
     "effective_dimension",
     "von_neumann_entropy",
-    "mutual_information",
     "microcanonical_state",
-    "microcanonical_expectation",
-    "canonical_state",
-    "macro_pseudo_distance",
 ]
 
 
@@ -67,9 +60,6 @@ class PureState:
             raise ValueError(f"keep must be 'S' or 'B', got {keep!r}")
         return DensityMatrix(r)
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.vector, other.vector))
-
 
 @dataclass
 class DensityMatrix:
@@ -104,9 +94,6 @@ class DensityMatrix:
     def reduced(self, keep: str = "S") -> "DensityMatrix":
         d_s, d_b = self.dims
         return DensityMatrix(partial_trace(self.matrix, d_s, d_b, keep))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 def _mat(rho) -> np.ndarray:
@@ -152,20 +139,6 @@ def trace_distance(rho, sigma):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def max_projector_distinguishability(rho, sigma) -> float:
-    """Tr[Pi_+ (rho - sigma)] with Pi_+ the positive-subspace projector.
-
-    Cross-check route for trace_distance: the two must agree to 1e-10.
-    """
-    a, b = _mat(rho), _mat(sigma)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    w, v = np.linalg.eigh(a - b)
-    pos = v[:, w >= 0]
-    pi_plus = pos @ dagger(pos)
-    return float(np.trace(pi_plus @ (a - b)).real)
-
-
 def purity(rho):
     """p(rho) = Tr[rho^2].
 
@@ -209,16 +182,6 @@ def von_neumann_entropy(rho, base: float | None = None):
     return float(s) if s.ndim == 0 else s
 
 
-def mutual_information(rho: DensityMatrix, base: float | None = None) -> float:
-    """I_SB = S(rho^S) + S(rho^B) - S(rho) for a bipartite state."""
-    if not isinstance(rho, DensityMatrix):
-        raise TypeError("mutual_information needs a DensityMatrix with bipartite dims")
-    s_s = von_neumann_entropy(rho.reduced("S"), base)
-    s_b = von_neumann_entropy(rho.reduced("B"), base)
-    s = von_neumann_entropy(rho, base)
-    return s_s + s_b - s
-
-
 def microcanonical_state(subspace_basis, dims: tuple[int, int] | None = None) -> DensityMatrix:
     """rho_mc = Pi_R / d_R for the subspace spanned by the given orthonormal vectors.
 
@@ -232,59 +195,3 @@ def microcanonical_state(subspace_basis, dims: tuple[int, int] | None = None) ->
     if np.abs(gram - np.eye(d_r)).max() > 1e-10:
         raise ValueError("subspace basis is not orthonormal")
     return DensityMatrix((v @ dagger(v)) / d_r, dims=dims)
-
-
-def microcanonical_expectation(b, subspace_basis) -> float:
-    """<B>_mc = Tr[(Pi_R/d_R) B]."""
-    rho = microcanonical_state(subspace_basis)
-    return float(np.trace(rho.matrix @ np.asarray(b, dtype=complex)).real)
-
-
-def canonical_state(h_s: Hamiltonian, beta: float) -> DensityMatrix:
-    """Gibbs state e^{-beta H_S}/Z, computed with shifted exponents for stability."""
-    if not np.isfinite(beta) or beta < 0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-    e = h_s.eigenvalues
-    w = np.exp(-beta * (e - e.min()))
-    w /= w.sum()
-    m = (h_s.eigenbasis * w) @ dagger(h_s.eigenbasis)
-    return DensityMatrix(m, dims=h_s.dims)
-
-
-@dataclass
-class MacroObservableSet:
-    """Mutually orthogonal projectors modelling coarse macro observables."""
-
-    projectors: list
-    labels: list | None = None
-    complete: bool = False
-
-    def __post_init__(self):
-        self.projectors = [np.asarray(p, dtype=complex) for p in self.projectors]
-        if self.labels is None:
-            self.labels = [f"M{i}" for i in range(len(self.projectors))]
-        if len(self.labels) != len(self.projectors):
-            raise ValueError("labels and projectors length mismatch")
-        d = self.projectors[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for i, p in enumerate(self.projectors):
-            if np.abs(p @ p - p).max() > 1e-10:
-                raise ValueError(f"projector {i} is not idempotent")
-            for q in self.projectors[i + 1:]:
-                if np.abs(p @ q).max() > 1e-10:
-                    raise ValueError("projectors are not mutually orthogonal")
-            total += p
-        self.complete = bool(np.abs(total - np.eye(d)).max() <= 1e-10)
-
-    @property
-    def count(self) -> int:
-        return len(self.projectors)
-
-
-def macro_pseudo_distance(m: MacroObservableSet, rho, sigma) -> float:
-    """D_M(rho, sigma) = max_r Tr[Pi_r (rho - sigma)]; never exceeds trace_distance."""
-    a, b = _mat(rho), _mat(sigma)
-    diff = a - b
-    if diff.shape[0] != m.projectors[0].shape[0]:
-        raise ValueError("projectors incompatible with state dimension")
-    return float(max(np.trace(p @ diff).real for p in m.projectors))

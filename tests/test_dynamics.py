@@ -17,7 +17,6 @@ from purestat import (
     evolve,
     finite_difference_purity_rate,
     finite_difference_speed,
-    mutual_information,
     pointer_hamiltonian,
     purity,
     partial_trace,
@@ -34,14 +33,20 @@ from purestat import (
     trial_stream,
     von_neumann_entropy,
 )
-from purestat.dynamics import _TIME_BLOCK
 from purestat.hamiltonians import phase_factors
+from purestat.linalg import BLOCK_ENTRIES
 from purestat.experiments import EXPERIMENTS
 
 
 def _rand_herm(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (z + dagger(z)) / 2
+
+
+def mutual_information(rho):
+    """I_SB = S(rho^S) + S(rho^B) - S(rho) of a bipartite DensityMatrix."""
+    return (von_neumann_entropy(rho.reduced("S")) + von_neumann_entropy(rho.reduced("B"))
+            - von_neumann_entropy(rho))
 
 
 def _time_average_discrepancy(h, psi, horizon, n_samples, rng):
@@ -79,15 +84,23 @@ def test_evolve_two_level_hand_case():
 
 
 def test_evolve_conserves_energy_and_purity(h8):
+    # a mixed state evolves as the mixture of its evolved eigenvectors
     rng = trial_stream(100, 2)
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     rho = DensityMatrix((g @ dagger(g)) / np.trace(g @ dagger(g)).real)
+    w, v = np.linalg.eigh(rho.matrix)
     hm = h8.matrix()
     e0, p0 = np.trace(hm @ rho.matrix).real, purity(rho)
     for t in np.linspace(0.0, 30.0, 7)[1:]:
-        rt = evolve(rho, h8, t)
+        vt = np.array([evolve(PureState(col), h8, t).vector for col in v.T]).T
+        rt = DensityMatrix((vt * w) @ dagger(vt))
         assert np.trace(hm @ rt.matrix).real == pytest.approx(e0, abs=1e-9)
         assert purity(rt) == pytest.approx(p0, abs=1e-9)
+
+
+def test_evolve_takes_only_a_pure_state(h8):
+    with pytest.raises(TypeError, match="DensityMatrix"):
+        evolve(DensityMatrix(np.eye(8) / 8), h8, 1.0)
 
 
 def test_evolve_dimension_mismatch(h8):
@@ -386,7 +399,7 @@ def test_time_map_blocks_cover_the_times_once_and_in_order(d):
     stack = np.stack([sample_haar_state(np.eye(d), rng).vector for _ in range(2)])
     for initial in (stack[0], stack):
         c0 = np.array([h.to_eigenbasis(v) for v in np.atleast_2d(initial)])
-        rows = max(1, _TIME_BLOCK // initial.size)   # times per block
+        rows = max(1, BLOCK_ENTRIES // initial.size)   # times per block
         for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
             times = rng.uniform(0.0, 1e6, n)
             # one shot: all times at once, one row per (time, state)
@@ -401,7 +414,7 @@ def test_time_map_blocks_cover_the_times_once_and_in_order(d):
                 got = time_map(h, initial, times, record, states=states)
                 assert [s[1:] for s in shapes] == [initial.shape] * len(shapes)
                 assert sum(s[0] for s in shapes) == n
-                assert all(0 < s[0] <= rows and s[0] * initial.size <= _TIME_BLOCK
+                assert all(0 < s[0] <= rows and s[0] * initial.size <= BLOCK_ENTRIES
                            for s in shapes)
                 assert got.shape == (n, *initial.shape)
                 got = got.reshape(n, -1, d)

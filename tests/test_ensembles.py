@@ -11,17 +11,22 @@ from purestat import (
     haar_coefficient_blocks,
     haar_unitary,
     harmonic_mean,
-    mutual_information,
     sample_haar_state,
     sample_mean_energy_state,
     sample_product_state,
     sample_random_hamiltonian,
-    shift_for_harmonic_mean,
     stream,
     trace_distance,
     trial_stream,
+    von_neumann_entropy,
 )
 from purestat.experiments import EXPERIMENTS
+
+
+def mutual_information(rho):
+    """I_SB = S(rho^S) + S(rho^B) - S(rho) of a bipartite DensityMatrix."""
+    return (von_neumann_entropy(rho.reduced("S")) + von_neumann_entropy(rho.reduced("B"))
+            - von_neumann_entropy(rho))
 
 
 def test_trial_stream_determinism():
@@ -170,6 +175,15 @@ def test_random_hamiltonian_contracts():
     assert np.all(np.diff(h16.eigenvalues) > 0)
 
 
+def test_random_hamiltonian_accepts_any_integral_dimension():
+    # a numpy integer is a whole dimension d, as an int is, not a (d_S, d_B) pair
+    for dims in (8, np.int64(8), np.int32(8), (8, 1)):
+        h = sample_random_hamiltonian(None, dims, trial_stream(0, 10))
+        assert h.dims == (8, 1) and all(type(x) is int for x in h.dims)
+        assert np.array_equal(h.eigenvalues,
+                              sample_random_hamiltonian(None, 8, trial_stream(0, 10)).eigenvalues)
+
+
 def test_random_hamiltonian_entangled_eigenvectors():
     rng = trial_stream(0, 8)
     h = sample_random_hamiltonian(None, (2, 32), rng)
@@ -185,25 +199,6 @@ def test_random_hamiltonian_jitter_failure():
     with pytest.raises(RuntimeError):
         sample_random_hamiltonian(np.zeros(4), (4, 1), rng, gap_tol=1.0,
                                   max_jitter_rounds=5)
-
-
-def test_shift_for_harmonic_mean_flat_spectrum():
-    assert shift_for_harmonic_mean([2.0, 2.0, 2.0], 2.0) == 0.0
-
-
-def test_shift_for_harmonic_mean_already_matched():
-    # spectrum {1,3}: harmonic mean 2/(1 + 1/3) = 1.5 already
-    assert abs(shift_for_harmonic_mean([1.0, 3.0], 1.5)) < 1e-6
-
-
-def test_shift_for_harmonic_mean_bisection():
-    e = np.array([1.0, 2.0, 3.0, 6.0])
-    a = shift_for_harmonic_mean(e, 2.4)
-    assert harmonic_mean(e + a) == pytest.approx(2.4 + a, rel=1e-9)
-    with pytest.raises(ValueError):
-        shift_for_harmonic_mean(e, 0.5)   # below ground state
-    with pytest.raises(ValueError):
-        shift_for_harmonic_mean(e, 3.5)   # above arithmetic mean
 
 
 def test_mean_energy_sampler_sigma_values():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from purestat import (
+    CompositeHamiltonian,
     Hamiltonian,
     compose_hamiltonian,
     dagger,
@@ -16,7 +17,7 @@ from purestat import (
     phase_factors,
     pointer_hamiltonian,
     tensor_product,
-    unitary_from_hamiltonian,
+    time_map,
 )
 
 
@@ -68,6 +69,12 @@ def test_hamiltonian_validation():
         Hamiltonian(np.array([1.0, 0.0]), np.eye(2, dtype=complex))  # not ascending
     with pytest.raises(ValueError):
         Hamiltonian(np.array([0.0, 1.0]), np.ones((2, 2), dtype=complex))  # not unitary
+
+
+def unitary_from_hamiltonian(h, t):
+    """U_t = exp(-iHt) through the library's one evolution path: column j is
+    the basis state e_j evolved by time_map."""
+    return time_map(h, np.eye(h.dim), [t], np.copy)[0].T
 
 
 def test_unitary_from_hamiltonian():
@@ -215,6 +222,14 @@ def test_compose_from_parts():
     uncoupled = tensor_product(h_s, np.eye(5)) + tensor_product(np.eye(2), h_b)
     assert np.abs(parts.full_matrix() - uncoupled).max() < 1e-10
     assert np.abs(parts.h_sb).max() < 1e-10  # no interaction part
+
+
+def test_composite_rejects_parts_that_do_not_sum_to_the_assembled_hamiltonian():
+    rng = np.random.default_rng(38)
+    parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(3, rng), _rand_herm(6, rng))
+    with pytest.raises(ValueError, match="deviates from the sum"):
+        CompositeHamiltonian(parts.h_s, parts.h_b, parts.h_sb, parts.h0_coefficient + 1e-6,
+                             parts.assembled)
 
 
 def test_pointer_hamiltonian_structure():

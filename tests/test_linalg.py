@@ -9,7 +9,6 @@ from purestat import (
     hermitian_eig,
     partial_trace,
     schatten_norm,
-    swap_operator,
     tensor_product,
 )
 
@@ -74,6 +73,15 @@ def test_tensor_identity_and_diag():
     assert np.allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
     t = tensor_product(np.diag([1, 2]), np.diag([3, 4]))
     assert np.allclose(t, np.diag([3, 4, 6, 8]))
+
+
+def swap_operator(d):
+    """Swap of the two factors of C^d (x) C^d: S|kl> = |lk>, built entry by entry."""
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            s[l * d + k, k * d + l] = 1.0
+    return s
 
 
 def test_tensor_swap_trace_identity():

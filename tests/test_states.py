@@ -5,21 +5,16 @@ import pytest
 
 from purestat import (
     DensityMatrix,
-    Hamiltonian,
-    MacroObservableSet,
     PureState,
-    canonical_state,
+    dagger,
     effective_dimension,
     expectation_values,
-    macro_pseudo_distance,
-    max_projector_distinguishability,
-    microcanonical_expectation,
     microcanonical_state,
-    mutual_information,
     purity,
     trace_distance,
     von_neumann_entropy,
 )
+from purestat.experiments import EXPERIMENTS
 
 RNG = np.random.default_rng(777)
 
@@ -146,15 +141,25 @@ def test_trace_distance_hilbert_schmidt_cap():
         assert trace_distance(a, b) <= cap + 1e-12
 
 
+def max_projector_distinguishability(rho, sigma):
+    """Tr[Pi_+ (rho - sigma)] with Pi_+ the projector onto the positive
+    eigenspace of rho - sigma: the projector form of the trace distance."""
+    diff = rho - sigma
+    w, v = np.linalg.eigh(diff)
+    pos = v[:, w >= 0]
+    return float(np.trace(pos @ dagger(pos) @ diff).real)
+
+
 def test_max_projector_distinguishability():
     rho = random_density(5)
-    assert max_projector_distinguishability(rho, rho) == pytest.approx(0.0, abs=1e-12)
+    assert max_projector_distinguishability(rho.matrix, rho.matrix) \
+        == pytest.approx(0.0, abs=1e-12)
     assert max_projector_distinguishability(np.diag([1.0, 0]), np.diag([0, 1.0])) \
         == pytest.approx(1.0)
     rng = np.random.default_rng(12)
     for _ in range(100):
         a, b = random_density(7, rng), random_density(7, rng)
-        assert max_projector_distinguishability(a, b) \
+        assert max_projector_distinguishability(a.matrix, b.matrix) \
             == pytest.approx(trace_distance(a, b), abs=1e-10)
 
 
@@ -230,6 +235,12 @@ def test_entropy_of_a_non_finite_matrix_is_nan(n):
     assert np.isnan(got[1]) and np.array_equal(np.delete(got, 1), np.delete(clean, 1))
 
 
+def mutual_information(rho):
+    """I_SB = S(rho^S) + S(rho^B) - S(rho) of a bipartite DensityMatrix."""
+    return (von_neumann_entropy(rho.reduced("S")) + von_neumann_entropy(rho.reduced("B"))
+            - von_neumann_entropy(rho))
+
+
 def test_mutual_information():
     rho = random_density(3)
     sig = random_density(4)
@@ -271,45 +282,18 @@ def test_microcanonical_expectation_matches_basis_average():
     q, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
     b = rng.standard_normal((6, 6)); b = (b + b.T) / 2
     avg = np.mean([np.real(q[:, i].conj() @ b @ q[:, i]) for i in range(3)])
-    assert microcanonical_expectation(b, q) == pytest.approx(avg, abs=1e-12)
+    rho = microcanonical_state(q)
+    assert np.trace(rho.matrix @ b).real == pytest.approx(avg, abs=1e-12)
 
 
-def test_canonical_state():
-    h = Hamiltonian(np.array([0.0, 1.0]), np.eye(2, dtype=complex))
-    assert np.abs(canonical_state(h, 0.0).matrix - np.eye(2) / 2).max() < 1e-12
-    hot = canonical_state(h, np.log(2))
-    assert np.allclose(np.diag(hot.matrix).real, [2 / 3, 1 / 3])
-    cold = canonical_state(h, 500.0)
-    assert np.abs(cold.matrix - np.diag([1.0, 0.0])).max() < 1e-9
-
-
-def test_canonical_state_commutes_with_hamiltonian():
-    rng = np.random.default_rng(18)
-    z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = Hamiltonian.from_matrix((z + z.conj().T) / 2)
-    rho = canonical_state(h, 0.7)
-    comm = rho.matrix @ h.matrix() - h.matrix() @ rho.matrix
-    assert np.abs(comm).max() < 1e-10
-
-
-def test_macro_observable_set_validation():
-    p0 = np.diag([1.0, 0, 0, 0])
-    p1 = np.diag([0, 1.0, 1.0, 0])
-    m = MacroObservableSet([p0, p1])
-    assert not m.complete
-    m2 = MacroObservableSet([p0, p1, np.diag([0, 0, 0, 1.0])])
-    assert m2.complete
-    with pytest.raises(ValueError):
-        MacroObservableSet([p0, np.diag([1.0, 1.0, 0, 0])])  # overlaps p0
-
-
-def test_macro_pseudo_distance():
-    projs = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
-    m = MacroObservableSet(projs)
-    rho, sig = np.diag([0.5, 0.3, 0.2]), np.diag([0.2, 0.3, 0.5])
-    assert macro_pseudo_distance(m, rho, rho) == pytest.approx(0.0, abs=1e-12)
-    assert macro_pseudo_distance(m, rho, sig) == pytest.approx(0.3)
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        a, b = random_density(3, rng), random_density(3, rng)
-        assert macro_pseudo_distance(m, a, b) <= trace_distance(a, b) + 1e-10
+def test_coarse_grained_macro_projectors_are_a_complete_orthogonal_set():
+    exp = EXPERIMENTS["COARSE_GRAINED"]
+    setup = exp.setup(exp.defaults, 7)
+    projectors = [g @ dagger(g) for g in setup["groups"]]
+    d = setup["d"]
+    assert len(projectors) == setup["m"]
+    for i, p in enumerate(projectors):
+        assert np.abs(p @ p - p).max() <= 1e-10
+        for q in projectors[i + 1:]:
+            assert np.abs(p @ q).max() <= 1e-10
+    assert np.abs(sum(projectors) - np.eye(d)).max() <= 1e-10

@@ -124,6 +124,6 @@ def test_marginal_diameter_batches_equal_one_batch(monkeypatch):
             for i in range(len(mu) - 1)]
     assert one == max(rows)
     for entries in (4, 12, 4 * 779, 4 * 780):   # 1, 3, 779 and 780 pairs per batch
-        monkeypatch.setattr(experiments, "_PAIR_BLOCK", entries)
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", entries)
         assert _marginal_diameter(mu) == one
     assert _marginal_diameter(mu[:1]) == 0.0
