@@ -27,7 +27,7 @@ print("=" * 72)
 
 # --- Haar states from a subspace (first d_R coordinates of a 2 d_R space) ---
 d_r = 32
-h = sample_random_hamiltonian(None, (2 * d_r, 1), rng)
+h = sample_random_hamiltonian((2 * d_r, 1), rng)
 basis = np.eye(2 * d_r, d_r)
 vals = []
 for _ in range(500):
@@ -42,7 +42,7 @@ print(f"  min  d_eff = {vals.min():6.1f}   (tail below d_R/4 = {d_r/4:.0f}: "
 
 # --- product states ---
 d_sr, d_br = 4, 16
-hp = sample_random_hamiltonian(None, (d_sr, d_br), rng)
+hp = sample_random_hamiltonian((d_sr, d_br), rng)
 pvals = []
 for _ in range(500):
     psi = sample_product_state(d_sr, d_br, rng)
@@ -55,7 +55,7 @@ print(f"  mean d_eff = {pvals.mean():6.1f}   theorem floor (d_SR+1)(d_BR+1)/4 = 
 
 # --- mean energy ensemble ---
 d = 64
-hm = sample_random_hamiltonian(("uniform", 1.0, 2.0), (d, 1), rng)
+hm = sample_random_hamiltonian((d, 1), rng, spectrum=(1.0, 2.0))
 energy = harmonic_mean(hm.eigenvalues)
 purities = []
 for _ in range(2000):

@@ -29,7 +29,7 @@ from purestat import (
 rng = stream(20260810, 2)
 d_s, d_b = 2, 32
 
-h = sample_random_hamiltonian(None, (d_s, d_b), rng)
+h = sample_random_hamiltonian((d_s, d_b), rng)
 psi_b = sample_haar_state(d_b, rng)
 psi0_vec = np.kron(canonical_subspace_basis(d_s, [0])[:, 0], psi_b.vector)
 psi0 = PureState(psi0_vec, dims=(d_s, d_b))

@@ -26,7 +26,7 @@ rng = stream(20260810, 5)
 d_s, d_b = 2, 64
 d = d_s * d_b
 
-h = sample_random_hamiltonian(None, (d_s, d_b), rng)
+h = sample_random_hamiltonian((d_s, d_b), rng)
 psi0 = np.zeros(d, dtype=complex); psi0[0] = 1.0          # |0>_S |0>_B
 sig0 = np.zeros(d, dtype=complex); sig0[d_b] = 1.0        # |1>_S |0>_B
 starts = np.stack([psi0, sig0])

@@ -311,18 +311,19 @@ def _max_weight_perfect_matching(w: list[list[float]]) -> float:
     return best((1 << len(w)) - 1)
 
 
-def max_pairing_offdiagonal_sum(values, rho, exact_limit: int = 20) -> float:
+_EXACT_PAIRING_LIMIT = 20   # max_pairing_offdiagonal_sum is exact up to this many vertices
+
+
+def max_pairing_offdiagonal_sum(values, rho) -> float:
     """max over pairings of sum_{(k,l)} |a_k - a_l| |rho_kl|.
 
     rho must be expressed in the eigenbasis of the observable whose
     eigenvalues are `values`.  A vertex may stay unpaired.  Up to
-    exact_limit vertices the maximum is exact: the weights are >= 0, so a
-    maximum-weight matching can be completed to a perfect one (odd n gets a
-    zero-weight padding vertex) and the bitmask DP finds it.  Above that a
-    greedy edge selection is used, whose value is a certified lower bound on
-    the true maximum (still sound for the commutator lemma, whose RHS is
-    itself a lower bound).  A non-finite value or entry of rho gives NaN:
-    Python's max would drop a NaN weight.
+    _EXACT_PAIRING_LIMIT vertices the maximum is exact: the weights are
+    >= 0, so a maximum-weight matching can be completed to a perfect one
+    (odd n gets a zero-weight padding vertex) and the bitmask DP finds it.
+    Above that the greedy _greedy_pairing_sum is used.  A non-finite value
+    or entry of rho gives NaN: Python's max would drop a NaN weight.
     """
     a = np.asarray(values, dtype=float)
     r = np.asarray(rho, dtype=complex)
@@ -330,11 +331,18 @@ def max_pairing_offdiagonal_sum(values, rho, exact_limit: int = 20) -> float:
         return float("nan")
     n = len(a)
     w = np.abs(a[:, None] - a[None, :]) * np.abs(r)
-    if n <= exact_limit:
-        if n % 2:
-            w = np.pad(w, ((0, 1), (0, 1)))
-        return _max_weight_perfect_matching(w.tolist())
-    k_idx, l_idx = np.triu_indices(n, 1)
+    if n > _EXACT_PAIRING_LIMIT:
+        return _greedy_pairing_sum(w)
+    if n % 2:
+        w = np.pad(w, ((0, 1), (0, 1)))
+    return _max_weight_perfect_matching(w.tolist())
+
+
+def _greedy_pairing_sum(w: np.ndarray) -> float:
+    """Weight of a greedy matching on the symmetric weights w (heaviest free
+    edge first): a certified lower bound on the maximum, still sound for the
+    commutator lemma, whose RHS is itself a lower bound."""
+    k_idx, l_idx = np.triu_indices(len(w), 1)
     edges = [(k, l, x) for k, l, x in zip(k_idx.tolist(), l_idx.tolist(),
                                           w[k_idx, l_idx].tolist()) if x > 0]
     used: set[int] = set()

@@ -299,11 +299,11 @@ def purity_rate(rho, parts: CompositeHamiltonian) -> float:
     return rate
 
 
-def _central_difference(h: Hamiltonian, state: PureState, t, delta, change):
+def _central_difference(h: Hamiltonian, state: PureState, t, change):
     """change(rho^S_{t-delta}, rho^S_{t+delta}) / (2 delta) at one time (a
-    float) or at every time of an array, from one time_map pass."""
-    if delta is None:
-        delta = 1e-6 / max(np.abs(h.eigenvalues).max(), 1.0)
+    float) or at every time of an array, from one time_map pass, with
+    delta = 1e-6 / max(|E|, 1)."""
+    delta = 1e-6 / max(np.abs(h.eigenvalues).max(), 1.0)
     ts = np.ravel(t)
     rho_s = time_map(h, state, np.concatenate([ts - delta, ts + delta]),
                      lambda psis: reduced_marginals(psis, state.dims))
@@ -311,13 +311,12 @@ def _central_difference(h: Hamiltonian, state: PureState, t, delta, change):
     return float(x[0]) if np.ndim(t) == 0 else x
 
 
-def finite_difference_speed(h: Hamiltonian, state: PureState, t, delta: float | None = None):
+def finite_difference_speed(h: Hamiltonian, state: PureState, t):
     """Central-difference D(rho^S_{t-d}, rho^S_{t+d}) / (2d) cross-check, at
     one time or an array of times."""
-    return _central_difference(h, state, t, delta, trace_distance)
+    return _central_difference(h, state, t, trace_distance)
 
 
-def finite_difference_purity_rate(h: Hamiltonian, state: PureState, t,
-                                  delta: float | None = None):
+def finite_difference_purity_rate(h: Hamiltonian, state: PureState, t):
     """Central-difference d(purity)/dt cross-check, at one time or an array of times."""
-    return _central_difference(h, state, t, delta, lambda lo, hi: purity(hi) - purity(lo))
+    return _central_difference(h, state, t, lambda lo, hi: purity(hi) - purity(lo))

@@ -255,36 +255,30 @@ def _haar_vector(basis, rng: np.random.Generator) -> np.ndarray:
     return v @ _gaussian_unit_vector(v.shape[1], rng)
 
 
-def sample_random_hamiltonian(spectrum_spec, dims, rng: np.random.Generator,
-                              gap_tol: float = DEFAULT_GAP_TOL,
-                              max_jitter_rounds: int = 100) -> Hamiltonian:
+_JITTER_ROUNDS = 100   # sample_random_hamiltonian's jitter attempts before it gives up
+
+
+def sample_random_hamiltonian(dims, rng: np.random.Generator, spectrum=(0.0, 1.0),
+                              gap_tol: float = DEFAULT_GAP_TOL) -> Hamiltonian:
     """Random Hamiltonian: Haar eigenbasis, spectrum jittered until non-resonant.
 
-    spectrum_spec: explicit array of d eigenvalues, a ("uniform", lo, hi)
-    tuple, or None for i.i.d. uniform on [0, 1].  dims is (d_S, d_B) or an
-    integer dimension.  Jitter adds i.i.d. uniform perturbations of magnitude
-    1e-6 x spectral width and retests, at most max_jitter_rounds times.
+    dims is (d_S, d_B) or an integer dimension; the d eigenvalues are i.i.d.
+    uniform on the interval spectrum = (lo, hi).  Jitter adds i.i.d. uniform
+    perturbations of magnitude 1e-6 x spectral width and retests, at most
+    _JITTER_ROUNDS times.
     """
     if isinstance(dims, numbers.Integral):
         dims = (int(dims), 1)
     d = dims[0] * dims[1]
-    if spectrum_spec is None:
-        e = rng.random(d)
-    elif isinstance(spectrum_spec, tuple) and spectrum_spec[0] == "uniform":
-        _, lo, hi = spectrum_spec
-        e = lo + (hi - lo) * rng.random(d)
-    else:
-        e = np.asarray(spectrum_spec, dtype=float).copy()
-        if len(e) != d:
-            raise ValueError(f"spectrum has {len(e)} values, expected {d}")
-    e = np.sort(e)
+    lo, hi = spectrum
+    e = np.sort(lo + (hi - lo) * rng.random(d))
     width = float(e[-1] - e[0]) or 1.0
     report = gap_analysis(e, gap_tol)
     rounds = 0
     while not report.non_resonant:
-        if rounds >= max_jitter_rounds:
+        if rounds >= _JITTER_ROUNDS:
             raise RuntimeError(
-                f"could not reach non-resonance at tol {gap_tol} in {max_jitter_rounds} rounds")
+                f"could not reach non-resonance at tol {gap_tol} in {_JITTER_ROUNDS} rounds")
         e = np.sort(e + rng.uniform(-1e-6 * width, 1e-6 * width, d))
         report = gap_analysis(e, gap_tol)
         rounds += 1

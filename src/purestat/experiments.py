@@ -94,6 +94,8 @@ class ExperimentDef:
     artifacts: object = None      # (setup, params, seed, out_dir) -> dict of files
     # (params) -> the largest Hilbert-space dimension the experiment builds
     dimension: object = field(kw_only=True)
+    # the parameter sizing a subspace, which may not exceed dimension(params)
+    subspace: str | None = field(default=None, kw_only=True)
     # parameter -> smallest accepted value (a count that feeds std(ddof=1) needs 2)
     minimums: dict = field(default_factory=dict, kw_only=True)
     below: dict = field(default_factory=dict, kw_only=True)  # key -> the key it must lie below
@@ -107,14 +109,13 @@ def _setup_stream(seed: int) -> np.random.Generator:
     return stream(seed, SETUP_DOMAIN)
 
 
-def _gue(d: int, rng: np.random.Generator, norm: float | None = 1.0,
+def _gue(d: int, rng: np.random.Generator, norm: float = 1.0,
          traceless: bool = False) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (z + dagger(z)) / 2
     if traceless:
         h -= np.trace(h) / d * np.eye(d)
-    if norm is not None:
-        h *= norm / np.abs(np.linalg.eigvalsh(h)).max()
+    h *= norm / np.abs(np.linalg.eigvalsh(h)).max()
     return h
 
 
@@ -138,18 +139,19 @@ def mean_se(x: np.ndarray) -> tuple[float, float]:
     return float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x)))
 
 
-def _mixed_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    k = rank or d
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+def _mixed_density(d: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ dagger(g)
     return m / np.trace(m).real
 
 
-def bootstrap(values: np.ndarray, statistic, rng: np.random.Generator,
-              n_boot: int = 200) -> np.ndarray:
-    """statistic of n_boot resamples of values, drawn with replacement from rng."""
+_N_BOOT = 200   # resamples of every bootstrap
+
+
+def bootstrap(values: np.ndarray, statistic, rng: np.random.Generator) -> np.ndarray:
+    """statistic of _N_BOOT resamples of values, drawn with replacement from rng."""
     n = len(values)
-    return np.array([statistic(values[rng.integers(0, n, size=n)]) for _ in range(n_boot)])
+    return np.array([statistic(values[rng.integers(0, n, size=n)]) for _ in range(_N_BOOT)])
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def _mc_sample_expectations(setup, params, seed, k):
 def _mc_variance_identity_trial(setup, params, seed, k):
     x, rng = _mc_sample_expectations(setup, params, seed, k)
     lhs = float(x.var(ddof=1))
-    se = float(bootstrap(x, lambda v: v.var(ddof=1), rng, int(params["n_boot"])).std(ddof=1))
+    se = float(bootstrap(x, lambda v: v.var(ddof=1), rng).std(ddof=1))
     inputs = {"d_r": setup["d_r"], "mc_mean_b": setup["mc_mean"],
               "mc_mean_b2": setup["mc_mean2"]}
     return check_bound("MC_VARIANCE_IDENTITY", lhs, inputs, se, 3.0,
@@ -275,9 +277,9 @@ def _deff_subspace_ambient(params) -> int:
 def _deff_subspace_setup(params, seed):
     d_r = int(params["d_r"])
     ambient = _deff_subspace_ambient(params)
-    gap_tol = float(params.get("gap_tol") or (1e-9 if ambient <= 256 else 1e-11))
+    gap_tol = 1e-9 if ambient <= 256 else 1e-11
     rng = _setup_stream(seed)
-    h = sample_random_hamiltonian(None, (ambient, 1), rng, gap_tol=gap_tol)
+    h = sample_random_hamiltonian((ambient, 1), rng, gap_tol=gap_tol)
     # coefficients of a subspace vector (a, 0) in the eigenbasis: a @ conj(V[:d_r, :])
     return {"block": h.eigenbasis[:d_r, :].conj(), "d_r": d_r, "ambient": ambient}
 
@@ -316,7 +318,7 @@ def _deff_subspace_tail_summary(rows, setup, params):
 def _deff_product_setup(params, seed):
     d_sr, d_br = int(params["d_sr"]), int(params["d_br"])
     rng = _setup_stream(seed)
-    h = sample_random_hamiltonian(None, (d_sr, d_br), rng)
+    h = sample_random_hamiltonian((d_sr, d_br), rng)
     rhs = evaluate_bound("DEFF_PRODUCT_MEAN", {"d_sr": d_sr, "d_br": d_br})
     return {"h": h, "d_sr": d_sr, "d_br": d_br, "rhs": rhs}
 
@@ -348,7 +350,7 @@ def _deff_mean_energy_setup(params, seed):
     d = int(params["d"])
     lo, hi = float(params["spectrum_low"]), float(params["spectrum_high"])
     rng = _setup_stream(seed)
-    h = sample_random_hamiltonian(("uniform", lo, hi), (d, 1), rng)
+    h = sample_random_hamiltonian((d, 1), rng, spectrum=(lo, hi))
     energy = harmonic_mean(h.eigenvalues)
     inputs = {"d": d, "energy": energy, "spectrum": h.eigenvalues}
     return {"h": h, "energy": energy, "rhs": evaluate_bound("DEFF_MEAN_ENERGY", inputs),
@@ -394,7 +396,7 @@ def _equilibration_trial_base(params, seed, k):
     """Shared per-trial pipeline: random H on (d_s, d_b), Haar psi0, time batch."""
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
-    h = sample_random_hamiltonian(None, (d_s, d_b), rng)
+    h = sample_random_hamiltonian((d_s, d_b), rng)
     psi0 = sample_haar_state(d_s * d_b, rng, dims=(d_s, d_b))
     times = sample_times(h, params["n_times"], rng)
     probs = dephased(h, psi0, marginals=False)
@@ -470,7 +472,7 @@ def _purity_equilibration_trial(setup, params, seed, k):
 def _ergodicity_setup(params, seed):
     d, d_r = int(params["d"]), int(params["d_r"])
     rng = _setup_stream(seed)
-    h = sample_random_hamiltonian(None, (d, 1), rng)
+    h = sample_random_hamiltonian((d, 1), rng)
     lo = (d - d_r) // 2
     band = np.arange(lo, lo + d_r)
     b = _gue(d, rng)
@@ -736,7 +738,7 @@ def _isi_trial(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     d = d_s * d_b
     rng = trial_stream(seed, k)
-    h = sample_random_hamiltonian(None, (d_s, d_b), rng)
+    h = sample_random_hamiltonian((d_s, d_b), rng)
     mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))
     delta_pair = _marginal_diameter(mu)
     delta_ent = 2 * float(trace_distance(mu, np.eye(d_s) / d_s).max())
@@ -762,7 +764,7 @@ def _isi_trial(setup, params, seed, k):
 def _isi_linden_setup(params, seed):
     d_s, d_b, d_r = int(params["d_s"]), int(params["d_b"]), int(params["d_r"])
     rng = _setup_stream(seed)
-    h = sample_random_hamiltonian(None, (d_s, d_b), rng)
+    h = sample_random_hamiltonian((d_s, d_b), rng)
     band = np.sort(rng.choice(h.dim, size=d_r, replace=False))
     mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))[band]
     delta = float(purity(mu).mean())  # Linden delta
@@ -822,7 +824,7 @@ def _entangled_state_tail_summary(rows, setup, params):
 def _entangled_eigs_trial(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
-    h = sample_random_hamiltonian(None, (d_s, d_b), rng)
+    h = sample_random_hamiltonian((d_s, d_b), rng)
     mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))
     dists = trace_distance(mu, np.eye(d_s) / d_s)
     lhs = float(dists.max())
@@ -851,7 +853,7 @@ def _levy_trial(setup, params, seed, k):
 def _eq_time_heisenberg_trial(setup, params, seed, k):
     d = int(params["d"])
     rng = trial_stream(seed, k)
-    h = sample_random_hamiltonian(None, (d, 1), rng)
+    h = sample_random_hamiltonian((d, 1), rng)
     lo, hi = d // 4, 3 * d // 4
     band = np.arange(lo, hi)
     delta_e = float(h.eigenvalues[hi - 1] - h.eigenvalues[lo])
@@ -895,7 +897,7 @@ def _second_law_rows(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     d = d_s * d_b
     rng = trial_stream(seed, k)
-    h = sample_random_hamiltonian(None, (d_s, d_b), rng)
+    h = sample_random_hamiltonian((d_s, d_b), rng)
     mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))
     delta_pair = _marginal_diameter(mu)
 
@@ -927,7 +929,7 @@ def _second_law_rows(setup, params, seed, k):
 def _distance_trajectory_setup(params, seed):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = _setup_stream(seed)
-    h = sample_random_hamiltonian(None, (d_s, d_b), rng)
+    h = sample_random_hamiltonian((d_s, d_b), rng)
     psi_b = sample_haar_state(d_b, rng)
     psi0 = PureState(np.kron(canonical_subspace_basis(d_s, [0])[:, 0], psi_b.vector),
                      dims=(d_s, d_b))
@@ -984,49 +986,50 @@ def _register(exp: ExperimentDef):
 _register(ExperimentDef(
     "MC_VARIANCE_IDENTITY",
     "variance of Tr[B psi] over Haar states equals the microcanonical variance / (d_R+1)",
-    {**_MC_DEFAULTS, "n_boot": 200}, _mc_setup, _mc_variance_identity_trial,
-    dimension=_param("d_r"), minimums={"n_samples": 2, "n_boot": 2}))
+    {**_MC_DEFAULTS}, _mc_setup, _mc_variance_identity_trial,
+    subspace="rank_b", dimension=_param("d_r"), minimums={"n_samples": 2, "rank_b": 0}))
 
 _register(ExperimentDef(
     "MC_CONCENTRATION",
     "tail of |Tr[B psi] - <B>_mc| vs the exponential concentration bound",
     {**_MC_DEFAULTS, "epsilon": 0.25}, _mc_setup, _mc_concentration_trial,
-    dimension=_param("d_r"), minimums={"n_samples": 2}))
+    subspace="rank_b", dimension=_param("d_r"), minimums={"n_samples": 2, "rank_b": 0}))
 
 _register(ExperimentDef(
     "MC_VARIANCE_CONCENTRATION",
     "tail of |sigma^2_psi - sigma^2_mc| vs the two-term concentration bound",
     {**_MC_DEFAULTS, "n_samples": 20_000, "epsilon": 0.1},
     _mc_setup, _mc_variance_concentration_trial,
-    dimension=_param("d_r"), minimums={"n_samples": 1}))
+    subspace="rank_b", dimension=_param("d_r"), minimums={"n_samples": 1, "rank_b": 0}))
 
 _register(ExperimentDef(
     "COARSE_GRAINED",
     "deviation of all coarse macro observables at once vs the union bound",
     {"d": 64, "d_r": 32, "m": 4, "n_samples": 20_000, "epsilon": 0.2, "trials": 1},
     _coarse_grained_setup, _coarse_grained_trial,
-    dimension=_param("d"), minimums={"n_samples": 1}))
+    subspace="d_r", dimension=_param("d"), minimums={"n_samples": 1}))
 
 _register(ExperimentDef(
     "CANONICAL_REDUCTION",
     "trace distance of reduced random states from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 32, "n_samples": 2000, "epsilon": 0.1, "trials": 1},
     _canonical_reduction_setup, _canonical_reduction_trial,
-    dimension=_bipartite, minimums={"n_samples": 1}))
+    subspace="d_r", dimension=_bipartite, minimums={"n_samples": 1}))
 
 _register(ExperimentDef(
     "DEFF_SUBSPACE_MEAN",
     "mean effective dimension of dephased subspace states vs d_R/2",
-    {"d_r": 64, "ambient": 0, "gap_tol": 0.0, "trials": 2000},
+    {"d_r": 64, "ambient": 0, "trials": 2000},
     _deff_subspace_setup, _deff_subspace_mean_trial, _deff_subspace_mean_summary,
-    dimension=_deff_subspace_ambient, minimums={"trials": 2}, block=_deff_subspace_block))
+    subspace="d_r", dimension=_deff_subspace_ambient, minimums={"trials": 2},
+    block=_deff_subspace_block))
 
 _register(ExperimentDef(
     "DEFF_SUBSPACE_TAIL",
     "frequency of d_eff < d_R/4 vs the (vacuous at desk dims) tail bound",
-    {"d_r": 64, "ambient": 0, "gap_tol": 0.0, "trials": 2000},
+    {"d_r": 64, "ambient": 0, "trials": 2000},
     _deff_subspace_setup, _deff_subspace_tail_trial, _deff_subspace_tail_summary,
-    dimension=_deff_subspace_ambient, block=_deff_subspace_block))
+    subspace="d_r", dimension=_deff_subspace_ambient, block=_deff_subspace_block))
 
 _register(ExperimentDef(
     "DEFF_PRODUCT_MEAN",
@@ -1070,7 +1073,7 @@ _register(ExperimentDef(
     {"d": 128, "d_r": 64, "trials": 2000, "crosscheck_trials": 3,
      "crosscheck_times": 4000, "crosscheck_tol": 1e-2},
     _ergodicity_setup, _ergodicity_trial, _ergodicity_summary,
-    dimension=_param("d"), minimums={"trials": 2, "crosscheck_times": 1},
+    subspace="d_r", dimension=_param("d"), minimums={"trials": 2, "crosscheck_times": 1},
     block=_ergodicity_block))
 
 _register(ExperimentDef(
@@ -1129,7 +1132,7 @@ _register(ExperimentDef(
     "mean distance of the dephased marginal from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 16, "trials": 500},
     _isi_linden_setup, _isi_linden_trial, _isi_linden_summary,
-    dimension=_bipartite, minimums={"trials": 2}, block=_isi_linden_block))
+    subspace="d_r", dimension=_bipartite, minimums={"trials": 2}, block=_isi_linden_block))
 
 _register(ExperimentDef(
     "ENTANGLED_STATE_TAIL",

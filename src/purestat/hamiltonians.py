@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, hermitian_eig, partial_trace, operator_norm, tensor_product
+from .linalg import _require_hermitian, dagger, partial_trace, operator_norm, tensor_product
 
 __all__ = [
     "GapReport",
@@ -49,8 +49,6 @@ def gap_analysis(spectrum, tol: float = DEFAULT_GAP_TOL) -> GapReport:
     adjacent difference of the sorted gap list, so the sorted scan is exact
     at every dimension.
     """
-    if isinstance(spectrum, Hamiltonian):
-        spectrum = spectrum.eigenvalues
     e = np.sort(np.asarray(spectrum, dtype=float))
     d = len(e)
     if d < 2:
@@ -98,11 +96,12 @@ class Hamiltonian:
             self.gap_report = gap_analysis(self.eigenvalues)
 
     @classmethod
-    def from_matrix(cls, h, dims: tuple[int, int] | None = None,
-                    gap_tol: float = DEFAULT_GAP_TOL) -> "Hamiltonian":
-        dec = hermitian_eig(h)
-        return cls(dec.eigenvalues, dec.eigenbasis, dims=dims,
-                   gap_report=gap_analysis(dec.eigenvalues, gap_tol))
+    def from_matrix(cls, h, dims: tuple[int, int] | None = None) -> "Hamiltonian":
+        """Diagonalise a Hermitian matrix (raises on non-square or non-Hermitian
+        input).  Eigenvectors inside a degenerate cluster come in an arbitrary
+        orthonormal basis; only the cluster projector is well defined."""
+        w, v = np.linalg.eigh(_require_hermitian(h))
+        return cls(w, v, dims=dims)
 
     @property
     def dim(self) -> int:
@@ -112,7 +111,7 @@ class Hamiltonian:
         return (self.eigenbasis * self.eigenvalues) @ dagger(self.eigenbasis)
 
     def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
-        """Express an operator (or a column of state vectors) in the eigenbasis."""
+        """Express an operator (2-D) or one state vector (1-D) in the eigenbasis."""
         if a.ndim == 1:
             return dagger(self.eigenbasis) @ a
         return dagger(self.eigenbasis) @ a @ self.eigenbasis
@@ -229,8 +228,7 @@ def _traceless(m: np.ndarray) -> np.ndarray:
     return m - (np.trace(m) / d) * np.eye(d)
 
 
-def decompose_hamiltonian(h, d_s: int, d_b: int,
-                          gap_tol: float = DEFAULT_GAP_TOL) -> CompositeHamiltonian:
+def decompose_hamiltonian(h, d_s: int, d_b: int) -> CompositeHamiltonian:
     """Decompose a joint Hamiltonian into the traceless canonical split."""
     h = np.asarray(h, dtype=complex)
     d = d_s * d_b
@@ -238,21 +236,20 @@ def decompose_hamiltonian(h, d_s: int, d_b: int,
     h_s = _traceless(partial_trace(h, d_s, d_b, "S") / d_b)
     h_b = _traceless(partial_trace(h, d_s, d_b, "B") / d_s)
     h_sb = h - h0 * np.eye(d) - tensor_product(h_s, np.eye(d_b)) - tensor_product(np.eye(d_s), h_b)
-    assembled = Hamiltonian.from_matrix(h, dims=(d_s, d_b), gap_tol=gap_tol)
+    assembled = Hamiltonian.from_matrix(h, dims=(d_s, d_b))
     return CompositeHamiltonian(h_s, h_b, h_sb, h0, assembled)
 
 
-def compose_hamiltonian(h_s, h_b, h_sb=None, h0: float = 0.0,
-                        gap_tol: float = DEFAULT_GAP_TOL) -> CompositeHamiltonian:
+def compose_hamiltonian(h_s, h_b, h_sb=None) -> CompositeHamiltonian:
     """Assemble a composite Hamiltonian from (not necessarily traceless) parts."""
     h_s = np.asarray(h_s, dtype=complex)
     h_b = np.asarray(h_b, dtype=complex)
     d_s, d_b = h_s.shape[0], h_b.shape[0]
     if h_sb is None:
         h_sb = np.zeros((d_s * d_b, d_s * d_b), dtype=complex)
-    full = (h0 * np.eye(d_s * d_b) + tensor_product(h_s, np.eye(d_b))
-            + tensor_product(np.eye(d_s), h_b) + np.asarray(h_sb, dtype=complex))
-    return decompose_hamiltonian(full, d_s, d_b, gap_tol=gap_tol)
+    full = (tensor_product(h_s, np.eye(d_b)) + tensor_product(np.eye(d_s), h_b)
+            + np.asarray(h_sb, dtype=complex))
+    return decompose_hamiltonian(full, d_s, d_b)
 
 
 def pointer_hamiltonian(d_s: int, bath_blocks) -> CompositeHamiltonian:

@@ -92,6 +92,10 @@ class ExperimentSpec:
         if dim > MAX_DIMENSION:
             raise ValueError(f"{self.experiment_id}: dimension {dim} exceeds the memory "
                              f"guard {MAX_DIMENSION}")
+        # an auto-sized subspace (rank_b = 0) is sized within the dimension
+        if exp.subspace and int(self.params[exp.subspace]) > dim:
+            raise ValueError(f"{self.experiment_id}: {exp.subspace} = "
+                             f"{self.params[exp.subspace]!r} exceeds the dimension {dim}")
 
     def spec_hash(self) -> str:
         payload = json.dumps({"experiment_id": self.experiment_id, "seed": self.seed,

@@ -8,17 +8,12 @@ is exactly numpy's ``kron(A_S, A_B)`` ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
     "dagger",
-    "hermitian_eig",
     "tensor_product",
     "partial_trace",
-    "schatten_norm",
     "trace_norm",
     "operator_norm",
     "commutator",
@@ -43,39 +38,14 @@ def _as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _require_hermitian(a: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
+def _require_hermitian(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Validate Hermiticity entrywise (tolerance scaled by the largest entry)."""
-    a = _as_square_matrix(a, name)
+    a = _as_square_matrix(a)
     scale = max(1.0, float(np.abs(a).max()))
     dev = float(np.abs(a - dagger(a)).max())
     if dev > tol * scale:
-        raise ValueError(f"{name} is not Hermitian: max entrywise deviation {dev:.3e}")
+        raise ValueError(f"matrix is not Hermitian: max entrywise deviation {dev:.3e}")
     return a
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition A = V diag(w) V^dag with w ascending."""
-
-    eigenvalues: np.ndarray
-    eigenbasis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-
-def hermitian_eig(a, tol: float = 1e-12) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues are returned ascending; the eigenbasis columns are
-    orthonormal eigenvectors.  Raises on non-square or non-Hermitian input.
-    Eigenvectors inside a degenerate cluster come in an arbitrary
-    orthonormal basis; only the cluster projector is well defined.
-    """
-    a = _require_hermitian(a, tol)
-    w, v = np.linalg.eigh(a)
-    return EigenDecomposition(eigenvalues=w, eigenbasis=v)
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -104,33 +74,14 @@ def partial_trace(rho, d_s: int, d_b: int, keep: str = "S") -> np.ndarray:
     raise ValueError(f"keep must be 'S' or 'B', got {keep!r}")
 
 
-def schatten_norm(a, kind: str) -> float:
-    """Schatten norm of a Hermitian matrix.
-
-    kind: "trace" (sum |eigenvalues|), "hilbert_schmidt" (Frobenius) or
-    "operator" (max |eigenvalue|).  The eigenvalue-based kinds require
-    Hermitian input; the general singular-value case is out of scope.
-    """
-    if kind == "hilbert_schmidt":
-        a = _as_square_matrix(a)
-        return float(np.linalg.norm(a))
-    a = _require_hermitian(a, tol=1e-10)
-    w = np.linalg.eigvalsh(a)
-    if kind == "trace":
-        return float(np.abs(w).sum())
-    if kind == "operator":
-        return float(np.abs(w).max())
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
 def trace_norm(a) -> float:
-    """Shorthand for schatten_norm(a, "trace")."""
-    return schatten_norm(a, "trace")
+    """||A||_1 = sum |eigenvalues| of a Hermitian matrix."""
+    return float(np.abs(np.linalg.eigvalsh(_require_hermitian(a, tol=1e-10))).sum())
 
 
 def operator_norm(a) -> float:
-    """Shorthand for schatten_norm(a, "operator")."""
-    return schatten_norm(a, "operator")
+    """||A|| = max |eigenvalue| of a Hermitian matrix."""
+    return float(np.abs(np.linalg.eigvalsh(_require_hermitian(a, tol=1e-10))).max())
 
 
 def commutator(a, b) -> np.ndarray:

@@ -166,8 +166,8 @@ def effective_dimension(rho) -> float:
     return 1.0 / purity(rho)
 
 
-def von_neumann_entropy(rho, base: float | None = None):
-    """S(rho) = -Tr[rho log rho], natural log by default (0 log 0 := 0).
+def von_neumann_entropy(rho):
+    """S(rho) = -Tr[rho log rho] in nats (0 log 0 := 0).
 
     Eigenvalues up to 1e-15 count as 0.  rho may also be a stack of
     matrices with leading axes; an array of entropies is returned for it, a
@@ -176,8 +176,6 @@ def von_neumann_entropy(rho, base: float | None = None):
     w = _finite_eigvalsh(_mat(rho))
     # a NaN eigenvalue is neither dropped nor logged: NaN * log(1) keeps it
     s = -np.where(w <= 1e-15, 0.0, w * np.log(np.where(w > 1e-15, w, 1.0))).sum(axis=-1)
-    if base is not None:
-        s = s / np.log(base)
     s = np.maximum(s, 0.0)
     return float(s) if s.ndim == 0 else s
 
@@ -188,8 +186,8 @@ def microcanonical_state(subspace_basis, dims: tuple[int, int] | None = None) ->
     subspace_basis: (d, d_R) array whose columns span the restricted subspace.
     """
     v = np.asarray(subspace_basis, dtype=complex)
-    if v.ndim == 1:
-        v = v[:, None]
+    if v.ndim != 2:
+        raise ValueError(f"subspace basis must be a (d, d_R) array, got shape {v.shape}")
     d_r = v.shape[1]
     gram = dagger(v) @ v
     if np.abs(gram - np.eye(d_r)).max() > 1e-10:

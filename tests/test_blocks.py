@@ -248,7 +248,7 @@ def test_blocked_rows_match_the_per_trial_reference(experiment_id, monkeypatch):
 
 def test_mean_energy_state_uses_the_shared_coefficient_sampler():
     rng = trial_stream(0, 21)
-    h = sample_random_hamiltonian(("uniform", 1.0, 2.0), (16, 1), rng)
+    h = sample_random_hamiltonian((16, 1), rng, spectrum=(1.0, 2.0))
     psi = sample_mean_energy_state(h, 1.4, trial_stream(5, 2))
     c = mean_energy_coefficients(h, 1.4, [trial_stream(5, 1), trial_stream(5, 2)])
     assert c.shape == (2, 16)

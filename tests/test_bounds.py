@@ -21,6 +21,7 @@ from purestat import (
     trace_norm,
     verdict,
 )
+from purestat.bounds import _EXACT_PAIRING_LIMIT, _greedy_pairing_sum
 
 RNG = np.random.default_rng(2468)
 
@@ -294,10 +295,16 @@ def test_pairing_of_a_non_finite_state_is_nan(n):
     rho[0, 1] = rho[1, 0] = np.nan
     vals = np.arange(float(n))
     assert math.isnan(max_pairing_offdiagonal_sum(vals, rho))
-    assert math.isnan(max_pairing_offdiagonal_sum(vals, rho, exact_limit=0))   # greedy
+    big = np.eye(_EXACT_PAIRING_LIMIT + 1, dtype=complex)   # the greedy path
+    big[0, 1] = big[1, 0] = np.nan
+    assert math.isnan(max_pairing_offdiagonal_sum(np.arange(float(len(big))), big))
     for value in (np.nan, np.inf):   # inf - inf on the diagonal warned before
         vals[-1] = value
         assert math.isnan(max_pairing_offdiagonal_sum(vals, np.full((n, n), 1.0 / n)))
+
+
+def _pairing_weights(vals, rho):
+    return np.abs(vals[:, None] - vals[None, :]) * np.abs(rho)
 
 
 def test_greedy_fallback_is_lower_bound():
@@ -308,9 +315,16 @@ def test_greedy_fallback_is_lower_bound():
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rho = g @ dagger(g); rho /= np.trace(rho).real
         exact = max_pairing_offdiagonal_sum(vals, rho)
-        greedy = max_pairing_offdiagonal_sum(vals, rho, exact_limit=0)
+        greedy = _greedy_pairing_sum(_pairing_weights(vals, rho))
         assert greedy <= exact + 1e-12
         assert greedy > 0
+    # above the exact limit the public function is the greedy matching
+    n = _EXACT_PAIRING_LIMIT + 4
+    vals = np.sort(rng.random(n))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ dagger(g); rho /= np.trace(rho).real
+    assert max_pairing_offdiagonal_sum(vals, rho) == _greedy_pairing_sum(
+        _pairing_weights(vals, rho))
 
 
 def test_commutator_lower_bound_inequality():

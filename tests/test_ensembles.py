@@ -165,11 +165,11 @@ def test_an_integer_dimension_draws_the_identity_basis_state_bitwise(d):
 
 def test_random_hamiltonian_contracts():
     rng = trial_stream(0, 7)
-    h = sample_random_hamiltonian([0.0, 1.0], (2, 1), rng)
-    assert h.gap_report.min_gap == pytest.approx(1.0, abs=1e-5)
+    h = sample_random_hamiltonian((2, 1), rng, spectrum=(5.0, 6.0))
+    assert 5.0 <= h.eigenvalues[0] < h.eigenvalues[1] < 6.0
     assert h.gap_report.non_resonant
 
-    h16 = sample_random_hamiltonian(None, (16, 1), rng)
+    h16 = sample_random_hamiltonian((16, 1), rng)
     assert h16.gap_report.non_resonant
     assert np.abs(h16.eigenbasis @ h16.eigenbasis.conj().T - np.eye(16)).max() < 1e-10
     assert np.all(np.diff(h16.eigenvalues) > 0)
@@ -178,27 +178,35 @@ def test_random_hamiltonian_contracts():
 def test_random_hamiltonian_accepts_any_integral_dimension():
     # a numpy integer is a whole dimension d, as an int is, not a (d_S, d_B) pair
     for dims in (8, np.int64(8), np.int32(8), (8, 1)):
-        h = sample_random_hamiltonian(None, dims, trial_stream(0, 10))
+        h = sample_random_hamiltonian(dims, trial_stream(0, 10))
         assert h.dims == (8, 1) and all(type(x) is int for x in h.dims)
         assert np.array_equal(h.eigenvalues,
-                              sample_random_hamiltonian(None, 8, trial_stream(0, 10)).eigenvalues)
+                              sample_random_hamiltonian(8, trial_stream(0, 10)).eigenvalues)
 
 
 def test_random_hamiltonian_entangled_eigenvectors():
     rng = trial_stream(0, 8)
-    h = sample_random_hamiltonian(None, (2, 32), rng)
+    h = sample_random_hamiltonian((2, 32), rng)
     mv = h.eigenbasis.T.reshape(64, 2, 32)
     mu = np.einsum("kib,kjb->kij", mv, mv.conj())
     dists = 0.5 * np.abs(np.linalg.eigvalsh(mu - np.eye(2)[None] / 2)).sum(axis=1)
     assert dists.max() <= 0.35
 
 
+def test_random_hamiltonian_default_spectrum_is_the_uniform_draw():
+    # lo + (hi - lo) * u at (0.0, 1.0) is u bitwise, so the default spectrum is
+    # exactly the sorted rng.random(d) draw of the stream (no jitter needed here)
+    for d in (8, 64, 128):
+        want = np.sort(trial_stream(3, d).random(d))
+        h = sample_random_hamiltonian(d, trial_stream(3, d))
+        assert h.eigenvalues.tobytes() == want.tobytes()
+
+
 def test_random_hamiltonian_jitter_failure():
     rng = trial_stream(0, 9)
     # all-equal spectrum cannot be made non-resonant with 1e-6-width jitter at tol 1
-    with pytest.raises(RuntimeError):
-        sample_random_hamiltonian(np.zeros(4), (4, 1), rng, gap_tol=1.0,
-                                  max_jitter_rounds=5)
+    with pytest.raises(RuntimeError, match="100 rounds"):
+        sample_random_hamiltonian(4, rng, spectrum=(0.0, 0.0), gap_tol=1.0)
 
 
 def test_mean_energy_sampler_sigma_values():
@@ -212,7 +220,7 @@ def test_mean_energy_sampler_sigma_values():
 def test_mean_energy_sampler_energy_concentration():
     rng = trial_stream(0, 10)
     d = 128
-    h = sample_random_hamiltonian(("uniform", 1.0, 2.0), (d, 1), rng)
+    h = sample_random_hamiltonian((d, 1), rng, spectrum=(1.0, 2.0))
     energy = harmonic_mean(h.eigenvalues)
     vals = np.empty(5000)
     for i in range(len(vals)):
@@ -226,7 +234,7 @@ def test_mean_energy_fourth_moments():
     # <|c_k|^4> ~ 2 E^2/(d^2 E_k^2) within 10 percent at N = 20000, d = 64
     rng = trial_stream(0, 11)
     d, n = 64, 20_000
-    h = sample_random_hamiltonian(("uniform", 1.0, 2.0), (d, 1), rng)
+    h = sample_random_hamiltonian((d, 1), rng, spectrum=(1.0, 2.0))
     energy = harmonic_mean(h.eigenvalues)
     acc = np.zeros(d)
     for _ in range(n):
@@ -243,7 +251,7 @@ def test_mean_energy_flat_spectrum_reduces_to_haar():
     # all E_k equal: the sampler passes the same invariance probe as Haar
     rng = trial_stream(0, 12)
     d, n = 8, 5000
-    h = sample_random_hamiltonian(2.0 + 1e-5 * rng.random(d), (d, 1), rng)
+    h = sample_random_hamiltonian((d, 1), rng, spectrum=(2.0, 2.0 + 1e-5))
     w = haar_unitary(d, rng)
     phi = sample_haar_state(np.eye(d), rng).vector
     x = np.empty(n); y = np.empty(n)
@@ -260,6 +268,6 @@ def test_mean_energy_flat_spectrum_reduces_to_haar():
 
 def test_mean_energy_rejects_bad_input():
     rng = trial_stream(0, 13)
-    h = sample_random_hamiltonian(np.array([-1.0, 1.0]), (2, 1), rng)
+    h = sample_random_hamiltonian((2, 1), rng, spectrum=(-2.0, -1.0))
     with pytest.raises(ValueError):
         sample_mean_energy_state(h, 1.0, rng)

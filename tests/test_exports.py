@@ -1,5 +1,5 @@
 """Each module's __all__ is its one export list, and the package re-exports exactly
-those; every export has a caller."""
+those; every export has a caller, and so has every option of every export."""
 
 import ast
 import importlib
@@ -17,6 +17,11 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 # exports that only the tests call: the dense single-state references that the
 # batched reduced_rates kernel is checked against
 TEST_ORACLES = {"subsystem_speed", "purity_rate"}
+# options that only the tests pass, each with the reason it stays
+TEST_OPTIONS = {
+    # the degenerate-cluster map is the tests' reference for the resonant case
+    "dynamics.dephase(mode)",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -70,3 +75,76 @@ def test_every_export_is_called_outside_the_tests():
                 for attr in importlib.import_module(f"purestat.{name}").__all__}
     assert TEST_ORACLES <= exported
     assert sorted(exported - referenced - TEST_ORACLES) == []
+
+
+def _passed_arguments(source: str) -> dict[str, list]:
+    """callee name -> one (positional arguments, keyword names) per call.
+
+    The callee is the called name or attribute.  An argument that is a bare
+    name of an option (a parameter with a default) of the enclosing function
+    only forwards that option when it is passed to a parameter of the same
+    name, and then does not count: a positional argument is recorded as that
+    name (None for any other argument), and a forwarding keyword is left out."""
+    calls: dict[str, list] = {}
+
+    def visit(node, options):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            options = {p.arg for p in positional[len(positional) - len(a.defaults):]} | {
+                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+            def option(value):
+                return value.id if isinstance(value, ast.Name) and value.id in options else None
+            calls.setdefault(name, []).append(
+                ([option(v) for v in node.args],
+                 {k.arg for k in node.keywords if k.arg and option(k.value) != k.arg}))
+        for child in ast.iter_child_nodes(node):
+            visit(child, options)
+    visit(ast.parse(source), set())
+    return calls
+
+
+def _exported_callables():
+    """(qualified name, called name, signature without self or cls) of every
+    exported function, class constructor and public method."""
+    for name in MODULES:
+        module = importlib.import_module(f"purestat.{name}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if inspect.isfunction(obj):
+                yield f"{name}.{attr}", attr, inspect.signature(obj)
+            elif inspect.isclass(obj):
+                yield f"{name}.{attr}", attr, inspect.signature(obj)
+                for method, fn in vars(obj).items():
+                    if method.startswith("_") or not isinstance(
+                            fn, (classmethod, types.FunctionType)):
+                        continue
+                    sig = inspect.signature(getattr(fn, "__func__", fn))
+                    params = list(sig.parameters.values())[1:]
+                    yield f"{name}.{attr}.{method}", method, sig.replace(parameters=params)
+
+
+def test_every_option_is_passed_outside_the_tests():
+    """Every parameter with a default is set, by keyword or by position, by
+    at least one call outside the tests: an option no caller sets is a
+    configuration that only the tests run."""
+    calls: dict[str, list] = {}
+    for source in _caller_sources():
+        for callee, found in _passed_arguments(source).items():
+            calls.setdefault(callee, []).extend(found)
+    unpassed = set()
+    for qualname, callee, sig in _exported_callables():
+        for i, p in enumerate(sig.parameters.values()):
+            if p.default is inspect.Parameter.empty:
+                continue
+            by_position = p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+            if not any(p.name in keywords
+                       or (by_position and len(args) > i and args[i] != p.name)
+                       for args, keywords in calls.get(callee, [])):
+                unpassed.add(f"{qualname}({p.name})")
+    assert sorted(unpassed - TEST_OPTIONS) == []
+    assert TEST_OPTIONS <= unpassed   # an allowlisted option that a caller now sets goes

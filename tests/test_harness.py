@@ -27,10 +27,9 @@ from purestat.harness import (
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 # the parameters that count something: each must declare its minimum
-COUNT_KEYS = ("n_times", "n_samples", "crosscheck_times", "grid", "n_grid", "fd_checks",
-              "n_boot")
+COUNT_KEYS = ("n_times", "n_samples", "crosscheck_times", "grid", "n_grid", "fd_checks")
 # small enough that all 28 experiments run in a few seconds
-REDUCED = {"trials": 3, "n_times": 16, "n_samples": 200, "n_boot": 5, "crosscheck_trials": 1,
+REDUCED = {"trials": 3, "n_times": 16, "n_samples": 200, "crosscheck_trials": 1,
            "crosscheck_times": 16, "grid": 21, "n_grid": 21, "fd_checks": 2}
 
 
@@ -210,7 +209,6 @@ def test_every_declared_minimum_is_enforced():
         "ISI", "DISTANCE_TRAJECTORY")} | {(e, "trials") for e in (
         "DEFF_SUBSPACE_MEAN", "DEFF_PRODUCT_MEAN", "DEFF_MEAN_ENERGY", "ERGODICITY",
         "ISI_LINDEN_DELTA")} | {("MC_VARIANCE_IDENTITY", "n_samples"),
-                                ("MC_VARIANCE_IDENTITY", "n_boot"),
                                 ("MC_CONCENTRATION", "n_samples"),
                                 ("SPEED", "fd_checks"), ("PURITY_RATE_AVG", "fd_checks")}
     # one below each of these failed only after compute, or passed a check:
@@ -226,13 +224,57 @@ def test_every_declared_minimum_is_enforced():
         ("COARSE_GRAINED", "n_samples"), ("MC_VARIANCE_CONCENTRATION", "n_samples"),
         ("CANONICAL_REDUCTION", "n_samples"), ("LEVY", "n_samples"),
         # ZeroDivisionError from an energy window of a single level
-        ("EQ_TIME_HEISENBERG", "d")}
+        ("EQ_TIME_HEISENBERG", "d")} | {
+        # rank_b = -1 built a rank d_r - 1 projector and judged it against the
+        # negative mean -1/d_r
+        (e, "rank_b") for e in (
+            "MC_VARIANCE_IDENTITY", "MC_CONCENTRATION", "MC_VARIANCE_CONCENTRATION")}
     for experiment_id, key in declared:
         low = EXPERIMENTS[experiment_id].minimums[key]
         assert key in EXPERIMENTS[experiment_id].defaults
         with pytest.raises(ValueError, match=f"{key} must be >= {low}"):
             ExperimentSpec(experiment_id, {key: low - 1})
         assert ExperimentSpec(experiment_id, {key: low}).params[key] == low
+
+
+# a subspace larger than its space: each case ran setup compute and then
+# wrote a vacuous row (MC_CONCENTRATION), reported a false violation
+# (MC_VARIANCE_IDENTITY) or failed with a numpy error
+OVERSIZED_SUBSPACES = [
+    ("MC_CONCENTRATION", {"rank_b": 40, "d_r": 32}, "rank_b = 40", 32),
+    ("MC_VARIANCE_IDENTITY", {"rank_b": 64}, "rank_b = 64", 32),
+    ("CANONICAL_REDUCTION", {"d_r": 128}, "d_r = 128", 64),
+    ("COARSE_GRAINED", {"d_r": 128}, "d_r = 128", 64),
+    ("DEFF_SUBSPACE_MEAN", {"ambient": 32}, "d_r = 64", 32),
+    ("ERGODICITY", {"d_r": 200}, "d_r = 200", 128),
+    ("ISI_LINDEN_DELTA", {"d_r": 100}, "d_r = 100", 64),
+]
+
+
+@pytest.mark.parametrize("experiment_id, params, named, dim", OVERSIZED_SUBSPACES,
+                         ids=[case[0] for case in OVERSIZED_SUBSPACES])
+def test_a_subspace_larger_than_its_space_is_rejected_before_setup(
+        monkeypatch, experiment_id, params, named, dim):
+    exp = EXPERIMENTS[experiment_id]
+    setups = []
+    monkeypatch.setitem(EXPERIMENTS, experiment_id, dataclasses.replace(
+        exp, setup=lambda *args: setups.append(args)))
+    with pytest.raises(ValueError, match=f"{named} exceeds the dimension {dim}$"):
+        run_experiment(ExperimentSpec(experiment_id, params))
+    assert setups == []
+
+
+def test_every_subspace_parameter_may_fill_its_space():
+    declared = {e: exp.subspace for e, exp in EXPERIMENTS.items() if exp.subspace}
+    assert declared == {e: "rank_b" for e in (
+        "MC_VARIANCE_IDENTITY", "MC_CONCENTRATION", "MC_VARIANCE_CONCENTRATION")} | {
+        e: "d_r" for e in ("COARSE_GRAINED", "CANONICAL_REDUCTION", "DEFF_SUBSPACE_MEAN",
+                           "DEFF_SUBSPACE_TAIL", "ERGODICITY", "ISI_LINDEN_DELTA")}
+    for experiment_id, key in declared.items():
+        dim = EXPERIMENTS[experiment_id].dimension(ExperimentSpec(experiment_id).params)
+        assert ExperimentSpec(experiment_id, {key: dim}).params[key] == dim
+    # an auto-sized bath (ambient = 0, twice d_r) holds any d_r
+    assert ExperimentSpec("DEFF_SUBSPACE_MEAN", {"d_r": 512, "ambient": 0})
 
 
 def test_every_count_declares_a_minimum():
@@ -406,7 +448,7 @@ def test_eq_time_heisenberg_closed_form_matches_dense_route():
     for k in range(3):
         rec = EXPERIMENTS["EQ_TIME_HEISENBERG"].trial(None, params, 7, k)
         rng = trial_stream(7, k)
-        h = sample_random_hamiltonian(None, (d, 1), rng)
+        h = sample_random_hamiltonian((d, 1), rng)
         e_band = h.eigenvalues[d // 4:3 * d // 4]
         # the one-shot Haar draw, written out as the independent oracle
         z = rng.standard_normal((1, len(e_band))) + 1j * rng.standard_normal((1, len(e_band)))

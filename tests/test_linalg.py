@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from purestat import (
+    Hamiltonian,
     commutator,
     dagger,
-    hermitian_eig,
+    operator_norm,
     partial_trace,
-    schatten_norm,
     tensor_product,
+    trace_norm,
 )
 
 RNG = np.random.default_rng(20260810)
@@ -20,14 +21,16 @@ def random_hermitian(d, rng=RNG):
     return (z + dagger(z)) / 2
 
 
+# the one Hermitian eigendecomposition is Hamiltonian.from_matrix
+
 def test_eig_identity():
-    dec = hermitian_eig(np.eye(4))
+    dec = Hamiltonian.from_matrix(np.eye(4))
     assert np.allclose(dec.eigenvalues, 1.0)
     assert np.abs(dagger(dec.eigenbasis) @ dec.eigenbasis - np.eye(4)).max() < 1e-12
 
 
 def test_eig_pauli_x():
-    dec = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
+    dec = Hamiltonian.from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
     assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
 
 
@@ -35,7 +38,7 @@ def test_eig_reconstruction_oracle():
     # multiply back: V diag(w) V^dag must reproduce the input
     for d in (2, 3, 5, 8, 16, 33, 64):
         a = random_hermitian(d)
-        dec = hermitian_eig(a)
+        dec = Hamiltonian.from_matrix(a)
         recon = (dec.eigenbasis * dec.eigenvalues) @ dagger(dec.eigenbasis)
         scale = np.abs(dec.eigenvalues).max()
         assert np.abs(recon - a).max() <= 1e-9 * scale
@@ -48,7 +51,7 @@ def test_eig_residuals_many_dims():
     for _ in range(1000):
         d = int(rng.integers(2, 65))
         a = random_hermitian(d, rng)
-        dec = hermitian_eig(a)
+        dec = Hamiltonian.from_matrix(a)
         scale = max(np.abs(dec.eigenvalues).max(), 1e-300)
         assert np.abs((dec.eigenbasis * dec.eigenvalues) @ dagger(dec.eigenbasis) - a).max() \
             <= 1e-9 * scale
@@ -57,14 +60,14 @@ def test_eig_residuals_many_dims():
 
 def test_eig_rejects_bad_input():
     with pytest.raises(ValueError):
-        hermitian_eig(np.ones((2, 3)))
+        Hamiltonian.from_matrix(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        Hamiltonian.from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_eig_deterministic():
     a = random_hermitian(12)
-    d1, d2 = hermitian_eig(a), hermitian_eig(a)
+    d1, d2 = Hamiltonian.from_matrix(a), Hamiltonian.from_matrix(a)
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenbasis, d2.eigenbasis)
 
@@ -155,22 +158,24 @@ def test_partial_trace_dimension_mismatch():
 def test_schatten_trivials():
     for d in (2, 5):
         eye = np.eye(d)
-        assert schatten_norm(eye, "trace") == pytest.approx(d)
-        assert schatten_norm(eye, "hilbert_schmidt") == pytest.approx(np.sqrt(d))
-        assert schatten_norm(eye, "operator") == pytest.approx(1.0)
+        assert trace_norm(eye) == pytest.approx(d)
+        assert operator_norm(eye) == pytest.approx(1.0)
     m = np.diag([0.7, -0.3])
-    assert schatten_norm(m, "trace") == pytest.approx(1.0)
-    assert schatten_norm(m, "operator") == pytest.approx(0.7)
+    assert trace_norm(m) == pytest.approx(1.0)
+    assert operator_norm(m) == pytest.approx(0.7)
+    for norm in (trace_norm, operator_norm):
+        with pytest.raises(ValueError):
+            norm(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_schatten_norm_ordering():
-    # operator <= hilbert_schmidt <= trace on random Hermitian samples
+    # operator <= Hilbert-Schmidt (Frobenius) <= trace on random Hermitian samples
     rng = np.random.default_rng(4)
     for _ in range(300):
         a = random_hermitian(int(rng.integers(2, 12)), rng)
-        op = schatten_norm(a, "operator")
-        hs = schatten_norm(a, "hilbert_schmidt")
-        tr = schatten_norm(a, "trace")
+        op = operator_norm(a)
+        hs = float(np.linalg.norm(a))
+        tr = trace_norm(a)
         assert op <= hs + 1e-12 <= tr + 2e-12
 
 
@@ -186,7 +191,7 @@ def test_commutator_hand_case():
     c = commutator(rho, a)
     assert np.allclose(c, 0.5 * np.array([[0, 1], [-1, 0]]))
     assert np.abs(c + dagger(c)).max() < 1e-14  # anti-Hermitian
-    assert schatten_norm(1j * c, "trace") == pytest.approx(1.0)
+    assert trace_norm(1j * c) == pytest.approx(1.0)
 
 
 def test_commutator_shape_mismatch():

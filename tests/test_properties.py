@@ -69,7 +69,7 @@ def test_evolution_preserves_the_norm():
         d_s, d_b = (int(x) for x in rng.integers(1, 7, size=2))
         if d_s * d_b < 2:
             d_b = 2
-        h = sample_random_hamiltonian(None, (d_s, d_b), rng)
+        h = sample_random_hamiltonian((d_s, d_b), rng)
         psi = sample_haar_state(np.eye(d_s * d_b), rng)
         times = rng.uniform(-50.0, 50.0, 9)
         norms = time_map(h, psi, times, lambda psis: np.linalg.norm(psis, axis=-1))

@@ -214,7 +214,7 @@ def test_entropy():
     assert von_neumann_entropy(psi.density()) == pytest.approx(0.0, abs=1e-10)
     assert von_neumann_entropy(np.eye(7) / 7) == pytest.approx(np.log(7))
     assert von_neumann_entropy(np.diag([0.5, 0.5])) == pytest.approx(np.log(2))
-    assert von_neumann_entropy(np.diag([0.5, 0.5]), base=2) == pytest.approx(1.0)
+    assert von_neumann_entropy(np.diag([0.5, 0.5])) / np.log(2) == pytest.approx(1.0)   # 1 bit
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -226,7 +226,7 @@ def test_entropy_of_a_non_finite_matrix_is_nan(n):
     assert np.isnan(von_neumann_entropy(bad))
     diag = np.eye(n) / n
     diag[0, 0] = np.nan
-    assert np.isnan(von_neumann_entropy(diag)) and np.isnan(von_neumann_entropy(diag, base=2))
+    assert np.isnan(von_neumann_entropy(diag))
     rng = np.random.default_rng(17)
     stack = np.array([random_density(n, rng).matrix for _ in range(4)])
     clean = von_neumann_entropy(stack)
@@ -271,8 +271,10 @@ def test_microcanonical_state():
     full = microcanonical_state(np.eye(4))
     assert np.abs(full.matrix - np.eye(4) / 4).max() < 1e-12
     v = np.zeros(4, dtype=complex); v[2] = 1
-    single = microcanonical_state(v)
+    single = microcanonical_state(v[:, None])
     assert np.abs(single.matrix - np.outer(v, v.conj())).max() < 1e-12
+    with pytest.raises(ValueError, match="shape"):
+        microcanonical_state(v)     # one vector is a (d, 1) basis, not a (d,) array
     with pytest.raises(ValueError):
         microcanonical_state(np.array([[1.0, 1.0], [0.0, 0.0]]).T)
 

@@ -12,7 +12,7 @@ from purestat.experiments import EXPERIMENTS, _fd_check, _marginal_diameter, exp
 from purestat.harness import ExperimentSpec, run_experiment
 
 # small enough that all 28 experiments run in a few seconds
-REDUCED = {"trials": 3, "n_times": 16, "n_samples": 200, "n_boot": 5, "crosscheck_trials": 1,
+REDUCED = {"trials": 3, "n_times": 16, "n_samples": 200, "crosscheck_trials": 1,
            "crosscheck_times": 16, "grid": 21, "fd_checks": 2}
 
 
