@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import BLOCK_ENTRIES
+
 __all__ = [
     "THEOREMS",
     "TheoremEntry",
@@ -283,59 +285,95 @@ def check_bound(theorem: str, lhs: float, inputs: dict, stderr: float = 0.0,
                        bool(entry.tail and rhs >= 1.0), extra)
 
 
-def _max_weight_perfect_matching(w: list[list[float]]) -> float:
-    """Exact maximum weight of a perfect matching on an even vertex count.
+def _pairing_levels(n: int) -> list[tuple[np.ndarray, ...]]:
+    """The bitmask DP over perfect matchings of n (even) vertices, as index
+    arrays: the DP always pairs the lowest free vertex, so only the free sets
+    reachable that way appear (10945 of them at n = 20).
 
-    Bitmask DP that always pairs the lowest free vertex, memoised on the
-    free set; only the free sets reachable that way are ever visited.
+    One entry per free-set size 2, 4, ..., n, in that order:
+    (lows, others, children, starts).  Candidate c pairs vertex lows[c] with
+    others[c] and leaves the free set at position children[c] of the size
+    below; the candidates of the free set at position p start at starts[p],
+    with the partner ascending.  The size-0 level is the empty set alone.
     """
-    memo: dict[int, float] = {}
+    program = []
+    level = [(1 << n) - 1]
+    while level[0]:
+        below: dict[int, int] = {}   # free set -> its position in the size below
+        lows, others_, children, starts = [], [], [], []
+        for free in level:
+            starts.append(len(children))
+            low = free & -free
+            rest = free ^ low
+            others = rest
+            while others:
+                bit = others & -others
+                lows.append(low.bit_length() - 1)
+                others_.append(bit.bit_length() - 1)
+                children.append(below.setdefault(rest ^ bit, len(below)))
+                others ^= bit
+        program.append(tuple(np.array(x, dtype=np.intp)
+                             for x in (lows, others_, children, starts)))
+        level = list(below)
+    return program[::-1]
 
-    def best(free: int) -> float:
-        if not free:
-            return 0.0
-        if free in memo:
-            return memo[free]
-        low = free & -free
-        i = low.bit_length() - 1
-        rest = free ^ low
-        val = 0.0
-        others = rest
-        while others:
-            bit = others & -others
-            val = max(val, w[i][bit.bit_length() - 1] + best(rest ^ bit))
-            others ^= bit
-        memo[free] = val
-        return val
 
-    return best((1 << len(w)) - 1)
+def _max_weight_perfect_matchings(w: np.ndarray, program) -> np.ndarray:
+    """Exact maximum weight of a perfect matching of each (n, n) weight
+    matrix in the stack w (m, n, n), by the DP of _pairing_levels(n).
+
+    Each free set carries an (m,) array.  Every candidate weight is a finite
+    sum of weights >= 0 and a maximum is exact, so each entry is bitwise the
+    row's own scalar DP, whatever the stack height.
+    """
+    by_pair = np.moveaxis(w, 0, -1)     # (n, n, m): by_pair[k, l] is the rows' w_kl
+    best = np.zeros((1, len(w)))        # the empty free set
+    for lows, others, children, starts in program:
+        best = np.maximum.reduceat(by_pair[lows, others] + best[children], starts, axis=0)
+    return best[0]
 
 
 _EXACT_PAIRING_LIMIT = 20   # max_pairing_offdiagonal_sum is exact up to this many vertices
 
 
-def max_pairing_offdiagonal_sum(values, rho) -> float:
-    """max over pairings of sum_{(k,l)} |a_k - a_l| |rho_kl|.
+def max_pairing_offdiagonal_sum(values, rho):
+    """max over pairings of sum_{(k,l)} |a_k - a_l| |rho_kl|, for one rho
+    (n, n) or each of a stack (m, n, n).
 
     rho must be expressed in the eigenbasis of the observable whose
-    eigenvalues are `values`.  A vertex may stay unpaired.  Up to
-    _EXACT_PAIRING_LIMIT vertices the maximum is exact: the weights are
-    >= 0, so a maximum-weight matching can be completed to a perfect one
-    (odd n gets a zero-weight padding vertex) and the bitmask DP finds it.
-    Above that the greedy _greedy_pairing_sum is used.  A non-finite value
-    or entry of rho gives NaN: Python's max would drop a NaN weight.
+    eigenvalues are `values`: (n,) for every matrix, or (m, n), one row per
+    matrix.  A 2-d rho gives a float, a stack an (m,) array.  A vertex may
+    stay unpaired.  Up to _EXACT_PAIRING_LIMIT vertices the maximum is
+    exact: the weights are >= 0, so a maximum-weight matching can be
+    completed to a perfect one (odd n gets a zero-weight padding vertex) and
+    the bitmask DP finds it, over at most BLOCK_ENTRIES // 2^(n-1) matrices
+    at a time.  Above that the greedy _greedy_pairing_sum is used, one
+    matrix at a time.  A matrix with a non-finite value or entry gives NaN:
+    a maximum would drop a NaN weight.
     """
-    a = np.asarray(values, dtype=float)
     r = np.asarray(rho, dtype=complex)
-    if not (np.isfinite(a).all() and np.isfinite(r).all()):
-        return float("nan")
-    n = len(a)
-    w = np.abs(a[:, None] - a[None, :]) * np.abs(r)
+    single = r.ndim == 2
+    if single:
+        r = r[None]
+    m, n = r.shape[:2]
+    a = np.broadcast_to(np.asarray(values, dtype=float), (m, n))
+    finite = np.flatnonzero(np.isfinite(a).all(axis=1) & np.isfinite(r).all(axis=(1, 2)))
+    a, r = a[finite], r[finite]
+    w = np.abs(a[:, :, None] - a[:, None, :]) * np.abs(r)
+    sums = np.empty(len(finite))
     if n > _EXACT_PAIRING_LIMIT:
-        return _greedy_pairing_sum(w)
-    if n % 2:
-        w = np.pad(w, ((0, 1), (0, 1)))
-    return _max_weight_perfect_matching(w.tolist())
+        for row, weights in enumerate(w):
+            sums[row] = _greedy_pairing_sum(weights)
+    else:
+        if n % 2:
+            w = np.pad(w, ((0, 0), (0, 1), (0, 1)))
+        program = _pairing_levels(n + n % 2)
+        step = max(1, BLOCK_ENTRIES >> max(n - 1, 0))
+        for lo in range(0, len(w), step):
+            sums[lo:lo + step] = _max_weight_perfect_matchings(w[lo:lo + step], program)
+    out = np.full(m, np.nan)
+    out[finite] = sums
+    return float(out[0]) if single else out
 
 
 def _greedy_pairing_sum(w: np.ndarray) -> float:

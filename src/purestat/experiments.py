@@ -628,13 +628,26 @@ def _purity_rate_instant_trial(setup, params, seed, k):
 # decoherence: commutator lemma, slow states, einselection
 # ---------------------------------------------------------------------------
 
-def _commutator_lower_trial(setup, params, seed, k):
-    rng = trial_stream(seed, k)
-    n = int(rng.integers(int(params["dim_min"]), int(params["dim_max"]) + 1))
-    a_vals = np.sort(rng.random(n))
-    rho = _mixed_density(n, rng)
+def _commutator_lower_block(setup, params, seed, ks):
+    """(a, rho, pairing) per trial: one stacked pairing DP per dimension drawn."""
+    lo, hi = int(params["dim_min"]), int(params["dim_max"])
+    draws = []
+    for rng in trial_streams(seed, ks):
+        n = int(rng.integers(lo, hi + 1))
+        a_vals = np.sort(rng.random(n))
+        draws.append((a_vals, _mixed_density(n, rng)))
+    pairings = np.empty(len(draws))
+    for n in {len(a_vals) for a_vals, _ in draws}:
+        rows = [i for i, (a_vals, _) in enumerate(draws) if len(a_vals) == n]
+        a_stack, rho_stack = zip(*(draws[i] for i in rows))
+        pairings[rows] = max_pairing_offdiagonal_sum(np.array(a_stack), np.array(rho_stack))
+    return [(a_vals, rho, float(p)) for (a_vals, rho), p in zip(draws, pairings)]
+
+
+def _commutator_lower_trial(setup, params, seed, k, item):
+    a_vals, rho, pairing = item
+    n = len(a_vals)
     lhs = trace_norm(1j * commutator(rho, np.diag(a_vals)))  # [rho,A] is anti-Hermitian
-    pairing = max_pairing_offdiagonal_sum(a_vals, rho)
     rhs = evaluate_bound("COMMUTATOR_LOWER", {"pairing_sum": pairing})
     # an exact inequality: the slack only absorbs rounding
     return _row(lhs, rhs, "lower", 1e-9, dim=n, pairing=pairing)
@@ -655,7 +668,7 @@ def _slow_states_run(params, rng, coupling):
     times = sample_times(h, params["n_times"], rng)
     speeds, rho_in_hs = _rates_map(parts, psi0, times, lambda rates: (
         rates.speeds(), dagger(w_s) @ rates.rho_s @ w_s))
-    pairings = np.array([max_pairing_offdiagonal_sum(e_s, r) for r in rho_in_hs])
+    pairings = max_pairing_offdiagonal_sum(e_s, rho_in_hs)
     norm_hsb = parts.norm_hsb()
     return pairings / (norm_hsb + speeds), speeds, rho_in_hs, e_s, norm_hsb
 
@@ -987,41 +1000,44 @@ _register(ExperimentDef(
     "MC_VARIANCE_IDENTITY",
     "variance of Tr[B psi] over Haar states equals the microcanonical variance / (d_R+1)",
     {**_MC_DEFAULTS}, _mc_setup, _mc_variance_identity_trial,
-    subspace="rank_b", dimension=_param("d_r"), minimums={"n_samples": 2, "rank_b": 0}))
+    subspace="rank_b", dimension=_param("d_r"),
+    minimums={"n_samples": 2, "rank_b": 0, "d_r": 1}))
 
 _register(ExperimentDef(
     "MC_CONCENTRATION",
     "tail of |Tr[B psi] - <B>_mc| vs the exponential concentration bound",
     {**_MC_DEFAULTS, "epsilon": 0.25}, _mc_setup, _mc_concentration_trial,
-    subspace="rank_b", dimension=_param("d_r"), minimums={"n_samples": 2, "rank_b": 0}))
+    subspace="rank_b", dimension=_param("d_r"),
+    minimums={"n_samples": 2, "rank_b": 0, "d_r": 1}))
 
 _register(ExperimentDef(
     "MC_VARIANCE_CONCENTRATION",
     "tail of |sigma^2_psi - sigma^2_mc| vs the two-term concentration bound",
     {**_MC_DEFAULTS, "n_samples": 20_000, "epsilon": 0.1},
     _mc_setup, _mc_variance_concentration_trial,
-    subspace="rank_b", dimension=_param("d_r"), minimums={"n_samples": 1, "rank_b": 0}))
+    subspace="rank_b", dimension=_param("d_r"),
+    minimums={"n_samples": 1, "rank_b": 0, "d_r": 1}))
 
 _register(ExperimentDef(
     "COARSE_GRAINED",
     "deviation of all coarse macro observables at once vs the union bound",
     {"d": 64, "d_r": 32, "m": 4, "n_samples": 20_000, "epsilon": 0.2, "trials": 1},
     _coarse_grained_setup, _coarse_grained_trial,
-    subspace="d_r", dimension=_param("d"), minimums={"n_samples": 1}))
+    subspace="d_r", dimension=_param("d"), minimums={"n_samples": 1, "d_r": 1}))
 
 _register(ExperimentDef(
     "CANONICAL_REDUCTION",
     "trace distance of reduced random states from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 32, "n_samples": 2000, "epsilon": 0.1, "trials": 1},
     _canonical_reduction_setup, _canonical_reduction_trial,
-    subspace="d_r", dimension=_bipartite, minimums={"n_samples": 1}))
+    subspace="d_r", dimension=_bipartite, minimums={"n_samples": 1, "d_r": 1}))
 
 _register(ExperimentDef(
     "DEFF_SUBSPACE_MEAN",
     "mean effective dimension of dephased subspace states vs d_R/2",
     {"d_r": 64, "ambient": 0, "trials": 2000},
     _deff_subspace_setup, _deff_subspace_mean_trial, _deff_subspace_mean_summary,
-    subspace="d_r", dimension=_deff_subspace_ambient, minimums={"trials": 2},
+    subspace="d_r", dimension=_deff_subspace_ambient, minimums={"trials": 2, "d_r": 1},
     block=_deff_subspace_block))
 
 _register(ExperimentDef(
@@ -1029,7 +1045,8 @@ _register(ExperimentDef(
     "frequency of d_eff < d_R/4 vs the (vacuous at desk dims) tail bound",
     {"d_r": 64, "ambient": 0, "trials": 2000},
     _deff_subspace_setup, _deff_subspace_tail_trial, _deff_subspace_tail_summary,
-    subspace="d_r", dimension=_deff_subspace_ambient, block=_deff_subspace_block))
+    subspace="d_r", dimension=_deff_subspace_ambient, minimums={"d_r": 1},
+    block=_deff_subspace_block))
 
 _register(ExperimentDef(
     "DEFF_PRODUCT_MEAN",
@@ -1073,7 +1090,8 @@ _register(ExperimentDef(
     {"d": 128, "d_r": 64, "trials": 2000, "crosscheck_trials": 3,
      "crosscheck_times": 4000, "crosscheck_tol": 1e-2},
     _ergodicity_setup, _ergodicity_trial, _ergodicity_summary,
-    subspace="d_r", dimension=_param("d"), minimums={"trials": 2, "crosscheck_times": 1},
+    subspace="d_r", dimension=_param("d"),
+    minimums={"trials": 2, "crosscheck_times": 1, "d_r": 1},
     block=_ergodicity_block))
 
 _register(ExperimentDef(
@@ -1102,7 +1120,7 @@ _register(ExperimentDef(
     "pairing lower bound on the commutator trace norm (exact inequality)",
     {"trials": 1000, "dim_min": 2, "dim_max": 8},
     None, _commutator_lower_trial,
-    dimension=_param("dim_max")))
+    dimension=_param("dim_max"), block=_commutator_lower_block))
 
 _register(ExperimentDef(
     "DECOHERENCE",
@@ -1132,7 +1150,8 @@ _register(ExperimentDef(
     "mean distance of the dephased marginal from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 16, "trials": 500},
     _isi_linden_setup, _isi_linden_trial, _isi_linden_summary,
-    subspace="d_r", dimension=_bipartite, minimums={"trials": 2}, block=_isi_linden_block))
+    subspace="d_r", dimension=_bipartite, minimums={"trials": 2, "d_r": 1},
+    block=_isi_linden_block))
 
 _register(ExperimentDef(
     "ENTANGLED_STATE_TAIL",
@@ -1153,7 +1172,7 @@ _register(ExperimentDef(
     "concentration of a Lipschitz observable on the state sphere",
     {"d_r": 32, "n_samples": 20_000, "epsilon": 0.1, "trials": 1},
     None, _levy_trial,
-    dimension=_param("d_r"), minimums={"n_samples": 1}))
+    dimension=_param("d_r"), minimums={"n_samples": 1, "d_r": 1}))
 
 _register(ExperimentDef(
     "EQ_TIME_HEISENBERG",

@@ -1,10 +1,10 @@
-"""Seeded experiment runner: worker pool, CSV/JSON persistence, summaries.
+"""Seeded experiment runner: fork-join trial chunks, CSV/JSON persistence, summaries.
 
 Reproducibility contract: a (config, seed) pair produces byte-identical
 per-trial CSV files, regardless of the worker count (trials own their RNG
 streams; results are written in trial order).  An experiment with a block
 hook runs its trials in blocks of _BLOCK consecutive indices starting at
-multiples of _BLOCK, and pool chunks end only at those multiples: batched
+multiples of _BLOCK, and worker chunks end only at those multiples: batched
 BLAS results can depend on the stack height, which is then fixed by the
 trial count and never by the worker count.  The manifest carries a
 deterministic hash over everything that defines the run; wall time is
@@ -19,6 +19,7 @@ import json
 import numbers
 import operator
 import os
+import pickle
 import time
 from array import array
 from collections.abc import Sequence
@@ -221,35 +222,112 @@ def _concat(parts: list[TrialRows]) -> TrialRows:
                        for name in _ROW_COLUMNS), extras)
 
 
-def _run_chunk(args) -> TrialRows:
-    experiment_id, setup, params, seed, start, stop = args
+def _run_chunk(experiment_id: str, setup, params, seed, start: int, stop: int) -> TrialRows:
     returned = _trial_records(EXPERIMENTS[experiment_id], setup, params, seed, start, stop)
     return _store(r for rec in returned for r in ([rec] if isinstance(rec, TrialRecord) else rec))
 
 
 def _chunks(trials: int, workers: int, unit: int) -> list[tuple[int, int]]:
-    """Up to 4 * workers pool chunks [a, b) covering range(trials); every
-    edge is a multiple of unit or trials itself."""
+    """Up to 4 * workers chunks [a, b) covering range(trials); every edge is
+    a multiple of unit or trials itself."""
     n_units = -(-trials // unit)
     n_chunks = min(n_units, 4 * workers)
     bounds = [min(trials, unit * round(i * n_units / n_chunks)) for i in range(n_chunks + 1)]
     return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
+def _in_child(fn, share: int, write_fd: int) -> None:
+    """Body of a forked child: pickle (fn(share), None, None), or (None, the
+    error fn raised, its traceback), into write_fd, then leave at once.
+    Never returns, so no exception unwinds into the parent's frames and no
+    exit handler of the parent runs twice."""
+    status = 1
+    try:
+        import traceback   # only children format tracebacks; importing it costs about 1 ms
+
+        try:
+            result, error, trace = fn(share), None, None
+        except BaseException as exc:
+            result, error, trace = None, exc, traceback.format_exc()
+        try:
+            data = pickle.dumps((result, error, trace), pickle.HIGHEST_PROTOCOL)
+            if error is not None:
+                pickle.loads(data)   # the parent must be able to raise it
+        except Exception as exc:
+            data = pickle.dumps((None, RuntimeError(repr(error or exc)),
+                                 trace or traceback.format_exc()))
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_result(pid: int, data: bytes, status: int):
+    """What a reaped child sent: its result, else its error raised with the
+    child's traceback.  A child exits 0 only once all it sends is written,
+    so any other exit, or nothing sent, raises an error naming the status."""
+    code = os.waitstatus_to_exitcode(status)
+    if code or not data:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(f"worker process {pid} {how} without a result")
+    result, error, trace = pickle.loads(data)
+    if error is not None:
+        raise error from RuntimeError(f"in worker process {pid}:\n{trace}")
+    return result
+
+
+def _fork_join(fn, workers: int) -> list:
+    """[fn(0), ..., fn(workers - 1)]: fn(0) runs in this process while each
+    other share runs in a child from os.fork().  Each child's pipe is read to
+    its end before the child is reaped.  When anything fails here, every
+    child not yet reaped is killed and reaped before the error leaves."""
+    children = {}   # pid -> the read end of its pipe, until the child is reaped
+    try:
+        for share in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _in_child(fn, share, write_fd)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        results = [fn(0)]
+        for pid, fh in list(children.items()):
+            with fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            results.append(_child_result(pid, data, status))
+        return results
+    except BaseException:
+        import signal   # the failure path only
+
+        for pid, fh in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            fh.close()
+        raise
+
+
 def _collect_records(spec: ExperimentSpec, setup) -> TrialRows:
-    """Every trial's rows, in trial order (demos emit several rows per trial)."""
+    """Every trial's rows, in trial order (demos emit several rows per trial).
+    With several workers, chunk i runs in process i % workers; process 0 is
+    this one."""
     trials = int(spec.params.get("trials", 1))
     unit = _BLOCK if EXPERIMENTS[spec.experiment_id].block else 1
     workers = min(worker_count(), -(-trials // unit))
-    if workers > 1:
-        import multiprocessing as mp
-
-        jobs = [(spec.experiment_id, setup, spec.params, spec.seed, a, b)
-                for a, b in _chunks(trials, workers, unit)]
-        with mp.get_context("fork").Pool(workers) as pool:
-            chunks = pool.map(_run_chunk, jobs)
-        return _concat(chunks)
-    return _run_chunk((spec.experiment_id, setup, spec.params, spec.seed, 0, trials))
+    job = (spec.experiment_id, setup, spec.params, spec.seed)
+    if workers == 1:
+        return _run_chunk(*job, 0, trials)
+    chunks = _chunks(trials, workers, unit)
+    shares = _fork_join(lambda share: [_run_chunk(*job, a, b)
+                                       for a, b in chunks[share::workers]], workers)
+    return _concat([shares[i % workers][i // workers] for i in range(len(chunks))])
 
 
 def _summarize_records(rows: TrialRows, gates) -> dict:

@@ -18,15 +18,16 @@ from purestat import (
     trial_stream,
     trial_streams,
 )
-from purestat.bounds import check_bound, evaluate_bound, verdict
+from purestat.bounds import check_bound, evaluate_bound, max_pairing_offdiagonal_sum, verdict
 from purestat.dynamics import sample_times
 from purestat.hamiltonians import phase_factors
-from purestat.experiments import EXPERIMENTS, _row
+from purestat.experiments import EXPERIMENTS, _mixed_density, _row
+from purestat.linalg import commutator, trace_norm
 from purestat.harness import _BLOCK, ExperimentSpec, _chunks, run_experiment
 from purestat.states import expectation_values, trace_distance
 
 BLOCKED = ("DEFF_MEAN_ENERGY", "DEFF_SUBSPACE_MEAN", "DEFF_SUBSPACE_TAIL", "DEFF_PRODUCT_MEAN",
-           "ERGODICITY", "ENTANGLED_STATE_TAIL", "ISI_LINDEN_DELTA")
+           "ERGODICITY", "ENTANGLED_STATE_TAIL", "ISI_LINDEN_DELTA", "COMMUTATOR_LOWER")
 
 
 def test_exactly_the_tiny_trial_experiments_have_a_block_hook():
@@ -214,6 +215,16 @@ def _ref_isi_linden(setup, params, seed, k):
     return _row(trace_distance(omega_s, setup["rho_mc_s"]), rhs, "observation")
 
 
+def _ref_commutator_lower(setup, params, seed, k):
+    rng = trial_stream(seed, k)
+    n = int(rng.integers(int(params["dim_min"]), int(params["dim_max"]) + 1))
+    a_vals = np.sort(rng.random(n))
+    rho = _mixed_density(n, rng)
+    pairing = max_pairing_offdiagonal_sum(a_vals, rho)   # one matrix at a time
+    return _row(trace_norm(1j * commutator(rho, np.diag(a_vals))), 2.0 * pairing, "lower",
+                1e-9, dim=n, pairing=pairing)
+
+
 REFERENCES = {
     "DEFF_MEAN_ENERGY": _ref_deff_mean_energy,
     "DEFF_SUBSPACE_MEAN": _ref_deff_subspace_mean,
@@ -222,6 +233,7 @@ REFERENCES = {
     "ERGODICITY": _ref_ergodicity,
     "ENTANGLED_STATE_TAIL": _ref_entangled_state_tail,
     "ISI_LINDEN_DELTA": _ref_isi_linden,
+    "COMMUTATOR_LOWER": _ref_commutator_lower,
 }
 
 

@@ -337,3 +337,82 @@ def test_commutator_lower_bound_inequality():
         rho = g @ dagger(g); rho /= np.trace(rho).real
         lhs = trace_norm(1j * commutator(rho, np.diag(vals)))
         assert 2 * max_pairing_offdiagonal_sum(vals, rho) <= lhs + 1e-9
+
+
+def _memoised_pairing(w):
+    """The scalar bitmask DP on Python floats, memoised on the free set and
+    pairing the lowest free vertex in ascending partner order: the reference
+    that every stacked entry must equal bitwise."""
+    w = np.pad(w, ((0, len(w) % 2), (0, len(w) % 2))).tolist()
+    memo = {0: 0.0}
+
+    def best(free):
+        if free not in memo:
+            low = free & -free
+            i, rest, val = low.bit_length() - 1, free ^ low, 0.0
+            others = rest
+            while others:
+                bit = others & -others
+                val = max(val, w[i][bit.bit_length() - 1] + best(rest ^ bit))
+                others ^= bit
+            memo[free] = val
+        return memo[free]
+
+    return best((1 << len(w)) - 1)
+
+
+def _states(rng, m, n):
+    g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    rho = g @ g.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_a_stacked_pairing_is_bitwise_each_matrix_alone(n):
+    rng = np.random.default_rng(600 + n)
+    rho = _states(rng, 50, n)
+    vals = np.sort(rng.random((50, n)), axis=1)
+    vals[::3] = np.round(vals[::3], 1)   # tied values: zero weights and tied candidates
+    stacked = max_pairing_offdiagonal_sum(vals, rho)
+    shared = max_pairing_offdiagonal_sum(vals[0], rho)   # one values row for every matrix
+    assert stacked.shape == shared.shape == (50,)
+    for row in range(50):
+        alone = max_pairing_offdiagonal_sum(vals[row], rho[row])
+        assert isinstance(alone, float)
+        assert stacked[row] == alone == _memoised_pairing(_pairing_weights(vals[row], rho[row]))
+        assert shared[row] == _memoised_pairing(_pairing_weights(vals[0], rho[row]))
+
+
+def test_a_stacked_pairing_gives_nan_on_exactly_the_non_finite_rows():
+    rng = np.random.default_rng(611)
+    for n in (4, _EXACT_PAIRING_LIMIT + 1):   # the exact DP and the greedy pairing
+        rho = _states(rng, 6, n)
+        vals = np.sort(rng.random((6, n)), axis=1)
+        rho[1, 0, 1] = np.nan
+        vals[3, -1] = np.inf
+        rho[4, 2, 2] = np.inf
+        got = max_pairing_offdiagonal_sum(vals, rho)
+        assert np.isnan(got).tolist() == [False, True, False, True, True, False]
+        for row in (0, 2, 5):
+            assert got[row] == max_pairing_offdiagonal_sum(vals[row], rho[row])
+    # above the exact limit, each row is its own greedy matching
+    assert got[0] == _greedy_pairing_sum(_pairing_weights(vals[0], rho[0]))
+
+
+def test_a_stacked_pairing_holds_one_matrix_per_pass_at_twenty_vertices():
+    import tracemalloc
+
+    rng = np.random.default_rng(612)
+    rho = _states(rng, 256, _EXACT_PAIRING_LIMIT)
+    vals = np.sort(rng.random((256, _EXACT_PAIRING_LIMIT)), axis=1)
+    tracemalloc.start()
+    try:
+        got = max_pairing_offdiagonal_sum(vals, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the DP reaches 10945 free sets at n = 20 and its largest level has
+    # 27027 candidates: all 256 rows in one pass would hold about 80 MB
+    assert peak < 16 * 2**20
+    assert np.isfinite(got).all()
+    assert got[7] == _memoised_pairing(_pairing_weights(vals[7], rho[7]))

@@ -13,6 +13,9 @@ import pytest
 import purestat
 
 MODULES = ("linalg", "hamiltonians", "states", "ensembles", "dynamics", "bounds")
+# the option rule also covers the runner and the registry, which the package
+# does not re-export
+OPTION_MODULES = MODULES + ("harness", "experiments")
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 # exports that only the tests call: the dense single-state references that the
 # batched reduced_rates kernel is checked against
@@ -21,6 +24,10 @@ TEST_ORACLES = {"subsystem_speed", "purity_rate"}
 TEST_OPTIONS = {
     # the degenerate-cluster map is the tests' reference for the resonant case
     "dynamics.dephase(mode)",
+    # test seams: the tests pass a mapping and a CPU count in place of
+    # os.environ and os.cpu_count(), which the clamp reads otherwise
+    "harness.worker_count(environ)",
+    "harness.worker_count(cpus)",
 }
 
 
@@ -111,7 +118,7 @@ def _passed_arguments(source: str) -> dict[str, list]:
 def _exported_callables():
     """(qualified name, called name, signature without self or cls) of every
     exported function, class constructor and public method."""
-    for name in MODULES:
+    for name in OPTION_MODULES:
         module = importlib.import_module(f"purestat.{name}")
         for attr in module.__all__:
             obj = getattr(module, attr)

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -402,6 +403,93 @@ def test_demo_rows_do_not_depend_on_worker_count(tmp_path, monkeypatch):
         assert [r.trial for r in res.records] == list(range(9))
         outs[workers] = (out / "SECOND_LAW_DEMO.csv").read_bytes()
     assert outs["1"] == outs["2"]
+
+
+def _two_workers_running(monkeypatch, trial):
+    """COMMUTATOR_LOWER with `trial` as its hook, run in 8 one-trial chunks
+    on two workers: this process runs the even trials, a child the odd ones."""
+    monkeypatch.setattr(harness, "worker_count", lambda: 2)
+    monkeypatch.setitem(EXPERIMENTS, "COMMUTATOR_LOWER", dataclasses.replace(
+        EXPERIMENTS["COMMUTATOR_LOWER"], trial=trial, block=None))
+    return ExperimentSpec("COMMUTATOR_LOWER", {"trials": 8})
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_childs_error_is_raised_here_with_its_traceback(monkeypatch):
+    parent = os.getpid()
+
+    def trial(setup, params, seed, k):
+        if os.getpid() != parent:
+            raise ValueError(f"trial {k} failed in a child")
+        return TrialRecord(0.0, 0.0, 1.0, True, False)
+
+    spec = _two_workers_running(monkeypatch, trial)
+    with pytest.raises(ValueError, match="^trial 1 failed in a child$") as info:
+        run_experiment(spec)
+    assert "Traceback" in str(info.value.__cause__)
+    assert "trial 1 failed in a child" in str(info.value.__cause__)
+    _assert_no_child_left()
+
+
+def test_a_failing_parent_share_kills_and_reaps_the_child(monkeypatch):
+    parent = os.getpid()
+
+    def trial(setup, params, seed, k):
+        if os.getpid() == parent:
+            raise ValueError("the parent's share failed")
+        time.sleep(60)
+
+    spec = _two_workers_running(monkeypatch, trial)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="the parent's share failed"):
+        run_experiment(spec)
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+def test_a_child_that_exits_without_a_result_names_its_status(monkeypatch):
+    parent = os.getpid()
+
+    def trial(setup, params, seed, k):
+        if os.getpid() != parent:
+            os._exit(3)
+        return TrialRecord(0.0, 0.0, 1.0, True, False)
+
+    spec = _two_workers_running(monkeypatch, trial)
+    with pytest.raises(RuntimeError, match="exited with status 3 without a result"):
+        run_experiment(spec)
+    _assert_no_child_left()
+
+
+def test_rows_from_two_workers_keep_trial_order(monkeypatch):
+    parent = os.getpid()
+
+    def trial(setup, params, seed, k):
+        return TrialRecord(float(k), 0.0, 1.0, True, False, {"child": os.getpid() != parent})
+
+    res = run_experiment(_two_workers_running(monkeypatch, trial))
+    assert res.records.lhs.tolist() == list(range(8))
+    assert res.records.extras["child"] == [k % 2 == 1 for k in range(8)]
+    _assert_no_child_left()
+
+
+SUBSPACE_SIZED = [e for e, exp in EXPERIMENTS.items() if "d_r" in exp.defaults]
+
+
+@pytest.mark.parametrize("experiment_id", SUBSPACE_SIZED)
+def test_an_empty_subspace_is_rejected_before_setup(monkeypatch, experiment_id):
+    # d_r = 0 raised a numpy error or ZeroDivisionError only after setup
+    setups = []
+    monkeypatch.setitem(EXPERIMENTS, experiment_id, dataclasses.replace(
+        EXPERIMENTS[experiment_id], setup=lambda *args: setups.append(args)))
+    with pytest.raises(ValueError, match="d_r must be >= 1, got 0"):
+        run_experiment(ExperimentSpec(experiment_id, {"d_r": 0}))
+    assert setups == []
+    assert len(SUBSPACE_SIZED) == 10
 
 
 def test_setup_runs_once_per_run(monkeypatch):
