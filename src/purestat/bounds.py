@@ -13,6 +13,7 @@ them as evidence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -285,22 +286,24 @@ def check_bound(theorem: str, lhs: float, inputs: dict, stderr: float = 0.0,
                        bool(entry.tail and rhs >= 1.0), extra)
 
 
+@functools.cache
 def _pairing_levels(n: int) -> list[tuple[np.ndarray, ...]]:
     """The bitmask DP over perfect matchings of n (even) vertices, as index
     arrays: the DP always pairs the lowest free vertex, so only the free sets
     reachable that way appear (10945 of them at n = 20).
 
     One entry per free-set size 2, 4, ..., n, in that order:
-    (lows, others, children, starts).  Candidate c pairs vertex lows[c] with
-    others[c] and leaves the free set at position children[c] of the size
-    below; the candidates of the free set at position p start at starts[p],
-    with the partner ascending.  The size-0 level is the empty set alone.
+    (pairs, children, starts).  Candidate c pairs the vertices k, l with
+    k * n + l = pairs[c], k the lowest free one, and leaves the free set at
+    position children[c] of the size below; the candidates of the free set
+    at position p start at starts[p], with l ascending.  The size-0 level is
+    the empty set alone.
     """
     program = []
     level = [(1 << n) - 1]
     while level[0]:
         below: dict[int, int] = {}   # free set -> its position in the size below
-        lows, others_, children, starts = [], [], [], []
+        pairs, children, starts = [], [], []
         for free in level:
             starts.append(len(children))
             low = free & -free
@@ -308,29 +311,28 @@ def _pairing_levels(n: int) -> list[tuple[np.ndarray, ...]]:
             others = rest
             while others:
                 bit = others & -others
-                lows.append(low.bit_length() - 1)
-                others_.append(bit.bit_length() - 1)
+                pairs.append((low.bit_length() - 1) * n + bit.bit_length() - 1)
                 children.append(below.setdefault(rest ^ bit, len(below)))
                 others ^= bit
-        program.append(tuple(np.array(x, dtype=np.intp)
-                             for x in (lows, others_, children, starts)))
+        program.append(tuple(np.array(x, dtype=np.intp) for x in (pairs, children, starts)))
         level = list(below)
     return program[::-1]
 
 
-def _max_weight_perfect_matchings(w: np.ndarray, program) -> np.ndarray:
+def _max_weight_perfect_matchings(w: np.ndarray) -> np.ndarray:
     """Exact maximum weight of a perfect matching of each (n, n) weight
-    matrix in the stack w (m, n, n), by the DP of _pairing_levels(n).
+    matrix in the stack w (m, n, n), n even, by the DP of _pairing_levels(n).
 
-    Each free set carries an (m,) array.  Every candidate weight is a finite
-    sum of weights >= 0 and a maximum is exact, so each entry is bitwise the
-    row's own scalar DP, whatever the stack height.
+    Each free set carries an (m,) column.  Every candidate weight is a
+    finite sum of weights >= 0 and a maximum is exact, so each entry is
+    bitwise the row's own scalar DP, whatever the stack height.
     """
-    by_pair = np.moveaxis(w, 0, -1)     # (n, n, m): by_pair[k, l] is the rows' w_kl
-    best = np.zeros((1, len(w)))        # the empty free set
-    for lows, others, children, starts in program:
-        best = np.maximum.reduceat(by_pair[lows, others] + best[children], starts, axis=0)
-    return best[0]
+    flat = w.reshape(len(w), -1)
+    best = np.zeros((len(w), 1))        # the empty free set
+    for pairs, children, starts in _pairing_levels(w.shape[1]):
+        best = np.maximum.reduceat(flat.take(pairs, axis=1) + best.take(children, axis=1),
+                                   starts, axis=1)
+    return best[:, 0]
 
 
 _EXACT_PAIRING_LIMIT = 20   # max_pairing_offdiagonal_sum is exact up to this many vertices
@@ -357,22 +359,17 @@ def max_pairing_offdiagonal_sum(values, rho):
         r = r[None]
     m, n = r.shape[:2]
     a = np.broadcast_to(np.asarray(values, dtype=float), (m, n))
-    finite = np.flatnonzero(np.isfinite(a).all(axis=1) & np.isfinite(r).all(axis=(1, 2)))
-    a, r = a[finite], r[finite]
-    w = np.abs(a[:, :, None] - a[:, None, :]) * np.abs(r)
-    sums = np.empty(len(finite))
-    if n > _EXACT_PAIRING_LIMIT:
-        for row, weights in enumerate(w):
-            sums[row] = _greedy_pairing_sum(weights)
-    else:
-        if n % 2:
-            w = np.pad(w, ((0, 0), (0, 1), (0, 1)))
-        program = _pairing_levels(n + n % 2)
-        step = max(1, BLOCK_ENTRIES >> max(n - 1, 0))
-        for lo in range(0, len(w), step):
-            sums[lo:lo + step] = _max_weight_perfect_matchings(w[lo:lo + step], program)
+    rows = np.flatnonzero(np.isfinite(a).all(axis=1) & np.isfinite(r).all(axis=(1, 2)))
+    a = a[rows]
+    w = np.zeros((len(rows), n + n % 2, n + n % 2))
+    np.multiply(np.abs(a[:, :, None] - a[:, None, :]), np.abs(r[rows]), out=w[:, :n, :n])
     out = np.full(m, np.nan)
-    out[finite] = sums
+    if n > _EXACT_PAIRING_LIMIT:
+        out[rows] = [_greedy_pairing_sum(weights) for weights in w]
+    else:
+        step = max(1, BLOCK_ENTRIES >> max(n - 1, 0))
+        for lo in range(0, len(rows), step):
+            out[rows[lo:lo + step]] = _max_weight_perfect_matchings(w[lo:lo + step])
     return float(out[0]) if single else out
 
 

@@ -629,25 +629,21 @@ def _purity_rate_instant_trial(setup, params, seed, k):
 # ---------------------------------------------------------------------------
 
 def _commutator_lower_block(setup, params, seed, ks):
-    """(a, rho, pairing) per trial: one stacked pairing DP per dimension drawn."""
+    """(a, rho) per trial, drawn from the trial's stream."""
     lo, hi = int(params["dim_min"]), int(params["dim_max"])
     draws = []
     for rng in trial_streams(seed, ks):
         n = int(rng.integers(lo, hi + 1))
         a_vals = np.sort(rng.random(n))
         draws.append((a_vals, _mixed_density(n, rng)))
-    pairings = np.empty(len(draws))
-    for n in {len(a_vals) for a_vals, _ in draws}:
-        rows = [i for i, (a_vals, _) in enumerate(draws) if len(a_vals) == n]
-        a_stack, rho_stack = zip(*(draws[i] for i in rows))
-        pairings[rows] = max_pairing_offdiagonal_sum(np.array(a_stack), np.array(rho_stack))
-    return [(a_vals, rho, float(p)) for (a_vals, rho), p in zip(draws, pairings)]
+    return draws
 
 
 def _commutator_lower_trial(setup, params, seed, k, item):
-    a_vals, rho, pairing = item
+    a_vals, rho = item
     n = len(a_vals)
     lhs = trace_norm(1j * commutator(rho, np.diag(a_vals)))  # [rho,A] is anti-Hermitian
+    pairing = max_pairing_offdiagonal_sum(a_vals, rho)
     rhs = evaluate_bound("COMMUTATOR_LOWER", {"pairing_sum": pairing})
     # an exact inequality: the slack only absorbs rounding
     return _row(lhs, rhs, "lower", 1e-9, dim=n, pairing=pairing)
