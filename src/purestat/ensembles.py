@@ -14,7 +14,6 @@ exactly the values of its own ``trial_stream(seed, k)``.
 
 from __future__ import annotations
 
-import copy
 import numbers
 
 import numpy as np
@@ -176,20 +175,15 @@ _HAAR_BLOCK = 1 << 16
 
 
 def haar_coefficient_blocks(n: int, d: int, rng: np.random.Generator):
-    """Yield the normalised rows of rng.standard_normal((n, d)) + 1j *
-    rng.standard_normal((n, d)) (Haar-random coefficients) bitwise, in blocks of
-    max(1, _HAAR_BLOCK // d) rows, and leave rng where that one-shot draw does.
-    A copy of rng replays the real parts while rng, advanced past them once,
-    supplies the imaginary parts, so memory does not grow with n.  Take every
-    block before drawing anything else from rng."""
+    """Yield n Haar-random coefficient rows in blocks of max(1, _HAAR_BLOCK // d)
+    rows, so memory does not grow with n.  Row i is bitwise the normalised
+    complex_normal_rows row of its own rng.standard_normal((2, d)) draw: the
+    real parts of a sample, then its imaginary parts, one sample after the
+    other.  Take every block before drawing anything else from rng."""
     rows = max(1, _HAAR_BLOCK // d)
-    real = copy.deepcopy(rng)
-    skipped = np.empty((rows, d))
     for lo in range(0, n, rows):
-        rng.standard_normal(out=skipped[:min(rows, n - lo)])
-    for lo in range(0, n, rows):
-        m = min(rows, n - lo)
-        z = real.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+        x = rng.standard_normal((min(rows, n - lo), 2, d))
+        z = x[:, 0] + 1j * x[:, 1]
         yield z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
@@ -258,14 +252,14 @@ def _haar_vector(basis, rng: np.random.Generator) -> np.ndarray:
 _JITTER_ROUNDS = 100   # sample_random_hamiltonian's jitter attempts before it gives up
 
 
-def sample_random_hamiltonian(dims, rng: np.random.Generator, spectrum=(0.0, 1.0),
-                              gap_tol: float = DEFAULT_GAP_TOL) -> Hamiltonian:
+def sample_random_hamiltonian(dims, rng: np.random.Generator,
+                              spectrum=(0.0, 1.0)) -> Hamiltonian:
     """Random Hamiltonian: Haar eigenbasis, spectrum jittered until non-resonant.
 
     dims is (d_S, d_B) or an integer dimension; the d eigenvalues are i.i.d.
     uniform on the interval spectrum = (lo, hi).  Jitter adds i.i.d. uniform
-    perturbations of magnitude 1e-6 x spectral width and retests, at most
-    _JITTER_ROUNDS times.
+    perturbations of magnitude 1e-6 x spectral width and retests against
+    DEFAULT_GAP_TOL, at most _JITTER_ROUNDS times.
     """
     if isinstance(dims, numbers.Integral):
         dims = (int(dims), 1)
@@ -273,14 +267,14 @@ def sample_random_hamiltonian(dims, rng: np.random.Generator, spectrum=(0.0, 1.0
     lo, hi = spectrum
     e = np.sort(lo + (hi - lo) * rng.random(d))
     width = float(e[-1] - e[0]) or 1.0
-    report = gap_analysis(e, gap_tol)
+    report = gap_analysis(e, DEFAULT_GAP_TOL)
     rounds = 0
     while not report.non_resonant:
         if rounds >= _JITTER_ROUNDS:
-            raise RuntimeError(
-                f"could not reach non-resonance at tol {gap_tol} in {_JITTER_ROUNDS} rounds")
+            raise RuntimeError(f"could not reach non-resonance at tol {DEFAULT_GAP_TOL} "
+                               f"in {_JITTER_ROUNDS} rounds")
         e = np.sort(e + rng.uniform(-1e-6 * width, 1e-6 * width, d))
-        report = gap_analysis(e, gap_tol)
+        report = gap_analysis(e, DEFAULT_GAP_TOL)
         rounds += 1
     v = haar_unitary(d, rng)
     return Hamiltonian(e, v, dims=dims, gap_report=report)

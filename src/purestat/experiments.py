@@ -129,6 +129,12 @@ def _haar_map(fn, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([fn(a) for a in haar_coefficient_blocks(n, d, rng)])
 
 
+def _haar_expectations(spectrum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Tr[B psi] of n Haar states psi for an observable B = diag(spectrum).  By
+    unitary invariance its law depends on B only through the spectrum."""
+    return _haar_map(lambda a: (a.real ** 2 + a.imag ** 2) @ spectrum, n, len(spectrum), rng)
+
+
 def _haar_coeff_rows(streams, d: int) -> np.ndarray:
     """One row per stream: its normalised complex_normal_rows row."""
     return _unit_rows(complex_normal_rows(streams, d))
@@ -161,17 +167,15 @@ def bootstrap(values: np.ndarray, statistic, rng: np.random.Generator) -> np.nda
 def _mc_setup(params, seed):
     d_r = int(params["d_r"])
     rank = int(params.get("rank_b") or d_r // 2)
-    rng = _setup_stream(seed)
-    u = haar_unitary(d_r, rng)
-    b = (u[:, :rank] @ dagger(u[:, :rank]))  # rank-`rank` projector inside H_R
-    return {"b": b, "d_r": d_r, "rank": rank,
+    # the spectrum of a rank-`rank` projector B inside H_R
+    spectrum = np.r_[np.ones(rank), np.zeros(d_r - rank)]
+    return {"spectrum": spectrum, "d_r": d_r, "rank": rank,
             "mc_mean": rank / d_r, "mc_mean2": rank / d_r}
 
 
 def _mc_sample_expectations(setup, params, seed, k):
-    n = int(params["n_samples"])
     rng = trial_stream(seed, k)
-    return _haar_map(lambda a: expectation_values(a, setup["b"]), n, setup["d_r"], rng), rng
+    return _haar_expectations(setup["spectrum"], int(params["n_samples"]), rng), rng
 
 
 def _mc_variance_identity_trial(setup, params, seed, k):
@@ -211,31 +215,29 @@ def _coarse_grained_setup(params, seed):
     d, d_r, m = int(params["d"]), int(params["d_r"]), int(params["m"])
     if d % m:
         raise ValueError("macro-state count m must divide the dimension")
-    rng = _setup_stream(seed)
-    w = haar_unitary(d, rng)
+    # H_R is spanned by the first d_R basis vectors; one Haar unitary orients
+    # the m macro groups against it (only their relative orientation matters)
+    w = haar_unitary(d, _setup_stream(seed))
     groups = [w[:, r * (d // m):(r + 1) * (d // m)] for r in range(m)]
-    v0 = haar_unitary(d, rng)
-    basis_r = v0[:, :d_r]
-    pi_r = basis_r @ dagger(basis_r)
     # Tr[P_r Pi_R] / d_R for the macro projector P_r = g_r g_r^dagger of each group
-    mc = np.array([np.trace(g @ dagger(g) @ pi_r).real / d_r for g in groups])
-    return {"basis_r": basis_r, "mc": mc, "groups": groups, "d": d, "d_r": d_r, "m": m}
+    mc = np.array([np.linalg.norm(g[:d_r]) ** 2 / d_r for g in groups])
+    return {"mc": mc, "groups": groups, "d": d, "d_r": d_r, "m": m}
 
 
 def _coarse_grained_trial(setup, params, seed, k):
     n = int(params["n_samples"])
     eps = float(params["epsilon"])
+    d_r = setup["d_r"]
 
     def deviations(a):
-        psi = a @ setup["basis_r"].T                # (rows, d)
         devs = np.zeros(len(a))
         for r, g in enumerate(setup["groups"]):
-            t_r = np.abs(psi @ g.conj()) ** 2       # (rows, d/m) overlaps
+            t_r = np.abs(a @ g[:d_r].conj()) ** 2   # (rows, d/m) overlaps
             devs += np.abs(t_r.sum(axis=1) - setup["mc"][r])
         return devs
-    devs = _haar_map(deviations, n, setup["d_r"], trial_stream(seed, k))
+    devs = _haar_map(deviations, n, d_r, trial_stream(seed, k))
     lhs = float((devs >= eps).mean())               # max_A over alpha_r in [-1,1]
-    inputs = {"d_r": setup["d_r"], "epsilon": eps, "m": setup["m"], "norm_a": 1.0}
+    inputs = {"d_r": d_r, "epsilon": eps, "m": setup["m"], "norm_a": 1.0}
     return check_bound("COARSE_GRAINED", lhs, inputs, mean_dev=float(devs.mean()))
 
 
@@ -277,11 +279,11 @@ def _deff_subspace_ambient(params) -> int:
 def _deff_subspace_setup(params, seed):
     d_r = int(params["d_r"])
     ambient = _deff_subspace_ambient(params)
-    gap_tol = 1e-9 if ambient <= 256 else 1e-11
-    rng = _setup_stream(seed)
-    h = sample_random_hamiltonian((ambient, 1), rng, gap_tol=gap_tol)
+    # d_eff of a dephased state reads only the Hamiltonian's eigenbasis V, and a
+    # random Hamiltonian's eigenbasis is Haar: its spectrum is never drawn
+    v = haar_unitary(ambient, _setup_stream(seed))
     # coefficients of a subspace vector (a, 0) in the eigenbasis: a @ conj(V[:d_r, :])
-    return {"block": h.eigenbasis[:d_r, :].conj(), "d_r": d_r, "ambient": ambient}
+    return {"block": v[:d_r, :].conj(), "d_r": d_r, "ambient": ambient}
 
 
 def _deff_subspace_block(setup, params, seed, ks):
@@ -317,10 +319,11 @@ def _deff_subspace_tail_summary(rows, setup, params):
 
 def _deff_product_setup(params, seed):
     d_sr, d_br = int(params["d_sr"]), int(params["d_br"])
-    rng = _setup_stream(seed)
-    h = sample_random_hamiltonian((d_sr, d_br), rng)
+    # the Haar eigenbasis of a random Hamiltonian on H_SR (x) H_BR, as in
+    # _deff_subspace_setup
+    v = haar_unitary(d_sr * d_br, _setup_stream(seed))
     rhs = evaluate_bound("DEFF_PRODUCT_MEAN", {"d_sr": d_sr, "d_br": d_br})
-    return {"h": h, "d_sr": d_sr, "d_br": d_br, "rhs": rhs}
+    return {"eigenbasis": v, "d_sr": d_sr, "d_br": d_br, "rhs": rhs}
 
 
 def _deff_product_block(setup, params, seed, ks):
@@ -331,7 +334,7 @@ def _deff_product_block(setup, params, seed, ks):
     a_s = _unit_rows(x[:, :d_sr] + 1j * x[:, d_sr:2 * d_sr])
     a_b = _unit_rows(x[:, 2 * d_sr:2 * d_sr + d_br] + 1j * x[:, 2 * d_sr + d_br:])
     psi = (a_s[:, :, None] * a_b[:, None, :]).reshape(len(x), d_sr * d_br)
-    c = psi @ setup["h"].eigenbasis.conj()      # row i: V^dagger psi_i
+    c = psi @ setup["eigenbasis"].conj()        # row i: V^dagger psi_i
     return (1.0 / (np.abs(c) ** 4).sum(axis=1)).tolist()
 
 
@@ -847,9 +850,10 @@ def _levy_trial(setup, params, seed, k):
     d_r = int(params["d_r"])
     n = int(params["n_samples"])
     eps = float(params["epsilon"])
-    b = _gue(d_r, _setup_stream(seed))
-    f = _haar_map(lambda a: expectation_values(a, b), n, d_r, trial_stream(seed, k))
-    mean_f = float(np.trace(b).real / d_r)
+    # by unitary invariance the observable enters only through its spectrum
+    spectrum = np.linalg.eigvalsh(_gue(d_r, _setup_stream(seed)))
+    f = _haar_expectations(spectrum, n, trial_stream(seed, k))
+    mean_f = float(spectrum.mean())
     lhs = float((np.abs(f - mean_f) >= eps).mean())
     inputs = {"d": 2 * d_r, "epsilon": eps, "eta": 2.0}  # real sphere dim, eta = 2|B|
     return check_bound("LEVY", lhs, inputs, mean_f=float(f.mean()), mc_mean=mean_f)
@@ -996,23 +1000,23 @@ _register(ExperimentDef(
     "MC_VARIANCE_IDENTITY",
     "variance of Tr[B psi] over Haar states equals the microcanonical variance / (d_R+1)",
     {**_MC_DEFAULTS}, _mc_setup, _mc_variance_identity_trial,
-    subspace="rank_b", dimension=_param("d_r"),
-    minimums={"n_samples": 2, "rank_b": 0, "d_r": 1}))
+    dimension=_param("d_r"), below={"rank_b": "d_r"},
+    minimums={"n_samples": 2, "rank_b": 0, "d_r": 2}))
 
 _register(ExperimentDef(
     "MC_CONCENTRATION",
     "tail of |Tr[B psi] - <B>_mc| vs the exponential concentration bound",
     {**_MC_DEFAULTS, "epsilon": 0.25}, _mc_setup, _mc_concentration_trial,
-    subspace="rank_b", dimension=_param("d_r"),
-    minimums={"n_samples": 2, "rank_b": 0, "d_r": 1}))
+    dimension=_param("d_r"), below={"rank_b": "d_r"},
+    minimums={"n_samples": 2, "rank_b": 0, "d_r": 2}))
 
 _register(ExperimentDef(
     "MC_VARIANCE_CONCENTRATION",
     "tail of |sigma^2_psi - sigma^2_mc| vs the two-term concentration bound",
     {**_MC_DEFAULTS, "n_samples": 20_000, "epsilon": 0.1},
     _mc_setup, _mc_variance_concentration_trial,
-    subspace="rank_b", dimension=_param("d_r"),
-    minimums={"n_samples": 1, "rank_b": 0, "d_r": 1}))
+    dimension=_param("d_r"), below={"rank_b": "d_r"},
+    minimums={"n_samples": 1, "rank_b": 0, "d_r": 2}))
 
 _register(ExperimentDef(
     "COARSE_GRAINED",

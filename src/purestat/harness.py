@@ -93,7 +93,6 @@ class ExperimentSpec:
         if dim > MAX_DIMENSION:
             raise ValueError(f"{self.experiment_id}: dimension {dim} exceeds the memory "
                              f"guard {MAX_DIMENSION}")
-        # an auto-sized subspace (rank_b = 0) is sized within the dimension
         if exp.subspace and int(self.params[exp.subspace]) > dim:
             raise ValueError(f"{self.experiment_id}: {exp.subspace} = "
                              f"{self.params[exp.subspace]!r} exceeds the dimension {dim}")

@@ -170,7 +170,7 @@ def _ref_deff_subspace_tail(setup, params, seed, k):
 def _ref_deff_product(setup, params, seed, k):
     psi = sample_product_state(np.eye(setup["d_sr"]), np.eye(setup["d_br"]),
                                trial_stream(seed, k))
-    c = setup["h"].to_eigenbasis(psi.vector)
+    c = setup["eigenbasis"].conj().T @ psi.vector
     rhs = evaluate_bound("DEFF_PRODUCT_MEAN", {"d_sr": setup["d_sr"], "d_br": setup["d_br"]})
     return _row(float(1.0 / (np.abs(c) ** 4).sum()), rhs, "observation")
 

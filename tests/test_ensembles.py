@@ -1,5 +1,6 @@
 """Samplers: determinism, Haar invariance, marginals, mean-energy ensemble."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from purestat import (
     canonical_subspace_basis,
+    complex_normal_rows,
     ensembles,
+    expectation_values,
     haar_coefficient_blocks,
     haar_unitary,
     harmonic_mean,
@@ -20,7 +23,7 @@ from purestat import (
     trial_stream,
     von_neumann_entropy,
 )
-from purestat.experiments import EXPERIMENTS
+from purestat.experiments import EXPERIMENTS, _haar_expectations
 
 
 def mutual_information(rho):
@@ -43,19 +46,30 @@ def test_setup_and_trial_streams_differ():
 
 
 @pytest.mark.parametrize("d", [1, 32, 256])
-def test_haar_coefficient_blocks_equal_the_one_shot_draw(d):
+def test_haar_coefficient_blocks_are_successive_per_sample_draws(d):
+    # row i is the normalised complex_normal_rows row of the i-th
+    # standard_normal((2, d)) draw of the stream: one layout everywhere
     rows = max(1, ensembles._HAAR_BLOCK // d)
     for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
-        one_shot = np.random.Generator(np.random.Philox(n))
+        per_sample = np.random.Generator(np.random.Philox(n))
         blocked = np.random.Generator(np.random.Philox(n))
-        one_shot.random(dtype=np.float32)           # a half-used 32-bit buffer
+        per_sample.random(dtype=np.float32)         # a half-used 32-bit buffer
         blocked.random(dtype=np.float32)
-        z = one_shot.standard_normal((n, d)) + 1j * one_shot.standard_normal((n, d))
+        z = complex_normal_rows(itertools.repeat(per_sample, n), d)
         want = z / np.linalg.norm(z, axis=1, keepdims=True)
         blocks = list(haar_coefficient_blocks(n, d, blocked))
-        assert all(len(b) <= rows for b in blocks)
+        assert [len(b) for b in blocks] == [min(rows, n - lo) for lo in range(0, n, rows)]
         assert np.concatenate(blocks).tobytes() == want.tobytes()
-        assert repr(blocked.bit_generator.state) == repr(one_shot.bit_generator.state)
+        assert repr(blocked.bit_generator.state) == repr(per_sample.bit_generator.state)
+
+
+def test_haar_expectations_equal_the_dense_diagonal_observable():
+    d = 32
+    n = ensembles._HAAR_BLOCK // d + 3               # across a block edge
+    spectrum = trial_stream(5, 0).standard_normal(d)
+    x = _haar_expectations(spectrum, n, trial_stream(5, 1))
+    a = np.concatenate(list(haar_coefficient_blocks(n, d, trial_stream(5, 1))))
+    assert np.abs(x - expectation_values(a, np.diag(spectrum))).max() <= 1e-12
 
 
 def test_mc_variance_identity_memory_does_not_grow_with_the_samples():
@@ -202,11 +216,11 @@ def test_random_hamiltonian_default_spectrum_is_the_uniform_draw():
         assert h.eigenvalues.tobytes() == want.tobytes()
 
 
-def test_random_hamiltonian_jitter_failure():
-    rng = trial_stream(0, 9)
-    # all-equal spectrum cannot be made non-resonant with 1e-6-width jitter at tol 1
-    with pytest.raises(RuntimeError, match="100 rounds"):
-        sample_random_hamiltonian(4, rng, spectrum=(0.0, 0.0), gap_tol=1.0)
+def test_random_hamiltonian_jitter_failure(monkeypatch):
+    # an all-equal spectrum is resonant, and with no jitter round allowed it stays so
+    monkeypatch.setattr(ensembles, "_JITTER_ROUNDS", 0)
+    with pytest.raises(RuntimeError, match="non-resonance at tol 1e-09 in 0 rounds"):
+        sample_random_hamiltonian(4, trial_stream(0, 9), spectrum=(0.0, 0.0))
 
 
 def test_mean_energy_sampler_sigma_values():

@@ -239,11 +239,8 @@ def test_every_declared_minimum_is_enforced():
 
 
 # a subspace larger than its space: each case ran setup compute and then
-# wrote a vacuous row (MC_CONCENTRATION), reported a false violation
-# (MC_VARIANCE_IDENTITY) or failed with a numpy error
+# failed with a numpy error
 OVERSIZED_SUBSPACES = [
-    ("MC_CONCENTRATION", {"rank_b": 40, "d_r": 32}, "rank_b = 40", 32),
-    ("MC_VARIANCE_IDENTITY", {"rank_b": 64}, "rank_b = 64", 32),
     ("CANONICAL_REDUCTION", {"d_r": 128}, "d_r = 128", 64),
     ("COARSE_GRAINED", {"d_r": 128}, "d_r = 128", 64),
     ("DEFF_SUBSPACE_MEAN", {"ambient": 32}, "d_r = 64", 32),
@@ -265,10 +262,26 @@ def test_a_subspace_larger_than_its_space_is_rejected_before_setup(
     assert setups == []
 
 
+MC_EXPERIMENTS = ("MC_VARIANCE_IDENTITY", "MC_CONCENTRATION", "MC_VARIANCE_CONCENTRATION")
+
+
+@pytest.mark.parametrize("rank_b", [8, 12])
+@pytest.mark.parametrize("experiment_id", MC_EXPERIMENTS)
+def test_a_full_projector_is_rejected_before_setup(monkeypatch, experiment_id, rank_b):
+    # at d_r = 8: B = 1 (rank_b = d_r) gave a false violation
+    # (MC_VARIANCE_IDENTITY) or a trivial zero row, and rank_b > d_r a
+    # vacuous row or a false violation
+    setups = []
+    monkeypatch.setitem(EXPERIMENTS, experiment_id, dataclasses.replace(
+        EXPERIMENTS[experiment_id], setup=lambda *args: setups.append(args)))
+    with pytest.raises(ValueError, match=f"rank_b must be < d_r, got {rank_b}$"):
+        run_experiment(ExperimentSpec(experiment_id, {"d_r": 8, "rank_b": rank_b}))
+    assert setups == []
+
+
 def test_every_subspace_parameter_may_fill_its_space():
     declared = {e: exp.subspace for e, exp in EXPERIMENTS.items() if exp.subspace}
-    assert declared == {e: "rank_b" for e in (
-        "MC_VARIANCE_IDENTITY", "MC_CONCENTRATION", "MC_VARIANCE_CONCENTRATION")} | {
+    assert declared == {
         e: "d_r" for e in ("COARSE_GRAINED", "CANONICAL_REDUCTION", "DEFF_SUBSPACE_MEAN",
                            "DEFF_SUBSPACE_TAIL", "ERGODICITY", "ISI_LINDEN_DELTA")}
     for experiment_id, key in declared.items():
@@ -483,10 +496,11 @@ SUBSPACE_SIZED = [e for e, exp in EXPERIMENTS.items() if "d_r" in exp.defaults]
 @pytest.mark.parametrize("experiment_id", SUBSPACE_SIZED)
 def test_an_empty_subspace_is_rejected_before_setup(monkeypatch, experiment_id):
     # d_r = 0 raised a numpy error or ZeroDivisionError only after setup
+    low = EXPERIMENTS[experiment_id].minimums["d_r"]
     setups = []
     monkeypatch.setitem(EXPERIMENTS, experiment_id, dataclasses.replace(
         EXPERIMENTS[experiment_id], setup=lambda *args: setups.append(args)))
-    with pytest.raises(ValueError, match="d_r must be >= 1, got 0"):
+    with pytest.raises(ValueError, match=f"d_r must be >= {low}, got 0"):
         run_experiment(ExperimentSpec(experiment_id, {"d_r": 0}))
     assert setups == []
     assert len(SUBSPACE_SIZED) == 10

@@ -299,3 +299,14 @@ def test_coarse_grained_macro_projectors_are_a_complete_orthogonal_set():
         for q in projectors[i + 1:]:
             assert np.abs(p @ q).max() <= 1e-10
     assert np.abs(sum(projectors) - np.eye(d)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("params", [{}, {"d": 48, "d_r": 5, "m": 3}])
+def test_coarse_grained_microcanonical_means_are_the_dense_traces(params):
+    # H_R is the span of the first d_R basis vectors
+    exp = EXPERIMENTS["COARSE_GRAINED"]
+    setup = exp.setup({**exp.defaults, **params}, 7)
+    d, d_r = setup["d"], setup["d_r"]
+    pi_r = np.diag(np.r_[np.ones(d_r), np.zeros(d - d_r)])
+    want = [np.trace(g @ dagger(g) @ pi_r).real / d_r for g in setup["groups"]]
+    assert np.abs(setup["mc"] - want).max() <= 1e-12
