@@ -18,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from .hamiltonians import DEFAULT_GAP_TOL, Hamiltonian, gap_analysis
+from .hamiltonians import Hamiltonian, gap_analysis
 from .states import PureState
 
 __all__ = [
@@ -259,7 +259,7 @@ def sample_random_hamiltonian(dims, rng: np.random.Generator,
     dims is (d_S, d_B) or an integer dimension; the d eigenvalues are i.i.d.
     uniform on the interval spectrum = (lo, hi).  Jitter adds i.i.d. uniform
     perturbations of magnitude 1e-6 x spectral width and retests against
-    DEFAULT_GAP_TOL, at most _JITTER_ROUNDS times.
+    hamiltonians.DEFAULT_GAP_TOL, at most _JITTER_ROUNDS times.
     """
     if isinstance(dims, numbers.Integral):
         dims = (int(dims), 1)
@@ -267,14 +267,14 @@ def sample_random_hamiltonian(dims, rng: np.random.Generator,
     lo, hi = spectrum
     e = np.sort(lo + (hi - lo) * rng.random(d))
     width = float(e[-1] - e[0]) or 1.0
-    report = gap_analysis(e, DEFAULT_GAP_TOL)
+    report = gap_analysis(e)
     rounds = 0
     while not report.non_resonant:
         if rounds >= _JITTER_ROUNDS:
-            raise RuntimeError(f"could not reach non-resonance at tol {DEFAULT_GAP_TOL} "
+            raise RuntimeError(f"could not reach non-resonance at tol {report.tolerance} "
                                f"in {_JITTER_ROUNDS} rounds")
         e = np.sort(e + rng.uniform(-1e-6 * width, 1e-6 * width, d))
-        report = gap_analysis(e, DEFAULT_GAP_TOL)
+        report = gap_analysis(e)
         rounds += 1
     v = haar_unitary(d, rng)
     return Hamiltonian(e, v, dims=dims, gap_report=report)

@@ -850,8 +850,11 @@ def _levy_trial(setup, params, seed, k):
     d_r = int(params["d_r"])
     n = int(params["n_samples"])
     eps = float(params["epsilon"])
-    # by unitary invariance the observable enters only through its spectrum
-    spectrum = np.linalg.eigvalsh(_gue(d_r, _setup_stream(seed)))
+    # by unitary invariance only the spectrum of the GUE observable (norm 1) enters
+    rng = _setup_stream(seed)
+    z = rng.standard_normal((d_r, d_r)) + 1j * rng.standard_normal((d_r, d_r))
+    e = np.linalg.eigvalsh((z + dagger(z)) / 2)
+    spectrum = e / np.abs(e).max()
     f = _haar_expectations(spectrum, n, trial_stream(seed, k))
     mean_f = float(spectrum.mean())
     lhs = float((np.abs(f - mean_f) >= eps).mean())

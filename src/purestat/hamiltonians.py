@@ -42,8 +42,8 @@ class GapReport:
     tolerance: float
 
 
-def gap_analysis(spectrum, tol: float = DEFAULT_GAP_TOL) -> GapReport:
-    """Scan a spectrum for degenerate levels and degenerate gaps.
+def gap_analysis(spectrum) -> GapReport:
+    """Scan a spectrum for degenerate levels and degenerate gaps at DEFAULT_GAP_TOL.
 
     The minimum over all pairs of gaps |g_i - g_j| equals the minimum
     adjacent difference of the sorted gap list, so the sorted scan is exact
@@ -52,7 +52,7 @@ def gap_analysis(spectrum, tol: float = DEFAULT_GAP_TOL) -> GapReport:
     e = np.sort(np.asarray(spectrum, dtype=float))
     d = len(e)
     if d < 2:
-        return GapReport(np.inf, np.inf, True, tol)
+        return GapReport(np.inf, np.inf, True, DEFAULT_GAP_TOL)
     min_gap = float(np.diff(e).min())
     iu = np.triu_indices(d, 1)
     gaps = (e[None, :] - e[:, None])[iu]
@@ -60,8 +60,8 @@ def gap_analysis(spectrum, tol: float = DEFAULT_GAP_TOL) -> GapReport:
         mgd = np.inf
     else:
         mgd = float(np.diff(np.sort(gaps)).min())
-    non_resonant = bool(min_gap > tol and mgd > tol)
-    return GapReport(min_gap, mgd, non_resonant, tol)
+    non_resonant = bool(min_gap > DEFAULT_GAP_TOL and mgd > DEFAULT_GAP_TOL)
+    return GapReport(min_gap, mgd, non_resonant, DEFAULT_GAP_TOL)
 
 
 @dataclass

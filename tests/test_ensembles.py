@@ -217,10 +217,16 @@ def test_random_hamiltonian_default_spectrum_is_the_uniform_draw():
 
 
 def test_random_hamiltonian_jitter_failure(monkeypatch):
-    # an all-equal spectrum is resonant, and with no jitter round allowed it stays so
-    monkeypatch.setattr(ensembles, "_JITTER_ROUNDS", 0)
-    with pytest.raises(RuntimeError, match="non-resonance at tol 1e-09 in 0 rounds"):
+    # at a tolerance of 1.0 no four levels in a unit interval are non-resonant, so
+    # every jitter round runs on the all-equal spectrum and the sampler gives up
+    monkeypatch.setattr("purestat.hamiltonians.DEFAULT_GAP_TOL", 1.0)
+    calls = []
+    gap_analysis = ensembles.gap_analysis
+    monkeypatch.setattr(ensembles, "gap_analysis", lambda e: calls.append(e) or gap_analysis(e))
+    with pytest.raises(RuntimeError, match="non-resonance at tol 1.0 in 100 rounds"):
         sample_random_hamiltonian(4, trial_stream(0, 9), spectrum=(0.0, 0.0))
+    assert len(calls) == 101
+    assert 0 < np.ptp(calls[-1]) <= 200e-6   # jittered by at most 1e-6 x unit width a round
 
 
 def test_mean_energy_sampler_sigma_values():

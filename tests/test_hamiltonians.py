@@ -60,7 +60,7 @@ def test_gap_analysis_jittered_uniform_d32():
     rng = np.random.default_rng(32)
     e = np.sort(rng.random(32))
     e += rng.uniform(-1e-6, 1e-6, 32)
-    rep = gap_analysis(np.sort(e), tol=1e-9)
+    rep = gap_analysis(np.sort(e))
     assert rep.non_resonant
 
 
