@@ -11,6 +11,7 @@ import numpy as np
 
 from purestat import (
     evaluate_bound,
+    expectation_values,
     haar_unitary,
     stream,
 )
@@ -30,7 +31,7 @@ for d_r in (16, 32, 64, 128):
     n = 50_000
     z = rng.standard_normal((n, d_r)) + 1j * rng.standard_normal((n, d_r))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    x = np.einsum("nk,nk->n", z.conj(), z @ b.T).real   # Tr[B psi] per sample
+    x = expectation_values(z, b)   # Tr[B psi] per sample
 
     mc_mean = rank / d_r
     mc_var = mc_mean - mc_mean ** 2

@@ -11,7 +11,7 @@ import numpy as np
 from purestat import (
     PureState,
     canonical_subspace_basis,
-    dephase,
+    dephased,
     effective_dimension,
     evaluate_bound,
     expectation_values,
@@ -34,10 +34,9 @@ psi_b = sample_haar_state(d_b, rng)
 psi0_vec = np.kron(canonical_subspace_basis(d_s, [0])[:, 0], psi_b.vector)
 psi0 = PureState(psi0_vec, dims=(d_s, d_b))
 
-omega = dephase(psi0.density(), h)
-omega_s = omega.reduced("S")
-deff = effective_dimension(omega)
-deff_b = effective_dimension(omega.reduced("B"))
+probs, omega_s, omega_b = dephased(h, psi0)
+deff = 1.0 / (probs ** 2).sum()
+deff_b = effective_dimension(omega_b)
 bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", {"d_s": d_s, "deff_b": deff_b})
 
 print("=" * 72)
@@ -45,7 +44,7 @@ print("Subsystem equilibration from a far-from-equilibrium product start")
 print("=" * 72)
 print(f"d_eff(omega) = {deff:.1f}, d_eff(omega^B) = {deff_b:.1f}")
 print(f"initial distance D(rho^S_0, omega^S) = "
-      f"{trace_distance(psi0.reduced('S'), omega_s):.3f}")
+      f"{trace_distance(reduced_marginals(psi0.vector, psi0.dims), omega_s):.3f}")
 print(f"bound on the time-averaged distance: (1/2) sqrt(d_S/d_eff(omega^B)) "
       f"= {bound:.3f}")
 
@@ -69,7 +68,7 @@ a /= np.abs(np.linalg.eigvalsh(a)).max()
 # time_map hands each bounded block of evolved states to the function
 x, p_s = time_map(h, psi0, times, lambda psis: (
     expectation_values(psis, a), purity(reduced_marginals(psis, psi0.dims))))
-x_eq = float(np.trace(a @ omega.matrix).real)
+x_eq = float(probs @ expectation_values(h.eigenbasis.T, a))   # Tr[A omega]
 print(f"\nReimann: time variance of Tr[A rho_t] = {np.mean((x - x_eq)**2):.2e}  "
       f"<= |A|^2/d_eff = {1/deff:.2e}")
 print(f"purity:  |<p^S>_t - p(omega^S)| = "

@@ -11,8 +11,7 @@ equilibration-time estimates.
 import numpy as np
 
 from purestat import (
-    dephase,
-    effective_dimension,
+    dephased,
     evaluate_bound,
     finite_difference_purity_rate,
     finite_difference_speed,
@@ -40,8 +39,8 @@ parts = compose_hamiltonian(gue(d_s, 1.0), gue(d_b, 1.0), gue(d_s * d_b, 0.4))
 h = parts.assembled
 psi0 = sample_product_state(d_s, d_b, rng)
 
-omega = dephase(psi0.density(), h)
-deff = effective_dimension(omega)
+probs, omega_s, _ = dephased(h, psi0)
+deff = 1.0 / (probs ** 2).sum()
 speed_bound = evaluate_bound("SPEED", {
     "norm_hs_plus_hsb": parts.norm_hs_plus_hsb(), "d_s": d_s, "deff": deff})
 rate_bound = evaluate_bound("PURITY_RATE_AVG", {
@@ -73,7 +72,7 @@ rates = np.abs(dps)
 print(f"\ntime-averaged v_S  = {np.mean(speeds):.4f}  <= bound {speed_bound:.4f}")
 print(f"time-averaged |dp| = {np.mean(rates):.4f}  <= bound {rate_bound:.4f}")
 
-p_eq = purity(omega.reduced("S"))
+p_eq = purity(omega_s)
 t_purity = evaluate_bound("EQ_TIME_PURITY", {
     "p_eq": p_eq, "d_s": d_s, "norm_hsb": parts.norm_hsb()})
 delta_e = float(h.eigenvalues[-1] - h.eigenvalues[0])

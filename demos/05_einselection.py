@@ -45,7 +45,7 @@ h = parts.assembled
 psi_b = sample_haar_state(d_b, rng)
 psi_s = np.array([1.0, 1.0]) / np.sqrt(2)
 psi0 = PureState(np.kron(psi_s, psi_b.vector), dims=(d_s, d_b))
-rho0 = psi0.reduced("S").matrix
+rho0 = reduced_marginals(psi0.vector, psi0.dims)
 
 print(f"{'t':>6} {'diag drift':>12} {'|coherence|':>12}")
 ts = np.array([0.0, 1.0, 5.0, 20.0, 80.0, 200.0])
@@ -70,7 +70,7 @@ times = sample_times(h_w, 200, rng)
 speeds, rho_s = time_map(h_w, psi0_w, times, lambda psis: (
     (r := reduced_rates(psis, parts_w)).speeds(), r.rho_s))
 rho_in_hs = w_s.conj().T @ rho_s @ w_s             # rho^S_t in the H_S eigenbasis
-pairings = np.array([max_pairing_offdiagonal_sum(e_s, r) for r in rho_in_hs])
+pairings = max_pairing_offdiagonal_sum(e_s, rho_in_hs)
 worst = float((pairings / (parts_w.norm_hsb() + speeds)).max())
 offdiag = np.abs(rho_in_hs[:, 0, 1])
 

@@ -1,4 +1,4 @@
-"""Time evolution, dephasing, time batches, subsystem speed and purity rate."""
+"""Time evolution, the dephased state, time batches, subsystem speed and purity rate."""
 
 from __future__ import annotations
 
@@ -8,22 +8,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import CompositeHamiltonian, Hamiltonian, phase_factors
-from .linalg import BLOCK_ENTRIES, commutator, partial_trace, trace_norm
-from .states import DensityMatrix, PureState, purity, trace_distance
+from .linalg import BLOCK_ENTRIES
+from .states import PureState, purity, trace_distance
 
 __all__ = [
     "evolve",
-    "dephase",
     "dephased",
     "default_horizon",
     "sample_times",
     "time_map",
     "reduced_marginals",
     "write_trajectory_csv",
-    "subsystem_speed",
     "ReducedRates",
     "reduced_rates",
-    "purity_rate",
     "finite_difference_speed",
     "finite_difference_purity_rate",
 ]
@@ -36,47 +33,6 @@ def evolve(state: PureState, h: Hamiltonian, t: float) -> PureState:
     v = time_map(h, state, [t], np.copy)[0]
     v /= np.linalg.norm(v)  # remove float drift, |err| ~ 1e-16
     return PureState(v, dims=state.dims)
-
-
-def _cluster_slices(e: np.ndarray, tol: float) -> list[slice]:
-    bounds = [0]
-    for k in range(1, len(e)):
-        if e[k] - e[k - 1] > tol:
-            bounds.append(k)
-    bounds.append(len(e))
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def dephase(x, h: Hamiltonian, mode: str = "strict"):
-    """Dephasing map: zero the inter-eigenspace off-diagonals in H's eigenbasis.
-
-    Works on states and on Hermitian observables alike and equals the
-    infinite-time average for non-resonant H.  mode="strict" requires H's
-    gap report to certify strong non-resonance; mode="clusters" implements
-    the degenerate-subspace variant (projectors onto degenerate clusters,
-    cluster width 1e-9 x spectral range).
-    """
-    m = x.matrix if isinstance(x, DensityMatrix) else np.asarray(x, dtype=complex)
-    if m.shape[0] != h.dim:
-        raise ValueError(f"dimension mismatch: operator {m.shape[0]}, H {h.dim}")
-    a = h.to_eigenbasis(m)
-    if mode == "strict":
-        if not h.gap_report.non_resonant:
-            raise ValueError("Hamiltonian is resonant; use mode='clusters' for the "
-                             "degenerate-subspace dephasing map")
-        out = np.diag(np.diag(a))
-    elif mode == "clusters":
-        e = h.eigenvalues
-        tol = 1e-9 * max(float(e[-1] - e[0]), 1.0)
-        out = np.zeros_like(a)
-        for sl in _cluster_slices(e, tol):
-            out[sl, sl] = a[sl, sl]
-    else:
-        raise ValueError(f"unknown dephasing mode {mode!r}")
-    res = h.from_eigenbasis(out)
-    if isinstance(x, DensityMatrix):
-        return DensityMatrix(res, dims=x.dims)
-    return res
 
 
 def dephased(h: Hamiltonian, state, marginals: bool = True):
@@ -209,12 +165,6 @@ def write_trajectory_csv(path, times, columns: dict) -> None:
             w.writerow([repr(float(t)), *(repr(float(c[i])) for c in columns.values())])
 
 
-def _reduced_commutant_with_interaction(rho: np.ndarray, h_sb: np.ndarray,
-                                        d_s: int, d_b: int) -> np.ndarray:
-    """Tr_B[rho, H_SB]."""
-    return partial_trace(commutator(rho, h_sb), d_s, d_b, "S")
-
-
 @dataclass
 class ReducedRates:
     """Reduced states and their rates of change along a stack of pure states.
@@ -228,11 +178,11 @@ class ReducedRates:
     tr_b_comm: np.ndarray
 
     def speeds(self) -> np.ndarray:
-        """v_S = (1/2) ||d rho^S_t/dt||_1 at every time (see subsystem_speed)."""
+        """v_S = (1/2) ||d rho^S_t/dt||_1 at every time."""
         return 0.5 * np.abs(np.linalg.eigvalsh(self.drho_s)).sum(axis=1)
 
     def purity_rates(self) -> np.ndarray:
-        """d p^S_t/dt = Tr[rho^S_t 2i Tr_B[rho_t, H_SB]] at every time (see purity_rate)."""
+        """d p^S_t/dt = Tr[rho^S_t 2i Tr_B[rho_t, H_SB]] at every time."""
         return 2 * np.einsum("nij,nji->n", self.rho_s, 1j * self.tr_b_comm).real
 
 
@@ -242,8 +192,7 @@ def reduced_rates(psis, parts: CompositeHamiltonian) -> ReducedRates:
     psis holds one state vector per row, shape (n_times, d_S d_B); each row
     is renormalised to remove float drift.  No d x d density matrix is
     formed: with K_t = Tr_B |psi_t><H_SB psi_t|, Tr_B[rho_t, H_SB] =
-    K_t - K_t^dagger.  subsystem_speed and purity_rate are the dense
-    single-state references.
+    K_t - K_t^dagger.
     """
     d_s, d_b = parts.dims
     psis = np.asarray(psis, dtype=complex)
@@ -257,46 +206,6 @@ def reduced_rates(psis, parts: CompositeHamiltonian) -> ReducedRates:
     tr_b_comm = kq - np.conj(np.swapaxes(kq, 1, 2))
     drho_s = 1j * (rho_s @ parts.h_s - parts.h_s @ rho_s) + 1j * tr_b_comm
     return ReducedRates(rho_s, drho_s, tr_b_comm)
-
-
-def subsystem_speed(rho, parts: CompositeHamiltonian) -> float:
-    """v_S = (1/2) || i[rho^S, H_S] + i Tr_B[rho, H_SB] ||_1.
-
-    Equals the instantaneous trace-norm velocity of the reduced state; the
-    bath Hamiltonian enters only through the trajectory, not the formula.
-    """
-    d_s, d_b = parts.dims
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if m.shape[0] != d_s * d_b:
-        raise ValueError("state dimension does not match the Hamiltonian split")
-    rho_s = partial_trace(m, d_s, d_b, "S")
-    drho_s = 1j * commutator(rho_s, parts.h_s) + 1j * _reduced_commutant_with_interaction(
-        m, parts.h_sb, d_s, d_b)
-    return 0.5 * trace_norm(drho_s)
-
-
-def purity_rate(rho, parts: CompositeHamiltonian) -> float:
-    """d p^S/dt = Tr[rho^S 2i Tr_B[rho, H_SB]].
-
-    Also evaluates the correlation-operator form (with rho^cor =
-    rho - rho^S (x) rho^B) and checks both agree to 1e-9.
-    """
-    d_s, d_b = parts.dims
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if m.shape[0] != d_s * d_b:
-        raise ValueError("state dimension does not match the Hamiltonian split")
-    rho_s = partial_trace(m, d_s, d_b, "S")
-    rho_b = partial_trace(m, d_s, d_b, "B")
-    rate = float(np.trace(rho_s @ (2j * _reduced_commutant_with_interaction(
-        m, parts.h_sb, d_s, d_b))).real)
-    rho_cor = m - np.kron(rho_s, rho_b)
-    rate_cor = float(np.trace(rho_s @ (2j * _reduced_commutant_with_interaction(
-        rho_cor, parts.h_sb, d_s, d_b))).real)
-    scale = max(1.0, abs(rate))
-    if abs(rate - rate_cor) > 1e-9 * scale:
-        raise AssertionError(
-            f"purity-rate forms disagree: {rate!r} vs correlation form {rate_cor!r}")
-    return rate
 
 
 def _central_difference(h: Hamiltonian, state: PureState, t, change):

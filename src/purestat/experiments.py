@@ -53,7 +53,7 @@ from .ensembles import (
     trial_streams,
 )
 from .hamiltonians import Hamiltonian, compose_hamiltonian, pointer_hamiltonian
-from .linalg import BLOCK_ENTRIES, commutator, dagger, trace_norm
+from .linalg import BLOCK_ENTRIES, commutator, dagger, partial_trace, trace_norm
 from .states import (
     PureState,
     effective_dimension,
@@ -247,11 +247,10 @@ def _canonical_reduction_setup(params, seed):
     rng = _setup_stream(seed)
     v0 = haar_unitary(d, rng)
     basis_r = v0[:, :d_r]
-    rho_mc = microcanonical_state(basis_r, dims=(d_s, d_b))
-    rho_mc_s = rho_mc.reduced("S")
-    deff_b = effective_dimension(rho_mc.reduced("B"))
-    return {"basis_r": basis_r, "rho_mc_s": rho_mc_s.matrix, "deff_b": deff_b,
-            "d_s": d_s, "d_b": d_b, "d_r": d_r}
+    rho_mc = microcanonical_state(basis_r)
+    deff_b = effective_dimension(partial_trace(rho_mc, d_s, d_b, "B"))
+    return {"basis_r": basis_r, "rho_mc_s": partial_trace(rho_mc, d_s, d_b, "S"),
+            "deff_b": deff_b, "d_s": d_s, "d_b": d_b, "d_r": d_r}
 
 
 def _canonical_reduction_trial(setup, params, seed, k):
@@ -963,7 +962,8 @@ def _distance_trajectory_trial(setup, params, seed, k):
         reduced_marginals(psis, psi0.dims), setup["omega_s"]))
     mean, se = mean_se(dist)
     return _row(mean, setup["bound"], "upper", stderr=se,
-                initial_distance=trace_distance(psi0.reduced("S"), setup["omega_s"]))
+                initial_distance=trace_distance(reduced_marginals(psi0.vector, psi0.dims),
+                                                 setup["omega_s"]))
 
 
 def _distance_trajectory_artifacts(setup, params, seed, out_dir):

@@ -116,11 +116,6 @@ class Hamiltonian:
             return dagger(self.eigenbasis) @ a
         return dagger(self.eigenbasis) @ a @ self.eigenbasis
 
-    def from_eigenbasis(self, a: np.ndarray) -> np.ndarray:
-        if a.ndim == 1:
-            return self.eigenbasis @ a
-        return self.eigenbasis @ a @ dagger(self.eigenbasis)
-
 
 # 2 pi as five pieces of 26 significant bits each (their sum is 2 pi to
 # 1e-40): a multiple k of a piece is exact whenever |k| < 2^26.  The pi/2

@@ -1,7 +1,7 @@
 """Quantum states and state-level quantities.
 
-Scalar functions accept either the dataclass wrappers defined here or bare
-numpy arrays; constructors return validated wrappers.
+PureState is a validated state vector.  The functions take numpy arrays:
+density matrices (expectation_values: state vectors), one or a stack.
 """
 
 from __future__ import annotations
@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, partial_trace
+from .linalg import dagger
 
 __all__ = [
     "PureState",
-    "DensityMatrix",
     "trace_distance",
     "purity",
     "expectation_values",
@@ -46,63 +45,6 @@ class PureState:
     def dim(self) -> int:
         return len(self.vector)
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.vector, self.vector.conj()), dims=self.dims)
-
-    def reduced(self, keep: str = "S") -> "DensityMatrix":
-        d_s, d_b = self.dims
-        m = self.vector.reshape(d_s, d_b)
-        if keep == "S":
-            r = m @ dagger(m)
-        elif keep == "B":
-            r = m.T @ m.conj()
-        else:
-            raise ValueError(f"keep must be 'S' or 'B', got {keep!r}")
-        return DensityMatrix(r)
-
-
-@dataclass
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
-
-    matrix: np.ndarray
-    dims: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        d = self.matrix.shape[0]
-        if self.matrix.ndim != 2 or self.matrix.shape != (d, d):
-            raise ValueError(f"density matrix must be square, got {self.matrix.shape}")
-        if self.dims is None:
-            self.dims = (d, 1)
-        if self.dims[0] * self.dims[1] != d:
-            raise ValueError(f"dims {self.dims} incompatible with dimension {d}")
-        scale = max(1.0, float(np.abs(self.matrix).max()))
-        if np.abs(self.matrix - dagger(self.matrix)).max() > 1e-10 * scale:
-            raise ValueError("density matrix is not Hermitian")
-        tr = np.trace(self.matrix).real
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        w = np.linalg.eigvalsh(self.matrix)
-        if w.min() < -1e-9:
-            raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def reduced(self, keep: str = "S") -> "DensityMatrix":
-        d_s, d_b = self.dims
-        return DensityMatrix(partial_trace(self.matrix, d_s, d_b, keep))
-
-
-def _mat(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    if isinstance(rho, PureState):
-        return np.outer(rho.vector, rho.vector.conj())
-    return np.asarray(rho, dtype=complex)
-
 
 def _finite_eigvalsh(m) -> np.ndarray:
     """eigvalsh of each Hermitian matrix in the stack m; all NaN for a matrix
@@ -124,7 +66,7 @@ def trace_distance(rho, sigma):
     r = hypot((x - y)/2, |z|), so D = max(|m|, r) in closed form; larger
     matrices go through eigvalsh.  A matrix with a non-finite entry gives NaN.
     """
-    a, b = _mat(rho), _mat(sigma)
+    a, b = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     diff = a - b
@@ -145,7 +87,7 @@ def purity(rho):
     rho may also be a stack of matrices with leading axes; an array of
     purities is returned for it, a float for a single state.
     """
-    m = _mat(rho)
+    m = np.asarray(rho, dtype=complex)
     p = np.einsum("...ij,...ji->...", m, m).real
     return float(p) if p.ndim == 0 else p
 
@@ -173,14 +115,14 @@ def von_neumann_entropy(rho):
     matrices with leading axes; an array of entropies is returned for it, a
     float for a single state.  A matrix with a non-finite entry gives NaN.
     """
-    w = _finite_eigvalsh(_mat(rho))
+    w = _finite_eigvalsh(np.asarray(rho, dtype=complex))
     # a NaN eigenvalue is neither dropped nor logged: NaN * log(1) keeps it
     s = -np.where(w <= 1e-15, 0.0, w * np.log(np.where(w > 1e-15, w, 1.0))).sum(axis=-1)
     s = np.maximum(s, 0.0)
     return float(s) if s.ndim == 0 else s
 
 
-def microcanonical_state(subspace_basis, dims: tuple[int, int] | None = None) -> DensityMatrix:
+def microcanonical_state(subspace_basis) -> np.ndarray:
     """rho_mc = Pi_R / d_R for the subspace spanned by the given orthonormal vectors.
 
     subspace_basis: (d, d_R) array whose columns span the restricted subspace.
@@ -192,4 +134,4 @@ def microcanonical_state(subspace_basis, dims: tuple[int, int] | None = None) ->
     gram = dagger(v) @ v
     if np.abs(gram - np.eye(d_r)).max() > 1e-10:
         raise ValueError("subspace basis is not orthonormal")
-    return DensityMatrix((v @ dagger(v)) / d_r, dims=dims)
+    return (v @ dagger(v)) / d_r

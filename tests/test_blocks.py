@@ -19,7 +19,7 @@ from purestat import (
     trial_streams,
 )
 from purestat.bounds import check_bound, evaluate_bound, max_pairing_offdiagonal_sum, verdict
-from purestat.dynamics import sample_times
+from purestat.dynamics import reduced_marginals, sample_times
 from purestat.hamiltonians import phase_factors
 from purestat.experiments import EXPERIMENTS, _mixed_density, _row
 from purestat.linalg import commutator, trace_norm
@@ -201,7 +201,7 @@ def _ref_ergodicity(setup, params, seed, k):
 def _ref_entangled_state_tail(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     psi = sample_haar_state(np.eye(d_s * d_b), trial_stream(seed, k), dims=(d_s, d_b))
-    dist = trace_distance(psi.reduced("S"), np.eye(d_s) / d_s)
+    dist = trace_distance(reduced_marginals(psi.vector, psi.dims), np.eye(d_s) / d_s)
     return check_bound("ENTANGLED_STATE_TAIL", float(dist >= float(params["epsilon"])),
                        {"d_s": d_s, "d_b": d_b, "epsilon": float(params["epsilon"])},
                        distance=dist)
