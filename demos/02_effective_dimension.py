@@ -45,7 +45,7 @@ hp = sample_random_hamiltonian((d_sr, d_br), rng)
 pvals = []
 for _ in range(500):
     psi = sample_product_state(d_sr, d_br, rng)
-    c = hp.to_eigenbasis(psi.vector)
+    c = hp.to_eigenbasis(psi)
     pvals.append(1.0 / (np.abs(c) ** 4).sum())
 pvals = np.array(pvals)
 pbound = evaluate_bound("DEFF_PRODUCT_MEAN", {"d_sr": d_sr, "d_br": d_br})
@@ -59,7 +59,7 @@ energy = harmonic_mean(hm.eigenvalues)
 purities = []
 for _ in range(2000):
     psi = sample_mean_energy_state(hm, energy, rng)
-    c = hm.to_eigenbasis(psi.vector)
+    c = hm.to_eigenbasis(psi)
     purities.append(float((np.abs(c) ** 4).sum()))
 purities = np.array(purities)
 pred = evaluate_bound("DEFF_MEAN_ENERGY", {

@@ -9,8 +9,6 @@ unitary global dynamics.  Writes the distance trajectory as CSV.
 import numpy as np
 
 from purestat import (
-    PureState,
-    canonical_subspace_basis,
     dephased,
     effective_dimension,
     evaluate_bound,
@@ -31,8 +29,7 @@ d_s, d_b = 2, 32
 
 h = sample_random_hamiltonian((d_s, d_b), rng)
 psi_b = sample_haar_state(d_b, rng)
-psi0_vec = np.kron(canonical_subspace_basis(d_s, [0])[:, 0], psi_b.vector)
-psi0 = PureState(psi0_vec, dims=(d_s, d_b))
+psi0 = np.kron(np.eye(d_s, dtype=complex)[0], psi_b)   # |0>_S |psi_B>
 
 probs, omega_s, omega_b = dephased(h, psi0)
 deff = 1.0 / (probs ** 2).sum()
@@ -44,14 +41,14 @@ print("Subsystem equilibration from a far-from-equilibrium product start")
 print("=" * 72)
 print(f"d_eff(omega) = {deff:.1f}, d_eff(omega^B) = {deff_b:.1f}")
 print(f"initial distance D(rho^S_0, omega^S) = "
-      f"{trace_distance(reduced_marginals(psi0.vector, psi0.dims), omega_s):.3f}")
+      f"{trace_distance(reduced_marginals(psi0, h.dims), omega_s):.3f}")
 print(f"bound on the time-averaged distance: (1/2) sqrt(d_S/d_eff(omega^B)) "
       f"= {bound:.3f}")
 
 width = float(h.eigenvalues[-1] - h.eigenvalues[0])
 grid = np.linspace(0.0, 80.0 / width, 300)[1:]
 dist = time_map(h, psi0, grid,
-                lambda psis: trace_distance(reduced_marginals(psis, psi0.dims), omega_s))
+                lambda psis: trace_distance(reduced_marginals(psis, h.dims), omega_s))
 write_trajectory_csv("equilibration_trajectory.csv", grid,
                      {"distance": dist, "bound": np.full(len(grid), bound)})
 
@@ -67,7 +64,7 @@ a = (a + a.conj().T) / 2
 a /= np.abs(np.linalg.eigvalsh(a)).max()
 # time_map hands each bounded block of evolved states to the function
 x, p_s = time_map(h, psi0, times, lambda psis: (
-    expectation_values(psis, a), purity(reduced_marginals(psis, psi0.dims))))
+    expectation_values(psis, a), purity(reduced_marginals(psis, h.dims))))
 x_eq = float(probs @ expectation_values(h.eigenbasis.T, a))   # Tr[A omega]
 print(f"\nReimann: time variance of Tr[A rho_t] = {np.mean((x - x_eq)**2):.2e}  "
       f"<= |A|^2/d_eff = {1/deff:.2e}")

@@ -12,7 +12,6 @@ eigenbasis of H_S whenever its motion is slow.
 import numpy as np
 
 from purestat import (
-    PureState,
     compose_hamiltonian,
     max_pairing_offdiagonal_sum,
     pointer_hamiltonian,
@@ -44,12 +43,12 @@ parts = pointer_hamiltonian(d_s, blocks)
 h = parts.assembled
 psi_b = sample_haar_state(d_b, rng)
 psi_s = np.array([1.0, 1.0]) / np.sqrt(2)
-psi0 = PureState(np.kron(psi_s, psi_b.vector), dims=(d_s, d_b))
-rho0 = reduced_marginals(psi0.vector, psi0.dims)
+psi0 = np.kron(psi_s, psi_b)
+rho0 = reduced_marginals(psi0, h.dims)
 
 print(f"{'t':>6} {'diag drift':>12} {'|coherence|':>12}")
 ts = np.array([0.0, 1.0, 5.0, 20.0, 80.0, 200.0])
-for t, rho_t in zip(ts, time_map(h, psi0, ts, lambda psis: reduced_marginals(psis, psi0.dims))):
+for t, rho_t in zip(ts, time_map(h, psi0, ts, lambda psis: reduced_marginals(psis, h.dims))):
     drift = np.abs(np.diag(rho_t) - np.diag(rho0)).max()
     print(f"{t:6.0f} {drift:12.2e} {abs(rho_t[0, 1]):12.4f}")
 print("populations frozen to machine precision; the coherence decays to the "

@@ -9,10 +9,9 @@ import numpy as np
 
 from .hamiltonians import CompositeHamiltonian, Hamiltonian, phase_factors
 from .linalg import BLOCK_ENTRIES
-from .states import PureState, purity, trace_distance
+from .states import purity, trace_distance
 
 __all__ = [
-    "evolve",
     "dephased",
     "default_horizon",
     "sample_times",
@@ -26,27 +25,17 @@ __all__ = [
 ]
 
 
-def evolve(state: PureState, h: Hamiltonian, t: float) -> PureState:
-    """Evolve a PureState for time t: time_map at one time, renormalised."""
-    if not isinstance(state, PureState):
-        raise TypeError(f"cannot evolve object of type {type(state).__name__}")
-    v = time_map(h, state, [t], np.copy)[0]
-    v /= np.linalg.norm(v)  # remove float drift, |err| ~ 1e-16
-    return PureState(v, dims=state.dims)
-
-
 def dephased(h: Hamiltonian, state, marginals: bool = True):
     """The dephased state omega = sum_k p_k |E_k><E_k| of a pure state.
 
-    state is a PureState or a state vector.  Returns the populations
+    state is one state vector (d,).  Returns the populations
     p_k = |<E_k|psi>|^2 and, with marginals, also omega^S and omega^B (split
     h.dims).  The d x d omega is never formed: with W = V diag(sqrt(p))
     read as (d_S, d_B, d), omega = W W^dagger gives omega^S = X X^dagger for
     X = W as (d_S, d_B d) and omega^B = sum_s W_s W_s^dagger, which is
     d^2 (d_S + d_B) work instead of d^3.
     """
-    v = state.vector if isinstance(state, PureState) else state
-    probs = np.abs(h.to_eigenbasis(v)) ** 2
+    probs = np.abs(h.to_eigenbasis(state)) ** 2
     if not marginals:
         return probs
     d_s, d_b = h.dims
@@ -76,9 +65,7 @@ def sample_times(h: Hamiltonian, n: int, rng: np.random.Generator) -> np.ndarray
 
 def _eigen_coefficients(h: Hamiltonian, initial) -> tuple[np.ndarray, bool]:
     """c0 = (<E_k|psi>)_k of every initial state as an (m, d) stack, and
-    whether initial was a stack (rather than a PureState or one vector)."""
-    if isinstance(initial, PureState):
-        initial = initial.vector
+    whether initial was a stack (rather than one vector)."""
     vecs = np.asarray(initial, dtype=complex)
     if vecs.ndim not in (1, 2) or vecs.shape[-1] != h.dim:
         raise ValueError(f"dimension mismatch: states {vecs.shape}, H {h.dim}")
@@ -89,7 +76,7 @@ def _eigen_coefficients(h: Hamiltonian, initial) -> tuple[np.ndarray, bool]:
 def time_map(h: Hamiltonian, initial, times, fn, states: bool = True):
     """fn of the evolved states psi_t = exp(-iHt) psi_0, one block of times at a time.
 
-    initial is a PureState, one state vector (d,) or a stack of them (m, d).
+    initial is one state vector (d,) or a stack of them (m, d).
     fn receives each block with its times on axis 0: (n_b, d) for one state,
     (n_b, m, d) for a stack; with states=False the eigenbasis coefficients
     c0 exp(-iEt) instead of the state vectors.  It returns an array, or a
@@ -208,24 +195,23 @@ def reduced_rates(psis, parts: CompositeHamiltonian) -> ReducedRates:
     return ReducedRates(rho_s, drho_s, tr_b_comm)
 
 
-def _central_difference(h: Hamiltonian, state: PureState, t, change):
-    """change(rho^S_{t-delta}, rho^S_{t+delta}) / (2 delta) at one time (a
-    float) or at every time of an array, from one time_map pass, with
-    delta = 1e-6 / max(|E|, 1)."""
+def _central_difference(h: Hamiltonian, state, times, change):
+    """change(rho^S_{t-delta}, rho^S_{t+delta}) / (2 delta) at every time of
+    the array times, from one time_map pass, with delta = 1e-6 / max(|E|, 1)
+    and the split h.dims."""
     delta = 1e-6 / max(np.abs(h.eigenvalues).max(), 1.0)
-    ts = np.ravel(t)
+    ts = np.ravel(times)
     rho_s = time_map(h, state, np.concatenate([ts - delta, ts + delta]),
-                     lambda psis: reduced_marginals(psis, state.dims))
-    x = change(rho_s[:len(ts)], rho_s[len(ts):]) / (2 * delta)
-    return float(x[0]) if np.ndim(t) == 0 else x
+                     lambda psis: reduced_marginals(psis, h.dims))
+    return change(rho_s[:len(ts)], rho_s[len(ts):]) / (2 * delta)
 
 
-def finite_difference_speed(h: Hamiltonian, state: PureState, t):
-    """Central-difference D(rho^S_{t-d}, rho^S_{t+d}) / (2d) cross-check, at
-    one time or an array of times."""
-    return _central_difference(h, state, t, trace_distance)
+def finite_difference_speed(h: Hamiltonian, state, times):
+    """Central-difference D(rho^S_{t-d}, rho^S_{t+d}) / (2d) cross-check at
+    every time of an array."""
+    return _central_difference(h, state, times, trace_distance)
 
 
-def finite_difference_purity_rate(h: Hamiltonian, state: PureState, t):
-    """Central-difference d(purity)/dt cross-check, at one time or an array of times."""
-    return _central_difference(h, state, t, lambda lo, hi: purity(hi) - purity(lo))
+def finite_difference_purity_rate(h: Hamiltonian, state, times):
+    """Central-difference d(purity)/dt cross-check at every time of an array."""
+    return _central_difference(h, state, times, lambda lo, hi: purity(hi) - purity(lo))

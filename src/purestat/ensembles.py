@@ -19,7 +19,6 @@ import numbers
 import numpy as np
 
 from .hamiltonians import Hamiltonian, gap_analysis
-from .states import PureState
 
 __all__ = [
     "SETUP_DOMAIN",
@@ -31,7 +30,6 @@ __all__ = [
     "complex_normal_rows",
     "haar_coefficient_blocks",
     "haar_unitary",
-    "canonical_subspace_basis",
     "sample_haar_state",
     "sample_product_state",
     "sample_random_hamiltonian",
@@ -200,53 +198,41 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph.conj()
 
 
-def canonical_subspace_basis(d: int, indices) -> np.ndarray:
-    """(d, len(indices)) matrix whose columns are canonical basis vectors."""
-    idx = list(indices)
-    b = np.zeros((d, len(idx)), dtype=complex)
-    for col, i in enumerate(idx):
-        b[i, col] = 1.0
-    return b
-
-
 def _gaussian_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return z / np.linalg.norm(z)
 
 
-def sample_haar_state(subspace_basis, rng: np.random.Generator,
-                      dims: tuple[int, int] | None = None) -> PureState:
-    """Haar-random pure state on the span of the given orthonormal columns,
-    or on the whole space when given an integer dimension d.
+def sample_haar_state(subspace_basis, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random state vector on the span of the given orthonormal columns,
+    or on the whole space when given an integer dimension d: the Gaussian
+    coefficients are then returned as they are, bitwise what the d x d
+    identity basis gives, without building it.
 
     A complex-Gaussian coefficient vector is normalized and mapped through
     the basis, which is exactly the uniform measure on the subspace sphere.
     """
-    return PureState(_haar_vector(subspace_basis, rng), dims=dims)
-
-
-def sample_product_state(basis_s, basis_b, rng: np.random.Generator) -> PureState:
-    """Product of independent Haar-random factors; Schmidt rank 1 by construction.
-    Each factor takes a basis or an integer dimension, as in sample_haar_state."""
-    psi_s = _haar_vector(basis_s, rng)
-    psi_b = _haar_vector(basis_b, rng)
-    return PureState(np.kron(psi_s, psi_b), dims=(len(psi_s), len(psi_b)))
-
-
-def _haar_vector(basis, rng: np.random.Generator) -> np.ndarray:
-    """A Haar coefficient vector mapped through the basis columns.  An integer
-    d is the whole d-dimensional space: the coefficients are returned as they
-    are, bitwise what the d x d identity basis gives, without building it."""
-    if isinstance(basis, numbers.Integral):
-        if basis < 1:
-            raise ValueError(f"empty space: dimension {basis}")
-        return _gaussian_unit_vector(int(basis), rng)
-    v = np.asarray(basis, dtype=complex)
+    if isinstance(subspace_basis, numbers.Integral):
+        if subspace_basis < 1:
+            raise ValueError(f"empty space: dimension {subspace_basis}")
+        return _gaussian_unit_vector(int(subspace_basis), rng)
+    v = np.asarray(subspace_basis, dtype=complex)
     if v.ndim == 1:
         v = v[:, None]
     if v.shape[1] == 0:
         raise ValueError("empty basis")
-    return v @ _gaussian_unit_vector(v.shape[1], rng)
+    psi = v @ _gaussian_unit_vector(v.shape[1], rng)
+    # |V c| = 1 for a random unit c only if V^dagger V = 1
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ValueError("subspace basis is not orthonormal")
+    return psi
+
+
+def sample_product_state(d_s: int, d_b: int, rng: np.random.Generator) -> np.ndarray:
+    """np.kron of independent Haar-random factors on the d_s- and
+    d_b-dimensional spaces, the S factor drawn first; Schmidt rank 1 by
+    construction."""
+    return np.kron(sample_haar_state(d_s, rng), sample_haar_state(d_b, rng))
 
 
 _JITTER_ROUNDS = 100   # sample_random_hamiltonian's jitter attempts before it gives up
@@ -308,8 +294,8 @@ def mean_energy_coefficients(h: Hamiltonian, energy: float, rngs) -> np.ndarray:
 
 
 def sample_mean_energy_state(h: Hamiltonian, energy: float,
-                             rng: np.random.Generator) -> PureState:
+                             rng: np.random.Generator) -> np.ndarray:
     """Approximate sample from the mean energy ensemble at the given energy:
     the state with the coefficients of mean_energy_coefficients."""
     c = mean_energy_coefficients(h, energy, [rng])[0]
-    return PureState(h.eigenbasis @ c, dims=h.dims)
+    return h.eigenbasis @ c

@@ -39,7 +39,6 @@ from .dynamics import (
 )
 from .ensembles import (
     SETUP_DOMAIN,
-    canonical_subspace_basis,
     complex_normal_rows,
     haar_coefficient_blocks,
     haar_unitary,
@@ -55,7 +54,6 @@ from .ensembles import (
 from .hamiltonians import Hamiltonian, compose_hamiltonian, pointer_hamiltonian
 from .linalg import BLOCK_ENTRIES, commutator, dagger, partial_trace, trace_norm
 from .states import (
-    PureState,
     effective_dimension,
     expectation_values,
     microcanonical_state,
@@ -399,7 +397,7 @@ def _equilibration_trial_base(params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
     h = sample_random_hamiltonian((d_s, d_b), rng)
-    psi0 = sample_haar_state(d_s * d_b, rng, dims=(d_s, d_b))
+    psi0 = sample_haar_state(d_s * d_b, rng)
     times = sample_times(h, params["n_times"], rng)
     probs = dephased(h, psi0, marginals=False)
     return h, psi0, probs, times, float(1.0 / (probs ** 2).sum()), rng
@@ -419,7 +417,7 @@ def _expectation_equilibration_trial(setup, params, seed, k):
 def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, bound):
     """Fig-style D(rho^S_t, omega^S) on a time grid, as <ID>_trajectory.csv."""
     dist = time_map(h, psi0, grid, lambda psis: trace_distance(
-        reduced_marginals(psis, psi0.dims), omega_s))
+        reduced_marginals(psis, h.dims), omega_s))
     path = os.path.join(out_dir, f"{experiment_id}_trajectory.csv")
     write_trajectory_csv(path, grid, {"distance": dist,
                                       "bound": np.full(len(grid), bound)})
@@ -431,7 +429,7 @@ def _subsystem_equilibration_trial(setup, params, seed, k):
     h, psi0, _, times, deff, _ = _equilibration_trial_base(params, seed, k)
     _, omega_s, omega_b = dephased(h, psi0)
     dist = time_map(h, psi0, times, lambda psis: trace_distance(
-        reduced_marginals(psis, psi0.dims), omega_s))
+        reduced_marginals(psis, h.dims), omega_s))
     deff_b = effective_dimension(omega_b)
     lhs, se = mean_se(dist)
     return check_bound("SUBSYSTEM_EQUILIBRATION", lhs, {"d_s": d_s, "deff_b": deff_b},
@@ -455,7 +453,7 @@ def _purity_equilibration_trial(setup, params, seed, k):
     h, psi0, _, times, deff, _ = _equilibration_trial_base(params, seed, k)
 
     def purities(psis):
-        rho_s, p_b = reduced_marginals(psis, psi0.dims, bath_purity=True)
+        rho_s, p_b = reduced_marginals(psis, h.dims, bath_purity=True)
         return purity(rho_s), p_b
     p_s, p_b = time_map(h, psi0, times, purities)
     max_sb_diff = float(np.abs(p_s - p_b).max())
@@ -687,10 +685,10 @@ def _einselection_rows(setup, params, seed, k):
     h = parts.assembled
     # equal-weight superposition with a random relative phase: maximal coherence
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-    psi_s = PureState(np.array([1.0, phase]) / np.sqrt(2))
+    psi_s = np.array([1.0, phase]) / np.sqrt(2)
     psi_b = sample_haar_state(d_b, rng)
-    rho_s0 = np.outer(psi_s.vector, psi_s.vector.conj())
-    psi0 = PureState(np.kron(psi_s.vector, psi_b.vector), dims=(d_s, d_b))
+    rho_s0 = np.outer(psi_s, psi_s.conj())
+    psi0 = np.kron(psi_s, psi_b)
     grid = np.linspace(0.0, float(params["t_max"]), int(params["grid"]))[1:]
     rho_s_t = time_map(h, psi0, grid, lambda psis: reduced_marginals(psis, (d_s, d_b)))
 
@@ -703,7 +701,7 @@ def _einselection_rows(setup, params, seed, k):
     for i, t in enumerate(grid):
         u0 = (eigs[0][1] * np.exp(-1j * eigs[0][0] * t)) @ dagger(eigs[0][1])
         u1 = (eigs[1][1] * np.exp(-1j * eigs[1][0] * t)) @ dagger(eigs[1][1])
-        f_direct[i] = psi_b.vector.conj() @ (dagger(u1) @ u0 @ psi_b.vector)
+        f_direct[i] = psi_b.conj() @ (dagger(u1) @ u0 @ psi_b)
     f_sim = rho_s_t[:, 0, 1] / rho_s0[0, 1]
     late = grid >= float(params["late_window_start"])
 
@@ -754,8 +752,8 @@ def _isi_trial(setup, params, seed, k):
     delta_pair = _marginal_diameter(mu)
     delta_ent = 2 * float(trace_distance(mu, np.eye(d_s) / d_s).max())
 
-    psi = sample_haar_state(d, rng).vector
-    phi = sample_haar_state(d, rng).vector
+    psi = sample_haar_state(d, rng)
+    phi = sample_haar_state(d, rng)
     phi = phi - np.vdot(psi, phi) * psi
     phi /= np.linalg.norm(phi)
 
@@ -946,8 +944,7 @@ def _distance_trajectory_setup(params, seed):
     rng = _setup_stream(seed)
     h = sample_random_hamiltonian((d_s, d_b), rng)
     psi_b = sample_haar_state(d_b, rng)
-    psi0 = PureState(np.kron(canonical_subspace_basis(d_s, [0])[:, 0], psi_b.vector),
-                     dims=(d_s, d_b))
+    psi0 = np.kron(np.eye(d_s, dtype=complex)[0], psi_b)   # |0>_S |psi_B>
     _, omega_s, omega_b = dephased(h, psi0)
     bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION",
                            {"d_s": d_s, "deff_b": effective_dimension(omega_b)})
@@ -959,10 +956,10 @@ def _distance_trajectory_trial(setup, params, seed, k):
     times = sample_times(h, params["n_times"], trial_stream(seed, k))
     psi0 = setup["psi0"]
     dist = time_map(h, psi0, times, lambda psis: trace_distance(
-        reduced_marginals(psis, psi0.dims), setup["omega_s"]))
+        reduced_marginals(psis, h.dims), setup["omega_s"]))
     mean, se = mean_se(dist)
     return _row(mean, setup["bound"], "upper", stderr=se,
-                initial_distance=trace_distance(reduced_marginals(psi0.vector, psi0.dims),
+                initial_distance=trace_distance(reduced_marginals(psi0, h.dims),
                                                  setup["omega_s"]))
 
 

@@ -163,10 +163,16 @@ class ExperimentResult:
 
 
 def worker_count(environ=None, cpus: int | None = None) -> int:
-    """PURESTAT_WORKERS (default 1), clamped to [1, cpu count]."""
+    """PURESTAT_WORKERS (default 1), clamped to [1, cpu count]; a value that
+    is not an integer raises a ValueError that names the variable."""
     environ = os.environ if environ is None else environ
     cpus = cpus or os.cpu_count() or 1
-    return max(1, min(int(environ.get("PURESTAT_WORKERS", "1")), cpus))
+    raw = environ.get("PURESTAT_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ValueError(f"PURESTAT_WORKERS must be an integer, got {raw!r}") from None
+    return max(1, min(workers, cpus))
 
 
 def _trial_records(exp, setup, params, seed, start: int, stop: int):
@@ -313,13 +319,13 @@ def _fork_join(fn, workers: int) -> list:
         raise
 
 
-def _collect_records(spec: ExperimentSpec, setup) -> TrialRows:
+def _collect_records(spec: ExperimentSpec, setup, workers: int) -> TrialRows:
     """Every trial's rows, in trial order (demos emit several rows per trial).
     With several workers, chunk i runs in process i % workers; process 0 is
     this one."""
     trials = int(spec.params.get("trials", 1))
     unit = _BLOCK if EXPERIMENTS[spec.experiment_id].block else 1
-    workers = min(worker_count(), -(-trials // unit))
+    workers = min(workers, -(-trials // unit))
     job = (spec.experiment_id, setup, spec.params, spec.seed)
     if workers == 1:
         return _run_chunk(*job, 0, trials)
@@ -373,9 +379,10 @@ def _json_object(encoded: dict) -> str:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run one named experiment; persist results before returning."""
     t0 = time.monotonic()
+    workers = worker_count()   # a malformed PURESTAT_WORKERS fails before setup
     exp = EXPERIMENTS[spec.experiment_id]
     setup = exp.setup(spec.params, spec.seed) if exp.setup else None
-    rows = _collect_records(spec, setup)
+    rows = _collect_records(spec, setup, workers)
     gates = exp.summary(rows, setup, spec.params) if exp.summary else []
     summary = _summarize_records(rows, gates)
 

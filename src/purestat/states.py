@@ -1,19 +1,17 @@
-"""Quantum states and state-level quantities.
+"""State-level quantities.
 
-PureState is a validated state vector.  The functions take numpy arrays:
-density matrices (expectation_values: state vectors), one or a stack.
+A pure state is a complex array: (d,) for one state vector, (m, d) for a
+stack.  The functions take numpy arrays: density matrices
+(expectation_values: state vectors), one or a stack.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import dagger
 
 __all__ = [
-    "PureState",
     "trace_distance",
     "purity",
     "expectation_values",
@@ -21,29 +19,6 @@ __all__ = [
     "von_neumann_entropy",
     "microcanonical_state",
 ]
-
-
-@dataclass
-class PureState:
-    """Normalized state vector with bipartite dimension metadata."""
-
-    vector: np.ndarray
-    dims: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=complex).ravel()
-        n = len(self.vector)
-        if self.dims is None:
-            self.dims = (n, 1)
-        if self.dims[0] * self.dims[1] != n:
-            raise ValueError(f"dims {self.dims} incompatible with vector length {n}")
-        nrm = np.linalg.norm(self.vector)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"state vector is not normalized: |psi| = {nrm!r}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vector)
 
 
 def _finite_eigvalsh(m) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Every test prints a single `[acceptance] criterion NN ...: PASS|FAIL` line
-(visible with `pytest -s` or in captured output).  The default-suite run is
-shared by most criteria; criteria with their own dims run standalone.
+(visible with `pytest -s` or in captured output).  The default-suite run
+(the `suite` fixture of conftest.py) is shared by most criteria; criteria
+with their own dims run standalone.
 """
 
 import csv
@@ -15,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from purestat.harness import ExperimentSpec, run_experiment, run_suite
+from purestat.harness import ExperimentSpec, run_experiment
 
 SEED = 7
 
@@ -26,16 +27,6 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> bool:
         line += f"  ({detail})"
     print(line)
     return ok
-
-
-@pytest.fixture(scope="module")
-def suite(tmp_path_factory):
-    out = tmp_path_factory.mktemp("suite")
-    t0 = time.monotonic()
-    results = run_suite(seed=SEED, out_dir=str(out))
-    wall = time.monotonic() - t0
-    return {"results": {r.spec.experiment_id: r for r in results},
-            "wall": wall, "out": str(out)}
 
 
 def test_criterion_01_lloyd_identity():

@@ -168,17 +168,15 @@ def _ref_deff_subspace_tail(setup, params, seed, k):
 
 
 def _ref_deff_product(setup, params, seed, k):
-    psi = sample_product_state(np.eye(setup["d_sr"]), np.eye(setup["d_br"]),
-                               trial_stream(seed, k))
-    c = setup["eigenbasis"].conj().T @ psi.vector
+    psi = sample_product_state(setup["d_sr"], setup["d_br"], trial_stream(seed, k))
+    c = setup["eigenbasis"].conj().T @ psi
     rhs = evaluate_bound("DEFF_PRODUCT_MEAN", {"d_sr": setup["d_sr"], "d_br": setup["d_br"]})
     return _row(float(1.0 / (np.abs(c) ** 4).sum()), rhs, "observation")
 
 
 def _ref_deff_mean_energy(setup, params, seed, k):
     h = setup["h"]
-    c = h.to_eigenbasis(sample_mean_energy_state(h, setup["energy"], trial_stream(seed, k))
-                        .vector)
+    c = h.to_eigenbasis(sample_mean_energy_state(h, setup["energy"], trial_stream(seed, k)))
     return _row(float((np.abs(c) ** 4).sum()), setup["rhs"], "observation",
                 energy=float(np.abs(c) ** 2 @ h.eigenvalues))
 
@@ -200,8 +198,8 @@ def _ref_ergodicity(setup, params, seed, k):
 
 def _ref_entangled_state_tail(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
-    psi = sample_haar_state(np.eye(d_s * d_b), trial_stream(seed, k), dims=(d_s, d_b))
-    dist = trace_distance(reduced_marginals(psi.vector, psi.dims), np.eye(d_s) / d_s)
+    psi = sample_haar_state(np.eye(d_s * d_b), trial_stream(seed, k))
+    dist = trace_distance(reduced_marginals(psi, (d_s, d_b)), np.eye(d_s) / d_s)
     return check_bound("ENTANGLED_STATE_TAIL", float(dist >= float(params["epsilon"])),
                        {"d_s": d_s, "d_b": d_b, "epsilon": float(params["epsilon"])},
                        distance=dist)
@@ -264,5 +262,5 @@ def test_mean_energy_state_uses_the_shared_coefficient_sampler():
     psi = sample_mean_energy_state(h, 1.4, trial_stream(5, 2))
     c = mean_energy_coefficients(h, 1.4, [trial_stream(5, 1), trial_stream(5, 2)])
     assert c.shape == (2, 16)
-    assert np.array_equal(psi.vector, h.eigenbasis @ c[1])
+    assert np.array_equal(psi, h.eigenbasis @ c[1])
     assert np.allclose(np.linalg.norm(c, axis=1), 1.0, atol=1e-14)

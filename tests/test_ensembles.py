@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from purestat import (
-    canonical_subspace_basis,
     complex_normal_rows,
     ensembles,
     expectation_values,
@@ -96,20 +95,25 @@ def test_haar_unitary_is_unitary():
 
 def test_haar_state_single_dim_subspace():
     rng = trial_stream(0, 1)
-    v = canonical_subspace_basis(5, [2])
+    v = np.eye(5)[:, [2]]
     psi = sample_haar_state(v, rng)
-    proj = np.outer(psi.vector, psi.vector.conj())
+    proj = np.outer(psi, psi.conj())
     assert np.abs(proj - v @ v.conj().T).max() < 1e-12
+
+
+def test_haar_state_rejects_a_basis_that_is_not_orthonormal():
+    with pytest.raises(ValueError, match="orthonormal"):
+        sample_haar_state(np.ones((5, 2)), trial_stream(0, 1))
 
 
 def test_haar_state_mean_projector_oracle():
     # empirical mean of psi psi^dag approaches Pi_R/d_R
     rng = trial_stream(0, 2)
     d, d_r, n = 12, 8, 20_000
-    basis = canonical_subspace_basis(d, range(d_r))
+    basis = np.eye(d, d_r)
     acc = np.zeros((d, d), dtype=complex)
     for _ in range(n):
-        psi = sample_haar_state(basis, rng).vector
+        psi = sample_haar_state(basis, rng)
         acc += np.outer(psi, psi.conj())
     acc /= n
     target = basis @ basis.conj().T / d_r
@@ -121,11 +125,11 @@ def test_haar_invariance_ks_probe():
     rng = trial_stream(0, 3)
     d, n = 8, 5000
     w = haar_unitary(d, rng)
-    phi = sample_haar_state(np.eye(d), rng).vector
+    phi = sample_haar_state(np.eye(d), rng)
     basis = np.eye(d)
     x = np.empty(n); y = np.empty(n)
     for i in range(n):
-        psi = sample_haar_state(basis, rng).vector
+        psi = sample_haar_state(basis, rng)
         x[i] = abs(np.vdot(phi, w @ psi)) ** 2
         y[i] = abs(np.vdot(phi, psi)) ** 2
     xs, ys = np.sort(x), np.sort(y)
@@ -143,38 +147,39 @@ def test_haar_marginals_highly_entangled():
     n = 1000
     close = 0
     for _ in range(n):
-        psi = sample_haar_state(np.eye(128), rng, dims=(2, 64))
-        if trace_distance(reduced_marginals(psi.vector, psi.dims), np.eye(2) / 2) <= 0.25:
+        psi = sample_haar_state(np.eye(128), rng)
+        if trace_distance(reduced_marginals(psi, (2, 64)), np.eye(2) / 2) <= 0.25:
             close += 1
     assert close >= 0.99 * n
 
 
 def test_sample_product_state():
     rng = trial_stream(0, 5)
-    psi = sample_product_state(np.eye(3), np.eye(5), rng)
-    assert psi.dims == (3, 5)
-    assert np.linalg.norm(psi.vector) == pytest.approx(1.0)
+    psi = sample_product_state(3, 5, rng)
+    assert psi.shape == (15,)
+    assert np.linalg.norm(psi) == pytest.approx(1.0)
     # Schmidt rank 1: marginal purity exactly 1
-    rho_s = reduced_marginals(psi.vector, psi.dims)
+    rho_s = reduced_marginals(psi, (3, 5))
     assert np.trace(rho_s @ rho_s).real == pytest.approx(1.0, abs=1e-12)
-    assert mutual_information(np.outer(psi.vector, psi.vector.conj()), psi.dims) \
+    assert mutual_information(np.outer(psi, psi.conj()), (3, 5)) \
         == pytest.approx(0.0, abs=1e-10)
-    b_s = canonical_subspace_basis(3, [1])
-    b_b = canonical_subspace_basis(5, [0])
-    fixed = sample_product_state(b_s, b_b, trial_stream(0, 6))
-    expect = np.zeros(15); expect[5] = 1
-    assert np.abs(np.abs(fixed.vector) - expect).max() < 1e-12
+    # the kron of two Haar factors, drawn S first, from the one stream
+    factors = trial_stream(0, 6)
+    want = np.kron(sample_haar_state(3, factors), sample_haar_state(5, factors))
+    assert sample_product_state(3, 5, trial_stream(0, 6)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 64, 256, 1024])
 def test_an_integer_dimension_draws_the_identity_basis_state_bitwise(d):
     for seed in range(5):
-        want = sample_haar_state(np.eye(d), trial_stream(seed, d), dims=(2, d // 2))
-        got = sample_haar_state(d, trial_stream(seed, d), dims=(2, d // 2))
-        assert got.vector.tobytes() == want.vector.tobytes() and got.dims == want.dims
-        want = sample_product_state(np.eye(2), np.eye(d // 2), trial_stream(seed, d))
+        want = sample_haar_state(np.eye(d), trial_stream(seed, d))
+        got = sample_haar_state(d, trial_stream(seed, d))
+        assert got.tobytes() == want.tobytes()
+        factors = trial_stream(seed, d)
+        want = np.kron(sample_haar_state(np.eye(2), factors),
+                       sample_haar_state(np.eye(d // 2), factors))
         got = sample_product_state(2, d // 2, trial_stream(seed, d))
-        assert got.vector.tobytes() == want.vector.tobytes() and got.dims == want.dims
+        assert got.tobytes() == want.tobytes()
     for empty in (0, -1):
         with pytest.raises(ValueError, match="empty"):
             sample_haar_state(empty, trial_stream(0, 0))
@@ -248,7 +253,7 @@ def test_mean_energy_sampler_energy_concentration():
     vals = np.empty(5000)
     for i in range(len(vals)):
         psi = sample_mean_energy_state(h, energy, rng)
-        c = h.to_eigenbasis(psi.vector)
+        c = h.to_eigenbasis(psi)
         vals[i] = (np.abs(c) ** 2) @ h.eigenvalues
     assert abs(vals.mean() - energy) <= 0.05 * energy
 
@@ -262,7 +267,7 @@ def test_mean_energy_fourth_moments():
     acc = np.zeros(d)
     for _ in range(n):
         psi = sample_mean_energy_state(h, energy, rng)
-        c = h.to_eigenbasis(psi.vector)
+        c = h.to_eigenbasis(psi)
         acc += np.abs(c) ** 4
     acc /= n
     predicted = 2 * energy ** 2 / (d ** 2 * h.eigenvalues ** 2)
@@ -276,10 +281,10 @@ def test_mean_energy_flat_spectrum_reduces_to_haar():
     d, n = 8, 5000
     h = sample_random_hamiltonian((d, 1), rng, spectrum=(2.0, 2.0 + 1e-5))
     w = haar_unitary(d, rng)
-    phi = sample_haar_state(np.eye(d), rng).vector
+    phi = sample_haar_state(np.eye(d), rng)
     x = np.empty(n); y = np.empty(n)
     for i in range(n):
-        psi = sample_mean_energy_state(h, 2.0, rng).vector
+        psi = sample_mean_energy_state(h, 2.0, rng)
         x[i] = abs(np.vdot(phi, w @ psi)) ** 2
         y[i] = abs(np.vdot(phi, psi)) ** 2
     xs, ys = np.sort(x), np.sort(y)

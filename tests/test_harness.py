@@ -78,6 +78,16 @@ def test_worker_count_is_clamped_to_cpus():
     assert worker_count({"PURESTAT_WORKERS": "100000"}) <= (os.cpu_count() or 1)
 
 
+def test_a_malformed_worker_count_fails_before_setup(monkeypatch):
+    calls = []
+    monkeypatch.setenv("PURESTAT_WORKERS", "abc")
+    monkeypatch.setitem(EXPERIMENTS, "DEFF_SUBSPACE_MEAN", dataclasses.replace(
+        EXPERIMENTS["DEFF_SUBSPACE_MEAN"], setup=lambda params, seed: calls.append(seed)))
+    with pytest.raises(ValueError, match="PURESTAT_WORKERS must be an integer, got 'abc'"):
+        run_experiment(ExperimentSpec("DEFF_SUBSPACE_MEAN", {"trials": 2}))
+    assert calls == []
+
+
 def test_parse_config_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value line\n", encoding="utf-8")

@@ -6,7 +6,6 @@ import numpy as np
 from purestat import (
     dagger,
     effective_dimension,
-    evolve,
     partial_trace,
     purity,
     sample_haar_state,
@@ -74,8 +73,6 @@ def test_evolution_preserves_the_norm():
         times = rng.uniform(-50.0, 50.0, 9)
         norms = time_map(h, psi, times, lambda psis: np.linalg.norm(psis, axis=-1))
         assert np.abs(norms - 1.0).max() <= 1e-12
-        stack = np.stack([psi.vector, sample_haar_state(np.eye(d_s * d_b), rng).vector])
+        stack = np.stack([psi, sample_haar_state(np.eye(d_s * d_b), rng)])
         norms = time_map(h, stack, times, lambda psis: np.linalg.norm(psis, axis=-1))
         assert norms.shape == (9, 2) and np.abs(norms - 1.0).max() <= 1e-12
-        for t in times[:3]:
-            assert abs(np.linalg.norm(evolve(psi, h, float(t)).vector) - 1.0) <= 1e-12

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from purestat import (
-    PureState,
     dagger,
     effective_dimension,
     expectation_values,
@@ -25,21 +24,14 @@ def random_density(d, rng=RNG, rank=None):
     return m / np.trace(m).real
 
 
-def random_pure(d, rng=RNG, dims=None):
+def random_pure(d, rng=RNG):
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(z / np.linalg.norm(z), dims=dims)
+    return z / np.linalg.norm(z)
 
 
 def _density(psi):
-    """|psi><psi| of a PureState."""
-    return np.outer(psi.vector, psi.vector.conj())
-
-
-def test_pure_state_validation():
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 0, 0]), dims=(2, 2))
+    """|psi><psi| of a state vector."""
+    return np.outer(psi, psi.conj())
 
 
 def test_trace_distance_trivials():
@@ -125,7 +117,7 @@ def test_trace_distance_pure_state_formula():
     for _ in range(100):
         psi, phi = random_pure(6, rng), random_pure(6, rng)
         d = trace_distance(_density(psi), _density(phi))
-        expected = np.sqrt(1 - abs(np.vdot(psi.vector, phi.vector)) ** 2)
+        expected = np.sqrt(1 - abs(np.vdot(psi, phi)) ** 2)
         assert d == pytest.approx(expected, abs=1e-9)
 
 
@@ -179,7 +171,7 @@ def test_stacked_purity_and_expectation_values_match_single_calls():
     assert np.array_equal(p.ravel(), [purity(r) for r in rhos.reshape(6, 4, 4)])
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a = g + g.conj().T
-    psis = np.array([random_pure(4, rng).vector for _ in range(6)]).reshape(2, 3, 4)
+    psis = np.array([random_pure(4, rng) for _ in range(6)]).reshape(2, 3, 4)
     x = expectation_values(psis, a)
     assert isinstance(x, np.ndarray) and x.shape == (2, 3)
     for v, xv in zip(psis.reshape(6, 4), x.ravel()):
@@ -192,7 +184,7 @@ def test_stacked_purity_and_expectation_values_match_single_calls():
 def test_marginal_purities_equal_for_pure_states():
     rng = np.random.default_rng(13)
     for _ in range(50):
-        psi = random_pure(24, rng, dims=(4, 6))
+        psi = random_pure(24, rng)
         rho = _density(psi)
         assert purity(partial_trace(rho, 4, 6, "S")) \
             == pytest.approx(purity(partial_trace(rho, 4, 6, "B")), abs=1e-10)
@@ -251,7 +243,7 @@ def test_mutual_information():
 
     rng = np.random.default_rng(15)
     for _ in range(20):
-        psi = random_pure(16, rng, dims=(2, 8))
+        psi = random_pure(16, rng)
         i_sb = mutual_information(_density(psi), (2, 8))
         assert i_sb == pytest.approx(
             2 * von_neumann_entropy(partial_trace(_density(psi), 2, 8, "S")), abs=1e-9)
