@@ -185,17 +185,23 @@ def haar_coefficient_blocks(n: int, d: int, rng: np.random.Generator):
         yield z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
+def haar_unitary(d: int, rng: np.random.Generator, columns: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix, or with
+    `columns` = k only its first k columns (a Haar isometry, d x k): the thin
+    QR of a d x k Ginibre matrix (Mezzadri, Notices AMS 54, 592 (2007)).
 
-    The R-diagonal phases are absorbed to make each diagonal entry of the
-    triangular factor real positive, which removes the non-uniformity of a
+    The real parts of the Ginibre matrix are drawn first, then its imaginary
+    parts.  The R-diagonal phases are absorbed to make each diagonal entry of
+    the triangular factor real positive, which removes the non-uniformity of a
     naive orthonormalization.
     """
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    z = np.empty((d, d if columns is None else columns), dtype=complex)
+    z.real = rng.standard_normal(z.shape)
+    z.imag = rng.standard_normal(z.shape)
     q, r = np.linalg.qr(z)
     ph = r.diagonal() / np.abs(r.diagonal())
-    return q * ph.conj()
+    q *= ph.conj()
+    return q
 
 
 def _gaussian_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:

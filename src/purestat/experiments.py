@@ -213,12 +213,15 @@ def _coarse_grained_setup(params, seed):
     d, d_r, m = int(params["d"]), int(params["d_r"]), int(params["m"])
     if d % m:
         raise ValueError("macro-state count m must divide the dimension")
-    # H_R is spanned by the first d_R basis vectors; one Haar unitary orients
-    # the m macro groups against it (only their relative orientation matters)
-    w = haar_unitary(d, _setup_stream(seed))
-    groups = [w[:, r * (d // m):(r + 1) * (d // m)] for r in range(m)]
-    # Tr[P_r Pi_R] / d_R for the macro projector P_r = g_r g_r^dagger of each group
-    mc = np.array([np.linalg.norm(g[:d_r]) ** 2 / d_r for g in groups])
+    # H_R is spanned by the first d_R basis vectors; the column groups of one
+    # Haar unitary W orient the m macro projectors against it (only their
+    # relative orientation matters).  Only W's first d_R rows are read, and
+    # they are the transpose of a d x d_R Haar isometry
+    rows = haar_unitary(d, _setup_stream(seed), d_r).T
+    groups = [rows[:, r * (d // m):(r + 1) * (d // m)] for r in range(m)]
+    # Tr[P_r Pi_R] / d_R = |g_r|_F^2 / d_R for the macro projector P_r of each
+    # group, g_r its d_R rows in H_R
+    mc = np.array([np.linalg.norm(g) ** 2 / d_r for g in groups])
     return {"mc": mc, "groups": groups, "d": d, "d_r": d_r, "m": m}
 
 
@@ -230,7 +233,7 @@ def _coarse_grained_trial(setup, params, seed, k):
     def deviations(a):
         devs = np.zeros(len(a))
         for r, g in enumerate(setup["groups"]):
-            t_r = np.abs(a @ g[:d_r].conj()) ** 2   # (rows, d/m) overlaps
+            t_r = np.abs(a @ g.conj()) ** 2         # (rows, d/m) overlaps
             devs += np.abs(t_r.sum(axis=1) - setup["mc"][r])
         return devs
     devs = _haar_map(deviations, n, d_r, trial_stream(seed, k))
@@ -242,9 +245,7 @@ def _coarse_grained_trial(setup, params, seed, k):
 def _canonical_reduction_setup(params, seed):
     d_s, d_b, d_r = int(params["d_s"]), int(params["d_b"]), int(params["d_r"])
     d = d_s * d_b
-    rng = _setup_stream(seed)
-    v0 = haar_unitary(d, rng)
-    basis_r = v0[:, :d_r]
+    basis_r = haar_unitary(d, _setup_stream(seed), d_r)   # a Haar d_R-subspace
     rho_mc = microcanonical_state(basis_r)
     deff_b = effective_dimension(partial_trace(rho_mc, d_s, d_b, "B"))
     return {"basis_r": basis_r, "rho_mc_s": partial_trace(rho_mc, d_s, d_b, "S"),
@@ -277,10 +278,11 @@ def _deff_subspace_setup(params, seed):
     d_r = int(params["d_r"])
     ambient = _deff_subspace_ambient(params)
     # d_eff of a dephased state reads only the Hamiltonian's eigenbasis V, and a
-    # random Hamiltonian's eigenbasis is Haar: its spectrum is never drawn
-    v = haar_unitary(ambient, _setup_stream(seed))
+    # random Hamiltonian's eigenbasis is Haar: its spectrum is never drawn.  Only
+    # V's first d_r rows are read, the transpose of an ambient x d_r Haar isometry
+    rows = haar_unitary(ambient, _setup_stream(seed), d_r).T
     # coefficients of a subspace vector (a, 0) in the eigenbasis: a @ conj(V[:d_r, :])
-    return {"block": v[:d_r, :].conj(), "d_r": d_r, "ambient": ambient}
+    return {"block": rows.conj(), "d_r": d_r, "ambient": ambient}
 
 
 def _deff_subspace_block(setup, params, seed, ks):
@@ -772,10 +774,11 @@ def _isi_trial(setup, params, seed, k):
 
 def _isi_linden_setup(params, seed):
     d_s, d_b, d_r = int(params["d_s"]), int(params["d_b"]), int(params["d_r"])
-    rng = _setup_stream(seed)
-    h = sample_random_hamiltonian((d_s, d_b), rng)
-    band = np.sort(rng.choice(h.dim, size=d_r, replace=False))
-    mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))[band]
+    # the eigenvectors of a random band of a random Hamiltonian are d_r columns
+    # of a Haar eigenbasis, a Haar isometry: neither the spectrum nor the band's
+    # positions are read
+    band = haar_unitary(d_s * d_b, _setup_stream(seed), d_r)
+    mu = reduced_marginals(band.T, (d_s, d_b))
     delta = float(purity(mu).mean())  # Linden delta
     rho_mc_s = mu.mean(axis=0)
     setup = {"mu": mu, "delta": delta, "rho_mc_s": rho_mc_s, "d_r": d_r, "d_s": d_s}
@@ -832,10 +835,9 @@ def _entangled_state_tail_summary(rows, setup, params):
 
 def _entangled_eigs_trial(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
-    rng = trial_stream(seed, k)
-    h = sample_random_hamiltonian((d_s, d_b), rng)
-    mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))
-    dists = trace_distance(mu, np.eye(d_s) / d_s)
+    # only the eigenvectors of a random Hamiltonian are read: a Haar unitary
+    v = haar_unitary(d_s * d_b, trial_stream(seed, k))
+    dists = trace_distance(reduced_marginals(v.T, (d_s, d_b)), np.eye(d_s) / d_s)
     lhs = float(dists.max())
     thr = float(params["threshold"])
     rhs_analytic = evaluate_bound("ENTANGLED_EIGS_TAIL", {

@@ -248,17 +248,21 @@ def _in_child(fn, share: int, write_fd: int) -> None:
     exit handler of the parent runs twice."""
     status = 1
     try:
-        import traceback   # only children format tracebacks; importing it costs about 1 ms
-
         try:
             result, error, trace = fn(share), None, None
         except BaseException as exc:
+            # traceback is imported only where one is formatted: in a child
+            # that has not imported it yet, the import adds several ms to a fork
+            import traceback
+
             result, error, trace = None, exc, traceback.format_exc()
         try:
             data = pickle.dumps((result, error, trace), pickle.HIGHEST_PROTOCOL)
             if error is not None:
                 pickle.loads(data)   # the parent must be able to raise it
         except Exception as exc:
+            import traceback
+
             data = pickle.dumps((None, RuntimeError(repr(error or exc)),
                                  trace or traceback.format_exc()))
         with os.fdopen(write_fd, "wb") as fh:

@@ -25,6 +25,7 @@ from purestat import (
     von_neumann_entropy,
 )
 from purestat.experiments import EXPERIMENTS, _haar_expectations
+from purestat.harness import ExperimentSpec, run_experiment
 
 
 def mutual_information(rho, dims):
@@ -91,6 +92,75 @@ def test_haar_unitary_is_unitary():
     for d in (2, 7, 16):
         u = haar_unitary(d, rng)
         assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12
+
+
+def _square_haar_reference(d, rng):
+    """The square Haar draw written out: real parts, then imaginary parts,
+    QR, and the R-diagonal phase fix."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    ph = r.diagonal() / np.abs(r.diagonal())
+    return q * ph.conj()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+def test_a_square_haar_draw_is_bitwise_the_reference(d):
+    for seed in range(4):
+        want = _square_haar_reference(d, trial_stream(seed, d))
+        assert haar_unitary(d, trial_stream(seed, d)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (5, 1), (8, 3), (64, 64), (128, 17)])
+def test_a_haar_isometry_has_orthonormal_columns(d, k):
+    w = haar_unitary(d, trial_stream(1, d), k)
+    assert w.shape == (d, k)
+    assert np.abs(w.conj().T @ w - np.eye(k)).max() < 1e-12
+
+
+def test_haar_isometry_entry_moments():
+    # every entry of a Haar isometry (d = 4, k = 2) has E|W_ij|^2 = 1/d,
+    # E|W_ij|^4 = 2/(d(d+1)) and E[W_ij] = 0.  Without the R-diagonal phase
+    # fix the diagonal entries lean negative: mean Re W_11 near -0.29
+    d, k, n = 4, 2, 20_000
+    rng = trial_stream(2, 0)
+    w = np.array([haar_unitary(d, rng, k) for _ in range(n)])
+    for x, want in ((np.abs(w) ** 2, 1 / d), (np.abs(w) ** 4, 2 / (d * (d + 1))),
+                    (w.real, 0.0), (w.imag, 0.0)):
+        se = x.std(axis=0, ddof=1) / np.sqrt(n)
+        assert np.all(np.abs(x.mean(axis=0) - want) <= 4 * se)
+
+
+def _traced_setup_peak(experiment_id, params) -> int:
+    exp = EXPERIMENTS[experiment_id]
+    tracemalloc.start()
+    try:
+        exp.setup({**exp.defaults, **params}, 7)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the d x d Haar unitary these setups drew before reading d_R of its rows
+# peaked at 65 MiB of traced allocations at d = 1024
+@pytest.mark.parametrize("experiment_id, params, limit_mib", [
+    ("DEFF_SUBSPACE_MEAN", {"d_r": 512, "ambient": 1024}, 40),
+    ("COARSE_GRAINED", {"d": 1024, "d_r": 64}, 8),
+])
+def test_subspace_setups_draw_only_the_rows_they_read(experiment_id, params, limit_mib):
+    assert _traced_setup_peak(experiment_id, params) < limit_mib * 2**20
+
+
+# a random spectrum at d = 512 or 1024 cannot be certified non-resonant at
+# DEFAULT_GAP_TOL, and these experiments read eigenvectors only
+@pytest.mark.parametrize("experiment_id, params", [
+    ("ENTANGLED_EIGS_TAIL", {"d_s": 2, "d_b": 512, "trials": 1}),
+    ("ISI_LINDEN_DELTA", {"d_s": 2, "d_b": 256}),
+])
+def test_eigenvector_only_experiments_draw_no_spectrum(experiment_id, params, monkeypatch):
+    monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
+    res = run_experiment(ExperimentSpec(experiment_id, params))
+    assert res.summary["rows"] == res.spec.params["trials"]
+    assert res.violations == 0
 
 
 def test_haar_state_single_dim_subspace():

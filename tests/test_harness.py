@@ -458,6 +458,20 @@ def test_a_childs_error_is_raised_here_with_its_traceback(monkeypatch):
     _assert_no_child_left()
 
 
+def test_a_childs_result_that_does_not_pickle_is_raised_here(monkeypatch):
+    parent = os.getpid()
+
+    def trial(setup, params, seed, k):
+        hook = (lambda: k) if os.getpid() != parent else k
+        return TrialRecord(0.0, 0.0, 1.0, True, False, {"hook": hook})
+
+    spec = _two_workers_running(monkeypatch, trial)
+    with pytest.raises(RuntimeError, match="pickle") as info:
+        run_experiment(spec)
+    assert "Traceback" in str(info.value.__cause__)
+    _assert_no_child_left()
+
+
 def test_a_failing_parent_share_kills_and_reaps_the_child(monkeypatch):
     parent = os.getpid()
 

@@ -276,25 +276,32 @@ def test_microcanonical_expectation_matches_basis_average():
     assert np.trace(rho @ b).real == pytest.approx(avg, abs=1e-12)
 
 
-def test_coarse_grained_macro_projectors_are_a_complete_orthogonal_set():
+def test_coarse_grained_macro_rows_resolve_the_identity_on_the_subspace():
+    # the setup keeps only the d_R rows g_r (in H_R) of each macro group, so
+    # the compressed projectors Pi_R P_r Pi_R = g_r g_r^dagger must sum to 1 on H_R
     exp = EXPERIMENTS["COARSE_GRAINED"]
     setup = exp.setup(exp.defaults, 7)
-    projectors = [g @ dagger(g) for g in setup["groups"]]
-    d = setup["d"]
-    assert len(projectors) == setup["m"]
-    for i, p in enumerate(projectors):
-        assert np.abs(p @ p - p).max() <= 1e-10
-        for q in projectors[i + 1:]:
-            assert np.abs(p @ q).max() <= 1e-10
-    assert np.abs(sum(projectors) - np.eye(d)).max() <= 1e-10
+    d, d_r, m = setup["d"], setup["d_r"], setup["m"]
+    groups = setup["groups"]
+    assert len(groups) == m and all(g.shape == (d_r, d // m) for g in groups)
+    compressed = [g @ dagger(g) for g in groups]
+    for p in compressed:
+        assert np.linalg.eigvalsh(p).min() >= -1e-12           # 0 <= Pi_R P_r Pi_R <= 1
+        assert np.linalg.eigvalsh(p).max() <= 1 + 1e-12
+    assert np.abs(sum(compressed) - np.eye(d_r)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("params", [{}, {"d": 48, "d_r": 5, "m": 3}])
 def test_coarse_grained_microcanonical_means_are_the_dense_traces(params):
-    # H_R is the span of the first d_R basis vectors
+    # H_R is the span of the first d_R basis vectors; the rows of group r in H_R
+    # are Pi_R g_r, so Tr[Pi_R P_r Pi_R] / d_R is read from its d x d embedding
     exp = EXPERIMENTS["COARSE_GRAINED"]
     setup = exp.setup({**exp.defaults, **params}, 7)
     d, d_r = setup["d"], setup["d_r"]
     pi_r = np.diag(np.r_[np.ones(d_r), np.zeros(d - d_r)])
-    want = [np.trace(g @ dagger(g) @ pi_r).real / d_r for g in setup["groups"]]
+    want = []
+    for g in setup["groups"]:
+        embedded = np.zeros((d, g.shape[1]), dtype=complex)
+        embedded[:d_r] = g
+        want.append(np.trace(pi_r @ embedded @ dagger(embedded) @ pi_r).real / d_r)
     assert np.abs(setup["mc"] - want).max() <= 1e-12
