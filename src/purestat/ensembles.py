@@ -18,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from .hamiltonians import Hamiltonian, gap_analysis
+from .hamiltonians import GapReport, Hamiltonian, gap_analysis
 
 __all__ = [
     "SETUP_DOMAIN",
@@ -32,6 +32,8 @@ __all__ = [
     "haar_unitary",
     "sample_haar_state",
     "sample_product_state",
+    "sample_spectrum",
+    "certify_spectrum",
     "sample_random_hamiltonian",
     "harmonic_mean",
     "mean_energy_coefficients",
@@ -241,23 +243,19 @@ def sample_product_state(d_s: int, d_b: int, rng: np.random.Generator) -> np.nda
     return np.kron(sample_haar_state(d_s, rng), sample_haar_state(d_b, rng))
 
 
-_JITTER_ROUNDS = 100   # sample_random_hamiltonian's jitter attempts before it gives up
+_JITTER_ROUNDS = 100   # certify_spectrum's jitter attempts before it gives up
 
 
-def sample_random_hamiltonian(dims, rng: np.random.Generator,
-                              spectrum=(0.0, 1.0)) -> Hamiltonian:
-    """Random Hamiltonian: Haar eigenbasis, spectrum jittered until non-resonant.
-
-    dims is (d_S, d_B) or an integer dimension; the d eigenvalues are i.i.d.
-    uniform on the interval spectrum = (lo, hi).  Jitter adds i.i.d. uniform
-    perturbations of magnitude 1e-6 x spectral width and retests against
-    hamiltonians.DEFAULT_GAP_TOL, at most _JITTER_ROUNDS times.
-    """
-    if isinstance(dims, numbers.Integral):
-        dims = (int(dims), 1)
-    d = dims[0] * dims[1]
+def sample_spectrum(d: int, rng: np.random.Generator, spectrum=(0.0, 1.0)) -> np.ndarray:
+    """d i.i.d. uniform eigenvalues on the interval spectrum = (lo, hi), ascending."""
     lo, hi = spectrum
-    e = np.sort(lo + (hi - lo) * rng.random(d))
+    return np.sort(lo + (hi - lo) * rng.random(d))
+
+
+def certify_spectrum(e: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, GapReport]:
+    """(e, gap_analysis(e)) once the ascending spectrum e is non-resonant: each
+    round adds i.i.d. uniform jitter of magnitude 1e-6 x spectral width and
+    retests against hamiltonians.DEFAULT_GAP_TOL, at most _JITTER_ROUNDS times."""
     width = float(e[-1] - e[0]) or 1.0
     report = gap_analysis(e)
     rounds = 0
@@ -265,11 +263,21 @@ def sample_random_hamiltonian(dims, rng: np.random.Generator,
         if rounds >= _JITTER_ROUNDS:
             raise RuntimeError(f"could not reach non-resonance at tol {report.tolerance} "
                                f"in {_JITTER_ROUNDS} rounds")
-        e = np.sort(e + rng.uniform(-1e-6 * width, 1e-6 * width, d))
+        e = np.sort(e + rng.uniform(-1e-6 * width, 1e-6 * width, len(e)))
         report = gap_analysis(e)
         rounds += 1
-    v = haar_unitary(d, rng)
-    return Hamiltonian(e, v, dims=dims, gap_report=report)
+    return e, report
+
+
+def sample_random_hamiltonian(dims, rng: np.random.Generator,
+                              spectrum=(0.0, 1.0)) -> Hamiltonian:
+    """Random Hamiltonian on dims, (d_S, d_B) or an integer dimension:
+    sample_spectrum, certify_spectrum, then a Haar eigenbasis."""
+    if isinstance(dims, numbers.Integral):
+        dims = (int(dims), 1)
+    d = dims[0] * dims[1]
+    e, report = certify_spectrum(sample_spectrum(d, rng, spectrum), rng)
+    return Hamiltonian(e, haar_unitary(d, rng), dims=dims, gap_report=report)
 
 
 def harmonic_mean(spectrum) -> float:
@@ -279,8 +287,8 @@ def harmonic_mean(spectrum) -> float:
     return len(e) / float((1.0 / e).sum())
 
 
-def mean_energy_coefficients(h: Hamiltonian, energy: float, rngs) -> np.ndarray:
-    """Eigenbasis coefficients of mean-energy-ensemble samples, one row per stream.
+def mean_energy_coefficients(spectrum, energy: float, rngs) -> np.ndarray:
+    """Mean-energy-ensemble eigenbasis coefficients for a spectrum, one row per stream.
 
     From each generator in rngs, the real and then the imaginary parts of
     the coefficients c_k are drawn from zero-mean normals with standard
@@ -290,12 +298,12 @@ def mean_energy_coefficients(h: Hamiltonian, energy: float, rngs) -> np.ndarray:
     (harmonic_mean); validity is established empirically by comparing the
     sample-mean energy against E.
     """
-    e = h.eigenvalues
+    e = np.asarray(spectrum, dtype=float)
     if np.any(e <= 0):
         raise ValueError("mean energy sampler needs a strictly positive spectrum")
     if energy <= 0:
         raise ValueError(f"energy must be positive, got {energy!r}")
-    c = np.sqrt(energy / (h.dim * e)) * complex_normal_rows(rngs, h.dim)
+    c = np.sqrt(energy / (len(e) * e)) * complex_normal_rows(rngs, len(e))
     return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
@@ -303,5 +311,5 @@ def sample_mean_energy_state(h: Hamiltonian, energy: float,
                              rng: np.random.Generator) -> np.ndarray:
     """Approximate sample from the mean energy ensemble at the given energy:
     the state with the coefficients of mean_energy_coefficients."""
-    c = mean_energy_coefficients(h, energy, [rng])[0]
+    c = mean_energy_coefficients(h.eigenvalues, energy, [rng])[0]
     return h.eigenbasis @ c

@@ -39,6 +39,7 @@ from .dynamics import (
 )
 from .ensembles import (
     SETUP_DOMAIN,
+    certify_spectrum,
     complex_normal_rows,
     haar_coefficient_blocks,
     haar_unitary,
@@ -47,16 +48,16 @@ from .ensembles import (
     sample_haar_state,
     sample_product_state,
     sample_random_hamiltonian,
+    sample_spectrum,
     stream,
     trial_stream,
     trial_streams,
 )
 from .hamiltonians import Hamiltonian, compose_hamiltonian, pointer_hamiltonian
-from .linalg import BLOCK_ENTRIES, commutator, dagger, partial_trace, trace_norm
+from .linalg import BLOCK_ENTRIES, commutator, dagger, trace_norm
 from .states import (
     effective_dimension,
     expectation_values,
-    microcanonical_state,
     purity,
     trace_distance,
     von_neumann_entropy,
@@ -244,12 +245,12 @@ def _coarse_grained_trial(setup, params, seed, k):
 
 def _canonical_reduction_setup(params, seed):
     d_s, d_b, d_r = int(params["d_s"]), int(params["d_b"]), int(params["d_r"])
-    d = d_s * d_b
-    basis_r = haar_unitary(d, _setup_stream(seed), d_r)   # a Haar d_R-subspace
-    rho_mc = microcanonical_state(basis_r)
-    deff_b = effective_dimension(partial_trace(rho_mc, d_s, d_b, "B"))
-    return {"basis_r": basis_r, "rho_mc_s": partial_trace(rho_mc, d_s, d_b, "S"),
-            "deff_b": deff_b, "d_s": d_s, "d_b": d_b, "d_r": d_r}
+    basis_r = haar_unitary(d_s * d_b, _setup_stream(seed), d_r)   # a Haar d_R-subspace
+    # the marginals of rho_mc = Pi_R / d_R without the d x d matrix: rho^S_mc is the
+    # mean of the columns' marginals, rho^B_mc = X X^dagger / d_R, X (d_B, d_S d_R)
+    x = basis_r.reshape(d_s, d_b, d_r).transpose(1, 0, 2).reshape(d_b, d_s * d_r)
+    return {"basis_r": basis_r, "rho_mc_s": reduced_marginals(basis_r.T, (d_s, d_b)).mean(0),
+            "deff_b": effective_dimension(x @ dagger(x) / d_r), "d_s": d_s, "d_b": d_b, "d_r": d_r}
 
 
 def _canonical_reduction_trial(setup, params, seed, k):
@@ -351,20 +352,19 @@ def _deff_product_summary(rows, setup, params):
 def _deff_mean_energy_setup(params, seed):
     d = int(params["d"])
     lo, hi = float(params["spectrum_low"]), float(params["spectrum_high"])
-    rng = _setup_stream(seed)
-    h = sample_random_hamiltonian((d, 1), rng, spectrum=(lo, hi))
-    energy = harmonic_mean(h.eigenvalues)
-    inputs = {"d": d, "energy": energy, "spectrum": h.eigenvalues}
-    return {"h": h, "energy": energy, "rhs": evaluate_bound("DEFF_MEAN_ENERGY", inputs),
-            "crude": mean_energy_purity_crude_bound(d=d, spectrum=h.eigenvalues)}
+    # the coefficients are drawn in the eigenbasis: only the spectrum is read
+    e = sample_spectrum(d, _setup_stream(seed), (lo, hi))
+    energy = harmonic_mean(e)
+    inputs = {"d": d, "energy": energy, "spectrum": e}
+    return {"spectrum": e, "energy": energy, "rhs": evaluate_bound("DEFF_MEAN_ENERGY", inputs),
+            "crude": mean_energy_purity_crude_bound(d=d, spectrum=e)}
 
 
 def _deff_mean_energy_block(setup, params, seed, ks):
     """(purity, energy) of each trial's dephased mean-energy state."""
-    h = setup["h"]
-    c = mean_energy_coefficients(h, setup["energy"], trial_streams(seed, ks))
+    c = mean_energy_coefficients(setup["spectrum"], setup["energy"], trial_streams(seed, ks))
     p = np.abs(c) ** 2
-    return list(zip((p ** 2).sum(axis=1).tolist(), (p @ h.eigenvalues).tolist()))
+    return list(zip((p ** 2).sum(axis=1).tolist(), (p @ setup["spectrum"]).tolist()))
 
 
 def _deff_mean_energy_trial(setup, params, seed, k, item):
@@ -402,14 +402,22 @@ def _equilibration_trial_base(params, seed, k):
     psi0 = sample_haar_state(d_s * d_b, rng)
     times = sample_times(h, params["n_times"], rng)
     probs = dephased(h, psi0, marginals=False)
-    return h, psi0, probs, times, float(1.0 / (probs ** 2).sum()), rng
+    return h, psi0, times, float(1.0 / (probs ** 2).sum())
 
 
 def _expectation_equilibration_trial(setup, params, seed, k):
-    h, psi0, probs, times, deff, rng = _equilibration_trial_base(params, seed, k)
-    a = _gue(h.dim, rng)
-    a_eig = h.to_eigenbasis(a)
-    x = time_map(h, psi0, times, lambda cts: expectation_values(cts, a_eig), states=False)
+    d = int(params["d_s"]) * int(params["d_b"])
+    rng = trial_stream(seed, k)
+    # psi0 is Haar and A is GUE, both unitarily invariant laws, so H's eigenbasis
+    # drops out: c0 = V^dagger psi0 and A in the eigenbasis are drawn directly
+    e, report = certify_spectrum(sample_spectrum(d, rng), rng)
+    h = Hamiltonian(e, gap_report=report)
+    c0 = sample_haar_state(d, rng)
+    times = sample_times(h, params["n_times"], rng)
+    a_eig = _gue(d, rng)
+    probs = np.abs(c0) ** 2
+    deff = float(1.0 / (probs ** 2).sum())
+    x = time_map(h, c0, times, lambda cts: expectation_values(cts, a_eig), states=False)
     x_omega = float(probs @ np.diag(a_eig).real)
     lhs, se = mean_se((x - x_omega) ** 2)
     return check_bound("EXPECTATION_EQUILIBRATION", lhs, {"norm_a": 1.0, "deff": deff},
@@ -428,7 +436,7 @@ def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, b
 
 def _subsystem_equilibration_trial(setup, params, seed, k):
     d_s = int(params["d_s"])
-    h, psi0, _, times, deff, _ = _equilibration_trial_base(params, seed, k)
+    h, psi0, times, deff = _equilibration_trial_base(params, seed, k)
     _, omega_s, omega_b = dephased(h, psi0)
     dist = time_map(h, psi0, times, lambda psis: trace_distance(
         reduced_marginals(psis, h.dims), omega_s))
@@ -452,7 +460,7 @@ def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
 
 def _purity_equilibration_trial(setup, params, seed, k):
     d_s = int(params["d_s"])
-    h, psi0, _, times, deff, _ = _equilibration_trial_base(params, seed, k)
+    h, psi0, times, deff = _equilibration_trial_base(params, seed, k)
 
     def purities(psis):
         rho_s, p_b = reduced_marginals(psis, h.dims, bath_purity=True)
@@ -474,19 +482,18 @@ def _purity_equilibration_trial(setup, params, seed, k):
 def _ergodicity_setup(params, seed):
     d, d_r = int(params["d"]), int(params["d_r"])
     rng = _setup_stream(seed)
-    h = sample_random_hamiltonian((d, 1), rng)
+    # B is GUE, so B in H's eigenbasis is GUE too: the eigenbasis drops out
+    e, report = certify_spectrum(sample_spectrum(d, rng), rng)
     lo = (d - d_r) // 2
     band = np.arange(lo, lo + d_r)
-    b = _gue(d, rng)
-    b_eig = h.to_eigenbasis(b)
+    b_eig = _gue(d, rng)
     diag_band = np.diag(b_eig).real[band]
     block = b_eig[np.ix_(band, band)]
     mc_mean = float(diag_band.mean())
-    # the band's own Hamiltonian: the cross-check evolves d_r coefficients, not d
-    window = Hamiltonian(h.eigenvalues[band], np.eye(d_r))
-    return {"h": h, "window": window, "diag_band": diag_band, "block": block,
-            "mc_mean": mc_mean, "norm_dephased": float(np.abs(np.diag(b_eig).real).max()),
-            "d_r": d_r}
+    # window is the band's own Hamiltonian: the cross-check evolves d_r coefficients, not d
+    return {"h": Hamiltonian(e, gap_report=report), "window": Hamiltonian(e[band]),
+            "diag_band": diag_band, "block": block, "mc_mean": mc_mean,
+            "norm_dephased": float(np.abs(np.diag(b_eig).real).max()), "d_r": d_r}
 
 
 def _ergodicity_block(setup, params, seed, ks):
@@ -868,13 +875,13 @@ def _levy_trial(setup, params, seed, k):
 def _eq_time_heisenberg_trial(setup, params, seed, k):
     d = int(params["d"])
     rng = trial_stream(seed, k)
-    h = sample_random_hamiltonian((d, 1), rng)
+    # psi0 is Haar on the band, in eigenbasis coordinates: an uncertified spectrum serves
+    e = sample_spectrum(d, rng)
     lo, hi = d // 4, 3 * d // 4
-    band = np.arange(lo, hi)
-    delta_e = float(h.eigenvalues[hi - 1] - h.eigenvalues[lo])
-    (a,) = haar_coefficient_blocks(1, len(band), rng)
+    delta_e = float(e[hi - 1] - e[lo])
+    (a,) = haar_coefficient_blocks(1, hi - lo, rng)
     probs = np.abs(a[0]) ** 2
-    e_band = h.eigenvalues[band]
+    e_band = e[lo:hi]
     # for pure rho_t, i[H, rho_t] has rank 2 with eigenvalues +-Delta H, so
     # (1/2)||[H, rho_t]||_1 = Delta H at every t: the energy spread of psi_0
     speed = float(np.sqrt(probs @ (e_band - probs @ e_band) ** 2))

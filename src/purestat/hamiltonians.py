@@ -68,26 +68,30 @@ def gap_analysis(spectrum) -> GapReport:
 class Hamiltonian:
     """Spectrum + eigenbasis, with bipartite dimension metadata.
 
-    eigenvalues are ascending; eigenbasis columns are the eigenvectors.
-    dims = (d_S, d_B) with d_B = 1 for unipartite systems.
+    eigenvalues are ascending; eigenbasis columns are the eigenvectors (left
+    out, the identity: unitary by construction, so only it skips the d^3
+    unitarity check).  dims = (d_S, d_B) with d_B = 1 for unipartite systems.
     """
 
     eigenvalues: np.ndarray
-    eigenbasis: np.ndarray
+    eigenbasis: np.ndarray | None = None
     dims: tuple[int, int] | None = None
     gap_report: GapReport = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        self.eigenbasis = np.asarray(self.eigenbasis, dtype=complex)
         d = len(self.eigenvalues)
+        given = self.eigenbasis is not None
+        self.eigenbasis = (np.asarray(self.eigenbasis, dtype=complex) if given
+                           else np.eye(d, dtype=complex))
         if self.eigenbasis.shape != (d, d):
             raise ValueError("eigenbasis shape does not match spectrum length")
         if np.any(np.diff(self.eigenvalues) < 0):
             raise ValueError("eigenvalues must be ascending")
-        dev = np.abs(dagger(self.eigenbasis) @ self.eigenbasis - np.eye(d)).max()
-        if dev > 1e-10:
-            raise ValueError(f"eigenbasis is not unitary: deviation {dev:.3e}")
+        if given:
+            dev = np.abs(dagger(self.eigenbasis) @ self.eigenbasis - np.eye(d)).max()
+            if dev > 1e-10:
+                raise ValueError(f"eigenbasis is not unitary: deviation {dev:.3e}")
         if self.dims is None:
             self.dims = (d, 1)
         if self.dims[0] * self.dims[1] != d:
@@ -110,11 +114,9 @@ class Hamiltonian:
     def matrix(self) -> np.ndarray:
         return (self.eigenbasis * self.eigenvalues) @ dagger(self.eigenbasis)
 
-    def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
-        """Express an operator (2-D) or one state vector (1-D) in the eigenbasis."""
-        if a.ndim == 1:
-            return dagger(self.eigenbasis) @ a
-        return dagger(self.eigenbasis) @ a @ self.eigenbasis
+    def to_eigenbasis(self, psi: np.ndarray) -> np.ndarray:
+        """The eigenbasis coefficients <E_k|psi> of one state vector."""
+        return dagger(self.eigenbasis) @ psi
 
 
 # 2 pi as five pieces of 26 significant bits each (their sum is 2 pi to

@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger
-
 __all__ = [
     "trace_distance",
     "purity",
     "expectation_values",
     "effective_dimension",
     "von_neumann_entropy",
-    "microcanonical_state",
 ]
 
 
@@ -95,18 +92,3 @@ def von_neumann_entropy(rho):
     s = -np.where(w <= 1e-15, 0.0, w * np.log(np.where(w > 1e-15, w, 1.0))).sum(axis=-1)
     s = np.maximum(s, 0.0)
     return float(s) if s.ndim == 0 else s
-
-
-def microcanonical_state(subspace_basis) -> np.ndarray:
-    """rho_mc = Pi_R / d_R for the subspace spanned by the given orthonormal vectors.
-
-    subspace_basis: (d, d_R) array whose columns span the restricted subspace.
-    """
-    v = np.asarray(subspace_basis, dtype=complex)
-    if v.ndim != 2:
-        raise ValueError(f"subspace basis must be a (d, d_R) array, got shape {v.shape}")
-    d_r = v.shape[1]
-    gram = dagger(v) @ v
-    if np.abs(gram - np.eye(d_r)).max() > 1e-10:
-        raise ValueError("subspace basis is not orthonormal")
-    return (v @ dagger(v)) / d_r

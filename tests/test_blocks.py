@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from purestat import (
+    Hamiltonian,
     experiments,
     mean_energy_coefficients,
     philox_keys,
@@ -175,7 +176,7 @@ def _ref_deff_product(setup, params, seed, k):
 
 
 def _ref_deff_mean_energy(setup, params, seed, k):
-    h = setup["h"]
+    h = Hamiltonian(setup["spectrum"])      # diagonal: a state is its own coefficients
     c = h.to_eigenbasis(sample_mean_energy_state(h, setup["energy"], trial_stream(seed, k)))
     return _row(float((np.abs(c) ** 4).sum()), setup["rhs"], "observation",
                 energy=float(np.abs(c) ** 2 @ h.eigenvalues))
@@ -260,7 +261,7 @@ def test_mean_energy_state_uses_the_shared_coefficient_sampler():
     rng = trial_stream(0, 21)
     h = sample_random_hamiltonian((16, 1), rng, spectrum=(1.0, 2.0))
     psi = sample_mean_energy_state(h, 1.4, trial_stream(5, 2))
-    c = mean_energy_coefficients(h, 1.4, [trial_stream(5, 1), trial_stream(5, 2)])
+    c = mean_energy_coefficients(h.eigenvalues, 1.4, [trial_stream(5, 1), trial_stream(5, 2)])
     assert c.shape == (2, 16)
     assert np.array_equal(psi, h.eigenbasis @ c[1])
     assert np.allclose(np.linalg.norm(c, axis=1), 1.0, atol=1e-14)

@@ -24,6 +24,7 @@ from purestat import (
     trial_stream,
     von_neumann_entropy,
 )
+from purestat import experiments
 from purestat.experiments import EXPERIMENTS, _haar_expectations
 from purestat.harness import ExperimentSpec, run_experiment
 
@@ -141,10 +142,12 @@ def _traced_setup_peak(experiment_id, params) -> int:
 
 
 # the d x d Haar unitary these setups drew before reading d_R of its rows
-# peaked at 65 MiB of traced allocations at d = 1024
+# peaked at 65 MiB of traced allocations at d = 1024; CANONICAL_REDUCTION's
+# d x d microcanonical state peaked at 21.7 MiB
 @pytest.mark.parametrize("experiment_id, params, limit_mib", [
     ("DEFF_SUBSPACE_MEAN", {"d_r": 512, "ambient": 1024}, 40),
     ("COARSE_GRAINED", {"d": 1024, "d_r": 64}, 8),
+    ("CANONICAL_REDUCTION", {"d_s": 2, "d_b": 512, "d_r": 64}, 12),
 ])
 def test_subspace_setups_draw_only_the_rows_they_read(experiment_id, params, limit_mib):
     assert _traced_setup_peak(experiment_id, params) < limit_mib * 2**20
@@ -158,6 +161,28 @@ def test_subspace_setups_draw_only_the_rows_they_read(experiment_id, params, lim
 ])
 def test_eigenvector_only_experiments_draw_no_spectrum(experiment_id, params, monkeypatch):
     monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
+    res = run_experiment(ExperimentSpec(experiment_id, params))
+    assert res.summary["rows"] == res.spec.params["trials"]
+    assert res.violations == 0
+
+
+# these read a spectrum and, by unitary invariance, no eigenbasis: a Haar psi0
+# and a GUE observable are drawn in eigenbasis coordinates.  DEFF_MEAN_ENERGY
+# and EQ_TIME_HEISENBERG take no time average, so their spectrum needs no
+# certificate, which raised the non-resonance error at d = 1024
+@pytest.mark.parametrize("experiment_id, params", [
+    ("EXPECTATION_EQUILIBRATION", {"trials": 2, "n_times": 50}),
+    ("ERGODICITY", {"trials": 8}),
+    ("EQ_TIME_HEISENBERG", {"d": 1024}),
+    ("DEFF_MEAN_ENERGY", {"d": 1024, "trials": 512}),
+])
+def test_spectrum_only_experiments_draw_no_eigenbasis(experiment_id, params, monkeypatch):
+    monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
+
+    def no_haar_unitary(*args, **kwargs):
+        raise AssertionError("a Haar eigenbasis was drawn")
+    monkeypatch.setattr(ensembles, "haar_unitary", no_haar_unitary)
+    monkeypatch.setattr(experiments, "haar_unitary", no_haar_unitary)
     res = run_experiment(ExperimentSpec(experiment_id, params))
     assert res.summary["rows"] == res.spec.params["trials"]
     assert res.violations == 0

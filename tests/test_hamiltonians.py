@@ -71,6 +71,26 @@ def test_hamiltonian_validation():
         Hamiltonian(np.array([0.0, 1.0]), np.ones((2, 2), dtype=complex))  # not unitary
 
 
+def test_a_diagonal_hamiltonian_fills_in_the_identity():
+    # only a left-out eigenbasis skips the unitarity check; a passed one is checked
+    rng = np.random.default_rng(34)
+    e = np.sort(rng.random(16))
+    psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    times = rng.uniform(0.0, 1e3, 300)
+    diagonal, explicit = Hamiltonian(e), Hamiltonian(e, np.eye(16))
+    assert np.array_equal(diagonal.eigenbasis, np.eye(16))
+    assert diagonal.gap_report == explicit.gap_report
+    for states in (True, False):
+        got, want = (time_map(h, psi, times, np.copy, states=states) for h in (diagonal, explicit))
+        assert got.tobytes() == want.tobytes()
+    skewed = np.eye(16, dtype=complex)
+    skewed[0, 1] = 1e-6
+    with pytest.raises(ValueError, match="not unitary"):
+        Hamiltonian(e, skewed)
+    with pytest.raises(ValueError, match="shape"):
+        Hamiltonian(e, np.eye(15))
+
+
 def unitary_from_hamiltonian(h, t):
     """U_t = exp(-iHt) through the library's one evolution path: column j is
     the basis state e_j evolved by time_map."""

@@ -7,7 +7,6 @@ from purestat import (
     dagger,
     effective_dimension,
     expectation_values,
-    microcanonical_state,
     partial_trace,
     purity,
     trace_distance,
@@ -255,25 +254,23 @@ def test_mutual_information_nonnegative():
         assert mutual_information(random_density(6, rng), (2, 3)) >= -1e-9
 
 
-def test_microcanonical_state():
-    full = microcanonical_state(np.eye(4))
-    assert np.abs(full - np.eye(4) / 4).max() < 1e-12
-    v = np.zeros(4, dtype=complex); v[2] = 1
-    single = microcanonical_state(v[:, None])
-    assert np.abs(single - np.outer(v, v.conj())).max() < 1e-12
-    with pytest.raises(ValueError, match="shape"):
-        microcanonical_state(v)     # one vector is a (d, 1) basis, not a (d,) array
-    with pytest.raises(ValueError):
-        microcanonical_state(np.array([[1.0, 1.0], [0.0, 0.0]]).T)
-
-
 def test_microcanonical_expectation_matches_basis_average():
+    # CANONICAL_REDUCTION's marginals of rho_mc = Pi_R / d_R, read from the
+    # basis vectors alone, are the partial traces of the dense d x d rho_mc, and
+    # Tr[rho_mc (B (x) 1)] is the average of B (x) 1 over the basis vectors
+    exp = EXPERIMENTS["CANONICAL_REDUCTION"]
     rng = np.random.default_rng(17)
-    q, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
-    b = rng.standard_normal((6, 6)); b = (b + b.T) / 2
-    avg = np.mean([np.real(q[:, i].conj() @ b @ q[:, i]) for i in range(3)])
-    rho = microcanonical_state(q)
-    assert np.trace(rho @ b).real == pytest.approx(avg, abs=1e-12)
+    for params in ({}, {"d_s": 3, "d_b": 4, "d_r": 5}):
+        setup = exp.setup({**exp.defaults, **params}, 7)
+        q, d_s, d_b, d_r = setup["basis_r"], setup["d_s"], setup["d_b"], setup["d_r"]
+        rho = q @ dagger(q) / d_r
+        assert np.abs(setup["rho_mc_s"] - partial_trace(rho, d_s, d_b, "S")).max() <= 1e-12
+        assert setup["deff_b"] == pytest.approx(
+            effective_dimension(partial_trace(rho, d_s, d_b, "B")), rel=1e-12)
+        b = rng.standard_normal((d_s, d_s)); b = (b + b.T) / 2
+        b_full = np.kron(b, np.eye(d_b))
+        avg = np.mean([np.real(q[:, i].conj() @ b_full @ q[:, i]) for i in range(d_r)])
+        assert np.trace(setup["rho_mc_s"] @ b).real == pytest.approx(avg, abs=1e-12)
 
 
 def test_coarse_grained_macro_rows_resolve_the_identity_on_the_subspace():
