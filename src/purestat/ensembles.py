@@ -19,6 +19,7 @@ import numbers
 import numpy as np
 
 from .hamiltonians import GapReport, Hamiltonian, gap_analysis
+from .linalg import BLOCK_ENTRIES
 
 __all__ = [
     "SETUP_DOMAIN",
@@ -167,20 +168,13 @@ def complex_normal_rows(rngs, d: int) -> np.ndarray:
     return x[:, 0] + 1j * x[:, 1]
 
 
-# coefficients per block of haar_coefficient_blocks.  Not linalg.BLOCK_ENTRIES
-# (2^13): the 1 MiB arrays of these blocks raise glibc's dynamic mmap and trim
-# thresholds, and without that MC_VARIANCE_IDENTITY's bootstrap maps and
-# faults in a fresh 800 KB array per resample, so the default suite ran slower
-_HAAR_BLOCK = 1 << 16
-
-
 def haar_coefficient_blocks(n: int, d: int, rng: np.random.Generator):
-    """Yield n Haar-random coefficient rows in blocks of max(1, _HAAR_BLOCK // d)
+    """Yield n Haar-random coefficient rows in blocks of max(1, BLOCK_ENTRIES // d)
     rows, so memory does not grow with n.  Row i is bitwise the normalised
     complex_normal_rows row of its own rng.standard_normal((2, d)) draw: the
     real parts of a sample, then its imaginary parts, one sample after the
     other.  Take every block before drawing anything else from rng."""
-    rows = max(1, _HAAR_BLOCK // d)
+    rows = max(1, BLOCK_ENTRIES // d)
     for lo in range(0, n, rows):
         x = rng.standard_normal((min(rows, n - lo), 2, d))
         z = x[:, 0] + 1j * x[:, 1]

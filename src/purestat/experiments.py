@@ -63,7 +63,7 @@ from .states import (
     von_neumann_entropy,
 )
 
-__all__ = ["ExperimentDef", "EXPERIMENTS", "experiment_ids", "mean_se", "bootstrap"]
+__all__ = ["ExperimentDef", "EXPERIMENTS", "experiment_ids", "mean_se"]
 
 
 def _row(lhs, rhs, kind, slack=0.0, stderr=0.0, **extra) -> TrialRecord:
@@ -144,19 +144,20 @@ def mean_se(x: np.ndarray) -> tuple[float, float]:
     return float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x)))
 
 
+def _variance_se(x: np.ndarray) -> float:
+    """Delta-method standard error of the sample variance s^2 = x.var(ddof=1),
+    sqrt((m4 - (n-3)/(n-1) s^4) / n) with m4 = mean((x - mean(x))^4), for
+    n >= 2 samples.  Never negative: m4 >= ((n-1)/n)^2 s^4 > (n-3)/(n-1) s^4."""
+    n = len(x)
+    s2 = x.var(ddof=1)
+    m4 = np.mean((x - x.mean()) ** 4)
+    return float(np.sqrt((m4 - (n - 3) / (n - 1) * s2 * s2) / n))
+
+
 def _mixed_density(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ dagger(g)
     return m / np.trace(m).real
-
-
-_N_BOOT = 200   # resamples of every bootstrap
-
-
-def bootstrap(values: np.ndarray, statistic, rng: np.random.Generator) -> np.ndarray:
-    """statistic of _N_BOOT resamples of values, drawn with replacement from rng."""
-    n = len(values)
-    return np.array([statistic(values[rng.integers(0, n, size=n)]) for _ in range(_N_BOOT)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +174,13 @@ def _mc_setup(params, seed):
 
 
 def _mc_sample_expectations(setup, params, seed, k):
-    rng = trial_stream(seed, k)
-    return _haar_expectations(setup["spectrum"], int(params["n_samples"]), rng), rng
+    return _haar_expectations(setup["spectrum"], int(params["n_samples"]), trial_stream(seed, k))
 
 
 def _mc_variance_identity_trial(setup, params, seed, k):
-    x, rng = _mc_sample_expectations(setup, params, seed, k)
+    x = _mc_sample_expectations(setup, params, seed, k)
     lhs = float(x.var(ddof=1))
-    se = float(bootstrap(x, lambda v: v.var(ddof=1), rng).std(ddof=1))
+    se = _variance_se(x)
     inputs = {"d_r": setup["d_r"], "mc_mean_b": setup["mc_mean"],
               "mc_mean_b2": setup["mc_mean2"]}
     return check_bound("MC_VARIANCE_IDENTITY", lhs, inputs, se, 3.0,
@@ -188,7 +188,7 @@ def _mc_variance_identity_trial(setup, params, seed, k):
 
 
 def _mc_concentration_trial(setup, params, seed, k):
-    x, _ = _mc_sample_expectations(setup, params, seed, k)
+    x = _mc_sample_expectations(setup, params, seed, k)
     eps = float(params["epsilon"])
     dev = np.abs(x - setup["mc_mean"])
     lhs = float((dev >= eps).mean())
@@ -200,7 +200,7 @@ def _mc_concentration_trial(setup, params, seed, k):
 
 
 def _mc_variance_concentration_trial(setup, params, seed, k):
-    x, _ = _mc_sample_expectations(setup, params, seed, k)
+    x = _mc_sample_expectations(setup, params, seed, k)
     eps = float(params["epsilon"])
     # per-sample variance sigma_psi^2 = Tr[B^2 psi] - (Tr[B psi])^2; B projector
     sigma2 = x - x ** 2

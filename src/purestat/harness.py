@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import TrialRecord
-from .experiments import EXPERIMENTS, bootstrap, experiment_ids, mean_se
+from .experiments import EXPERIMENTS, experiment_ids, mean_se
 
 __all__ = [
     "ExperimentSpec",
@@ -105,12 +105,15 @@ class ExperimentSpec:
 
 def _check_type(experiment_id: str, key: str, value, default) -> None:
     """A parameter takes the type of its default: an integer for an integer
-    default, an integer or a float for a float default (never a bool)."""
+    default, an integer or a finite float for a float default (never a bool)."""
     integral = isinstance(default, numbers.Integral)
     kind = numbers.Integral if integral else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{experiment_id}: {key} must be "
                          f"{'an integer' if integral else 'a number'}, got {value!r}")
+    # checked here, or a nan or inf runs the trials and then fails or is judged a violation
+    if not isinstance(value, numbers.Integral) and not np.isfinite(value):
+        raise ValueError(f"{experiment_id}: {key} must be finite, got {value!r}")
 
 
 _ROW_COLUMNS = ("lhs", "stderr", "rhs", "satisfied", "vacuous")
@@ -343,18 +346,14 @@ def _summarize_records(rows: TrialRows, gates) -> dict:
     finite = rows.lhs[np.isfinite(rows.lhs)]
     trial_violations = int(np.count_nonzero(~rows.satisfied & ~rows.vacuous))
     gate_violations = sum(1 for g in gates if not g["satisfied"] and not g.get("vacuous"))
-    # below two finite rows there is no spread: standard error 0, no bootstrap
-    mean, se, boot = float(finite[0]) if len(finite) else float("nan"), 0.0, None
+    # below two finite rows there is no spread: standard error 0
+    mean, se = float(finite[0]) if len(finite) else float("nan"), 0.0
     if len(finite) > 1:
         mean, se = mean_se(finite)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
-        ms = bootstrap(finite, np.mean, rng)
-        boot = [float(np.percentile(ms, 2.5)), float(np.percentile(ms, 97.5))]
     return {
         "rows": len(rows),
         "mean_lhs": mean,
         "stderr_lhs": se,
-        "bootstrap_ci95_mean_lhs": boot,
         "violations": trial_violations + gate_violations,
         "trial_violations": trial_violations,
         "vacuous_rows": int(np.count_nonzero(rows.vacuous)),
@@ -494,10 +493,10 @@ def summarize(results_or_dir) -> list[dict]:
 
 def parse_config(path: str) -> dict:
     """Flat key-value config: one `key = value` per line, # comments (whole
-    lines or after a value), comma-separated lists.  Values are parsed as
-    int, then float, then kept as strings; lists become lists of the same.
-    A line without `=`, an empty key, value or list item and a key set twice
-    raise ValueError naming the file and the line."""
+    lines or after a value).  Values are parsed as int, then float, then kept
+    as strings.  A line without `=`, an empty key or value, a comma in a value
+    (no parameter takes a list) and a key set twice raise ValueError naming
+    the file and the line."""
     cfg: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -508,13 +507,13 @@ def parse_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{where}: expected 'key = value'")
             key, _, raw = (part.strip() for part in line.partition("="))
-            items = [v.strip() for v in raw.split(",")]
-            if not key or not all(items):
-                raise ValueError(f"{where}: empty key, value or list item in {line!r}")
+            if not key or not raw:
+                raise ValueError(f"{where}: empty key or value in {line!r}")
+            if "," in raw:
+                raise ValueError(f"{where}: a value takes no comma, got {line!r}")
             if key in cfg:
                 raise ValueError(f"{where}: duplicate key {key!r}")
-            values = [_parse_scalar(v) for v in items]
-            cfg[key] = values if len(values) > 1 else values[0]
+            cfg[key] = _parse_scalar(raw)
     return cfg
 
 

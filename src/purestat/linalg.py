@@ -20,7 +20,8 @@ __all__ = [
 ]
 
 # entries per block of a bounded batch loop (128 KiB of complex128): the times
-# of dynamics.time_map and the state pairs of the experiments' marginal diameter
+# of dynamics.time_map, the samples of ensembles.haar_coefficient_blocks and
+# the state pairs of the experiments' marginal diameter
 BLOCK_ENTRIES = 1 << 13
 
 

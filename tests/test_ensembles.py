@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from purestat import (
 from purestat import experiments
 from purestat.experiments import EXPERIMENTS, _haar_expectations
 from purestat.harness import ExperimentSpec, run_experiment
+from purestat.linalg import BLOCK_ENTRIES
 
 
 def mutual_information(rho, dims):
@@ -52,7 +54,7 @@ def test_setup_and_trial_streams_differ():
 def test_haar_coefficient_blocks_are_successive_per_sample_draws(d):
     # row i is the normalised complex_normal_rows row of the i-th
     # standard_normal((2, d)) draw of the stream: one layout everywhere
-    rows = max(1, ensembles._HAAR_BLOCK // d)
+    rows = max(1, BLOCK_ENTRIES // d)
     for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
         per_sample = np.random.Generator(np.random.Philox(n))
         blocked = np.random.Generator(np.random.Philox(n))
@@ -68,7 +70,7 @@ def test_haar_coefficient_blocks_are_successive_per_sample_draws(d):
 
 def test_haar_expectations_equal_the_dense_diagonal_observable():
     d = 32
-    n = ensembles._HAAR_BLOCK // d + 3               # across a block edge
+    n = BLOCK_ENTRIES // d + 3                       # across a block edge
     spectrum = trial_stream(5, 0).standard_normal(d)
     x = _haar_expectations(spectrum, n, trial_stream(5, 1))
     a = np.concatenate(list(haar_coefficient_blocks(n, d, trial_stream(5, 1))))
@@ -86,6 +88,38 @@ def test_mc_variance_identity_memory_does_not_grow_with_the_samples():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _bootstrap_variance_se(x, resamples, rng):
+    """Reference: the spread of the sample variance over resamples of x,
+    drawn with replacement."""
+    n = len(x)
+    return float(np.std([x[rng.integers(0, n, size=n)].var(ddof=1)
+                         for _ in range(resamples)], ddof=1))
+
+
+def test_mc_variance_identity_stderr_matches_a_bootstrap():
+    exp = EXPERIMENTS["MC_VARIANCE_IDENTITY"]
+    setup = exp.setup(exp.defaults, 7)
+    row = exp.trial(setup, exp.defaults, 7, 0)
+    x = experiments._mc_sample_expectations(setup, exp.defaults, 7, 0)
+    assert row.lhs == x.var(ddof=1)
+    reference = _bootstrap_variance_se(x, 400, np.random.default_rng(0))
+    assert abs(row.stderr / reference - 1) <= 0.15
+
+
+@pytest.mark.parametrize("x, want", [
+    (trial_stream(3, 0).standard_normal(100_000), np.sqrt(2 / 99_999)),
+    (np.array([0.25, 1.5]), None),
+    (np.full(7, 0.1), None),
+], ids=["normal", "two-samples", "constant"])
+def test_variance_se_is_the_delta_method_and_never_negative(x, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        se = experiments._variance_se(x)
+    assert np.isfinite(se) and se >= 0
+    if want is not None:
+        assert se == pytest.approx(want, rel=0.03)
 
 
 def test_haar_unitary_is_unitary():

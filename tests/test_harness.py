@@ -16,7 +16,7 @@ import pytest
 
 from purestat import harness, sample_spectrum, trial_stream
 from purestat.bounds import TrialRecord
-from purestat.experiments import EXPERIMENTS, experiment_ids
+from purestat.experiments import EXPERIMENTS, experiment_ids, mean_se
 from purestat.harness import (
     ExperimentSpec,
     parse_config,
@@ -42,17 +42,17 @@ def test_parse_config(tmp_path):
         "seed = 11\n"
         "n_samples = 500\n"
         "epsilon = 0.25\n"
-        "dims = 2,32\n"
         "\n"
         "out = results\n",
         encoding="utf-8")
     parsed = parse_config(str(cfg))
-    assert parsed["experiment"] == "LEVY"
-    assert parsed["seed"] == 11
-    assert parsed["n_samples"] == 500
-    assert parsed["epsilon"] == 0.25
-    assert parsed["dims"] == [2, 32]
-    assert parsed["out"] == "results"
+    assert parsed == {"experiment": "LEVY", "seed": 11, "n_samples": 500, "epsilon": 0.25,
+                      "out": "results"}
+    # no parameter takes a list: before, `dims = 2,32` parsed as [2, 32]
+    with cfg.open("a", encoding="utf-8") as fh:
+        fh.write("dims = 2,32\n")
+    with pytest.raises(ValueError, match=r"run\.cfg:8: a value takes no comma"):
+        parse_config(str(cfg))
 
 
 def test_parse_config_strips_inline_comments(tmp_path):
@@ -63,11 +63,14 @@ def test_parse_config_strips_inline_comments(tmp_path):
     line = next(l for l in text.splitlines() if l.startswith("experiment = "))
     assert "#" in line
     cfg = tmp_path / "readme.cfg"
-    cfg.write_text(line + "\nseed = 7  # trailing note\ndims = 2, 32 # list\n",
-                   encoding="utf-8")
+    cfg.write_text(line + "\nseed = 7  # trailing note\n", encoding="utf-8")
     parsed = parse_config(str(cfg))
-    assert parsed == {"experiment": "SUBSYSTEM_EQUILIBRATION", "seed": 7, "dims": [2, 32]}
+    assert parsed == {"experiment": "SUBSYSTEM_EQUILIBRATION", "seed": 7}
     ExperimentSpec(parsed["experiment"])  # a valid experiment id
+    with cfg.open("a", encoding="utf-8") as fh:
+        fh.write("dims = 2, 32 # a comma before the comment\n")
+    with pytest.raises(ValueError, match=r"readme\.cfg:3: a value takes no comma"):
+        parse_config(str(cfg))
 
 
 def test_worker_count_is_clamped_to_cpus():
@@ -97,9 +100,9 @@ def test_parse_config_rejects_garbage(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("n_samples = 100\nn_samples = 200\n", r"bad\.cfg:2: duplicate key 'n_samples'"),
-    ("seed = 7\nn_samples =\n", r"bad\.cfg:2: empty key, value or list item"),
+    ("seed = 7\nn_samples =\n", r"bad\.cfg:2: empty key or value"),
     ("= 5\n", r"bad\.cfg:1: empty key"),
-    ("# note\n\ndims = 2,,32\n", r"bad\.cfg:3: empty key, value or list item"),
+    ("# note\n\ndims = 2,,32\n", r"bad\.cfg:3: a value takes no comma"),
 ])
 def test_parse_config_rejects_malformed_lines(tmp_path, text, message):
     # before, a duplicate key kept its last value and an empty value became ''
@@ -124,6 +127,29 @@ def test_parameter_values_are_typed_before_compute():
     assert spec.params["epsilon"] == 1 and spec.params["trials"] == 2
     for experiment_id, exp in EXPERIMENTS.items():
         ExperimentSpec(experiment_id, dict(exp.defaults))
+
+
+FLOAT_PARAMETERS = [(experiment_id, key) for experiment_id, exp in EXPERIMENTS.items()
+                    for key, default in exp.defaults.items() if isinstance(default, float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("experiment_id, key", FLOAT_PARAMETERS,
+                         ids=[f"{e}-{k}" for e, k in FLOAT_PARAMETERS])
+def test_a_non_finite_parameter_is_rejected_before_compute(experiment_id, key, value):
+    # before, a nan epsilon ran 100 000 samples and reported a violation, and an
+    # infinite hsb_scale or t_max died inside the trial
+    with pytest.raises(ValueError, match=f"{experiment_id}: {key} must be finite"):
+        ExperimentSpec(experiment_id, {key: value})
+
+
+def test_a_nan_config_value_is_rejected_before_compute(tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("experiment = MC_CONCENTRATION\nepsilon = nan\n", encoding="utf-8")
+    params = parse_config(str(cfg))
+    experiment = params.pop("experiment")
+    with pytest.raises(ValueError, match="MC_CONCENTRATION: epsilon must be finite, got nan"):
+        ExperimentSpec(experiment, params)
 
 
 def test_spec_validation():
@@ -553,6 +579,20 @@ def test_manifest_file_is_the_returned_manifest(tmp_path):
     text = (tmp_path / "LEVY_manifest.json").read_text(encoding="utf-8")
     assert text == json.dumps(res.manifest, sort_keys=True, default=repr) + "\n"
     assert res.manifest["files"] == res.files
+
+
+def test_a_summary_draws_no_random_numbers(monkeypatch):
+    # before, every summary bootstrapped a CI from a fixed Philox stream, the
+    # one stream of a run not addressed by (seed, path)
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a summary drew random numbers")
+
+    monkeypatch.setattr(np.random, "Generator", no_generator)
+    lhs = [0.5, 1.5, math.nan, 2.5]
+    rows = harness.TrialRows(lhs, [0.0] * 4, [3.0] * 4, [True] * 4, [False] * 4, {})
+    summary = harness._summarize_records(rows, [])
+    assert (summary["mean_lhs"], summary["stderr_lhs"]) == mean_se(np.array([0.5, 1.5, 2.5]))
+    assert "bootstrap_ci95_mean_lhs" not in summary
 
 
 def test_manifest_hash_covers_the_manifest_without_its_unhashed_keys(tmp_path):
