@@ -15,6 +15,7 @@ from purestat import (
     expectation_values,
     purity,
     reduced_marginals,
+    sample_gue,
     sample_haar_state,
     sample_random_hamiltonian,
     sample_times,
@@ -59,9 +60,7 @@ print("trajectory written to equilibration_trajectory.csv (plot t vs distance)")
 
 # long-run statistics at random times: the Reimann bound for observables
 times = sample_times(h, 1000, rng)
-a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-a = (a + a.conj().T) / 2
-a /= np.abs(np.linalg.eigvalsh(a)).max()
+a = sample_gue(64, rng)   # a GUE observable with |A| = 1
 # time_map hands each bounded block of evolved states to the function
 x, p_s = time_map(h, psi0, times, lambda psis: (
     expectation_values(psis, a), purity(reduced_marginals(psis, h.dims))))

@@ -11,15 +11,16 @@ equilibration-time estimates.
 import numpy as np
 
 from purestat import (
+    compose_hamiltonian,
     dephased,
     evaluate_bound,
     finite_difference_purity_rate,
     finite_difference_speed,
     purity,
     reduced_rates,
+    sample_gue,
     sample_product_state,
     stream,
-    compose_hamiltonian,
     time_map,
     von_neumann_entropy,
 )
@@ -27,15 +28,10 @@ from purestat import (
 rng = stream(20260810, 3)
 d_s, d_b = 2, 32
 
-
-def gue(d, norm):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = (z + z.conj().T) / 2
-    m -= np.trace(m) / d * np.eye(d)
-    return m * (norm / np.abs(np.linalg.eigvalsh(m)).max())
-
-
-parts = compose_hamiltonian(gue(d_s, 1.0), gue(d_b, 1.0), gue(d_s * d_b, 0.4))
+# traceless GUE parts at operator norms 1, 1 and 0.4
+h_s, h_b, h_sb = (sample_gue(d, rng, norm, traceless=True)
+                  for d, norm in ((d_s, 1.0), (d_b, 1.0), (d_s * d_b, 0.4)))
+parts = compose_hamiltonian(h_s, h_b, h_sb)
 h = parts.assembled
 psi0 = sample_product_state(d_s, d_b, rng)
 

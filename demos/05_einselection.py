@@ -17,6 +17,7 @@ from purestat import (
     pointer_hamiltonian,
     reduced_marginals,
     reduced_rates,
+    sample_gue,
     sample_haar_state,
     sample_product_state,
     sample_times,
@@ -27,18 +28,10 @@ from purestat import (
 rng = stream(20260810, 4)
 d_s, d_b = 2, 64
 
-
-def gue(d, norm):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = (z + z.conj().T) / 2
-    m -= np.trace(m) / d * np.eye(d)
-    return m * (norm / np.abs(np.linalg.eigvalsh(m)).max())
-
-
 print("=" * 72)
 print("Part 1: exact pointer structure")
 print("=" * 72)
-blocks = [gue(d_b, 1.0), gue(d_b, 1.0)]
+blocks = [sample_gue(d_b, rng, traceless=True) for _ in range(d_s)]
 parts = pointer_hamiltonian(d_s, blocks)
 h = parts.assembled
 psi_b = sample_haar_state(d_b, rng)
@@ -58,10 +51,11 @@ print()
 print("=" * 72)
 print("Part 2: generic weak coupling decoheres in the H_S eigenbasis")
 print("=" * 72)
-h_s = gue(d_s, 1.0)
+h_s = sample_gue(d_s, rng, traceless=True)
 e_s, w_s = np.linalg.eigh(h_s)
 gap = float(e_s[1] - e_s[0])
-parts_w = compose_hamiltonian(h_s, gue(d_b, 1.0), gue(d_s * d_b, 0.01 * gap))
+parts_w = compose_hamiltonian(h_s, sample_gue(d_b, rng, traceless=True),
+                              sample_gue(d_s * d_b, rng, 0.01 * gap, traceless=True))
 h_w = parts_w.assembled
 psi0_w = sample_product_state(d_s, d_b, rng)
 

@@ -73,19 +73,20 @@ def _eigen_coefficients(h: Hamiltonian, initial) -> tuple[np.ndarray, bool]:
     return np.array([h.to_eigenbasis(v) for v in np.atleast_2d(vecs)]), vecs.ndim == 2
 
 
-def time_map(h: Hamiltonian, initial, times, fn, states: bool = True):
+def time_map(h: Hamiltonian, initial, times, fn):
     """fn of the evolved states psi_t = exp(-iHt) psi_0, one block of times at a time.
 
     initial is one state vector (d,) or a stack of them (m, d).
     fn receives each block with its times on axis 0: (n_b, d) for one state,
-    (n_b, m, d) for a stack; with states=False the eigenbasis coefficients
-    c0 exp(-iEt) instead of the state vectors.  It returns an array, or a
-    tuple of arrays, with the block's times on axis 0; those are copied into
-    (n_times, ...) outputs at once, so fn may return views of the block.  A
-    block holds at most BLOCK_ENTRIES coefficients (but at least one time)
-    and is written into buffers reused by the next block, so memory does not
-    grow with the number of times.  The whole stack shares one phase matrix
-    per block (hamiltonians.phase_factors) and evolves in one GEMM.
+    (n_b, m, d) for a stack.  It returns an array, or a tuple of arrays, with
+    the block's times on axis 0; those are copied into (n_times, ...) outputs
+    at once, so fn may return views of the block.  A block holds at most
+    BLOCK_ENTRIES coefficients (but at least one time) and is written into
+    buffers reused by the next block, so memory does not grow with the number
+    of times.  The whole stack shares one phase matrix per block
+    (hamiltonians.phase_factors) and goes back from the eigenbasis in one
+    GEMM; a diagonal h skips that GEMM, as its coefficients c0 exp(-iEt) are
+    the states.
     """
     c0, stacked = _eigen_coefficients(h, initial)
     times = np.ravel(times)
@@ -93,7 +94,8 @@ def time_map(h: Hamiltonian, initial, times, fn, states: bool = True):
         raise ValueError("time_map needs at least one time")
     m, d = c0.shape
     rows = max(1, min(len(times), BLOCK_ENTRIES // (m * d)))
-    bufs = [np.empty(rows * m * d, dtype=complex) for _ in range(1 + states)]
+    rotate = not h.diagonal
+    bufs = [np.empty(rows * m * d, dtype=complex) for _ in range(1 + rotate)]
     outs = None
     for a in range(0, len(times), rows):
         t = times[a:a + rows]
@@ -101,7 +103,7 @@ def time_map(h: Hamiltonian, initial, times, fn, states: bool = True):
         # keep the c0 * phases operand order: numpy's complex product is not
         # bitwise symmetric, and swapping it moves every trajectory CSV's last bits
         block = np.multiply(c0, phase_factors(h.eigenvalues, t)[:, None, :], out=views[0])
-        if states:
+        if rotate:
             block = np.matmul(block.reshape(-1, d), h.eigenbasis.T,
                               out=views[1].reshape(-1, d)).reshape(block.shape)
         res = fn(block if stacked else block[:, 0])

@@ -19,7 +19,7 @@ import numbers
 import numpy as np
 
 from .hamiltonians import GapReport, Hamiltonian, gap_analysis
-from .linalg import BLOCK_ENTRIES
+from .linalg import BLOCK_ENTRIES, dagger
 
 __all__ = [
     "SETUP_DOMAIN",
@@ -36,6 +36,7 @@ __all__ = [
     "sample_spectrum",
     "certify_spectrum",
     "sample_random_hamiltonian",
+    "sample_gue",
     "harmonic_mean",
     "mean_energy_coefficients",
     "sample_mean_energy_state",
@@ -263,15 +264,26 @@ def certify_spectrum(e: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarra
     return e, report
 
 
-def sample_random_hamiltonian(dims, rng: np.random.Generator,
+def sample_random_hamiltonian(dims: tuple[int, int], rng: np.random.Generator,
                               spectrum=(0.0, 1.0)) -> Hamiltonian:
-    """Random Hamiltonian on dims, (d_S, d_B) or an integer dimension:
-    sample_spectrum, certify_spectrum, then a Haar eigenbasis."""
-    if isinstance(dims, numbers.Integral):
-        dims = (int(dims), 1)
+    """Random Hamiltonian on dims = (d_S, d_B): sample_spectrum,
+    certify_spectrum, then a Haar eigenbasis."""
     d = dims[0] * dims[1]
     e, report = certify_spectrum(sample_spectrum(d, rng, spectrum), rng)
     return Hamiltonian(e, haar_unitary(d, rng), dims=dims, gap_report=report)
+
+
+def sample_gue(d: int, rng: np.random.Generator, norm: float = 1.0,
+               traceless: bool = False) -> np.ndarray:
+    """A GUE matrix (Z + Z^dagger)/2 of a complex Ginibre d x d matrix Z (real
+    parts drawn first), made traceless on request, then scaled to operator
+    norm `norm`."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (z + dagger(z)) / 2
+    if traceless:
+        h -= np.trace(h) / d * np.eye(d)
+    h *= norm / np.abs(np.linalg.eigvalsh(h)).max()
+    return h
 
 
 def harmonic_mean(spectrum) -> float:

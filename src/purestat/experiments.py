@@ -45,6 +45,7 @@ from .ensembles import (
     haar_unitary,
     harmonic_mean,
     mean_energy_coefficients,
+    sample_gue,
     sample_haar_state,
     sample_product_state,
     sample_random_hamiltonian,
@@ -106,16 +107,6 @@ class ExperimentDef:
 
 def _setup_stream(seed: int) -> np.random.Generator:
     return stream(seed, SETUP_DOMAIN)
-
-
-def _gue(d: int, rng: np.random.Generator, norm: float = 1.0,
-         traceless: bool = False) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = (z + dagger(z)) / 2
-    if traceless:
-        h -= np.trace(h) / d * np.eye(d)
-    h *= norm / np.abs(np.linalg.eigvalsh(h)).max()
-    return h
 
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
@@ -414,10 +405,10 @@ def _expectation_equilibration_trial(setup, params, seed, k):
     h = Hamiltonian(e, gap_report=report)
     c0 = sample_haar_state(d, rng)
     times = sample_times(h, params["n_times"], rng)
-    a_eig = _gue(d, rng)
+    a_eig = sample_gue(d, rng)
     probs = np.abs(c0) ** 2
     deff = float(1.0 / (probs ** 2).sum())
-    x = time_map(h, c0, times, lambda cts: expectation_values(cts, a_eig), states=False)
+    x = time_map(h, c0, times, lambda cts: expectation_values(cts, a_eig))
     x_omega = float(probs @ np.diag(a_eig).real)
     lhs, se = mean_se((x - x_omega) ** 2)
     return check_bound("EXPECTATION_EQUILIBRATION", lhs, {"norm_a": 1.0, "deff": deff},
@@ -486,7 +477,7 @@ def _ergodicity_setup(params, seed):
     e, report = certify_spectrum(sample_spectrum(d, rng), rng)
     lo = (d - d_r) // 2
     band = np.arange(lo, lo + d_r)
-    b_eig = _gue(d, rng)
+    b_eig = sample_gue(d, rng)
     diag_band = np.diag(b_eig).real[band]
     block = b_eig[np.ix_(band, band)]
     mc_mean = float(diag_band.mean())
@@ -516,7 +507,7 @@ def _ergodicity_block(setup, params, seed, ks):
     for i, k in enumerate(ks):
         if k in times:
             x = time_map(setup["window"], a[i], times[k],
-                         lambda ct: expectation_values(ct, setup["block"]), states=False)
+                         lambda ct: expectation_values(ct, setup["block"]))
             x_mean[i] = float(x.mean())
     return list(zip(lhs, x_mean))
 
@@ -551,9 +542,9 @@ def _ergodicity_summary(rows, setup, params):
 def _sample_composite(params, rng):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     for _ in range(20):
-        h_s = _gue(d_s, rng, norm=1.0, traceless=True)
-        h_b = _gue(d_b, rng, norm=1.0, traceless=True)
-        h_sb = _gue(d_s * d_b, rng, norm=float(params["hsb_scale"]), traceless=True)
+        h_s = sample_gue(d_s, rng, norm=1.0, traceless=True)
+        h_b = sample_gue(d_b, rng, norm=1.0, traceless=True)
+        h_sb = sample_gue(d_s * d_b, rng, norm=float(params["hsb_scale"]), traceless=True)
         parts = compose_hamiltonian(h_s, h_b, h_sb)
         if parts.assembled.gap_report.non_resonant:
             return parts
@@ -662,11 +653,11 @@ def _slow_states_run(params, rng, coupling):
     """Weak-coupling trajectory from a product state; the slow-states ratio
     max_pairing / (|H_SB| + v_S) at every sampled time, in H_S's eigenbasis."""
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
-    h_s = _gue(d_s, rng, norm=1.0, traceless=True)
+    h_s = sample_gue(d_s, rng, norm=1.0, traceless=True)
     e_s, w_s = np.linalg.eigh(h_s)
     min_gap = float(np.diff(e_s).min())
-    h_b = _gue(d_b, rng, norm=1.0, traceless=True)
-    h_sb = _gue(d_s * d_b, rng, norm=coupling * min_gap, traceless=True)
+    h_b = sample_gue(d_b, rng, norm=1.0, traceless=True)
+    h_sb = sample_gue(d_s * d_b, rng, norm=coupling * min_gap, traceless=True)
     parts = compose_hamiltonian(h_s, h_b, h_sb)
     h = parts.assembled
     psi0 = sample_product_state(d_s, d_b, rng)
@@ -689,7 +680,7 @@ def _einselection_rows(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
 
-    blocks = [_gue(d_b, rng, norm=1.0) for _ in range(d_s)]
+    blocks = [sample_gue(d_b, rng, norm=1.0) for _ in range(d_s)]
     parts = pointer_hamiltonian(d_s, blocks)
     h = parts.assembled
     # equal-weight superposition with a random relative phase: maximal coherence

@@ -1,4 +1,4 @@
-"""Hamiltonians: spectra, gap structure, phase factors, decompositions.
+"""Hamiltonians: spectra, gap structure, phase factors, composite splits.
 
 Energies are in units with hbar = 1, so time carries units of 1/energy.
 """
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _require_hermitian, dagger, partial_trace, operator_norm, tensor_product
+from .linalg import _require_hermitian, dagger, partial_trace, operator_norm
 
 __all__ = [
     "GapReport",
@@ -17,7 +17,6 @@ __all__ = [
     "CompositeHamiltonian",
     "gap_analysis",
     "phase_factors",
-    "decompose_hamiltonian",
     "compose_hamiltonian",
     "pointer_hamiltonian",
 ]
@@ -81,16 +80,18 @@ class Hamiltonian:
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
         d = len(self.eigenvalues)
-        given = self.eigenbasis is not None
-        self.eigenbasis = (np.asarray(self.eigenbasis, dtype=complex) if given
-                           else np.eye(d, dtype=complex))
+        self._diagonal = self.eigenbasis is None
+        self.eigenbasis = (np.eye(d, dtype=complex) if self._diagonal
+                           else np.asarray(self.eigenbasis, dtype=complex))
         if self.eigenbasis.shape != (d, d):
             raise ValueError("eigenbasis shape does not match spectrum length")
+        if not np.all(np.isfinite(self.eigenvalues)):
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(self.eigenvalues) < 0):
             raise ValueError("eigenvalues must be ascending")
-        if given:
+        if not self._diagonal:
             dev = np.abs(dagger(self.eigenbasis) @ self.eigenbasis - np.eye(d)).max()
-            if dev > 1e-10:
+            if not dev <= 1e-10:   # a NaN entry gives a NaN deviation, which fails too
                 raise ValueError(f"eigenbasis is not unitary: deviation {dev:.3e}")
         if self.dims is None:
             self.dims = (d, 1)
@@ -111,8 +112,11 @@ class Hamiltonian:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    def matrix(self) -> np.ndarray:
-        return (self.eigenbasis * self.eigenvalues) @ dagger(self.eigenbasis)
+    @property
+    def diagonal(self) -> bool:
+        """True when built without an eigenbasis: the basis is the identity,
+        so the eigenbasis coefficients of a state are the state itself."""
+        return self._diagonal
 
     def to_eigenbasis(self, psi: np.ndarray) -> np.ndarray:
         """The eigenbasis coefficients <E_k|psi> of one state vector."""
@@ -172,49 +176,36 @@ def phase_factors(energies, times) -> np.ndarray:
     return out.reshape(t.shape + e.shape)
 
 
-@dataclass
 class CompositeHamiltonian:
-    """Split H = H_0 + H_S (x) 1 + 1 (x) H_B + H_SB with traceless parts.
+    """The canonical split H = H_0 + H_S (x) 1 + 1 (x) H_B + H_SB of one joint
+    Hermitian matrix h on d_S x d_B, dims = (d_S, d_B).
 
-    h_s, h_b act on the factors alone, h_sb on the joint space; all three
-    are traceless and h0_coefficient carries the identity component.
+    H_0 is a multiple of the identity; H_S = Tr_B H / d_B and H_B = Tr_S H / d_S,
+    each made traceless, act on the factors alone, and H_SB is the rest, so
+    Tr_S H_SB = Tr_B H_SB = 0.  Keeps what the rates and bounds read: h_s,
+    h_sb and assembled, h diagonalised (Hamiltonian.from_matrix, which
+    validates h as square, finite and Hermitian).
     """
 
-    h_s: np.ndarray
-    h_b: np.ndarray
-    h_sb: np.ndarray
-    h0_coefficient: float
-    assembled: Hamiltonian
-
-    def __post_init__(self):
-        d_s, d_b = self.dims
+    def __init__(self, h, dims: tuple[int, int]):
+        d_s, d_b = dims
+        self.assembled = Hamiltonian.from_matrix(h, (d_s, d_b))
+        h = np.asarray(h, dtype=complex)
         d = d_s * d_b
-        for name, m, dim in (("h_s", self.h_s, d_s), ("h_b", self.h_b, d_b),
-                             ("h_sb", self.h_sb, d)):
-            if m.shape != (dim, dim):
-                raise ValueError(f"{name} has shape {m.shape}, expected {(dim, dim)}")
-            if abs(np.trace(m)) > 1e-9 * dim:
-                raise ValueError(f"{name} is not traceless: trace {np.trace(m):.3e}")
-        full = self.full_matrix()
-        dev = np.abs(full - self.assembled.matrix()).max()
-        if dev > 1e-10 * max(1.0, float(np.abs(full).max())):
-            raise ValueError(f"assembled Hamiltonian deviates from the sum: {dev:.3e}")
+        h0 = float(np.trace(h).real) / d
+        self.h_s = _traceless(partial_trace(h, d_s, d_b, "S") / d_b)
+        h_b = _traceless(partial_trace(h, d_s, d_b, "B") / d_s)
+        self.h_sb = (h - h0 * np.eye(d) - np.kron(self.h_s, np.eye(d_b, dtype=complex))
+                     - np.kron(np.eye(d_s, dtype=complex), h_b))
 
     @property
     def dims(self) -> tuple[int, int]:
         return self.assembled.dims
 
-    def full_matrix(self) -> np.ndarray:
-        d_s, d_b = self.dims
-        return (self.h0_coefficient * np.eye(d_s * d_b)
-                + tensor_product(self.h_s, np.eye(d_b))
-                + tensor_product(np.eye(d_s), self.h_b)
-                + self.h_sb)
-
     def norm_hs_plus_hsb(self) -> float:
         """Operator norm of H_S (x) 1 + H_SB (speed-bound prefactor)."""
-        d_s, d_b = self.dims
-        return operator_norm(tensor_product(self.h_s, np.eye(d_b)) + self.h_sb)
+        d_b = self.dims[1]
+        return operator_norm(np.kron(self.h_s, np.eye(d_b, dtype=complex)) + self.h_sb)
 
     def norm_hsb(self) -> float:
         return operator_norm(self.h_sb)
@@ -225,28 +216,15 @@ def _traceless(m: np.ndarray) -> np.ndarray:
     return m - (np.trace(m) / d) * np.eye(d)
 
 
-def decompose_hamiltonian(h, d_s: int, d_b: int) -> CompositeHamiltonian:
-    """Decompose a joint Hamiltonian into the traceless canonical split."""
-    h = np.asarray(h, dtype=complex)
-    d = d_s * d_b
-    h0 = float(np.trace(h).real) / d
-    h_s = _traceless(partial_trace(h, d_s, d_b, "S") / d_b)
-    h_b = _traceless(partial_trace(h, d_s, d_b, "B") / d_s)
-    h_sb = h - h0 * np.eye(d) - tensor_product(h_s, np.eye(d_b)) - tensor_product(np.eye(d_s), h_b)
-    assembled = Hamiltonian.from_matrix(h, dims=(d_s, d_b))
-    return CompositeHamiltonian(h_s, h_b, h_sb, h0, assembled)
-
-
-def compose_hamiltonian(h_s, h_b, h_sb=None) -> CompositeHamiltonian:
-    """Assemble a composite Hamiltonian from (not necessarily traceless) parts."""
+def compose_hamiltonian(h_s, h_b, h_sb) -> CompositeHamiltonian:
+    """The composite Hamiltonian of H_S (x) 1 + 1 (x) H_B + H_SB; the parts
+    need not be traceless."""
     h_s = np.asarray(h_s, dtype=complex)
     h_b = np.asarray(h_b, dtype=complex)
     d_s, d_b = h_s.shape[0], h_b.shape[0]
-    if h_sb is None:
-        h_sb = np.zeros((d_s * d_b, d_s * d_b), dtype=complex)
-    full = (tensor_product(h_s, np.eye(d_b)) + tensor_product(np.eye(d_s), h_b)
-            + np.asarray(h_sb, dtype=complex))
-    return decompose_hamiltonian(full, d_s, d_b)
+    h = (np.kron(h_s, np.eye(d_b, dtype=complex)) + np.kron(np.eye(d_s, dtype=complex), h_b)
+         + np.asarray(h_sb, dtype=complex))
+    return CompositeHamiltonian(h, (d_s, d_b))
 
 
 def pointer_hamiltonian(d_s: int, bath_blocks) -> CompositeHamiltonian:
@@ -268,4 +246,4 @@ def pointer_hamiltonian(d_s: int, bath_blocks) -> CompositeHamiltonian:
     h = np.zeros((d_s * d_b, d_s * d_b), dtype=complex)
     for p, b in enumerate(blocks):
         h[p * d_b:(p + 1) * d_b, p * d_b:(p + 1) * d_b] = b
-    return decompose_hamiltonian(h, d_s, d_b)
+    return CompositeHamiltonian(h, (d_s, d_b))

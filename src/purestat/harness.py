@@ -86,7 +86,7 @@ class ExperimentSpec:
                 raise ValueError(f"{self.experiment_id}: {key} must be >= {low}, "
                                  f"got {self.params[key]!r}")
         for key, high in exp.below.items():
-            if not float(self.params[key]) < float(self.params[high]):
+            if not self.params[key] < self.params[high]:   # exact, even past the float range
                 raise ValueError(f"{self.experiment_id}: {key} must be < {high}, "
                                  f"got {self.params[key]!r}")
         dim = exp.dimension(self.params)
@@ -105,15 +105,22 @@ class ExperimentSpec:
 
 def _check_type(experiment_id: str, key: str, value, default) -> None:
     """A parameter takes the type of its default: an integer for an integer
-    default, an integer or a finite float for a float default (never a bool)."""
+    default, a number that converts to a finite float for a float default
+    (never a bool)."""
     integral = isinstance(default, numbers.Integral)
     kind = numbers.Integral if integral else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{experiment_id}: {key} must be "
                          f"{'an integer' if integral else 'a number'}, got {value!r}")
-    # checked here, or a nan or inf runs the trials and then fails or is judged a violation
-    if not isinstance(value, numbers.Integral) and not np.isfinite(value):
-        raise ValueError(f"{experiment_id}: {key} must be finite, got {value!r}")
+    # checked here, or a nan, an inf or an integer beyond the float range runs
+    # the trials and then fails or is judged a violation
+    if not integral:
+        try:
+            finite = np.isfinite(float(value))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{experiment_id}: {key} must be finite, got {value!r}")
 
 
 _ROW_COLUMNS = ("lhs", "stderr", "rhs", "satisfied", "vacuous")

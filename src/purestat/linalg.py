@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "dagger",
-    "tensor_product",
     "partial_trace",
     "trace_norm",
     "operator_norm",
@@ -47,11 +46,6 @@ def _require_hermitian(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if dev > tol * scale:
         raise ValueError(f"matrix is not Hermitian: max entrywise deviation {dev:.3e}")
     return a
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the system-major index convention."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_trace(rho, d_s: int, d_b: int, keep: str = "S") -> np.ndarray:

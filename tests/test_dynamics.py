@@ -44,6 +44,11 @@ def _density(psi):
     return np.outer(psi, psi.conj())
 
 
+def _matrix(h):
+    """V diag(E) V^dagger of a Hamiltonian."""
+    return (h.eigenbasis * h.eigenvalues) @ dagger(h.eigenbasis)
+
+
 def _evolve(h, psi, t):
     """exp(-iHt) psi as V (e^{-iEt} * V^dagger psi): the direct reference that
     time_map's blocks, phase factors and GEMMs are checked against."""
@@ -167,7 +172,7 @@ def test_evolve_conserves_energy_and_purity(h8):
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     rho = (g @ dagger(g)) / np.trace(g @ dagger(g)).real
     w, v = np.linalg.eigh(rho)
-    hm = h8.matrix()
+    hm = _matrix(h8)
     e0, p0 = np.trace(hm @ rho).real, purity(rho)
     for vt in time_map(h8, v.T, np.linspace(0.0, 30.0, 7)[1:], np.copy):
         rt = (vt.T * w) @ vt.conj()   # the rows of vt: rho's evolved eigenvectors
@@ -199,7 +204,7 @@ def test_dephase_idempotent_trace_preserving_commutes(h8):
     om = dephase(_density(psi), h8)
     assert abs(np.trace(om).real - 1.0) < 1e-12
     assert np.abs(dephase(om, h8) - om).max() < 1e-12
-    hm = h8.matrix()
+    hm = _matrix(h8)
     assert np.abs(om @ hm - hm @ om).max() < 1e-10
 
 
@@ -308,7 +313,7 @@ def test_subsystem_speed_stationary_is_zero():
 def test_subsystem_speed_no_interaction():
     rng = trial_stream(102, 1)
     h_s, h_b = _rand_herm(2, rng), _rand_herm(8, rng)
-    parts = compose_hamiltonian(h_s, h_b)
+    parts = compose_hamiltonian(h_s, h_b, np.zeros((16, 16)))
     psi = sample_haar_state(np.eye(16), rng)
     rho_s = reduced_marginals(psi, parts.dims)
     expected = 0.5 * np.abs(np.linalg.eigvalsh(
@@ -354,7 +359,7 @@ def test_purity_rate_product_state_is_zero():
 
 def test_purity_rate_no_interaction_is_zero():
     rng = trial_stream(102, 4)
-    parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(8, rng))
+    parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(8, rng), np.zeros((16, 16)))
     psi = sample_haar_state(np.eye(16), rng)
     (rate,) = reduced_rates(psi[None], parts).purity_rates()
     assert rate == pytest.approx(0.0, abs=1e-12)
@@ -431,7 +436,7 @@ def test_stacked_entropy_matches_a_per_matrix_loop():
 
 def test_reduced_rates_rejects_wrong_dimension():
     rng = trial_stream(102, 7)
-    parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(8, rng))
+    parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(8, rng), np.zeros((16, 16)))
     with pytest.raises(ValueError, match="dimension"):
         reduced_rates(np.ones((3, 8), dtype=complex), parts)
 
@@ -455,14 +460,17 @@ def test_stacked_samples_match_evolve():
 
 
 def test_time_map_coefficients_match_evolve():
-    # with states=False, c_k exp(-i E_k t): the eigenbasis image of _evolve
+    # under a diagonal H the states are eigenbasis coefficients: diag(E) evolves
+    # c0 = V^dagger psi into c_k exp(-i E_k t), the eigenbasis image of _evolve
     rng = trial_stream(102, 10)
     h = sample_random_hamiltonian((16, 1), rng)
+    diagonal = Hamiltonian(h.eigenvalues)
     states = [sample_haar_state(np.eye(16), rng) for _ in range(2)]
     times = rng.uniform(0.0, default_horizon(h), 5)
-    cts = time_map(h, np.stack(states), times, np.copy, states=False)
+    c0 = np.stack([h.to_eigenbasis(v) for v in states])
+    cts = time_map(diagonal, c0, times, np.copy)
     assert cts.shape == (5, 2, 16)
-    assert np.array_equal(time_map(h, states[1], times, np.copy, states=False), cts[:, 1])
+    assert np.array_equal(time_map(diagonal, c0[1], times, np.copy), cts[:, 1])
     for j, state in enumerate(states):
         for i, t in enumerate(times):
             ref = h.to_eigenbasis(_evolve(h, state, t))
@@ -474,31 +482,31 @@ def test_time_map_blocks_cover_the_times_once_and_in_order(d):
     rng = trial_stream(102, 11)
     h = sample_random_hamiltonian((d, 1), rng)
     stack = np.stack([sample_haar_state(np.eye(d), rng) for _ in range(2)])
-    for initial in (stack[0], stack):
-        c0 = np.array([h.to_eigenbasis(v) for v in np.atleast_2d(initial)])
-        rows = max(1, BLOCK_ENTRIES // initial.size)   # times per block
-        for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
-            times = rng.uniform(0.0, 1e6, n)
-            # one shot: all times at once, one row per (time, state)
-            cts = c0 * phase_factors(h.eigenvalues, times)[:, None, :]
-            want = {False: cts, True: cts @ h.eigenbasis.T}
-            for states in (False, True):
+    # a diagonal H skips the basis change: its blocks are the coefficients themselves
+    for hh in (Hamiltonian(h.eigenvalues, gap_report=h.gap_report), h):
+        for initial in (stack[0], stack):
+            c0 = np.array([hh.to_eigenbasis(v) for v in np.atleast_2d(initial)])
+            rows = max(1, BLOCK_ENTRIES // initial.size)   # times per block
+            for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+                times = rng.uniform(0.0, 1e6, n)
+                # one shot: all times at once, one row per (time, state)
+                cts = c0 * phase_factors(hh.eigenvalues, times)[:, None, :]
                 shapes = []
 
                 def record(block):
                     shapes.append(block.shape)
                     return block   # a view of the reused buffer: copied at once
-                got = time_map(h, initial, times, record, states=states)
+                got = time_map(hh, initial, times, record)
                 assert [s[1:] for s in shapes] == [initial.shape] * len(shapes)
                 assert sum(s[0] for s in shapes) == n
                 assert all(0 < s[0] <= rows and s[0] * initial.size <= BLOCK_ENTRIES
                            for s in shapes)
                 assert got.shape == (n, *initial.shape)
                 got = got.reshape(n, -1, d)
-                if states:
-                    assert np.abs(got - want[True]).max() <= 1e-12
+                if hh.diagonal:
+                    assert np.array_equal(got, cts)
                 else:
-                    assert np.array_equal(got, want[False])
+                    assert np.abs(got - cts @ h.eigenbasis.T).max() <= 1e-12
 
 
 def test_time_map_returns_every_part_of_a_tuple():

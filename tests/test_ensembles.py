@@ -16,6 +16,7 @@ from purestat import (
     harmonic_mean,
     partial_trace,
     reduced_marginals,
+    sample_gue,
     sample_haar_state,
     sample_mean_energy_state,
     sample_product_state,
@@ -326,13 +327,19 @@ def test_random_hamiltonian_contracts():
     assert np.all(np.diff(h16.eigenvalues) > 0)
 
 
-def test_random_hamiltonian_accepts_any_integral_dimension():
-    # a numpy integer is a whole dimension d, as an int is, not a (d_S, d_B) pair
-    for dims in (8, np.int64(8), np.int32(8), (8, 1)):
-        h = sample_random_hamiltonian(dims, trial_stream(0, 10))
-        assert h.dims == (8, 1) and all(type(x) is int for x in h.dims)
-        assert np.array_equal(h.eigenvalues,
-                              sample_random_hamiltonian(8, trial_stream(0, 10)).eigenvalues)
+def test_sample_gue_is_hermitian_at_the_requested_norm():
+    for traceless in (False, True):
+        rng = trial_stream(0, 12)
+        h = sample_gue(6, rng, norm=0.3, traceless=traceless)
+        assert np.array_equal(h, h.conj().T)
+        assert np.abs(np.linalg.eigvalsh(h)).max() == pytest.approx(0.3, rel=1e-12)
+        assert (abs(np.trace(h)) < 1e-15) == traceless
+    # (Z + Z^dagger)/2 of one d x d draw, real parts first, scaled by norm / |H|
+    rng = trial_stream(0, 12)
+    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    g = (z + z.conj().T) / 2
+    want = g * (0.3 / np.abs(np.linalg.eigvalsh(g)).max())
+    assert np.array_equal(sample_gue(6, trial_stream(0, 12), norm=0.3), want)
 
 
 def test_random_hamiltonian_entangled_eigenvectors():
@@ -349,7 +356,7 @@ def test_random_hamiltonian_default_spectrum_is_the_uniform_draw():
     # exactly the sorted rng.random(d) draw of the stream (no jitter needed here)
     for d in (8, 64, 128):
         want = np.sort(trial_stream(3, d).random(d))
-        h = sample_random_hamiltonian(d, trial_stream(3, d))
+        h = sample_random_hamiltonian((d, 1), trial_stream(3, d))
         assert h.eigenvalues.tobytes() == want.tobytes()
 
 
@@ -361,7 +368,7 @@ def test_random_hamiltonian_jitter_failure(monkeypatch):
     gap_analysis = ensembles.gap_analysis
     monkeypatch.setattr(ensembles, "gap_analysis", lambda e: calls.append(e) or gap_analysis(e))
     with pytest.raises(RuntimeError, match="non-resonance at tol 1.0 in 100 rounds"):
-        sample_random_hamiltonian(4, trial_stream(0, 9), spectrum=(0.0, 0.0))
+        sample_random_hamiltonian((4, 1), trial_stream(0, 9), spectrum=(0.0, 0.0))
     assert len(calls) == 101
     assert 0 < np.ptp(calls[-1]) <= 200e-6   # jittered by at most 1e-6 x unit width a round
 

@@ -133,12 +133,14 @@ FLOAT_PARAMETERS = [(experiment_id, key) for experiment_id, exp in EXPERIMENTS.i
                     for key, default in exp.defaults.items() if isinstance(default, float)]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
 @pytest.mark.parametrize("experiment_id, key", FLOAT_PARAMETERS,
                          ids=[f"{e}-{k}" for e, k in FLOAT_PARAMETERS])
 def test_a_non_finite_parameter_is_rejected_before_compute(experiment_id, key, value):
-    # before, a nan epsilon ran 100 000 samples and reported a violation, and an
-    # infinite hsb_scale or t_max died inside the trial
+    # before, a nan epsilon ran 100 000 samples and reported a violation, an
+    # infinite hsb_scale or t_max died inside the trial, and an integer beyond
+    # the float range raised a bare OverflowError, in the trial or in the check
     with pytest.raises(ValueError, match=f"{experiment_id}: {key} must be finite"):
         ExperimentSpec(experiment_id, {key: value})
 
@@ -150,6 +152,12 @@ def test_a_nan_config_value_is_rejected_before_compute(tmp_path):
     experiment = params.pop("experiment")
     with pytest.raises(ValueError, match="MC_CONCENTRATION: epsilon must be finite, got nan"):
         ExperimentSpec(experiment, params)
+    # a 400-digit integer parses through int(), and no float holds it
+    cfg.write_text("experiment = MC_CONCENTRATION\nepsilon = 1" + "0" * 399 + "\n",
+                   encoding="utf-8")
+    params = parse_config(str(cfg))
+    with pytest.raises(ValueError, match="MC_CONCENTRATION: epsilon must be finite, got 10000"):
+        ExperimentSpec(params.pop("experiment"), params)
 
 
 def test_spec_validation():
@@ -157,6 +165,12 @@ def test_spec_validation():
         ExperimentSpec("NOT_AN_EXPERIMENT")
     with pytest.raises(ValueError, match="memory guard"):
         ExperimentSpec("DEFF_SUBSPACE_MEAN", {"d_r": 2048, "ambient": 4096})
+    # integers beyond the float range are compared exactly: before, float(rank_b)
+    # < float(d_r) raised a bare OverflowError that named no key
+    with pytest.raises(ValueError, match="MC_CONCENTRATION: rank_b must be < d_r"):
+        ExperimentSpec("MC_CONCENTRATION", {"rank_b": 10**400})
+    with pytest.raises(ValueError, match="memory guard"):
+        ExperimentSpec("MC_CONCENTRATION", {"d_r": 10**400})
     with pytest.raises(ValueError, match="trials"):
         ExperimentSpec("LEVY", {"trials": 0})
 

@@ -9,7 +9,6 @@ from purestat import (
     dagger,
     operator_norm,
     partial_trace,
-    tensor_product,
     trace_norm,
 )
 
@@ -72,12 +71,6 @@ def test_eig_deterministic():
     assert np.array_equal(d1.eigenbasis, d2.eigenbasis)
 
 
-def test_tensor_identity_and_diag():
-    assert np.allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-    t = tensor_product(np.diag([1, 2]), np.diag([3, 4]))
-    assert np.allclose(t, np.diag([3, 4, 6, 8]))
-
-
 def swap_operator(d):
     """Swap of the two factors of C^d (x) C^d: S|kl> = |lk>, built entry by entry."""
     s = np.zeros((d * d, d * d), dtype=complex)
@@ -94,7 +87,7 @@ def test_tensor_swap_trace_identity():
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         lhs = np.trace(a @ b)
-        rhs = np.trace(tensor_product(a, b) @ swap_operator(3))
+        rhs = np.trace(np.kron(a, b) @ swap_operator(3))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -109,7 +102,7 @@ def test_partial_trace_product_factorizes():
     rng = np.random.default_rng(11)
     a = random_hermitian(2, rng); a = a @ a.conj().T; a /= np.trace(a)
     b = random_hermitian(3, rng); b = b @ b.conj().T; b /= np.trace(b)
-    rho = tensor_product(a, b)
+    rho = np.kron(a, b)
     assert np.abs(partial_trace(rho, 2, 3, "S") - a).max() < 1e-12
     assert np.abs(partial_trace(rho, 2, 3, "B") - b).max() < 1e-12
 

@@ -7,7 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from purestat import ReducedRates, compose_hamiltonian, experiments, sample_haar_state, trial_stream
+from purestat import (
+    ReducedRates,
+    compose_hamiltonian,
+    experiments,
+    sample_gue,
+    sample_haar_state,
+    trial_stream,
+)
 from purestat.experiments import EXPERIMENTS, _fd_check, _marginal_diameter, experiment_ids
 from purestat.harness import ExperimentSpec, run_experiment
 
@@ -76,7 +83,7 @@ def test_speed_with_a_nan_finite_difference(monkeypatch):
 
 def test_fd_check_propagates_a_single_nan():
     rng = trial_stream(401, 0)
-    parts = compose_hamiltonian(*(experiments._gue(d, rng) for d in (2, 4, 8)))
+    parts = compose_hamiltonian(*(sample_gue(d, rng) for d in (2, 4, 8)))
     psi0 = sample_haar_state(np.eye(8), rng)
     fds = np.array([1.0, math.nan, 1.0])   # only the middle instant is degenerate
     ok, worst = _fd_check(lambda rates: np.ones(3), lambda h, psi, t: fds, 1e-3,
