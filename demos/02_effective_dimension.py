@@ -31,7 +31,7 @@ basis = np.eye(2 * d_r, d_r)
 vals = []
 for _ in range(500):
     psi = sample_haar_state(basis, rng)
-    vals.append(1.0 / (dephased(h, psi, marginals=False) ** 2).sum())
+    vals.append(1.0 / (dephased(h, psi)[0] ** 2).sum())
 vals = np.array(vals)
 bound = evaluate_bound("DEFF_SUBSPACE_MEAN", {"d_r": d_r})
 print(f"\nHaar on a {d_r}-dim subspace of a {2*d_r}-dim space:")

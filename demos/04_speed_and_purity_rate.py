@@ -31,36 +31,35 @@ d_s, d_b = 2, 32
 # traceless GUE parts at operator norms 1, 1 and 0.4
 h_s, h_b, h_sb = (sample_gue(d, rng, norm, traceless=True)
                   for d, norm in ((d_s, 1.0), (d_b, 1.0), (d_s * d_b, 0.4)))
-parts = compose_hamiltonian(h_s, h_b, h_sb)
-h = parts.assembled
+h = compose_hamiltonian(h_s, h_b, h_sb)
 psi0 = sample_product_state(d_s, d_b, rng)
 
 probs, omega_s, _ = dephased(h, psi0)
 deff = 1.0 / (probs ** 2).sum()
 speed_bound = evaluate_bound("SPEED", {
-    "norm_hs_plus_hsb": parts.norm_hs_plus_hsb(), "d_s": d_s, "deff": deff})
+    "norm_hs_plus_hsb": h.norm_hs_plus_hsb(), "d_s": d_s, "deff": deff})
 rate_bound = evaluate_bound("PURITY_RATE_AVG", {
-    "norm_hsb": parts.norm_hsb(), "d_s": d_s, "deff": deff})
+    "norm_hsb": h.norm_hsb(), "d_s": d_s, "deff": deff})
 
 print("=" * 72)
 print("Subsystem speed and purity rate along one trajectory")
 print("=" * 72)
-print(f"|H_SB| = {parts.norm_hsb():.3f}, |H_S x 1 + H_SB| = "
-      f"{parts.norm_hs_plus_hsb():.3f}, d_eff = {deff:.1f}\n")
+print(f"|H_SB| = {h.norm_hsb():.3f}, |H_S x 1 + H_SB| = "
+      f"{h.norm_hs_plus_hsb():.3f}, d_eff = {deff:.1f}\n")
 print(f"{'t':>6} {'v_S(t)':>10} {'fd check':>10} {'dp/dt':>10} {'fd check':>10} "
       f"{'6.3 ratio':>10}")
 
 # the batched rates of each block of evolved states along the trajectory
 ts = np.linspace(0.5, 25.0, 15)
 speeds, dps, rho_s = time_map(h, psi0, ts, lambda psis: (
-    (r := reduced_rates(psis, parts)).speeds(), r.purity_rates(), r.rho_s))
+    (r := reduced_rates(psis, h)).speeds(), r.purity_rates(), r.rho_s))
 v_fd = finite_difference_speed(h, psi0, ts)
 dp_fd = finite_difference_purity_rate(h, psi0, ts)
 # the global state is pure, so I_SB = 2 S(rho^S_t)
 entropies = von_neumann_entropy(rho_s)
 for i, (t, p_s) in enumerate(zip(ts, purity(rho_s))):
     instant = evaluate_bound("PURITY_RATE_INSTANT", {
-        "purity_s": p_s, "mutual_info": 2 * entropies[i], "norm_hsb": parts.norm_hsb()})
+        "purity_s": p_s, "mutual_info": 2 * entropies[i], "norm_hsb": h.norm_hsb()})
     print(f"{t:6.1f} {speeds[i]:10.4f} {v_fd[i]:10.4f} {dps[i]:10.4f} {dp_fd[i]:10.4f} "
           f"{abs(dps[i])/instant if instant else 0:10.3f}")
 rates = np.abs(dps)
@@ -70,7 +69,7 @@ print(f"time-averaged |dp| = {np.mean(rates):.4f}  <= bound {rate_bound:.4f}")
 
 p_eq = purity(omega_s)
 t_purity = evaluate_bound("EQ_TIME_PURITY", {
-    "p_eq": p_eq, "d_s": d_s, "norm_hsb": parts.norm_hsb()})
+    "p_eq": p_eq, "d_s": d_s, "norm_hsb": h.norm_hsb()})
 delta_e = float(h.eigenvalues[-1] - h.eigenvalues[0])
 print(f"\nequilibration-time estimates: purity ODE floor {t_purity:.2f}, "
       f"Heisenberg time 1/Delta_E = {1/delta_e:.2f}")

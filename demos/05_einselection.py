@@ -32,8 +32,7 @@ print("=" * 72)
 print("Part 1: exact pointer structure")
 print("=" * 72)
 blocks = [sample_gue(d_b, rng, traceless=True) for _ in range(d_s)]
-parts = pointer_hamiltonian(d_s, blocks)
-h = parts.assembled
+h = pointer_hamiltonian(d_s, blocks)
 psi_b = sample_haar_state(d_b, rng)
 psi_s = np.array([1.0, 1.0]) / np.sqrt(2)
 psi0 = np.kron(psi_s, psi_b)
@@ -54,24 +53,23 @@ print("=" * 72)
 h_s = sample_gue(d_s, rng, traceless=True)
 e_s, w_s = np.linalg.eigh(h_s)
 gap = float(e_s[1] - e_s[0])
-parts_w = compose_hamiltonian(h_s, sample_gue(d_b, rng, traceless=True),
-                              sample_gue(d_s * d_b, rng, 0.01 * gap, traceless=True))
-h_w = parts_w.assembled
+h_w = compose_hamiltonian(h_s, sample_gue(d_b, rng, traceless=True),
+                          sample_gue(d_s * d_b, rng, 0.01 * gap, traceless=True))
 psi0_w = sample_product_state(d_s, d_b, rng)
 
 times = sample_times(h_w, 200, rng)
 speeds, rho_s = time_map(h_w, psi0_w, times, lambda psis: (
-    (r := reduced_rates(psis, parts_w)).speeds(), r.rho_s))
+    (r := reduced_rates(psis, h_w)).speeds(), r.rho_s))
 rho_in_hs = w_s.conj().T @ rho_s @ w_s             # rho^S_t in the H_S eigenbasis
 pairings = max_pairing_offdiagonal_sum(e_s, rho_in_hs)
-worst = float((pairings / (parts_w.norm_hsb() + speeds)).max())
+worst = float((pairings / (h_w.norm_hsb() + speeds)).max())
 offdiag = np.abs(rho_in_hs[:, 0, 1])
 
-print(f"|H_SB| = {parts_w.norm_hsb():.4f}  vs subsystem gap {gap:.3f}")
+print(f"|H_SB| = {h_w.norm_hsb():.4f}  vs subsystem gap {gap:.3f}")
 print(f"slow-states inequality max ratio over 200 sampled times: {worst:.3f} (<= 1)")
 print(f"time-averaged |coherence| in the H_S eigenbasis: {np.mean(offdiag):.4f}")
 print(f"cap implied by the inequality: "
-      f"{(parts_w.norm_hsb()) / gap:.4f} + (speed term)")
+      f"{(h_w.norm_hsb()) / gap:.4f} + (speed term)")
 print("""
 Coherent superpositions across the large H_S gap cannot persist: the state
 must be nearly diagonal in the local energy eigenbasis whenever it moves

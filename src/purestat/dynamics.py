@@ -17,6 +17,7 @@ __all__ = [
     "sample_times",
     "time_map",
     "reduced_marginals",
+    "bath_purities",
     "write_trajectory_csv",
     "ReducedRates",
     "reduced_rates",
@@ -25,19 +26,17 @@ __all__ = [
 ]
 
 
-def dephased(h: Hamiltonian, state, marginals: bool = True):
+def dephased(h: Hamiltonian, state):
     """The dephased state omega = sum_k p_k |E_k><E_k| of a pure state.
 
-    state is one state vector (d,).  Returns the populations
-    p_k = |<E_k|psi>|^2 and, with marginals, also omega^S and omega^B (split
-    h.dims).  The d x d omega is never formed: with W = V diag(sqrt(p))
-    read as (d_S, d_B, d), omega = W W^dagger gives omega^S = X X^dagger for
+    state is one state vector (d,).  Returns (p, omega^S, omega^B): the
+    populations p_k = |<E_k|psi>|^2 and the marginals of omega on the split
+    h.dims.  The d x d omega is never formed: with W = V diag(sqrt(p)) read
+    as (d_S, d_B, d), omega = W W^dagger gives omega^S = X X^dagger for
     X = W as (d_S, d_B d) and omega^B = sum_s W_s W_s^dagger, which is
     d^2 (d_S + d_B) work instead of d^3.
     """
     probs = np.abs(h.to_eigenbasis(state)) ** 2
-    if not marginals:
-        return probs
     d_s, d_b = h.dims
     w = (h.eigenbasis * np.sqrt(probs)).reshape(d_s, d_b, h.dim)
     wc = w.conj()
@@ -115,34 +114,42 @@ def time_map(h: Hamiltonian, initial, times, fn):
     return tuple(outs) if isinstance(res, tuple) else outs[0]
 
 
-def reduced_marginals(psis, dims: tuple[int, int], bath_purity: bool = False):
-    """rho^S_t = Tr_B |psi_t><psi_t| for every state vector psi_t in psis.
-
-    psis has the state vectors on its last axis; the leading axes (time, or
-    time and stack) are kept, so the result is (..., d_S, d_S).  With
-    bath_purity, also returns p^B_t = Tr[(rho^B_t)^2] with the leading
-    shape, from the Schmidt spectrum instead of rho^B: the squared singular
-    values sigma^2 of psi_t as a d_S x d_B matrix are the nonzero
-    eigenvalues of rho^B_t, so p^B_t = sum sigma^4, one batched SVD and no
-    d_B x d_B array.  It does not reuse rho^S, so p^S = p^B stays a check.
-    A state with a non-finite entry gives p^B = NaN.
-    """
+def _coefficient_matrices(psis, dims: tuple[int, int]):
+    """psis's state vectors as (n, d_S, d_B) matrices, and its leading shape."""
     d_s, d_b = dims
     psis = np.asarray(psis, dtype=complex)
     if psis.shape[-1] != d_s * d_b:
         raise ValueError(f"dimension mismatch: states {psis.shape}, dims {dims}")
-    lead = psis.shape[:-1]
-    mats = psis.reshape(-1, d_s, d_b)
-    rho_s = np.einsum("nib,njb->nij", mats, mats.conj()).reshape(*lead, d_s, d_s)
-    if not bath_purity:
-        return rho_s
+    return psis.reshape(-1, d_s, d_b), psis.shape[:-1]
+
+
+def reduced_marginals(psis, dims: tuple[int, int]):
+    """rho^S_t = Tr_B |psi_t><psi_t| for every state vector psi_t in psis.
+
+    psis has the state vectors on its last axis; the leading axes (time, or
+    time and stack) are kept, so the result is (..., d_S, d_S).
+    """
+    mats, lead = _coefficient_matrices(psis, dims)
+    rho_s = np.einsum("nib,njb->nij", mats, mats.conj())
+    return rho_s.reshape(*lead, dims[0], dims[0])
+
+
+def bath_purities(psis, dims: tuple[int, int]):
+    """p^B_t = Tr[(rho^B_t)^2] for every state vector psi_t in psis, with
+    psis's leading shape.  With psi_t as a d_S x d_B matrix A, one stacked
+    Householder QR A^T = Q R gives rho^B_t = A^T A^* = Q R R^dagger Q^dagger,
+    so p^B_t = ||R R^dagger||_F^2, R being min(d_S, d_B) x d_S: no d_B x d_B
+    array, and no arithmetic shared with rho^S, so p^S = p^B stays a check.
+    A state with a non-finite entry gives NaN.
+    """
+    mats, lead = _coefficient_matrices(psis, dims)
     ok = np.isfinite(mats).all(axis=(1, 2))
     if not ok.all():   # LAPACK raises on a non-finite matrix
         mats = np.where(ok[:, None, None], mats, 0)
-    # the transposed matrices copy into LAPACK's column-major layout row by row
-    sq = np.linalg.svd(np.swapaxes(mats, 1, 2), compute_uv=False) ** 2
-    p_b = np.where(ok, (sq * sq).sum(axis=-1), np.nan)
-    return rho_s, p_b.reshape(lead)
+    r = np.linalg.qr(np.swapaxes(mats, 1, 2), mode="r")
+    rr = r @ np.conj(np.swapaxes(r, 1, 2))
+    p_b = np.where(ok, (np.abs(rr) ** 2).sum(axis=(1, 2)), np.nan)
+    return p_b.reshape(lead)
 
 
 def write_trajectory_csv(path, times, columns: dict) -> None:

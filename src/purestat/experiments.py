@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .dynamics import (
     ReducedRates,
+    bath_purities,
     dephased,
     finite_difference_purity_rate,
     finite_difference_speed,
@@ -386,14 +387,14 @@ def _deff_mean_energy_summary(rows, setup, params):
 # ---------------------------------------------------------------------------
 
 def _equilibration_trial_base(params, seed, k):
-    """Shared per-trial pipeline: random H on (d_s, d_b), Haar psi0, time batch."""
+    """Shared per-trial pipeline: random H on (d_s, d_b), Haar psi0, time
+    batch, and psi0's dephased state (p, omega^S, omega^B)."""
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
     h = sample_random_hamiltonian((d_s, d_b), rng)
     psi0 = sample_haar_state(d_s * d_b, rng)
     times = sample_times(h, params["n_times"], rng)
-    probs = dephased(h, psi0, marginals=False)
-    return h, psi0, times, float(1.0 / (probs ** 2).sum())
+    return h, psi0, times, dephased(h, psi0)
 
 
 def _expectation_equilibration_trial(setup, params, seed, k):
@@ -427,8 +428,8 @@ def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, b
 
 def _subsystem_equilibration_trial(setup, params, seed, k):
     d_s = int(params["d_s"])
-    h, psi0, times, deff = _equilibration_trial_base(params, seed, k)
-    _, omega_s, omega_b = dephased(h, psi0)
+    h, psi0, times, (probs, omega_s, omega_b) = _equilibration_trial_base(params, seed, k)
+    deff = float(1.0 / (probs ** 2).sum())
     dist = time_map(h, psi0, times, lambda psis: trace_distance(
         reduced_marginals(psis, h.dims), omega_s))
     deff_b = effective_dimension(omega_b)
@@ -439,8 +440,7 @@ def _subsystem_equilibration_trial(setup, params, seed, k):
 
 def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
     """Trajectory of D(rho^S_t, omega^S) for trial 0, on a grid."""
-    h, psi0, *_ = _equilibration_trial_base(params, seed, 0)
-    _, omega_s, omega_b = dephased(h, psi0)
+    h, psi0, _, (_, omega_s, omega_b) = _equilibration_trial_base(params, seed, 0)
     bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", {
         "d_s": int(params["d_s"]), "deff_b": effective_dimension(omega_b)})
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
@@ -451,14 +451,12 @@ def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
 
 def _purity_equilibration_trial(setup, params, seed, k):
     d_s = int(params["d_s"])
-    h, psi0, times, deff = _equilibration_trial_base(params, seed, k)
-
-    def purities(psis):
-        rho_s, p_b = reduced_marginals(psis, h.dims, bath_purity=True)
-        return purity(rho_s), p_b
-    p_s, p_b = time_map(h, psi0, times, purities)
+    h, psi0, times, (probs, omega_s, _) = _equilibration_trial_base(params, seed, k)
+    deff = float(1.0 / (probs ** 2).sum())
+    p_s, p_b = time_map(h, psi0, times, lambda psis: (
+        purity(reduced_marginals(psis, h.dims)), bath_purities(psis, h.dims)))
     max_sb_diff = float(np.abs(p_s - p_b).max())
-    p_omega = purity(dephased(h, psi0)[1])
+    p_omega = purity(omega_s)
     lhs = abs(float(p_s.mean()) - p_omega)
     row = check_bound("PURITY_EQUILIBRATION", lhs, {"d_s": d_s, "deff": deff},
                       deff=deff, purity_sb_max_diff=max_sb_diff, p_omega_s=p_omega)
@@ -546,14 +544,14 @@ def _sample_composite(params, rng):
         h_b = sample_gue(d_b, rng, norm=1.0, traceless=True)
         h_sb = sample_gue(d_s * d_b, rng, norm=float(params["hsb_scale"]), traceless=True)
         parts = compose_hamiltonian(h_s, h_b, h_sb)
-        if parts.assembled.gap_report.non_resonant:
+        if parts.gap_report.non_resonant:
             return parts
     raise RuntimeError("could not draw a non-resonant composite Hamiltonian")
 
 
 def _rates_map(parts, psi0, times, fn):
     """fn(reduced_rates(psi_t)) over the time blocks of time_map."""
-    return time_map(parts.assembled, psi0, times, lambda psis: fn(reduced_rates(psis, parts)))
+    return time_map(parts, psi0, times, lambda psis: fn(reduced_rates(psis, parts)))
 
 
 def _speed_pipeline(params, seed, k, fn):
@@ -562,10 +560,9 @@ def _speed_pipeline(params, seed, k, fn):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
     parts = _sample_composite(params, rng)
-    h = parts.assembled
     psi0 = sample_product_state(d_s, d_b, rng)
-    deff = float(1.0 / (dephased(h, psi0, marginals=False) ** 2).sum())
-    times = sample_times(h, params["n_times"], rng)
+    deff = float(1.0 / (dephased(parts, psi0)[0] ** 2).sum())
+    times = sample_times(parts, params["n_times"], rng)
     return parts, psi0, _rates_map(parts, psi0, times, fn), deff
 
 
@@ -586,13 +583,12 @@ def _fd_check(rate, fd_fn, floor, psi0, parts, params):
     behind the rows, and its central difference fd_fn(h, psi0, t), relative
     to max(|rate|, floor).  A NaN at any instant makes the worst gap NaN,
     which fails the check."""
-    h = parts.assembled
     # early times, where t +/- delta is exactly representable; the analytic
     # formula is time-independent so any instants serve as a cross-check
-    scale = float(np.abs(h.eigenvalues).max())
+    scale = float(np.abs(parts.eigenvalues).max())
     ts = np.linspace(0.5, 8.0, int(params["fd_checks"])) / scale
     analytic = _rates_map(parts, psi0, ts, rate)
-    gaps = np.abs(fd_fn(h, psi0, ts) - analytic) / np.maximum(np.abs(analytic), floor)
+    gaps = np.abs(fd_fn(parts, psi0, ts) - analytic) / np.maximum(np.abs(analytic), floor)
     worst = float(np.max(gaps, initial=0.0))
     return verdict(worst, float(params["fd_rtol"]), "upper"), worst
 
@@ -659,9 +655,8 @@ def _slow_states_run(params, rng, coupling):
     h_b = sample_gue(d_b, rng, norm=1.0, traceless=True)
     h_sb = sample_gue(d_s * d_b, rng, norm=coupling * min_gap, traceless=True)
     parts = compose_hamiltonian(h_s, h_b, h_sb)
-    h = parts.assembled
     psi0 = sample_product_state(d_s, d_b, rng)
-    times = sample_times(h, params["n_times"], rng)
+    times = sample_times(parts, params["n_times"], rng)
     speeds, rho_in_hs = _rates_map(parts, psi0, times, lambda rates: (
         rates.speeds(), dagger(w_s) @ rates.rho_s @ w_s))
     pairings = max_pairing_offdiagonal_sum(e_s, rho_in_hs)
@@ -681,8 +676,7 @@ def _einselection_rows(setup, params, seed, k):
     rng = trial_stream(seed, k)
 
     blocks = [sample_gue(d_b, rng, norm=1.0) for _ in range(d_s)]
-    parts = pointer_hamiltonian(d_s, blocks)
-    h = parts.assembled
+    h = pointer_hamiltonian(d_s, blocks)
     # equal-weight superposition with a random relative phase: maximal coherence
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
     psi_s = np.array([1.0, phase]) / np.sqrt(2)
@@ -706,8 +700,7 @@ def _einselection_rows(setup, params, seed, k):
     late = grid >= float(params["late_window_start"])
 
     # equal-blocks control: no decoherence at all
-    parts_eq = pointer_hamiltonian(d_s, [blocks[0]] * d_s)
-    h_eq = parts_eq.assembled
+    h_eq = pointer_hamiltonian(d_s, [blocks[0]] * d_s)
     rho_eq_t = time_map(h_eq, psi0, grid, lambda psis: reduced_marginals(psis, (d_s, d_b)))
     drift_eq = float(np.abs(rho_eq_t - rho_s0[None, :, :]).max())
 
@@ -884,14 +877,19 @@ def _eq_time_purity_trial(setup, params, seed, k):
     d_s, d_b = int(params["d_s"]), int(params["d_b"])
     rng = trial_stream(seed, k)
     parts = _sample_composite(params, rng)
-    h = parts.assembled
     psi0 = sample_product_state(d_s, d_b, rng)
-    p_eq = purity(dephased(h, psi0)[1])
+    p_eq = purity(dephased(parts, psi0)[1])
     norm_hsb = parts.norm_hsb()
     t_max = float(params["t_max_over_coupling"]) / norm_hsb
     grid = np.linspace(0.0, t_max, int(params["grid"]))[1:]
-    p_t = time_map(h, psi0, grid, lambda psis: purity(reduced_marginals(psis, (d_s, d_b))))
-    below = np.nonzero(p_t <= p_eq)[0]
+    # only the first grid point with p_t <= p_eq is read: evolve the grid 256
+    # points at a time and stop after the first chunk that crosses
+    for a in range(0, len(grid), 256):
+        p_t = time_map(parts, psi0, grid[a:a + 256],
+                       lambda psis: purity(reduced_marginals(psis, (d_s, d_b))))
+        below = a + np.nonzero(p_t <= p_eq)[0]
+        if len(below):
+            break
     crossed = bool(len(below))
     # without a crossing on the grid the crossing time is only known to be
     # >= t_max: that supports the bound when t_max >= rhs, else it is inconclusive

@@ -100,14 +100,6 @@ class Hamiltonian:
         if self.gap_report is None:
             self.gap_report = gap_analysis(self.eigenvalues)
 
-    @classmethod
-    def from_matrix(cls, h, dims: tuple[int, int] | None = None) -> "Hamiltonian":
-        """Diagonalise a Hermitian matrix (raises on non-square or non-Hermitian
-        input).  Eigenvectors inside a degenerate cluster come in an arbitrary
-        orthonormal basis; only the cluster projector is well defined."""
-        w, v = np.linalg.eigh(_require_hermitian(h))
-        return cls(w, v, dims=dims)
-
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
@@ -118,8 +110,10 @@ class Hamiltonian:
         so the eigenbasis coefficients of a state are the state itself."""
         return self._diagonal
 
-    def to_eigenbasis(self, psi: np.ndarray) -> np.ndarray:
-        """The eigenbasis coefficients <E_k|psi> of one state vector."""
+    def to_eigenbasis(self, psi) -> np.ndarray:
+        """The eigenbasis coefficients <E_k|psi> of one state vector (d,), and of nothing else."""
+        if np.shape(psi) != (self.dim,):
+            raise ValueError(f"expected one state vector ({self.dim},), got shape {np.shape(psi)}")
         return dagger(self.eigenbasis) @ psi
 
 
@@ -176,31 +170,28 @@ def phase_factors(energies, times) -> np.ndarray:
     return out.reshape(t.shape + e.shape)
 
 
-class CompositeHamiltonian:
-    """The canonical split H = H_0 + H_S (x) 1 + 1 (x) H_B + H_SB of one joint
-    Hermitian matrix h on d_S x d_B, dims = (d_S, d_B).
+class CompositeHamiltonian(Hamiltonian):
+    """The Hamiltonian of one joint Hermitian matrix h on d_S x d_B,
+    dims = (d_S, d_B), with its canonical split H = H_0 + H_S (x) 1 + 1 (x) H_B + H_SB.
 
-    H_0 is a multiple of the identity; H_S = Tr_B H / d_B and H_B = Tr_S H / d_S,
-    each made traceless, act on the factors alone, and H_SB is the rest, so
-    Tr_S H_SB = Tr_B H_SB = 0.  Keeps what the rates and bounds read: h_s,
-    h_sb and assembled, h diagonalised (Hamiltonian.from_matrix, which
-    validates h as square, finite and Hermitian).
+    h is validated (square, finite, Hermitian), then np.linalg.eigh gives the
+    spectrum and eigenbasis; inside a degenerate cluster only the projector is
+    well defined.  H_0 is a multiple of the identity; H_S = Tr_B H / d_B and
+    H_B = Tr_S H / d_S, each made traceless, act on the factors alone, and H_SB
+    is the rest, so Tr_S H_SB = Tr_B H_SB = 0.  Of the split it keeps what the
+    rates and bounds read: h_s and h_sb.
     """
 
     def __init__(self, h, dims: tuple[int, int]):
         d_s, d_b = dims
-        self.assembled = Hamiltonian.from_matrix(h, (d_s, d_b))
-        h = np.asarray(h, dtype=complex)
+        h = _require_hermitian(h)
+        super().__init__(*np.linalg.eigh(h), dims=(d_s, d_b))
         d = d_s * d_b
         h0 = float(np.trace(h).real) / d
         self.h_s = _traceless(partial_trace(h, d_s, d_b, "S") / d_b)
         h_b = _traceless(partial_trace(h, d_s, d_b, "B") / d_s)
         self.h_sb = (h - h0 * np.eye(d) - np.kron(self.h_s, np.eye(d_b, dtype=complex))
                      - np.kron(np.eye(d_s, dtype=complex), h_b))
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.assembled.dims
 
     def norm_hs_plus_hsb(self) -> float:
         """Operator norm of H_S (x) 1 + H_SB (speed-bound prefactor)."""

@@ -7,6 +7,7 @@ import pytest
 
 from purestat import (
     Hamiltonian,
+    bath_purities,
     commutator,
     compose_hamiltonian,
     dagger,
@@ -126,7 +127,7 @@ def purity_rate(rho, parts):
 
 def _omega(h, psi):
     """The dense dephased state sum_k p_k |E_k><E_k| from dynamics.dephased's populations."""
-    return (h.eigenbasis * dephased(h, psi, marginals=False)) @ dagger(h.eigenbasis)
+    return (h.eigenbasis * dephased(h, psi)[0]) @ dagger(h.eigenbasis)
 
 
 def _time_average_discrepancy(h, psi, horizon, n_samples, rng):
@@ -138,7 +139,7 @@ def _time_average_discrepancy(h, psi, horizon, n_samples, rng):
 
 def _rates(parts, psi, times):
     """ReducedRates along psi_t at the given times, from time_map."""
-    return reduced_rates(time_map(parts.assembled, psi, times, np.copy), parts)
+    return reduced_rates(time_map(parts, psi, times, np.copy), parts)
 
 
 @pytest.fixture(scope="module")
@@ -305,7 +306,7 @@ def test_subsystem_speed_stationary_is_zero():
     rng = trial_stream(102, 0)
     h_s, h_b = _rand_herm(2, rng), _rand_herm(8, rng)
     parts = compose_hamiltonian(h_s, h_b, _rand_herm(16, rng) * 0.3)
-    rates = reduced_rates(parts.assembled.eigenbasis.T, parts)
+    rates = reduced_rates(parts.eigenbasis.T, parts)
     assert np.abs(rates.speeds()).max() == pytest.approx(0.0, abs=1e-10)
     assert np.abs(rates.purity_rates()).max() == pytest.approx(0.0, abs=1e-10)
 
@@ -329,7 +330,7 @@ def test_subsystem_speed_matches_finite_difference():
     psi = sample_product_state(2, 8, rng)
     times = np.array([0.4, 1.9, 6.3])
     analytic = _rates(parts, psi, times).speeds()
-    fd = finite_difference_speed(parts.assembled, psi, times)
+    fd = finite_difference_speed(parts, psi, times)
     assert (np.abs(fd - analytic) / analytic).max() < 1e-4
 
 
@@ -339,12 +340,11 @@ def test_finite_difference_speed_reads_the_split_from_the_hamiltonian():
     rng = trial_stream(102, 16)
     parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(32, rng),
                                 _rand_herm(64, rng) * 0.4)
-    h = parts.assembled
-    assert h.dims == (2, 32)
+    assert parts.dims == (2, 32)
     psi = sample_haar_state(64, rng)
     times = np.array([0.4, 1.9, 6.3])
-    analytic = reduced_rates(time_map(h, psi, times, np.copy), parts).speeds()
-    fd = finite_difference_speed(h, psi, times)
+    analytic = _rates(parts, psi, times).speeds()
+    fd = finite_difference_speed(parts, psi, times)
     assert (np.abs(fd - analytic) / analytic).max() < EXPERIMENTS["SPEED"].defaults["fd_rtol"]
 
 
@@ -373,7 +373,7 @@ def test_purity_rate_matches_finite_difference():
     scale = 2 * np.abs(np.linalg.eigvalsh(parts.h_sb)).max()
     times = np.array([0.4, 1.9, 6.3])
     analytic = _rates(parts, psi, times).purity_rates()
-    fd = finite_difference_purity_rate(parts.assembled, psi, times)
+    fd = finite_difference_purity_rate(parts, psi, times)
     assert (np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1e-3 * scale)).max() < 1e-4
 
 
@@ -382,14 +382,13 @@ def test_reduced_rates_match_dense_references():
     rng = trial_stream(102, 6)
     parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(8, rng),
                                 _rand_herm(16, rng) * 0.4)
-    h = parts.assembled
     psi = sample_product_state(2, 8, rng)
     times = rng.uniform(0.0, 50.0, 12)
     rates = _rates(parts, psi, times)
     speeds, dps = rates.speeds(), rates.purity_rates()
     assert rates.rho_s.shape == rates.drho_s.shape == rates.tr_b_comm.shape == (12, 2, 2)
     for i, t in enumerate(times):
-        state = _density(_evolve(h, psi, t))
+        state = _density(_evolve(parts, psi, t))
         assert abs(speeds[i] - subsystem_speed(state, parts)) < 1e-12
         assert abs(dps[i] - purity_rate(state, parts)) < 1e-12
         assert np.abs(rates.rho_s[i] - partial_trace(state, 2, 8, "S")).max() < 1e-12
@@ -405,20 +404,28 @@ def test_dephased_marginals_match_the_dense_dephasing_map(d_s):
     assert np.abs(omega_s - partial_trace(omega, d_s, 8, "S")).max() <= 1e-12
     assert np.abs(omega_b - partial_trace(omega, d_s, 8, "B")).max() <= 1e-12
     assert np.abs(probs - np.diag(_in_eigenbasis(h, omega)).real).max() <= 1e-12
-    assert np.array_equal(dephased(h, psi, marginals=False), probs)
+
+
+def test_dephased_takes_one_state_vector_only():
+    # a (d, d) stack once gave (d, d) "populations" and a wrong (d_S, d_S) omega^S
+    rng = trial_stream(102, 17)
+    h = sample_random_hamiltonian((2, 4), rng)
+    psis = time_map(h, sample_haar_state(8, rng), rng.uniform(0.0, 10.0, 8), np.copy)
+    for bad in (psis, psis[:1], psis[0, :4]):
+        with pytest.raises(ValueError, match="one state vector"):
+            dephased(h, bad)
 
 
 def test_batched_finite_differences_match_a_per_time_loop():
     rng = trial_stream(102, 12)
     parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(8, rng),
                                 _rand_herm(16, rng) * 0.4)
-    h = parts.assembled
     psi = sample_product_state(2, 8, rng)
     times = np.array([0.4, 1.9, 6.3, 11.0])
     for fd in (finite_difference_speed, finite_difference_purity_rate):
-        batch = fd(h, psi, times)
+        batch = fd(parts, psi, times)
         assert batch.shape == (4,)
-        loop = np.array([fd(h, psi, [t])[0] for t in times])
+        loop = np.array([fd(parts, psi, [t])[0] for t in times])
         assert np.abs(batch - loop).max() <= 1e-12 * np.abs(loop).max()
 
 
@@ -514,7 +521,8 @@ def test_time_map_returns_every_part_of_a_tuple():
     h = sample_random_hamiltonian((2, 16), rng)
     psi = sample_haar_state(np.eye(32), rng)
     times = rng.uniform(0.0, 100.0, 300)   # blocks of 256 and 44 times
-    rho_s, p_b = time_map(h, psi, times, lambda psis: reduced_marginals(psis, (2, 16), True))
+    rho_s, p_b = time_map(h, psi, times, lambda psis: (
+        reduced_marginals(psis, (2, 16)), bath_purities(psis, (2, 16))))
     assert rho_s.shape == (300, 2, 2) and p_b.shape == (300,)
     assert np.abs(purity(rho_s) - p_b).max() <= 1e-12   # Schmidt: p_S = p_B
     (norms,) = time_map(h, psi, times, lambda psis: (np.linalg.norm(psis, axis=1),))
@@ -551,12 +559,13 @@ def test_rate_experiments_memory_does_not_grow_with_the_times(experiment_id, n_t
 
 
 @pytest.mark.parametrize("n_times", [5, 32, 75])
-def test_reduced_marginals_bath_purity_matches_dense(n_times):
+def test_bath_purities_match_dense(n_times):
     rng = trial_stream(102, 9)
     h = sample_random_hamiltonian((2, 16), rng)
     psi = sample_haar_state(np.eye(32), rng)
     psis = time_map(h, psi, rng.uniform(0.0, 100.0, n_times), np.copy)
-    rho_s, p_b = reduced_marginals(psis, (2, 16), bath_purity=True)
+    p_b = bath_purities(psis, (2, 16))
+    rho_s = reduced_marginals(psis, (2, 16))
     assert rho_s.shape == (n_times, 2, 2) and p_b.shape == (n_times,)
     for i, v in enumerate(psis):
         rho = np.outer(v, v.conj())
@@ -566,13 +575,14 @@ def test_reduced_marginals_bath_purity_matches_dense(n_times):
 
 
 @pytest.mark.parametrize("d_b", [1, 2, 32, 128, 512])
-def test_schmidt_bath_purity_matches_the_explicit_bath_state(d_b):
+def test_bath_purities_match_the_explicit_bath_state(d_b):
     rng = np.random.default_rng(d_b)
     z = rng.standard_normal((2, 3, 2 * d_b)) + 1j * rng.standard_normal((2, 3, 2 * d_b))
     psis = z / np.linalg.norm(z, axis=-1, keepdims=True)
     bath = psis[1, 2, :d_b] / np.linalg.norm(psis[1, 2, :d_b])
     psis[1, 2] = np.kron([0.6, 0.8], bath)   # a product state: p_B = 1
-    rho_s, p_b = reduced_marginals(psis, (2, d_b), bath_purity=True)
+    p_b = bath_purities(psis, (2, d_b))
+    rho_s = reduced_marginals(psis, (2, d_b))
     assert rho_s.shape == (2, 3, 2, 2) and p_b.shape == (2, 3)
     for idx in np.ndindex(2, 3):
         m = psis[idx].reshape(2, d_b)
@@ -581,24 +591,36 @@ def test_schmidt_bath_purity_matches_the_explicit_bath_state(d_b):
     assert abs(p_b[1, 2] - 1.0) <= 1e-13
 
 
-def test_schmidt_bath_purity_of_a_non_finite_state_is_nan():
+@pytest.mark.parametrize("d_s", [1, 2, 4])
+@pytest.mark.parametrize("d_b", [1, 2, 32])
+def test_bath_purities_match_the_schmidt_spectrum(d_s, d_b):
+    # p_B = sum sigma^4 over the singular values of psi as a d_S x d_B matrix,
+    # also where d_B < d_S and R is d_B x d_S
+    rng = np.random.default_rng(10 * d_s + d_b)
+    z = rng.standard_normal((40, d_s * d_b)) + 1j * rng.standard_normal((40, d_s * d_b))
+    psis = z / np.linalg.norm(z, axis=1, keepdims=True)
+    sigma = np.linalg.svd(psis.reshape(40, d_s, d_b), compute_uv=False)
+    assert np.abs(bath_purities(psis, (d_s, d_b)) - (sigma ** 4).sum(axis=1)).max() <= 1e-14
+
+
+def test_bath_purities_of_a_non_finite_state_is_nan():
     rng = np.random.default_rng(18)
     z = rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32))
     psis = z / np.linalg.norm(z, axis=1, keepdims=True)
-    clean = reduced_marginals(psis, (2, 16), bath_purity=True)[1]
-    psis[2, 5] = np.nan   # the SVD raised LinAlgError on it
-    p_b = reduced_marginals(psis, (2, 16), bath_purity=True)[1]
+    clean = bath_purities(psis, (2, 16))
+    psis[2, 5] = np.nan   # LAPACK raises LinAlgError on it
+    p_b = bath_purities(psis, (2, 16))
     assert np.isnan(p_b[2]) and np.array_equal(np.delete(p_b, 2), np.delete(clean, 2))
 
 
-def test_schmidt_bath_purity_forms_no_bath_matrix():
+def test_bath_purities_form_no_bath_matrix():
     # one d_B x d_B complex rho^B at d_B = 512 is 4 MiB
     rng = np.random.default_rng(19)
     z = rng.standard_normal((8, 1024)) + 1j * rng.standard_normal((8, 1024))
     psis = z / np.linalg.norm(z, axis=1, keepdims=True)
     tracemalloc.start()
     try:
-        reduced_marginals(psis, (2, 512), bath_purity=True)
+        bath_purities(psis, (2, 512))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -625,6 +647,8 @@ def test_time_batch_kernel_rejects_dimension_mismatch(h8):
         time_map(h8, np.ones(8, dtype=complex) / np.sqrt(8), [], np.copy)
     with pytest.raises(ValueError, match="dimension"):
         reduced_marginals(np.ones((3, 8), dtype=complex), (2, 3))
+    with pytest.raises(ValueError, match="dimension"):
+        bath_purities(np.ones((3, 8), dtype=complex), (2, 3))
 
 
 def test_global_speed_bounded_in_energy_window():
@@ -646,8 +670,7 @@ def test_global_speed_bounded_in_energy_window():
 def test_pointer_hamiltonian_evolution():
     rng = trial_stream(103, 0)
     blocks = [_rand_herm(16, rng) for _ in range(2)]
-    parts = pointer_hamiltonian(2, blocks)
-    h = parts.assembled
+    h = pointer_hamiltonian(2, blocks)
     psi_s = np.array([1.0, 1.0]) / np.sqrt(2)
     psi_b = sample_haar_state(np.eye(16), rng)
     psi0 = np.kron(psi_s, psi_b)
@@ -667,8 +690,7 @@ def test_pointer_hamiltonian_evolution():
 def test_pointer_equal_blocks_freeze_state():
     rng = trial_stream(103, 1)
     block = _rand_herm(8, rng)
-    parts = pointer_hamiltonian(2, [block, block])
-    h = parts.assembled
+    h = pointer_hamiltonian(2, [block, block])
     psi0 = sample_product_state(2, 8, rng)
     rho0_s = reduced_marginals(psi0, h.dims)
     for t in (3.0, 11.0):
@@ -681,14 +703,13 @@ def test_purity_rate_instant_bound_pointwise():
     rng = trial_stream(103, 2)
     parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(16, rng),
                                 _rand_herm(32, rng) * 0.5)
-    h = parts.assembled
     norm_hsb = np.abs(np.linalg.eigvalsh(parts.h_sb)).max()
     psi0 = sample_product_state(2, 16, rng)
     times = np.linspace(0.2, 30.0, 25)
     rates = _rates(parts, psi0, times)
     for t, rate, rho_s in zip(times, rates.purity_rates(), rates.rho_s):
         p_s = purity(rho_s)
-        i_sb = mutual_information(_density(_evolve(h, psi0, t)), (2, 16))
+        i_sb = mutual_information(_density(_evolve(parts, psi0, t)), (2, 16))
         assert abs(rate) <= 2 * p_s * np.sqrt(2 * i_sb) * norm_hsb + 1e-9
         # pure global state: the entropy form coincides
         s_s = von_neumann_entropy(rho_s)

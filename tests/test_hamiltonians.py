@@ -99,6 +99,17 @@ def test_a_diagonal_hamiltonian_fills_in_the_identity():
         Hamiltonian(e, np.eye(15))
 
 
+def test_to_eigenbasis_takes_one_state_vector_only():
+    rng = np.random.default_rng(38)
+    h = CompositeHamiltonian(_rand_herm(4, rng), (2, 2))
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    assert np.array_equal(h.to_eigenbasis(psi), dagger(h.eigenbasis) @ psi)
+    # a (d, d) stack once passed as d "coefficient vectors", a wrong length too
+    for bad in (np.eye(4), psi[:, None], psi[None, :], psi[:3], np.complex128(1.0)):
+        with pytest.raises(ValueError, match="one state vector"):
+            h.to_eigenbasis(bad)
+
+
 def unitary_from_hamiltonian(h, t):
     """U_t = exp(-iHt) through the library's one evolution path: column j is
     the basis state e_j evolved by time_map."""
@@ -108,7 +119,7 @@ def unitary_from_hamiltonian(h, t):
 def test_unitary_from_hamiltonian():
     rng = np.random.default_rng(33)
     z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = Hamiltonian.from_matrix((z + dagger(z)) / 2)
+    h = CompositeHamiltonian((z + dagger(z)) / 2, (6, 1))
     assert np.abs(unitary_from_hamiltonian(h, 0.0) - np.eye(6)).max() < 1e-12
 
     hd = Hamiltonian(np.array([0.0, 1.0]), np.eye(2, dtype=complex))
@@ -124,7 +135,7 @@ def test_unitary_from_hamiltonian():
 def test_unitary_composition():
     rng = np.random.default_rng(34)
     z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = Hamiltonian.from_matrix((z + dagger(z)) / 2)
+    h = CompositeHamiltonian((z + dagger(z)) / 2, (5, 1))
     for t1, t2 in ((0.1, 0.5), (1.3, -2.0), (4.0, 4.0)):
         u12 = unitary_from_hamiltonian(h, t1) @ unitary_from_hamiltonian(h, t2)
         assert np.abs(u12 - unitary_from_hamiltonian(h, t1 + t2)).max() < 1e-9
@@ -251,7 +262,7 @@ def test_decompose_reassembles():
     # H_SB has no part acting on one factor alone: Tr_B H_SB = 0 and Tr_S H_SB = 0
     assert np.abs(partial_trace(parts.h_sb, 3, 4, "S")).max() < 1e-10
     assert np.abs(partial_trace(parts.h_sb, 3, 4, "B")).max() < 1e-10
-    assert np.abs(_matrix(parts.assembled) - h_full).max() < 1e-9
+    assert np.abs(_matrix(parts) - h_full).max() < 1e-9
     # h is validated before it is split
     with pytest.raises(ValueError, match="not Hermitian"):
         CompositeHamiltonian(h_full + 1j * np.eye(12), (3, 4))
@@ -263,12 +274,30 @@ def test_decompose_reassembles():
         CompositeHamiltonian(h_full, (3, 5))
 
 
+def test_a_composite_hamiltonian_is_its_diagonalised_matrix():
+    rng = np.random.default_rng(39)
+    h_full = _rand_herm(12, rng)
+    parts = CompositeHamiltonian(h_full, (3, 4))
+    assert isinstance(parts, Hamiltonian)
+    assert not hasattr(parts, "assembled") and not hasattr(Hamiltonian, "from_matrix")
+    w, v = np.linalg.eigh(h_full)
+    assert np.array_equal(parts.eigenvalues, w) and np.array_equal(parts.eigenbasis, v)
+    assert parts.dims == (3, 4) and not parts.diagonal
+    plain = Hamiltonian(parts.eigenvalues, parts.eigenbasis, dims=parts.dims)
+    assert parts.gap_report == plain.gap_report
+    psi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    times = rng.uniform(0.0, 50.0, 300)
+    for initial in (psi, np.stack([psi, psi.conj()])):
+        got, want = (time_map(h, initial, times, np.copy) for h in (parts, plain))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_compose_from_parts():
     rng = np.random.default_rng(36)
     h_s, h_b = _rand_herm(2, rng), _rand_herm(5, rng)
     parts = compose_hamiltonian(h_s, h_b, np.zeros((10, 10)))
     uncoupled = np.kron(h_s, np.eye(5)) + np.kron(np.eye(2), h_b)
-    assert np.abs(_matrix(parts.assembled) - uncoupled).max() < 1e-10
+    assert np.abs(_matrix(parts) - uncoupled).max() < 1e-10
     assert np.abs(parts.h_sb).max() < 1e-10  # no interaction part
 
 
@@ -276,7 +305,7 @@ def test_pointer_hamiltonian_structure():
     rng = np.random.default_rng(37)
     blocks = [_rand_herm(4, rng) for _ in range(3)]
     parts = pointer_hamiltonian(3, blocks)
-    h = _matrix(parts.assembled)
+    h = _matrix(parts)
     for p, b in enumerate(blocks):
         assert np.abs(h[p * 4:(p + 1) * 4, p * 4:(p + 1) * 4] - b).max() < 1e-10
     # off-diagonal pointer blocks vanish

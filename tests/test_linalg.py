@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from purestat import (
-    Hamiltonian,
+    CompositeHamiltonian,
     commutator,
     dagger,
     operator_norm,
@@ -20,16 +20,21 @@ def random_hermitian(d, rng=RNG):
     return (z + dagger(z)) / 2
 
 
-# the one Hermitian eigendecomposition is Hamiltonian.from_matrix
+# the one Hermitian eigendecomposition is CompositeHamiltonian's
+
+def diagonalise(a):
+    """a as a Hamiltonian on (n, 1): validated, then np.linalg.eigh."""
+    return CompositeHamiltonian(a, (len(a), 1))
+
 
 def test_eig_identity():
-    dec = Hamiltonian.from_matrix(np.eye(4))
+    dec = diagonalise(np.eye(4))
     assert np.allclose(dec.eigenvalues, 1.0)
     assert np.abs(dagger(dec.eigenbasis) @ dec.eigenbasis - np.eye(4)).max() < 1e-12
 
 
 def test_eig_pauli_x():
-    dec = Hamiltonian.from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
+    dec = diagonalise(np.array([[0, 1], [1, 0]], dtype=complex))
     assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
 
 
@@ -37,7 +42,7 @@ def test_eig_reconstruction_oracle():
     # multiply back: V diag(w) V^dag must reproduce the input
     for d in (2, 3, 5, 8, 16, 33, 64):
         a = random_hermitian(d)
-        dec = Hamiltonian.from_matrix(a)
+        dec = diagonalise(a)
         recon = (dec.eigenbasis * dec.eigenvalues) @ dagger(dec.eigenbasis)
         scale = np.abs(dec.eigenvalues).max()
         assert np.abs(recon - a).max() <= 1e-9 * scale
@@ -50,7 +55,7 @@ def test_eig_residuals_many_dims():
     for _ in range(1000):
         d = int(rng.integers(2, 65))
         a = random_hermitian(d, rng)
-        dec = Hamiltonian.from_matrix(a)
+        dec = diagonalise(a)
         scale = max(np.abs(dec.eigenvalues).max(), 1e-300)
         assert np.abs((dec.eigenbasis * dec.eigenvalues) @ dagger(dec.eigenbasis) - a).max() \
             <= 1e-9 * scale
@@ -58,15 +63,17 @@ def test_eig_residuals_many_dims():
 
 
 def test_eig_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Hamiltonian.from_matrix(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        Hamiltonian.from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(ValueError, match="square"):
+        diagonalise(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        diagonalise(np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(ValueError, match="non-finite"):
+        diagonalise(np.array([[0, np.nan], [np.nan, 0]], dtype=complex))
 
 
 def test_eig_deterministic():
     a = random_hermitian(12)
-    d1, d2 = Hamiltonian.from_matrix(a), Hamiltonian.from_matrix(a)
+    d1, d2 = diagonalise(a), diagonalise(a)
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenbasis, d2.eigenbasis)
 
