@@ -20,17 +20,3 @@ __all__ = [*linalg.__all__, *hamiltonians.__all__, *states.__all__, *ensembles._
            *dynamics.__all__, *bounds.__all__]
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # harness/experiments import lazily so that the light math API stays cheap
-    if name in ("ExperimentSpec", "ExperimentResult", "run_experiment",
-                "run_suite", "summarize", "parse_config"):
-        from . import harness
-
-        return getattr(harness, name)
-    if name in ("EXPERIMENTS", "experiment_ids"):
-        from . import experiments
-
-        return getattr(experiments, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .bounds import THEOREMS
-from .experiments import EXPERIMENTS, experiment_ids
+from .experiments import EXPERIMENTS
 from .harness import ExperimentSpec, parse_config, run_experiment, run_suite, summarize
 
 
@@ -60,8 +60,7 @@ def _cmd_list(_args) -> int:
         print(f"  {name:28s} [{entry.kind:8s}{', tail' if entry.tail else ''}]")
         print(f"      {entry.formula}")
     print("\nexperiments:\n")
-    for experiment_id in experiment_ids():
-        exp = EXPERIMENTS[experiment_id]
+    for experiment_id, exp in EXPERIMENTS.items():
         print(f"  {experiment_id:28s} {exp.description}")
     return 0
 

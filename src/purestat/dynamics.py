@@ -59,7 +59,7 @@ def sample_times(h: Hamiltonian, n: int, rng: np.random.Generator) -> np.ndarray
     The one place where experiments and demos pick the instants of a time
     average, so the horizon policy changes here and nowhere else.
     """
-    return rng.uniform(0.0, default_horizon(h), int(n))
+    return rng.uniform(0.0, default_horizon(h), n)
 
 
 def _eigen_coefficients(h: Hamiltonian, initial) -> tuple[np.ndarray, bool]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,7 +66,7 @@ from .states import (
     von_neumann_entropy,
 )
 
-__all__ = ["ExperimentDef", "EXPERIMENTS", "experiment_ids", "mean_se"]
+__all__ = ["ExperimentDef", "EXPERIMENTS", "mean_se"]
 
 
 def _row(lhs, rhs, kind, slack=0.0, stderr=0.0, **extra) -> TrialRecord:
@@ -97,7 +98,8 @@ class ExperimentDef:
     dimension: object = field(kw_only=True)
     # the parameter sizing a subspace, which may not exceed dimension(params)
     subspace: str | None = field(default=None, kw_only=True)
-    # parameter -> smallest accepted value (a count that feeds std(ddof=1) needs 2)
+    # integer parameter -> its smallest accepted value where that is not 1
+    # (a count that feeds std(ddof=1) needs 2; 0 may mean "derive it")
     minimums: dict = field(default_factory=dict, kw_only=True)
     below: dict = field(default_factory=dict, kw_only=True)  # key -> the key it must lie below
     # (setup, params, seed, ks) -> one item per trial index in ks, computed
@@ -157,8 +159,8 @@ def _mixed_density(d: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _mc_setup(params, seed):
-    d_r = int(params["d_r"])
-    rank = int(params.get("rank_b") or d_r // 2)
+    d_r = params["d_r"]
+    rank = params["rank_b"] or d_r // 2
     # the spectrum of a rank-`rank` projector B inside H_R
     spectrum = np.r_[np.ones(rank), np.zeros(d_r - rank)]
     return {"spectrum": spectrum, "d_r": d_r, "rank": rank,
@@ -166,7 +168,7 @@ def _mc_setup(params, seed):
 
 
 def _mc_sample_expectations(setup, params, seed, k):
-    return _haar_expectations(setup["spectrum"], int(params["n_samples"]), trial_stream(seed, k))
+    return _haar_expectations(setup["spectrum"], params["n_samples"], trial_stream(seed, k))
 
 
 def _mc_variance_identity_trial(setup, params, seed, k):
@@ -181,7 +183,7 @@ def _mc_variance_identity_trial(setup, params, seed, k):
 
 def _mc_concentration_trial(setup, params, seed, k):
     x = _mc_sample_expectations(setup, params, seed, k)
-    eps = float(params["epsilon"])
+    eps = params["epsilon"]
     dev = np.abs(x - setup["mc_mean"])
     lhs = float((dev >= eps).mean())
     se = float(np.sqrt(max(lhs * (1 - lhs), 1.0 / len(x)) / len(x)))
@@ -193,7 +195,7 @@ def _mc_concentration_trial(setup, params, seed, k):
 
 def _mc_variance_concentration_trial(setup, params, seed, k):
     x = _mc_sample_expectations(setup, params, seed, k)
-    eps = float(params["epsilon"])
+    eps = params["epsilon"]
     # per-sample variance sigma_psi^2 = Tr[B^2 psi] - (Tr[B psi])^2; B projector
     sigma2 = x - x ** 2
     sigma2_mc = setup["mc_mean2"] - setup["mc_mean"] ** 2
@@ -203,7 +205,7 @@ def _mc_variance_concentration_trial(setup, params, seed, k):
 
 
 def _coarse_grained_setup(params, seed):
-    d, d_r, m = int(params["d"]), int(params["d_r"]), int(params["m"])
+    d, d_r, m = params["d"], params["d_r"], params["m"]
     if d % m:
         raise ValueError("macro-state count m must divide the dimension")
     # H_R is spanned by the first d_R basis vectors; the column groups of one
@@ -219,8 +221,8 @@ def _coarse_grained_setup(params, seed):
 
 
 def _coarse_grained_trial(setup, params, seed, k):
-    n = int(params["n_samples"])
-    eps = float(params["epsilon"])
+    n = params["n_samples"]
+    eps = params["epsilon"]
     d_r = setup["d_r"]
 
     def deviations(a):
@@ -236,7 +238,7 @@ def _coarse_grained_trial(setup, params, seed, k):
 
 
 def _canonical_reduction_setup(params, seed):
-    d_s, d_b, d_r = int(params["d_s"]), int(params["d_b"]), int(params["d_r"])
+    d_s, d_b, d_r = params["d_s"], params["d_b"], params["d_r"]
     basis_r = haar_unitary(d_s * d_b, _setup_stream(seed), d_r)   # a Haar d_R-subspace
     # the marginals of rho_mc = Pi_R / d_R without the d x d matrix: rho^S_mc is the
     # mean of the columns' marginals, rho^B_mc = X X^dagger / d_R, X (d_B, d_S d_R)
@@ -246,8 +248,8 @@ def _canonical_reduction_setup(params, seed):
 
 
 def _canonical_reduction_trial(setup, params, seed, k):
-    n = int(params["n_samples"])
-    eps = float(params["epsilon"])
+    n = params["n_samples"]
+    eps = params["epsilon"]
     d_s, d_b = setup["d_s"], setup["d_b"]
     dist = _haar_map(lambda a: trace_distance(
         reduced_marginals(a @ setup["basis_r"].T, (d_s, d_b)), setup["rho_mc_s"]),
@@ -264,11 +266,11 @@ def _canonical_reduction_trial(setup, params, seed, k):
 # ---------------------------------------------------------------------------
 
 def _deff_subspace_ambient(params) -> int:
-    return int(params.get("ambient") or 2 * int(params["d_r"]))
+    return params["ambient"] or 2 * params["d_r"]
 
 
 def _deff_subspace_setup(params, seed):
-    d_r = int(params["d_r"])
+    d_r = params["d_r"]
     ambient = _deff_subspace_ambient(params)
     # d_eff of a dephased state reads only the Hamiltonian's eigenbasis V, and a
     # random Hamiltonian's eigenbasis is Haar: its spectrum is never drawn.  Only
@@ -310,7 +312,7 @@ def _deff_subspace_tail_summary(rows, setup, params):
 
 
 def _deff_product_setup(params, seed):
-    d_sr, d_br = int(params["d_sr"]), int(params["d_br"])
+    d_sr, d_br = params["d_sr"], params["d_br"]
     # the Haar eigenbasis of a random Hamiltonian on H_SR (x) H_BR, as in
     # _deff_subspace_setup
     v = haar_unitary(d_sr * d_br, _setup_stream(seed))
@@ -342,8 +344,8 @@ def _deff_product_summary(rows, setup, params):
 
 
 def _deff_mean_energy_setup(params, seed):
-    d = int(params["d"])
-    lo, hi = float(params["spectrum_low"]), float(params["spectrum_high"])
+    d = params["d"]
+    lo, hi = params["spectrum_low"], params["spectrum_high"]
     # the coefficients are drawn in the eigenbasis: only the spectrum is read
     e = sample_spectrum(d, _setup_stream(seed), (lo, hi))
     energy = harmonic_mean(e)
@@ -389,7 +391,7 @@ def _deff_mean_energy_summary(rows, setup, params):
 def _equilibration_trial_base(params, seed, k):
     """Shared per-trial pipeline: random H on (d_s, d_b), Haar psi0, time
     batch, and psi0's dephased state (p, omega^S, omega^B)."""
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
+    d_s, d_b = params["d_s"], params["d_b"]
     rng = trial_stream(seed, k)
     h = sample_random_hamiltonian((d_s, d_b), rng)
     psi0 = sample_haar_state(d_s * d_b, rng)
@@ -398,7 +400,7 @@ def _equilibration_trial_base(params, seed, k):
 
 
 def _expectation_equilibration_trial(setup, params, seed, k):
-    d = int(params["d_s"]) * int(params["d_b"])
+    d = params["d_s"] * params["d_b"]
     rng = trial_stream(seed, k)
     # psi0 is Haar and A is GUE, both unitarily invariant laws, so H's eigenbasis
     # drops out: c0 = V^dagger psi0 and A in the eigenbasis are drawn directly
@@ -416,24 +418,26 @@ def _expectation_equilibration_trial(setup, params, seed, k):
                        se, deff=deff, horizon=float(times.max()))
 
 
+def _distances(h, psi0, times, omega_s) -> np.ndarray:
+    """D(rho^S_t, omega^S) at each time."""
+    return time_map(h, psi0, times, lambda psis: trace_distance(
+        reduced_marginals(psis, h.dims), omega_s))
+
+
 def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, bound):
     """Fig-style D(rho^S_t, omega^S) on a time grid, as <ID>_trajectory.csv."""
-    dist = time_map(h, psi0, grid, lambda psis: trace_distance(
-        reduced_marginals(psis, h.dims), omega_s))
     path = os.path.join(out_dir, f"{experiment_id}_trajectory.csv")
-    write_trajectory_csv(path, grid, {"distance": dist,
+    write_trajectory_csv(path, grid, {"distance": _distances(h, psi0, grid, omega_s),
                                       "bound": np.full(len(grid), bound)})
     return {"trajectory": path}
 
 
 def _subsystem_equilibration_trial(setup, params, seed, k):
-    d_s = int(params["d_s"])
+    d_s = params["d_s"]
     h, psi0, times, (probs, omega_s, omega_b) = _equilibration_trial_base(params, seed, k)
     deff = float(1.0 / (probs ** 2).sum())
-    dist = time_map(h, psi0, times, lambda psis: trace_distance(
-        reduced_marginals(psis, h.dims), omega_s))
     deff_b = effective_dimension(omega_b)
-    lhs, se = mean_se(dist)
+    lhs, se = mean_se(_distances(h, psi0, times, omega_s))
     return check_bound("SUBSYSTEM_EQUILIBRATION", lhs, {"d_s": d_s, "deff_b": deff_b},
                        se, deff=deff, deff_b=deff_b)
 
@@ -442,7 +446,7 @@ def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
     """Trajectory of D(rho^S_t, omega^S) for trial 0, on a grid."""
     h, psi0, _, (_, omega_s, omega_b) = _equilibration_trial_base(params, seed, 0)
     bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", {
-        "d_s": int(params["d_s"]), "deff_b": effective_dimension(omega_b)})
+        "d_s": params["d_s"], "deff_b": effective_dimension(omega_b)})
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
     grid = np.linspace(0.0, 80.0 / width, 400)[1:]
     return _write_distance_trajectory(out_dir, "SUBSYSTEM_EQUILIBRATION", h, psi0,
@@ -450,7 +454,7 @@ def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
 
 
 def _purity_equilibration_trial(setup, params, seed, k):
-    d_s = int(params["d_s"])
+    d_s = params["d_s"]
     h, psi0, times, (probs, omega_s, _) = _equilibration_trial_base(params, seed, k)
     deff = float(1.0 / (probs ** 2).sum())
     p_s, p_b = time_map(h, psi0, times, lambda psis: (
@@ -469,7 +473,7 @@ def _purity_equilibration_trial(setup, params, seed, k):
 # ---------------------------------------------------------------------------
 
 def _ergodicity_setup(params, seed):
-    d, d_r = int(params["d"]), int(params["d_r"])
+    d, d_r = params["d"], params["d_r"]
     rng = _setup_stream(seed)
     # B is GUE, so B in H's eigenbasis is GUE too: the eigenbasis drops out
     e, report = certify_spectrum(sample_spectrum(d, rng), rng)
@@ -494,7 +498,7 @@ def _ergodicity_block(setup, params, seed, ks):
     def streams():
         for k, rng in zip(ks, trial_streams(seed, ks)):
             yield rng          # a is drawn here; the cross-check times straight after it
-            if k < int(params["crosscheck_trials"]):
+            if k < params["crosscheck_trials"]:
                 times[k] = sample_times(h, params["crosscheck_times"], rng)
 
     a = _haar_coeff_rows(streams(), setup["d_r"])
@@ -516,7 +520,7 @@ def _ergodicity_trial(setup, params, seed, k, item):
     if x_mean is not None:
         # the sampled time average of Tr[B rho_t] must reproduce lhs
         row.extra["crosscheck_err"] = abs(x_mean - lhs)
-        row.satisfied &= verdict(x_mean, lhs, "identity", float(params["crosscheck_tol"]))
+        row.satisfied &= verdict(x_mean, lhs, "identity", params["crosscheck_tol"])
     return row
 
 
@@ -538,11 +542,11 @@ def _ergodicity_summary(rows, setup, params):
 # ---------------------------------------------------------------------------
 
 def _sample_composite(params, rng):
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
+    d_s, d_b = params["d_s"], params["d_b"]
     for _ in range(20):
         h_s = sample_gue(d_s, rng, norm=1.0, traceless=True)
         h_b = sample_gue(d_b, rng, norm=1.0, traceless=True)
-        h_sb = sample_gue(d_s * d_b, rng, norm=float(params["hsb_scale"]), traceless=True)
+        h_sb = sample_gue(d_s * d_b, rng, norm=params["hsb_scale"], traceless=True)
         parts = compose_hamiltonian(h_s, h_b, h_sb)
         if parts.gap_report.non_resonant:
             return parts
@@ -557,7 +561,7 @@ def _rates_map(parts, psi0, times, fn):
 def _speed_pipeline(params, seed, k, fn):
     """One trial's composite H and product psi0, and fn of the reduced rates
     at its sampled times."""
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
+    d_s, d_b = params["d_s"], params["d_b"]
     rng = trial_stream(seed, k)
     parts = _sample_composite(params, rng)
     psi0 = sample_product_state(d_s, d_b, rng)
@@ -569,7 +573,7 @@ def _speed_pipeline(params, seed, k, fn):
 def _speed_trial(setup, params, seed, k):
     parts, psi0, v, deff = _speed_pipeline(params, seed, k, ReducedRates.speeds)
     norm = parts.norm_hs_plus_hsb()
-    inputs = {"norm_hs_plus_hsb": norm, "d_s": int(params["d_s"]), "deff": deff}
+    inputs = {"norm_hs_plus_hsb": norm, "d_s": params["d_s"], "deff": deff}
     fd_ok, fd_err = _fd_check(ReducedRates.speeds, finite_difference_speed,
                               1e-3 * norm, psi0, parts, params)
     mean, se = mean_se(v)
@@ -586,17 +590,17 @@ def _fd_check(rate, fd_fn, floor, psi0, parts, params):
     # early times, where t +/- delta is exactly representable; the analytic
     # formula is time-independent so any instants serve as a cross-check
     scale = float(np.abs(parts.eigenvalues).max())
-    ts = np.linspace(0.5, 8.0, int(params["fd_checks"])) / scale
+    ts = np.linspace(0.5, 8.0, params["fd_checks"]) / scale
     analytic = _rates_map(parts, psi0, ts, rate)
     gaps = np.abs(fd_fn(parts, psi0, ts) - analytic) / np.maximum(np.abs(analytic), floor)
     worst = float(np.max(gaps, initial=0.0))
-    return verdict(worst, float(params["fd_rtol"]), "upper"), worst
+    return verdict(worst, params["fd_rtol"], "upper"), worst
 
 
 def _purity_rate_avg_trial(setup, params, seed, k):
     parts, psi0, dp, deff = _speed_pipeline(params, seed, k, ReducedRates.purity_rates)
     norm_hsb = parts.norm_hsb()
-    inputs = {"norm_hsb": norm_hsb, "d_s": int(params["d_s"]), "deff": deff}
+    inputs = {"norm_hsb": norm_hsb, "d_s": params["d_s"], "deff": deff}
     fd_ok, fd_err = _fd_check(ReducedRates.purity_rates, finite_difference_purity_rate,
                               1e-3 * 2 * norm_hsb, psi0, parts, params)
     mean, se = mean_se(np.abs(dp))
@@ -626,7 +630,7 @@ def _purity_rate_instant_trial(setup, params, seed, k):
 
 def _commutator_lower_block(setup, params, seed, ks):
     """(a, rho) per trial, drawn from the trial's stream."""
-    lo, hi = int(params["dim_min"]), int(params["dim_max"])
+    lo, hi = params["dim_min"], params["dim_max"]
     draws = []
     for rng in trial_streams(seed, ks):
         n = int(rng.integers(lo, hi + 1))
@@ -648,7 +652,7 @@ def _commutator_lower_trial(setup, params, seed, k, item):
 def _slow_states_run(params, rng, coupling):
     """Weak-coupling trajectory from a product state; the slow-states ratio
     max_pairing / (|H_SB| + v_S) at every sampled time, in H_S's eigenbasis."""
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
+    d_s, d_b = params["d_s"], params["d_b"]
     h_s = sample_gue(d_s, rng, norm=1.0, traceless=True)
     e_s, w_s = np.linalg.eigh(h_s)
     min_gap = float(np.diff(e_s).min())
@@ -666,13 +670,13 @@ def _slow_states_run(params, rng, coupling):
 
 def _decoherence_trial(setup, params, seed, k):
     ratios, _, _, e_s, norm_hsb = _slow_states_run(
-        params, trial_stream(seed, k), float(params["coupling"]))
+        params, trial_stream(seed, k), params["coupling"])
     return _row(float(ratios.max(initial=0.0)), 1.0, "upper", 1e-9,
                 norm_hsb=norm_hsb, min_gap_hs=float(np.diff(e_s).min()))
 
 
 def _einselection_rows(setup, params, seed, k):
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
+    d_s, d_b = params["d_s"], params["d_b"]
     rng = trial_stream(seed, k)
 
     blocks = [sample_gue(d_b, rng, norm=1.0) for _ in range(d_s)]
@@ -683,7 +687,7 @@ def _einselection_rows(setup, params, seed, k):
     psi_b = sample_haar_state(d_b, rng)
     rho_s0 = np.outer(psi_s, psi_s.conj())
     psi0 = np.kron(psi_s, psi_b)
-    grid = np.linspace(0.0, float(params["t_max"]), int(params["grid"]))[1:]
+    grid = np.linspace(0.0, params["t_max"], params["grid"])[1:]
     rho_s_t = time_map(h, psi0, grid, lambda psis: reduced_marginals(psis, (d_s, d_b)))
 
     diag_drift = float(np.abs(
@@ -697,7 +701,7 @@ def _einselection_rows(setup, params, seed, k):
         u1 = (eigs[1][1] * np.exp(-1j * eigs[1][0] * t)) @ dagger(eigs[1][1])
         f_direct[i] = psi_b.conj() @ (dagger(u1) @ u0 @ psi_b)
     f_sim = rho_s_t[:, 0, 1] / rho_s0[0, 1]
-    late = grid >= float(params["late_window_start"])
+    late = grid >= params["late_window_start"]
 
     # equal-blocks control: no decoherence at all
     h_eq = pointer_hamiltonian(d_s, [blocks[0]] * d_s)
@@ -707,7 +711,7 @@ def _einselection_rows(setup, params, seed, k):
     # generic weak-coupling variant: slow-states bound + off-diagonal consequence
     ratios, speeds, rho_in_hs, e_s, norm_hsb = _slow_states_run(params, rng, 0.01)
     gap = abs(e_s[1] - e_s[0])
-    late_cap = float(params["late_suppression"])
+    late_cap = params["late_suppression"]
     return [
         _row(diag_drift, 1e-10, "upper", check="pointer_diagonal_drift"),
         _row(np.abs(f_sim - f_direct).max(), 1e-9, "upper",
@@ -737,7 +741,7 @@ def _marginal_diameter(mu: np.ndarray) -> float:
 
 
 def _isi_trial(setup, params, seed, k):
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
+    d_s, d_b = params["d_s"], params["d_b"]
     d = d_s * d_b
     rng = trial_stream(seed, k)
     h = sample_random_hamiltonian((d_s, d_b), rng)
@@ -764,7 +768,7 @@ def _isi_trial(setup, params, seed, k):
 
 
 def _isi_linden_setup(params, seed):
-    d_s, d_b, d_r = int(params["d_s"]), int(params["d_b"]), int(params["d_r"])
+    d_s, d_b, d_r = params["d_s"], params["d_b"], params["d_r"]
     # the eigenvectors of a random band of a random Hamiltonian are d_r columns
     # of a Haar eigenbasis, a Haar isometry: neither the spectrum nor the band's
     # positions are read
@@ -800,19 +804,18 @@ def _isi_linden_summary(rows, setup, params):
 
 def _entangled_state_tail_block(setup, params, seed, ks):
     """D(rho^S, 1/d_S) of each trial's Haar-random bipartite state."""
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
+    d_s, d_b = params["d_s"], params["d_b"]
     rho_s = reduced_marginals(_haar_coeff_rows(trial_streams(seed, ks), d_s * d_b), (d_s, d_b))
     return trace_distance(rho_s, np.eye(d_s) / d_s).tolist()
 
 
 def _entangled_state_tail_trial(setup, params, seed, k, dist):
-    return check_bound("ENTANGLED_STATE_TAIL", float(dist >= float(params["epsilon"])),
+    return check_bound("ENTANGLED_STATE_TAIL", float(dist >= params["epsilon"]),
                        _entangled_inputs(params), distance=dist)
 
 
 def _entangled_inputs(params) -> dict:
-    return {"d_s": int(params["d_s"]), "d_b": int(params["d_b"]),
-            "epsilon": float(params["epsilon"])}
+    return {"d_s": params["d_s"], "d_b": params["d_b"], "epsilon": params["epsilon"]}
 
 
 def _entangled_state_tail_summary(rows, setup, params):
@@ -825,21 +828,21 @@ def _entangled_state_tail_summary(rows, setup, params):
 
 
 def _entangled_eigs_trial(setup, params, seed, k):
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
+    d_s, d_b = params["d_s"], params["d_b"]
     # only the eigenvectors of a random Hamiltonian are read: a Haar unitary
     v = haar_unitary(d_s * d_b, trial_stream(seed, k))
     dists = trace_distance(reduced_marginals(v.T, (d_s, d_b)), np.eye(d_s) / d_s)
     lhs = float(dists.max())
-    thr = float(params["threshold"])
+    thr = params["threshold"]
     rhs_analytic = evaluate_bound("ENTANGLED_EIGS_TAIL", {
         "d": d_s * d_b, "d_s": d_s, "d_b": d_b, "epsilon": thr})
     return _row(lhs, thr, "upper", analytic_tail_at_threshold=rhs_analytic)
 
 
 def _levy_trial(setup, params, seed, k):
-    d_r = int(params["d_r"])
-    n = int(params["n_samples"])
-    eps = float(params["epsilon"])
+    d_r = params["d_r"]
+    n = params["n_samples"]
+    eps = params["epsilon"]
     # by unitary invariance only the spectrum of the GUE observable (norm 1) enters
     rng = _setup_stream(seed)
     z = rng.standard_normal((d_r, d_r)) + 1j * rng.standard_normal((d_r, d_r))
@@ -857,7 +860,7 @@ def _levy_trial(setup, params, seed, k):
 # ---------------------------------------------------------------------------
 
 def _eq_time_heisenberg_trial(setup, params, seed, k):
-    d = int(params["d"])
+    d = params["d"]
     rng = trial_stream(seed, k)
     # psi0 is Haar on the band, in eigenbasis coordinates: an uncertified spectrum serves
     e = sample_spectrum(d, rng)
@@ -874,14 +877,14 @@ def _eq_time_heisenberg_trial(setup, params, seed, k):
 
 
 def _eq_time_purity_trial(setup, params, seed, k):
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
+    d_s, d_b = params["d_s"], params["d_b"]
     rng = trial_stream(seed, k)
     parts = _sample_composite(params, rng)
     psi0 = sample_product_state(d_s, d_b, rng)
     p_eq = purity(dephased(parts, psi0)[1])
     norm_hsb = parts.norm_hsb()
-    t_max = float(params["t_max_over_coupling"]) / norm_hsb
-    grid = np.linspace(0.0, t_max, int(params["grid"]))[1:]
+    t_max = params["t_max_over_coupling"] / norm_hsb
+    grid = np.linspace(0.0, t_max, params["grid"])[1:]
     # only the first grid point with p_t <= p_eq is read: evolve the grid 256
     # points at a time and stop after the first chunk that crosses
     for a in range(0, len(grid), 256):
@@ -905,7 +908,7 @@ def _eq_time_purity_trial(setup, params, seed, k):
 # ---------------------------------------------------------------------------
 
 def _second_law_rows(setup, params, seed, k):
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
+    d_s, d_b = params["d_s"], params["d_b"]
     d = d_s * d_b
     rng = trial_stream(seed, k)
     h = sample_random_hamiltonian((d_s, d_b), rng)
@@ -931,14 +934,14 @@ def _second_law_rows(setup, params, seed, k):
                     {"d_s": d_s, "deff_b": deff_b}, check="equilibration_from_pure_product_start"),
         check_bound("ISI", float(d_isi.mean()), isi_inputs,
                     check="initial_state_independence", delta_measured=delta_pair),
-        _row(s_omega, float(np.log(d_s)) - float(params["entropy_slack"]), "lower",
+        _row(s_omega, float(np.log(d_s)) - params["entropy_slack"], "lower",
              check="equilibrium_entropy_near_maximal", log_ds=float(np.log(d_s)),
              initial_entropy=0.0),
     ]
 
 
 def _distance_trajectory_setup(params, seed):
-    d_s, d_b = int(params["d_s"]), int(params["d_b"])
+    d_s, d_b = params["d_s"], params["d_b"]
     rng = _setup_stream(seed)
     h = sample_random_hamiltonian((d_s, d_b), rng)
     psi_b = sample_haar_state(d_b, rng)
@@ -953,9 +956,7 @@ def _distance_trajectory_trial(setup, params, seed, k):
     h = setup["h"]
     times = sample_times(h, params["n_times"], trial_stream(seed, k))
     psi0 = setup["psi0"]
-    dist = time_map(h, psi0, times, lambda psis: trace_distance(
-        reduced_marginals(psis, h.dims), setup["omega_s"]))
-    mean, se = mean_se(dist)
+    mean, se = mean_se(_distances(h, psi0, times, setup["omega_s"]))
     return _row(mean, setup["bound"], "upper", stderr=se,
                 initial_distance=trace_distance(reduced_marginals(psi0, h.dims),
                                                  setup["omega_s"]))
@@ -964,8 +965,7 @@ def _distance_trajectory_trial(setup, params, seed, k):
 def _distance_trajectory_artifacts(setup, params, seed, out_dir):
     h = setup["h"]
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
-    grid = np.linspace(0.0, float(params["plot_horizon"]) / width,
-                       int(params["n_grid"]))[1:]
+    grid = np.linspace(0.0, params["plot_horizon"] / width, params["n_grid"])[1:]
     return _write_distance_trajectory(out_dir, "DISTANCE_TRAJECTORY", h, setup["psi0"],
                                       setup["omega_s"], grid, setup["bound"])
 
@@ -978,13 +978,7 @@ _MC_DEFAULTS = {"d_r": 32, "rank_b": 0, "n_samples": 100_000, "trials": 1}
 
 
 def _bipartite(params) -> int:
-    return int(params["d_s"]) * int(params["d_b"])
-
-
-def _param(key: str):
-    def dimension(params) -> int:
-        return int(params[key])
-    return dimension
+    return params["d_s"] * params["d_b"]
 
 
 EXPERIMENTS: dict[str, ExperimentDef] = {}
@@ -998,14 +992,14 @@ _register(ExperimentDef(
     "MC_VARIANCE_IDENTITY",
     "variance of Tr[B psi] over Haar states equals the microcanonical variance / (d_R+1)",
     {**_MC_DEFAULTS}, _mc_setup, _mc_variance_identity_trial,
-    dimension=_param("d_r"), below={"rank_b": "d_r"},
+    dimension=itemgetter("d_r"), below={"rank_b": "d_r"},
     minimums={"n_samples": 2, "rank_b": 0, "d_r": 2}))
 
 _register(ExperimentDef(
     "MC_CONCENTRATION",
     "tail of |Tr[B psi] - <B>_mc| vs the exponential concentration bound",
     {**_MC_DEFAULTS, "epsilon": 0.25}, _mc_setup, _mc_concentration_trial,
-    dimension=_param("d_r"), below={"rank_b": "d_r"},
+    dimension=itemgetter("d_r"), below={"rank_b": "d_r"},
     minimums={"n_samples": 2, "rank_b": 0, "d_r": 2}))
 
 _register(ExperimentDef(
@@ -1013,29 +1007,29 @@ _register(ExperimentDef(
     "tail of |sigma^2_psi - sigma^2_mc| vs the two-term concentration bound",
     {**_MC_DEFAULTS, "n_samples": 20_000, "epsilon": 0.1},
     _mc_setup, _mc_variance_concentration_trial,
-    dimension=_param("d_r"), below={"rank_b": "d_r"},
-    minimums={"n_samples": 1, "rank_b": 0, "d_r": 2}))
+    dimension=itemgetter("d_r"), below={"rank_b": "d_r"},
+    minimums={"rank_b": 0, "d_r": 2}))
 
 _register(ExperimentDef(
     "COARSE_GRAINED",
     "deviation of all coarse macro observables at once vs the union bound",
     {"d": 64, "d_r": 32, "m": 4, "n_samples": 20_000, "epsilon": 0.2, "trials": 1},
     _coarse_grained_setup, _coarse_grained_trial,
-    subspace="d_r", dimension=_param("d"), minimums={"n_samples": 1, "d_r": 1}))
+    subspace="d_r", dimension=itemgetter("d")))
 
 _register(ExperimentDef(
     "CANONICAL_REDUCTION",
     "trace distance of reduced random states from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 32, "n_samples": 2000, "epsilon": 0.1, "trials": 1},
     _canonical_reduction_setup, _canonical_reduction_trial,
-    subspace="d_r", dimension=_bipartite, minimums={"n_samples": 1, "d_r": 1}))
+    subspace="d_r", dimension=_bipartite))
 
 _register(ExperimentDef(
     "DEFF_SUBSPACE_MEAN",
     "mean effective dimension of dephased subspace states vs d_R/2",
     {"d_r": 64, "ambient": 0, "trials": 2000},
     _deff_subspace_setup, _deff_subspace_mean_trial, _deff_subspace_mean_summary,
-    subspace="d_r", dimension=_deff_subspace_ambient, minimums={"trials": 2, "d_r": 1},
+    subspace="d_r", dimension=_deff_subspace_ambient, minimums={"trials": 2, "ambient": 0},
     block=_deff_subspace_block))
 
 _register(ExperimentDef(
@@ -1043,7 +1037,7 @@ _register(ExperimentDef(
     "frequency of d_eff < d_R/4 vs the (vacuous at desk dims) tail bound",
     {"d_r": 64, "ambient": 0, "trials": 2000},
     _deff_subspace_setup, _deff_subspace_tail_trial, _deff_subspace_tail_summary,
-    subspace="d_r", dimension=_deff_subspace_ambient, minimums={"d_r": 1},
+    subspace="d_r", dimension=_deff_subspace_ambient, minimums={"ambient": 0},
     block=_deff_subspace_block))
 
 _register(ExperimentDef(
@@ -1051,7 +1045,7 @@ _register(ExperimentDef(
     "mean effective dimension of dephased product states vs (d_SR+1)(d_BR+1)/4",
     {"d_sr": 4, "d_br": 32, "trials": 2000},
     _deff_product_setup, _deff_product_trial, _deff_product_summary,
-    dimension=lambda p: int(p["d_sr"]) * int(p["d_br"]), minimums={"trials": 2},
+    dimension=lambda p: p["d_sr"] * p["d_br"], minimums={"trials": 2},
     block=_deff_product_block))
 
 _register(ExperimentDef(
@@ -1059,7 +1053,7 @@ _register(ExperimentDef(
     "mean purity of dephased mean-energy-ensemble states vs (2E^2/d^2) sum 1/E_k^2",
     {"d": 64, "spectrum_low": 1.0, "spectrum_high": 2.0, "trials": 20_000},
     _deff_mean_energy_setup, _deff_mean_energy_trial, _deff_mean_energy_summary,
-    dimension=_param("d"), minimums={"trials": 2}, block=_deff_mean_energy_block))
+    dimension=itemgetter("d"), minimums={"trials": 2}, block=_deff_mean_energy_block))
 
 _register(ExperimentDef(
     "EXPECTATION_EQUILIBRATION",
@@ -1080,7 +1074,7 @@ _register(ExperimentDef(
     "time-averaged subsystem purity vs purity of the dephased state",
     {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000},
     None, _purity_equilibration_trial,
-    dimension=_bipartite, minimums={"n_times": 1}))
+    dimension=_bipartite))
 
 _register(ExperimentDef(
     "ERGODICITY",
@@ -1088,8 +1082,8 @@ _register(ExperimentDef(
     {"d": 128, "d_r": 64, "trials": 2000, "crosscheck_trials": 3,
      "crosscheck_times": 4000, "crosscheck_tol": 1e-2},
     _ergodicity_setup, _ergodicity_trial, _ergodicity_summary,
-    subspace="d_r", dimension=_param("d"),
-    minimums={"trials": 2, "crosscheck_times": 1, "d_r": 1},
+    subspace="d_r", dimension=itemgetter("d"),
+    minimums={"trials": 2, "crosscheck_trials": 0},
     block=_ergodicity_block))
 
 _register(ExperimentDef(
@@ -1097,35 +1091,35 @@ _register(ExperimentDef(
     "time-averaged subsystem speed vs the d_eff bound, with finite-difference checks",
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3, "fd_rtol": 1e-4},
     None, _speed_trial,
-    dimension=_bipartite, minimums={"n_times": 2, "fd_checks": 1}))
+    dimension=_bipartite, minimums={"d_s": 2, "n_times": 2}))
 
 _register(ExperimentDef(
     "PURITY_RATE_AVG",
     "time-averaged |dp^S/dt| vs the interaction-norm bound",
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3, "fd_rtol": 1e-4},
     None, _purity_rate_avg_trial,
-    dimension=_bipartite, minimums={"n_times": 2, "fd_checks": 1}))
+    dimension=_bipartite, minimums={"d_s": 2, "n_times": 2}))
 
 _register(ExperimentDef(
     "PURITY_RATE_INSTANT",
     "pointwise |dp^S/dt| vs the mutual-information bound at every sampled time",
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5},
     None, _purity_rate_instant_trial,
-    dimension=_bipartite, minimums={"n_times": 1}))
+    dimension=_bipartite, minimums={"d_s": 2}))
 
 _register(ExperimentDef(
     "COMMUTATOR_LOWER",
     "pairing lower bound on the commutator trace norm (exact inequality)",
     {"trials": 1000, "dim_min": 2, "dim_max": 8},
     None, _commutator_lower_trial,
-    dimension=_param("dim_max"), block=_commutator_lower_block))
+    dimension=itemgetter("dim_max"), block=_commutator_lower_block))
 
 _register(ExperimentDef(
     "DECOHERENCE",
     "slow-states inequality pointwise along weak-coupling trajectories",
     {"d_s": 4, "d_b": 32, "trials": 20, "n_times": 200, "coupling": 0.01},
     None, _decoherence_trial,
-    dimension=_bipartite, minimums={"n_times": 1}))
+    dimension=_bipartite, minimums={"d_s": 2}))
 
 _register(ExperimentDef(
     "EINSELECTION_DEMO",
@@ -1133,7 +1127,7 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 1, "t_max": 200.0, "grid": 81,
      "late_window_start": 100.0, "late_suppression": 0.3, "n_times": 200},
     None, _einselection_rows,
-    dimension=_bipartite, minimums={"grid": 2, "n_times": 1},
+    dimension=_bipartite, minimums={"d_s": 2, "grid": 2},
     below={"late_window_start": "t_max"}))
 
 _register(ExperimentDef(
@@ -1148,7 +1142,7 @@ _register(ExperimentDef(
     "mean distance of the dephased marginal from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 16, "trials": 500},
     _isi_linden_setup, _isi_linden_trial, _isi_linden_summary,
-    subspace="d_r", dimension=_bipartite, minimums={"trials": 2, "d_r": 1},
+    subspace="d_r", dimension=_bipartite, minimums={"trials": 2},
     block=_isi_linden_block))
 
 _register(ExperimentDef(
@@ -1170,14 +1164,14 @@ _register(ExperimentDef(
     "concentration of a Lipschitz observable on the state sphere",
     {"d_r": 32, "n_samples": 20_000, "epsilon": 0.1, "trials": 1},
     None, _levy_trial,
-    dimension=_param("d_r"), minimums={"n_samples": 1, "d_r": 1}))
+    dimension=itemgetter("d_r")))
 
 _register(ExperimentDef(
     "EQ_TIME_HEISENBERG",
     "global state speed never exceeds the populated energy-window width",
     {"d": 64, "trials": 10},
     None, _eq_time_heisenberg_trial,
-    dimension=_param("d"), minimums={"d": 3}))   # the band [d/4, 3d/4) needs two levels
+    dimension=itemgetter("d"), minimums={"d": 3}))   # the band [d/4, 3d/4) needs two levels
 
 _register(ExperimentDef(
     "EQ_TIME_PURITY",
@@ -1185,7 +1179,7 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 10, "hsb_scale": 0.3,
      "t_max_over_coupling": 50.0, "grid": 2000},
     None, _eq_time_purity_trial,
-    dimension=_bipartite, minimums={"grid": 2}))
+    dimension=_bipartite, minimums={"d_s": 2, "grid": 2}))
 
 _register(ExperimentDef(
     "SECOND_LAW_DEMO",
@@ -1193,7 +1187,7 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 5, "n_times": 1000,
      "entropy_slack": 0.1},
     None, _second_law_rows,
-    dimension=_bipartite, minimums={"n_times": 1}))
+    dimension=_bipartite, minimums={"d_s": 2}))
 
 _register(ExperimentDef(
     "DISTANCE_TRAJECTORY",
@@ -1203,7 +1197,3 @@ _register(ExperimentDef(
     _distance_trajectory_setup, _distance_trajectory_trial, None,
     _distance_trajectory_artifacts,
     dimension=_bipartite, minimums={"n_times": 2, "n_grid": 2}))
-
-
-def experiment_ids() -> list[str]:
-    return list(EXPERIMENTS)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import TrialRecord
-from .experiments import EXPERIMENTS, experiment_ids, mean_se
+from .experiments import EXPERIMENTS, mean_se
 
 __all__ = [
     "ExperimentSpec",
@@ -50,7 +50,10 @@ CSV_COLUMNS = ["experiment_id", "trial", "lhs", "stderr", "rhs", "satisfied", "v
 
 @dataclass
 class ExperimentSpec:
-    """A named experiment plus its parameters, seed and output directory."""
+    """A named experiment plus its parameters, seed and output directory.
+
+    params holds every parameter of the experiment, each as its default's
+    type, so one run has one spec_hash."""
 
     experiment_id: str
     params: dict = field(default_factory=dict)
@@ -60,7 +63,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.experiment_id not in EXPERIMENTS:
             raise ValueError(f"invalid experiment_id {self.experiment_id!r}; "
-                             f"known: {', '.join(experiment_ids())}")
+                             f"known: {', '.join(EXPERIMENTS)}")
         # the seed keys every random stream and the hashes: a float would run
         # on the streams of its integer part while the manifest records the
         # float, and a negative seed would fail only inside setup
@@ -78,24 +81,21 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for "
                              f"{self.experiment_id}; known: {', '.join(sorted(exp.defaults))}")
-        for key, value in self.params.items():
-            _check_type(self.experiment_id, key, value, exp.defaults[key])
-        self.params = {**exp.defaults, **self.params}
-        for key, low in {"trials": 1, **exp.minimums}.items():
-            if int(self.params.get(key, low)) < low:
-                raise ValueError(f"{self.experiment_id}: {key} must be >= {low}, "
-                                 f"got {self.params[key]!r}")
+        self.params = params = {
+            key: _typed(self.experiment_id, key, self.params.get(key, default), default,
+                        exp.minimums.get(key, 1))
+            for key, default in exp.defaults.items()}
         for key, high in exp.below.items():
-            if not self.params[key] < self.params[high]:   # exact, even past the float range
+            if not params[key] < params[high]:   # exact, even past the float range
                 raise ValueError(f"{self.experiment_id}: {key} must be < {high}, "
-                                 f"got {self.params[key]!r}")
-        dim = exp.dimension(self.params)
+                                 f"got {params[key]!r}")
+        dim = exp.dimension(params)
         if dim > MAX_DIMENSION:
             raise ValueError(f"{self.experiment_id}: dimension {dim} exceeds the memory "
                              f"guard {MAX_DIMENSION}")
-        if exp.subspace and int(self.params[exp.subspace]) > dim:
+        if exp.subspace and params[exp.subspace] > dim:
             raise ValueError(f"{self.experiment_id}: {exp.subspace} = "
-                             f"{self.params[exp.subspace]!r} exceeds the dimension {dim}")
+                             f"{params[exp.subspace]!r} exceeds the dimension {dim}")
 
     def spec_hash(self) -> str:
         payload = json.dumps({"experiment_id": self.experiment_id, "seed": self.seed,
@@ -103,24 +103,29 @@ class ExperimentSpec:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _check_type(experiment_id: str, key: str, value, default) -> None:
-    """A parameter takes the type of its default: an integer for an integer
-    default, a number that converts to a finite float for a float default
-    (never a bool)."""
-    integral = isinstance(default, numbers.Integral)
+def _typed(experiment_id: str, key: str, value, default, low: int):
+    """value as its default's type: for an integer default an int of at least
+    low, for a float default a finite float (which an integer also gives);
+    never from a bool."""
+    integral = isinstance(default, int)
     kind = numbers.Integral if integral else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{experiment_id}: {key} must be "
                          f"{'an integer' if integral else 'a number'}, got {value!r}")
+    if integral:
+        value = int(value)
+        if value < low:
+            raise ValueError(f"{experiment_id}: {key} must be >= {low}, got {value}")
+        return value
     # checked here, or a nan, an inf or an integer beyond the float range runs
     # the trials and then fails or is judged a violation
-    if not integral:
-        try:
-            finite = np.isfinite(float(value))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{experiment_id}: {key} must be finite, got {value!r}")
+    try:
+        typed = float(value)
+    except OverflowError:
+        typed = np.inf
+    if not np.isfinite(typed):
+        raise ValueError(f"{experiment_id}: {key} must be finite, got {value!r}")
+    return typed
 
 
 _ROW_COLUMNS = ("lhs", "stderr", "rhs", "satisfied", "vacuous")
@@ -337,7 +342,7 @@ def _collect_records(spec: ExperimentSpec, setup, workers: int) -> TrialRows:
     """Every trial's rows, in trial order (demos emit several rows per trial).
     With several workers, chunk i runs in process i % workers; process 0 is
     this one."""
-    trials = int(spec.params.get("trials", 1))
+    trials = spec.params.get("trials", 1)
     unit = _BLOCK if EXPERIMENTS[spec.experiment_id].block else 1
     workers = min(workers, -(-trials // unit))
     job = (spec.experiment_id, setup, spec.params, spec.seed)
@@ -447,7 +452,7 @@ def run_suite(seed: int = 7, out_dir: str | None = None,
     specs = [ExperimentSpec(eid, {k: v for k, v in overrides.items()
                                   if k in EXPERIMENTS[eid].defaults},
                             seed=seed, out_dir=out_dir)
-             for eid in experiment_ids()]
+             for eid in EXPERIMENTS]
     return [run_experiment(spec) for spec in specs]
 
 
@@ -487,7 +492,7 @@ def summarize(results_or_dir) -> list[dict]:
             "stderr_lhs": s["stderr_lhs"],
             "seed": m["seed"],
         })
-    position = {eid: i for i, eid in enumerate(experiment_ids())}
+    position = {eid: i for i, eid in enumerate(EXPERIMENTS)}
     rows.sort(key=lambda row: position.get(row["experiment_id"], len(position)))
     if out_dir:
         path = os.path.join(out_dir, "summary.csv")

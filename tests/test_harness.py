@@ -16,7 +16,7 @@ import pytest
 
 from purestat import harness, sample_spectrum, trial_stream
 from purestat.bounds import TrialRecord
-from purestat.experiments import EXPERIMENTS, experiment_ids, mean_se
+from purestat.experiments import EXPERIMENTS, mean_se
 from purestat.harness import (
     ExperimentSpec,
     parse_config,
@@ -27,7 +27,7 @@ from purestat.harness import (
 )
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-# the parameters that count something: each must declare its minimum
+# the parameters that count something: each must be at least 1
 COUNT_KEYS = ("n_times", "n_samples", "crosscheck_times", "grid", "n_grid", "fd_checks")
 # small enough that all 28 experiments run in a few seconds
 REDUCED = {"trials": 3, "n_times": 16, "n_samples": 200, "crosscheck_trials": 1,
@@ -127,6 +127,40 @@ def test_parameter_values_are_typed_before_compute():
     assert spec.params["epsilon"] == 1 and spec.params["trials"] == 2
     for experiment_id, exp in EXPERIMENTS.items():
         ExperimentSpec(experiment_id, dict(exp.defaults))
+
+
+def _other_type(value):
+    """value as another type that its default's type accepts: a numpy
+    integer for an int, an int for an integral float, else a numpy float."""
+    if isinstance(value, int):
+        return np.int64(value)
+    return int(value) if value.is_integer() else np.float64(value)
+
+
+def test_every_value_is_stored_as_its_defaults_type():
+    # before, a value was stored as given: np.int64 or an int for a float default
+    for experiment_id, exp in EXPERIMENTS.items():
+        spec = ExperimentSpec(experiment_id, {k: _other_type(v) for k, v in exp.defaults.items()})
+        assert spec.params == exp.defaults
+        assert {k: type(v) for k, v in spec.params.items()} == \
+            {k: type(v) for k, v in exp.defaults.items()}, experiment_id
+
+
+@pytest.mark.parametrize("experiment_id, params, key, value", [
+    ("EINSELECTION_DEMO", {"grid": 21, "n_times": 16}, "t_max", 200),
+    ("SPEED", {"trials": 2, "n_times": 16, "fd_checks": 2}, "d_b", np.int64(32)),
+])
+def test_one_run_has_one_hash(experiment_id, params, key, value):
+    # before, t_max = 200 and 200.0 (or d_b = np.int64(32) and 32) were one
+    # run under two spec_hashes and two manifest_hashes
+    default = EXPERIMENTS[experiment_id].defaults[key]
+    assert value == default and type(value) is not type(default)
+    runs = [run_experiment(ExperimentSpec(experiment_id, {**params, key: v}, seed=3))
+            for v in (value, default)]
+    assert runs[0].spec.params == runs[1].spec.params
+    assert type(runs[0].spec.params[key]) is type(default)
+    assert runs[0].spec.spec_hash() == runs[1].spec.spec_hash()
+    assert runs[0].manifest["manifest_hash"] == runs[1].manifest["manifest_hash"]
 
 
 FLOAT_PARAMETERS = [(experiment_id, key) for experiment_id, exp in EXPERIMENTS.items()
@@ -252,40 +286,80 @@ def test_late_window_past_the_grid_is_rejected_before_compute():
             ExperimentSpec(experiment_id)
 
 
+def _floor(experiment_id, key):
+    """The smallest value ExperimentSpec accepts for an integer parameter."""
+    return EXPERIMENTS[experiment_id].minimums.get(key, 1)
+
+
+INTEGER_PARAMETERS = [(e, key) for e, exp in EXPERIMENTS.items()
+                      for key, default in exp.defaults.items() if isinstance(default, int)]
+NEEDS_TWO_SYSTEM_LEVELS = ("SPEED", "PURITY_RATE_AVG", "PURITY_RATE_INSTANT", "EQ_TIME_PURITY",
+                           "DECOHERENCE", "EINSELECTION_DEMO", "SECOND_LAW_DEMO")
+
+
 def test_every_declared_minimum_is_enforced():
-    declared = {(e, key) for e, exp in EXPERIMENTS.items() for key in exp.minimums}
-    # every count under a std(ddof=1) or a finite-difference check declares one
-    assert declared >= {(e, "n_times") for e in (
-        "EXPECTATION_EQUILIBRATION", "SUBSYSTEM_EQUILIBRATION", "SPEED", "PURITY_RATE_AVG",
-        "ISI", "DISTANCE_TRAJECTORY")} | {(e, "trials") for e in (
-        "DEFF_SUBSPACE_MEAN", "DEFF_PRODUCT_MEAN", "DEFF_MEAN_ENERGY", "ERGODICITY",
-        "ISI_LINDEN_DELTA")} | {("MC_VARIANCE_IDENTITY", "n_samples"),
-                                ("MC_CONCENTRATION", "n_samples"),
-                                ("SPEED", "fd_checks"), ("PURITY_RATE_AVG", "fd_checks")}
-    # one below each of these failed only after compute, or passed a check:
-    assert declared >= {
+    required = {
+        # every count under a std(ddof=1) or a finite-difference check needs 2
+        **{(e, "n_times"): 2 for e in (
+            "EXPECTATION_EQUILIBRATION", "SUBSYSTEM_EQUILIBRATION", "SPEED",
+            "PURITY_RATE_AVG", "ISI", "DISTANCE_TRAJECTORY")},
+        **{(e, "trials"): 2 for e in (
+            "DEFF_SUBSPACE_MEAN", "DEFF_PRODUCT_MEAN", "DEFF_MEAN_ENERGY", "ERGODICITY",
+            "ISI_LINDEN_DELTA")},
+        ("MC_VARIANCE_IDENTITY", "n_samples"): 2, ("MC_CONCENTRATION", "n_samples"): 2,
+        ("SPEED", "fd_checks"): 1, ("PURITY_RATE_AVG", "fd_checks"): 1,
+        # one below each of these failed only after compute, or passed a check:
         # a satisfied row with lhs 0.0, from no sampled time at all
-        ("DECOHERENCE", "n_times"),
+        ("DECOHERENCE", "n_times"): 1,
         # raised inside the trial
-        ("PURITY_RATE_INSTANT", "n_times"), ("PURITY_EQUILIBRATION", "n_times"),
+        ("PURITY_RATE_INSTANT", "n_times"): 1, ("PURITY_EQUILIBRATION", "n_times"): 1,
         # NaN rows after a RuntimeWarning
-        ("SECOND_LAW_DEMO", "n_times"), ("EINSELECTION_DEMO", "n_times"),
-        ("ERGODICITY", "crosscheck_times"),
+        ("SECOND_LAW_DEMO", "n_times"): 1, ("EINSELECTION_DEMO", "n_times"): 1,
+        ("ERGODICITY", "crosscheck_times"): 1,
         # "need at least one array to concatenate"
-        ("COARSE_GRAINED", "n_samples"), ("MC_VARIANCE_CONCENTRATION", "n_samples"),
-        ("CANONICAL_REDUCTION", "n_samples"), ("LEVY", "n_samples"),
+        ("COARSE_GRAINED", "n_samples"): 1, ("MC_VARIANCE_CONCENTRATION", "n_samples"): 1,
+        ("CANONICAL_REDUCTION", "n_samples"): 1, ("LEVY", "n_samples"): 1,
         # ZeroDivisionError from an energy window of a single level
-        ("EQ_TIME_HEISENBERG", "d")} | {
+        ("EQ_TIME_HEISENBERG", "d"): 3,
+        # m = -4 reported a violation: lhs 0.0 against rhs -7.9994
+        ("COARSE_GRAINED", "m"): 1,
+        # an unrelated error inside compute: non-finite matrix entries, a
+        # zero-size minimum, a dimension mismatch or an IndexError
+        **{(e, "d_s"): 2 for e in NEEDS_TWO_SYSTEM_LEVELS},
         # rank_b = -1 built a rank d_r - 1 projector and judged it against the
-        # negative mean -1/d_r
-        (e, "rank_b") for e in (
-            "MC_VARIANCE_IDENTITY", "MC_CONCENTRATION", "MC_VARIANCE_CONCENTRATION")}
-    for experiment_id, key in declared:
-        low = EXPERIMENTS[experiment_id].minimums[key]
-        assert key in EXPERIMENTS[experiment_id].defaults
-        with pytest.raises(ValueError, match=f"{key} must be >= {low}"):
-            ExperimentSpec(experiment_id, {key: low - 1})
-        assert ExperimentSpec(experiment_id, {key: low}).params[key] == low
+        # negative mean -1/d_r; 0 means d_r / 2
+        **{(e, "rank_b"): 0 for e in (
+            "MC_VARIANCE_IDENTITY", "MC_CONCENTRATION", "MC_VARIANCE_CONCENTRATION")},
+        # 0 means twice d_r, and no trial is cross-checked
+        ("DEFF_SUBSPACE_MEAN", "ambient"): 0, ("DEFF_SUBSPACE_TAIL", "ambient"): 0,
+        ("ERGODICITY", "crosscheck_trials"): 0,
+    }
+    assert {key: _floor(*key) for key in required} == required
+    for experiment_id, exp in EXPERIMENTS.items():
+        for key, low in exp.minimums.items():
+            # a declared floor names an integer parameter and is not the rule's 1
+            assert isinstance(exp.defaults[key], int) and low != 1, (experiment_id, key)
+            assert ExperimentSpec(experiment_id, {key: low}).params[key] == low
+
+
+@pytest.mark.parametrize("experiment_id, key", INTEGER_PARAMETERS,
+                         ids=[f"{e}-{k}" for e, k in INTEGER_PARAMETERS])
+def test_an_integer_below_its_floor_is_rejected_before_setup(experiment_id, key):
+    low = _floor(experiment_id, key)
+    for value in (0, -1) if low == 1 else (low - 1,):
+        with pytest.raises(ValueError, match=f"^{experiment_id}: {key} must be >= {low}, "
+                                             f"got {value}$"):
+            ExperimentSpec(experiment_id, {key: value})
+
+
+def test_negative_dimensions_are_rejected_before_setup():
+    # before, m = -4 ran and reported a violation of the bound, and
+    # d_s = -2, d_b = -32 passed the dimension guard (the product is 64) and
+    # then failed inside numpy
+    with pytest.raises(ValueError, match="COARSE_GRAINED: m must be >= 1, got -4$"):
+        ExperimentSpec("COARSE_GRAINED", {"m": -4})
+    with pytest.raises(ValueError, match="ISI: d_s must be >= 1, got -2$"):
+        ExperimentSpec("ISI", {"d_s": -2, "d_b": -32})
 
 
 # a subspace larger than its space: each case ran setup compute and then
@@ -341,10 +415,11 @@ def test_every_subspace_parameter_may_fill_its_space():
     assert ExperimentSpec("DEFF_SUBSPACE_MEAN", {"d_r": 512, "ambient": 0})
 
 
-def test_every_count_declares_a_minimum():
+def test_every_count_is_at_least_one():
     for experiment_id, exp in EXPERIMENTS.items():
         for key in set(COUNT_KEYS) & set(exp.defaults):
-            assert key in exp.minimums, (experiment_id, key)
+            with pytest.raises(ValueError, match=f"{key} must be >= {_floor(experiment_id, key)}"):
+                ExperimentSpec(experiment_id, {key: 0})
 
 
 class _RecordingParams(dict):
@@ -397,7 +472,7 @@ def test_every_config_builds():
 def test_suite_overrides_apply_only_where_declared(monkeypatch):
     monkeypatch.setattr(harness, "run_experiment", lambda spec: spec)
     specs = run_suite(seed=3, overrides={"d_b": 16, "n_samples": 500})
-    assert [s.experiment_id for s in specs] == experiment_ids()
+    assert [s.experiment_id for s in specs] == list(EXPERIMENTS)
     for spec in specs:
         defaults = EXPERIMENTS[spec.experiment_id].defaults
         assert set(spec.params) == set(defaults)
@@ -560,7 +635,7 @@ SUBSPACE_SIZED = [e for e, exp in EXPERIMENTS.items() if "d_r" in exp.defaults]
 @pytest.mark.parametrize("experiment_id", SUBSPACE_SIZED)
 def test_an_empty_subspace_is_rejected_before_setup(monkeypatch, experiment_id):
     # d_r = 0 raised a numpy error or ZeroDivisionError only after setup
-    low = EXPERIMENTS[experiment_id].minimums["d_r"]
+    low = _floor(experiment_id, "d_r")
     setups = []
     monkeypatch.setitem(EXPERIMENTS, experiment_id, dataclasses.replace(
         EXPERIMENTS[experiment_id], setup=lambda *args: setups.append(args)))
@@ -700,9 +775,8 @@ def test_eq_time_purity_without_crossing_is_not_a_pass():
 
 
 def test_experiment_ids_cover_demos():
-    ids = experiment_ids()
     for required in ("EINSELECTION_DEMO", "SECOND_LAW_DEMO", "DISTANCE_TRAJECTORY"):
-        assert required in ids
+        assert required in EXPERIMENTS
 
 
 def _cli(*args, env=None):

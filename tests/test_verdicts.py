@@ -15,7 +15,7 @@ from purestat import (
     sample_haar_state,
     trial_stream,
 )
-from purestat.experiments import EXPERIMENTS, _fd_check, _marginal_diameter, experiment_ids
+from purestat.experiments import EXPERIMENTS, _fd_check, _marginal_diameter
 from purestat.harness import ExperimentSpec, run_experiment
 
 # small enough that all 28 experiments run in a few seconds
@@ -40,10 +40,9 @@ def test_no_row_or_gate_is_satisfied_by_a_degenerate_lhs(value, monkeypatch):
     monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
     for name in ("_row", "check_bound"):
         monkeypatch.setattr(experiments, name, _forcing(getattr(experiments, name), value))
-    assert len(experiment_ids()) == 28
-    for experiment_id in experiment_ids():
-        defaults = EXPERIMENTS[experiment_id].defaults
-        params = {k: v for k, v in REDUCED.items() if k in defaults}
+    assert len(EXPERIMENTS) == 28
+    for experiment_id, exp in EXPERIMENTS.items():
+        params = {k: v for k, v in REDUCED.items() if k in exp.defaults}
         with np.errstate(all="ignore"):
             res = run_experiment(ExperimentSpec(experiment_id, params, seed=5))
         assert res.records, experiment_id
