@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import CompositeHamiltonian, Hamiltonian, phase_factors
-from .linalg import BLOCK_ENTRIES
+from .linalg import BLOCK_ENTRIES, GEMM_ROWS
 from .states import purity, trace_distance
 
 __all__ = [
@@ -73,35 +73,46 @@ def _eigen_coefficients(h: Hamiltonian, initial) -> tuple[np.ndarray, bool]:
 
 
 def time_map(h: Hamiltonian, initial, times, fn):
-    """fn of the evolved states psi_t = exp(-iHt) psi_0, one block of times at a time.
+    """fn of the evolved states psi_t = exp(-iHt) psi_0, one panel of times at a time.
 
     initial is one state vector (d,) or a stack of them (m, d).
-    fn receives each block with its times on axis 0: (n_b, d) for one state,
+    fn receives each panel with its times on axis 0: (n_b, d) for one state,
     (n_b, m, d) for a stack.  It returns an array, or a tuple of arrays, with
-    the block's times on axis 0; those are copied into (n_times, ...) outputs
-    at once, so fn may return views of the block.  A block holds at most
-    BLOCK_ENTRIES coefficients (but at least one time) and is written into
-    buffers reused by the next block, so memory does not grow with the number
-    of times.  The whole stack shares one phase matrix per block
-    (hamiltonians.phase_factors) and goes back from the eigenbasis in one
-    GEMM; a diagonal h skips that GEMM, as its coefficients c0 exp(-iEt) are
-    the states.
+    the panel's times on axis 0; those are copied into (n_times, ...) outputs
+    at once, so fn may return views of the panel.  A panel holds
+    max(BLOCK_ENTRIES // (m d), ceil(GEMM_ROWS / m)) times, or all of them if
+    there are fewer, so every GEMM on it (the eigenbasis change here, and
+    those fn makes) has at least GEMM_ROWS rows.  Its phases are built in
+    sub-blocks of at most BLOCK_ENTRIES entries (at least one time), one
+    hamiltonians.phase_factors matrix shared by the whole stack, and each
+    sub-block's c0 * phases is written straight into the panel.  The panel
+    and its phases live in buffers reused by the next panel, so memory does
+    not grow with the number of times.  The stack goes back from the
+    eigenbasis in one GEMM; a diagonal h skips it, as its coefficients
+    c0 exp(-iEt) are the states.
     """
     c0, stacked = _eigen_coefficients(h, initial)
     times = np.ravel(times)
     if not len(times):
         raise ValueError("time_map needs at least one time")
     m, d = c0.shape
-    rows = max(1, min(len(times), BLOCK_ENTRIES // (m * d)))
+    rows = min(len(times), max(BLOCK_ENTRIES // (m * d), -(-GEMM_ROWS // m)))
+    sub = max(1, min(rows, BLOCK_ENTRIES // d))   # times per phase sub-block
     rotate = not h.diagonal
     bufs = [np.empty(rows * m * d, dtype=complex) for _ in range(1 + rotate)]
+    phase_buf = np.empty(sub * d, dtype=complex)
     outs = None
     for a in range(0, len(times), rows):
         t = times[a:a + rows]
         views = [buf[:len(t) * m * d].reshape(len(t), m, d) for buf in bufs]
-        # keep the c0 * phases operand order: numpy's complex product is not
-        # bitwise symmetric, and swapping it moves every trajectory CSV's last bits
-        block = np.multiply(c0, phase_factors(h.eigenvalues, t)[:, None, :], out=views[0])
+        block = views[0]
+        for b in range(0, len(t), sub):
+            ts = t[b:b + sub]
+            phases = phase_factors(h.eigenvalues, ts,
+                                   out=phase_buf[:len(ts) * d].reshape(len(ts), d))
+            # keep the c0 * phases operand order: numpy's complex product is not
+            # bitwise symmetric, and swapping it moves every trajectory CSV's last bits
+            np.multiply(c0, phases[:, None, :], out=block[b:b + len(ts)])
         if rotate:
             block = np.matmul(block.reshape(-1, d), h.eigenbasis.T,
                               out=views[1].reshape(-1, d)).reshape(block.shape)

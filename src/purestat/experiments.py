@@ -102,6 +102,7 @@ class ExperimentDef:
     # (a count that feeds std(ddof=1) needs 2; 0 may mean "derive it")
     minimums: dict = field(default_factory=dict, kw_only=True)
     below: dict = field(default_factory=dict, kw_only=True)  # key -> the key it must lie below
+    not_above: dict = field(default_factory=dict, kw_only=True)  # key -> the key it may not exceed
     # (setup, params, seed, ks) -> one item per trial index in ks, computed
     # together from each trial's own stream; the harness passes ks as one
     # block of consecutive indices starting at a multiple of the block size
@@ -1112,7 +1113,8 @@ _register(ExperimentDef(
     "pairing lower bound on the commutator trace norm (exact inequality)",
     {"trials": 1000, "dim_min": 2, "dim_max": 8},
     None, _commutator_lower_trial,
-    dimension=itemgetter("dim_max"), block=_commutator_lower_block))
+    dimension=itemgetter("dim_max"), block=_commutator_lower_block,
+    not_above={"dim_min": "dim_max"}))
 
 _register(ExperimentDef(
     "DECOHERENCE",

@@ -129,7 +129,7 @@ _PHASE_LIMIT = float(2 ** 52)   # largest |E t| phase_factors accepts (exclusive
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])   # i^(k mod 4)
 
 
-def phase_factors(energies, times) -> np.ndarray:
+def phase_factors(energies, times, out=None) -> np.ndarray:
     """exp(-i E_k t) for every time (rows) and energy (columns).
 
     The argument y = -E t is reduced modulo pi/2 before cos and sin see it:
@@ -142,7 +142,8 @@ def phase_factors(energies, times) -> np.ndarray:
     alone fixes k mod 4.  Beyond 2^52 doubles are spaced >= 1 apart and
     carry no phase, so a largest |E t| of _PHASE_LIMIT or more raises
     ValueError.  Returns times.shape + (d,): (n_times, d) for a time
-    vector, (d,) for one time.
+    vector, (d,) for one time; a complex out of that shape is written into
+    and returned instead of a new array.
     """
     e = np.asarray(energies, dtype=float)
     t = np.asarray(times, dtype=float)
@@ -163,11 +164,15 @@ def phase_factors(energies, times) -> np.ndarray:
     for c in _HALF_PI_PIECES:
         for half in (k_hi, k_lo):
             y -= np.multiply(half, c, out=prod)
-    out = np.empty(y.shape, dtype=complex)
-    np.cos(y, out=out.real)
-    np.sin(y, out=out.imag)
-    out *= _QUARTER_TURNS[k_lo.astype(np.int64) & 3]
-    return out.reshape(t.shape + e.shape)
+    shape = t.shape + e.shape
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex:
+        raise ValueError(f"out must be complex of shape {shape}, got {out.dtype} {out.shape}")
+    np.cos(y.reshape(shape), out=out.real)
+    np.sin(y.reshape(shape), out=out.imag)
+    out *= _QUARTER_TURNS[k_lo.astype(np.int64) & 3].reshape(shape)
+    return out
 
 
 class CompositeHamiltonian(Hamiltonian):

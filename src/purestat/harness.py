@@ -89,6 +89,10 @@ class ExperimentSpec:
             if not params[key] < params[high]:   # exact, even past the float range
                 raise ValueError(f"{self.experiment_id}: {key} must be < {high}, "
                                  f"got {params[key]!r}")
+        for key, high in exp.not_above.items():
+            if params[key] > params[high]:
+                raise ValueError(f"{self.experiment_id}: {key} must be <= {high}, "
+                                 f"got {params[key]!r}")
         dim = exp.dimension(params)
         if dim > MAX_DIMENSION:
             raise ValueError(f"{self.experiment_id}: dimension {dim} exceeds the memory "

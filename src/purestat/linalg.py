@@ -18,10 +18,15 @@ __all__ = [
     "commutator",
 ]
 
-# entries per block of a bounded batch loop (128 KiB of complex128): the times
-# of dynamics.time_map, the samples of ensembles.haar_coefficient_blocks and
-# the state pairs of the experiments' marginal diameter
+# entries per block of a bounded batch loop (128 KiB of complex128): the phase
+# sub-blocks of dynamics.time_map, the samples of
+# ensembles.haar_coefficient_blocks and the state pairs of the experiments'
+# marginal diameter
 BLOCK_ENTRIES = 1 << 13
+
+# fewest rows per GEMM of dynamics.time_map's panels: a complex GEMM with
+# fewer rows spends a large share of its time packing the d x d operand
+GEMM_ROWS = 128
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

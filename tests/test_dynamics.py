@@ -13,8 +13,10 @@ from purestat import (
     dagger,
     default_horizon,
     dephased,
+    expectation_values,
     finite_difference_purity_rate,
     finite_difference_speed,
+    haar_unitary,
     pointer_hamiltonian,
     purity,
     partial_trace,
@@ -30,8 +32,9 @@ from purestat import (
     trial_stream,
     von_neumann_entropy,
 )
+from purestat import dynamics
 from purestat.hamiltonians import phase_factors
-from purestat.linalg import BLOCK_ENTRIES
+from purestat.linalg import BLOCK_ENTRIES, GEMM_ROWS
 from purestat.experiments import EXPERIMENTS
 
 
@@ -484,21 +487,49 @@ def test_time_map_coefficients_match_evolve():
             assert np.abs(cts[i, j] - ref).max() <= 1e-12
 
 
+def _panel_rows(m, d):
+    """Times per time_map panel for a stack of m states of dimension d."""
+    return max(BLOCK_ENTRIES // (m * d), -(-GEMM_ROWS // m))
+
+
+PANELS = [(1, 2, 4096), (1, 64, 128), (1, 128, 128), (1, 1024, 128),
+          (2, 32, 128), (2, 64, 64), (2, 512, 64), (3, 1024, 43)]
+
+
+@pytest.mark.parametrize("m, d, rows", PANELS, ids=[f"m{m}-d{d}" for m, d, _ in PANELS])
+def test_time_map_panels_give_every_gemm_at_least_gemm_rows(m, d, rows):
+    # one state at d <= 64 keeps its 2^13-entry blocks; above, a panel holds
+    # ceil(GEMM_ROWS / m) times, so each product on it has >= GEMM_ROWS rows
+    assert rows == _panel_rows(m, d) and m * rows >= GEMM_ROWS
+    h = Hamiltonian(np.linspace(0.0, 1.0, d))   # diagonal: the panels, without a GEMM
+    heights = []
+    time_map(h, np.full((m, d), d ** -0.5), np.linspace(0.0, 1.0, rows + 1),
+             lambda psis: heights.append(len(psis)) or psis[:, 0])
+    assert heights == [rows, 1]
+
+
 @pytest.mark.parametrize("d", [2, 64, 256])
-def test_time_map_blocks_cover_the_times_once_and_in_order(d):
+def test_time_map_blocks_cover_the_times_once_and_in_order(monkeypatch, d):
     rng = trial_stream(102, 11)
     h = sample_random_hamiltonian((d, 1), rng)
     stack = np.stack([sample_haar_state(np.eye(d), rng) for _ in range(2)])
+    phase_rows = []
+
+    def spy_phase_factors(energies, times, out=None):
+        phase_rows.append(len(times))
+        return phase_factors(energies, times, out=out)
+    monkeypatch.setattr(dynamics, "phase_factors", spy_phase_factors)
     # a diagonal H skips the basis change: its blocks are the coefficients themselves
     for hh in (Hamiltonian(h.eigenvalues, gap_report=h.gap_report), h):
         for initial in (stack[0], stack):
             c0 = np.array([hh.to_eigenbasis(v) for v in np.atleast_2d(initial)])
-            rows = max(1, BLOCK_ENTRIES // initial.size)   # times per block
+            rows = _panel_rows(len(c0), d)   # times per panel
             for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
                 times = rng.uniform(0.0, 1e6, n)
                 # one shot: all times at once, one row per (time, state)
                 cts = c0 * phase_factors(hh.eigenvalues, times)[:, None, :]
                 shapes = []
+                phase_rows.clear()
 
                 def record(block):
                     shapes.append(block.shape)
@@ -506,14 +537,40 @@ def test_time_map_blocks_cover_the_times_once_and_in_order(d):
                 got = time_map(hh, initial, times, record)
                 assert [s[1:] for s in shapes] == [initial.shape] * len(shapes)
                 assert sum(s[0] for s in shapes) == n
-                assert all(0 < s[0] <= rows and s[0] * initial.size <= BLOCK_ENTRIES
-                           for s in shapes)
+                # full panels, then the rest: at least one time, at most rows
+                assert [s[0] for s in shapes[:-1]] == [rows] * (len(shapes) - 1)
+                assert 0 < shapes[-1][0] <= rows
+                # phases in sub-blocks of at most BLOCK_ENTRIES entries (one time at least)
+                assert sum(phase_rows) == n
+                assert all(0 < r <= max(1, BLOCK_ENTRIES // d) for r in phase_rows)
                 assert got.shape == (n, *initial.shape)
                 got = got.reshape(n, -1, d)
                 if hh.diagonal:
                     assert np.array_equal(got, cts)
                 else:
                     assert np.abs(got - cts @ h.eigenbasis.T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [256, 512])
+def test_time_map_panels_are_bitwise_the_old_blocks(monkeypatch, d):
+    # a GEMM row does not depend on how many rows the product has (except a
+    # one-row product, a GEMV), so panels of >= GEMM_ROWS rows give the same
+    # bits as the 2^13-entry blocks they replaced, which a row floor of 1 restores
+    rng = trial_stream(102, 15)
+    h = Hamiltonian(np.sort(rng.uniform(0.0, 1.0, d)), haar_unitary(d, rng))
+    stack = np.stack([sample_haar_state(d, rng) for _ in range(2)])
+    a = _rand_herm(d, rng)
+    times = rng.uniform(0.0, 1e4, 300)   # no one-row block under either rule
+
+    def states_and_values(psis):
+        return np.copy(psis), expectation_values(psis, a)
+    for initial in (stack[0], stack):
+        panels = time_map(h, initial, times, states_and_values)
+        with monkeypatch.context() as mp:
+            mp.setattr(dynamics, "GEMM_ROWS", 1)
+            blocks = time_map(h, initial, times, states_and_values)
+        for new, old in zip(panels, blocks):
+            assert np.array_equal(new, old)
 
 
 def test_time_map_returns_every_part_of_a_tuple():

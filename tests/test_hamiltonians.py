@@ -228,6 +228,21 @@ def test_phase_factors_blocks_do_not_change_values():
     assert np.abs(ph - np.exp(-1j * np.outer(times, e))).max() <= 1e-15
 
 
+def test_phase_factors_write_into_out():
+    rng = np.random.default_rng(39)
+    e = rng.uniform(-3.0, 3.0, 9)
+    times = rng.uniform(0.0, 1e10, 40)
+    buf = np.empty(2 * 40 * 9, dtype=complex)
+    out = buf[:40 * 9].reshape(40, 9)
+    assert phase_factors(e, times, out=out) is out
+    assert out.tobytes() == phase_factors(e, times).tobytes()
+    one = np.empty(9, dtype=complex)
+    assert phase_factors(e, times[3], out=one) is one and np.array_equal(one, out[3])
+    for bad in (np.empty((40, 8), dtype=complex), np.empty((40, 9))):
+        with pytest.raises(ValueError, match=r"out must be complex of shape \(40, 9\)"):
+            phase_factors(e, times, out=bad)
+
+
 def test_phase_factors_range_guard():
     e = np.array([1.0, -3.0])
     phase_factors(e, (2.0 ** 52 - 4) / 3)   # largest |E t| just below 2^52 passes

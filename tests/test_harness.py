@@ -286,6 +286,29 @@ def test_late_window_past_the_grid_is_rejected_before_compute():
             ExperimentSpec(experiment_id)
 
 
+def test_an_empty_dimension_range_is_rejected_before_the_block_hook(monkeypatch):
+    # before, the spec passed and the block hook failed inside numpy with
+    # "low >= high" (rng.integers(dim_min, dim_max + 1))
+    exp = EXPERIMENTS["COMMUTATOR_LOWER"]
+    assert exp.not_above == {"dim_min": "dim_max"}
+    blocks = []
+    monkeypatch.setitem(EXPERIMENTS, "COMMUTATOR_LOWER", dataclasses.replace(
+        exp, block=lambda *args: blocks.append(args)))
+    with pytest.raises(ValueError, match="^COMMUTATOR_LOWER: dim_min must be <= dim_max, got 5$"):
+        run_experiment(ExperimentSpec("COMMUTATOR_LOWER",
+                                      {"dim_min": 5, "dim_max": 3, "trials": 2}))
+    assert blocks == []
+    monkeypatch.setitem(EXPERIMENTS, "COMMUTATOR_LOWER", exp)
+    # one dimension is a valid range
+    result = run_experiment(ExperimentSpec("COMMUTATOR_LOWER",
+                                           {"dim_min": 3, "dim_max": 3, "trials": 2}))
+    assert len(result.records) == 2 and result.violations == 0
+    for experiment_id, exp in EXPERIMENTS.items():
+        for key, high in exp.not_above.items():
+            assert {key, high} <= set(exp.defaults), experiment_id
+            ExperimentSpec(experiment_id)
+
+
 def _floor(experiment_id, key):
     """The smallest value ExperimentSpec accepts for an integer parameter."""
     return EXPERIMENTS[experiment_id].minimums.get(key, 1)
