@@ -1,15 +1,17 @@
 """Random object generation with deterministic per-trial streams.
 
 All randomness flows through numpy's Philox counter-based bit generator.
-A stream is addressed by (seed, *path): ``stream(seed, TRIAL_DOMAIN, k)``
-is the stream of trial k, ``stream(seed, SETUP_DOMAIN)`` the one used for
-shared setup objects.  Streams with different paths are statistically
-independent and reproducible regardless of execution order or worker count.
+A stream is addressed by (seed, *path): ``stream(seed, SETUP_DOMAIN)`` is the
+one used for shared setup objects, ``stream(seed, TRIAL_DOMAIN)`` the root of
+the trial streams.  Streams with different paths are statistically independent
+and reproducible regardless of execution order or worker count.
 
-``trial_streams(seed, ks)`` yields the streams of many trials at once: their
-Philox keys come from one vectorised pass of numpy's SeedSequence hash
-(`philox_keys`), and one Philox is re-keyed per trial.  Each trial draws
-exactly the values of its own ``trial_stream(seed, k)``.
+Trial k owns the trial root jumped k times: the same Philox key with the
+256-bit counter [0, 0, k, 0], which is what ``Philox.jumped(k)`` sets.  Philox
+is counter-based, so disjoint counter ranges are independent streams (Salmon,
+Moraes, Dror & Shaw, SC'11); each jump spans 2**128 counter values.
+``trial_streams(seed, ks)`` yields the streams of many trials from one Philox,
+and ``trial_stream(seed, k)`` is the same derivation for one trial.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "TRIAL_DOMAIN",
     "stream",
     "trial_stream",
-    "philox_keys",
     "trial_streams",
     "complex_normal_rows",
     "haar_coefficient_blocks",
@@ -53,109 +54,27 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
 
 def trial_stream(seed: int, trial_index: int) -> np.random.Generator:
-    """Stream owned by one trial; independent across trial indices."""
-    return stream(seed, TRIAL_DOMAIN, trial_index)
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative integer, as SeedSequence splits it."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n >> 32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(...).generate_state(2, np.uint64) for every row of an
-    (n, L) uint32 entropy matrix (L > pool size), as (n, 2) uint64.
-
-    The hash constants evolve independently of the data, so they stay Python
-    integers; only the mixed words are arrays, and uint32 array arithmetic
-    wraps modulo 2**32 as the reference does.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(_POOL_SIZE, entropy.shape[1]):
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
-
-    hash_const = _INIT_B
-    words = []
-    for value in pool:      # generate_state: 4 uint32 words, one per pool entry
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    return np.stack([words[0] | (words[1] << np.uint64(32)),
-                     words[2] | (words[3] << np.uint64(32))], axis=1)
-
-
-def philox_keys(seed: int, ks) -> np.ndarray:
-    """(len(ks), 2) uint64 Philox keys of trial_stream(seed, k) for every k.
-
-    A vectorised port of numpy's public SeedSequence hash: row i equals
-    SeedSequence(seed, spawn_key=(TRIAL_DOMAIN, ks[i])).generate_state(2, np.uint64).
-    Indices must lie below 2**63.  A negative seed or index raises ValueError,
-    as SeedSequence does.
-    """
-    head = _uint32_words(seed)
-    head += [0] * (_POOL_SIZE - len(head))    # SeedSequence pads a spawned entropy
-    head += _uint32_words(TRIAL_DOMAIN)
-    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
-    if (ks < 0).any():
-        raise ValueError("expected non-negative integer")
-    keys = np.empty((len(ks), 2), dtype=np.uint64)
-    wide = ks > _MASK32                       # indices of two 32-bit words
-    for rows, width in ((~wide, 1), (wide, 2)):
-        if rows.any():
-            entropy = np.empty((int(rows.sum()), len(head) + width), dtype=np.uint32)
-            entropy[:, :len(head)] = head
-            for j in range(width):
-                entropy[:, len(head) + j] = (ks[rows] >> (32 * j)) & _MASK32
-            keys[rows] = _seed_sequence_keys(entropy)
-    return keys
+    """Stream owned by one trial: the draws of trial_streams(seed, (trial_index,))."""
+    return next(trial_streams(seed, (trial_index,)))
 
 
 def trial_streams(seed: int, ks):
-    """Yield, for every trial index k in ks in order, a generator that draws
-    exactly the values of trial_stream(seed, k).
+    """Yield, for every trial index k in ks in order, the stream of trial k:
+    stream(seed, TRIAL_DOMAIN) jumped k times, i.e. its Philox key with the
+    256-bit counter [0, 0, k, 0], as Philox.jumped(k) sets it.
 
-    One Philox is pointed at each trial's key in turn (counter and buffer
-    reset), so a yielded generator is valid only until the next one is taken.
+    One Philox is pointed at each trial's counter in turn (buffer reset), so a
+    yielded generator is valid only until the next one is taken.  A trial
+    index outside [0, 2**64) raises ValueError.
     """
-    bit_generator = np.random.Philox(0)
+    bit_generator = stream(seed, TRIAL_DOMAIN).bit_generator
     rng = np.random.Generator(bit_generator)
     state = bit_generator.state
-    for key in philox_keys(seed, ks):
-        state["state"]["key"] = key
+    counter = state["state"]["counter"]
+    for k in ks:
+        if not 0 <= k < 2**64:
+            raise ValueError(f"trial index must lie in [0, 2**64), got {k}")
+        counter[2] = k
         bit_generator.state = state
         yield rng
 

@@ -1,5 +1,5 @@
-"""Trial blocks: vectorised stream keys, re-keyed streams and the block hooks
-of the tiny-trial experiments, against per-trial trial_stream references."""
+"""Trial blocks: jumped trial streams and the block hooks of the tiny-trial
+experiments, against per-trial trial_stream references."""
 
 import dataclasses
 import math
@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from purestat import (
+    TRIAL_DOMAIN,
     Hamiltonian,
     experiments,
     mean_energy_coefficients,
-    philox_keys,
     sample_haar_state,
     sample_mean_energy_state,
     sample_product_state,
     sample_random_hamiltonian,
+    stream,
     trial_stream,
     trial_streams,
 )
@@ -35,37 +36,40 @@ def test_exactly_the_tiny_trial_experiments_have_a_block_hook():
     assert sorted(e for e, exp in EXPERIMENTS.items() if exp.block) == sorted(BLOCKED)
 
 
-def test_philox_keys_match_seed_sequence():
-    ks = list(range(20_000)) + [255, 256, 2**32 - 1, 2**32, 2**40 + 3, 2**62 + 9]
-    pairs = 0
-    for seed in (0, 7, 2**32 - 1, 2**32, 2**64 + 5):
-        got = philox_keys(seed, ks)
-        want = np.array([np.random.SeedSequence(seed, spawn_key=(1, k)).generate_state(
-            2, np.uint64) for k in ks])
-        assert got.dtype == np.uint64 and np.array_equal(got, want), seed
-        pairs += len(ks)
-    assert pairs >= 100_000
-    assert philox_keys(3, []).shape == (0, 2)
+def _jumped(seed, k):
+    """Trial k's stream by numpy's documented route to parallel Philox streams."""
+    return np.random.Generator(stream(seed, TRIAL_DOMAIN).bit_generator.jumped(k))
 
 
-def test_philox_keys_reject_negative_input_like_seed_sequence():
-    for seed, k in ((-1, 0), (3, -1)):
-        with pytest.raises(ValueError):
-            np.random.SeedSequence(seed, spawn_key=(1, k))
-        with pytest.raises(ValueError):
-            philox_keys(seed, [k])
+# an odd number of 32-bit draws leaves half a word buffered: the next trial
+# must not see it
+_DRAWS = (lambda g: g.integers(0, 2**31, size=3, dtype=np.int32),
+          lambda g: g.standard_normal(7), lambda g: g.random(5),
+          lambda g: g.uniform(0.0, 3.0, 2))
+
+
+def test_trial_streams_are_the_jumped_trial_root():
+    ks = [0, 3, 255, 256, 2**32 - 1, 2**40 + 3, 2**62 + 9]
+    for seed in (0, 7, 2**64 + 5):
+        for k, rng in zip(ks, trial_streams(seed, ks)):
+            ref = _jumped(seed, k)
+            for draw in _DRAWS:
+                assert draw(rng).tobytes() == draw(ref).tobytes(), (seed, k)
 
 
 def test_trial_streams_draw_each_trials_own_values():
     ks = [0, 3, 255, 256, 2**32 - 1]
     for k, rng in zip(ks, trial_streams(11, ks)):
         ref = trial_stream(11, k)
-        # an odd number of 32-bit draws leaves half a word buffered: the next
-        # trial must not see it
-        for draw in (lambda g: g.integers(0, 2**31, size=3, dtype=np.int32),
-                     lambda g: g.standard_normal(7), lambda g: g.random(5),
-                     lambda g: g.uniform(0.0, 3.0, 2)):
+        for draw in _DRAWS:
             assert draw(rng).tobytes() == draw(ref).tobytes(), k
+
+
+def test_a_negative_trial_index_raises():
+    with pytest.raises(ValueError):
+        trial_stream(3, -1)
+    with pytest.raises(ValueError):
+        list(trial_streams(3, [0, -1]))
 
 
 class _Recorder:

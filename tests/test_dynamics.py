@@ -236,12 +236,32 @@ def test_dephase_degenerate_clusters():
 
 
 def test_dephase_matches_long_time_average():
-    # time-integration oracle: sampled average approaches the dephased state
-    # (at n = 1e4 samples the Monte Carlo noise floor sits just below 0.02)
+    # time-integration oracle with a derived window.  The mean rho_n of rho_t
+    # over n uniform times on [0, T] differs from omega only off the diagonal
+    # of H's eigenbasis: (rho_n - omega)_jk = c_j c_k^* z_jk / sqrt(n) with
+    # z_jk = n^(-1/2) sum_s exp(-i w_jk t_s), and z_kj = z_jk^*.  Over a horizon
+    # T >> 1/mgd the phases of distinct gaps are uniform and uncorrelated, so
+    # E|z_jk|^2 = 1, E ||rho_n - omega||_HS^2 = (1 - sum_k p_k^2) / n, and for
+    # large n (CLT) each |z_jk|^2 is an independent Exp(1).  Hence
+    #   X = n ||rho_n - omega||_HS^2 / (1 - sum p^2) = sum_{j<k} w_jk |z_jk|^2,
+    #   w_jk = 2 p_j p_k / (1 - sum p^2):  E X = sum w = 1, Var X = sum w^2.
+    # At d = 32 sigma = sqrt(sum w^2) is about 0.09, the spread 40 draws of X
+    # showed (1.00 +- 0.09, range 0.83-1.25; 200 more gave z-scores of sd 0.94,
+    # max 3.3).  The window is 5 sigma: sampling that exponential sum puts less
+    # than 1e-4 of its mass outside.  A time_map that never moves psi reads X = n.
     rng = trial_stream(102, 0)
     h = sample_random_hamiltonian((32, 1), rng)
     psi = sample_haar_state(np.eye(32), rng)
-    assert _time_average_discrepancy(h, psi, default_horizon(h), 10_000, rng) <= 0.02
+    n = 10_000
+    psis = time_map(h, psi, rng.uniform(0.0, default_horizon(h), n), np.copy)
+    rho_n = np.einsum("ni,nj->ij", psis, psis.conj()) / n
+    p = dephased(h, psi)[0]
+    coherence = 1.0 - float((p ** 2).sum())
+    x = n * float((np.abs(rho_n - _omega(h, psi)) ** 2).sum()) / coherence
+    j, k = np.triu_indices(len(p), 1)
+    sigma = float(np.sqrt(((2 * p[j] * p[k] / coherence) ** 2).sum()))
+    assert 0.05 < sigma < 0.2
+    assert abs(x - 1.0) <= 5 * sigma, (x, sigma)
 
 
 def test_dephase_matches_exact_time_integral():
@@ -273,6 +293,16 @@ def test_sample_times_draws_the_horizon_policy_times():
     times = sample_times(h, 50, trial_stream(101, 8))
     assert np.array_equal(times, trial_stream(101, 8).uniform(0.0, default_horizon(h), 50))
     assert times.shape == (50,) and times.min() >= 0.0 and times.max() < default_horizon(h)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 1: the horizon 1e4 / mgd is unbounded")
+def test_decoherence_at_seed_21_trial_19_resolves_its_phases():
+    # the one crash of a DECOHERENCE sweep over seeds 0-159: this trial's
+    # weak-coupling spectrum puts |E t| = 5.7e15 past 2^52, and phase_factors
+    # raises.  A finite-time horizon (item 1) turns this into a pass.
+    exp = EXPERIMENTS["DECOHERENCE"]
+    assert exp.trial(None, exp.defaults, 21, 19).satisfied
 
 
 def test_time_average_stationary_state():

@@ -48,7 +48,7 @@ def test_trial_stream_determinism():
 
 def test_setup_and_trial_streams_differ():
     assert not np.array_equal(stream(1, 0).standard_normal(4),
-                              stream(1, 1, 0).standard_normal(4))
+                              trial_stream(1, 0).standard_normal(4))
 
 
 @pytest.mark.parametrize("d", [1, 32, 256])

@@ -685,6 +685,21 @@ def test_setup_runs_once_per_run(monkeypatch):
     assert first.manifest["manifest_hash"] == second.manifest["manifest_hash"]
 
 
+def test_levy_solves_its_observable_once_per_run(monkeypatch):
+    # the GUE spectrum is a setup object, not re-drawn and re-solved per trial
+    monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    res = run_experiment(ExperimentSpec("LEVY", {"trials": 3, "n_samples": 500}, seed=3))
+    assert res.summary["rows"] == 3
+    assert calls == [(32, 32)]
+
+
 def test_manifest_file_is_the_returned_manifest(tmp_path):
     res = run_experiment(ExperimentSpec("LEVY", {"n_samples": 500}, seed=3,
                                         out_dir=str(tmp_path)))
@@ -795,6 +810,16 @@ def test_eq_time_purity_without_crossing_is_not_a_pass():
         assert math.isfinite(r.lhs) and r.lhs < r.rhs
         assert not r.satisfied and r.vacuous
     assert res.violations == 0 and res.summary["vacuous_rows"] == 3
+
+
+@pytest.mark.parametrize("d_s", [3, 4])
+def test_einselection_demo_runs_beyond_a_qubit(d_s, monkeypatch):
+    # the pointer superposition spans all d_S pointer states, and every pointer
+    # pair is checked; a hard-coded qubit raised "dimension mismatch" here
+    monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
+    res = run_experiment(ExperimentSpec("EINSELECTION_DEMO", {"d_s": d_s}, seed=7))
+    assert res.summary["rows"] == 6
+    assert res.violations == 0
 
 
 def test_experiment_ids_cover_demos():
