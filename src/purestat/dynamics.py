@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import CompositeHamiltonian, Hamiltonian, phase_factors
-from .linalg import BLOCK_ENTRIES, GEMM_ROWS
+from .linalg import BLOCK_ENTRIES, GEMM_ROWS, hermitian_spectrum
 from .states import purity, trace_distance
 
 __all__ = [
@@ -185,8 +185,8 @@ class ReducedRates:
     tr_b_comm: np.ndarray
 
     def speeds(self) -> np.ndarray:
-        """v_S = (1/2) ||d rho^S_t/dt||_1 at every time."""
-        return 0.5 * np.abs(np.linalg.eigvalsh(self.drho_s)).sum(axis=1)
+        """v_S = (1/2) ||d rho^S_t/dt||_1 at every time, NaN where it is not finite."""
+        return 0.5 * np.abs(hermitian_spectrum(self.drho_s)).sum(axis=1)
 
     def purity_rates(self) -> np.ndarray:
         """d p^S_t/dt = Tr[rho^S_t 2i Tr_B[rho_t, H_SB]] at every time."""

@@ -21,7 +21,7 @@ import numbers
 import numpy as np
 
 from .hamiltonians import GapReport, Hamiltonian, gap_analysis
-from .linalg import BLOCK_ENTRIES, dagger
+from .linalg import BLOCK_ENTRIES, dagger, hermitian_spectrum
 
 __all__ = [
     "SETUP_DOMAIN",
@@ -29,6 +29,7 @@ __all__ = [
     "stream",
     "trial_stream",
     "trial_streams",
+    "complex_normals",
     "complex_normal_rows",
     "haar_coefficient_blocks",
     "haar_unitary",
@@ -79,25 +80,30 @@ def trial_streams(seed: int, ks):
         yield rng
 
 
+def complex_normals(n: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """n complex standard-normal samples of the given shape, (n, *shape), the
+    package's one Gaussian draw: rng.standard_normal((n, 2, *shape)), each
+    sample's real parts, then its imaginary parts."""
+    x = rng.standard_normal((n, 2, *shape))
+    z = x[:, 0].astype(complex)
+    z.imag = x[:, 1]
+    return z
+
+
 def complex_normal_rows(rngs, d: int) -> np.ndarray:
-    """(n, d) complex normals from n generators: row i holds the values of
-    rng.standard_normal(d) + 1j * rng.standard_normal(d) for the i-th
-    generator, drawn as one (2, d) block.  rngs may be a lazy iterable such
-    as the streams of `trial_streams`."""
-    x = np.array([rng.standard_normal((2, d)) for rng in rngs]).reshape(-1, 2, d)
-    return x[:, 0] + 1j * x[:, 1]
+    """(n, d) complex normals, row i the complex_normals sample of the i-th of n >= 1
+    generators; rngs may be a lazy iterable such as `trial_streams`."""
+    return np.concatenate([complex_normals(1, (d,), rng) for rng in rngs])
 
 
 def haar_coefficient_blocks(n: int, d: int, rng: np.random.Generator):
     """Yield n Haar-random coefficient rows in blocks of max(1, BLOCK_ENTRIES // d)
-    rows, so memory does not grow with n.  Row i is bitwise the normalised
-    complex_normal_rows row of its own rng.standard_normal((2, d)) draw: the
-    real parts of a sample, then its imaginary parts, one sample after the
-    other.  Take every block before drawing anything else from rng."""
+    rows, so memory does not grow with n: normalised complex_normals, so row i is
+    bitwise the normalised complex_normal_rows row of the i-th sample.  Take every
+    block before drawing anything else from rng."""
     rows = max(1, BLOCK_ENTRIES // d)
     for lo in range(0, n, rows):
-        x = rng.standard_normal((min(rows, n - lo), 2, d))
-        z = x[:, 0] + 1j * x[:, 1]
+        z = complex_normals(min(rows, n - lo), (d,), rng)
         yield z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
@@ -106,23 +112,15 @@ def haar_unitary(d: int, rng: np.random.Generator, columns: int | None = None) -
     `columns` = k only its first k columns (a Haar isometry, d x k): the thin
     QR of a d x k Ginibre matrix (Mezzadri, Notices AMS 54, 592 (2007)).
 
-    The real parts of the Ginibre matrix are drawn first, then its imaginary
-    parts.  The R-diagonal phases are absorbed to make each diagonal entry of
-    the triangular factor real positive, which removes the non-uniformity of a
-    naive orthonormalization.
+    The Ginibre matrix is one complex_normals sample.  The R-diagonal phases
+    are absorbed to make each diagonal entry of the triangular factor real
+    positive, which removes the non-uniformity of a naive orthonormalization.
     """
-    z = np.empty((d, d if columns is None else columns), dtype=complex)
-    z.real = rng.standard_normal(z.shape)
-    z.imag = rng.standard_normal(z.shape)
+    (z,) = complex_normals(1, (d, d if columns is None else columns), rng)
     q, r = np.linalg.qr(z)
     ph = r.diagonal() / np.abs(r.diagonal())
     q *= ph.conj()
     return q
-
-
-def _gaussian_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return z / np.linalg.norm(z)
 
 
 def sample_haar_state(subspace_basis, rng: np.random.Generator) -> np.ndarray:
@@ -137,13 +135,14 @@ def sample_haar_state(subspace_basis, rng: np.random.Generator) -> np.ndarray:
     if isinstance(subspace_basis, numbers.Integral):
         if subspace_basis < 1:
             raise ValueError(f"empty space: dimension {subspace_basis}")
-        return _gaussian_unit_vector(int(subspace_basis), rng)
+        (z,) = complex_normals(1, (int(subspace_basis),), rng)
+        return z / np.linalg.norm(z)
     v = np.asarray(subspace_basis, dtype=complex)
     if v.ndim == 1:
         v = v[:, None]
     if v.shape[1] == 0:
         raise ValueError("empty basis")
-    psi = v @ _gaussian_unit_vector(v.shape[1], rng)
+    psi = v @ sample_haar_state(v.shape[1], rng)
     # |V c| = 1 for a random unit c only if V^dagger V = 1
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("subspace basis is not orthonormal")
@@ -194,14 +193,14 @@ def sample_random_hamiltonian(dims: tuple[int, int], rng: np.random.Generator,
 
 def sample_gue(d: int, rng: np.random.Generator, norm: float = 1.0,
                traceless: bool = False) -> np.ndarray:
-    """A GUE matrix (Z + Z^dagger)/2 of a complex Ginibre d x d matrix Z (real
-    parts drawn first), made traceless on request, then scaled to operator
-    norm `norm`."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    """A GUE matrix (Z + Z^dagger)/2 of a complex Ginibre d x d matrix Z (one
+    complex_normals sample), made traceless on request, then scaled to
+    operator norm `norm`."""
+    (z,) = complex_normals(1, (d, d), rng)
     h = (z + dagger(z)) / 2
     if traceless:
         h -= np.trace(h) / d * np.eye(d)
-    h *= norm / np.abs(np.linalg.eigvalsh(h)).max()
+    h *= norm / np.abs(hermitian_spectrum(h)).max()
     return h
 
 

@@ -43,6 +43,7 @@ from .ensembles import (
     SETUP_DOMAIN,
     certify_spectrum,
     complex_normal_rows,
+    complex_normals,
     haar_coefficient_blocks,
     haar_unitary,
     harmonic_mean,
@@ -57,7 +58,7 @@ from .ensembles import (
     trial_streams,
 )
 from .hamiltonians import Hamiltonian, compose_hamiltonian, pointer_hamiltonian
-from .linalg import BLOCK_ENTRIES, commutator, dagger, trace_norm
+from .linalg import BLOCK_ENTRIES, commutator, dagger, hermitian_spectrum, trace_norm
 from .states import (
     effective_dimension,
     expectation_values,
@@ -150,7 +151,7 @@ def _variance_se(x: np.ndarray) -> float:
 
 
 def _mixed_density(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    (g,) = complex_normals(1, (d, d), rng)
     m = g @ dagger(g)
     return m / np.trace(m).real
 
@@ -324,11 +325,11 @@ def _deff_product_setup(params, seed):
 def _deff_product_block(setup, params, seed, ks):
     """d_eff of each trial's dephased product state psi_S (x) psi_B."""
     d_sr, d_br = setup["d_sr"], setup["d_br"]
-    # per trial: real and imaginary parts of psi_S's coefficients, then psi_B's
-    x = np.array([rng.standard_normal(2 * (d_sr + d_br)) for rng in trial_streams(seed, ks)])
-    a_s = _unit_rows(x[:, :d_sr] + 1j * x[:, d_sr:2 * d_sr])
-    a_b = _unit_rows(x[:, 2 * d_sr:2 * d_sr + d_br] + 1j * x[:, 2 * d_sr + d_br:])
-    psi = (a_s[:, :, None] * a_b[:, None, :]).reshape(len(x), d_sr * d_br)
+    # per trial: psi_S's coefficients, then psi_B's
+    draws = [(complex_normals(1, (d_sr,), rng), complex_normals(1, (d_br,), rng))
+             for rng in trial_streams(seed, ks)]
+    a_s, a_b = (_unit_rows(np.concatenate(z)) for z in zip(*draws))
+    psi = (a_s[:, :, None] * a_b[:, None, :]).reshape(len(a_s), d_sr * d_br)
     c = psi @ setup["eigenbasis"].conj()        # row i: V^dagger psi_i
     return (1.0 / (np.abs(c) ** 4).sum(axis=1)).tolist()
 
@@ -849,11 +850,7 @@ def _entangled_eigs_trial(setup, params, seed, k):
 
 def _levy_setup(params, seed):
     # by unitary invariance only the spectrum of the GUE observable (norm 1) enters
-    d_r = params["d_r"]
-    rng = _setup_stream(seed)
-    z = rng.standard_normal((d_r, d_r)) + 1j * rng.standard_normal((d_r, d_r))
-    e = np.linalg.eigvalsh((z + dagger(z)) / 2)
-    return {"spectrum": e / np.abs(e).max()}
+    return {"spectrum": hermitian_spectrum(sample_gue(params["d_r"], _setup_stream(seed)))}
 
 
 def _levy_trial(setup, params, seed, k):

@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "dagger",
     "partial_trace",
+    "hermitian_spectrum",
     "trace_norm",
     "operator_norm",
     "commutator",
@@ -74,14 +75,24 @@ def partial_trace(rho, d_s: int, d_b: int, keep: str = "S") -> np.ndarray:
     raise ValueError(f"keep must be 'S' or 'B', got {keep!r}")
 
 
+def hermitian_spectrum(m) -> np.ndarray:
+    """Ascending eigenvalues (eigvalsh: the lower triangle) of each Hermitian matrix
+    in the stack m, the package's one eigenvalue solver; all NaN for a matrix with a
+    non-finite entry, where LAPACK would return a finite spectrum or raise."""
+    if np.isfinite(m).all():
+        return np.linalg.eigvalsh(m)
+    ok = np.isfinite(m).all(axis=(-2, -1))
+    return np.where(ok[..., None], np.linalg.eigvalsh(np.where(ok[..., None, None], m, 0)), np.nan)
+
+
 def trace_norm(a) -> float:
-    """||A||_1 = sum |eigenvalues| of a Hermitian matrix."""
-    return float(np.abs(np.linalg.eigvalsh(_require_hermitian(a, tol=1e-10))).sum())
+    """||A||_1 = sum |eigenvalues| of Hermitian A; raises on a non-finite or non-Hermitian A."""
+    return float(np.abs(hermitian_spectrum(_require_hermitian(a, tol=1e-10))).sum())
 
 
 def operator_norm(a) -> float:
-    """||A|| = max |eigenvalue| of a Hermitian matrix."""
-    return float(np.abs(np.linalg.eigvalsh(_require_hermitian(a, tol=1e-10))).max())
+    """||A|| = max |eigenvalue| of Hermitian A; raises on a non-finite or non-Hermitian A."""
+    return float(np.abs(hermitian_spectrum(_require_hermitian(a, tol=1e-10))).max())
 
 
 def commutator(a, b) -> np.ndarray:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import hermitian_spectrum
+
 __all__ = [
     "trace_distance",
     "purity",
@@ -18,16 +20,6 @@ __all__ = [
 ]
 
 
-def _finite_eigvalsh(m) -> np.ndarray:
-    """eigvalsh of each Hermitian matrix in the stack m; all NaN for a matrix
-    with a non-finite entry (LAPACK would return a finite spectrum or raise)."""
-    if np.isfinite(m).all():
-        return np.linalg.eigvalsh(m)
-    ok = np.isfinite(m).all(axis=(-2, -1))
-    w = np.linalg.eigvalsh(np.where(ok[..., None, None], m, 0))
-    return np.where(ok[..., None], w, np.nan)
-
-
 def trace_distance(rho, sigma):
     """D(rho, sigma) = (1/2)||rho - sigma||_1 via eigenvalues of the difference.
 
@@ -35,21 +27,21 @@ def trace_distance(rho, sigma):
     two broadcast against each other and an array of distances is returned.
     Two single states give a float.  A 2 x 2 Hermitian difference
     [[x, z*], [z, y]] has the eigenvalues m +- r with m = (x + y)/2 and
-    r = hypot((x - y)/2, |z|), so D = max(|m|, r) in closed form; larger
-    matrices go through eigvalsh.  A matrix with a non-finite entry gives NaN.
+    r = hypot((x - y)/2, |z|), so D = max(|m|, r) in closed form; larger matrices
+    go through hermitian_spectrum.  A matrix with a non-finite entry gives NaN.
     """
     a, b = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     diff = a - b
     if diff.shape[-1] == 2:
-        # z = diff[1, 0]: the lower triangle, which eigvalsh reads too
+        # z = diff[1, 0]: the lower triangle, which hermitian_spectrum reads too
         x, y = diff[..., 0, 0].real, diff[..., 1, 1].real
         dist = np.maximum(np.abs(x + y), np.hypot(x - y, 2 * np.abs(diff[..., 1, 0]))) / 2
         if not np.isfinite(diff).all():
             dist = np.where(np.isfinite(diff).all(axis=(-2, -1)), dist, np.nan)
     else:
-        dist = 0.5 * np.abs(_finite_eigvalsh(diff)).sum(axis=-1)
+        dist = 0.5 * np.abs(hermitian_spectrum(diff)).sum(axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 
 
@@ -87,7 +79,7 @@ def von_neumann_entropy(rho):
     matrices with leading axes; an array of entropies is returned for it, a
     float for a single state.  A matrix with a non-finite entry gives NaN.
     """
-    w = _finite_eigvalsh(np.asarray(rho, dtype=complex))
+    w = hermitian_spectrum(np.asarray(rho, dtype=complex))
     # a NaN eigenvalue is neither dropped nor logged: NaN * log(1) keeps it
     s = -np.where(w <= 1e-15, 0.0, w * np.log(np.where(w > 1e-15, w, 1.0))).sum(axis=-1)
     s = np.maximum(s, 0.0)

@@ -261,6 +261,45 @@ def test_blocked_rows_match_the_per_trial_reference(experiment_id, monkeypatch):
     assert all(math.isfinite(r.lhs) for r in res.records)
 
 
+def test_a_mixed_density_is_bitwise_the_reference_draw():
+    # COMMUTATOR_LOWER's rho = G G^dagger / Tr[G G^dagger], G's real parts
+    # drawn first, then its imaginary parts
+    for n in (2, 5, 8):
+        ref, rng = trial_stream(19, n), trial_stream(19, n)
+        g = ref.standard_normal((n, n)) + 1j * ref.standard_normal((n, n))
+        m = g @ g.conj().T
+        assert _mixed_density(n, rng).tobytes() == (m / np.trace(m).real).tobytes()
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+
+def test_deff_product_draws_are_bitwise_the_reference_layout(monkeypatch):
+    # per trial one standard_normal(2 (d_SR + d_BR)) draw: psi_S's real parts,
+    # its imaginary parts, then psi_B's; each trial's own generator is kept
+    # to see where the block leaves it
+    exp, seed, ks = EXPERIMENTS["DEFF_PRODUCT_MEAN"], 19, range(6, 11)
+    params = ExperimentSpec("DEFF_PRODUCT_MEAN", seed=seed).params
+    setup = exp.setup(params, seed)
+    d_sr, d_br = setup["d_sr"], setup["d_br"]
+    used = []
+
+    def own_streams(seed, ks):
+        for k in ks:
+            used.append(trial_stream(seed, k))
+            yield used[-1]
+    monkeypatch.setattr(experiments, "trial_streams", own_streams)
+    got = exp.block(setup, params, seed, ks)
+    refs = [trial_stream(seed, k) for k in ks]
+    x = np.array([ref.standard_normal(2 * (d_sr + d_br)) for ref in refs])
+    a_s = x[:, :d_sr] + 1j * x[:, d_sr:2 * d_sr]
+    a_b = x[:, 2 * d_sr:2 * d_sr + d_br] + 1j * x[:, 2 * d_sr + d_br:]
+    a_s, a_b = (a / np.linalg.norm(a, axis=1, keepdims=True) for a in (a_s, a_b))
+    psi = (a_s[:, :, None] * a_b[:, None, :]).reshape(len(x), d_sr * d_br)
+    c = psi @ setup["eigenbasis"].conj()
+    assert got == (1.0 / (np.abs(c) ** 4).sum(axis=1)).tolist()
+    assert [repr(rng.bit_generator.state) for rng in used] == \
+        [repr(ref.bit_generator.state) for ref in refs]
+
+
 def test_mean_energy_state_uses_the_shared_coefficient_sampler():
     rng = trial_stream(0, 21)
     h = sample_random_hamiltonian((16, 1), rng, spectrum=(1.0, 2.0))

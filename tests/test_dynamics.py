@@ -8,6 +8,7 @@ import pytest
 from purestat import (
     Hamiltonian,
     bath_purities,
+    check_bound,
     commutator,
     compose_hamiltonian,
     dagger,
@@ -35,7 +36,7 @@ from purestat import (
 from purestat import dynamics
 from purestat.hamiltonians import phase_factors
 from purestat.linalg import BLOCK_ENTRIES, GEMM_ROWS
-from purestat.experiments import EXPERIMENTS
+from purestat.experiments import EXPERIMENTS, mean_se
 
 
 def _rand_herm(d, rng):
@@ -425,6 +426,25 @@ def test_reduced_rates_match_dense_references():
         assert abs(speeds[i] - subsystem_speed(state, parts)) < 1e-12
         assert abs(dps[i] - purity_rate(state, parts)) < 1e-12
         assert np.abs(rates.rho_s[i] - partial_trace(state, 2, 8, "S")).max() < 1e-12
+
+
+def test_the_speed_of_a_non_finite_rate_is_nan():
+    # eigvalsh gives [0, -0] for [[nan, 0], [0, 1]], so the speed read 0.0
+    rng = trial_stream(102, 6)
+    parts = compose_hamiltonian(_rand_herm(2, rng), _rand_herm(8, rng),
+                                _rand_herm(16, rng) * 0.4)
+    psi = sample_product_state(2, 8, rng)
+    rates = _rates(parts, psi, rng.uniform(0.0, 50.0, 4))
+    clean = rates.speeds()
+    rates.drho_s[1] = [[np.nan, 0], [0, 1]]
+    speeds = rates.speeds()
+    assert np.isnan(speeds[1])
+    assert np.array_equal(np.delete(speeds, 1), np.delete(clean, 1))
+    # a SPEED row fed that NaN is a violation; the clean row is not
+    inputs = {"norm_hs_plus_hsb": parts.norm_hs_plus_hsb(), "d_s": 2,
+              "deff": float(1.0 / (dephased(parts, psi)[0] ** 2).sum())}
+    assert check_bound("SPEED", mean_se(clean)[0], inputs, mean_se(clean)[1]).satisfied
+    assert not check_bound("SPEED", mean_se(speeds)[0], inputs, mean_se(speeds)[1]).satisfied
 
 
 @pytest.mark.parametrize("d_s", [2, 4])

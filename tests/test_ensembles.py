@@ -57,16 +57,18 @@ def test_haar_coefficient_blocks_are_successive_per_sample_draws(d):
     # standard_normal((2, d)) draw of the stream: one layout everywhere
     rows = max(1, BLOCK_ENTRIES // d)
     for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
-        per_sample = np.random.Generator(np.random.Philox(n))
-        blocked = np.random.Generator(np.random.Philox(n))
-        per_sample.random(dtype=np.float32)         # a half-used 32-bit buffer
-        blocked.random(dtype=np.float32)
-        z = complex_normal_rows(itertools.repeat(per_sample, n), d)
+        ref, per_sample, blocked = (np.random.Generator(np.random.Philox(n)) for _ in range(3))
+        for rng in (ref, per_sample, blocked):
+            rng.random(dtype=np.float32)            # a half-used 32-bit buffer
+        x = np.array([ref.standard_normal((2, d)) for _ in range(n)])
+        z = x[:, 0] + 1j * x[:, 1]
+        assert complex_normal_rows(itertools.repeat(per_sample, n), d).tobytes() == z.tobytes()
         want = z / np.linalg.norm(z, axis=1, keepdims=True)
         blocks = list(haar_coefficient_blocks(n, d, blocked))
         assert [len(b) for b in blocks] == [min(rows, n - lo) for lo in range(0, n, rows)]
         assert np.concatenate(blocks).tobytes() == want.tobytes()
-        assert repr(blocked.bit_generator.state) == repr(per_sample.bit_generator.state)
+        assert repr(blocked.bit_generator.state) == repr(ref.bit_generator.state)
+        assert repr(per_sample.bit_generator.state) == repr(ref.bit_generator.state)
 
 
 def test_haar_expectations_equal_the_dense_diagonal_observable():
@@ -130,10 +132,10 @@ def test_haar_unitary_is_unitary():
         assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12
 
 
-def _square_haar_reference(d, rng):
-    """The square Haar draw written out: real parts, then imaginary parts,
-    QR, and the R-diagonal phase fix."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def _haar_reference(d, k, rng):
+    """The Haar draw of k columns written out: real parts, then imaginary
+    parts, thin QR, and the R-diagonal phase fix."""
+    z = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
     q, r = np.linalg.qr(z)
     ph = r.diagonal() / np.abs(r.diagonal())
     return q * ph.conj()
@@ -141,9 +143,14 @@ def _square_haar_reference(d, rng):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
 def test_a_square_haar_draw_is_bitwise_the_reference(d):
+    # and so is an isometry of k columns, and each leaves the stream where
+    # the reference does
     for seed in range(4):
-        want = _square_haar_reference(d, trial_stream(seed, d))
-        assert haar_unitary(d, trial_stream(seed, d)).tobytes() == want.tobytes()
+        for k in (None, 1, (d + 1) // 2, d):
+            ref, rng = trial_stream(seed, d), trial_stream(seed, d)
+            want = _haar_reference(d, d if k is None else k, ref)
+            assert haar_unitary(d, rng, k).tobytes() == want.tobytes()
+            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
 
 @pytest.mark.parametrize("d, k", [(1, 1), (5, 1), (8, 3), (64, 64), (128, 17)])
@@ -301,7 +308,17 @@ def test_sample_product_state():
 
 @pytest.mark.parametrize("d", [2, 64, 256, 1024])
 def test_an_integer_dimension_draws_the_identity_basis_state_bitwise(d):
+    # both are the normalised standard_normal(d) + 1j * standard_normal(d),
+    # mapped through the basis, and leave the stream where that draw does
+    basis = np.eye(d + 1)[:, 1:] * np.exp(1j * np.arange(d))    # orthonormal columns
     for seed in range(5):
+        ref = trial_stream(seed, d)
+        z = ref.standard_normal(d) + 1j * ref.standard_normal(d)
+        c = z / np.linalg.norm(z)
+        for space, want in ((d, c), (basis, basis @ c)):
+            rng = trial_stream(seed, d)
+            assert sample_haar_state(space, rng).tobytes() == want.tobytes()
+            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
         want = sample_haar_state(np.eye(d), trial_stream(seed, d))
         got = sample_haar_state(d, trial_stream(seed, d))
         assert got.tobytes() == want.tobytes()
@@ -334,12 +351,17 @@ def test_sample_gue_is_hermitian_at_the_requested_norm():
         assert np.array_equal(h, h.conj().T)
         assert np.abs(np.linalg.eigvalsh(h)).max() == pytest.approx(0.3, rel=1e-12)
         assert (abs(np.trace(h)) < 1e-15) == traceless
-    # (Z + Z^dagger)/2 of one d x d draw, real parts first, scaled by norm / |H|
-    rng = trial_stream(0, 12)
-    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    g = (z + z.conj().T) / 2
-    want = g * (0.3 / np.abs(np.linalg.eigvalsh(g)).max())
-    assert np.array_equal(sample_gue(6, trial_stream(0, 12), norm=0.3), want)
+    # (Z + Z^dagger)/2 of one d x d draw, real parts first, made traceless on
+    # request and scaled by norm / |H|; the stream is left where that draw leaves it
+    for traceless in (False, True):
+        ref, rng = trial_stream(0, 12), trial_stream(0, 12)
+        z = ref.standard_normal((6, 6)) + 1j * ref.standard_normal((6, 6))
+        g = (z + z.conj().T) / 2
+        if traceless:
+            g -= np.trace(g) / 6 * np.eye(6)
+        want = g * (0.3 / np.abs(np.linalg.eigvalsh(g)).max())
+        assert sample_gue(6, rng, norm=0.3, traceless=traceless).tobytes() == want.tobytes()
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
 
 def test_random_hamiltonian_entangled_eigenvectors():

@@ -47,11 +47,12 @@ def test_the_package_reexports_exactly_the_module_lists():
     assert sorted(purestat.__all__) == sorted(listed)
 
 
-def _referenced_names(source: str) -> set[str]:
+def _referenced_names(source) -> set[str]:
     """Every identifier that code reads: Name nodes and attribute names.
-    Strings, comments, imports and definitions do not count."""
+    Strings, comments, imports and definitions do not count.  source is a
+    source string or a parsed node."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -92,6 +93,30 @@ def test_every_export_is_called_outside_the_tests():
     source reads an attribute of that name."""
     referenced = set().union(*map(_referenced_names, _caller_sources()))
     assert sorted(q for q, called in _public_names() if called not in referenced) == []
+
+
+# name -> the one top-level function of the package that may read it: the
+# complex Gaussian draw and the Hermitian eigenvalue solver (eigenvectors,
+# eigh, are not covered)
+ONE_HOME = {"standard_normal": "ensembles.complex_normals",
+            "eigvalsh": "linalg.hermitian_spectrum"}
+
+
+def test_the_gaussian_draw_and_the_eigenvalue_solver_each_have_one_home():
+    """Every package statement that reads a name of ONE_HOME, named by its
+    module and, for a function or class, its name."""
+    readers = {name: set() for name in ONE_HOME}
+    folder = os.path.join(ROOT, "src", "purestat")
+    for f in sorted(os.listdir(folder)):
+        if not f.endswith(".py"):
+            continue
+        with open(os.path.join(folder, f), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for stmt in tree.body:
+            where = f"{f[:-3]}.{stmt.name}" if hasattr(stmt, "name") else f[:-3]
+            for name in ONE_HOME.keys() & _referenced_names(stmt):
+                readers[name].add(where)
+    assert readers == {name: {home} for name, home in ONE_HOME.items()}
 
 
 def _passed_arguments(source: str) -> dict[str, list]:

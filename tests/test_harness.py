@@ -686,7 +686,8 @@ def test_setup_runs_once_per_run(monkeypatch):
 
 
 def test_levy_solves_its_observable_once_per_run(monkeypatch):
-    # the GUE spectrum is a setup object, not re-drawn and re-solved per trial
+    # the GUE spectrum is a setup object, not re-drawn and re-solved per trial:
+    # one eigvalsh scales sample_gue's draw to norm 1, one reads its spectrum
     monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
     eigvalsh, calls = np.linalg.eigvalsh, []
 
@@ -697,7 +698,7 @@ def test_levy_solves_its_observable_once_per_run(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     res = run_experiment(ExperimentSpec("LEVY", {"trials": 3, "n_samples": 500}, seed=3))
     assert res.summary["rows"] == 3
-    assert calls == [(32, 32)]
+    assert calls == [(32, 32), (32, 32)]
 
 
 def test_manifest_file_is_the_returned_manifest(tmp_path):
