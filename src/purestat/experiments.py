@@ -1,13 +1,14 @@
 """Named experiments: one per theorem in the bound catalog, plus demos.
 
-Every experiment is deterministic given (params, seed).  Shared setup
-objects come from the setup stream, trial k owns trial_stream(seed, k), so
+Every experiment is deterministic given (params, seed).  The harness hands
+each hook its random stream: setup draws from the setup stream and trial k
+from trial k's stream, and no hook derives a stream from the seed, so
 results are independent of execution order and worker count.
 
 Experiments of many tiny trials also define a block hook: it draws a whole
-block of trials from their own streams (ensembles.trial_streams) and runs
-their numerics once over the stacked draws; the trial hook then only
-judges the row of one trial from its item.
+block of trials from their streams, which the harness hands it in trial
+order, and runs their numerics once over the stacked draws; the trial hook
+then only judges the row of one trial from its item.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .ensembles import (
-    SETUP_DOMAIN,
     certify_spectrum,
     complex_normal_rows,
     complex_normals,
@@ -53,9 +53,7 @@ from .ensembles import (
     sample_product_state,
     sample_random_hamiltonian,
     sample_spectrum,
-    stream,
     trial_stream,
-    trial_streams,
 )
 from .hamiltonians import Hamiltonian, compose_hamiltonian, pointer_hamiltonian
 from .linalg import BLOCK_ENTRIES, commutator, dagger, hermitian_spectrum, trace_norm
@@ -87,9 +85,9 @@ class ExperimentDef:
     experiment_id: str
     description: str
     defaults: dict
-    setup: object = None          # (params, seed) -> object
-    # (setup, params, seed, k) -> TrialRecord | [TrialRecord]; with a block
-    # hook, (setup, params, seed, k, item) -> TrialRecord
+    setup: object = None          # (params, rng) -> object; rng is the setup stream
+    # (setup, params, k, item) -> TrialRecord | [TrialRecord]; item is trial
+    # k's stream, or with a block hook the block hook's item for trial k
     trial: object = None
     # (rows, setup, params) -> list[dict] of summary gates; rows is the
     # harness's TrialRows, whose columns (rows.lhs, rows.extras[key]) it reads
@@ -104,14 +102,11 @@ class ExperimentDef:
     minimums: dict = field(default_factory=dict, kw_only=True)
     below: dict = field(default_factory=dict, kw_only=True)  # key -> the key it must lie below
     not_above: dict = field(default_factory=dict, kw_only=True)  # key -> the key it may not exceed
-    # (setup, params, seed, ks) -> one item per trial index in ks, computed
-    # together from each trial's own stream; the harness passes ks as one
-    # block of consecutive indices starting at a multiple of the block size
+    # (setup, params, ks, rngs) -> one item per trial index in ks, computed
+    # together from rngs, which yields each trial's stream in order, valid
+    # until the next is taken; the harness passes ks as one block of
+    # consecutive indices starting at a multiple of the block size
     block: object = field(default=None, kw_only=True)
-
-
-def _setup_stream(seed: int) -> np.random.Generator:
-    return stream(seed, SETUP_DOMAIN)
 
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
@@ -160,7 +155,7 @@ def _mixed_density(d: int, rng: np.random.Generator) -> np.ndarray:
 # microcanonical typicality (subspace sampling in subspace coordinates)
 # ---------------------------------------------------------------------------
 
-def _mc_setup(params, seed):
+def _mc_setup(params, rng):
     d_r = params["d_r"]
     rank = params["rank_b"] or d_r // 2
     # the spectrum of a rank-`rank` projector B inside H_R
@@ -169,12 +164,8 @@ def _mc_setup(params, seed):
             "mc_mean": rank / d_r, "mc_mean2": rank / d_r}
 
 
-def _mc_sample_expectations(setup, params, seed, k):
-    return _haar_expectations(setup["spectrum"], params["n_samples"], trial_stream(seed, k))
-
-
-def _mc_variance_identity_trial(setup, params, seed, k):
-    x = _mc_sample_expectations(setup, params, seed, k)
+def _mc_variance_identity_trial(setup, params, k, rng):
+    x = _haar_expectations(setup["spectrum"], params["n_samples"], rng)
     lhs = float(x.var(ddof=1))
     se = _variance_se(x)
     inputs = {"d_r": setup["d_r"], "mc_mean_b": setup["mc_mean"],
@@ -183,8 +174,8 @@ def _mc_variance_identity_trial(setup, params, seed, k):
                        mean=float(x.mean()), n_samples=len(x))
 
 
-def _mc_concentration_trial(setup, params, seed, k):
-    x = _mc_sample_expectations(setup, params, seed, k)
+def _mc_concentration_trial(setup, params, k, rng):
+    x = _haar_expectations(setup["spectrum"], params["n_samples"], rng)
     eps = params["epsilon"]
     dev = np.abs(x - setup["mc_mean"])
     lhs = float((dev >= eps).mean())
@@ -195,8 +186,8 @@ def _mc_concentration_trial(setup, params, seed, k):
                        mad=float(dev.mean()), mc_mean=setup["mc_mean"])
 
 
-def _mc_variance_concentration_trial(setup, params, seed, k):
-    x = _mc_sample_expectations(setup, params, seed, k)
+def _mc_variance_concentration_trial(setup, params, k, rng):
+    x = _haar_expectations(setup["spectrum"], params["n_samples"], rng)
     eps = params["epsilon"]
     # per-sample variance sigma_psi^2 = Tr[B^2 psi] - (Tr[B psi])^2; B projector
     sigma2 = x - x ** 2
@@ -206,7 +197,7 @@ def _mc_variance_concentration_trial(setup, params, seed, k):
                        sigma2_mc=sigma2_mc, mean_sigma2=float(sigma2.mean()))
 
 
-def _coarse_grained_setup(params, seed):
+def _coarse_grained_setup(params, rng):
     d, d_r, m = params["d"], params["d_r"], params["m"]
     if d % m:
         raise ValueError("macro-state count m must divide the dimension")
@@ -214,7 +205,7 @@ def _coarse_grained_setup(params, seed):
     # Haar unitary W orient the m macro projectors against it (only their
     # relative orientation matters).  Only W's first d_R rows are read, and
     # they are the transpose of a d x d_R Haar isometry
-    rows = haar_unitary(d, _setup_stream(seed), d_r).T
+    rows = haar_unitary(d, rng, d_r).T
     groups = [rows[:, r * (d // m):(r + 1) * (d // m)] for r in range(m)]
     # Tr[P_r Pi_R] / d_R = |g_r|_F^2 / d_R for the macro projector P_r of each
     # group, g_r its d_R rows in H_R
@@ -222,7 +213,7 @@ def _coarse_grained_setup(params, seed):
     return {"mc": mc, "groups": groups, "d": d, "d_r": d_r, "m": m}
 
 
-def _coarse_grained_trial(setup, params, seed, k):
+def _coarse_grained_trial(setup, params, k, rng):
     n = params["n_samples"]
     eps = params["epsilon"]
     d_r = setup["d_r"]
@@ -233,15 +224,15 @@ def _coarse_grained_trial(setup, params, seed, k):
             t_r = np.abs(a @ g.conj()) ** 2         # (rows, d/m) overlaps
             devs += np.abs(t_r.sum(axis=1) - setup["mc"][r])
         return devs
-    devs = _haar_map(deviations, n, d_r, trial_stream(seed, k))
+    devs = _haar_map(deviations, n, d_r, rng)
     lhs = float((devs >= eps).mean())               # max_A over alpha_r in [-1,1]
     inputs = {"d_r": d_r, "epsilon": eps, "m": setup["m"], "norm_a": 1.0}
     return check_bound("COARSE_GRAINED", lhs, inputs, mean_dev=float(devs.mean()))
 
 
-def _canonical_reduction_setup(params, seed):
+def _canonical_reduction_setup(params, rng):
     d_s, d_b, d_r = params["d_s"], params["d_b"], params["d_r"]
-    basis_r = haar_unitary(d_s * d_b, _setup_stream(seed), d_r)   # a Haar d_R-subspace
+    basis_r = haar_unitary(d_s * d_b, rng, d_r)   # a Haar d_R-subspace
     # the marginals of rho_mc = Pi_R / d_R without the d x d matrix: rho^S_mc is the
     # mean of the columns' marginals, rho^B_mc = X X^dagger / d_R, X (d_B, d_S d_R)
     x = basis_r.reshape(d_s, d_b, d_r).transpose(1, 0, 2).reshape(d_b, d_s * d_r)
@@ -249,13 +240,13 @@ def _canonical_reduction_setup(params, seed):
             "deff_b": effective_dimension(x @ dagger(x) / d_r), "d_s": d_s, "d_b": d_b, "d_r": d_r}
 
 
-def _canonical_reduction_trial(setup, params, seed, k):
+def _canonical_reduction_trial(setup, params, k, rng):
     n = params["n_samples"]
     eps = params["epsilon"]
     d_s, d_b = setup["d_s"], setup["d_b"]
     dist = _haar_map(lambda a: trace_distance(
         reduced_marginals(a @ setup["basis_r"].T, (d_s, d_b)), setup["rho_mc_s"]),
-        n, setup["d_r"], trial_stream(seed, k))
+        n, setup["d_r"], rng)
     threshold = canonical_reduction_threshold(epsilon=eps, d_s=d_s, deff_b=setup["deff_b"])
     lhs = float((dist >= threshold).mean())
     return check_bound("CANONICAL_REDUCTION", lhs, {"d_r": setup["d_r"], "epsilon": eps},
@@ -271,24 +262,24 @@ def _deff_subspace_ambient(params) -> int:
     return params["ambient"] or 2 * params["d_r"]
 
 
-def _deff_subspace_setup(params, seed):
+def _deff_subspace_setup(params, rng):
     d_r = params["d_r"]
     ambient = _deff_subspace_ambient(params)
     # d_eff of a dephased state reads only the Hamiltonian's eigenbasis V, and a
     # random Hamiltonian's eigenbasis is Haar: its spectrum is never drawn.  Only
     # V's first d_r rows are read, the transpose of an ambient x d_r Haar isometry
-    rows = haar_unitary(ambient, _setup_stream(seed), d_r).T
+    rows = haar_unitary(ambient, rng, d_r).T
     # coefficients of a subspace vector (a, 0) in the eigenbasis: a @ conj(V[:d_r, :])
     return {"block": rows.conj(), "d_r": d_r, "ambient": ambient}
 
 
-def _deff_subspace_block(setup, params, seed, ks):
+def _deff_subspace_block(setup, params, ks, rngs):
     """d_eff of each trial's dephased subspace state."""
-    c = _haar_coeff_rows(trial_streams(seed, ks), setup["d_r"]) @ setup["block"]
+    c = _haar_coeff_rows(rngs, setup["d_r"]) @ setup["block"]
     return (1.0 / (np.abs(c) ** 4).sum(axis=1)).tolist()
 
 
-def _deff_subspace_mean_trial(setup, params, seed, k, deff):
+def _deff_subspace_mean_trial(setup, params, k, deff):
     return _row(deff, setup["d_r"] / 4.0, "lower")
 
 
@@ -302,7 +293,7 @@ def _deff_subspace_mean_summary(rows, setup, params):
         fraction_below_quarter=float((vals < setup["d_r"] / 4).mean())))]
 
 
-def _deff_subspace_tail_trial(setup, params, seed, k, deff):
+def _deff_subspace_tail_trial(setup, params, k, deff):
     d_r = setup["d_r"]
     return check_bound("DEFF_SUBSPACE_TAIL", float(deff < d_r / 4.0), {"d_r": d_r}, deff=deff)
 
@@ -313,28 +304,28 @@ def _deff_subspace_tail_summary(rows, setup, params):
         "DEFF_SUBSPACE_TAIL", freq, {"d_r": setup["d_r"]}))]
 
 
-def _deff_product_setup(params, seed):
+def _deff_product_setup(params, rng):
     d_sr, d_br = params["d_sr"], params["d_br"]
     # the Haar eigenbasis of a random Hamiltonian on H_SR (x) H_BR, as in
     # _deff_subspace_setup
-    v = haar_unitary(d_sr * d_br, _setup_stream(seed))
+    v = haar_unitary(d_sr * d_br, rng)
     rhs = evaluate_bound("DEFF_PRODUCT_MEAN", {"d_sr": d_sr, "d_br": d_br})
     return {"eigenbasis": v, "d_sr": d_sr, "d_br": d_br, "rhs": rhs}
 
 
-def _deff_product_block(setup, params, seed, ks):
+def _deff_product_block(setup, params, ks, rngs):
     """d_eff of each trial's dephased product state psi_S (x) psi_B."""
     d_sr, d_br = setup["d_sr"], setup["d_br"]
     # per trial: psi_S's coefficients, then psi_B's
     draws = [(complex_normals(1, (d_sr,), rng), complex_normals(1, (d_br,), rng))
-             for rng in trial_streams(seed, ks)]
+             for rng in rngs]
     a_s, a_b = (_unit_rows(np.concatenate(z)) for z in zip(*draws))
     psi = (a_s[:, :, None] * a_b[:, None, :]).reshape(len(a_s), d_sr * d_br)
     c = psi @ setup["eigenbasis"].conj()        # row i: V^dagger psi_i
     return (1.0 / (np.abs(c) ** 4).sum(axis=1)).tolist()
 
 
-def _deff_product_trial(setup, params, seed, k, deff):
+def _deff_product_trial(setup, params, k, deff):
     return _row(deff, setup["rhs"], "observation")
 
 
@@ -345,25 +336,25 @@ def _deff_product_summary(rows, setup, params):
         "DEFF_PRODUCT_MEAN", mean, inputs, se, -1.96, ci95=[mean - 1.96 * se, mean + 1.96 * se]))]
 
 
-def _deff_mean_energy_setup(params, seed):
+def _deff_mean_energy_setup(params, rng):
     d = params["d"]
     lo, hi = params["spectrum_low"], params["spectrum_high"]
     # the coefficients are drawn in the eigenbasis: only the spectrum is read
-    e = sample_spectrum(d, _setup_stream(seed), (lo, hi))
+    e = sample_spectrum(d, rng, (lo, hi))
     energy = harmonic_mean(e)
     inputs = {"d": d, "energy": energy, "spectrum": e}
     return {"spectrum": e, "energy": energy, "rhs": evaluate_bound("DEFF_MEAN_ENERGY", inputs),
             "crude": mean_energy_purity_crude_bound(d=d, spectrum=e)}
 
 
-def _deff_mean_energy_block(setup, params, seed, ks):
+def _deff_mean_energy_block(setup, params, ks, rngs):
     """(purity, energy) of each trial's dephased mean-energy state."""
-    c = mean_energy_coefficients(setup["spectrum"], setup["energy"], trial_streams(seed, ks))
+    c = mean_energy_coefficients(setup["spectrum"], setup["energy"], rngs)
     p = np.abs(c) ** 2
     return list(zip((p ** 2).sum(axis=1).tolist(), (p @ setup["spectrum"]).tolist()))
 
 
-def _deff_mean_energy_trial(setup, params, seed, k, item):
+def _deff_mean_energy_trial(setup, params, k, item):
     pur, energy = item
     return _row(pur, setup["rhs"], "observation", energy=energy)
 
@@ -390,20 +381,18 @@ def _deff_mean_energy_summary(rows, setup, params):
 # equilibration (Reimann / subsystem / purity)
 # ---------------------------------------------------------------------------
 
-def _equilibration_trial_base(params, seed, k):
+def _equilibration_trial_base(params, rng):
     """Shared per-trial pipeline: random H on (d_s, d_b), Haar psi0, time
     batch, and psi0's dephased state (p, omega^S, omega^B)."""
     d_s, d_b = params["d_s"], params["d_b"]
-    rng = trial_stream(seed, k)
     h = sample_random_hamiltonian((d_s, d_b), rng)
     psi0 = sample_haar_state(d_s * d_b, rng)
     times = sample_times(h, params["n_times"], rng)
     return h, psi0, times, dephased(h, psi0)
 
 
-def _expectation_equilibration_trial(setup, params, seed, k):
+def _expectation_equilibration_trial(setup, params, k, rng):
     d = params["d_s"] * params["d_b"]
-    rng = trial_stream(seed, k)
     # psi0 is Haar and A is GUE, both unitarily invariant laws, so H's eigenbasis
     # drops out: c0 = V^dagger psi0 and A in the eigenbasis are drawn directly
     e, report = certify_spectrum(sample_spectrum(d, rng), rng)
@@ -434,9 +423,9 @@ def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, b
     return {"trajectory": path}
 
 
-def _subsystem_equilibration_trial(setup, params, seed, k):
+def _subsystem_equilibration_trial(setup, params, k, rng):
     d_s = params["d_s"]
-    h, psi0, times, (probs, omega_s, omega_b) = _equilibration_trial_base(params, seed, k)
+    h, psi0, times, (probs, omega_s, omega_b) = _equilibration_trial_base(params, rng)
     deff = float(1.0 / (probs ** 2).sum())
     deff_b = effective_dimension(omega_b)
     lhs, se = mean_se(_distances(h, psi0, times, omega_s))
@@ -446,7 +435,7 @@ def _subsystem_equilibration_trial(setup, params, seed, k):
 
 def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
     """Trajectory of D(rho^S_t, omega^S) for trial 0, on a grid."""
-    h, psi0, _, (_, omega_s, omega_b) = _equilibration_trial_base(params, seed, 0)
+    h, psi0, _, (_, omega_s, omega_b) = _equilibration_trial_base(params, trial_stream(seed, 0))
     bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", {
         "d_s": params["d_s"], "deff_b": effective_dimension(omega_b)})
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
@@ -455,9 +444,9 @@ def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
                                       omega_s, grid, bound)
 
 
-def _purity_equilibration_trial(setup, params, seed, k):
+def _purity_equilibration_trial(setup, params, k, rng):
     d_s = params["d_s"]
-    h, psi0, times, (probs, omega_s, _) = _equilibration_trial_base(params, seed, k)
+    h, psi0, times, (probs, omega_s, _) = _equilibration_trial_base(params, rng)
     deff = float(1.0 / (probs ** 2).sum())
     p_s, p_b = time_map(h, psi0, times, lambda psis: (
         purity(reduced_marginals(psis, h.dims)), bath_purities(psis, h.dims)))
@@ -474,9 +463,8 @@ def _purity_equilibration_trial(setup, params, seed, k):
 # ergodicity
 # ---------------------------------------------------------------------------
 
-def _ergodicity_setup(params, seed):
+def _ergodicity_setup(params, rng):
     d, d_r = params["d"], params["d_r"]
-    rng = _setup_stream(seed)
     # B is GUE, so B in H's eigenbasis is GUE too: the eigenbasis drops out
     e, report = certify_spectrum(sample_spectrum(d, rng), rng)
     lo = (d - d_r) // 2
@@ -491,14 +479,14 @@ def _ergodicity_setup(params, seed):
             "norm_dephased": float(np.abs(np.diag(b_eig).real).max()), "d_r": d_r}
 
 
-def _ergodicity_block(setup, params, seed, ks):
+def _ergodicity_block(setup, params, ks, rngs):
     """(Tr[B omega], sampled time average of Tr[B rho_t] or None) per trial;
     the time average only for the first crosscheck_trials trials."""
     h = setup["h"]
     times = {}
 
     def streams():
-        for k, rng in zip(ks, trial_streams(seed, ks)):
+        for k, rng in zip(ks, rngs):
             yield rng          # a is drawn here; the cross-check times straight after it
             if k < params["crosscheck_trials"]:
                 times[k] = sample_times(h, params["crosscheck_times"], rng)
@@ -516,7 +504,7 @@ def _ergodicity_block(setup, params, seed, ks):
     return list(zip(lhs, x_mean))
 
 
-def _ergodicity_trial(setup, params, seed, k, item):
+def _ergodicity_trial(setup, params, k, item):
     lhs, x_mean = item
     row = _row(lhs, setup["mc_mean"], "observation")
     if x_mean is not None:
@@ -560,11 +548,10 @@ def _rates_map(parts, psi0, times, fn):
     return time_map(parts, psi0, times, lambda psis: fn(reduced_rates(psis, parts)))
 
 
-def _speed_pipeline(params, seed, k, fn):
+def _speed_pipeline(params, rng, fn):
     """One trial's composite H and product psi0, and fn of the reduced rates
     at its sampled times."""
     d_s, d_b = params["d_s"], params["d_b"]
-    rng = trial_stream(seed, k)
     parts = _sample_composite(params, rng)
     psi0 = sample_product_state(d_s, d_b, rng)
     deff = float(1.0 / (dephased(parts, psi0)[0] ** 2).sum())
@@ -572,8 +559,8 @@ def _speed_pipeline(params, seed, k, fn):
     return parts, psi0, _rates_map(parts, psi0, times, fn), deff
 
 
-def _speed_trial(setup, params, seed, k):
-    parts, psi0, v, deff = _speed_pipeline(params, seed, k, ReducedRates.speeds)
+def _speed_trial(setup, params, k, rng):
+    parts, psi0, v, deff = _speed_pipeline(params, rng, ReducedRates.speeds)
     norm = parts.norm_hs_plus_hsb()
     inputs = {"norm_hs_plus_hsb": norm, "d_s": params["d_s"], "deff": deff}
     fd_ok, fd_err = _fd_check(ReducedRates.speeds, finite_difference_speed,
@@ -599,8 +586,8 @@ def _fd_check(rate, fd_fn, floor, psi0, parts, params):
     return verdict(worst, params["fd_rtol"], "upper"), worst
 
 
-def _purity_rate_avg_trial(setup, params, seed, k):
-    parts, psi0, dp, deff = _speed_pipeline(params, seed, k, ReducedRates.purity_rates)
+def _purity_rate_avg_trial(setup, params, k, rng):
+    parts, psi0, dp, deff = _speed_pipeline(params, rng, ReducedRates.purity_rates)
     norm_hsb = parts.norm_hsb()
     inputs = {"norm_hsb": norm_hsb, "d_s": params["d_s"], "deff": deff}
     fd_ok, fd_err = _fd_check(ReducedRates.purity_rates, finite_difference_purity_rate,
@@ -611,9 +598,9 @@ def _purity_rate_avg_trial(setup, params, seed, k):
     return row
 
 
-def _purity_rate_instant_trial(setup, params, seed, k):
+def _purity_rate_instant_trial(setup, params, k, rng):
     parts, _, (dp, rho_s), deff = _speed_pipeline(
-        params, seed, k, lambda rates: (rates.purity_rates(), rates.rho_s))
+        params, rng, lambda rates: (rates.purity_rates(), rates.rho_s))
     norm_hsb = parts.norm_hsb()
     # the global state is pure, so I_SB = 2 S(rho^S_t)
     rhs_t = np.array([evaluate_bound("PURITY_RATE_INSTANT", {
@@ -630,18 +617,18 @@ def _purity_rate_instant_trial(setup, params, seed, k):
 # decoherence: commutator lemma, slow states, einselection
 # ---------------------------------------------------------------------------
 
-def _commutator_lower_block(setup, params, seed, ks):
+def _commutator_lower_block(setup, params, ks, rngs):
     """(a, rho) per trial, drawn from the trial's stream."""
     lo, hi = params["dim_min"], params["dim_max"]
     draws = []
-    for rng in trial_streams(seed, ks):
+    for rng in rngs:
         n = int(rng.integers(lo, hi + 1))
         a_vals = np.sort(rng.random(n))
         draws.append((a_vals, _mixed_density(n, rng)))
     return draws
 
 
-def _commutator_lower_trial(setup, params, seed, k, item):
+def _commutator_lower_trial(setup, params, k, item):
     a_vals, rho = item
     n = len(a_vals)
     lhs = trace_norm(1j * commutator(rho, np.diag(a_vals)))  # [rho,A] is anti-Hermitian
@@ -670,17 +657,14 @@ def _slow_states_run(params, rng, coupling):
     return pairings / (norm_hsb + speeds), speeds, rho_in_hs, e_s, norm_hsb
 
 
-def _decoherence_trial(setup, params, seed, k):
-    ratios, _, _, e_s, norm_hsb = _slow_states_run(
-        params, trial_stream(seed, k), params["coupling"])
+def _decoherence_trial(setup, params, k, rng):
+    ratios, _, _, e_s, norm_hsb = _slow_states_run(params, rng, params["coupling"])
     return _row(float(ratios.max(initial=0.0)), 1.0, "upper", 1e-9,
                 norm_hsb=norm_hsb, min_gap_hs=float(np.diff(e_s).min()))
 
 
-def _einselection_rows(setup, params, seed, k):
+def _einselection_rows(setup, params, k, rng):
     d_s, d_b = params["d_s"], params["d_b"]
-    rng = trial_stream(seed, k)
-
     blocks = [sample_gue(d_b, rng, norm=1.0) for _ in range(d_s)]
     h = pointer_hamiltonian(d_s, blocks)
     # equal-weight superposition with random relative phases: maximal coherence
@@ -749,10 +733,9 @@ def _marginal_diameter(mu: np.ndarray) -> float:
                          for a in range(0, len(i), step)], initial=0.0))
 
 
-def _isi_trial(setup, params, seed, k):
+def _isi_trial(setup, params, k, rng):
     d_s, d_b = params["d_s"], params["d_b"]
     d = d_s * d_b
-    rng = trial_stream(seed, k)
     h = sample_random_hamiltonian((d_s, d_b), rng)
     mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))
     delta_pair = _marginal_diameter(mu)
@@ -776,12 +759,12 @@ def _isi_trial(setup, params, seed, k):
                        delta_entangled=delta_ent, delta_target=0.05)
 
 
-def _isi_linden_setup(params, seed):
+def _isi_linden_setup(params, rng):
     d_s, d_b, d_r = params["d_s"], params["d_b"], params["d_r"]
     # the eigenvectors of a random band of a random Hamiltonian are d_r columns
     # of a Haar eigenbasis, a Haar isometry: neither the spectrum nor the band's
     # positions are read
-    band = haar_unitary(d_s * d_b, _setup_stream(seed), d_r)
+    band = haar_unitary(d_s * d_b, rng, d_r)
     mu = reduced_marginals(band.T, (d_s, d_b))
     delta = float(purity(mu).mean())  # Linden delta
     rho_mc_s = mu.mean(axis=0)
@@ -789,14 +772,14 @@ def _isi_linden_setup(params, seed):
     return {**setup, "rhs": evaluate_bound("ISI_LINDEN_DELTA", _isi_linden_inputs(setup))}
 
 
-def _isi_linden_block(setup, params, seed, ks):
+def _isi_linden_block(setup, params, ks, rngs):
     """D(omega^S, rho_mc^S) of each trial's dephased marginal."""
-    w = np.abs(_haar_coeff_rows(trial_streams(seed, ks), setup["d_r"])) ** 2
+    w = np.abs(_haar_coeff_rows(rngs, setup["d_r"])) ** 2
     omega_s = np.einsum("nk,kij->nij", w, setup["mu"])
     return trace_distance(omega_s, setup["rho_mc_s"]).tolist()
 
 
-def _isi_linden_trial(setup, params, seed, k, distance):
+def _isi_linden_trial(setup, params, k, distance):
     return _row(distance, setup["rhs"], "observation")
 
 
@@ -811,14 +794,14 @@ def _isi_linden_summary(rows, setup, params):
         linden_delta=setup["delta"]))]
 
 
-def _entangled_state_tail_block(setup, params, seed, ks):
+def _entangled_state_tail_block(setup, params, ks, rngs):
     """D(rho^S, 1/d_S) of each trial's Haar-random bipartite state."""
     d_s, d_b = params["d_s"], params["d_b"]
-    rho_s = reduced_marginals(_haar_coeff_rows(trial_streams(seed, ks), d_s * d_b), (d_s, d_b))
+    rho_s = reduced_marginals(_haar_coeff_rows(rngs, d_s * d_b), (d_s, d_b))
     return trace_distance(rho_s, np.eye(d_s) / d_s).tolist()
 
 
-def _entangled_state_tail_trial(setup, params, seed, k, dist):
+def _entangled_state_tail_trial(setup, params, k, dist):
     return check_bound("ENTANGLED_STATE_TAIL", float(dist >= params["epsilon"]),
                        _entangled_inputs(params), distance=dist)
 
@@ -836,10 +819,10 @@ def _entangled_state_tail_summary(rows, setup, params):
     ]
 
 
-def _entangled_eigs_trial(setup, params, seed, k):
+def _entangled_eigs_trial(setup, params, k, rng):
     d_s, d_b = params["d_s"], params["d_b"]
     # only the eigenvectors of a random Hamiltonian are read: a Haar unitary
-    v = haar_unitary(d_s * d_b, trial_stream(seed, k))
+    v = haar_unitary(d_s * d_b, rng)
     dists = trace_distance(reduced_marginals(v.T, (d_s, d_b)), np.eye(d_s) / d_s)
     lhs = float(dists.max())
     thr = params["threshold"]
@@ -848,15 +831,15 @@ def _entangled_eigs_trial(setup, params, seed, k):
     return _row(lhs, thr, "upper", analytic_tail_at_threshold=rhs_analytic)
 
 
-def _levy_setup(params, seed):
+def _levy_setup(params, rng):
     # by unitary invariance only the spectrum of the GUE observable (norm 1) enters
-    return {"spectrum": hermitian_spectrum(sample_gue(params["d_r"], _setup_stream(seed)))}
+    return {"spectrum": hermitian_spectrum(sample_gue(params["d_r"], rng))}
 
 
-def _levy_trial(setup, params, seed, k):
+def _levy_trial(setup, params, k, rng):
     eps = params["epsilon"]
     spectrum = setup["spectrum"]
-    f = _haar_expectations(spectrum, params["n_samples"], trial_stream(seed, k))
+    f = _haar_expectations(spectrum, params["n_samples"], rng)
     mean_f = float(spectrum.mean())
     lhs = float((np.abs(f - mean_f) >= eps).mean())
     inputs = {"d": 2 * params["d_r"], "epsilon": eps, "eta": 2.0}  # real sphere dim, eta = 2|B|
@@ -867,9 +850,8 @@ def _levy_trial(setup, params, seed, k):
 # equilibration-time estimates
 # ---------------------------------------------------------------------------
 
-def _eq_time_heisenberg_trial(setup, params, seed, k):
+def _eq_time_heisenberg_trial(setup, params, k, rng):
     d = params["d"]
-    rng = trial_stream(seed, k)
     # psi0 is Haar on the band, in eigenbasis coordinates: an uncertified spectrum serves
     e = sample_spectrum(d, rng)
     lo, hi = d // 4, 3 * d // 4
@@ -884,9 +866,8 @@ def _eq_time_heisenberg_trial(setup, params, seed, k):
                 heisenberg_time=1.0 / delta_e, delta_e=delta_e)
 
 
-def _eq_time_purity_trial(setup, params, seed, k):
+def _eq_time_purity_trial(setup, params, k, rng):
     d_s, d_b = params["d_s"], params["d_b"]
-    rng = trial_stream(seed, k)
     parts = _sample_composite(params, rng)
     psi0 = sample_product_state(d_s, d_b, rng)
     p_eq = purity(dephased(parts, psi0)[1])
@@ -915,10 +896,9 @@ def _eq_time_purity_trial(setup, params, seed, k):
 # demos
 # ---------------------------------------------------------------------------
 
-def _second_law_rows(setup, params, seed, k):
+def _second_law_rows(setup, params, k, rng):
     d_s, d_b = params["d_s"], params["d_b"]
     d = d_s * d_b
-    rng = trial_stream(seed, k)
     h = sample_random_hamiltonian((d_s, d_b), rng)
     mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))
     delta_pair = _marginal_diameter(mu)
@@ -948,9 +928,8 @@ def _second_law_rows(setup, params, seed, k):
     ]
 
 
-def _distance_trajectory_setup(params, seed):
+def _distance_trajectory_setup(params, rng):
     d_s, d_b = params["d_s"], params["d_b"]
-    rng = _setup_stream(seed)
     h = sample_random_hamiltonian((d_s, d_b), rng)
     psi_b = sample_haar_state(d_b, rng)
     psi0 = np.kron(np.eye(d_s, dtype=complex)[0], psi_b)   # |0>_S |psi_B>
@@ -960,9 +939,9 @@ def _distance_trajectory_setup(params, seed):
     return {"h": h, "psi0": psi0, "omega_s": omega_s, "bound": bound}
 
 
-def _distance_trajectory_trial(setup, params, seed, k):
+def _distance_trajectory_trial(setup, params, k, rng):
     h = setup["h"]
-    times = sample_times(h, params["n_times"], trial_stream(seed, k))
+    times = sample_times(h, params["n_times"], rng)
     psi0 = setup["psi0"]
     mean, se = mean_se(_distances(h, psi0, times, setup["omega_s"]))
     return _row(mean, setup["bound"], "upper", stderr=se,
@@ -1099,21 +1078,21 @@ _register(ExperimentDef(
     "time-averaged subsystem speed vs the d_eff bound, with finite-difference checks",
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3, "fd_rtol": 1e-4},
     None, _speed_trial,
-    dimension=_bipartite, minimums={"d_s": 2, "n_times": 2}))
+    dimension=_bipartite, minimums={"d_s": 2, "d_b": 2, "n_times": 2}))
 
 _register(ExperimentDef(
     "PURITY_RATE_AVG",
     "time-averaged |dp^S/dt| vs the interaction-norm bound",
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3, "fd_rtol": 1e-4},
     None, _purity_rate_avg_trial,
-    dimension=_bipartite, minimums={"d_s": 2, "n_times": 2}))
+    dimension=_bipartite, minimums={"d_s": 2, "d_b": 2, "n_times": 2}))
 
 _register(ExperimentDef(
     "PURITY_RATE_INSTANT",
     "pointwise |dp^S/dt| vs the mutual-information bound at every sampled time",
     {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5},
     None, _purity_rate_instant_trial,
-    dimension=_bipartite, minimums={"d_s": 2}))
+    dimension=_bipartite, minimums={"d_s": 2, "d_b": 2}))
 
 _register(ExperimentDef(
     "COMMUTATOR_LOWER",
@@ -1128,7 +1107,7 @@ _register(ExperimentDef(
     "slow-states inequality pointwise along weak-coupling trajectories",
     {"d_s": 4, "d_b": 32, "trials": 20, "n_times": 200, "coupling": 0.01},
     None, _decoherence_trial,
-    dimension=_bipartite, minimums={"d_s": 2}))
+    dimension=_bipartite, minimums={"d_s": 2, "d_b": 2}))
 
 _register(ExperimentDef(
     "EINSELECTION_DEMO",
@@ -1136,7 +1115,7 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 1, "t_max": 200.0, "grid": 81,
      "late_window_start": 100.0, "late_suppression": 0.3, "n_times": 200},
     None, _einselection_rows,
-    dimension=_bipartite, minimums={"d_s": 2, "grid": 2},
+    dimension=_bipartite, minimums={"d_s": 2, "d_b": 2, "grid": 2},
     below={"late_window_start": "t_max"}))
 
 _register(ExperimentDef(
@@ -1188,7 +1167,7 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 10, "hsb_scale": 0.3,
      "t_max_over_coupling": 50.0, "grid": 2000},
     None, _eq_time_purity_trial,
-    dimension=_bipartite, minimums={"d_s": 2, "grid": 2}))
+    dimension=_bipartite, minimums={"d_s": 2, "d_b": 2, "grid": 2}))
 
 _register(ExperimentDef(
     "SECOND_LAW_DEMO",

@@ -2,13 +2,16 @@
 
 Reproducibility contract: a (config, seed) pair produces byte-identical
 per-trial CSV files, regardless of the worker count (trials own their RNG
-streams; results are written in trial order).  An experiment with a block
-hook runs its trials in blocks of _BLOCK consecutive indices starting at
-multiples of _BLOCK, and worker chunks end only at those multiples: batched
-BLAS results can depend on the stack height, which is then fixed by the
-trial count and never by the worker count.  The manifest carries a
-deterministic hash over everything that defines the run; wall time is
-recorded outside the hashed payload.
+streams; results are written in trial order).  The harness derives the
+hooks' streams from the seed: it hands the setup hook the setup stream, and
+each trial hook, or the block hook for a block of trials, the trial streams,
+built a block at a time; only an artifacts hook is given the seed.  An
+experiment with a block hook runs its trials in blocks of _BLOCK consecutive
+indices starting at multiples of _BLOCK, and worker chunks end only at those
+multiples: batched BLAS results can depend on the stack height, which is
+then fixed by the trial count and never by the worker count.  The manifest
+carries a deterministic hash over everything that defines the run; wall
+time is recorded outside the hashed payload.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import TrialRecord
+from .ensembles import SETUP_DOMAIN, stream, trial_streams
 from .experiments import EXPERIMENTS, mean_se
 
 __all__ = [
@@ -182,10 +186,15 @@ class ExperimentResult:
 
 
 def worker_count(environ=None, cpus: int | None = None) -> int:
-    """PURESTAT_WORKERS (default 1), clamped to [1, cpu count]; a value that
-    is not an integer raises a ValueError that names the variable."""
+    """PURESTAT_WORKERS (default 1), clamped to [1, cpus], by default the
+    number of CPUs this process may run on; a value that is not an integer
+    raises a ValueError that names the variable."""
     environ = os.environ if environ is None else environ
-    cpus = cpus or os.cpu_count() or 1
+    if not cpus:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:   # no affinity on this platform
+            cpus = os.cpu_count() or 1
     raw = environ.get("PURESTAT_WORKERS", "1")
     try:
         workers = int(raw)
@@ -195,17 +204,17 @@ def worker_count(environ=None, cpus: int | None = None) -> int:
 
 
 def _trial_records(exp, setup, params, seed, start: int, stop: int):
-    """What the trial hook returns for each trial in [start, stop), in order.
-    With a block hook, start is a multiple of _BLOCK and the block hook runs
-    once per _BLOCK-aligned block."""
-    if exp.block is None:
-        for k in range(start, stop):
-            yield exp.trial(setup, params, seed, k)
-        return
+    """What the trial hook returns for each trial k in [start, stop), in
+    order, given trial k's stream, or the block hook's item for k.  The
+    streams are built up to _BLOCK trials at a time; with a block hook, start
+    is a multiple of _BLOCK and the block hook runs once per block."""
     for lo in range(start, stop, _BLOCK):
         ks = range(lo, min(lo + _BLOCK, stop))
-        for k, item in zip(ks, exp.block(setup, params, seed, ks), strict=True):
-            yield exp.trial(setup, params, seed, k, item)
+        items = trial_streams(seed, ks)
+        if exp.block:
+            items = exp.block(setup, params, ks, items)
+        for k, item in zip(ks, items, strict=True):
+            yield exp.trial(setup, params, k, item)
 
 
 def _store(records) -> TrialRows:
@@ -400,7 +409,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     t0 = time.monotonic()
     workers = worker_count()   # a malformed PURESTAT_WORKERS fails before setup
     exp = EXPERIMENTS[spec.experiment_id]
-    setup = exp.setup(spec.params, spec.seed) if exp.setup else None
+    setup = exp.setup(spec.params, stream(spec.seed, SETUP_DOMAIN)) if exp.setup else None
     rows = _collect_records(spec, setup, workers)
     gates = exp.summary(rows, setup, spec.params) if exp.summary else []
     summary = _summarize_records(rows, gates)

@@ -9,6 +9,7 @@ with their own dims run standalone.
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -211,3 +212,12 @@ def test_criterion_14_infrastructure(suite, tmp_path):
     assert _report(14, "reproducibility + default-suite budget", ok,
                    f"suite wall {suite['wall']:.0f}s <= 1800s, "
                    f"violations={violations}, multi-worker bytes identical")
+
+
+def test_the_readme_counts_every_criterion():
+    # the count is written in digits, so one pattern finds every mention of it
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        counts = re.findall(r"(\w+) acceptance criteria", fh.read())
+    criteria = [name for name in globals() if name.startswith("test_criterion_")]
+    assert counts and set(counts) == {str(len(criteria))}, counts

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from purestat import (
+    SETUP_DOMAIN,
     TRIAL_DOMAIN,
     Hamiltonian,
-    experiments,
+    harness,
     mean_energy_coefficients,
     sample_haar_state,
     sample_mean_energy_state,
@@ -20,7 +21,13 @@ from purestat import (
     trial_stream,
     trial_streams,
 )
-from purestat.bounds import check_bound, evaluate_bound, max_pairing_offdiagonal_sum, verdict
+from purestat.bounds import (
+    TrialRecord,
+    check_bound,
+    evaluate_bound,
+    max_pairing_offdiagonal_sum,
+    verdict,
+)
 from purestat.dynamics import reduced_marginals, sample_times
 from purestat.hamiltonians import phase_factors
 from purestat.experiments import EXPERIMENTS, _mixed_density, _row
@@ -90,20 +97,15 @@ class _Recorder:
 
 
 @pytest.mark.parametrize("experiment_id", BLOCKED)
-def test_block_draws_equal_the_trial_stream_draws(experiment_id, monkeypatch):
+def test_block_draws_equal_the_trial_stream_draws(experiment_id):
     exp = EXPERIMENTS[experiment_id]
     params, seed = dict(exp.defaults), 13
-    setup = exp.setup(params, seed) if exp.setup else None
+    setup = exp.setup(params, stream(seed, SETUP_DOMAIN)) if exp.setup else None
     logs: dict = {}
-    streams = experiments.trial_streams
-
-    def recording(seed, ks):
-        for k, rng in zip(ks, streams(seed, ks)):
-            yield _Recorder(rng, logs.setdefault(k, []))
-
-    monkeypatch.setattr(experiments, "trial_streams", recording)
     ks = range(0, 40)
-    items = exp.block(setup, params, seed, ks)
+    recording = (_Recorder(rng, logs.setdefault(k, []))
+                 for k, rng in zip(ks, trial_streams(seed, ks)))
+    items = exp.block(setup, params, ks, recording)
     assert len(items) == len(ks) and sorted(logs) == list(ks)
     for k in ks:
         ref = trial_stream(seed, k)
@@ -112,6 +114,27 @@ def test_block_draws_equal_the_trial_stream_draws(experiment_id, monkeypatch):
             assert getattr(ref, name)(*args, **kwargs).tobytes() == values.tobytes(), k
     if experiment_id == "ERGODICITY":   # cross-check trials draw their times too
         assert [len(logs[k]) for k in range(4)] == [2, 2, 2, 1]
+
+
+def _drawn(rng) -> str:
+    """Every _DRAWS draw from rng in turn, as one hex string."""
+    return b"".join(draw(rng).tobytes() for draw in _DRAWS).hex()
+
+
+def _drawing_trial(setup, params, k, rng):
+    return TrialRecord(float(k), 0.0, 1.0, True, False, {"drawn": _drawn(rng)})
+
+
+@pytest.mark.parametrize("workers, trials", [(2, 8), (1, 300)])
+def test_a_per_trial_hook_receives_its_trial_stream(workers, trials, monkeypatch):
+    # two workers run 8 one-trial chunks, this process the even trials and a
+    # child the odd ones; one worker runs 300 trials across a block edge
+    monkeypatch.setattr(harness, "worker_count", lambda: workers)
+    monkeypatch.setitem(EXPERIMENTS, "COMMUTATOR_LOWER", dataclasses.replace(
+        EXPERIMENTS["COMMUTATOR_LOWER"], trial=_drawing_trial, block=None))
+    res = run_experiment(ExperimentSpec("COMMUTATOR_LOWER", {"trials": trials}, seed=23))
+    assert res.records.lhs.tolist() == list(range(trials))
+    assert res.records.extras["drawn"] == [_drawn(trial_stream(23, k)) for k in range(trials)]
 
 
 def test_chunk_edges_of_block_experiments_sit_on_block_multiples():
@@ -128,10 +151,10 @@ def test_blocked_csv_bytes_do_not_depend_on_worker_count(experiment_id, tmp_path
                                                          monkeypatch):
     exp = EXPERIMENTS[experiment_id]
 
-    def aligned_block(setup, params, seed, ks):
+    def aligned_block(setup, params, ks, rngs):
         # raises inside a pool worker too: the run then fails
         assert ks.start % _BLOCK == 0 and len(ks) == min(_BLOCK, 600 - ks.start), ks
-        return exp.block(setup, params, seed, ks)
+        return exp.block(setup, params, ks, rngs)
 
     monkeypatch.setitem(EXPERIMENTS, experiment_id,
                         dataclasses.replace(exp, block=aligned_block))
@@ -250,7 +273,7 @@ def test_blocked_rows_match_the_per_trial_reference(experiment_id, monkeypatch):
     exp, seed = EXPERIMENTS[experiment_id], 19
     res = run_experiment(ExperimentSpec(experiment_id, {"trials": 300}, seed=seed))
     params = res.spec.params
-    setup = exp.setup(params, seed) if exp.setup else None
+    setup = exp.setup(params, stream(seed, SETUP_DOMAIN)) if exp.setup else None
     for r in res.records:
         ref = REFERENCES[experiment_id](setup, params, seed, r.trial)
         assert _close(r.lhs, ref.lhs) and _close(r.rhs, ref.rhs), r.trial
@@ -272,22 +295,21 @@ def test_a_mixed_density_is_bitwise_the_reference_draw():
         assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
 
-def test_deff_product_draws_are_bitwise_the_reference_layout(monkeypatch):
+def test_deff_product_draws_are_bitwise_the_reference_layout():
     # per trial one standard_normal(2 (d_SR + d_BR)) draw: psi_S's real parts,
     # its imaginary parts, then psi_B's; each trial's own generator is kept
     # to see where the block leaves it
     exp, seed, ks = EXPERIMENTS["DEFF_PRODUCT_MEAN"], 19, range(6, 11)
     params = ExperimentSpec("DEFF_PRODUCT_MEAN", seed=seed).params
-    setup = exp.setup(params, seed)
+    setup = exp.setup(params, stream(seed, SETUP_DOMAIN))
     d_sr, d_br = setup["d_sr"], setup["d_br"]
     used = []
 
-    def own_streams(seed, ks):
+    def own_streams():
         for k in ks:
             used.append(trial_stream(seed, k))
             yield used[-1]
-    monkeypatch.setattr(experiments, "trial_streams", own_streams)
-    got = exp.block(setup, params, seed, ks)
+    got = exp.block(setup, params, ks, own_streams())
     refs = [trial_stream(seed, k) for k in ks]
     x = np.array([ref.standard_normal(2 * (d_sr + d_br)) for ref in refs])
     a_s = x[:, :d_sr] + 1j * x[:, d_sr:2 * d_sr]

@@ -303,7 +303,7 @@ def test_decoherence_at_seed_21_trial_19_resolves_its_phases():
     # weak-coupling spectrum puts |E t| = 5.7e15 past 2^52, and phase_factors
     # raises.  A finite-time horizon (item 1) turns this into a pass.
     exp = EXPERIMENTS["DECOHERENCE"]
-    assert exp.trial(None, exp.defaults, 21, 19).satisfied
+    assert exp.trial(None, exp.defaults, 19, trial_stream(21, 19)).satisfied
 
 
 def test_time_average_stationary_state():
@@ -643,7 +643,7 @@ def test_subsystem_equilibration_memory_does_not_grow_with_the_times():
     params = {**exp.defaults, "n_times": 20_000}
     tracemalloc.start()
     try:
-        exp.trial(None, params, 7, 0)
+        exp.trial(None, params, 0, trial_stream(7, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -658,7 +658,7 @@ def test_rate_experiments_memory_does_not_grow_with_the_times(experiment_id, n_t
     params = {**exp.defaults, "n_times": n_times}
     tracemalloc.start()
     try:
-        exp.trial(None, params, 7, 0)
+        exp.trial(None, params, 0, trial_stream(7, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

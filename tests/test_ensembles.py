@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from purestat import (
+    SETUP_DOMAIN,
     complex_normal_rows,
     ensembles,
     expectation_values,
@@ -83,10 +84,10 @@ def test_haar_expectations_equal_the_dense_diagonal_observable():
 def test_mc_variance_identity_memory_does_not_grow_with_the_samples():
     # 10^5 samples at d_r = 32: the one-shot draw and its temporaries peaked at 146 MB
     exp = EXPERIMENTS["MC_VARIANCE_IDENTITY"]
-    setup = exp.setup(exp.defaults, 7)
+    setup = exp.setup(exp.defaults, stream(7, SETUP_DOMAIN))
     tracemalloc.start()
     try:
-        exp.trial(setup, exp.defaults, 7, 0)
+        exp.trial(setup, exp.defaults, 0, trial_stream(7, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -103,9 +104,9 @@ def _bootstrap_variance_se(x, resamples, rng):
 
 def test_mc_variance_identity_stderr_matches_a_bootstrap():
     exp = EXPERIMENTS["MC_VARIANCE_IDENTITY"]
-    setup = exp.setup(exp.defaults, 7)
-    row = exp.trial(setup, exp.defaults, 7, 0)
-    x = experiments._mc_sample_expectations(setup, exp.defaults, 7, 0)
+    setup = exp.setup(exp.defaults, stream(7, SETUP_DOMAIN))
+    row = exp.trial(setup, exp.defaults, 0, trial_stream(7, 0))
+    x = _haar_expectations(setup["spectrum"], exp.defaults["n_samples"], trial_stream(7, 0))
     assert row.lhs == x.var(ddof=1)
     reference = _bootstrap_variance_se(x, 400, np.random.default_rng(0))
     assert abs(row.stderr / reference - 1) <= 0.15
@@ -177,7 +178,7 @@ def _traced_setup_peak(experiment_id, params) -> int:
     exp = EXPERIMENTS[experiment_id]
     tracemalloc.start()
     try:
-        exp.setup({**exp.defaults, **params}, 7)
+        exp.setup({**exp.defaults, **params}, stream(7, SETUP_DOMAIN))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

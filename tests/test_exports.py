@@ -102,21 +102,36 @@ ONE_HOME = {"standard_normal": "ensembles.complex_normals",
             "eigvalsh": "linalg.hermitian_spectrum"}
 
 
-def test_the_gaussian_draw_and_the_eigenvalue_solver_each_have_one_home():
-    """Every package statement that reads a name of ONE_HOME, named by its
-    module and, for a function or class, its name."""
-    readers = {name: set() for name in ONE_HOME}
-    folder = os.path.join(ROOT, "src", "purestat")
-    for f in sorted(os.listdir(folder)):
-        if not f.endswith(".py"):
-            continue
-        with open(os.path.join(folder, f), encoding="utf-8") as fh:
+def _readers(names, modules) -> dict[str, set]:
+    """name -> every top-level statement of the package modules that reads
+    it, named by its module and, for a function or class, its name."""
+    readers = {name: set() for name in names}
+    for module in modules:
+        with open(os.path.join(ROOT, "src", "purestat", f"{module}.py"), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for stmt in tree.body:
-            where = f"{f[:-3]}.{stmt.name}" if hasattr(stmt, "name") else f[:-3]
-            for name in ONE_HOME.keys() & _referenced_names(stmt):
+            where = f"{module}.{stmt.name}" if hasattr(stmt, "name") else module
+            for name in readers.keys() & _referenced_names(stmt):
                 readers[name].add(where)
-    assert readers == {name: {home} for name, home in ONE_HOME.items()}
+    return readers
+
+
+def test_the_gaussian_draw_and_the_eigenvalue_solver_each_have_one_home():
+    package = sorted(f[:-3] for f in os.listdir(os.path.join(ROOT, "src", "purestat"))
+                     if f.endswith(".py"))
+    assert _readers(ONE_HOME, package) == {name: {home} for name, home in ONE_HOME.items()}
+
+
+# the names that derive a random stream from the seed
+STREAM_NAMES = ("stream", "SETUP_DOMAIN", "TRIAL_DOMAIN", "trial_streams", "trial_stream")
+
+
+def test_the_experiments_derive_no_stream_from_the_seed():
+    """The harness hands every setup, block and trial hook its stream; only
+    SUBSYSTEM_EQUILIBRATION's artifact, which replays trial 0, reads one."""
+    assert _readers(STREAM_NAMES, ["experiments"]) == {
+        **{name: set() for name in STREAM_NAMES},
+        "trial_stream": {"experiments._subsystem_equilibration_artifacts"}}
 
 
 def _passed_arguments(source: str) -> dict[str, list]:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from purestat import harness, sample_spectrum, trial_stream
+from purestat import SETUP_DOMAIN, harness, sample_spectrum, stream, trial_stream
 from purestat.bounds import TrialRecord
 from purestat.experiments import EXPERIMENTS, mean_se
 from purestat.harness import (
@@ -81,11 +81,18 @@ def test_worker_count_is_clamped_to_cpus():
     assert worker_count({"PURESTAT_WORKERS": "100000"}) <= (os.cpu_count() or 1)
 
 
+def test_worker_count_is_clamped_to_the_cpus_this_process_may_use(monkeypatch):
+    # os.cpu_count() counts every CPU of the machine, also those outside the
+    # process's affinity mask
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count({"PURESTAT_WORKERS": "8"}) == 1
+
+
 def test_a_malformed_worker_count_fails_before_setup(monkeypatch):
     calls = []
     monkeypatch.setenv("PURESTAT_WORKERS", "abc")
     monkeypatch.setitem(EXPERIMENTS, "DEFF_SUBSPACE_MEAN", dataclasses.replace(
-        EXPERIMENTS["DEFF_SUBSPACE_MEAN"], setup=lambda params, seed: calls.append(seed)))
+        EXPERIMENTS["DEFF_SUBSPACE_MEAN"], setup=lambda params, rng: calls.append(rng)))
     with pytest.raises(ValueError, match="PURESTAT_WORKERS must be an integer, got 'abc'"):
         run_experiment(ExperimentSpec("DEFF_SUBSPACE_MEAN", {"trials": 2}))
     assert calls == []
@@ -318,6 +325,8 @@ INTEGER_PARAMETERS = [(e, key) for e, exp in EXPERIMENTS.items()
                       for key, default in exp.defaults.items() if isinstance(default, int)]
 NEEDS_TWO_SYSTEM_LEVELS = ("SPEED", "PURITY_RATE_AVG", "PURITY_RATE_INSTANT", "EQ_TIME_PURITY",
                            "DECOHERENCE", "EINSELECTION_DEMO", "SECOND_LAW_DEMO")
+NEEDS_TWO_BATH_LEVELS = ("SPEED", "PURITY_RATE_AVG", "PURITY_RATE_INSTANT", "EQ_TIME_PURITY",
+                         "DECOHERENCE", "EINSELECTION_DEMO")
 
 
 def test_every_declared_minimum_is_enforced():
@@ -349,6 +358,9 @@ def test_every_declared_minimum_is_enforced():
         # an unrelated error inside compute: non-finite matrix entries, a
         # zero-size minimum, a dimension mismatch or an IndexError
         **{(e, "d_s"): 2 for e in NEEDS_TWO_SYSTEM_LEVELS},
+        # a traceless GUE bath Hamiltonian is the zero matrix at d_b = 1, and
+        # its scaling to norm 1 gave non-finite entries
+        **{(e, "d_b"): 2 for e in NEEDS_TWO_BATH_LEVELS},
         # rank_b = -1 built a rank d_r - 1 projector and judged it against the
         # negative mean -1/d_r; 0 means d_r / 2
         **{(e, "rank_b"): 0 for e in (
@@ -583,7 +595,7 @@ def _assert_no_child_left():
 def test_a_childs_error_is_raised_here_with_its_traceback(monkeypatch):
     parent = os.getpid()
 
-    def trial(setup, params, seed, k):
+    def trial(setup, params, k, rng):
         if os.getpid() != parent:
             raise ValueError(f"trial {k} failed in a child")
         return TrialRecord(0.0, 0.0, 1.0, True, False)
@@ -599,7 +611,7 @@ def test_a_childs_error_is_raised_here_with_its_traceback(monkeypatch):
 def test_a_childs_result_that_does_not_pickle_is_raised_here(monkeypatch):
     parent = os.getpid()
 
-    def trial(setup, params, seed, k):
+    def trial(setup, params, k, rng):
         hook = (lambda: k) if os.getpid() != parent else k
         return TrialRecord(0.0, 0.0, 1.0, True, False, {"hook": hook})
 
@@ -613,7 +625,7 @@ def test_a_childs_result_that_does_not_pickle_is_raised_here(monkeypatch):
 def test_a_failing_parent_share_kills_and_reaps_the_child(monkeypatch):
     parent = os.getpid()
 
-    def trial(setup, params, seed, k):
+    def trial(setup, params, k, rng):
         if os.getpid() == parent:
             raise ValueError("the parent's share failed")
         time.sleep(60)
@@ -629,7 +641,7 @@ def test_a_failing_parent_share_kills_and_reaps_the_child(monkeypatch):
 def test_a_child_that_exits_without_a_result_names_its_status(monkeypatch):
     parent = os.getpid()
 
-    def trial(setup, params, seed, k):
+    def trial(setup, params, k, rng):
         if os.getpid() != parent:
             os._exit(3)
         return TrialRecord(0.0, 0.0, 1.0, True, False)
@@ -643,7 +655,7 @@ def test_a_child_that_exits_without_a_result_names_its_status(monkeypatch):
 def test_rows_from_two_workers_keep_trial_order(monkeypatch):
     parent = os.getpid()
 
-    def trial(setup, params, seed, k):
+    def trial(setup, params, k, rng):
         return TrialRecord(float(k), 0.0, 1.0, True, False, {"child": os.getpid() != parent})
 
     res = run_experiment(_two_workers_running(monkeypatch, trial))
@@ -673,15 +685,17 @@ def test_setup_runs_once_per_run(monkeypatch):
     exp = EXPERIMENTS["ISI_LINDEN_DELTA"]
     calls = []
 
-    def counting_setup(params, seed):
-        calls.append(seed)
-        return exp.setup(params, seed)
+    def counting_setup(params, rng):
+        calls.append(repr(rng.bit_generator.state))
+        return exp.setup(params, rng)
 
     monkeypatch.setitem(EXPERIMENTS, "ISI_LINDEN_DELTA",
                         dataclasses.replace(exp, setup=counting_setup))
     spec = ExperimentSpec("ISI_LINDEN_DELTA", {"trials": 4}, seed=3)
     first, second = run_experiment(spec), run_experiment(spec)
-    assert calls == [3, 3]  # no setup survives from one run to the next
+    # no setup survives from one run to the next: each run hands setup a fresh
+    # setup stream of seed 3
+    assert calls == [repr(stream(3, SETUP_DOMAIN).bit_generator.state)] * 2
     assert first.manifest["manifest_hash"] == second.manifest["manifest_hash"]
 
 
@@ -740,7 +754,7 @@ def test_eq_time_heisenberg_closed_form_matches_dense_route():
     params = EXPERIMENTS["EQ_TIME_HEISENBERG"].defaults
     d = int(params["d"])
     for k in range(3):
-        rec = EXPERIMENTS["EQ_TIME_HEISENBERG"].trial(None, params, 7, k)
+        rec = EXPERIMENTS["EQ_TIME_HEISENBERG"].trial(None, params, k, trial_stream(7, k))
         rng = trial_stream(7, k)
         e_band = sample_spectrum(d, rng)[d // 4:3 * d // 4]
         # the one-shot Haar draw, written out as the independent oracle

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from purestat import (
+    SETUP_DOMAIN,
     dagger,
     effective_dimension,
     expectation_values,
     partial_trace,
     purity,
+    stream,
     trace_distance,
     von_neumann_entropy,
 )
@@ -261,7 +263,7 @@ def test_microcanonical_expectation_matches_basis_average():
     exp = EXPERIMENTS["CANONICAL_REDUCTION"]
     rng = np.random.default_rng(17)
     for params in ({}, {"d_s": 3, "d_b": 4, "d_r": 5}):
-        setup = exp.setup({**exp.defaults, **params}, 7)
+        setup = exp.setup({**exp.defaults, **params}, stream(7, SETUP_DOMAIN))
         q, d_s, d_b, d_r = setup["basis_r"], setup["d_s"], setup["d_b"], setup["d_r"]
         rho = q @ dagger(q) / d_r
         assert np.abs(setup["rho_mc_s"] - partial_trace(rho, d_s, d_b, "S")).max() <= 1e-12
@@ -277,7 +279,7 @@ def test_coarse_grained_macro_rows_resolve_the_identity_on_the_subspace():
     # the setup keeps only the d_R rows g_r (in H_R) of each macro group, so
     # the compressed projectors Pi_R P_r Pi_R = g_r g_r^dagger must sum to 1 on H_R
     exp = EXPERIMENTS["COARSE_GRAINED"]
-    setup = exp.setup(exp.defaults, 7)
+    setup = exp.setup(exp.defaults, stream(7, SETUP_DOMAIN))
     d, d_r, m = setup["d"], setup["d_r"], setup["m"]
     groups = setup["groups"]
     assert len(groups) == m and all(g.shape == (d_r, d // m) for g in groups)
@@ -293,7 +295,7 @@ def test_coarse_grained_microcanonical_means_are_the_dense_traces(params):
     # H_R is the span of the first d_R basis vectors; the rows of group r in H_R
     # are Pi_R g_r, so Tr[Pi_R P_r Pi_R] / d_R is read from its d x d embedding
     exp = EXPERIMENTS["COARSE_GRAINED"]
-    setup = exp.setup({**exp.defaults, **params}, 7)
+    setup = exp.setup({**exp.defaults, **params}, stream(7, SETUP_DOMAIN))
     d, d_r = setup["d"], setup["d_r"]
     pi_r = np.diag(np.r_[np.ones(d_r), np.zeros(d - d_r)])
     want = []

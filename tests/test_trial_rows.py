@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from purestat import harness
+from purestat import SETUP_DOMAIN, harness, stream
 from purestat.bounds import TrialRecord
 from purestat.experiments import EXPERIMENTS
 from purestat.harness import ExperimentSpec, run_experiment
@@ -18,7 +18,7 @@ from purestat.harness import ExperimentSpec, run_experiment
 def _returned(spec):
     """What the trial hooks return for spec, one TrialRecord per row, in order."""
     exp = EXPERIMENTS[spec.experiment_id]
-    setup = exp.setup(spec.params, spec.seed) if exp.setup else None
+    setup = exp.setup(spec.params, stream(spec.seed, SETUP_DOMAIN)) if exp.setup else None
     rows = []
     for rec in harness._trial_records(exp, setup, spec.params, spec.seed, 0,
                                       spec.params["trials"]):
