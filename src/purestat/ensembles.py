@@ -30,7 +30,6 @@ __all__ = [
     "trial_stream",
     "trial_streams",
     "complex_normals",
-    "complex_normal_rows",
     "haar_coefficient_blocks",
     "haar_unitary",
     "sample_haar_state",
@@ -80,27 +79,29 @@ def trial_streams(seed: int, ks):
         yield rng
 
 
-def complex_normals(n: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+def complex_normals(n: int, shape: tuple, rng) -> np.ndarray:
     """n complex standard-normal samples of the given shape, (n, *shape), the
     package's one Gaussian draw: rng.standard_normal((n, 2, *shape)), each
-    sample's real parts, then its imaginary parts."""
-    x = rng.standard_normal((n, 2, *shape))
+    sample's real parts, then its imaginary parts.  rng may also be an iterable
+    of n generators, such as `trial_streams`: row i is then drawn from the i-th
+    as it is taken, bitwise (and leaving it) as complex_normals(1, shape, g)
+    does, the iterable is run to its end, and another count raises ValueError."""
+    if hasattr(rng, "standard_normal"):     # one generator
+        x = rng.standard_normal((n, 2, *shape))
+    else:
+        x = np.empty((n, 2, *shape))
+        for row, g in zip(x, rng, strict=True):
+            g.standard_normal(out=row)
     z = x[:, 0].astype(complex)
     z.imag = x[:, 1]
     return z
 
 
-def complex_normal_rows(rngs, d: int) -> np.ndarray:
-    """(n, d) complex normals, row i the complex_normals sample of the i-th of n >= 1
-    generators; rngs may be a lazy iterable such as `trial_streams`."""
-    return np.concatenate([complex_normals(1, (d,), rng) for rng in rngs])
-
-
 def haar_coefficient_blocks(n: int, d: int, rng: np.random.Generator):
     """Yield n Haar-random coefficient rows in blocks of max(1, BLOCK_ENTRIES // d)
     rows, so memory does not grow with n: normalised complex_normals, so row i is
-    bitwise the normalised complex_normal_rows row of the i-th sample.  Take every
-    block before drawing anything else from rng."""
+    bitwise the i-th normalised one-sample draw of rng.  Take every block before
+    drawing anything else from rng."""
     rows = max(1, BLOCK_ENTRIES // d)
     for lo in range(0, n, rows):
         z = complex_normals(min(rows, n - lo), (d,), rng)
@@ -211,23 +212,23 @@ def harmonic_mean(spectrum) -> float:
     return len(e) / float((1.0 / e).sum())
 
 
-def mean_energy_coefficients(spectrum, energy: float, rngs) -> np.ndarray:
-    """Mean-energy-ensemble eigenbasis coefficients for a spectrum, one row per stream.
+def mean_energy_coefficients(spectrum, energy: float, n: int, rngs) -> np.ndarray:
+    """Mean-energy-ensemble eigenbasis coefficients for a spectrum, n rows.
 
-    From each generator in rngs, the real and then the imaginary parts of
-    the coefficients c_k are drawn from zero-mean normals with standard
-    deviation sqrt(E/(d E_k)); each row is then normalized.  rngs may be a
-    lazy iterable such as the streams of `trial_streams`.  The ensemble's mean
-    energy is close to E when E is the harmonic mean of the spectrum
-    (harmonic_mean); validity is established empirically by comparing the
-    sample-mean energy against E.
+    The real and then the imaginary parts of the coefficients c_k are drawn
+    from zero-mean normals with standard deviation sqrt(E/(d E_k)), one row
+    per generator of rngs (complex_normals's two forms: one generator, or an
+    iterable of n such as the streams of `trial_streams`); each row is then
+    normalized.  The ensemble's mean energy is close to E when E is the
+    harmonic mean of the spectrum (harmonic_mean); validity is established
+    empirically by comparing the sample-mean energy against E.
     """
     e = np.asarray(spectrum, dtype=float)
     if np.any(e <= 0):
         raise ValueError("mean energy sampler needs a strictly positive spectrum")
     if energy <= 0:
         raise ValueError(f"energy must be positive, got {energy!r}")
-    c = np.sqrt(energy / (len(e) * e)) * complex_normal_rows(rngs, len(e))
+    c = np.sqrt(energy / (len(e) * e)) * complex_normals(n, (len(e),), rngs)
     return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
@@ -235,5 +236,5 @@ def sample_mean_energy_state(h: Hamiltonian, energy: float,
                              rng: np.random.Generator) -> np.ndarray:
     """Approximate sample from the mean energy ensemble at the given energy:
     the state with the coefficients of mean_energy_coefficients."""
-    c = mean_energy_coefficients(h.eigenvalues, energy, [rng])[0]
+    c = mean_energy_coefficients(h.eigenvalues, energy, 1, rng)[0]
     return h.eigenbasis @ c

@@ -42,7 +42,6 @@ from .dynamics import (
 )
 from .ensembles import (
     certify_spectrum,
-    complex_normal_rows,
     complex_normals,
     haar_coefficient_blocks,
     haar_unitary,
@@ -93,15 +92,14 @@ class ExperimentDef:
     # harness's TrialRows, whose columns (rows.lhs, rows.extras[key]) it reads
     summary: object = None
     artifacts: object = None      # (setup, params, seed, out_dir) -> dict of files
-    # (params) -> the largest Hilbert-space dimension the experiment builds
+    # (params) -> the largest Hilbert-space dimension the experiment builds,
+    # which minimums and limits name "dimension"
     dimension: object = field(kw_only=True)
-    # the parameter sizing a subspace, which may not exceed dimension(params)
-    subspace: str | None = field(default=None, kw_only=True)
-    # integer parameter -> its smallest accepted value where that is not 1
-    # (a count that feeds std(ddof=1) needs 2; 0 may mean "derive it")
+    # integer parameter or "dimension" -> its smallest accepted value where that
+    # is not 1 (a count that feeds std(ddof=1) needs 2; 0 may mean "derive it")
     minimums: dict = field(default_factory=dict, kw_only=True)
-    below: dict = field(default_factory=dict, kw_only=True)  # key -> the key it must lie below
-    not_above: dict = field(default_factory=dict, kw_only=True)  # key -> the key it may not exceed
+    # parameter -> ("<" or "<=", another parameter or "dimension")
+    limits: dict = field(default_factory=dict, kw_only=True)
     # (setup, params, ks, rngs) -> one item per trial index in ks, computed
     # together from rngs, which yields each trial's stream in order, valid
     # until the next is taken; the harness passes ks as one block of
@@ -125,9 +123,9 @@ def _haar_expectations(spectrum: np.ndarray, n: int, rng: np.random.Generator) -
     return _haar_map(lambda a: (a.real ** 2 + a.imag ** 2) @ spectrum, n, len(spectrum), rng)
 
 
-def _haar_coeff_rows(streams, d: int) -> np.ndarray:
-    """One row per stream: its normalised complex_normal_rows row."""
-    return _unit_rows(complex_normal_rows(streams, d))
+def _haar_coeff_rows(n: int, d: int, rngs) -> np.ndarray:
+    """n rows, one per generator of rngs: its normalised complex_normals row."""
+    return _unit_rows(complex_normals(n, (d,), rngs))
 
 
 def mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -275,7 +273,7 @@ def _deff_subspace_setup(params, rng):
 
 def _deff_subspace_block(setup, params, ks, rngs):
     """d_eff of each trial's dephased subspace state."""
-    c = _haar_coeff_rows(rngs, setup["d_r"]) @ setup["block"]
+    c = _haar_coeff_rows(len(ks), setup["d_r"], rngs) @ setup["block"]
     return (1.0 / (np.abs(c) ** 4).sum(axis=1)).tolist()
 
 
@@ -349,7 +347,7 @@ def _deff_mean_energy_setup(params, rng):
 
 def _deff_mean_energy_block(setup, params, ks, rngs):
     """(purity, energy) of each trial's dephased mean-energy state."""
-    c = mean_energy_coefficients(setup["spectrum"], setup["energy"], rngs)
+    c = mean_energy_coefficients(setup["spectrum"], setup["energy"], len(ks), rngs)
     p = np.abs(c) ** 2
     return list(zip((p ** 2).sum(axis=1).tolist(), (p @ setup["spectrum"]).tolist()))
 
@@ -491,7 +489,7 @@ def _ergodicity_block(setup, params, ks, rngs):
             if k < params["crosscheck_trials"]:
                 times[k] = sample_times(h, params["crosscheck_times"], rng)
 
-    a = _haar_coeff_rows(streams(), setup["d_r"])
+    a = _haar_coeff_rows(len(ks), setup["d_r"], streams())
     # Tr[B omega] = Tr[$[B] psi0], one dot per row: it sits near 0, where a
     # matrix-vector product's summation order moves it by 1e-12 relative
     lhs = [float(w @ setup["diag_band"]) for w in np.abs(a) ** 2]
@@ -774,7 +772,7 @@ def _isi_linden_setup(params, rng):
 
 def _isi_linden_block(setup, params, ks, rngs):
     """D(omega^S, rho_mc^S) of each trial's dephased marginal."""
-    w = np.abs(_haar_coeff_rows(rngs, setup["d_r"])) ** 2
+    w = np.abs(_haar_coeff_rows(len(ks), setup["d_r"], rngs)) ** 2
     omega_s = np.einsum("nk,kij->nij", w, setup["mu"])
     return trace_distance(omega_s, setup["rho_mc_s"]).tolist()
 
@@ -797,7 +795,7 @@ def _isi_linden_summary(rows, setup, params):
 def _entangled_state_tail_block(setup, params, ks, rngs):
     """D(rho^S, 1/d_S) of each trial's Haar-random bipartite state."""
     d_s, d_b = params["d_s"], params["d_b"]
-    rho_s = reduced_marginals(_haar_coeff_rows(rngs, d_s * d_b), (d_s, d_b))
+    rho_s = reduced_marginals(_haar_coeff_rows(len(ks), d_s * d_b, rngs), (d_s, d_b))
     return trace_distance(rho_s, np.eye(d_s) / d_s).tolist()
 
 
@@ -962,6 +960,8 @@ def _distance_trajectory_artifacts(setup, params, seed, out_dir):
 # ---------------------------------------------------------------------------
 
 _MC_DEFAULTS = {"d_r": 32, "rank_b": 0, "n_samples": 100_000, "trials": 1}
+_SUBSPACE = {"d_r": ("<=", "dimension")}   # a subspace may fill its space
+# time averages assume non-degenerate gaps, and two levels have one gap: "dimension" >= 3
 
 
 def _bipartite(params) -> int:
@@ -979,14 +979,14 @@ _register(ExperimentDef(
     "MC_VARIANCE_IDENTITY",
     "variance of Tr[B psi] over Haar states equals the microcanonical variance / (d_R+1)",
     {**_MC_DEFAULTS}, _mc_setup, _mc_variance_identity_trial,
-    dimension=itemgetter("d_r"), below={"rank_b": "d_r"},
+    dimension=itemgetter("d_r"), limits={"rank_b": ("<", "d_r")},
     minimums={"n_samples": 2, "rank_b": 0, "d_r": 2}))
 
 _register(ExperimentDef(
     "MC_CONCENTRATION",
     "tail of |Tr[B psi] - <B>_mc| vs the exponential concentration bound",
     {**_MC_DEFAULTS, "epsilon": 0.25}, _mc_setup, _mc_concentration_trial,
-    dimension=itemgetter("d_r"), below={"rank_b": "d_r"},
+    dimension=itemgetter("d_r"), limits={"rank_b": ("<", "d_r")},
     minimums={"n_samples": 2, "rank_b": 0, "d_r": 2}))
 
 _register(ExperimentDef(
@@ -994,7 +994,7 @@ _register(ExperimentDef(
     "tail of |sigma^2_psi - sigma^2_mc| vs the two-term concentration bound",
     {**_MC_DEFAULTS, "n_samples": 20_000, "epsilon": 0.1},
     _mc_setup, _mc_variance_concentration_trial,
-    dimension=itemgetter("d_r"), below={"rank_b": "d_r"},
+    dimension=itemgetter("d_r"), limits={"rank_b": ("<", "d_r")},
     minimums={"rank_b": 0, "d_r": 2}))
 
 _register(ExperimentDef(
@@ -1002,21 +1002,21 @@ _register(ExperimentDef(
     "deviation of all coarse macro observables at once vs the union bound",
     {"d": 64, "d_r": 32, "m": 4, "n_samples": 20_000, "epsilon": 0.2, "trials": 1},
     _coarse_grained_setup, _coarse_grained_trial,
-    subspace="d_r", dimension=itemgetter("d")))
+    limits=_SUBSPACE, dimension=itemgetter("d")))
 
 _register(ExperimentDef(
     "CANONICAL_REDUCTION",
     "trace distance of reduced random states from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 32, "n_samples": 2000, "epsilon": 0.1, "trials": 1},
     _canonical_reduction_setup, _canonical_reduction_trial,
-    subspace="d_r", dimension=_bipartite))
+    limits=_SUBSPACE, dimension=_bipartite))
 
 _register(ExperimentDef(
     "DEFF_SUBSPACE_MEAN",
     "mean effective dimension of dephased subspace states vs d_R/2",
     {"d_r": 64, "ambient": 0, "trials": 2000},
     _deff_subspace_setup, _deff_subspace_mean_trial, _deff_subspace_mean_summary,
-    subspace="d_r", dimension=_deff_subspace_ambient, minimums={"trials": 2, "ambient": 0},
+    limits=_SUBSPACE, dimension=_deff_subspace_ambient, minimums={"trials": 2, "ambient": 0},
     block=_deff_subspace_block))
 
 _register(ExperimentDef(
@@ -1024,7 +1024,7 @@ _register(ExperimentDef(
     "frequency of d_eff < d_R/4 vs the (vacuous at desk dims) tail bound",
     {"d_r": 64, "ambient": 0, "trials": 2000},
     _deff_subspace_setup, _deff_subspace_tail_trial, _deff_subspace_tail_summary,
-    subspace="d_r", dimension=_deff_subspace_ambient, minimums={"ambient": 0},
+    limits=_SUBSPACE, dimension=_deff_subspace_ambient, minimums={"ambient": 0},
     block=_deff_subspace_block))
 
 _register(ExperimentDef(
@@ -1047,21 +1047,21 @@ _register(ExperimentDef(
     "time variance of Tr[A rho_t] vs |A|^2/d_eff",
     {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000},
     None, _expectation_equilibration_trial,
-    dimension=_bipartite, minimums={"n_times": 2}))
+    dimension=_bipartite, minimums={"n_times": 2, "dimension": 3}))
 
 _register(ExperimentDef(
     "SUBSYSTEM_EQUILIBRATION",
     "time-averaged trace distance from the dephased reduced state vs the d_eff bound",
     {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000},
     None, _subsystem_equilibration_trial, None, _subsystem_equilibration_artifacts,
-    dimension=_bipartite, minimums={"n_times": 2}))
+    dimension=_bipartite, minimums={"n_times": 2, "dimension": 3}))
 
 _register(ExperimentDef(
     "PURITY_EQUILIBRATION",
     "time-averaged subsystem purity vs purity of the dephased state",
     {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000},
     None, _purity_equilibration_trial,
-    dimension=_bipartite))
+    dimension=_bipartite, minimums={"dimension": 3}))
 
 _register(ExperimentDef(
     "ERGODICITY",
@@ -1069,8 +1069,8 @@ _register(ExperimentDef(
     {"d": 128, "d_r": 64, "trials": 2000, "crosscheck_trials": 3,
      "crosscheck_times": 4000, "crosscheck_tol": 1e-2},
     _ergodicity_setup, _ergodicity_trial, _ergodicity_summary,
-    subspace="d_r", dimension=itemgetter("d"),
-    minimums={"trials": 2, "crosscheck_trials": 0},
+    limits=_SUBSPACE, dimension=itemgetter("d"),
+    minimums={"trials": 2, "crosscheck_trials": 0, "dimension": 3},
     block=_ergodicity_block))
 
 _register(ExperimentDef(
@@ -1100,7 +1100,7 @@ _register(ExperimentDef(
     {"trials": 1000, "dim_min": 2, "dim_max": 8},
     None, _commutator_lower_trial,
     dimension=itemgetter("dim_max"), block=_commutator_lower_block,
-    not_above={"dim_min": "dim_max"}))
+    limits={"dim_min": ("<=", "dim_max")}))
 
 _register(ExperimentDef(
     "DECOHERENCE",
@@ -1116,21 +1116,21 @@ _register(ExperimentDef(
      "late_window_start": 100.0, "late_suppression": 0.3, "n_times": 200},
     None, _einselection_rows,
     dimension=_bipartite, minimums={"d_s": 2, "d_b": 2, "grid": 2},
-    below={"late_window_start": "t_max"}))
+    limits={"late_window_start": ("<", "t_max")}))
 
 _register(ExperimentDef(
     "ISI",
     "marginals of two orthogonal initial states stay close when eigenstates are entangled",
     {"d_s": 2, "d_b": 64, "trials": 20, "n_times": 1000},
     None, _isi_trial,
-    dimension=_bipartite, minimums={"n_times": 2}))
+    dimension=_bipartite, minimums={"n_times": 2, "dimension": 3}))
 
 _register(ExperimentDef(
     "ISI_LINDEN_DELTA",
     "mean distance of the dephased marginal from the reduced microcanonical state",
     {"d_s": 2, "d_b": 32, "d_r": 16, "trials": 500},
     _isi_linden_setup, _isi_linden_trial, _isi_linden_summary,
-    subspace="d_r", dimension=_bipartite, minimums={"trials": 2},
+    limits=_SUBSPACE, dimension=_bipartite, minimums={"trials": 2},
     block=_isi_linden_block))
 
 _register(ExperimentDef(
@@ -1175,7 +1175,7 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 5, "n_times": 1000,
      "entropy_slack": 0.1},
     None, _second_law_rows,
-    dimension=_bipartite, minimums={"d_s": 2}))
+    dimension=_bipartite, minimums={"d_s": 2, "dimension": 3}))
 
 _register(ExperimentDef(
     "DISTANCE_TRAJECTORY",
@@ -1184,4 +1184,4 @@ _register(ExperimentDef(
      "plot_horizon": 80.0, "n_grid": 400},
     _distance_trajectory_setup, _distance_trajectory_trial, None,
     _distance_trajectory_artifacts,
-    dimension=_bipartite, minimums={"n_times": 2, "n_grid": 2}))
+    dimension=_bipartite, minimums={"n_times": 2, "n_grid": 2, "dimension": 3}))

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 1024
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
 _BLOCK = 256     # trial indices per call of an experiment's block hook
 
 CSV_COLUMNS = ["experiment_id", "trial", "lhs", "stderr", "rhs", "satisfied", "vacuous"]
@@ -89,21 +90,18 @@ class ExperimentSpec:
             key: _typed(self.experiment_id, key, self.params.get(key, default), default,
                         exp.minimums.get(key, 1))
             for key, default in exp.defaults.items()}
-        for key, high in exp.below.items():
-            if not params[key] < params[high]:   # exact, even past the float range
-                raise ValueError(f"{self.experiment_id}: {key} must be < {high}, "
-                                 f"got {params[key]!r}")
-        for key, high in exp.not_above.items():
-            if params[key] > params[high]:
-                raise ValueError(f"{self.experiment_id}: {key} must be <= {high}, "
-                                 f"got {params[key]!r}")
-        dim = exp.dimension(params)
-        if dim > MAX_DIMENSION:
-            raise ValueError(f"{self.experiment_id}: dimension {dim} exceeds the memory "
-                             f"guard {MAX_DIMENSION}")
-        if exp.subspace and params[exp.subspace] > dim:
-            raise ValueError(f"{self.experiment_id}: {exp.subspace} = "
-                             f"{params[exp.subspace]!r} exceeds the dimension {dim}")
+        # the dimension's floor and guard, then each limit, compared exactly, past floats too
+        named = {**params, "dimension": exp.dimension(params), "memory guard": MAX_DIMENSION}
+        for key, (op, bound) in [("dimension", (">=", exp.minimums.get("dimension", 1))),
+                                 ("dimension", ("<=", "memory guard")), *exp.limits.items()]:
+            value, high = named[key], named.get(bound, bound)
+            if _COMPARE[op](value, high):
+                continue
+            if op == ">=" or bound in params:
+                message = f"{key} must be {op} {bound}, got {value!r}"
+            else:   # d_r over the dimension, or the dimension over the memory guard
+                message = f"{key}{' =' * (key in params)} {value!r} exceeds the {bound} {high}"
+            raise ValueError(f"{self.experiment_id}: {message}")
 
     def spec_hash(self) -> str:
         payload = json.dumps({"experiment_id": self.experiment_id, "seed": self.seed,

@@ -326,7 +326,7 @@ def test_mean_energy_state_uses_the_shared_coefficient_sampler():
     rng = trial_stream(0, 21)
     h = sample_random_hamiltonian((16, 1), rng, spectrum=(1.0, 2.0))
     psi = sample_mean_energy_state(h, 1.4, trial_stream(5, 2))
-    c = mean_energy_coefficients(h.eigenvalues, 1.4, [trial_stream(5, 1), trial_stream(5, 2)])
+    c = mean_energy_coefficients(h.eigenvalues, 1.4, 2, [trial_stream(5, 1), trial_stream(5, 2)])
     assert c.shape == (2, 16)
     assert np.array_equal(psi, h.eigenbasis @ c[1])
     assert np.allclose(np.linalg.norm(c, axis=1), 1.0, atol=1e-14)

@@ -9,7 +9,7 @@ import pytest
 
 from purestat import (
     SETUP_DOMAIN,
-    complex_normal_rows,
+    complex_normals,
     ensembles,
     expectation_values,
     haar_coefficient_blocks,
@@ -54,7 +54,7 @@ def test_setup_and_trial_streams_differ():
 
 @pytest.mark.parametrize("d", [1, 32, 256])
 def test_haar_coefficient_blocks_are_successive_per_sample_draws(d):
-    # row i is the normalised complex_normal_rows row of the i-th
+    # row i is the normalised complex_normals row of the i-th
     # standard_normal((2, d)) draw of the stream: one layout everywhere
     rows = max(1, BLOCK_ENTRIES // d)
     for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
@@ -63,13 +63,40 @@ def test_haar_coefficient_blocks_are_successive_per_sample_draws(d):
             rng.random(dtype=np.float32)            # a half-used 32-bit buffer
         x = np.array([ref.standard_normal((2, d)) for _ in range(n)])
         z = x[:, 0] + 1j * x[:, 1]
-        assert complex_normal_rows(itertools.repeat(per_sample, n), d).tobytes() == z.tobytes()
+        assert complex_normals(n, (d,), itertools.repeat(per_sample, n)).tobytes() == z.tobytes()
         want = z / np.linalg.norm(z, axis=1, keepdims=True)
         blocks = list(haar_coefficient_blocks(n, d, blocked))
         assert [len(b) for b in blocks] == [min(rows, n - lo) for lo in range(0, n, rows)]
         assert np.concatenate(blocks).tobytes() == want.tobytes()
         assert repr(blocked.bit_generator.state) == repr(ref.bit_generator.state)
         assert repr(per_sample.bit_generator.state) == repr(ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (3, 4)])
+def test_complex_normals_over_generators_are_the_one_sample_draws(shape):
+    # sample i from the i-th generator, bitwise its one-sample draw, and each
+    # generator left where that draw leaves it
+    seeds = range(4)
+    gens, refs = ([np.random.Generator(np.random.Philox(s)) for s in seeds] for _ in range(2))
+    for g, ref in zip(gens, refs):
+        g.random(dtype=np.float32)                   # a half-used 32-bit buffer
+        ref.random(dtype=np.float32)
+    z = complex_normals(len(gens), shape, gens)
+    want = np.concatenate([complex_normals(1, shape, ref) for ref in refs])
+    assert z.shape == (len(gens), *shape) and z.tobytes() == want.tobytes()
+    assert [repr(g.bit_generator.state) for g in gens] == \
+        [repr(ref.bit_generator.state) for ref in refs]
+    # a lazy iterable: each generator is drawn from as it is taken
+    lazy = complex_normals(3, shape, (trial_stream(9, k) for k in range(3)))
+    assert lazy.tobytes() == np.concatenate(
+        [complex_normals(1, shape, trial_stream(9, k)) for k in range(3)]).tobytes()
+
+
+def test_complex_normals_reject_a_wrong_generator_count():
+    # too few would leave rows unfilled, too many would drop draws
+    for count in (0, 2, 4):
+        with pytest.raises(ValueError):
+            complex_normals(3, (2,), [trial_stream(9, k) for k in range(count)])
 
 
 def test_haar_expectations_equal_the_dense_diagonal_observable():

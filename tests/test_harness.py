@@ -288,16 +288,17 @@ def test_late_window_past_the_grid_is_rejected_before_compute():
         ExperimentSpec("EINSELECTION_DEMO", {"t_max": 100.0})
     ExperimentSpec("EINSELECTION_DEMO", {"t_max": 50.0, "late_window_start": 25.0})
     for experiment_id, exp in EXPERIMENTS.items():
-        for key, high in exp.below.items():
-            assert {key, high} <= set(exp.defaults), experiment_id
-            ExperimentSpec(experiment_id)
+        for key, (op, high) in exp.limits.items():
+            if op == "<":
+                assert {key, high} <= set(exp.defaults), experiment_id
+                ExperimentSpec(experiment_id)
 
 
 def test_an_empty_dimension_range_is_rejected_before_the_block_hook(monkeypatch):
     # before, the spec passed and the block hook failed inside numpy with
     # "low >= high" (rng.integers(dim_min, dim_max + 1))
     exp = EXPERIMENTS["COMMUTATOR_LOWER"]
-    assert exp.not_above == {"dim_min": "dim_max"}
+    assert exp.limits == {"dim_min": ("<=", "dim_max")}
     blocks = []
     monkeypatch.setitem(EXPERIMENTS, "COMMUTATOR_LOWER", dataclasses.replace(
         exp, block=lambda *args: blocks.append(args)))
@@ -311,9 +312,10 @@ def test_an_empty_dimension_range_is_rejected_before_the_block_hook(monkeypatch)
                                            {"dim_min": 3, "dim_max": 3, "trials": 2}))
     assert len(result.records) == 2 and result.violations == 0
     for experiment_id, exp in EXPERIMENTS.items():
-        for key, high in exp.not_above.items():
-            assert {key, high} <= set(exp.defaults), experiment_id
-            ExperimentSpec(experiment_id)
+        for key, (op, high) in exp.limits.items():
+            if op == "<=" and high != "dimension":
+                assert {key, high} <= set(exp.defaults), experiment_id
+                ExperimentSpec(experiment_id)
 
 
 def _floor(experiment_id, key):
@@ -372,6 +374,8 @@ def test_every_declared_minimum_is_enforced():
     assert {key: _floor(*key) for key in required} == required
     for experiment_id, exp in EXPERIMENTS.items():
         for key, low in exp.minimums.items():
+            if key == "dimension":   # the floor of dimension(params), not a parameter
+                continue
             # a declared floor names an integer parameter and is not the rule's 1
             assert isinstance(exp.defaults[key], int) and low != 1, (experiment_id, key)
             assert ExperimentSpec(experiment_id, {key: low}).params[key] == low
@@ -439,7 +443,8 @@ def test_a_full_projector_is_rejected_before_setup(monkeypatch, experiment_id, r
 
 
 def test_every_subspace_parameter_may_fill_its_space():
-    declared = {e: exp.subspace for e, exp in EXPERIMENTS.items() if exp.subspace}
+    declared = {e: key for e, exp in EXPERIMENTS.items()
+                for key, limit in exp.limits.items() if limit == ("<=", "dimension")}
     assert declared == {
         e: "d_r" for e in ("COARSE_GRAINED", "CANONICAL_REDUCTION", "DEFF_SUBSPACE_MEAN",
                            "DEFF_SUBSPACE_TAIL", "ERGODICITY", "ISI_LINDEN_DELTA")}
@@ -448,6 +453,48 @@ def test_every_subspace_parameter_may_fill_its_space():
         assert ExperimentSpec(experiment_id, {key: dim}).params[key] == dim
     # an auto-sized bath (ambient = 0, twice d_r) holds any d_r
     assert ExperimentSpec("DEFF_SUBSPACE_MEAN", {"d_r": 512, "ambient": 0})
+
+
+# the time-averaging experiments: a two-level spectrum has one gap and no gap
+# difference, and each of these raised "Hamiltonian has no usable
+# gap-difference scale" inside trial 0 (ERGODICITY from its first cross-check)
+TWO_GAP_EXPERIMENTS = {
+    **{e: {"trials": 2, "n_times": 50} for e in (
+        "EXPECTATION_EQUILIBRATION", "SUBSYSTEM_EQUILIBRATION", "PURITY_EQUILIBRATION",
+        "ISI", "SECOND_LAW_DEMO")},
+    "DISTANCE_TRAJECTORY": {"n_times": 50, "n_grid": 10},
+    "ERGODICITY": {"trials": 4, "crosscheck_times": 50},
+}
+HOOKS = ("setup", "trial", "summary", "artifacts", "block")
+
+
+def _at_dimension(experiment_id, d):
+    """Parameters that put the experiment at dimension d, in each of two ways."""
+    if experiment_id == "ERGODICITY":
+        return [{"d": d, "d_r": d}, {"d": d, "d_r": 1, "crosscheck_trials": 0}]
+    return [{"d_s": d, "d_b": 1}, {"d_s": 1, "d_b": d}]
+
+
+@pytest.mark.parametrize("experiment_id", TWO_GAP_EXPERIMENTS)
+def test_a_two_level_system_is_rejected_before_any_hook(monkeypatch, experiment_id, tmp_path):
+    exp, small = EXPERIMENTS[experiment_id], TWO_GAP_EXPERIMENTS[experiment_id]
+    assert exp.minimums["dimension"] == 3
+    calls = []
+    monkeypatch.setitem(EXPERIMENTS, experiment_id, dataclasses.replace(exp, **{
+        hook: (lambda *args, hook=hook: calls.append(hook)) for hook in HOOKS
+        if getattr(exp, hook)}))
+    for dims in _at_dimension(experiment_id, 2):
+        # SECOND_LAW_DEMO's d_s floor of 2 rejects (1, 2) first
+        with pytest.raises(ValueError, match=f"^{experiment_id}: (dimension must be >= 3, "
+                                             "got 2|d_s must be >= 2, got 1)$"):
+            run_experiment(ExperimentSpec(experiment_id, {**small, **dims}))
+    assert calls == []
+    monkeypatch.setitem(EXPERIMENTS, experiment_id, exp)
+    for dims in _at_dimension(experiment_id, 3):
+        if dims.get("d_s", 1) >= exp.minimums.get("d_s", 1):
+            result = run_experiment(ExperimentSpec(experiment_id, {**small, **dims},
+                                                   out_dir=tmp_path))
+            assert len(result.records) >= small.get("trials", 1)
 
 
 def test_every_count_is_at_least_one():

@@ -65,7 +65,7 @@ def test_commutator_lower_with_an_infinite_trace_norm(monkeypatch):
 def test_mean_energy_gate_with_an_infinite_mean(monkeypatch):
     # zero vectors have purity 0, so the mean of 1/purity is infinite
     monkeypatch.setattr(experiments, "mean_energy_coefficients",
-                        lambda spectrum, energy, rngs: np.zeros((len(list(rngs)), len(spectrum))))
+                        lambda spectrum, energy, n, rngs: np.zeros((n, len(spectrum))))
     with np.errstate(divide="ignore"):
         res = run_experiment(ExperimentSpec("DEFF_MEAN_ENERGY", {"trials": 4}, seed=3))
     gate = next(g for g in res.summary["gates"] if g["gate"] == "mean_deff_above_crude_bound")
