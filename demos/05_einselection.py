@@ -17,6 +17,7 @@ from purestat import (
     pointer_hamiltonian,
     reduced_marginals,
     reduced_rates,
+    redraw_until_non_resonant,
     sample_gue,
     sample_haar_state,
     sample_product_state,
@@ -50,11 +51,19 @@ print()
 print("=" * 72)
 print("Part 2: generic weak coupling decoheres in the H_S eigenbasis")
 print("=" * 72)
-h_s = sample_gue(d_s, rng, traceless=True)
-e_s, w_s = np.linalg.eigh(h_s)
+
+
+def weak_coupling():   # H_SB at 1% of the drawn H_S's gap
+    h_s = sample_gue(d_s, rng, traceless=True)
+    e = np.linalg.eigh(h_s)[0]
+    return compose_hamiltonian(h_s, sample_gue(d_b, rng, traceless=True),
+                               sample_gue(d_s * d_b, rng, 0.01 * float(e[1] - e[0]), traceless=True))
+
+
+# redrawn until its gaps are non-resonant, as a time average needs
+h_w = redraw_until_non_resonant(weak_coupling)
+e_s, w_s = np.linalg.eigh(h_w.h_s)                # the split's H_S, which the rates read
 gap = float(e_s[1] - e_s[0])
-h_w = compose_hamiltonian(h_s, sample_gue(d_b, rng, traceless=True),
-                          sample_gue(d_s * d_b, rng, 0.01 * gap, traceless=True))
 psi0_w = sample_product_state(d_s, d_b, rng)
 
 times = sample_times(h_w, 200, rng)

@@ -46,11 +46,14 @@ def dephased(h: Hamiltonian, state):
 
 
 def default_horizon(h: Hamiltonian) -> float:
-    """Averaging horizon 10^4 / (minimal gap difference), the dephasing scale."""
-    mgd = h.gap_report.min_gap_difference
-    if not np.isfinite(mgd) or mgd <= 0:
+    """Averaging horizon 10^4 / (minimal gap difference), the dephasing scale; raises
+    ValueError unless h's gap report is non-resonant (ensembles.redraw_until_non_resonant)."""
+    report = h.gap_report
+    if not report.non_resonant:
+        raise ValueError(f"Hamiltonian is not non-resonant at tol {report.tolerance}: {report}")
+    if not np.isfinite(report.min_gap_difference):
         raise ValueError("Hamiltonian has no usable gap-difference scale")
-    return 1e4 / mgd
+    return 1e4 / report.min_gap_difference
 
 
 def sample_times(h: Hamiltonian, n: int, rng: np.random.Generator) -> np.ndarray:

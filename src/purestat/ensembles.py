@@ -20,7 +20,7 @@ import numbers
 
 import numpy as np
 
-from .hamiltonians import GapReport, Hamiltonian, gap_analysis
+from .hamiltonians import Hamiltonian
 from .linalg import BLOCK_ENTRIES, dagger, hermitian_spectrum
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "sample_haar_state",
     "sample_product_state",
     "sample_spectrum",
-    "certify_spectrum",
+    "redraw_until_non_resonant",
     "sample_random_hamiltonian",
     "sample_gue",
     "harmonic_mean",
@@ -157,7 +157,7 @@ def sample_product_state(d_s: int, d_b: int, rng: np.random.Generator) -> np.nda
     return np.kron(sample_haar_state(d_s, rng), sample_haar_state(d_b, rng))
 
 
-_JITTER_ROUNDS = 100   # certify_spectrum's jitter attempts before it gives up
+_MAX_DRAWS = 100   # redraw_until_non_resonant's draws before it gives up
 
 
 def sample_spectrum(d: int, rng: np.random.Generator, spectrum=(0.0, 1.0)) -> np.ndarray:
@@ -166,30 +166,26 @@ def sample_spectrum(d: int, rng: np.random.Generator, spectrum=(0.0, 1.0)) -> np
     return np.sort(lo + (hi - lo) * rng.random(d))
 
 
-def certify_spectrum(e: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, GapReport]:
-    """(e, gap_analysis(e)) once the ascending spectrum e is non-resonant: each
-    round adds i.i.d. uniform jitter of magnitude 1e-6 x spectral width and
-    retests against hamiltonians.DEFAULT_GAP_TOL, at most _JITTER_ROUNDS times."""
-    width = float(e[-1] - e[0]) or 1.0
-    report = gap_analysis(e)
-    rounds = 0
-    while not report.non_resonant:
-        if rounds >= _JITTER_ROUNDS:
-            raise RuntimeError(f"could not reach non-resonance at tol {report.tolerance} "
-                               f"in {_JITTER_ROUNDS} rounds")
-        e = np.sort(e + rng.uniform(-1e-6 * width, 1e-6 * width, len(e)))
-        report = gap_analysis(e)
-        rounds += 1
-    return e, report
+def redraw_until_non_resonant(draw):
+    """The first Hamiltonian of draw() whose gap_report is non-resonant at
+    hamiltonians.DEFAULT_GAP_TOL, the package's one non-resonance policy: the
+    result's law is draw()'s conditioned on that certificate.  Gives up with
+    RuntimeError after _MAX_DRAWS draws."""
+    for _ in range(_MAX_DRAWS):
+        h = draw()
+        if h.gap_report.non_resonant:
+            return h
+    raise RuntimeError(f"could not reach non-resonance at tol {h.gap_report.tolerance} "
+                       f"in {_MAX_DRAWS} draws")
 
 
 def sample_random_hamiltonian(dims: tuple[int, int], rng: np.random.Generator,
                               spectrum=(0.0, 1.0)) -> Hamiltonian:
-    """Random Hamiltonian on dims = (d_S, d_B): sample_spectrum,
-    certify_spectrum, then a Haar eigenbasis."""
+    """Random Hamiltonian on dims = (d_S, d_B): a sample_spectrum redrawn
+    until non-resonant, then a Haar eigenbasis."""
     d = dims[0] * dims[1]
-    e, report = certify_spectrum(sample_spectrum(d, rng, spectrum), rng)
-    return Hamiltonian(e, haar_unitary(d, rng), dims=dims, gap_report=report)
+    h = redraw_until_non_resonant(lambda: Hamiltonian(sample_spectrum(d, rng, spectrum)))
+    return Hamiltonian(h.eigenvalues, haar_unitary(d, rng), dims=dims, gap_report=h.gap_report)
 
 
 def sample_gue(d: int, rng: np.random.Generator, norm: float = 1.0,

@@ -41,18 +41,17 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .ensembles import (
-    certify_spectrum,
     complex_normals,
     haar_coefficient_blocks,
     haar_unitary,
     harmonic_mean,
     mean_energy_coefficients,
+    redraw_until_non_resonant,
     sample_gue,
     sample_haar_state,
     sample_product_state,
     sample_random_hamiltonian,
     sample_spectrum,
-    trial_stream,
 )
 from .hamiltonians import Hamiltonian, compose_hamiltonian, pointer_hamiltonian
 from .linalg import BLOCK_ENTRIES, commutator, dagger, hermitian_spectrum, trace_norm
@@ -91,7 +90,7 @@ class ExperimentDef:
     # (rows, setup, params) -> list[dict] of summary gates; rows is the
     # harness's TrialRows, whose columns (rows.lhs, rows.extras[key]) it reads
     summary: object = None
-    artifacts: object = None      # (setup, params, seed, out_dir) -> dict of files
+    artifacts: object = None      # (setup, params, rng, out_dir) -> files; rng: trial 0's stream
     # (params) -> the largest Hilbert-space dimension the experiment builds,
     # which minimums and limits name "dimension"
     dimension: object = field(kw_only=True)
@@ -393,8 +392,7 @@ def _expectation_equilibration_trial(setup, params, k, rng):
     d = params["d_s"] * params["d_b"]
     # psi0 is Haar and A is GUE, both unitarily invariant laws, so H's eigenbasis
     # drops out: c0 = V^dagger psi0 and A in the eigenbasis are drawn directly
-    e, report = certify_spectrum(sample_spectrum(d, rng), rng)
-    h = Hamiltonian(e, gap_report=report)
+    h = redraw_until_non_resonant(lambda: Hamiltonian(sample_spectrum(d, rng)))
     c0 = sample_haar_state(d, rng)
     times = sample_times(h, params["n_times"], rng)
     a_eig = sample_gue(d, rng)
@@ -431,9 +429,9 @@ def _subsystem_equilibration_trial(setup, params, k, rng):
                        se, deff=deff, deff_b=deff_b)
 
 
-def _subsystem_equilibration_artifacts(setup, params, seed, out_dir):
+def _subsystem_equilibration_artifacts(setup, params, rng, out_dir):
     """Trajectory of D(rho^S_t, omega^S) for trial 0, on a grid."""
-    h, psi0, _, (_, omega_s, omega_b) = _equilibration_trial_base(params, trial_stream(seed, 0))
+    h, psi0, _, (_, omega_s, omega_b) = _equilibration_trial_base(params, rng)
     bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", {
         "d_s": params["d_s"], "deff_b": effective_dimension(omega_b)})
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
@@ -464,7 +462,7 @@ def _purity_equilibration_trial(setup, params, k, rng):
 def _ergodicity_setup(params, rng):
     d, d_r = params["d"], params["d_r"]
     # B is GUE, so B in H's eigenbasis is GUE too: the eigenbasis drops out
-    e, report = certify_spectrum(sample_spectrum(d, rng), rng)
+    h = redraw_until_non_resonant(lambda: Hamiltonian(sample_spectrum(d, rng)))
     lo = (d - d_r) // 2
     band = np.arange(lo, lo + d_r)
     b_eig = sample_gue(d, rng)
@@ -472,7 +470,7 @@ def _ergodicity_setup(params, rng):
     block = b_eig[np.ix_(band, band)]
     mc_mean = float(diag_band.mean())
     # window is the band's own Hamiltonian: the cross-check evolves d_r coefficients, not d
-    return {"h": Hamiltonian(e, gap_report=report), "window": Hamiltonian(e[band]),
+    return {"h": h, "window": Hamiltonian(h.eigenvalues[band]),
             "diag_band": diag_band, "block": block, "mc_mean": mc_mean,
             "norm_dephased": float(np.abs(np.diag(b_eig).real).max()), "d_r": d_r}
 
@@ -530,15 +528,12 @@ def _ergodicity_summary(rows, setup, params):
 # ---------------------------------------------------------------------------
 
 def _sample_composite(params, rng):
+    """GUE H_S, H_B and H_SB at norms 1, 1 and hsb_scale, redrawn until non-resonant."""
     d_s, d_b = params["d_s"], params["d_b"]
-    for _ in range(20):
-        h_s = sample_gue(d_s, rng, norm=1.0, traceless=True)
-        h_b = sample_gue(d_b, rng, norm=1.0, traceless=True)
-        h_sb = sample_gue(d_s * d_b, rng, norm=params["hsb_scale"], traceless=True)
-        parts = compose_hamiltonian(h_s, h_b, h_sb)
-        if parts.gap_report.non_resonant:
-            return parts
-    raise RuntimeError("could not draw a non-resonant composite Hamiltonian")
+    return redraw_until_non_resonant(lambda: compose_hamiltonian(
+        sample_gue(d_s, rng, norm=1.0, traceless=True),
+        sample_gue(d_b, rng, norm=1.0, traceless=True),
+        sample_gue(d_s * d_b, rng, norm=params["hsb_scale"], traceless=True)))
 
 
 def _rates_map(parts, psi0, times, fn):
@@ -640,12 +635,14 @@ def _slow_states_run(params, rng, coupling):
     """Weak-coupling trajectory from a product state; the slow-states ratio
     max_pairing / (|H_SB| + v_S) at every sampled time, in H_S's eigenbasis."""
     d_s, d_b = params["d_s"], params["d_b"]
-    h_s = sample_gue(d_s, rng, norm=1.0, traceless=True)
-    e_s, w_s = np.linalg.eigh(h_s)
-    min_gap = float(np.diff(e_s).min())
-    h_b = sample_gue(d_b, rng, norm=1.0, traceless=True)
-    h_sb = sample_gue(d_s * d_b, rng, norm=coupling * min_gap, traceless=True)
-    parts = compose_hamiltonian(h_s, h_b, h_sb)
+
+    def draw():   # GUE H_S, H_B at norm 1, H_SB at norm coupling x H_S's minimal gap
+        h_s = sample_gue(d_s, rng, norm=1.0, traceless=True)
+        norm_sb = coupling * float(np.diff(np.linalg.eigh(h_s)[0]).min())
+        return compose_hamiltonian(h_s, sample_gue(d_b, rng, norm=1.0, traceless=True),
+                                   sample_gue(d_s * d_b, rng, norm=norm_sb, traceless=True))
+    parts = redraw_until_non_resonant(draw)
+    e_s, w_s = np.linalg.eigh(parts.h_s)   # the split's H_S, which the rates and |H_SB| read
     psi0 = sample_product_state(d_s, d_b, rng)
     times = sample_times(parts, params["n_times"], rng)
     speeds, rho_in_hs = _rates_map(parts, psi0, times, lambda rates: (
@@ -947,7 +944,7 @@ def _distance_trajectory_trial(setup, params, k, rng):
                                                  setup["omega_s"]))
 
 
-def _distance_trajectory_artifacts(setup, params, seed, out_dir):
+def _distance_trajectory_artifacts(setup, params, rng, out_dir):
     h = setup["h"]
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
     grid = np.linspace(0.0, params["plot_horizon"] / width, params["n_grid"])[1:]
@@ -1115,7 +1112,9 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 64, "trials": 1, "t_max": 200.0, "grid": 81,
      "late_window_start": 100.0, "late_suppression": 0.3, "n_times": 200},
     None, _einselection_rows,
-    dimension=_bipartite, minimums={"d_s": 2, "d_b": 2, "grid": 2},
+    # the late |f| of a d_b-level Haar bath state is about Rayleigh, of mean sqrt(pi / (4 d_b)):
+    # d_b >= 16 = ceil(pi / (4 (0.75 x 0.3)^2)) keeps that mean within 3/4 of the 0.3 cap
+    dimension=_bipartite, minimums={"d_s": 2, "d_b": 16, "grid": 2},
     limits={"late_window_start": ("<", "t_max")}))
 
 _register(ExperimentDef(

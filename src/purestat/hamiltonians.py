@@ -59,8 +59,8 @@ def gap_analysis(spectrum) -> GapReport:
         mgd = np.inf
     else:
         mgd = float(np.diff(np.sort(gaps)).min())
-    non_resonant = bool(min_gap > DEFAULT_GAP_TOL and mgd > DEFAULT_GAP_TOL)
-    return GapReport(min_gap, mgd, non_resonant, DEFAULT_GAP_TOL)
+    return GapReport(min_gap, mgd, bool(min_gap > DEFAULT_GAP_TOL and mgd > DEFAULT_GAP_TOL),
+                     DEFAULT_GAP_TOL)
 
 
 @dataclass

@@ -3,9 +3,9 @@
 Reproducibility contract: a (config, seed) pair produces byte-identical
 per-trial CSV files, regardless of the worker count (trials own their RNG
 streams; results are written in trial order).  The harness derives the
-hooks' streams from the seed: it hands the setup hook the setup stream, and
+hooks' streams from the seed: it hands the setup hook the setup stream,
 each trial hook, or the block hook for a block of trials, the trial streams,
-built a block at a time; only an artifacts hook is given the seed.  An
+built a block at a time, and an artifacts hook trial 0's stream.  An
 experiment with a block hook runs its trials in blocks of _BLOCK consecutive
 indices starting at multiples of _BLOCK, and worker chunks end only at those
 multiples: batched BLAS results can depend on the stack height, which is
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import TrialRecord
-from .ensembles import SETUP_DOMAIN, stream, trial_streams
+from .ensembles import SETUP_DOMAIN, stream, trial_stream, trial_streams
 from .experiments import EXPERIMENTS, mean_se
 
 __all__ = [
@@ -435,7 +435,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         _write_csv(csv_path, spec.experiment_id, rows)
         files["csv"] = csv_path
         if exp.artifacts:
-            files.update(exp.artifacts(setup, spec.params, spec.seed, spec.out_dir))
+            files.update(exp.artifacts(setup, spec.params, trial_stream(spec.seed, 0), spec.out_dir))
         files["manifest"] = os.path.join(spec.out_dir, f"{spec.experiment_id}_manifest.json")
         manifest["files"] = files
         for key in ("manifest_hash", "wall_time_s", "files"):

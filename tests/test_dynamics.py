@@ -296,12 +296,20 @@ def test_sample_times_draws_the_horizon_policy_times():
     assert times.shape == (50,) and times.min() >= 0.0 and times.max() < default_horizon(h)
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="ROADMAP item 1: the horizon 1e4 / mgd is unbounded")
+def test_sample_times_refuses_a_resonant_hamiltonian():
+    # the gaps 0.1 and 0.1 + 1e-10 differ by less than the tolerance 1e-9: the
+    # horizon 1e4 / mgd would be finite (1e14), but no time average is sampled
+    h = Hamiltonian([0.0, 0.1, 0.2 + 1e-10, 0.45])
+    assert not h.gap_report.non_resonant and h.gap_report.min_gap_difference > 0
+    with pytest.raises(ValueError, match="not non-resonant at tol 1e-09"):
+        sample_times(h, 10, trial_stream(101, 9))
+
+
 def test_decoherence_at_seed_21_trial_19_resolves_its_phases():
-    # the one crash of a DECOHERENCE sweep over seeds 0-159: this trial's
-    # weak-coupling spectrum puts |E t| = 5.7e15 past 2^52, and phase_factors
-    # raises.  A finite-time horizon (item 1) turns this into a pass.
+    # the one crash of a DECOHERENCE sweep over seeds 0-159 while the
+    # weak-coupling draw went uncertified: its minimal gap difference of
+    # 3.5e-12 set the horizon 1e4 / mgd, which put |E t| = 5.7e15 past 2^52.
+    # Redrawn until non-resonant (mgd > 1e-9), the trial resolves its phases
     exp = EXPERIMENTS["DECOHERENCE"]
     assert exp.trial(None, exp.defaults, 19, trial_stream(21, 19)).satisfied
 

@@ -14,6 +14,7 @@ from purestat import (
     expectation_values,
     haar_coefficient_blocks,
     haar_unitary,
+    hamiltonians,
     harmonic_mean,
     partial_trace,
     reduced_marginals,
@@ -22,6 +23,7 @@ from purestat import (
     sample_mean_energy_state,
     sample_product_state,
     sample_random_hamiltonian,
+    sample_spectrum,
     stream,
     trace_distance,
     trial_stream,
@@ -410,17 +412,36 @@ def test_random_hamiltonian_default_spectrum_is_the_uniform_draw():
         assert h.eigenvalues.tobytes() == want.tobytes()
 
 
-def test_random_hamiltonian_jitter_failure(monkeypatch):
-    # at a tolerance of 1.0 no four levels in a unit interval are non-resonant, so
-    # every jitter round runs on the all-equal spectrum and the sampler gives up
+def test_random_hamiltonian_redraw_failure(monkeypatch):
+    # at a tolerance of 1.0 no four levels in a unit interval are non-resonant:
+    # the sampler certifies none of its fresh spectra and gives up after the cap
     monkeypatch.setattr("purestat.hamiltonians.DEFAULT_GAP_TOL", 1.0)
     calls = []
-    gap_analysis = ensembles.gap_analysis
-    monkeypatch.setattr(ensembles, "gap_analysis", lambda e: calls.append(e) or gap_analysis(e))
-    with pytest.raises(RuntimeError, match="non-resonance at tol 1.0 in 100 rounds"):
-        sample_random_hamiltonian((4, 1), trial_stream(0, 9), spectrum=(0.0, 0.0))
-    assert len(calls) == 101
-    assert 0 < np.ptp(calls[-1]) <= 200e-6   # jittered by at most 1e-6 x unit width a round
+    gap_analysis = hamiltonians.gap_analysis
+    monkeypatch.setattr(hamiltonians, "gap_analysis", lambda e: calls.append(e) or gap_analysis(e))
+    with pytest.raises(RuntimeError, match="could not reach non-resonance at tol 1.0 in 100 draws"):
+        sample_random_hamiltonian((4, 1), trial_stream(0, 9))
+    assert len(calls) == ensembles._MAX_DRAWS == 100
+    ref = trial_stream(0, 9)
+    assert [e.tobytes() for e in calls] == [sample_spectrum(4, ref).tobytes() for _ in calls]
+
+
+def test_a_resonant_spectrum_is_redrawn_before_the_eigenbasis(monkeypatch):
+    # a tolerance between the minimal gap differences of the stream's first two
+    # spectra rejects the first: the result is the second spectrum, bitwise,
+    # with the Haar eigenbasis drawn after it, and the stream is left there
+    ref = trial_stream(0, 14)
+    first, second = sample_spectrum(8, ref), sample_spectrum(8, ref)
+    eigenbasis = haar_unitary(8, ref)
+    mgd = [hamiltonians.gap_analysis(e).min_gap_difference for e in (first, second)]
+    assert mgd[0] < mgd[1]
+    monkeypatch.setattr("purestat.hamiltonians.DEFAULT_GAP_TOL", (mgd[0] + mgd[1]) / 2)
+    rng = trial_stream(0, 14)
+    h = sample_random_hamiltonian((4, 2), rng)
+    assert h.eigenvalues.tobytes() == second.tobytes()
+    assert h.eigenbasis.tobytes() == eigenbasis.tobytes()
+    assert h.gap_report == hamiltonians.gap_analysis(second) and h.dims == (4, 2)
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
 
 def test_mean_energy_sampler_sigma_values():

@@ -127,11 +127,19 @@ STREAM_NAMES = ("stream", "SETUP_DOMAIN", "TRIAL_DOMAIN", "trial_streams", "tria
 
 
 def test_the_experiments_derive_no_stream_from_the_seed():
-    """The harness hands every setup, block and trial hook its stream; only
-    SUBSYSTEM_EQUILIBRATION's artifact, which replays trial 0, reads one."""
-    assert _readers(STREAM_NAMES, ["experiments"]) == {
-        **{name: set() for name in STREAM_NAMES},
-        "trial_stream": {"experiments._subsystem_equilibration_artifacts"}}
+    """The harness hands every hook its stream, the artifacts hook trial 0's."""
+    assert _readers(STREAM_NAMES, ["experiments"]) == {name: set() for name in STREAM_NAMES}
+
+
+def test_one_function_redraws_until_non_resonant():
+    """The non-resonance certificate has one policy: the redraw reads it, and
+    the time-average horizon refuses a Hamiltonian without it.  GapReport,
+    which defines the field, is the only other statement that names it."""
+    package = sorted(f[:-3] for f in os.listdir(os.path.join(ROOT, "src", "purestat"))
+                     if f.endswith(".py"))
+    assert _readers(["non_resonant"], package) == {"non_resonant": {
+        "hamiltonians.GapReport", "ensembles.redraw_until_non_resonant",
+        "dynamics.default_horizon"}}
 
 
 def _passed_arguments(source: str) -> dict[str, list]:

@@ -328,7 +328,7 @@ INTEGER_PARAMETERS = [(e, key) for e, exp in EXPERIMENTS.items()
 NEEDS_TWO_SYSTEM_LEVELS = ("SPEED", "PURITY_RATE_AVG", "PURITY_RATE_INSTANT", "EQ_TIME_PURITY",
                            "DECOHERENCE", "EINSELECTION_DEMO", "SECOND_LAW_DEMO")
 NEEDS_TWO_BATH_LEVELS = ("SPEED", "PURITY_RATE_AVG", "PURITY_RATE_INSTANT", "EQ_TIME_PURITY",
-                         "DECOHERENCE", "EINSELECTION_DEMO")
+                         "DECOHERENCE")
 
 
 def test_every_declared_minimum_is_enforced():
@@ -363,6 +363,9 @@ def test_every_declared_minimum_is_enforced():
         # a traceless GUE bath Hamiltonian is the zero matrix at d_b = 1, and
         # its scaling to norm 1 gave non-finite entries
         **{(e, "d_b"): 2 for e in NEEDS_TWO_BATH_LEVELS},
+        # the late-time |f| of a d_b-level bath has mean about sqrt(pi / (4 d_b)):
+        # at d_b = 2 all 3 trials at seed 7 read 0.66-0.82 against the cap 0.3
+        ("EINSELECTION_DEMO", "d_b"): 16,
         # rank_b = -1 built a rank d_r - 1 projector and judged it against the
         # negative mean -1/d_r; 0 means d_r / 2
         **{(e, "rank_b"): 0 for e in (
