@@ -10,10 +10,11 @@ import numpy as np
 
 from purestat import (
     dephased,
+    dephased_purity,
     evaluate_bound,
     harmonic_mean,
+    mean_energy_coefficients,
     sample_haar_state,
-    sample_mean_energy_state,
     sample_product_state,
     sample_random_hamiltonian,
     stream,
@@ -28,11 +29,7 @@ print("=" * 72)
 d_r = 32
 h = sample_random_hamiltonian((2 * d_r, 1), rng)
 basis = np.eye(2 * d_r, d_r)
-vals = []
-for _ in range(500):
-    psi = sample_haar_state(basis, rng)
-    vals.append(1.0 / (dephased(h, psi)[0] ** 2).sum())
-vals = np.array(vals)
+vals = np.array([dephased(h, sample_haar_state(basis, rng)).deff for _ in range(500)])
 bound = evaluate_bound("DEFF_SUBSPACE_MEAN", {"d_r": d_r})
 print(f"\nHaar on a {d_r}-dim subspace of a {2*d_r}-dim space:")
 print(f"  mean d_eff = {vals.mean():6.1f}   theorem floor d_R/2 = {bound}")
@@ -42,12 +39,8 @@ print(f"  min  d_eff = {vals.min():6.1f}   (tail below d_R/4 = {d_r/4:.0f}: "
 # --- product states ---
 d_sr, d_br = 4, 16
 hp = sample_random_hamiltonian((d_sr, d_br), rng)
-pvals = []
-for _ in range(500):
-    psi = sample_product_state(d_sr, d_br, rng)
-    c = hp.to_eigenbasis(psi)
-    pvals.append(1.0 / (np.abs(c) ** 4).sum())
-pvals = np.array(pvals)
+pvals = np.array([dephased(hp, sample_product_state(d_sr, d_br, rng)).deff
+                  for _ in range(500)])
 pbound = evaluate_bound("DEFF_PRODUCT_MEAN", {"d_sr": d_sr, "d_br": d_br})
 print(f"\nProduct states on {d_sr} x {d_br}:")
 print(f"  mean d_eff = {pvals.mean():6.1f}   theorem floor (d_SR+1)(d_BR+1)/4 = {pbound}")
@@ -56,12 +49,9 @@ print(f"  mean d_eff = {pvals.mean():6.1f}   theorem floor (d_SR+1)(d_BR+1)/4 = 
 d = 64
 hm = sample_random_hamiltonian((d, 1), rng, spectrum=(1.0, 2.0))
 energy = harmonic_mean(hm.eigenvalues)
-purities = []
-for _ in range(2000):
-    psi = sample_mean_energy_state(hm, energy, rng)
-    c = hm.to_eigenbasis(psi)
-    purities.append(float((np.abs(c) ** 4).sum()))
-purities = np.array(purities)
+# the coefficients are drawn in the eigenbasis, so they give the populations
+c = mean_energy_coefficients(hm.eigenvalues, energy, 2000, rng)
+purities = dephased_purity(np.abs(c) ** 2)
 pred = evaluate_bound("DEFF_MEAN_ENERGY", {
     "d": d, "energy": energy, "spectrum": hm.eigenvalues})
 print(f"\nMean energy ensemble at E = E_H = {energy:.4f} (d = {d}, spectrum in [1,2]):")

@@ -10,7 +10,6 @@ import numpy as np
 
 from purestat import (
     dephased,
-    effective_dimension,
     evaluate_bound,
     expectation_values,
     purity,
@@ -32,9 +31,9 @@ h = sample_random_hamiltonian((d_s, d_b), rng)
 psi_b = sample_haar_state(d_b, rng)
 psi0 = np.kron(np.eye(d_s, dtype=complex)[0], psi_b)   # |0>_S |psi_B>
 
-probs, omega_s, omega_b = dephased(h, psi0)
-deff = 1.0 / (probs ** 2).sum()
-deff_b = effective_dimension(omega_b)
+omega = dephased(h, psi0)
+probs, omega_s, _ = omega
+deff, deff_b = omega.deff, omega.deff_b
 bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", {"d_s": d_s, "deff_b": deff_b})
 
 print("=" * 72)

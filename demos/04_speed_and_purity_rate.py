@@ -34,8 +34,8 @@ h_s, h_b, h_sb = (sample_gue(d, rng, norm, traceless=True)
 h = compose_hamiltonian(h_s, h_b, h_sb)
 psi0 = sample_product_state(d_s, d_b, rng)
 
-probs, omega_s, _ = dephased(h, psi0)
-deff = 1.0 / (probs ** 2).sum()
+omega = dephased(h, psi0)
+deff = omega.deff
 speed_bound = evaluate_bound("SPEED", {
     "norm_hs_plus_hsb": h.norm_hs_plus_hsb(), "d_s": d_s, "deff": deff})
 rate_bound = evaluate_bound("PURITY_RATE_AVG", {
@@ -67,7 +67,7 @@ rates = np.abs(dps)
 print(f"\ntime-averaged v_S  = {np.mean(speeds):.4f}  <= bound {speed_bound:.4f}")
 print(f"time-averaged |dp| = {np.mean(rates):.4f}  <= bound {rate_bound:.4f}")
 
-p_eq = purity(omega_s)
+p_eq = purity(omega.omega_s)
 t_purity = evaluate_bound("EQ_TIME_PURITY", {
     "p_eq": p_eq, "d_s": d_s, "norm_hsb": h.norm_hsb()})
 delta_e = float(h.eigenvalues[-1] - h.eigenvalues[0])

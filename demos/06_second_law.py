@@ -11,7 +11,6 @@ import numpy as np
 
 from purestat import (
     dephased,
-    effective_dimension,
     evaluate_bound,
     reduced_marginals,
     sample_random_hamiltonian,
@@ -38,7 +37,8 @@ def marginals(times):
     return rho[:, 0], rho[:, 1]
 
 
-probs, omega_s, omega_b = dephased(h, psi0)
+omega = dephased(h, starts)
+omega_s = omega.omega_s[0]
 print("=" * 72)
 print("Entropy increase and initial-state independence (random Hamiltonian)")
 print("=" * 72)
@@ -57,15 +57,14 @@ for t, s_rho, s_sig, dist in zip(ts, von_neumann_entropy(rho), von_neumann_entro
 mu = reduced_marginals(h.eigenbasis.T, (d_s, d_b))    # marginals of the eigenvectors
 delta = max(float(trace_distance(mu[i], mu[i + 1:]).max()) for i in range(d - 1))
 rhs = evaluate_bound("ISI", {
-    "d_s": d_s, "deff_rho_b": effective_dimension(omega_b),
-    "deff_sigma_b": effective_dimension(dephased(h, sig0)[2]), "delta": delta})
+    "d_s": d_s, "deff_rho_b": omega.deff_b[0], "deff_sigma_b": omega.deff_b[1], "delta": delta})
 
 dists = trace_distance(*marginals(sample_times(h, 400, rng)))
 print(f"\nmeasured marginal diameter delta = {delta:.3f} "
       f"(eigenvector marginals near I/2)")
 print(f"time-averaged D(rho^S_t, sigma^S_t) = {np.mean(dists):.4f}  "
       f"<= ISI bound {rhs:.4f}")
-print(f"d_eff(omega) = {1.0 / (probs ** 2).sum():.0f}")
+print(f"d_eff(omega) = {omega.deff[0]:.0f}")
 print("""
 Orthogonal starts, identical fates: the local equilibrium state forgets the
 initial condition and carries maximal entropy.  This is the statistical

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .hamiltonians import CompositeHamiltonian, Hamiltonian, phase_factors
 from .linalg import BLOCK_ENTRIES, GEMM_ROWS, hermitian_spectrum
-from .states import purity, trace_distance
+from .states import dephased_purity, effective_dimension, purity, trace_distance
 
 __all__ = [
     "dephased",
@@ -26,23 +27,32 @@ __all__ = [
 ]
 
 
-def dephased(h: Hamiltonian, state):
-    """The dephased state omega = sum_k p_k |E_k><E_k| of a pure state.
+class _Dephased(NamedTuple):
+    """dephased's (p, omega^S, omega^B), with deff = d_eff(omega) and deff_b = d_eff(omega^B)."""
+    probs: np.ndarray
+    omega_s: np.ndarray
+    omega_b: np.ndarray
+    deff = property(lambda self: 1.0 / dephased_purity(self.probs))
+    deff_b = property(lambda self: effective_dimension(self.omega_b))
 
-    state is one state vector (d,).  Returns (p, omega^S, omega^B): the
-    populations p_k = |<E_k|psi>|^2 and the marginals of omega on the split
-    h.dims.  The d x d omega is never formed: with W = V diag(sqrt(p)) read
-    as (d_S, d_B, d), omega = W W^dagger gives omega^S = X X^dagger for
-    X = W as (d_S, d_B d) and omega^B = sum_s W_s W_s^dagger, which is
-    d^2 (d_S + d_B) work instead of d^3.
+
+def dephased(h: Hamiltonian, state) -> _Dephased:
+    """The dephased state omega = sum_k p_k |E_k><E_k| of one pure state (d,), or
+    of each of a stack (m, d) bitwise as one call per state: (p, omega^S, omega^B),
+    the populations p_k = |<E_k|psi>|^2 and omega's marginals on the split h.dims.
+
+    omega is never formed: with W = V diag(sqrt(p)) as (d_S, d_B, d), omega^S =
+    X X^dagger for X = W as (d_S, d_B d) and omega^B = sum_s W_s W_s^dagger, which
+    is d^2 (d_S + d_B) work instead of d^3.
     """
-    probs = np.abs(h.to_eigenbasis(state)) ** 2
+    c0, stacked = _eigen_coefficients(h, state)
+    probs = np.abs(c0) ** 2
     d_s, d_b = h.dims
-    w = (h.eigenbasis * np.sqrt(probs)).reshape(d_s, d_b, h.dim)
-    wc = w.conj()
-    omega_s = w.reshape(d_s, -1) @ wc.reshape(d_s, -1).T
-    omega_b = (w @ np.swapaxes(wc, 1, 2)).sum(axis=0)
-    return probs, omega_s, omega_b
+    w = (h.eigenbasis * np.sqrt(probs)[:, None, :]).reshape(-1, d_s, d_b, h.dim)
+    x = w.reshape(-1, d_s, d_b * h.dim)
+    omega_s = x @ np.swapaxes(x.conj(), 1, 2)
+    omega_b = (w @ np.swapaxes(w.conj(), 2, 3)).sum(axis=1)
+    return _Dephased(*(a if stacked else a[0] for a in (probs, omega_s, omega_b)))
 
 
 def default_horizon(h: Hamiltonian) -> float:

@@ -40,7 +40,6 @@ __all__ = [
     "sample_gue",
     "harmonic_mean",
     "mean_energy_coefficients",
-    "sample_mean_energy_state",
 ]
 
 SETUP_DOMAIN = 0
@@ -226,11 +225,3 @@ def mean_energy_coefficients(spectrum, energy: float, n: int, rngs) -> np.ndarra
         raise ValueError(f"energy must be positive, got {energy!r}")
     c = np.sqrt(energy / (len(e) * e)) * complex_normals(n, (len(e),), rngs)
     return c / np.linalg.norm(c, axis=1, keepdims=True)
-
-
-def sample_mean_energy_state(h: Hamiltonian, energy: float,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Approximate sample from the mean energy ensemble at the given energy:
-    the state with the coefficients of mean_energy_coefficients."""
-    c = mean_energy_coefficients(h.eigenvalues, energy, 1, rng)[0]
-    return h.eigenbasis @ c

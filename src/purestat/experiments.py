@@ -56,6 +56,7 @@ from .ensembles import (
 from .hamiltonians import Hamiltonian, compose_hamiltonian, pointer_hamiltonian
 from .linalg import BLOCK_ENTRIES, commutator, dagger, hermitian_spectrum, trace_norm
 from .states import (
+    dephased_purity,
     effective_dimension,
     expectation_values,
     purity,
@@ -64,6 +65,16 @@ from .states import (
 )
 
 __all__ = ["ExperimentDef", "EXPERIMENTS", "mean_se"]
+
+# Gates are constants, not parameters: a config sets the physics, never a verdict.
+# SPEED's and PURITY_RATE_AVG's largest relative gap of a rate from its central
+# difference, which rounds at some 1e-7 of the rate floor 1e-3 |H|
+FD_RTOL = 1e-4
+# ERGODICITY's largest |Tr[B omega] - time average of Tr[B rho_t]|: that average's
+# standard error is at most |B| / sqrt(d_eff n_times), about 3e-3 at the defaults
+CROSSCHECK_TOL = 1e-2
+LATE_SUPPRESSION_CAP = 0.3   # EINSELECTION_DEMO's cap on the late mean |rho^S_ij(t) / rho^S_ij(0)|
+ENTROPY_SLACK = 0.1          # SECOND_LAW_DEMO's allowance of S(omega^S) below log d_S, in nats
 
 
 def _row(lhs, rhs, kind, slack=0.0, stderr=0.0, **extra) -> TrialRecord:
@@ -273,7 +284,7 @@ def _deff_subspace_setup(params, rng):
 def _deff_subspace_block(setup, params, ks, rngs):
     """d_eff of each trial's dephased subspace state."""
     c = _haar_coeff_rows(len(ks), setup["d_r"], rngs) @ setup["block"]
-    return (1.0 / (np.abs(c) ** 4).sum(axis=1)).tolist()
+    return (1.0 / dephased_purity(np.abs(c) ** 2)).tolist()
 
 
 def _deff_subspace_mean_trial(setup, params, k, deff):
@@ -319,7 +330,7 @@ def _deff_product_block(setup, params, ks, rngs):
     a_s, a_b = (_unit_rows(np.concatenate(z)) for z in zip(*draws))
     psi = (a_s[:, :, None] * a_b[:, None, :]).reshape(len(a_s), d_sr * d_br)
     c = psi @ setup["eigenbasis"].conj()        # row i: V^dagger psi_i
-    return (1.0 / (np.abs(c) ** 4).sum(axis=1)).tolist()
+    return (1.0 / dephased_purity(np.abs(c) ** 2)).tolist()
 
 
 def _deff_product_trial(setup, params, k, deff):
@@ -348,7 +359,7 @@ def _deff_mean_energy_block(setup, params, ks, rngs):
     """(purity, energy) of each trial's dephased mean-energy state."""
     c = mean_energy_coefficients(setup["spectrum"], setup["energy"], len(ks), rngs)
     p = np.abs(c) ** 2
-    return list(zip((p ** 2).sum(axis=1).tolist(), (p @ setup["spectrum"]).tolist()))
+    return list(zip(dephased_purity(p).tolist(), (p @ setup["spectrum"]).tolist()))
 
 
 def _deff_mean_energy_trial(setup, params, k, item):
@@ -379,8 +390,7 @@ def _deff_mean_energy_summary(rows, setup, params):
 # ---------------------------------------------------------------------------
 
 def _equilibration_trial_base(params, rng):
-    """Shared per-trial pipeline: random H on (d_s, d_b), Haar psi0, time
-    batch, and psi0's dephased state (p, omega^S, omega^B)."""
+    """One trial's random H on (d_s, d_b), Haar psi0, time batch and dephased(h, psi0)."""
     d_s, d_b = params["d_s"], params["d_b"]
     h = sample_random_hamiltonian((d_s, d_b), rng)
     psi0 = sample_haar_state(d_s * d_b, rng)
@@ -397,7 +407,7 @@ def _expectation_equilibration_trial(setup, params, k, rng):
     times = sample_times(h, params["n_times"], rng)
     a_eig = sample_gue(d, rng)
     probs = np.abs(c0) ** 2
-    deff = float(1.0 / (probs ** 2).sum())
+    deff = 1.0 / dephased_purity(probs)
     x = time_map(h, c0, times, lambda cts: expectation_values(cts, a_eig))
     x_omega = float(probs @ np.diag(a_eig).real)
     lhs, se = mean_se((x - x_omega) ** 2)
@@ -411,8 +421,11 @@ def _distances(h, psi0, times, omega_s) -> np.ndarray:
         reduced_marginals(psis, h.dims), omega_s))
 
 
-def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, bound):
-    """Fig-style D(rho^S_t, omega^S) on a time grid, as <ID>_trajectory.csv."""
+def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, horizon, n_grid, bound):
+    """Fig-style D(rho^S_t, omega^S) on n_grid times in [0, horizon / (E_max - E_min)]
+    but the first, as <ID>_trajectory.csv."""
+    width = float(h.eigenvalues[-1] - h.eigenvalues[0])
+    grid = np.linspace(0.0, horizon / width, n_grid)[1:]
     path = os.path.join(out_dir, f"{experiment_id}_trajectory.csv")
     write_trajectory_csv(path, grid, {"distance": _distances(h, psi0, grid, omega_s),
                                       "bound": np.full(len(grid), bound)})
@@ -420,36 +433,31 @@ def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, grid, b
 
 
 def _subsystem_equilibration_trial(setup, params, k, rng):
-    d_s = params["d_s"]
-    h, psi0, times, (probs, omega_s, omega_b) = _equilibration_trial_base(params, rng)
-    deff = float(1.0 / (probs ** 2).sum())
-    deff_b = effective_dimension(omega_b)
-    lhs, se = mean_se(_distances(h, psi0, times, omega_s))
-    return check_bound("SUBSYSTEM_EQUILIBRATION", lhs, {"d_s": d_s, "deff_b": deff_b},
-                       se, deff=deff, deff_b=deff_b)
+    h, psi0, times, omega = _equilibration_trial_base(params, rng)
+    lhs, se = mean_se(_distances(h, psi0, times, omega.omega_s))
+    return check_bound("SUBSYSTEM_EQUILIBRATION", lhs,
+                       {"d_s": params["d_s"], "deff_b": omega.deff_b}, se,
+                       deff=omega.deff, deff_b=omega.deff_b)
 
 
 def _subsystem_equilibration_artifacts(setup, params, rng, out_dir):
     """Trajectory of D(rho^S_t, omega^S) for trial 0, on a grid."""
-    h, psi0, _, (_, omega_s, omega_b) = _equilibration_trial_base(params, rng)
-    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", {
-        "d_s": params["d_s"], "deff_b": effective_dimension(omega_b)})
-    width = float(h.eigenvalues[-1] - h.eigenvalues[0])
-    grid = np.linspace(0.0, 80.0 / width, 400)[1:]
+    h, psi0, _, omega = _equilibration_trial_base(params, rng)
+    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION",
+                           {"d_s": params["d_s"], "deff_b": omega.deff_b})
     return _write_distance_trajectory(out_dir, "SUBSYSTEM_EQUILIBRATION", h, psi0,
-                                      omega_s, grid, bound)
+                                      omega.omega_s, 80.0, 400, bound)
 
 
 def _purity_equilibration_trial(setup, params, k, rng):
-    d_s = params["d_s"]
-    h, psi0, times, (probs, omega_s, _) = _equilibration_trial_base(params, rng)
-    deff = float(1.0 / (probs ** 2).sum())
+    h, psi0, times, omega = _equilibration_trial_base(params, rng)
+    deff = omega.deff
     p_s, p_b = time_map(h, psi0, times, lambda psis: (
         purity(reduced_marginals(psis, h.dims)), bath_purities(psis, h.dims)))
     max_sb_diff = float(np.abs(p_s - p_b).max())
-    p_omega = purity(omega_s)
+    p_omega = purity(omega.omega_s)
     lhs = abs(float(p_s.mean()) - p_omega)
-    row = check_bound("PURITY_EQUILIBRATION", lhs, {"d_s": d_s, "deff": deff},
+    row = check_bound("PURITY_EQUILIBRATION", lhs, {"d_s": params["d_s"], "deff": deff},
                       deff=deff, purity_sb_max_diff=max_sb_diff, p_omega_s=p_omega)
     row.satisfied &= verdict(max_sb_diff, 1e-10, "upper")   # p_S = p_B for pure states
     return row
@@ -506,7 +514,7 @@ def _ergodicity_trial(setup, params, k, item):
     if x_mean is not None:
         # the sampled time average of Tr[B rho_t] must reproduce lhs
         row.extra["crosscheck_err"] = abs(x_mean - lhs)
-        row.satisfied &= verdict(x_mean, lhs, "identity", params["crosscheck_tol"])
+        row.satisfied &= verdict(x_mean, lhs, "identity", CROSSCHECK_TOL)
     return row
 
 
@@ -547,7 +555,7 @@ def _speed_pipeline(params, rng, fn):
     d_s, d_b = params["d_s"], params["d_b"]
     parts = _sample_composite(params, rng)
     psi0 = sample_product_state(d_s, d_b, rng)
-    deff = float(1.0 / (dephased(parts, psi0)[0] ** 2).sum())
+    deff = dephased(parts, psi0).deff
     times = sample_times(parts, params["n_times"], rng)
     return parts, psi0, _rates_map(parts, psi0, times, fn), deff
 
@@ -576,7 +584,7 @@ def _fd_check(rate, fd_fn, floor, psi0, parts, params):
     analytic = _rates_map(parts, psi0, ts, rate)
     gaps = np.abs(fd_fn(parts, psi0, ts) - analytic) / np.maximum(np.abs(analytic), floor)
     worst = float(np.max(gaps, initial=0.0))
-    return verdict(worst, params["fd_rtol"], "upper"), worst
+    return verdict(worst, FD_RTOL, "upper"), worst
 
 
 def _purity_rate_avg_trial(setup, params, k, rng):
@@ -698,12 +706,11 @@ def _einselection_rows(setup, params, k, rng):
     gaps = np.abs(e_s[j] - e_s[i])
     worst = int(np.argmax(coherences * gaps))
     gap = gaps[worst]
-    late_cap = params["late_suppression"]
     return [
         _row(diag_drift, 1e-10, "upper", check="pointer_diagonal_drift"),
         _row(np.abs(f_sim - f_direct).max(), 1e-9, "upper",
              check="suppression_factor_agreement"),
-        _row(np.abs(f_sim[late]).mean(axis=0).max(), late_cap, "upper",
+        _row(np.abs(f_sim[late]).mean(axis=0).max(), LATE_SUPPRESSION_CAP, "upper",
              check="late_time_suppression"),
         _row(drift_eq, 1e-10, "upper", check="equal_blocks_state_frozen"),
         _row(ratios.max(initial=0.0), 1.0, "upper", 1e-9,
@@ -746,9 +753,10 @@ def _isi_trial(setup, params, k, rng):
     def distances(psis):
         rho = reduced_marginals(psis, (d_s, d_b))
         return trace_distance(rho[:, 0], rho[:, 1])
-    dist = time_map(h, np.stack([psi, phi]), times, distances)
-    inputs = {"d_s": d_s, "deff_rho_b": effective_dimension(dephased(h, psi)[2]),
-              "deff_sigma_b": effective_dimension(dephased(h, phi)[2]), "delta": delta_pair}
+    pair = np.stack([psi, phi])
+    dist = time_map(h, pair, times, distances)
+    deff_b = dephased(h, pair).deff_b.tolist()
+    inputs = {"d_s": d_s, "deff_rho_b": deff_b[0], "deff_sigma_b": deff_b[1], "delta": delta_pair}
     mean, se = mean_se(dist)
     return check_bound("ISI", mean, inputs, se, delta_measured=delta_pair,
                        delta_entangled=delta_ent, delta_target=0.05)
@@ -901,23 +909,24 @@ def _second_law_rows(setup, params, k, rng):
     psi0 = np.zeros(d, dtype=complex); psi0[0] = 1.0          # |0>_S |0>_B
     sig0 = np.zeros(d, dtype=complex); sig0[d_b] = 1.0        # |1>_S |0>_B
     times = sample_times(h, params["n_times"], rng)
-    _, omega_s, omega_b = dephased(h, psi0)
+    pair = np.stack([psi0, sig0])
+    omega = dephased(h, pair)
+    omega_s, (deff_b, deff_sigma_b) = omega.omega_s[0], omega.deff_b.tolist()
 
     def distances(psis):
         rho = reduced_marginals(psis, (d_s, d_b))
         return trace_distance(rho[:, 0], omega_s), trace_distance(rho[:, 0], rho[:, 1])
-    d_eq, d_isi = time_map(h, np.stack([psi0, sig0]), times, distances)
+    d_eq, d_isi = time_map(h, pair, times, distances)
 
-    deff_b = effective_dimension(omega_b)
-    isi_inputs = {"d_s": d_s, "deff_rho_b": deff_b,
-                  "deff_sigma_b": effective_dimension(dephased(h, sig0)[2]), "delta": delta_pair}
+    isi_inputs = {"d_s": d_s, "deff_rho_b": deff_b, "deff_sigma_b": deff_sigma_b,
+                  "delta": delta_pair}
     s_omega = von_neumann_entropy(omega_s)
     return [
         check_bound("SUBSYSTEM_EQUILIBRATION", float(d_eq.mean()),
                     {"d_s": d_s, "deff_b": deff_b}, check="equilibration_from_pure_product_start"),
         check_bound("ISI", float(d_isi.mean()), isi_inputs,
                     check="initial_state_independence", delta_measured=delta_pair),
-        _row(s_omega, float(np.log(d_s)) - params["entropy_slack"], "lower",
+        _row(s_omega, float(np.log(d_s)) - ENTROPY_SLACK, "lower",
              check="equilibrium_entropy_near_maximal", log_ds=float(np.log(d_s)),
              initial_entropy=0.0),
     ]
@@ -928,10 +937,9 @@ def _distance_trajectory_setup(params, rng):
     h = sample_random_hamiltonian((d_s, d_b), rng)
     psi_b = sample_haar_state(d_b, rng)
     psi0 = np.kron(np.eye(d_s, dtype=complex)[0], psi_b)   # |0>_S |psi_B>
-    _, omega_s, omega_b = dephased(h, psi0)
-    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION",
-                           {"d_s": d_s, "deff_b": effective_dimension(omega_b)})
-    return {"h": h, "psi0": psi0, "omega_s": omega_s, "bound": bound}
+    omega = dephased(h, psi0)
+    bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", {"d_s": d_s, "deff_b": omega.deff_b})
+    return {"h": h, "psi0": psi0, "omega_s": omega.omega_s, "bound": bound}
 
 
 def _distance_trajectory_trial(setup, params, k, rng):
@@ -945,11 +953,9 @@ def _distance_trajectory_trial(setup, params, k, rng):
 
 
 def _distance_trajectory_artifacts(setup, params, rng, out_dir):
-    h = setup["h"]
-    width = float(h.eigenvalues[-1] - h.eigenvalues[0])
-    grid = np.linspace(0.0, params["plot_horizon"] / width, params["n_grid"])[1:]
-    return _write_distance_trajectory(out_dir, "DISTANCE_TRAJECTORY", h, setup["psi0"],
-                                      setup["omega_s"], grid, setup["bound"])
+    return _write_distance_trajectory(out_dir, "DISTANCE_TRAJECTORY", setup["h"], setup["psi0"],
+                                      setup["omega_s"], params["plot_horizon"], params["n_grid"],
+                                      setup["bound"])
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1070,7 @@ _register(ExperimentDef(
     "ERGODICITY",
     "time averages equal microcanonical averages over random initial states",
     {"d": 128, "d_r": 64, "trials": 2000, "crosscheck_trials": 3,
-     "crosscheck_times": 4000, "crosscheck_tol": 1e-2},
+     "crosscheck_times": 4000},
     _ergodicity_setup, _ergodicity_trial, _ergodicity_summary,
     limits=_SUBSPACE, dimension=itemgetter("d"),
     minimums={"trials": 2, "crosscheck_trials": 0, "dimension": 3},
@@ -1073,14 +1079,14 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     "SPEED",
     "time-averaged subsystem speed vs the d_eff bound, with finite-difference checks",
-    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3, "fd_rtol": 1e-4},
+    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3},
     None, _speed_trial,
     dimension=_bipartite, minimums={"d_s": 2, "d_b": 2, "n_times": 2}))
 
 _register(ExperimentDef(
     "PURITY_RATE_AVG",
     "time-averaged |dp^S/dt| vs the interaction-norm bound",
-    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3, "fd_rtol": 1e-4},
+    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3},
     None, _purity_rate_avg_trial,
     dimension=_bipartite, minimums={"d_s": 2, "d_b": 2, "n_times": 2}))
 
@@ -1110,10 +1116,10 @@ _register(ExperimentDef(
     "EINSELECTION_DEMO",
     "pointer-basis Hamiltonian demo: frozen diagonals, suppression factors, weak variant",
     {"d_s": 2, "d_b": 64, "trials": 1, "t_max": 200.0, "grid": 81,
-     "late_window_start": 100.0, "late_suppression": 0.3, "n_times": 200},
+     "late_window_start": 100.0, "n_times": 200},
     None, _einselection_rows,
     # the late |f| of a d_b-level Haar bath state is about Rayleigh, of mean sqrt(pi / (4 d_b)):
-    # d_b >= 16 = ceil(pi / (4 (0.75 x 0.3)^2)) keeps that mean within 3/4 of the 0.3 cap
+    # d_b >= 16 = ceil(pi / (4 (0.75 LATE_SUPPRESSION_CAP)^2)) keeps it within 3/4 of the cap
     dimension=_bipartite, minimums={"d_s": 2, "d_b": 16, "grid": 2},
     limits={"late_window_start": ("<", "t_max")}))
 
@@ -1171,8 +1177,7 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     "SECOND_LAW_DEMO",
     "entropy increase, equilibration and initial-state independence for fixed pure starts",
-    {"d_s": 2, "d_b": 64, "trials": 5, "n_times": 1000,
-     "entropy_slack": 0.1},
+    {"d_s": 2, "d_b": 64, "trials": 5, "n_times": 1000},
     None, _second_law_rows,
     dimension=_bipartite, minimums={"d_s": 2, "dimension": 3}))
 

@@ -111,8 +111,8 @@ class ExperimentSpec:
 
 def _typed(experiment_id: str, key: str, value, default, low: int):
     """value as its default's type: for an integer default an int of at least
-    low, for a float default a finite float (which an integer also gives);
-    never from a bool."""
+    low, for a float default a finite float > 0 (an integer also gives one),
+    as every float parameter is a physical scale; never from a bool."""
     integral = isinstance(default, int)
     kind = numbers.Integral if integral else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
@@ -131,6 +131,8 @@ def _typed(experiment_id: str, key: str, value, default, low: int):
         typed = np.inf
     if not np.isfinite(typed):
         raise ValueError(f"{experiment_id}: {key} must be finite, got {value!r}")
+    if typed <= 0:
+        raise ValueError(f"{experiment_id}: {key} must be > 0, got {value!r}")
     return typed
 
 

@@ -1,8 +1,8 @@
 """State-level quantities.
 
 A pure state is a complex array: (d,) for one state vector, (m, d) for a
-stack.  The functions take numpy arrays: density matrices
-(expectation_values: state vectors), one or a stack.
+stack.  The functions take numpy arrays: density matrices (expectation_values:
+state vectors; dephased_purity: populations), one or a stack.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ __all__ = [
     "trace_distance",
     "purity",
     "expectation_values",
+    "dephased_purity",
     "effective_dimension",
     "von_neumann_entropy",
 ]
@@ -67,8 +68,15 @@ def expectation_values(psis, a):
     return float(x) if x.ndim == 0 else x
 
 
-def effective_dimension(rho) -> float:
-    """d_eff(rho) = 1 / Tr[rho^2]."""
+def dephased_purity(probs):
+    """Tr[omega^2] = sum_k p_k^2 of omega = sum_k p_k |E_k><E_k|, the one home of
+    d_eff(omega) = 1 / Tr[omega^2]: p on the last axis; a float for one state."""
+    pur = (np.asarray(probs, dtype=float) ** 2).sum(axis=-1)
+    return float(pur) if pur.ndim == 0 else pur
+
+
+def effective_dimension(rho):
+    """d_eff(rho) = 1 / Tr[rho^2]: a float, or an array for a stack of matrices."""
     return 1.0 / purity(rho)
 
 

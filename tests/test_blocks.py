@@ -10,11 +10,9 @@ import pytest
 from purestat import (
     SETUP_DOMAIN,
     TRIAL_DOMAIN,
-    Hamiltonian,
     harness,
     mean_energy_coefficients,
     sample_haar_state,
-    sample_mean_energy_state,
     sample_product_state,
     sample_random_hamiltonian,
     stream,
@@ -30,7 +28,7 @@ from purestat.bounds import (
 )
 from purestat.dynamics import reduced_marginals, sample_times
 from purestat.hamiltonians import phase_factors
-from purestat.experiments import EXPERIMENTS, _mixed_density, _row
+from purestat.experiments import CROSSCHECK_TOL, EXPERIMENTS, _mixed_density, _row
 from purestat.linalg import commutator, trace_norm
 from purestat.harness import _BLOCK, ExperimentSpec, _chunks, run_experiment
 from purestat.states import expectation_values, trace_distance
@@ -203,10 +201,9 @@ def _ref_deff_product(setup, params, seed, k):
 
 
 def _ref_deff_mean_energy(setup, params, seed, k):
-    h = Hamiltonian(setup["spectrum"])      # diagonal: a state is its own coefficients
-    c = h.to_eigenbasis(sample_mean_energy_state(h, setup["energy"], trial_stream(seed, k)))
+    (c,) = mean_energy_coefficients(setup["spectrum"], setup["energy"], 1, trial_stream(seed, k))
     return _row(float((np.abs(c) ** 4).sum()), setup["rhs"], "observation",
-                energy=float(np.abs(c) ** 2 @ h.eigenvalues))
+                energy=float(np.abs(c) ** 2 @ setup["spectrum"]))
 
 
 def _ref_ergodicity(setup, params, seed, k):
@@ -220,7 +217,7 @@ def _ref_ergodicity(setup, params, seed, k):
         ct = a * phase_factors(setup["window"].eigenvalues, times)   # all times at once
         x_mean = float(expectation_values(ct, setup["block"]).mean())
         row.extra["crosscheck_err"] = abs(x_mean - lhs)
-        row.satisfied &= verdict(x_mean, lhs, "identity", float(params["crosscheck_tol"]))
+        row.satisfied &= verdict(x_mean, lhs, "identity", CROSSCHECK_TOL)
     return row
 
 
@@ -317,16 +314,16 @@ def test_deff_product_draws_are_bitwise_the_reference_layout():
     a_s, a_b = (a / np.linalg.norm(a, axis=1, keepdims=True) for a in (a_s, a_b))
     psi = (a_s[:, :, None] * a_b[:, None, :]).reshape(len(x), d_sr * d_br)
     c = psi @ setup["eigenbasis"].conj()
-    assert got == (1.0 / (np.abs(c) ** 4).sum(axis=1)).tolist()
+    assert got == (1.0 / ((np.abs(c) ** 2) ** 2).sum(axis=1)).tolist()
     assert [repr(rng.bit_generator.state) for rng in used] == \
         [repr(ref.bit_generator.state) for ref in refs]
 
 
-def test_mean_energy_state_uses_the_shared_coefficient_sampler():
+def test_mean_energy_coefficient_rows_are_each_streams_own_draw():
     rng = trial_stream(0, 21)
     h = sample_random_hamiltonian((16, 1), rng, spectrum=(1.0, 2.0))
-    psi = sample_mean_energy_state(h, 1.4, trial_stream(5, 2))
+    (one,) = mean_energy_coefficients(h.eigenvalues, 1.4, 1, trial_stream(5, 2))
     c = mean_energy_coefficients(h.eigenvalues, 1.4, 2, [trial_stream(5, 1), trial_stream(5, 2)])
     assert c.shape == (2, 16)
-    assert np.array_equal(psi, h.eigenbasis @ c[1])
+    assert np.array_equal(one, c[1])
     assert np.allclose(np.linalg.norm(c, axis=1), 1.0, atol=1e-14)

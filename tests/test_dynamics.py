@@ -10,10 +10,13 @@ from purestat import (
     bath_purities,
     check_bound,
     commutator,
+    complex_normals,
     compose_hamiltonian,
     dagger,
     default_horizon,
     dephased,
+    dephased_purity,
+    effective_dimension,
     expectation_values,
     finite_difference_purity_rate,
     finite_difference_speed,
@@ -36,7 +39,7 @@ from purestat import (
 from purestat import dynamics
 from purestat.hamiltonians import phase_factors
 from purestat.linalg import BLOCK_ENTRIES, GEMM_ROWS
-from purestat.experiments import EXPERIMENTS, mean_se
+from purestat.experiments import EXPERIMENTS, FD_RTOL, mean_se
 
 
 def _rand_herm(d, rng):
@@ -387,7 +390,7 @@ def test_finite_difference_speed_reads_the_split_from_the_hamiltonian():
     times = np.array([0.4, 1.9, 6.3])
     analytic = _rates(parts, psi, times).speeds()
     fd = finite_difference_speed(parts, psi, times)
-    assert (np.abs(fd - analytic) / analytic).max() < EXPERIMENTS["SPEED"].defaults["fd_rtol"]
+    assert (np.abs(fd - analytic) / analytic).max() < FD_RTOL
 
 
 def test_purity_rate_product_state_is_zero():
@@ -467,14 +470,45 @@ def test_dephased_marginals_match_the_dense_dephasing_map(d_s):
     assert np.abs(probs - np.diag(_in_eigenbasis(h, omega)).real).max() <= 1e-12
 
 
-def test_dephased_takes_one_state_vector_only():
+def test_dephased_takes_one_state_vector_or_a_stack():
     # a (d, d) stack once gave (d, d) "populations" and a wrong (d_S, d_S) omega^S
     rng = trial_stream(102, 17)
     h = sample_random_hamiltonian((2, 4), rng)
     psis = time_map(h, sample_haar_state(8, rng), rng.uniform(0.0, 10.0, 8), np.copy)
-    for bad in (psis, psis[:1], psis[0, :4]):
-        with pytest.raises(ValueError, match="one state vector"):
+    omega = dephased(h, psis)
+    assert omega.probs.shape == (8, 8) and omega.omega_s.shape == (8, 2, 2)
+    assert omega.omega_b.shape == (8, 4, 4) and omega.deff_b.shape == (8,)
+    for bad in (psis[0, :4], psis[:, :4], psis[None]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
             dephased(h, bad)
+
+
+@pytest.mark.parametrize("dims", [(2, 16), (4, 8), (1, 16), (16, 1)])
+def test_a_stacked_dephased_is_bitwise_the_per_state_calls(dims):
+    rng = trial_stream(102, 18)
+    h = sample_random_hamiltonian(dims, rng)
+    psis = np.array([sample_haar_state(h.dim, rng) for _ in range(3)])
+    stacked = dephased(h, psis)
+    for k, psi in enumerate(psis):
+        single = dephased(h, psi)
+        for got, want in zip((*stacked, stacked.deff, stacked.deff_b),
+                             (*single, single.deff, single.deff_b)):
+            assert np.asarray(got)[k].tobytes() == np.asarray(want).tobytes()
+    assert isinstance(single.deff, float) and isinstance(single.deff_b, float)
+
+
+def test_the_dephased_purity_is_the_sum_of_squared_populations():
+    rng = trial_stream(102, 19)
+    probs = np.abs(complex_normals(5, (12,), rng)) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
+    want = np.array([sum(p * p for p in row) for row in probs])
+    assert np.allclose(dephased_purity(probs), want, rtol=1e-14, atol=0)
+    assert dephased_purity(probs[2]) == dephased_purity(probs)[2]
+    h = sample_random_hamiltonian((2, 6), rng)
+    omega = dephased(h, sample_haar_state(12, rng))
+    assert omega.deff == 1.0 / dephased_purity(omega.probs)
+    dense = (h.eigenbasis * omega.probs) @ dagger(h.eigenbasis)
+    assert omega.deff == pytest.approx(effective_dimension(dense), rel=1e-12)
 
 
 def test_batched_finite_differences_match_a_per_time_loop():

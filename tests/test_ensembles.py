@@ -16,11 +16,11 @@ from purestat import (
     haar_unitary,
     hamiltonians,
     harmonic_mean,
+    mean_energy_coefficients,
     partial_trace,
     reduced_marginals,
     sample_gue,
     sample_haar_state,
-    sample_mean_energy_state,
     sample_product_state,
     sample_random_hamiltonian,
     sample_spectrum,
@@ -457,11 +457,8 @@ def test_mean_energy_sampler_energy_concentration():
     d = 128
     h = sample_random_hamiltonian((d, 1), rng, spectrum=(1.0, 2.0))
     energy = harmonic_mean(h.eigenvalues)
-    vals = np.empty(5000)
-    for i in range(len(vals)):
-        psi = sample_mean_energy_state(h, energy, rng)
-        c = h.to_eigenbasis(psi)
-        vals[i] = (np.abs(c) ** 2) @ h.eigenvalues
+    c = mean_energy_coefficients(h.eigenvalues, energy, 5000, rng)
+    vals = (np.abs(c) ** 2) @ h.eigenvalues
     assert abs(vals.mean() - energy) <= 0.05 * energy
 
 
@@ -471,12 +468,7 @@ def test_mean_energy_fourth_moments():
     d, n = 64, 20_000
     h = sample_random_hamiltonian((d, 1), rng, spectrum=(1.0, 2.0))
     energy = harmonic_mean(h.eigenvalues)
-    acc = np.zeros(d)
-    for _ in range(n):
-        psi = sample_mean_energy_state(h, energy, rng)
-        c = h.to_eigenbasis(psi)
-        acc += np.abs(c) ** 4
-    acc /= n
+    acc = (np.abs(mean_energy_coefficients(h.eigenvalues, energy, n, rng)) ** 4).mean(axis=0)
     predicted = 2 * energy ** 2 / (d ** 2 * h.eigenvalues ** 2)
     rel = np.abs(acc - predicted) / predicted
     assert rel.max() <= 0.10
@@ -489,11 +481,9 @@ def test_mean_energy_flat_spectrum_reduces_to_haar():
     h = sample_random_hamiltonian((d, 1), rng, spectrum=(2.0, 2.0 + 1e-5))
     w = haar_unitary(d, rng)
     phi = sample_haar_state(np.eye(d), rng)
-    x = np.empty(n); y = np.empty(n)
-    for i in range(n):
-        psi = sample_mean_energy_state(h, 2.0, rng)
-        x[i] = abs(np.vdot(phi, w @ psi)) ** 2
-        y[i] = abs(np.vdot(phi, psi)) ** 2
+    psis = mean_energy_coefficients(h.eigenvalues, 2.0, n, rng) @ h.eigenbasis.T
+    x = np.abs(psis @ w.T @ phi.conj()) ** 2
+    y = np.abs(psis @ phi.conj()) ** 2
     xs, ys = np.sort(x), np.sort(y)
     grid = np.concatenate([xs, ys])
     ks = np.abs(np.searchsorted(xs, grid, side="right") / n
@@ -505,4 +495,4 @@ def test_mean_energy_rejects_bad_input():
     rng = trial_stream(0, 13)
     h = sample_random_hamiltonian((2, 1), rng, spectrum=(-2.0, -1.0))
     with pytest.raises(ValueError):
-        sample_mean_energy_state(h, 1.0, rng)
+        mean_energy_coefficients(h.eigenvalues, 1.0, 1, rng)

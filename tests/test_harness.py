@@ -186,6 +186,26 @@ def test_a_non_finite_parameter_is_rejected_before_compute(experiment_id, key, v
         ExperimentSpec(experiment_id, {key: value})
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0], ids=["zero", "negative"])
+@pytest.mark.parametrize("experiment_id, key", FLOAT_PARAMETERS,
+                         ids=[f"{e}-{k}" for e, k in FLOAT_PARAMETERS])
+def test_a_float_parameter_must_be_positive(experiment_id, key, value):
+    # before, a negative epsilon or t_max_over_coupling ran and wrote vacuous
+    # rows, a negative plot_horizon ran its trajectory backwards, and a zero
+    # hsb_scale or coupling failed only after 100 non-resonance draws
+    with pytest.raises(ValueError, match=f"{experiment_id}: {key} must be > 0"):
+        ExperimentSpec(experiment_id, {key: value})
+
+
+@pytest.mark.parametrize("experiment_id, key", [
+    ("SPEED", "fd_rtol"), ("PURITY_RATE_AVG", "fd_rtol"), ("ERGODICITY", "crosscheck_tol"),
+    ("EINSELECTION_DEMO", "late_suppression"), ("SECOND_LAW_DEMO", "entropy_slack")])
+def test_a_gate_is_not_a_parameter(experiment_id, key):
+    # before, crosscheck_tol = 1e9 or late_suppression = 5 switched a gate off
+    with pytest.raises(ValueError, match=f"unknown parameter.* {key} for {experiment_id}"):
+        ExperimentSpec(experiment_id, {key: 1.0})
+
+
 def test_a_nan_config_value_is_rejected_before_compute(tmp_path):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("experiment = MC_CONCENTRATION\nepsilon = nan\n", encoding="utf-8")

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 from purestat.ensembles import complex_normals
+from purestat.experiments import EXPERIMENTS
 from purestat.harness import ExperimentSpec, run_experiment
+from purestat.states import dephased_purity, effective_dimension
 
 
 def _patch_everywhere(monkeypatch, fn, mutant) -> None:
@@ -28,3 +30,36 @@ def test_real_normals_are_reported(experiment_id, monkeypatch):
     _patch_everywhere(monkeypatch, complex_normals, _real_normals)
     res = run_experiment(ExperimentSpec(experiment_id, seed=7))
     assert res.violations >= 1
+
+
+# every experiment that reads d_eff(omega) or d_eff(omega^B), directly or through a bound
+DEFF_READERS = ("EXPECTATION_EQUILIBRATION", "SUBSYSTEM_EQUILIBRATION", "PURITY_EQUILIBRATION",
+                "SPEED", "PURITY_RATE_AVG", "PURITY_RATE_INSTANT", "ISI", "SECOND_LAW_DEMO",
+                "DISTANCE_TRAJECTORY", "DEFF_SUBSPACE_MEAN", "DEFF_SUBSPACE_TAIL",
+                "DEFF_PRODUCT_MEAN", "DEFF_MEAN_ENERGY", "CANONICAL_REDUCTION")
+# small enough that each reader runs in well under a second
+SMALL = {"trials": 2, "n_times": 16, "n_samples": 200, "fd_checks": 2}
+
+
+def _deff_plus_one(monkeypatch) -> None:
+    """d_eff + 1 wherever it is computed: the dephased-state home, whose purity
+    p becomes p / (1 + p), and states.effective_dimension."""
+    _patch_everywhere(monkeypatch, dephased_purity, lambda p: 1.0 / (1.0 / dephased_purity(p) + 1))
+    _patch_everywhere(monkeypatch, effective_dimension, lambda rho: effective_dimension(rho) + 1)
+
+
+def _rows(experiment_id):
+    defaults = EXPERIMENTS[experiment_id].defaults
+    res = run_experiment(ExperimentSpec(
+        experiment_id, {k: v for k, v in SMALL.items() if k in defaults}, seed=7))
+    rows = res.records
+    return rows.lhs.tolist(), rows.rhs.tolist(), rows.extras
+
+
+@pytest.mark.parametrize("experiment_id", DEFF_READERS)
+def test_an_off_by_one_deff_reaches_every_reader(experiment_id, monkeypatch):
+    monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
+    clean = _rows(experiment_id)
+    _deff_plus_one(monkeypatch)
+    mutant = _rows(experiment_id)
+    assert mutant != clean

@@ -86,10 +86,10 @@ def test_fd_check_propagates_a_single_nan():
     psi0 = sample_haar_state(np.eye(8), rng)
     fds = np.array([1.0, math.nan, 1.0])   # only the middle instant is degenerate
     ok, worst = _fd_check(lambda rates: np.ones(3), lambda h, psi, t: fds, 1e-3,
-                          psi0, parts, {"fd_checks": 3, "fd_rtol": 1e-4})
+                          psi0, parts, {"fd_checks": 3})
     assert math.isnan(worst) and not ok
     ok, worst = _fd_check(lambda rates: np.full(3, 2.0), lambda h, psi, t: 2.0 + 1e-6, 1e-3,
-                          psi0, parts, {"fd_checks": 3, "fd_rtol": 1e-4})
+                          psi0, parts, {"fd_checks": 3})
     assert worst == pytest.approx(5e-7) and ok
 
 
