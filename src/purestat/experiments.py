@@ -66,15 +66,33 @@ from .states import (
 
 __all__ = ["ExperimentDef", "EXPERIMENTS", "mean_se"]
 
-# Gates are constants, not parameters: a config sets the physics, never a verdict.
+# Gates, and the cross-checks, windows and grids they are calibrated on, are
+# constants: a config sets the physical instance and its sample size, never how
+# a gate judges.
 # SPEED's and PURITY_RATE_AVG's largest relative gap of a rate from its central
 # difference, which rounds at some 1e-7 of the rate floor 1e-3 |H|
 FD_RTOL = 1e-4
+FD_CHECKS = 3                # the instants of each row's finite-difference check
 # ERGODICITY's largest |Tr[B omega] - time average of Tr[B rho_t]|: that average's
-# standard error is at most |B| / sqrt(d_eff n_times), about 3e-3 at the defaults
+# standard error is at most |B| / sqrt(d_eff CROSSCHECK_TIMES), about 3e-3
 CROSSCHECK_TOL = 1e-2
+CROSSCHECK_TRIALS = 3        # the first trials whose time average is cross-checked
+CROSSCHECK_TIMES = 4000      # the sampled times of each cross-check's time average
 LATE_SUPPRESSION_CAP = 0.3   # EINSELECTION_DEMO's cap on the late mean |rho^S_ij(t) / rho^S_ij(0)|
+# the grid of EINSELECTION_DEMO's trajectories: EINSELECTION_GRID points on
+# [0, EINSELECTION_T_MAX] but t = 0; the cap is judged on t >= LATE_WINDOW_START
+EINSELECTION_T_MAX = 200.0
+EINSELECTION_GRID = 81
+LATE_WINDOW_START = 100.0
+# EQ_TIME_PURITY's search for the first time with p_t <= p_eq: EQ_TIME_GRID points
+# on [0, EQ_TIME_HORIZON / |H_SB|] but t = 0.  A coarser grid finds a later
+# crossing, which biases the row, a lower bound, toward passing
+EQ_TIME_HORIZON = 50.0
+EQ_TIME_GRID = 2000
 ENTROPY_SLACK = 0.1          # SECOND_LAW_DEMO's allowance of S(omega^S) below log d_S, in nats
+# the trajectory CSVs: PLOT_GRID points on [0, PLOT_HORIZON / (E_max - E_min)] but t = 0
+PLOT_HORIZON = 80.0
+PLOT_GRID = 400
 
 
 def _row(lhs, rhs, kind, slack=0.0, stderr=0.0, **extra) -> TrialRecord:
@@ -421,11 +439,11 @@ def _distances(h, psi0, times, omega_s) -> np.ndarray:
         reduced_marginals(psis, h.dims), omega_s))
 
 
-def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, horizon, n_grid, bound):
-    """Fig-style D(rho^S_t, omega^S) on n_grid times in [0, horizon / (E_max - E_min)]
-    but the first, as <ID>_trajectory.csv."""
+def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, bound):
+    """Fig-style D(rho^S_t, omega^S) on PLOT_GRID times in
+    [0, PLOT_HORIZON / (E_max - E_min)] but the first, as <ID>_trajectory.csv."""
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
-    grid = np.linspace(0.0, horizon / width, n_grid)[1:]
+    grid = np.linspace(0.0, PLOT_HORIZON / width, PLOT_GRID)[1:]
     path = os.path.join(out_dir, f"{experiment_id}_trajectory.csv")
     write_trajectory_csv(path, grid, {"distance": _distances(h, psi0, grid, omega_s),
                                       "bound": np.full(len(grid), bound)})
@@ -446,7 +464,7 @@ def _subsystem_equilibration_artifacts(setup, params, rng, out_dir):
     bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION",
                            {"d_s": params["d_s"], "deff_b": omega.deff_b})
     return _write_distance_trajectory(out_dir, "SUBSYSTEM_EQUILIBRATION", h, psi0,
-                                      omega.omega_s, 80.0, 400, bound)
+                                      omega.omega_s, bound)
 
 
 def _purity_equilibration_trial(setup, params, k, rng):
@@ -485,15 +503,15 @@ def _ergodicity_setup(params, rng):
 
 def _ergodicity_block(setup, params, ks, rngs):
     """(Tr[B omega], sampled time average of Tr[B rho_t] or None) per trial;
-    the time average only for the first crosscheck_trials trials."""
+    the time average only for the first CROSSCHECK_TRIALS trials."""
     h = setup["h"]
     times = {}
 
     def streams():
         for k, rng in zip(ks, rngs):
             yield rng          # a is drawn here; the cross-check times straight after it
-            if k < params["crosscheck_trials"]:
-                times[k] = sample_times(h, params["crosscheck_times"], rng)
+            if k < CROSSCHECK_TRIALS:
+                times[k] = sample_times(h, CROSSCHECK_TIMES, rng)
 
     a = _haar_coeff_rows(len(ks), setup["d_r"], streams())
     # Tr[B omega] = Tr[$[B] psi0], one dot per row: it sits near 0, where a
@@ -565,14 +583,14 @@ def _speed_trial(setup, params, k, rng):
     norm = parts.norm_hs_plus_hsb()
     inputs = {"norm_hs_plus_hsb": norm, "d_s": params["d_s"], "deff": deff}
     fd_ok, fd_err = _fd_check(ReducedRates.speeds, finite_difference_speed,
-                              1e-3 * norm, psi0, parts, params)
+                              1e-3 * norm, psi0, parts)
     mean, se = mean_se(v)
     row = check_bound("SPEED", mean, inputs, se, deff=deff, fd_max_rel_err=fd_err)
     row.satisfied &= fd_ok
     return row
 
 
-def _fd_check(rate, fd_fn, floor, psi0, parts, params):
+def _fd_check(rate, fd_fn, floor, psi0, parts):
     """Worst relative gap between rate(reduced_rates(psi_t)), the kernel
     behind the rows, and its central difference fd_fn(h, psi0, t), relative
     to max(|rate|, floor).  A NaN at any instant makes the worst gap NaN,
@@ -580,7 +598,7 @@ def _fd_check(rate, fd_fn, floor, psi0, parts, params):
     # early times, where t +/- delta is exactly representable; the analytic
     # formula is time-independent so any instants serve as a cross-check
     scale = float(np.abs(parts.eigenvalues).max())
-    ts = np.linspace(0.5, 8.0, params["fd_checks"]) / scale
+    ts = np.linspace(0.5, 8.0, FD_CHECKS) / scale
     analytic = _rates_map(parts, psi0, ts, rate)
     gaps = np.abs(fd_fn(parts, psi0, ts) - analytic) / np.maximum(np.abs(analytic), floor)
     worst = float(np.max(gaps, initial=0.0))
@@ -592,7 +610,7 @@ def _purity_rate_avg_trial(setup, params, k, rng):
     norm_hsb = parts.norm_hsb()
     inputs = {"norm_hsb": norm_hsb, "d_s": params["d_s"], "deff": deff}
     fd_ok, fd_err = _fd_check(ReducedRates.purity_rates, finite_difference_purity_rate,
-                              1e-3 * 2 * norm_hsb, psi0, parts, params)
+                              1e-3 * 2 * norm_hsb, psi0, parts)
     mean, se = mean_se(np.abs(dp))
     row = check_bound("PURITY_RATE_AVG", mean, inputs, se, deff=deff, fd_max_rel_err=fd_err)
     row.satisfied &= fd_ok
@@ -676,7 +694,7 @@ def _einselection_rows(setup, params, k, rng):
     psi_b = sample_haar_state(d_b, rng)
     rho_s0 = np.outer(psi_s, psi_s.conj())
     psi0 = np.kron(psi_s, psi_b)
-    grid = np.linspace(0.0, params["t_max"], params["grid"])[1:]
+    grid = np.linspace(0.0, EINSELECTION_T_MAX, EINSELECTION_GRID)[1:]
     rho_s_t = time_map(h, psi0, grid, lambda psis: reduced_marginals(psis, (d_s, d_b)))
 
     diag_drift = float(np.abs(
@@ -692,7 +710,7 @@ def _einselection_rows(setup, params, k, rng):
         u = [(v * np.exp(-1j * e * t)) @ dagger(v) for e, v in eigs]
         f_direct[n] = [psi_b.conj() @ (dagger(u[q]) @ u[p] @ psi_b) for p, q in zip(i, j)]
     f_sim = rho_s_t[:, i, j] / rho_s0[i, j]
-    late = grid >= params["late_window_start"]
+    late = grid >= LATE_WINDOW_START
 
     # equal-blocks control: no decoherence at all
     h_eq = pointer_hamiltonian(d_s, [blocks[0]] * d_s)
@@ -875,8 +893,8 @@ def _eq_time_purity_trial(setup, params, k, rng):
     psi0 = sample_product_state(d_s, d_b, rng)
     p_eq = purity(dephased(parts, psi0)[1])
     norm_hsb = parts.norm_hsb()
-    t_max = params["t_max_over_coupling"] / norm_hsb
-    grid = np.linspace(0.0, t_max, params["grid"])[1:]
+    t_max = EQ_TIME_HORIZON / norm_hsb
+    grid = np.linspace(0.0, t_max, EQ_TIME_GRID)[1:]
     # only the first grid point with p_t <= p_eq is read: evolve the grid 256
     # points at a time and stop after the first chunk that crosses
     for a in range(0, len(grid), 256):
@@ -954,8 +972,7 @@ def _distance_trajectory_trial(setup, params, k, rng):
 
 def _distance_trajectory_artifacts(setup, params, rng, out_dir):
     return _write_distance_trajectory(out_dir, "DISTANCE_TRAJECTORY", setup["h"], setup["psi0"],
-                                      setup["omega_s"], params["plot_horizon"], params["n_grid"],
-                                      setup["bound"])
+                                      setup["omega_s"], setup["bound"])
 
 
 # ---------------------------------------------------------------------------
@@ -1069,24 +1086,23 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     "ERGODICITY",
     "time averages equal microcanonical averages over random initial states",
-    {"d": 128, "d_r": 64, "trials": 2000, "crosscheck_trials": 3,
-     "crosscheck_times": 4000},
+    {"d": 128, "d_r": 64, "trials": 2000},
     _ergodicity_setup, _ergodicity_trial, _ergodicity_summary,
     limits=_SUBSPACE, dimension=itemgetter("d"),
-    minimums={"trials": 2, "crosscheck_trials": 0, "dimension": 3},
+    minimums={"trials": 2, "dimension": 3},
     block=_ergodicity_block))
 
 _register(ExperimentDef(
     "SPEED",
     "time-averaged subsystem speed vs the d_eff bound, with finite-difference checks",
-    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3},
+    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5},
     None, _speed_trial,
     dimension=_bipartite, minimums={"d_s": 2, "d_b": 2, "n_times": 2}))
 
 _register(ExperimentDef(
     "PURITY_RATE_AVG",
     "time-averaged |dp^S/dt| vs the interaction-norm bound",
-    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5, "fd_checks": 3},
+    {"d_s": 2, "d_b": 32, "trials": 10, "n_times": 1000, "hsb_scale": 0.5},
     None, _purity_rate_avg_trial,
     dimension=_bipartite, minimums={"d_s": 2, "d_b": 2, "n_times": 2}))
 
@@ -1115,13 +1131,12 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     "EINSELECTION_DEMO",
     "pointer-basis Hamiltonian demo: frozen diagonals, suppression factors, weak variant",
-    {"d_s": 2, "d_b": 64, "trials": 1, "t_max": 200.0, "grid": 81,
-     "late_window_start": 100.0, "n_times": 200},
+    {"d_s": 2, "d_b": 64, "trials": 1, "n_times": 200},
     None, _einselection_rows,
-    # the late |f| of a d_b-level Haar bath state is about Rayleigh, of mean sqrt(pi / (4 d_b)):
-    # d_b >= 16 = ceil(pi / (4 (0.75 LATE_SUPPRESSION_CAP)^2)) keeps it within 3/4 of the cap
-    dimension=_bipartite, minimums={"d_s": 2, "d_b": 16, "grid": 2},
-    limits={"late_window_start": ("<", "t_max")}))
+    # on the window t >= LATE_WINDOW_START the |f| of a d_b-level Haar bath state is about
+    # Rayleigh, of mean sqrt(pi / (4 d_b)): d_b >= 16 = ceil(pi / (4 (0.75
+    # LATE_SUPPRESSION_CAP)^2)) keeps it within 3/4 of the cap
+    dimension=_bipartite, minimums={"d_s": 2, "d_b": 16}))
 
 _register(ExperimentDef(
     "ISI",
@@ -1169,10 +1184,9 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     "EQ_TIME_PURITY",
     "time to reach the equilibrium purity respects the ODE lower bound",
-    {"d_s": 2, "d_b": 64, "trials": 10, "hsb_scale": 0.3,
-     "t_max_over_coupling": 50.0, "grid": 2000},
+    {"d_s": 2, "d_b": 64, "trials": 10, "hsb_scale": 0.3},
     None, _eq_time_purity_trial,
-    dimension=_bipartite, minimums={"d_s": 2, "d_b": 2, "grid": 2}))
+    dimension=_bipartite, minimums={"d_s": 2, "d_b": 2}))
 
 _register(ExperimentDef(
     "SECOND_LAW_DEMO",
@@ -1184,8 +1198,7 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     "DISTANCE_TRAJECTORY",
     "Fig-style curve of D(rho^S_t, omega^S) from a far-from-equilibrium start",
-    {"d_s": 2, "d_b": 32, "trials": 1, "n_times": 2000,
-     "plot_horizon": 80.0, "n_grid": 400},
+    {"d_s": 2, "d_b": 32, "trials": 1, "n_times": 2000},
     _distance_trajectory_setup, _distance_trajectory_trial, None,
     _distance_trajectory_artifacts,
-    dimension=_bipartite, minimums={"n_times": 2, "n_grid": 2, "dimension": 3}))
+    dimension=_bipartite, minimums={"n_times": 2, "dimension": 3}))

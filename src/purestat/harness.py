@@ -375,10 +375,12 @@ def _summarize_records(rows: TrialRows, gates) -> dict:
     mean, se = float(finite[0]) if len(finite) else float("nan"), 0.0
     if len(finite) > 1:
         mean, se = mean_se(finite)
+    finite_rhs = rows.rhs[np.isfinite(rows.rhs)]
     return {
         "rows": len(rows),
         "mean_lhs": mean,
         "stderr_lhs": se,
+        "mean_rhs": float(finite_rhs.mean()) if len(finite_rhs) else float("nan"),
         "violations": trial_violations + gate_violations,
         "trial_violations": trial_violations,
         "vacuous_rows": int(np.count_nonzero(rows.vacuous)),
@@ -503,6 +505,7 @@ def summarize(results_or_dir) -> list[dict]:
             "vacuous_rows": s["vacuous_rows"],
             "mean_lhs": s["mean_lhs"],
             "stderr_lhs": s["stderr_lhs"],
+            "mean_rhs": s.get("mean_rhs", float("nan")),   # nan: a manifest written before it
             "seed": m["seed"],
         })
     position = {eid: i for i, eid in enumerate(EXPERIMENTS)}

@@ -28,6 +28,7 @@ from purestat.bounds import (
 )
 from purestat.dynamics import reduced_marginals, sample_times
 from purestat.hamiltonians import phase_factors
+from purestat import experiments
 from purestat.experiments import CROSSCHECK_TOL, EXPERIMENTS, _mixed_density, _row
 from purestat.linalg import commutator, trace_norm
 from purestat.harness import _BLOCK, ExperimentSpec, _chunks, run_experiment
@@ -211,9 +212,10 @@ def _ref_ergodicity(setup, params, seed, k):
     a = _one_shot_haar_row(setup["d_r"], rng)
     lhs = float((np.abs(a) ** 2) @ setup["diag_band"])
     row = _row(lhs, setup["mc_mean"], "observation")
-    if k < int(params["crosscheck_trials"]):
+    # read at call time, so a test may patch the constants
+    if k < experiments.CROSSCHECK_TRIALS:
         h = setup["h"]
-        times = sample_times(h, params["crosscheck_times"], rng)
+        times = sample_times(h, experiments.CROSSCHECK_TIMES, rng)
         ct = a * phase_factors(setup["window"].eigenvalues, times)   # all times at once
         x_mean = float(expectation_values(ct, setup["block"]).mean())
         row.extra["crosscheck_err"] = abs(x_mean - lhs)

@@ -32,7 +32,7 @@ from purestat import (
 from purestat import experiments
 from purestat.experiments import EXPERIMENTS, _haar_expectations
 from purestat.harness import ExperimentSpec, run_experiment
-from purestat.linalg import BLOCK_ENTRIES
+from purestat.linalg import BLOCK_ENTRIES, hermitian_spectrum
 
 
 def mutual_information(rho, dims):
@@ -392,6 +392,39 @@ def test_sample_gue_is_hermitian_at_the_requested_norm():
         want = g * (0.3 / np.abs(np.linalg.eigvalsh(g)).max())
         assert sample_gue(6, rng, norm=0.3, traceless=traceless).tobytes() == want.tobytes()
         assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+
+# the mean ratio of consecutive level spacings needs no unfolding of the
+# density of states: about 0.5996 for GUE levels and 2 ln 2 - 1 for Poisson
+# (independent) levels (Atas, Bogomolny, Giraud & Roux, PRL 110, 084101 (2013))
+GUE_SPACING_RATIO = 0.5996
+POISSON_SPACING_RATIO = 2 * np.log(2) - 1
+SPACING_RATIO_TOL = 0.03   # at 4 spectra of 256 levels the statistic's spread is about 0.01
+
+
+def mean_spacing_ratio(spectra) -> float:
+    """<r>, the mean over ascending spectra (one per row) of
+    min(s_i, s_i+1) / max(s_i, s_i+1) over consecutive level spacings s_i."""
+    s = np.diff(spectra, axis=-1)
+    return float((np.minimum(s[:, 1:], s[:, :-1]) / np.maximum(s[:, 1:], s[:, :-1])).mean())
+
+
+def gue_spacing_ratio() -> float:
+    """<r> of 4 ensembles.sample_gue(256) spectra, looked up at call time."""
+    rng = np.random.default_rng(1)
+    return mean_spacing_ratio(np.stack([hermitian_spectrum(ensembles.sample_gue(256, rng))
+                                        for _ in range(4)]))
+
+
+def test_sample_gue_levels_repel_as_gue_levels():
+    # a real symmetric (GOE) draw reads about 0.53
+    assert abs(gue_spacing_ratio() - GUE_SPACING_RATIO) < SPACING_RATIO_TOL
+
+
+def test_sample_spectrum_levels_are_poisson():
+    rng = np.random.default_rng(1)
+    r = mean_spacing_ratio(np.stack([sample_spectrum(256, rng) for _ in range(4)]))
+    assert abs(r - POISSON_SPACING_RATIO) < SPACING_RATIO_TOL
 
 
 def test_random_hamiltonian_entangled_eigenvectors():

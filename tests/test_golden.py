@@ -1,8 +1,9 @@
 """The default suite at seed 7 against its committed summary.csv.
 
 Counts (rows, violations, vacuous rows) must match exactly, and every
-experiment's mean and standard error of lhs to 1e-10 relative, so a change
-that moves any statistic of the default suite beyond float noise fails here.
+experiment's mean and standard error of lhs and mean of rhs to 1e-10 relative,
+so a change that moves any statistic of the default suite beyond float noise
+fails here, also one that moves only the bounds and flips no verdict.
 """
 
 import csv
@@ -12,7 +13,7 @@ from purestat.harness import summarize
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "summary_seed7.csv")
 EXACT = ("rows", "violations", "vacuous_rows", "seed")
-STATISTICS = ("mean_lhs", "stderr_lhs")
+STATISTICS = ("mean_lhs", "stderr_lhs", "mean_rhs")
 RTOL = 1e-10
 REGENERATE = ("if the change is intended, regenerate the golden file: "
               "purestat run --config configs/default_suite.cfg --out DIR, "

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from purestat import SETUP_DOMAIN, harness, sample_spectrum, stream, trial_stream
+from purestat import SETUP_DOMAIN, experiments, harness, sample_spectrum, stream, trial_stream
 from purestat.bounds import TrialRecord
 from purestat.experiments import EXPERIMENTS, mean_se
 from purestat.harness import (
@@ -28,10 +28,9 @@ from purestat.harness import (
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 # the parameters that count something: each must be at least 1
-COUNT_KEYS = ("n_times", "n_samples", "crosscheck_times", "grid", "n_grid", "fd_checks")
+COUNT_KEYS = ("n_times", "n_samples")
 # small enough that all 28 experiments run in a few seconds
-REDUCED = {"trials": 3, "n_times": 16, "n_samples": 200, "crosscheck_trials": 1,
-           "crosscheck_times": 16, "grid": 21, "n_grid": 21, "fd_checks": 2}
+REDUCED = {"trials": 3, "n_times": 16, "n_samples": 200}
 
 
 def test_parse_config(tmp_path):
@@ -154,8 +153,8 @@ def test_every_value_is_stored_as_its_defaults_type():
 
 
 @pytest.mark.parametrize("experiment_id, params, key, value", [
-    ("EINSELECTION_DEMO", {"grid": 21, "n_times": 16}, "t_max", 200),
-    ("SPEED", {"trials": 2, "n_times": 16, "fd_checks": 2}, "d_b", np.int64(32)),
+    ("DEFF_MEAN_ENERGY", {"trials": 200}, "spectrum_high", 2),
+    ("SPEED", {"trials": 2, "n_times": 16}, "d_b", np.int64(32)),
 ])
 def test_one_run_has_one_hash(experiment_id, params, key, value):
     # before, t_max = 200 and 200.0 (or d_b = np.int64(32) and 32) were one
@@ -199,11 +198,31 @@ def test_a_float_parameter_must_be_positive(experiment_id, key, value):
 
 @pytest.mark.parametrize("experiment_id, key", [
     ("SPEED", "fd_rtol"), ("PURITY_RATE_AVG", "fd_rtol"), ("ERGODICITY", "crosscheck_tol"),
-    ("EINSELECTION_DEMO", "late_suppression"), ("SECOND_LAW_DEMO", "entropy_slack")])
-def test_a_gate_is_not_a_parameter(experiment_id, key):
-    # before, crosscheck_tol = 1e9 or late_suppression = 5 switched a gate off
+    ("EINSELECTION_DEMO", "late_suppression"), ("SECOND_LAW_DEMO", "entropy_slack"),
+    # what a gate is calibrated on, and the trajectory CSVs' grid
+    ("ERGODICITY", "crosscheck_trials"), ("ERGODICITY", "crosscheck_times"),
+    ("SPEED", "fd_checks"), ("PURITY_RATE_AVG", "fd_checks"),
+    ("EINSELECTION_DEMO", "t_max"), ("EINSELECTION_DEMO", "grid"),
+    ("EINSELECTION_DEMO", "late_window_start"),
+    ("EQ_TIME_PURITY", "t_max_over_coupling"), ("EQ_TIME_PURITY", "grid"),
+    ("DISTANCE_TRAJECTORY", "plot_horizon"), ("DISTANCE_TRAJECTORY", "n_grid")])
+def test_a_gate_is_not_a_parameter(monkeypatch, experiment_id, key):
+    # before, crosscheck_tol = 1e9 or late_suppression = 5 switched a gate off,
+    # as crosscheck_trials = 0 did ERGODICITY's cross-check; crosscheck_times = 16
+    # failed that cross-check on noise, fd_checks = 1 checked one instant, and
+    # EQ_TIME_PURITY's grid = 3 or t_max_over_coupling = 0.01 biased its rows
+    # toward passing or made them vacuous
+    exp = EXPERIMENTS[experiment_id]
+    calls = []
+    monkeypatch.setitem(EXPERIMENTS, experiment_id, dataclasses.replace(exp, **{
+        hook: (lambda *args, hook=hook: calls.append(hook)) for hook in HOOKS
+        if getattr(exp, hook)}))
     with pytest.raises(ValueError, match=f"unknown parameter.* {key} for {experiment_id}"):
-        ExperimentSpec(experiment_id, {key: 1.0})
+        run_experiment(ExperimentSpec(experiment_id, {key: 1}))
+    assert calls == []
+    with pytest.raises(ValueError, match=rf"unknown parameter\(s\) {key}: no experiment "
+                                         "declares them"):
+        run_suite(overrides={key: 1})
 
 
 def test_a_nan_config_value_is_rejected_before_compute(tmp_path):
@@ -271,12 +290,13 @@ def test_dimension_guard_uses_each_experiments_dimension(experiment_id, params):
         ExperimentSpec(experiment_id, params)
 
 
-def test_zero_finite_difference_checks_are_rejected_before_compute():
-    # before, SPEED wrote fd_max_rel_err = 0.0 and satisfied rows: nothing was checked
+def test_every_row_checks_its_rate_at_some_instant():
+    # before, fd_checks = 0 wrote fd_max_rel_err = 0.0 and satisfied rows:
+    # nothing was checked.  The count is now the constant FD_CHECKS
+    assert experiments.FD_CHECKS >= 1
     for experiment_id in ("SPEED", "PURITY_RATE_AVG"):
-        with pytest.raises(ValueError, match=f"{experiment_id}: fd_checks must be >= 1"):
-            ExperimentSpec(experiment_id, {"trials": 2, "n_times": 50, "fd_checks": 0})
-        ExperimentSpec(experiment_id, {"trials": 2, "n_times": 50, "fd_checks": 1})
+        res = run_experiment(ExperimentSpec(experiment_id, {"trials": 2, "n_times": 50}, seed=3))
+        assert all(r.extra["fd_max_rel_err"] > 0.0 for r in res.records), experiment_id
 
 
 def test_one_sample_time_average_is_rejected_before_compute():
@@ -286,32 +306,16 @@ def test_one_sample_time_average_is_rejected_before_compute():
     ExperimentSpec("SUBSYSTEM_EQUILIBRATION", {"n_times": 2})
 
 
-@pytest.mark.parametrize("experiment_id, key", [
-    # before: zero instants checked, yet satisfied and non-vacuous rows
-    ("EQ_TIME_PURITY", "grid"),
-    # before: a zero-size max raised only after the compute had run
-    ("EINSELECTION_DEMO", "grid"),
-    # before: a trajectory CSV with only its header
-    ("DISTANCE_TRAJECTORY", "n_grid"),
-])
-def test_one_point_grid_is_rejected_before_compute(experiment_id, key):
-    with pytest.raises(ValueError, match=f"{experiment_id}: {key} must be >= 2"):
-        ExperimentSpec(experiment_id, {key: 1})
-    ExperimentSpec(experiment_id, {key: 2})
-
-
-def test_late_window_past_the_grid_is_rejected_before_compute():
-    # before, the run took the mean of an empty slice and wrote a NaN violation row
-    with pytest.raises(ValueError, match="EINSELECTION_DEMO: late_window_start must be < t_max"):
-        ExperimentSpec("EINSELECTION_DEMO", {"t_max": 50.0})
-    with pytest.raises(ValueError, match="late_window_start must be < t_max"):
-        ExperimentSpec("EINSELECTION_DEMO", {"t_max": 100.0})
-    ExperimentSpec("EINSELECTION_DEMO", {"t_max": 50.0, "late_window_start": 25.0})
-    for experiment_id, exp in EXPERIMENTS.items():
-        for key, (op, high) in exp.limits.items():
-            if op == "<":
-                assert {key, high} <= set(exp.defaults), experiment_id
-                ExperimentSpec(experiment_id)
+def test_every_constant_grid_keeps_points_in_its_window():
+    # before, a one-point grid of EQ_TIME_PURITY checked zero instants yet wrote
+    # satisfied rows, EINSELECTION_DEMO's zero-size max raised only after the
+    # compute had run, and a trajectory CSV had only its header; a
+    # late_window_start past t_max took the mean of an empty slice and wrote
+    # a NaN violation row
+    assert min(experiments.EQ_TIME_GRID, experiments.EINSELECTION_GRID,
+               experiments.PLOT_GRID) >= 2
+    grid = np.linspace(0.0, experiments.EINSELECTION_T_MAX, experiments.EINSELECTION_GRID)[1:]
+    assert 0 < np.count_nonzero(grid >= experiments.LATE_WINDOW_START) < len(grid)
 
 
 def test_an_empty_dimension_range_is_rejected_before_the_block_hook(monkeypatch):
@@ -331,9 +335,10 @@ def test_an_empty_dimension_range_is_rejected_before_the_block_hook(monkeypatch)
     result = run_experiment(ExperimentSpec("COMMUTATOR_LOWER",
                                            {"dim_min": 3, "dim_max": 3, "trials": 2}))
     assert len(result.records) == 2 and result.violations == 0
+    # every limit between two parameters names two declared keys, and holds at the defaults
     for experiment_id, exp in EXPERIMENTS.items():
         for key, (op, high) in exp.limits.items():
-            if op == "<=" and high != "dimension":
+            if high != "dimension":
                 assert {key, high} <= set(exp.defaults), experiment_id
                 ExperimentSpec(experiment_id)
 
@@ -361,7 +366,6 @@ def test_every_declared_minimum_is_enforced():
             "DEFF_SUBSPACE_MEAN", "DEFF_PRODUCT_MEAN", "DEFF_MEAN_ENERGY", "ERGODICITY",
             "ISI_LINDEN_DELTA")},
         ("MC_VARIANCE_IDENTITY", "n_samples"): 2, ("MC_CONCENTRATION", "n_samples"): 2,
-        ("SPEED", "fd_checks"): 1, ("PURITY_RATE_AVG", "fd_checks"): 1,
         # one below each of these failed only after compute, or passed a check:
         # a satisfied row with lhs 0.0, from no sampled time at all
         ("DECOHERENCE", "n_times"): 1,
@@ -369,7 +373,6 @@ def test_every_declared_minimum_is_enforced():
         ("PURITY_RATE_INSTANT", "n_times"): 1, ("PURITY_EQUILIBRATION", "n_times"): 1,
         # NaN rows after a RuntimeWarning
         ("SECOND_LAW_DEMO", "n_times"): 1, ("EINSELECTION_DEMO", "n_times"): 1,
-        ("ERGODICITY", "crosscheck_times"): 1,
         # "need at least one array to concatenate"
         ("COARSE_GRAINED", "n_samples"): 1, ("MC_VARIANCE_CONCENTRATION", "n_samples"): 1,
         ("CANONICAL_REDUCTION", "n_samples"): 1, ("LEVY", "n_samples"): 1,
@@ -390,9 +393,8 @@ def test_every_declared_minimum_is_enforced():
         # negative mean -1/d_r; 0 means d_r / 2
         **{(e, "rank_b"): 0 for e in (
             "MC_VARIANCE_IDENTITY", "MC_CONCENTRATION", "MC_VARIANCE_CONCENTRATION")},
-        # 0 means twice d_r, and no trial is cross-checked
+        # 0 means twice d_r
         ("DEFF_SUBSPACE_MEAN", "ambient"): 0, ("DEFF_SUBSPACE_TAIL", "ambient"): 0,
-        ("ERGODICITY", "crosscheck_trials"): 0,
     }
     assert {key: _floor(*key) for key in required} == required
     for experiment_id, exp in EXPERIMENTS.items():
@@ -485,8 +487,8 @@ TWO_GAP_EXPERIMENTS = {
     **{e: {"trials": 2, "n_times": 50} for e in (
         "EXPECTATION_EQUILIBRATION", "SUBSYSTEM_EQUILIBRATION", "PURITY_EQUILIBRATION",
         "ISI", "SECOND_LAW_DEMO")},
-    "DISTANCE_TRAJECTORY": {"n_times": 50, "n_grid": 10},
-    "ERGODICITY": {"trials": 4, "crosscheck_times": 50},
+    "DISTANCE_TRAJECTORY": {"n_times": 50},
+    "ERGODICITY": {"trials": 4},
 }
 HOOKS = ("setup", "trial", "summary", "artifacts", "block")
 
@@ -494,7 +496,7 @@ HOOKS = ("setup", "trial", "summary", "artifacts", "block")
 def _at_dimension(experiment_id, d):
     """Parameters that put the experiment at dimension d, in each of two ways."""
     if experiment_id == "ERGODICITY":
-        return [{"d": d, "d_r": d}, {"d": d, "d_r": 1, "crosscheck_trials": 0}]
+        return [{"d": d, "d_r": d}, {"d": d, "d_r": 1}]
     return [{"d_s": d, "d_b": 1}, {"d_s": 1, "d_b": d}]
 
 
@@ -801,9 +803,11 @@ def test_a_summary_draws_no_random_numbers(monkeypatch):
 
     monkeypatch.setattr(np.random, "Generator", no_generator)
     lhs = [0.5, 1.5, math.nan, 2.5]
-    rows = harness.TrialRows(lhs, [0.0] * 4, [3.0] * 4, [True] * 4, [False] * 4, {})
+    rows = harness.TrialRows(lhs, [0.0] * 4, [3.0, math.inf, 1.0, 2.0], [True] * 4, [False] * 4,
+                             {})
     summary = harness._summarize_records(rows, [])
     assert (summary["mean_lhs"], summary["stderr_lhs"]) == mean_se(np.array([0.5, 1.5, 2.5]))
+    assert summary["mean_rhs"] == 2.0   # the mean of the finite rhs
     assert "bootstrap_ci95_mean_lhs" not in summary
 
 
@@ -880,16 +884,24 @@ def test_summarize_directory_and_missing(tmp_path):
         == {"LEVY", "COMMUTATOR_LOWER", "ENTANGLED_EIGS_TAIL"}
     assert all("violations" in r for r in rows)
     assert (out / "summary.csv").exists()
+    # a manifest written before summaries carried mean_rhs still reports
+    path = out / "LEVY_manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["summary"]["mean_rhs"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert math.isnan(next(r for r in summarize(str(out))
+                           if r["experiment_id"] == "LEVY")["mean_rhs"])
     empty = tmp_path / "empty"
     empty.mkdir()
     with pytest.raises(FileNotFoundError, match="missing result files"):
         summarize(str(empty))
 
 
-def test_eq_time_purity_without_crossing_is_not_a_pass():
+def test_eq_time_purity_without_crossing_is_not_a_pass(monkeypatch):
     # t_max far below the ODE lower bound: purity cannot reach p_eq on the grid
-    res = run_experiment(ExperimentSpec("EQ_TIME_PURITY", {
-        "trials": 3, "t_max_over_coupling": 0.01, "grid": 50}, seed=7))
+    monkeypatch.setattr(experiments, "EQ_TIME_HORIZON", 0.01)
+    monkeypatch.setattr(experiments, "EQ_TIME_GRID", 50)
+    res = run_experiment(ExperimentSpec("EQ_TIME_PURITY", {"trials": 3}, seed=7))
     for r in res.records:
         assert not r.extra["crossed"]
         assert math.isfinite(r.lhs) and r.lhs < r.rhs
@@ -961,6 +973,16 @@ def test_cli_rejects_a_fractional_config_seed(tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+def test_cli_rejects_a_calibration_key(tmp_path):
+    # before, crosscheck_trials = 0 ran ERGODICITY without its cross-check
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("experiment = ERGODICITY\ncrosscheck_trials = 0\n", encoding="utf-8")
+    res = _cli("run", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert res.returncode != 0
+    assert "unknown parameter(s) crosscheck_trials for ERGODICITY" in res.stderr
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("experiment", ["COMMUTATOR_LOWER", "ALL"])
 def test_cli_rejects_a_non_path_out_before_any_trial(tmp_path, monkeypatch, experiment):
     # out = 5 ran every trial and then raised TypeError from os.makedirs
@@ -983,7 +1005,7 @@ def test_report_leaves_the_run_summary_unchanged(tmp_path):
     # rewrite summary.csv in file-name order
     out = tmp_path / "r"
     results = [run_experiment(ExperimentSpec(eid, params, seed=3, out_dir=str(out)))
-               for eid, params in (("SPEED", {"trials": 1, "n_times": 20, "fd_checks": 1}),
+               for eid, params in (("SPEED", {"trials": 1, "n_times": 20}),
                                    ("COMMUTATOR_LOWER", {"trials": 3}),
                                    ("ENTANGLED_EIGS_TAIL", {"trials": 2}))]
     summarize(results)
@@ -996,7 +1018,7 @@ def test_report_leaves_the_run_summary_unchanged(tmp_path):
 
 def test_trajectory_artifact_schema(tmp_path):
     out = tmp_path / "r"
-    run_experiment(ExperimentSpec("DISTANCE_TRAJECTORY", {"n_times": 200, "n_grid": 50},
+    run_experiment(ExperimentSpec("DISTANCE_TRAJECTORY", {"n_times": 200},
                                   seed=7, out_dir=str(out)))
     lines = (out / "DISTANCE_TRAJECTORY_trajectory.csv").read_text().strip().split("\n")
     assert lines[0] == "t,distance,bound"

@@ -3,12 +3,15 @@ package, and the default-suite experiments that must report it."""
 
 import sys
 
+import numpy as np
 import pytest
 
-from purestat.ensembles import complex_normals
+from purestat.ensembles import complex_normals, sample_gue
 from purestat.experiments import EXPERIMENTS
 from purestat.harness import ExperimentSpec, run_experiment
+from purestat.linalg import dagger, hermitian_spectrum
 from purestat.states import dephased_purity, effective_dimension
+from test_ensembles import GUE_SPACING_RATIO, SPACING_RATIO_TOL, gue_spacing_ratio
 
 
 def _patch_everywhere(monkeypatch, fn, mutant) -> None:
@@ -32,13 +35,27 @@ def test_real_normals_are_reported(experiment_id, monkeypatch):
     assert res.violations >= 1
 
 
+def _real_gue(d, rng, norm=1.0, traceless=False):
+    """sample_gue built from the real part of its Ginibre draw: a GOE matrix."""
+    (z,) = _real_normals(1, (d, d), rng)
+    h = (z + dagger(z)) / 2
+    if traceless:
+        h -= np.trace(h) / d * np.eye(d)
+    return h * (norm / np.abs(hermitian_spectrum(h)).max())
+
+
+def test_a_real_gue_leaves_the_gue_spacing_window(monkeypatch):
+    _patch_everywhere(monkeypatch, sample_gue, _real_gue)
+    assert abs(gue_spacing_ratio() - GUE_SPACING_RATIO) >= SPACING_RATIO_TOL
+
+
 # every experiment that reads d_eff(omega) or d_eff(omega^B), directly or through a bound
 DEFF_READERS = ("EXPECTATION_EQUILIBRATION", "SUBSYSTEM_EQUILIBRATION", "PURITY_EQUILIBRATION",
                 "SPEED", "PURITY_RATE_AVG", "PURITY_RATE_INSTANT", "ISI", "SECOND_LAW_DEMO",
                 "DISTANCE_TRAJECTORY", "DEFF_SUBSPACE_MEAN", "DEFF_SUBSPACE_TAIL",
                 "DEFF_PRODUCT_MEAN", "DEFF_MEAN_ENERGY", "CANONICAL_REDUCTION")
 # small enough that each reader runs in well under a second
-SMALL = {"trials": 2, "n_times": 16, "n_samples": 200, "fd_checks": 2}
+SMALL = {"trials": 2, "n_times": 16, "n_samples": 200}
 
 
 def _deff_plus_one(monkeypatch) -> None:

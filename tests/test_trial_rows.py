@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from purestat import SETUP_DOMAIN, harness, stream
+from purestat import SETUP_DOMAIN, experiments, harness, stream
 from purestat.bounds import TrialRecord
 from purestat.experiments import EXPERIMENTS
 from purestat.harness import ExperimentSpec, run_experiment
@@ -68,8 +68,9 @@ def test_extras_stay_row_aligned_across_pool_chunks(monkeypatch):
     # cross-checks on trials 0..299: chunk [0, 256) has them on every row,
     # [256, 512) on its first 44 rows and [512, 600) on none
     monkeypatch.setenv("PURESTAT_WORKERS", "2")
-    spec = ExperimentSpec("ERGODICITY", {"trials": 600, "crosscheck_trials": 300,
-                                         "crosscheck_times": 50}, seed=5)
+    monkeypatch.setattr(experiments, "CROSSCHECK_TRIALS", 300)
+    monkeypatch.setattr(experiments, "CROSSCHECK_TIMES", 50)
+    spec = ExperimentSpec("ERGODICITY", {"trials": 600}, seed=5)
     res = run_experiment(spec)
     _assert_same_rows(res.records, _returned(spec))
     column = res.records.extras["crosscheck_err"]

@@ -19,8 +19,7 @@ from purestat.experiments import EXPERIMENTS, _fd_check, _marginal_diameter
 from purestat.harness import ExperimentSpec, run_experiment
 
 # small enough that all 28 experiments run in a few seconds
-REDUCED = {"trials": 3, "n_times": 16, "n_samples": 200, "crosscheck_trials": 1,
-           "crosscheck_times": 16, "grid": 21, "fd_checks": 2}
+REDUCED = {"trials": 3, "n_times": 16, "n_samples": 200}
 
 
 def _forcing(make_row, value):
@@ -86,10 +85,10 @@ def test_fd_check_propagates_a_single_nan():
     psi0 = sample_haar_state(np.eye(8), rng)
     fds = np.array([1.0, math.nan, 1.0])   # only the middle instant is degenerate
     ok, worst = _fd_check(lambda rates: np.ones(3), lambda h, psi, t: fds, 1e-3,
-                          psi0, parts, {"fd_checks": 3})
+                          psi0, parts)
     assert math.isnan(worst) and not ok
     ok, worst = _fd_check(lambda rates: np.full(3, 2.0), lambda h, psi, t: 2.0 + 1e-6, 1e-3,
-                          psi0, parts, {"fd_checks": 3})
+                          psi0, parts)
     assert worst == pytest.approx(5e-7) and ok
 
 
