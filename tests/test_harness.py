@@ -196,16 +196,28 @@ def test_a_float_parameter_must_be_positive(experiment_id, key, value):
         ExperimentSpec(experiment_id, {key: value})
 
 
+# what a gate is calibrated on, and the trajectory CSVs' grid: each former
+# parameter, the constant that replaced it, the default it had, and the floor
+# its old minimum (or positivity) set
+CALIBRATION = {
+    ("ERGODICITY", "crosscheck_trials"): ("CROSSCHECK_TRIALS", 3, 1),
+    ("ERGODICITY", "crosscheck_times"): ("CROSSCHECK_TIMES", 4000, 1),
+    ("SPEED", "fd_checks"): ("FD_CHECKS", 3, 1),
+    ("PURITY_RATE_AVG", "fd_checks"): ("FD_CHECKS", 3, 1),
+    ("EINSELECTION_DEMO", "t_max"): ("EINSELECTION_T_MAX", 200.0, 0.0),
+    ("EINSELECTION_DEMO", "grid"): ("EINSELECTION_GRID", 81, 2),
+    ("EINSELECTION_DEMO", "late_window_start"): ("LATE_WINDOW_START", 100.0, 0.0),
+    ("EQ_TIME_PURITY", "t_max_over_coupling"): ("EQ_TIME_HORIZON", 50.0, 0.0),
+    ("EQ_TIME_PURITY", "grid"): ("EQ_TIME_GRID", 2000, 2),
+    ("DISTANCE_TRAJECTORY", "plot_horizon"): ("PLOT_HORIZON", 80.0, 0.0),
+    ("DISTANCE_TRAJECTORY", "n_grid"): ("PLOT_GRID", 400, 2),
+}
+
+
 @pytest.mark.parametrize("experiment_id, key", [
     ("SPEED", "fd_rtol"), ("PURITY_RATE_AVG", "fd_rtol"), ("ERGODICITY", "crosscheck_tol"),
     ("EINSELECTION_DEMO", "late_suppression"), ("SECOND_LAW_DEMO", "entropy_slack"),
-    # what a gate is calibrated on, and the trajectory CSVs' grid
-    ("ERGODICITY", "crosscheck_trials"), ("ERGODICITY", "crosscheck_times"),
-    ("SPEED", "fd_checks"), ("PURITY_RATE_AVG", "fd_checks"),
-    ("EINSELECTION_DEMO", "t_max"), ("EINSELECTION_DEMO", "grid"),
-    ("EINSELECTION_DEMO", "late_window_start"),
-    ("EQ_TIME_PURITY", "t_max_over_coupling"), ("EQ_TIME_PURITY", "grid"),
-    ("DISTANCE_TRAJECTORY", "plot_horizon"), ("DISTANCE_TRAJECTORY", "n_grid")])
+    *CALIBRATION])
 def test_a_gate_is_not_a_parameter(monkeypatch, experiment_id, key):
     # before, crosscheck_tol = 1e9 or late_suppression = 5 switched a gate off,
     # as crosscheck_trials = 0 did ERGODICITY's cross-check; crosscheck_times = 16
@@ -223,6 +235,38 @@ def test_a_gate_is_not_a_parameter(monkeypatch, experiment_id, key):
     with pytest.raises(ValueError, match=rf"unknown parameter\(s\) {key}: no experiment "
                                          "declares them"):
         run_suite(overrides={key: 1})
+
+
+@pytest.mark.parametrize("experiment_id, key", list(CALIBRATION))
+def test_a_calibration_constant_keeps_its_default_and_floor(experiment_id, key):
+    # the constant is the parameter's old default, so every CSV stays as it was,
+    # and it holds the floor the parameter's validation enforced: a positive
+    # finite window, a grid of at least two points, at least one cross-checked
+    # trial, sampled time and finite-difference instant
+    name, default, floor = CALIBRATION[experiment_id, key]
+    value = getattr(experiments, name)
+    assert type(value) is type(default) and value == default
+    assert math.isfinite(value)
+    assert value > floor if isinstance(default, float) else value >= floor
+    assert key not in EXPERIMENTS[experiment_id].defaults
+    assert key not in EXPERIMENTS[experiment_id].minimums
+
+
+@pytest.mark.parametrize("experiment_id, key", list(CALIBRATION))
+def test_a_config_cannot_set_a_calibration_key(tmp_path, monkeypatch, experiment_id, key):
+    # even at its old default, a calibration key in a config is an unknown
+    # parameter, and no trial runs and no result is written
+    from purestat import cli
+
+    def compute(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+    monkeypatch.setattr(cli, "run_experiment", compute)
+    _, default, _ = CALIBRATION[experiment_id, key]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = {experiment_id}\n{key} = {default}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"unknown parameter\(s\) {key} for {experiment_id}"):
+        cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert not (tmp_path / "r").exists()
 
 
 def test_a_nan_config_value_is_rejected_before_compute(tmp_path):
