@@ -14,6 +14,7 @@ from .states import dephased_purity, effective_dimension, purity, trace_distance
 
 __all__ = [
     "dephased",
+    "subsystem_fluctuation",
     "default_horizon",
     "sample_times",
     "time_map",
@@ -53,6 +54,29 @@ def dephased(h: Hamiltonian, state) -> _Dephased:
     omega_s = x @ np.swapaxes(x.conj(), 1, 2)
     omega_b = (w @ np.swapaxes(w.conj(), 2, 3)).sum(axis=1)
     return _Dephased(*(a if stacked else a[0] for a in (probs, omega_s, omega_b)))
+
+
+def subsystem_fluctuation(h: Hamiltonian, omega: _Dephased):
+    """X = <||rho^S_t - omega^S||_2^2>, the infinite-time mean of the squared
+    Hilbert-Schmidt distance of the reduced state from omega^S, for the state
+    or stack of states that omega = dephased(h, state) dephased: a float, or
+    one value per state.
+
+    Under non-degenerate gaps X = sum_{j != k} p_j p_k ||Tr_B |E_j><E_k|||_F^2
+    (Linden, Popescu, Short & Winter, PRE 79, 061103 (2009)).  The swap
+    identity sum_{j,k} p_j p_k ||Tr_B |E_j><E_k|||_F^2 = Tr (omega^B)^2 closes
+    the double sum: X = Tr (omega^B)^2 - sum_k p_k^2 Tr[(Tr_B |E_k><E_k|)^2],
+    which is d^2 d_S work beside dephased's and no (d, d) product; the
+    eigenvectors' marginals are taken in blocks of BLOCK_ENTRIES entries, so no
+    temporary grows with d^2 either.  Rounding below 0 is clipped, so a
+    stationary rho^S_t reads 0.
+    """
+    rows = max(1, BLOCK_ENTRIES // h.dim)   # eigenvectors per block
+    v = h.eigenbasis.T
+    eig_purities = np.concatenate([purity(reduced_marginals(v[a:a + rows], h.dims))
+                                   for a in range(0, h.dim, rows)])
+    x = np.maximum(purity(omega.omega_b) - omega.probs ** 2 @ eig_purities, 0.0)
+    return float(x) if x.ndim == 0 else x
 
 
 def default_horizon(h: Hamiltonian) -> float:

@@ -37,6 +37,7 @@ from .dynamics import (
     reduced_marginals,
     reduced_rates,
     sample_times,
+    subsystem_fluctuation,
     time_map,
     write_trajectory_csv,
 )
@@ -433,10 +434,37 @@ def _expectation_equilibration_trial(setup, params, k, rng):
                        se, deff=deff, horizon=float(times.max()))
 
 
-def _distances(h, psi0, times, omega_s) -> np.ndarray:
-    """D(rho^S_t, omega^S) at each time."""
-    return time_map(h, psi0, times, lambda psis: trace_distance(
-        reduced_marginals(psis, h.dims), omega_s))
+def _distance_samples(h, psi0, times, omega_s) -> tuple[np.ndarray, np.ndarray]:
+    """D_t = D(rho^S_t, omega^S) and Y_t = ||rho^S_t - omega^S||_2^2 at each time,
+    from one time_map pass."""
+    def samples(psis):
+        rho_s = reduced_marginals(psis, h.dims)
+        return trace_distance(rho_s, omega_s), purity(rho_s - omega_s)
+    return time_map(h, psi0, times, samples)
+
+
+# <D(rho^S_t, omega^S)>_t, with Y_t as a control variate (Owen, Monte Carlo theory,
+# methods and examples (2013), ch. 8).  Y_t's infinite-time mean is known exactly,
+# X = subsystem_fluctuation, so mean(D_t - beta (Y_t - X)) estimates <D> as mean(D_t)
+# does, for any beta fixed before the times are drawn: E[Y_t - X] = 0.  beta =
+# sqrt(d_S) / (4 sqrt(X)) is the slope at Y = X of the bound D_t <= (1/2) sqrt(d_S Y_t)
+# (Cauchy-Schwarz on the eigenvalues of rho^S_t - omega^S).  At d_S = 2 that bound
+# is the identity D_t = sqrt(Y_t / 2), so beta is its exact linearisation.  The
+# variance per time shrinks 15.9x at (2, 32), 14.9x at (3, 32) and 5.7x at (4, 16)
+# (20 trials at seed 7); where beta is not the best slope the estimator loses only
+# variance, never its mean, as beta reads no sampled time.  X = 0 (a
+# stationary rho^S_t) takes beta = 0.  Times uniform on [0, T) rather than an
+# infinite average damp each cross term of E[Y_t] by at most 2 / (T mgd) = 2e-4 at
+# T = 10^4 / mgd (dynamics.default_horizon), far below the standard errors here.
+def _mean_distance(h, psi0, times, omega_s, x) -> tuple[float, float, float]:
+    """The control-variate mean of D(rho^S_t, omega^S) over times, its standard
+    error, and z = (mean(Y_t) - X) / se(Y_t), which reads about N(0, 1) when X is
+    the infinite-time mean of the sampled Y_t."""
+    d, y = _distance_samples(h, psi0, times, omega_s)
+    beta = np.sqrt(h.dims[0]) / (4 * np.sqrt(x)) if x > 0 else 0.0
+    mean, se = mean_se(d - beta * (y - x))
+    y_mean, y_se = mean_se(y)
+    return mean, se, (y_mean - x) / y_se
 
 
 def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, bound):
@@ -445,17 +473,30 @@ def _write_distance_trajectory(out_dir, experiment_id, h, psi0, omega_s, bound):
     width = float(h.eigenvalues[-1] - h.eigenvalues[0])
     grid = np.linspace(0.0, PLOT_HORIZON / width, PLOT_GRID)[1:]
     path = os.path.join(out_dir, f"{experiment_id}_trajectory.csv")
-    write_trajectory_csv(path, grid, {"distance": _distances(h, psi0, grid, omega_s),
+    write_trajectory_csv(path, grid, {"distance": _distance_samples(h, psi0, grid, omega_s)[0],
                                       "bound": np.full(len(grid), bound)})
     return {"trajectory": path}
 
 
 def _subsystem_equilibration_trial(setup, params, k, rng):
     h, psi0, times, omega = _equilibration_trial_base(params, rng)
-    lhs, se = mean_se(_distances(h, psi0, times, omega.omega_s))
+    x = subsystem_fluctuation(h, omega)
+    lhs, se, z = _mean_distance(h, psi0, times, omega.omega_s, x)
     return check_bound("SUBSYSTEM_EQUILIBRATION", lhs,
                        {"d_s": params["d_s"], "deff_b": omega.deff_b}, se,
-                       deff=omega.deff, deff_b=omega.deff_b)
+                       deff=omega.deff, deff_b=omega.deff_b, fluctuation=x, fluctuation_z=z)
+
+
+def _subsystem_equilibration_summary(rows, setup, params):
+    # A wrong X would bias every lhs unseen, so the trials' z must average to 0.
+    # With X right each z_k is about N(0, 1), so 5 / sqrt(trials) on |mean z| is a
+    # false-alarm rate of about 6e-7 per run (about 2e-6 with the mean z of -0.05
+    # that Y_t's skew gives: 1000 trials at (2, 32) read -0.055 +- 0.032).  A
+    # 3-sigma gate on each z_k would not do: Y_t's tail is heavy, |z| > 3 in 0.33%
+    # of 900 trials at (2, 32), about 15% false alarms per suite run.
+    z = np.asarray(rows.extras["fluctuation_z"])
+    return [_gate("fluctuation_matches_exact",
+                  _row(z.mean(), 0.0, "identity", 5 / np.sqrt(len(z)), 1 / np.sqrt(len(z))))]
 
 
 def _subsystem_equilibration_artifacts(setup, params, rng, out_dir):
@@ -475,8 +516,11 @@ def _purity_equilibration_trial(setup, params, k, rng):
     max_sb_diff = float(np.abs(p_s - p_b).max())
     p_omega = purity(omega.omega_s)
     lhs = abs(float(p_s.mean()) - p_omega)
+    # <p_S>_infinity = Tr (omega^S)^2 + X: the linear term 2 Tr[omega^S (rho^S_t - omega^S)]
+    # averages to 0
     row = check_bound("PURITY_EQUILIBRATION", lhs, {"d_s": params["d_s"], "deff": deff},
-                      deff=deff, purity_sb_max_diff=max_sb_diff, p_omega_s=p_omega)
+                      deff=deff, purity_sb_max_diff=max_sb_diff, p_omega_s=p_omega,
+                      p_s_exact=p_omega + subsystem_fluctuation(h, omega))
     row.satisfied &= verdict(max_sb_diff, 1e-10, "upper")   # p_S = p_B for pure states
     return row
 
@@ -957,14 +1001,15 @@ def _distance_trajectory_setup(params, rng):
     psi0 = np.kron(np.eye(d_s, dtype=complex)[0], psi_b)   # |0>_S |psi_B>
     omega = dephased(h, psi0)
     bound = evaluate_bound("SUBSYSTEM_EQUILIBRATION", {"d_s": d_s, "deff_b": omega.deff_b})
-    return {"h": h, "psi0": psi0, "omega_s": omega.omega_s, "bound": bound}
+    return {"h": h, "psi0": psi0, "omega_s": omega.omega_s, "bound": bound,
+            "fluctuation": subsystem_fluctuation(h, omega)}
 
 
 def _distance_trajectory_trial(setup, params, k, rng):
     h = setup["h"]
     times = sample_times(h, params["n_times"], rng)
     psi0 = setup["psi0"]
-    mean, se = mean_se(_distances(h, psi0, times, setup["omega_s"]))
+    mean, se, _ = _mean_distance(h, psi0, times, setup["omega_s"], setup["fluctuation"])
     return _row(mean, setup["bound"], "upper", stderr=se,
                 initial_distance=trace_distance(reduced_marginals(psi0, h.dims),
                                                  setup["omega_s"]))
@@ -1072,9 +1117,13 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     "SUBSYSTEM_EQUILIBRATION",
     "time-averaged trace distance from the dephased reduced state vs the d_eff bound",
-    {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 2000},
-    None, _subsystem_equilibration_trial, None, _subsystem_equilibration_artifacts,
-    dimension=_bipartite, minimums={"n_times": 2, "dimension": 3}))
+    # 250 times: the control variate gives a smaller row stderr than 2000 plain times
+    {"d_s": 2, "d_b": 32, "trials": 50, "n_times": 250},
+    None, _subsystem_equilibration_trial, _subsystem_equilibration_summary,
+    _subsystem_equilibration_artifacts,
+    # z needs Y_t to move: at d_s = 1 rho^S_t is stationary, at d_b = 1 Y_t = 1 - sum_k p_k^2
+    # for all t, and z reads rounding over rounding
+    dimension=_bipartite, minimums={"n_times": 2, "dimension": 3, "d_s": 2, "d_b": 2}))
 
 _register(ExperimentDef(
     "PURITY_EQUILIBRATION",
@@ -1201,4 +1250,6 @@ _register(ExperimentDef(
     {"d_s": 2, "d_b": 32, "trials": 1, "n_times": 2000},
     _distance_trajectory_setup, _distance_trajectory_trial, None,
     _distance_trajectory_artifacts,
-    dimension=_bipartite, minimums={"n_times": 2, "dimension": 3}))
+    # at d_s = 1 rho^S_t is stationary and X is rounding, which beta = sqrt(d_s) / (4 sqrt(X))
+    # amplified into an lhs of 1e-9
+    dimension=_bipartite, minimums={"n_times": 2, "dimension": 3, "d_s": 2}))

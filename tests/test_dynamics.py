@@ -30,6 +30,7 @@ from purestat import (
     sample_product_state,
     sample_random_hamiltonian,
     sample_times,
+    subsystem_fluctuation,
     time_map,
     trace_distance,
     trace_norm,
@@ -39,7 +40,15 @@ from purestat import (
 from purestat import dynamics
 from purestat.hamiltonians import phase_factors
 from purestat.linalg import BLOCK_ENTRIES, GEMM_ROWS
-from purestat.experiments import EXPERIMENTS, FD_RTOL, mean_se
+from purestat.experiments import (
+    EXPERIMENTS,
+    FD_RTOL,
+    _distance_samples,
+    _equilibration_trial_base,
+    _mean_distance,
+    mean_se,
+)
+from purestat.harness import ExperimentSpec, run_experiment
 
 
 def _rand_herm(d, rng):
@@ -509,6 +518,92 @@ def test_the_dephased_purity_is_the_sum_of_squared_populations():
     assert omega.deff == 1.0 / dephased_purity(omega.probs)
     dense = (h.eigenbasis * omega.probs) @ dagger(h.eigenbasis)
     assert omega.deff == pytest.approx(effective_dimension(dense), rel=1e-12)
+
+
+def _fluctuation_double_sum(h, psi):
+    """sum_{j != k} p_j p_k ||Tr_B |E_j><E_k|||_F^2 term by term: the reference
+    for dynamics.subsystem_fluctuation's swap identity."""
+    p = np.abs(h.to_eigenbasis(psi)) ** 2
+    v = h.eigenbasis
+    return sum(p[j] * p[k] * (np.abs(partial_trace(np.outer(v[:, j], v[:, k].conj()),
+                                                   *h.dims, "S")) ** 2).sum()
+               for j in range(h.dim) for k in range(h.dim) if j != k)
+
+
+@pytest.mark.parametrize("dims", [(2, 8), (3, 7), (4, 4)])
+def test_subsystem_fluctuation_is_the_explicit_double_sum(dims):
+    rng = trial_stream(102, 20)
+    h = sample_random_hamiltonian(dims, rng)
+    psis = np.array([sample_haar_state(h.dim, rng) for _ in range(3)])
+    want = np.array([_fluctuation_double_sum(h, psi) for psi in psis])
+    stacked = subsystem_fluctuation(h, dephased(h, psis))
+    assert stacked.shape == (3,) and np.allclose(stacked, want, rtol=1e-12, atol=0)
+    single = subsystem_fluctuation(h, dephased(h, psis[1]))
+    assert isinstance(single, float) and single == pytest.approx(want[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 8), (3, 5)])
+def test_subsystem_fluctuation_is_the_long_time_mean(dims):
+    # uniform times on [0, 10^4 / mgd) damp each cross term of the mean by at
+    # most 2e-4, far below the standard error of 1e5 times
+    rng = trial_stream(102, 21)
+    h = sample_random_hamiltonian(dims, rng)
+    psi = sample_haar_state(h.dim, rng)
+    omega = dephased(h, psi)
+    y = _distance_samples(h, psi, sample_times(h, 100_000, rng), omega.omega_s)[1]
+    mean, se = mean_se(y)
+    assert abs(mean - subsystem_fluctuation(h, omega)) <= 4 * se
+
+
+def test_subsystem_fluctuation_assumes_non_degenerate_gaps():
+    # a 4-fold degenerate level keeps its coherences, so rho^S_t settles around
+    # the cluster-dephased omega^S and its mean square distance from it is not X
+    rng = trial_stream(102, 22)
+    e = np.sort(rng.uniform(0.0, 1.0, 16))
+    e[:4] = e[0]
+    h = Hamiltonian(e, haar_unitary(16, rng), dims=(2, 8))
+    assert not h.gap_report.non_resonant
+    psi = sample_haar_state(16, rng)
+    omega_s = partial_trace(dephase(_density(psi), h, mode="clusters"), 2, 8, "S")
+    y = _distance_samples(h, psi, rng.uniform(0.0, 1e6, 100_000), omega_s)[1]
+    mean, se = mean_se(y)
+    assert abs(mean - subsystem_fluctuation(h, dephased(h, psi))) > 10 * se
+
+
+@pytest.mark.parametrize("dims", [(2, 16), (4, 8)])
+def test_the_control_variate_mean_distance_is_unbiased(dims):
+    # E[D_t - beta (Y_t - X)] = E[D_t] for a beta fixed before the times are
+    # drawn, at d_S = 2, where beta linearises D_t = sqrt(Y_t / 2) exactly, and
+    # at d_S = 4, where it does not: the mean of 400 estimates from 250 times
+    # each must agree with the plain mean of 1e5 other times
+    rng = trial_stream(102, 23)
+    h = sample_random_hamiltonian(dims, rng)
+    psi = sample_haar_state(h.dim, rng)
+    omega = dephased(h, psi)
+    x = subsystem_fluctuation(h, omega)
+    estimates = [_mean_distance(h, psi, sample_times(h, 250, rng), omega.omega_s, x)[0]
+                 for _ in range(400)]
+    plain = _distance_samples(h, psi, sample_times(h, 100_000, rng), omega.omega_s)[0]
+    (a, se_a), (b, se_b) = mean_se(np.array(estimates)), mean_se(plain)
+    assert abs(a - b) <= 4 * np.hypot(se_a, se_b)
+
+
+@pytest.mark.parametrize("dims, trials, seeds", [((2, 32), 50, (7, 11, 23)),
+                                                 ((2, 128), 16, (7,))])
+def test_the_default_times_give_no_larger_stderr_than_2000_plain_times(
+        dims, trials, seeds, monkeypatch):
+    # SUBSYSTEM_EQUILIBRATION's control variate at its default n_times against
+    # the plain mean of D_t at the 2000 times it used before, same trial draws
+    monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
+    params = {"d_s": dims[0], "d_b": dims[1], "trials": trials}
+    for seed in seeds:
+        res = run_experiment(ExperimentSpec("SUBSYSTEM_EQUILIBRATION", params, seed=seed))
+        plain = []
+        for k in range(trials):
+            h, psi0, times, omega = _equilibration_trial_base(
+                {**params, "n_times": 2000}, trial_stream(seed, k))
+            plain.append(mean_se(_distance_samples(h, psi0, times, omega.omega_s)[0])[1])
+        assert res.records.stderr.mean() <= np.mean(plain), seed
 
 
 def test_batched_finite_differences_match_a_per_time_loop():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from purestat.dynamics import dephased
 from purestat.ensembles import complex_normals, sample_gue
 from purestat.experiments import EXPERIMENTS
 from purestat.harness import ExperimentSpec, run_experiment
@@ -47,6 +48,28 @@ def _real_gue(d, rng, norm=1.0, traceless=False):
 def test_a_real_gue_leaves_the_gue_spacing_window(monkeypatch):
     _patch_everywhere(monkeypatch, sample_gue, _real_gue)
     assert abs(gue_spacing_ratio() - GUE_SPACING_RATIO) >= SPACING_RATIO_TOL
+
+
+def _quartic_populations(h, state):
+    """dephased with populations p_k proportional to |c_k|^4: the dephasing of the
+    state whose eigenbasis coefficients are c_k |c_k|, renormalised."""
+    c = np.atleast_2d(state) @ h.eigenbasis.conj()
+    c *= np.abs(c)
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    twisted = c @ h.eigenbasis.T
+    return dephased(h, twisted if np.ndim(state) == 2 else twisted[0])
+
+
+def test_quartic_populations_are_reported(monkeypatch):
+    # a wrong omega lowers d_eff, which only loosens the bounds it enters; the
+    # sampled mean of ||rho^S_t - omega^S||_2^2 against its exact X reports it
+    # (mean z 1.14 at seed 7 against the gate's 5 / sqrt(50) = 0.71)
+    monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
+    _patch_everywhere(monkeypatch, dephased, _quartic_populations)
+    res = run_experiment(ExperimentSpec("SUBSYSTEM_EQUILIBRATION", seed=7))
+    (gate,) = res.summary["gates"]
+    assert gate["gate"] == "fluctuation_matches_exact" and not gate["satisfied"]
+    assert res.violations == 1
 
 
 # every experiment that reads d_eff(omega) or d_eff(omega^B), directly or through a bound
