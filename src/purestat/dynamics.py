@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+# subsystem_fluctuation's rounding scale, relative to Tr (omega^B)^2 <= 1: its
+# difference of two sums of d terms each carries about d eps of it, 2e-13 at d = 1024
+FLUCTUATION_ROUNDING = 1e-12
+
+
 class _Dephased(NamedTuple):
     """dephased's (p, omega^S, omega^B), with deff = d_eff(omega) and deff_b = d_eff(omega^B)."""
     probs: np.ndarray
@@ -68,14 +73,17 @@ def subsystem_fluctuation(h: Hamiltonian, omega: _Dephased):
     the double sum: X = Tr (omega^B)^2 - sum_k p_k^2 Tr[(Tr_B |E_k><E_k|)^2],
     which is d^2 d_S work beside dephased's and no (d, d) product; the
     eigenvectors' marginals are taken in blocks of BLOCK_ENTRIES entries, so no
-    temporary grows with d^2 either.  Rounding below 0 is clipped, so a
-    stationary rho^S_t reads 0.
+    temporary grows with d^2 either.  A difference at or below
+    FLUCTUATION_ROUNDING Tr (omega^B)^2 is the rounding of its two terms, not a
+    fluctuation, and reads 0: so does a stationary rho^S_t, as at d_S = 1.
     """
     rows = max(1, BLOCK_ENTRIES // h.dim)   # eigenvectors per block
     v = h.eigenbasis.T
     eig_purities = np.concatenate([purity(reduced_marginals(v[a:a + rows], h.dims))
                                    for a in range(0, h.dim, rows)])
-    x = np.maximum(purity(omega.omega_b) - omega.probs ** 2 @ eig_purities, 0.0)
+    purity_b = purity(omega.omega_b)
+    x = purity_b - omega.probs ** 2 @ eig_purities
+    x = np.where(x > FLUCTUATION_ROUNDING * purity_b, x, 0.0)
     return float(x) if x.ndim == 0 else x
 
 

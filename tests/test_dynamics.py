@@ -43,7 +43,8 @@ from purestat.linalg import BLOCK_ENTRIES, GEMM_ROWS
 from purestat.experiments import (
     EXPERIMENTS,
     FD_RTOL,
-    _distance_samples,
+    FLUCTUATION_GATE_DOF,
+    _distances,
     _equilibration_trial_base,
     _mean_distance,
     mean_se,
@@ -520,6 +521,11 @@ def test_the_dephased_purity_is_the_sum_of_squared_populations():
     assert omega.deff == pytest.approx(effective_dimension(dense), rel=1e-12)
 
 
+def _square_distances(h, psi, times, omega_s):
+    """Y_t = ||rho^S_t - omega^S||_2^2 at each time."""
+    return time_map(h, psi, times, lambda psis: purity(reduced_marginals(psis, h.dims) - omega_s))
+
+
 def _fluctuation_double_sum(h, psi):
     """sum_{j != k} p_j p_k ||Tr_B |E_j><E_k|||_F^2 term by term: the reference
     for dynamics.subsystem_fluctuation's swap identity."""
@@ -550,7 +556,7 @@ def test_subsystem_fluctuation_is_the_long_time_mean(dims):
     h = sample_random_hamiltonian(dims, rng)
     psi = sample_haar_state(h.dim, rng)
     omega = dephased(h, psi)
-    y = _distance_samples(h, psi, sample_times(h, 100_000, rng), omega.omega_s)[1]
+    y = _square_distances(h, psi, sample_times(h, 100_000, rng), omega.omega_s)
     mean, se = mean_se(y)
     assert abs(mean - subsystem_fluctuation(h, omega)) <= 4 * se
 
@@ -565,7 +571,7 @@ def test_subsystem_fluctuation_assumes_non_degenerate_gaps():
     assert not h.gap_report.non_resonant
     psi = sample_haar_state(16, rng)
     omega_s = partial_trace(dephase(_density(psi), h, mode="clusters"), 2, 8, "S")
-    y = _distance_samples(h, psi, rng.uniform(0.0, 1e6, 100_000), omega_s)[1]
+    y = _square_distances(h, psi, rng.uniform(0.0, 1e6, 100_000), omega_s)
     mean, se = mean_se(y)
     assert abs(mean - subsystem_fluctuation(h, dephased(h, psi))) > 10 * se
 
@@ -583,7 +589,7 @@ def test_the_control_variate_mean_distance_is_unbiased(dims):
     x = subsystem_fluctuation(h, omega)
     estimates = [_mean_distance(h, psi, sample_times(h, 250, rng), omega.omega_s, x)[0]
                  for _ in range(400)]
-    plain = _distance_samples(h, psi, sample_times(h, 100_000, rng), omega.omega_s)[0]
+    plain = _distances(h, psi, sample_times(h, 100_000, rng), omega.omega_s)
     (a, se_a), (b, se_b) = mean_se(np.array(estimates)), mean_se(plain)
     assert abs(a - b) <= 4 * np.hypot(se_a, se_b)
 
@@ -602,8 +608,68 @@ def test_the_default_times_give_no_larger_stderr_than_2000_plain_times(
         for k in range(trials):
             h, psi0, times, omega = _equilibration_trial_base(
                 {**params, "n_times": 2000}, trial_stream(seed, k))
-            plain.append(mean_se(_distance_samples(h, psi0, times, omega.omega_s)[0])[1])
+            plain.append(mean_se(_distances(h, psi0, times, omega.omega_s))[1])
         assert res.records.stderr.mean() <= np.mean(plain), seed
+
+
+@pytest.mark.parametrize("dims", [(1, 8), (1, 16), (8, 1)])
+def test_a_subsystem_fluctuation_at_rounding_scale_reads_zero(dims):
+    # at d_S = 1 rho^S_t = omega^S = 1 and X is the rounding of 1 - 1, which the
+    # control variate's beta = sqrt(d_S) / (4 sqrt(X)) once blew up into an lhs
+    # of 1e-9; at d_B = 1 X = 1 - sum_k p_k^2 is a real fluctuation of a constant
+    # Y_t, and stays
+    rng = trial_stream(102, 24)
+    h = sample_random_hamiltonian(dims, rng)
+    psis = np.array([sample_haar_state(h.dim, rng) for _ in range(3)])
+    omega = dephased(h, psis)
+    x = subsystem_fluctuation(h, omega)
+    if dims[0] == 1:
+        assert np.all(x == 0.0)
+    else:
+        assert np.allclose(x, 1.0 - dephased_purity(omega.probs), rtol=1e-12, atol=0)
+
+
+def _fluctuation_gate(experiment_id="SUBSYSTEM_EQUILIBRATION", **params):
+    res = run_experiment(ExperimentSpec(experiment_id, params, seed=7))
+    (gate,) = res.summary["gates"]
+    assert gate["gate"] == "fluctuation_matches_exact"
+    return res, gate
+
+
+@pytest.mark.parametrize("params", [
+    # the fewest sampled times, at the defaults' trials and at the trials that
+    # give the gate its degrees of freedom
+    {"n_times": 2}, {"n_times": 2, "trials": FLUCTUATION_GATE_DOF},
+    # thousands of trials at a few levels, where Y_t's skew is largest
+    {"d_s": 2, "d_b": 2, "trials": 4000}, {"d_s": 3, "d_b": 2, "trials": 2000},
+    # a stationary rho^S_t and a constant Y_t, both rounding against rounding
+    {"d_s": 1, "d_b": 16, "trials": 10}, {"d_s": 16, "d_b": 1, "trials": 10}])
+def test_the_fluctuation_gate_passes_across_sample_sizes(params, monkeypatch):
+    # the per-trial z = (mean(Y_t) - X) / se(Y_t) it once averaged has no mean at
+    # n_times = 2 and a skew bias that a threshold of 5 / sqrt(trials) does not
+    # shrink with; the pooled ratio's bias falls with every sampled time
+    monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
+    res, gate = _fluctuation_gate(**params)
+    assert res.violations == 0 and gate["satisfied"]
+    assert gate["vacuous"] == (gate["dof"] < FLUCTUATION_GATE_DOF)
+    assert gate["dof"] == res.spec.params["trials"] * (res.spec.params["n_times"] - 1)
+
+
+def test_the_fluctuation_gate_is_vacuous_below_its_degrees_of_freedom():
+    # one trial at n_times = 2 gives a ratio with one degree of freedom, which
+    # passed 5 in 16% of runs
+    for trials, n_times in [(1, 2), (1, FLUCTUATION_GATE_DOF), (2, FLUCTUATION_GATE_DOF // 2)]:
+        _, gate = _fluctuation_gate(d_b=8, trials=trials, n_times=n_times)
+        assert gate["vacuous"] and gate["dof"] < FLUCTUATION_GATE_DOF
+    _, gate = _fluctuation_gate(d_b=8, trials=1, n_times=FLUCTUATION_GATE_DOF + 1)
+    assert not gate["vacuous"] and gate["dof"] == FLUCTUATION_GATE_DOF
+
+
+def test_the_control_variate_at_d_s_1_is_the_plain_mean():
+    # X reads 0 there, so beta = 0 and the lhs is the plain mean of D_t, which is
+    # rounding: the parent's 7e-17, not the 1e-9 a rounding X gave
+    res = run_experiment(ExperimentSpec("DISTANCE_TRAJECTORY", {"d_s": 1, "d_b": 16}, seed=7))
+    assert res.violations == 0 and res.records.lhs[0] < 1e-14
 
 
 def test_batched_finite_differences_match_a_per_time_loop():

@@ -430,12 +430,6 @@ def test_every_declared_minimum_is_enforced():
         # a traceless GUE bath Hamiltonian is the zero matrix at d_b = 1, and
         # its scaling to norm 1 gave non-finite entries
         **{(e, "d_b"): 2 for e in NEEDS_TWO_BATH_LEVELS},
-        # the fluctuation gate's z divided rounding by rounding: at d_s = 1
-        # rho^S_t is stationary, at d_b = 1 Y_t is constant; both gave a violation
-        ("SUBSYSTEM_EQUILIBRATION", "d_s"): 2, ("SUBSYSTEM_EQUILIBRATION", "d_b"): 2,
-        # X is rounding at d_s = 1, and the control variate's beta amplified it
-        # into an lhs of 1e-9 where the plain mean read 7e-17
-        ("DISTANCE_TRAJECTORY", "d_s"): 2,
         # the late-time |f| of a d_b-level bath has mean about sqrt(pi / (4 d_b)):
         # at d_b = 2 all 3 trials at seed 7 read 0.66-0.82 against the cap 0.3
         ("EINSELECTION_DEMO", "d_b"): 16,
@@ -559,15 +553,14 @@ def test_a_two_level_system_is_rejected_before_any_hook(monkeypatch, experiment_
         hook: (lambda *args, hook=hook: calls.append(hook)) for hook in HOOKS
         if getattr(exp, hook)}))
     for dims in _at_dimension(experiment_id, 2):
-        # the d_s and d_b floors of SECOND_LAW_DEMO, SUBSYSTEM_EQUILIBRATION and
-        # DISTANCE_TRAJECTORY reject first
+        # SECOND_LAW_DEMO's d_s floor of 2 rejects (1, 2) first
         with pytest.raises(ValueError, match=f"^{experiment_id}: (dimension must be >= 3, "
-                                             "got 2|d_[sb] must be >= 2, got 1)$"):
+                                             "got 2|d_s must be >= 2, got 1)$"):
             run_experiment(ExperimentSpec(experiment_id, {**small, **dims}))
     assert calls == []
     monkeypatch.setitem(EXPERIMENTS, experiment_id, exp)
     for dims in _at_dimension(experiment_id, 3):
-        if all(value >= exp.minimums.get(key, 1) for key, value in dims.items()):
+        if dims.get("d_s", 1) >= exp.minimums.get("d_s", 1):
             result = run_experiment(ExperimentSpec(experiment_id, {**small, **dims},
                                                    out_dir=tmp_path))
             assert len(result.records) >= small.get("trials", 1)

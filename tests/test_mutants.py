@@ -63,7 +63,7 @@ def _quartic_populations(h, state):
 def test_quartic_populations_are_reported(monkeypatch):
     # a wrong omega lowers d_eff, which only loosens the bounds it enters; the
     # sampled mean of ||rho^S_t - omega^S||_2^2 against its exact X reports it
-    # (mean z 1.14 at seed 7 against the gate's 5 / sqrt(50) = 0.71)
+    # (8.4 pooled standard errors at seed 7 against the gate's 5)
     monkeypatch.delenv("PURESTAT_WORKERS", raising=False)
     _patch_everywhere(monkeypatch, dephased, _quartic_populations)
     res = run_experiment(ExperimentSpec("SUBSYSTEM_EQUILIBRATION", seed=7))
